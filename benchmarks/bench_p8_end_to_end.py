@@ -2,15 +2,15 @@
 
 Two claims, measured on one large Erdős–Rényi instance:
 
-1. **Level-loop speedup** (the gated record).  With ``FIRST_FEASIBLE``
-   selection every recursing bin of a level scores the same head batch of
-   hash-pair candidates; the per-bin reference pays a scalar head probe
-   plus a batched tail *per bin*, while the segmented kernel layer
-   (:mod:`repro.core.level`) scores all sibling bins in one concatenated
-   pass.  The two paths produce bit-identical cost values (asserted here),
-   and the segmented pass must be at least
-   ``BENCH_P8_REQUIRED_SPEEDUP`` (default 2x) faster at the smoke scale
-   and above.
+1. **Level-loop ratio** (informational record, ``gate: false``).  With
+   ``FIRST_FEASIBLE`` selection every recursing bin of a level scores the
+   same head batch of hash-pair candidates; the per-bin reference scores
+   each bin's batch with that bin's own ``many`` kernel (what the selector
+   does), while the segmented kernel layer (:mod:`repro.core.level`)
+   scores all sibling bins in one concatenated pass.  The two paths
+   produce bit-identical cost values (asserted here).  Against the
+   batched per-bin route the ratio is about 1x, so the record is kept for
+   information only.
 
 2. **End-to-end wall-clock** (gated record, ``metric: seconds``).  A full
    ``ColorReduce`` run is timed with a median-of-k protocol
@@ -113,8 +113,7 @@ def _level_head_scoring(graph, palettes, params, ell, global_nodes, min_children
         cost = partition_cost_function(
             child_graph, child_palettes, params, next_ell, global_nodes
         )
-        head = cost(*pairs[0])
-        reference[key] = [head] + list(cost.many(pairs[1:]))
+        reference[key] = list(cost.many(pairs))
     per_bin_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
@@ -199,7 +198,7 @@ def test_p8_end_to_end(benchmark, experiment_scale):
             "scalar_s": round(per_bin_s, 5),
             "batch_s": round(segmented_s, 5),
             "speedup": round(level_speedup, 2),
-            "gate": True,
+            "gate": False,
         },
         {
             "op": "peak-rss",
@@ -246,9 +245,3 @@ def test_p8_end_to_end(benchmark, experiment_scale):
             f"of {e2e_runs} run(s) {[round(s, 2) for s in samples]}"
         )
     print(f"  peak RSS: {rss_mb:8.1f} MiB")
-
-    required = float(os.environ.get("BENCH_P8_REQUIRED_SPEEDUP", "2.0"))
-    assert level_speedup >= required, (
-        f"segmented level scoring only {level_speedup:.2f}x faster than the "
-        f"per-bin reference at n={graph.num_nodes} (required {required}x)"
-    )

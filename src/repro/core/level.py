@@ -1,13 +1,11 @@
 """Segmented cross-bin kernels: score a whole recursion level in one pass.
 
-Per-bin dispatch was the last interpreter-bound hot path: after a
-``Partition`` call splits an instance into ``B`` sibling color bins, the
-recursion used to descend into each bin separately, and each child's own
-``Partition`` call re-entered the Python layer — most expensively through
-FIRST_FEASIBLE's scalar head probe (``cost(*batch[0])``, a full
-O(n + m) pure-Python :func:`~repro.core.classification.classify_partition`
-per child per level).  This module evaluates the Eq (1) / Eq (2) costs of
-*all* siblings' head candidate batches in one segmented array pass:
+After a ``Partition`` call splits an instance into ``B`` sibling color
+bins, the recursion descends into each bin separately, and each child's
+own ``Partition`` call scores its head candidate batch with its own
+batched evaluator — one array pass per child.  This module evaluates the
+Eq (1) / Eq (2) costs of *all* siblings' head candidate batches in one
+segmented array pass instead:
 
 * per-child static arrays (CSR edges, flattened palette entries,
   thresholds) are concatenated once with per-bin offsets,
@@ -54,10 +52,9 @@ _SALT_STRIDE = 1_000_003
 #: Engagement floor for the cross-bin prefetch, in instance size
 #: (``num_nodes + num_edges``).  The prefetch eagerly scores the *whole*
 #: head batch for every sibling, while the per-bin ``FIRST_FEASIBLE``
-#: probe stops at the first feasible candidate — usually the head
-#: (Lemma 3.8).  The trade only pays when one scalar head probe costs
-#: more than ``batch_size`` vectorized candidates, i.e. on children big
-#: enough to amortize the level arrays' setup; below the floor the
+#: scan scores the head candidate alone first and stops there when it is
+#: feasible — usually (Lemma 3.8).  The trade can only pay on children
+#: big enough to amortize the level arrays' setup; below the floor the
 #: drivers keep the per-bin route (outcomes are identical either way).
 LEVEL_PREFETCH_MIN_SIZE = 32_768
 
@@ -364,8 +361,8 @@ def prefetch_partition_level(
             key = _pair_key(h1, h2)
             values[index][key] = row_costs[index]
             if candidate == 0:
-                # Lemma 3.8 makes the head feasible a constant fraction of
-                # the time; its counts feed classify_selected for free.
+                # The head is the usual selection (Lemma 3.8); keeping its
+                # counts lets classify_selected skip its own count pass.
                 counts[index][key] = row_counts[index]
     return {
         child[0]: CachedPairCost(evaluators[index], values[index], counts[index])

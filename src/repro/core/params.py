@@ -165,7 +165,7 @@ class ColorReduceParameters:
     graph_use_batch: bool = True
     #: Score all sibling bins' head candidate batches in one segmented
     #: cross-bin pass per recursion level (:mod:`repro.core.level`) instead
-    #: of one per-bin probe each; bit-identical outcomes either way.  Only
+    #: of each bin's own head scoring; bit-identical outcomes either way.  Only
     #: engaged when the batch layers it rides on are also enabled
     #: (``graph_use_batch``, ``selection_use_batch``, single-process
     #: selection, FIRST_FEASIBLE).

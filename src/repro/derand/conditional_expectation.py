@@ -314,15 +314,14 @@ class HashPairSelector:
             # the batch's concurrent prefix sums); the scan semantics —
             # evaluations counted up to the first feasible candidate, in
             # candidate order — are identical to the scalar path.  The very
-            # first candidate is probed scalar first: Lemma 3.8 makes it
-            # feasible a constant fraction of the time, and a feasible probe
-            # skips both the batch computation and the kernel's one-time
-            # array preparation (values are bit-identical either way).
+            # first candidate is scored alone, through the batch kernel:
+            # Lemma 3.8 makes it feasible a constant fraction of the time,
+            # so the rest of the batch is often never needed.
             if batch_cost is None:
                 values = None
             elif probe_pending:
                 probe_pending = False
-                head = cost(*batch[0])
+                head = batch_cost(batch[:1])[0]
                 if target_bound is None or head <= target_bound:
                     values = [head]  # feasible: the scan returns at index 0
                 else:

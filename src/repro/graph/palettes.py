@@ -456,20 +456,22 @@ class PaletteAssignment:
         return cls._adopt_store(store)
 
     def copy(self) -> "PaletteAssignment":
-        """Deep copy (palette sets are duplicated).
+        """Independent copy, copy-on-write over a warm array store.
 
-        The immutable array store is shared when present: mutation replaces
-        or drops a store, never edits it, so a shared snapshot stays
-        consistent on both sides.
+        With a warm store the clone shares it and leaves its sets lazy:
+        they are materialized from the store on the first set-based access,
+        on either side.  Sharing is safe because a store is immutable —
+        mutation replaces or drops a store, never edits it — so a change
+        to either assignment never reaches the other.  Without a store
+        (cold, or :data:`_STORE_UNAVAILABLE`) the palette sets are
+        duplicated.
         """
         clone = PaletteAssignment({})
-        sets = self._sets
-        clone._sets = (
-            {node: set(colors) for node, colors in sets.items()}
-            if sets is not None
-            else None
-        )
         clone._store = self._store
+        if isinstance(self._store, _PaletteStore):
+            clone._sets = None
+        else:
+            clone._sets = {node: set(colors) for node, colors in self._sets.items()}
         return clone
 
     # ------------------------------------------------------------------

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import ColoringError
 from repro.graph.graph import Graph
 from repro.graph.palettes import PaletteAssignment
@@ -70,6 +72,59 @@ def is_valid_list_coloring(
     return not find_palette_violations(palettes, coloring)
 
 
+def _proper_colors_by_position(csr, coloring: ColoringMap) -> Optional[np.ndarray]:
+    """The colors of ``csr``'s nodes iff the coloring is proper.
+
+    Returns an int64 array aligned with ``csr.node_ids`` when every node is
+    colored and no CSR edge joins two equal colors (one gather per edge
+    endpoint).  Returns ``None`` on a violation *and* when the colors do
+    not form an int64 array (uncolored nodes, non-integer or out-of-range
+    colors): the caller then runs the scalar check, which decides.
+    """
+    colors = np.array(list(map(coloring.get, csr.node_ids)))
+    if colors.dtype.kind != "i":
+        return None
+    if bool((colors[csr.edge_sources] == colors[csr.indices]).any()):
+        return None
+    return colors
+
+
+def _palettes_respected(
+    csr,
+    palettes: PaletteAssignment,
+    coloring: ColoringMap,
+    colors: np.ndarray,
+) -> bool:
+    """Whether every colored node's color is provably in its palette.
+
+    ``colors`` is :func:`_proper_colors_by_position`'s array, so every
+    graph node is colored.  One compare of the flat palette store against
+    each entry's owner color, one ``bincount`` of the hits per store row.
+    ``False`` means "not proven" — a violation, coloring keys or palettes
+    outside the graph, or no warm array store — and sends the caller to
+    the scalar check.
+    """
+    store = palettes._store_if_warm()
+    if store is None or len(coloring) != csr.num_nodes:
+        return False
+    num_rows = len(store.nodes)
+    if store.nodes == csr.node_ids:
+        row_colors = colors
+    else:
+        position = csr.position
+        row_positions = np.fromiter(
+            (position.get(node, -1) for node in store.nodes),
+            dtype=np.int64,
+            count=num_rows,
+        )
+        if bool((row_positions < 0).any()):
+            return False  # palettes of nodes outside the graph
+        row_colors = colors[row_positions]
+    hits = np.flatnonzero(store.flat == np.repeat(row_colors, store.sizes()))
+    hit_rows = np.searchsorted(store.offsets, hits, side="right") - 1
+    return bool((np.bincount(hit_rows, minlength=num_rows) > 0).all())
+
+
 def assert_valid_list_coloring(
     graph: Graph, palettes: PaletteAssignment, coloring: ColoringMap
 ) -> None:
@@ -79,8 +134,18 @@ def assert_valid_list_coloring(
     monochromatic, and every node's color comes from its own palette — the
     definition of (Δ+1)-list / (deg+1)-list coloring in Section 1 of the
     paper.
+
+    Pass/fail is decided with arrays (a CSR gather, and a membership check
+    over the warm palette store).  On any violation, or when the arrays
+    are unavailable, the scalar functions above run instead and raise the
+    error for the first violation, so the message is the same either way.
     """
-    assert_proper_coloring(graph, coloring)
+    csr = graph.csr()
+    colors = _proper_colors_by_position(csr, coloring)
+    if colors is None:
+        assert_proper_coloring(graph, coloring)
+    elif _palettes_respected(csr, palettes, coloring, colors):
+        return
     offenders = find_palette_violations(palettes, coloring)
     if offenders:
         node = offenders[0]

@@ -100,6 +100,88 @@ class TestFirstFeasible:
         assert charges and all(rounds > 0 for rounds in charges)
 
 
+def _pair_key(h1, h2):
+    return (h1.coefficients, h2.coefficients)
+
+
+class _TableCost:
+    """A batched cost with a fixed value per candidate, counting its calls."""
+
+    def __init__(self, pairs, values):
+        self._table = {_pair_key(h1, h2): value for (h1, h2), value in zip(pairs, values)}
+        self.scalar_calls = 0
+        self.many_sizes = []
+
+    def __call__(self, h1, h2):
+        self.scalar_calls += 1
+        return self._table[_pair_key(h1, h2)]
+
+    def many(self, pairs):
+        self.many_sizes.append(len(pairs))
+        return [self._table[_pair_key(h1, h2)] for h1, h2 in pairs]
+
+
+class TestBatchedHeadProbe:
+    """FIRST_FEASIBLE scores its head candidate through ``many`` only."""
+
+    MAX_CANDIDATES = 48
+
+    def _selector(self, use_batch):
+        family1, family2 = small_families()
+        return HashPairSelector(
+            family1,
+            family2,
+            max_candidates=self.MAX_CANDIDATES,
+            candidate_salt=7,
+            use_batch=use_batch,
+        )
+
+    def _select(self, use_batch, values, target_bound):
+        selector = self._selector(use_batch)
+        pairs = [pair for batch in selector._candidate_batches() for pair in batch]
+        cost = _TableCost(pairs, values)
+        charges = []
+        try:
+            outcome = selector.select(
+                cost,
+                target_bound=target_bound,
+                charge=lambda label, rounds: charges.append((label, rounds)),
+            )
+        except DerandomizationError as exc:
+            return ("error", str(exc), charges), cost
+        decided = (
+            _pair_key(outcome.h1, outcome.h2),
+            outcome.cost,
+            outcome.evaluations,
+            outcome.rounds_charged,
+            charges,
+        )
+        return decided, cost
+
+    @pytest.mark.parametrize(
+        "feasible_index, target_bound",
+        [
+            (0, 5.0),  # feasible head
+            (0, None),  # no bound: the head is always taken
+            (3, 5.0),  # infeasible head, feasible later in the first batch
+            (20, 5.0),  # whole first batch infeasible
+            (None, 5.0),  # nothing feasible: DerandomizationError
+        ],
+    )
+    def test_matches_scalar_reference_without_scalar_calls(
+        self, feasible_index, target_bound
+    ):
+        values = [9.0] * self.MAX_CANDIDATES
+        if feasible_index is not None:
+            values[feasible_index] = 2.0
+        batched, batched_cost = self._select(True, values, target_bound)
+        reference, reference_cost = self._select(False, values, target_bound)
+        assert batched == reference
+        assert batched_cost.scalar_calls == 0
+        assert batched_cost.many_sizes[0] == 1  # the head is scored alone
+        assert reference_cost.many_sizes == []
+
+
 class TestExhaustive:
     def test_returns_minimum_over_candidates(self):
         family1, family2 = small_families()

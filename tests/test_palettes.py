@@ -36,6 +36,74 @@ class TestConstructors:
         assert clone.palette(0) == {2}
 
 
+class TestCopyOnWrite:
+    """``copy()`` shares a warm store; mutation never crosses the copy."""
+
+    LISTS = {0: [1, 2, 3], 1: [2, 3], 2: [5]}
+
+    def _warm(self):
+        palettes = PaletteAssignment.from_lists(self.LISTS)
+        assert palettes.store() is not None
+        return palettes
+
+    def test_clone_shares_warm_store_with_lazy_sets(self):
+        palettes = self._warm()
+        clone = palettes.copy()
+        assert clone._store is palettes._store
+        assert clone._sets is None
+        assert {node: clone.palette(node) for node in clone.nodes()} == {
+            node: set(colors) for node, colors in self.LISTS.items()
+        }
+
+    def test_clone_mutation_leaves_original_unchanged(self):
+        palettes = self._warm()
+        clone = palettes.copy()
+        clone.remove_color(0, 1)
+        assert clone.palette(0) == {2, 3}
+        assert palettes.palette(0) == {1, 2, 3}
+        assert palettes.store().row_slice(0).tolist() == [1, 2, 3]
+
+    def test_original_mutation_leaves_clone_unchanged(self):
+        palettes = self._warm()
+        clone = palettes.copy()
+        palettes.remove_color(1, 2)
+        assert palettes.palette(1) == {3}
+        assert clone.palette(1) == {2, 3}
+
+    def test_batch_pruning_on_clone_leaves_original_unchanged(self):
+        graph = Graph(nodes=[0, 1, 2], edges=[(0, 1), (1, 2)])
+        palettes = self._warm()
+        clone = palettes.copy()
+        clone.remove_colors_used_by_neighbors_batch(graph, {1: 2})
+        assert clone.palette(0) == {1, 3}
+        assert palettes.palette(0) == {1, 2, 3}
+
+    def test_sets_only_copy_duplicates_sets(self):
+        palettes = PaletteAssignment.from_lists(self.LISTS)
+        clone = palettes.copy()
+        assert clone._store is None
+        assert clone._sets is not None
+        for node in palettes.nodes():
+            assert clone._sets[node] is not palettes._sets[node]
+        clone.remove_color(0, 1)
+        palettes.remove_color(2, 5)
+        assert palettes.palette(0) == {1, 2, 3}
+        assert clone.palette(2) == {5}
+
+    def test_store_unavailable_copy_duplicates_sets(self):
+        from repro.graph.palettes import _STORE_UNAVAILABLE
+
+        palettes = PaletteAssignment.from_lists({0: [1, 2**70], 1: [3]})
+        assert palettes.store() is None
+        clone = palettes.copy()
+        assert clone._store is _STORE_UNAVAILABLE
+        assert clone._sets[0] is not palettes._sets[0]
+        clone.remove_color(0, 2**70)
+        palettes.remove_color(1, 3)
+        assert palettes.palette(0) == {1, 2**70}
+        assert clone.palette(1) == {3}
+
+
 class TestQueries:
     def test_missing_node_raises(self):
         palettes = PaletteAssignment.from_lists({0: [1]})

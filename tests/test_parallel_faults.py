@@ -446,8 +446,8 @@ def _chaos_graph():
 
 def _run_color_reduce(workers: int, **knobs):
     # EXHAUSTIVE scores every candidate batch through the batch scorer, so
-    # the pool genuinely sees a stream of slabs (FIRST_FEASIBLE's scalar
-    # first-candidate probe usually succeeds on these instances and would
+    # the pool genuinely sees a stream of slabs (FIRST_FEASIBLE usually
+    # stops at its one-candidate head slab on these instances and would
     # leave the pool idle — no faults would ever fire).
     from repro.derand.conditional_expectation import SelectionStrategy
 

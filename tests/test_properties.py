@@ -651,3 +651,93 @@ class TestSegmentedLevelDifferential:
             assert outcome_proxy.violating_nodes == outcome_ref.violating_nodes
             assert outcome_proxy.bin_of_node == outcome_ref.bin_of_node
             assert outcome_proxy.cost == outcome_ref.cost
+
+
+# ----------------------------------------------------------------------
+# Array final validation vs the scalar oracle
+# ----------------------------------------------------------------------
+_VALIDATION_CASES = [
+    "valid",
+    "uncolored",
+    "monochromatic",
+    "off_palette",
+    "outside_keys",
+    "non_integer_color",
+    "huge_color",
+]
+
+
+@st.composite
+def validation_instances(draw):
+    """A graph, palettes and a coloring broken (or not) in one drawn way.
+
+    The base coloring is the greedy one (valid); the palettes are rebuilt
+    in a drawn node order, optionally with palettes for nodes outside the
+    graph, and are either sets-only or store-warm.
+    """
+    graph, palettes = draw(relabeled_instances())
+    coloring = greedy_list_coloring(graph, palettes)
+    nodes = graph.nodes()
+    order = list(reversed(nodes)) if draw(st.booleans()) else nodes
+    lists = {node: palettes.palette(node) for node in order}
+    if draw(st.booleans()):
+        lists[10_000] = {1, 2}
+    rebuilt = PaletteAssignment.from_lists(lists)
+    if draw(st.booleans()):
+        rebuilt.store()
+    case = draw(st.sampled_from(_VALIDATION_CASES))
+    edges = list(graph.edges())
+    if nodes and case in ("uncolored", "off_palette", "non_integer_color", "huge_color"):
+        node = draw(st.sampled_from(nodes))
+        if case == "uncolored":
+            del coloring[node]
+        elif case == "off_palette":
+            coloring[node] = 1_000_000 + nodes.index(node)
+        elif case == "non_integer_color":
+            coloring[node] = coloring[node] + 0.5
+        else:
+            coloring[node] = 2**70
+    elif case == "monochromatic" and edges:
+        u, v = draw(st.sampled_from(edges))
+        coloring[u] = coloring[v]
+    elif case == "outside_keys":
+        coloring[10_000] = draw(st.sampled_from([1, 5]))
+        coloring[20_000] = 7
+    return graph, rebuilt, coloring
+
+
+def _scalar_validation_error(graph, palettes, coloring):
+    """The oracle: the public scalar checks, first violation's message."""
+    from repro.errors import ColoringError
+    from repro.graph.validation import assert_proper_coloring, find_palette_violations
+
+    try:
+        assert_proper_coloring(graph, coloring)
+    except ColoringError as exc:
+        return str(exc)
+    offenders = find_palette_violations(palettes, coloring)
+    if offenders:
+        node = offenders[0]
+        return (
+            f"node {node} was assigned color {coloring[node]}, "
+            f"which is not in its palette"
+        )
+    return None
+
+
+class TestArrayValidationDifferential:
+    """``assert_valid_list_coloring`` decides exactly like the scalar oracle."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(validation_instances())
+    def test_same_verdict_and_message(self, data):
+        from repro.errors import ColoringError
+
+        graph, palettes, coloring = data
+        expected = _scalar_validation_error(graph, palettes, coloring)
+        try:
+            assert_valid_list_coloring(graph, palettes, coloring)
+            actual = None
+        except ColoringError as exc:
+            actual = str(exc)
+        assert actual == expected
