@@ -14,30 +14,52 @@ When the original instance has ``n̂`` vertices and maximum degree
 degree ``n^{14δ}`` — the sizes quoted in the paper.  To keep those bounds we
 first drop palette colors down to ``d(v) + 1`` per node (always safe).
 
-The builder queries the instance only through ``nodes()``, ``degree`` and
-``edges()``, all of which answer from the lazy array view on CSR-extracted
-children — reducing a bin instance to MIS never forces its Python
-adjacency sets to materialise.
+The builder works on arrays: the instance's CSR view and the palette
+store.  Vertex ``base[i] + j`` is the ``j``-th smallest of the ``k_i``
+colors kept for the node at CSR position ``i``, so vertices are numbered
+in ``(owner, color)`` order.  Clique edges come from one segment
+expansion.  Conflict edges expand every directed CSR edge ``(s, t)`` over
+the vertices of ``s`` and look each ``(t, color)`` key up in the sorted
+vertex keys.  The result is a graph over a canonical CSR view whose
+adjacency sets are never built, plus the ``(owner position, color)``
+arrays that map vertices back.  Neither the instance's adjacency sets nor
+its palette sets are touched.  Palettes whose colors do not fit int64 are
+ranked into int64 first, so every input takes the same path.  The scalar
+reference lives in the test oracle ``tests/mis_oracle.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import ColoringError
+import numpy as np
+
+from repro.errors import ColoringError, PaletteError
 from repro.graph.graph import Graph
-from repro.graph.palettes import PaletteAssignment
+from repro.graph.palettes import PaletteAssignment, _store_from_sets
 from repro.mis.luby import MISResult
 from repro.types import Color, NodeId
 
 
 @dataclass
 class ReductionGraph:
-    """The MIS-reduction graph plus the mapping back to (node, color) pairs."""
+    """The MIS-reduction graph plus the mapping back to (node, color) pairs.
+
+    Vertex ``v`` stands for color ``colors[v]`` of node
+    ``node_ids[owners[v]]``; ``owners`` is non-decreasing and ``colors``
+    ascends within each owner's run.
+    """
 
     graph: Graph
-    vertex_to_node_color: Dict[int, Tuple[NodeId, Color]]
+    node_ids: List[NodeId]
+    owners: np.ndarray
+    colors: np.ndarray
+
+    @classmethod
+    def empty(cls) -> "ReductionGraph":
+        """The reduction of an instance without nodes."""
+        return cls(Graph(), [], np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
 
     @property
     def num_vertices(self) -> int:
@@ -46,6 +68,49 @@ class ReductionGraph:
     @property
     def max_degree(self) -> int:
         return self.graph.max_degree()
+
+    def node_color(self, vertex: int) -> Tuple[NodeId, Color]:
+        """The ``(node, color)`` pair of ``vertex`` (``KeyError`` if unknown)."""
+        if not 0 <= vertex < self.owners.shape[0]:
+            raise KeyError(vertex)
+        return (
+            self.node_ids[int(self.owners[vertex])],
+            self.colors[vertex : vertex + 1].tolist()[0],
+        )
+
+
+def _palette_slices(
+    node_ids: Sequence[NodeId], palettes: PaletteAssignment
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Every node's sorted palette as a slice of one flat array.
+
+    Returns ``(flat, starts, sizes, universe)`` aligned with ``node_ids``:
+    the palette of ``node_ids[i]`` is ``flat[starts[i]:starts[i] + sizes[i]]``,
+    and ``sizes[i] == -1`` marks a node without a palette.  ``universe`` is
+    ``None`` when ``flat`` holds the colors themselves (the palette store);
+    otherwise the colors did not fit int64 and ``flat`` holds their ranks in
+    the sorted object array ``universe``.
+    """
+    store = palettes.store()
+    universe = None
+    if store is None:
+        lists = {node: palettes.palette(node) for node in node_ids if node in palettes}
+        ordered = sorted(set().union(*lists.values()))
+        rank = {color: index for index, color in enumerate(ordered)}
+        store = _store_from_sets(
+            {node: {rank[color] for color in colors} for node, colors in lists.items()}
+        )
+        universe = np.array(ordered, dtype=object)
+    if store.nodes == node_ids:
+        rows = np.arange(len(node_ids), dtype=np.int64)
+    else:
+        index = store.index
+        rows = np.fromiter(
+            (index.get(node, -1) for node in node_ids), dtype=np.int64, count=len(node_ids)
+        )
+    starts = store.offsets[rows]
+    sizes = np.where(rows >= 0, store.offsets[rows + 1] - starts, -1)
+    return store.flat, starts, sizes, universe
 
 
 def build_reduction_graph(
@@ -56,36 +121,88 @@ def build_reduction_graph(
     ``truncate`` drops each palette to its ``d(v) + 1`` smallest colors first
     (keeping the reduction graph within the paper's size bound); the
     resulting coloring is still a valid list coloring of the original
-    palettes because truncation only removes options.
+    palettes because truncation only removes options.  Raises
+    :class:`ColoringError` for the first node (in node order) with an empty
+    palette, or :class:`PaletteError` if that node has none at all.
     """
-    vertex_ids: Dict[Tuple[NodeId, Color], int] = {}
-    vertex_to_node_color: Dict[int, Tuple[NodeId, Color]] = {}
-    per_node_colors: Dict[NodeId, List[Color]] = {}
-    next_vertex = 0
-    for node in graph.nodes():
-        colors = sorted(palettes.palette(node))
-        if truncate:
-            colors = colors[: graph.degree(node) + 1]
-        if not colors:
-            raise ColoringError(f"node {node} has an empty palette")
-        per_node_colors[node] = colors
-        for color in colors:
-            vertex_ids[(node, color)] = next_vertex
-            vertex_to_node_color[next_vertex] = (node, color)
-            next_vertex += 1
+    from repro.graph.csr import _assemble_child, concat_ranges
 
-    reduction = Graph(nodes=range(next_vertex))
-    # Cliques: the copies of a node's palette are pairwise adjacent.
-    for node, colors in per_node_colors.items():
-        for i in range(len(colors)):
-            for j in range(i + 1, len(colors)):
-                reduction.add_edge(vertex_ids[(node, colors[i])], vertex_ids[(node, colors[j])])
-    # Conflict edges: shared colors across original edges.
-    for u, v in graph.edges():
-        shared = set(per_node_colors[u]).intersection(per_node_colors[v])
-        for color in shared:
-            reduction.add_edge(vertex_ids[(u, color)], vertex_ids[(v, color)])
-    return ReductionGraph(graph=reduction, vertex_to_node_color=vertex_to_node_color)
+    csr = graph.csr()
+    node_ids = csr.node_ids
+    num_nodes = csr.num_nodes
+    flat, starts, sizes, universe = _palette_slices(node_ids, palettes)
+    counts = np.minimum(sizes, csr.degrees + 1) if truncate else sizes
+    empty = np.flatnonzero(counts <= 0)
+    if empty.shape[0]:
+        first = int(empty[0])
+        if sizes[first] < 0:
+            raise PaletteError(f"node {node_ids[first]} has no palette")
+        raise ColoringError(f"node {node_ids[first]} has an empty palette")
+    if not num_nodes:
+        return ReductionGraph.empty()
+
+    base = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(counts, out=base[1:])
+    num_vertices = int(base[-1])
+    owners = np.repeat(np.arange(num_nodes, dtype=np.int64), counts)
+    vertex_colors = flat[concat_ranges(starts, counts)]
+
+    # Cliques: every vertex is joined to the other copies of its node.
+    run = counts[owners]
+    clique_rows = np.repeat(np.arange(num_vertices, dtype=np.int64), run)
+    clique_targets = concat_ranges(base[owners], run)
+    distinct = clique_rows != clique_targets
+
+    # Conflict edges: vertex (s, c) meets (t, c) for every directed edge
+    # (s, t) whose target also kept color c.  Keys ``owner * span + color``
+    # are strictly increasing in vertex order, so one searchsorted finds
+    # the target's copy.
+    low = int(vertex_colors.min())
+    span = int(vertex_colors.max()) - low + 1
+    if span <= np.iinfo(np.int64).max // num_nodes:
+        color_keys = vertex_colors.astype(np.int64) - low
+    else:
+        _, color_keys = np.unique(vertex_colors, return_inverse=True)
+        span = int(color_keys.max()) + 1
+    keys = owners * span + color_keys
+    edge_sources = csr.edge_sources.astype(np.int64)
+    reps = counts[edge_sources]
+    conflict_rows = concat_ranges(base[edge_sources], reps)
+    queries = np.repeat(csr.indices.astype(np.int64), reps) * span + color_keys[conflict_rows]
+    found = np.minimum(np.searchsorted(keys, queries), num_vertices - 1)
+    shared = keys[found] == queries
+
+    view = _assemble_child(
+        range(num_vertices),
+        np.concatenate((clique_rows[distinct], conflict_rows[shared])),
+        np.concatenate((clique_targets[distinct], found[shared])),
+    )
+    colors = vertex_colors if universe is None else universe[vertex_colors]
+    return ReductionGraph(
+        graph=Graph._from_csr(view), node_ids=node_ids, owners=owners, colors=colors
+    )
+
+
+def _coloring_by_scan(
+    reduction: ReductionGraph, independent_set: set
+) -> Dict[NodeId, Color]:
+    """The per-vertex reading of :func:`coloring_from_mis`, raising on the
+    first violation in ``independent_set``'s iteration order."""
+    coloring: Dict[NodeId, Color] = {}
+    for vertex in independent_set:
+        node, color = reduction.node_color(vertex)
+        if node in coloring:
+            raise ColoringError(
+                f"node {node} has two chosen colors ({coloring[node]} and {color}); "
+                "the provided set is not independent"
+            )
+        coloring[node] = color
+    missing = set(reduction.node_ids).difference(coloring)
+    if missing:
+        raise ColoringError(
+            f"{len(missing)} nodes have no chosen color; the provided set is not maximal"
+        )
+    return coloring
 
 
 def coloring_from_mis(
@@ -95,24 +212,26 @@ def coloring_from_mis(
 
     Raises :class:`ColoringError` if some original node has no chosen copy
     (impossible for a *maximal* independent set when ``p(v) > d(v)``) or more
-    than one (impossible for any independent set).
+    than one (impossible for any independent set).  One ``bincount`` of the
+    chosen vertices' owners decides; on a violation the per-vertex scan
+    reruns to raise the error for the first offending vertex.
     """
-    coloring: Dict[NodeId, Color] = {}
-    for vertex in independent_set:
-        node, color = reduction.vertex_to_node_color[vertex]
-        if node in coloring:
-            raise ColoringError(
-                f"node {node} has two chosen colors ({coloring[node]} and {color}); "
-                "the provided set is not independent"
-            )
-        coloring[node] = color
-    expected_nodes = {node for node, _ in reduction.vertex_to_node_color.values()}
-    missing = expected_nodes.difference(coloring)
-    if missing:
-        raise ColoringError(
-            f"{len(missing)} nodes have no chosen color; the provided set is not maximal"
+    chosen = np.fromiter(independent_set, dtype=np.int64, count=len(independent_set))
+    if chosen.shape[0] and not (
+        int(chosen.min()) >= 0 and int(chosen.max()) < reduction.owners.shape[0]
+    ):
+        return _coloring_by_scan(reduction, independent_set)  # raises KeyError
+    owners = reduction.owners[chosen]
+    per_node = np.bincount(owners, minlength=len(reduction.node_ids))
+    if not bool((per_node == 1).all()):
+        return _coloring_by_scan(reduction, independent_set)
+    node_ids = reduction.node_ids
+    return dict(
+        zip(
+            [node_ids[owner] for owner in owners.tolist()],
+            reduction.colors[chosen].tolist(),
         )
-    return coloring
+    )
 
 
 def color_via_mis(
@@ -122,7 +241,7 @@ def color_via_mis(
 ) -> Tuple[Dict[NodeId, Color], MISResult, ReductionGraph]:
     """Color an instance by the MIS reduction using the given MIS solver."""
     if graph.num_nodes == 0:
-        return {}, MISResult(independent_set=set(), phases=0), ReductionGraph(Graph(), {})
+        return {}, MISResult(independent_set=set(), phases=0), ReductionGraph.empty()
     reduction = build_reduction_graph(graph, palettes)
     result = mis_solver(reduction.graph)
     coloring = coloring_from_mis(reduction, result.independent_set)

@@ -225,15 +225,22 @@ def gather_segments(
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty
     lengths = indptr[rows + 1] - indptr[rows]
+    return lengths, concat_ranges(indptr[rows], lengths)
+
+
+def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + l) for s, l in zip(starts, lengths)])``.
+
+    One ``repeat`` plus one ``arange`` instead of a Python loop; returns
+    an int64 array of length ``lengths.sum()``.
+    """
     total = int(lengths.sum())
     if not total:
-        return lengths, np.zeros(0, dtype=np.int64)
-    starts = indptr[rows]
+        return np.zeros(0, dtype=np.int64)
     run_ends = np.cumsum(lengths)
-    gather = np.arange(total, dtype=np.int64) + np.repeat(
+    return np.arange(total, dtype=np.int64) + np.repeat(
         starts - (run_ends - lengths), lengths
     )
-    return lengths, gather
 
 
 def _gather_rows(

@@ -175,10 +175,9 @@ class Graph:
         """Iterate over edges as ``(u, v)`` with ``u < v``.
 
         On a lazily-backed graph (:meth:`_from_csr`) the edges are read
-        straight off the array view, so consumers such as the MIS reduction
-        (:mod:`repro.core.low_space.mis_reduction`) never force adjacency
-        materialisation.  Iteration *order* may differ between the two
-        backings; the edge *set* is identical.
+        straight off the array view, so iterating them never forces
+        adjacency materialisation.  Iteration *order* may differ between
+        the two backings; the edge *set* is identical.
         """
         if self._adj_store is None:
             view = self._csr

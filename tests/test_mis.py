@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import mis_oracle
 import pytest
 
 from repro.core.low_space.mis_reduction import (
@@ -12,6 +13,7 @@ from repro.core.low_space.mis_reduction import (
 from repro.errors import ColoringError
 from repro.graph import Graph, PaletteAssignment, generators
 from repro.graph.validation import assert_valid_list_coloring
+from repro.hashing.family import KWiseIndependentFamily
 from repro.mis import (
     assert_maximal_independent_set,
     deterministic_mis,
@@ -19,6 +21,7 @@ from repro.mis import (
     is_independent_set,
     luby_mis,
 )
+from repro.mis.deterministic import _MAX_SEEDS_PER_PHASE
 from repro.mis.validation import is_maximal_independent_set
 
 
@@ -79,6 +82,26 @@ class TestDeterministicMIS:
         for graph in (Graph.complete(12), generators.ring(17), generators.star(20)):
             result = deterministic_mis(graph)
             assert_maximal_independent_set(graph, result.independent_set)
+
+    def test_all_negative_ids(self):
+        # The hash domain is clamped to 1 when every id is negative.
+        graph = Graph.from_edges([(-3, -2), (-2, -1)])
+        result = deterministic_mis(graph)
+        assert result.independent_set == luby_mis(graph, seed=0).independent_set == {-3, -1}
+        assert_maximal_independent_set(graph, result.independent_set)
+
+    def test_acceptance_boundary_is_inclusive(self):
+        # A path laid out in phase-1 priority order has a single local
+        # minimum, at its end: the first seed removes 2 of the 16 edges,
+        # exactly the required 1/8, and must be accepted.
+        family = KWiseIndependentFamily(domain_size=17, range_size=17, independence=4)
+        first_seed = family.from_seed_int(_MAX_SEEDS_PER_PHASE)
+        order = sorted(range(17), key=lambda node: (first_seed.field_value(node), node))
+        graph = Graph(nodes=order, edges=list(zip(order, order[1:])))
+        result = deterministic_mis(graph)
+        expected = mis_oracle.deterministic_mis(graph)
+        assert result.independent_set == expected.independent_set
+        assert result.phases == expected.phases == 2
 
     def test_phase_count_reasonable(self, random_graph):
         result = deterministic_mis(random_graph)
@@ -150,7 +173,23 @@ class TestMISReduction:
         reduction = build_reduction_graph(triangle, palettes)
         # Two copies of the same original node.
         vertices = [
-            v for v, (node, _) in reduction.vertex_to_node_color.items() if node == 0
+            v
+            for v, owner in enumerate(reduction.owners.tolist())
+            if reduction.node_ids[owner] == 0
         ]
-        with pytest.raises(ColoringError):
+        with pytest.raises(ColoringError, match="node 0 has two chosen colors"):
             coloring_from_mis(reduction, set(vertices[:2]))
+
+    def test_vertex_arrays_map_back_to_sorted_truncated_palettes(self):
+        graph = Graph(nodes=[7, 3], edges=[(7, 3)])
+        palettes = PaletteAssignment.from_lists({3: [9, 4, 6], 7: [6, 1]})
+        reduction = build_reduction_graph(graph, palettes)
+        # Vertices follow node order, then ascending color, d(v) + 1 = 2 each.
+        assert reduction.node_ids == [7, 3]
+        assert reduction.owners.tolist() == [0, 0, 1, 1]
+        assert reduction.colors.tolist() == [1, 6, 4, 6]
+        assert [reduction.node_color(v) for v in range(4)] == [(7, 1), (7, 6), (3, 4), (3, 6)]
+        # Cliques {0, 1} and {2, 3}; color 6 is shared across the edge.
+        assert sorted(reduction.graph.edges()) == [(0, 1), (1, 3), (2, 3)]
+        with pytest.raises(KeyError):
+            reduction.node_color(4)

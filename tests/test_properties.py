@@ -9,16 +9,23 @@ assert the invariants the rest of the library relies on:
   nodes,
 * hash functions always land in range and are reproducible from their seed,
 * the MIS algorithms always return maximal independent sets.
+* the array MIS endgame (reduction build, derandomized Luby phases,
+  coloring read-off) equals its scalar oracle in ``tests/mis_oracle.py``.
 """
 
 from __future__ import annotations
 
+import mis_oracle
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ColorReduce, ColorReduceParameters
+from repro.core.low_space.mis_reduction import build_reduction_graph, coloring_from_mis
 from repro.core.local_coloring import greedy_list_coloring
+from repro.errors import ColoringError
 from repro.graph import Graph, PaletteAssignment
+from repro.graph.csr import build_csr
 from repro.graph.validation import assert_valid_list_coloring, is_proper_coloring
 from repro.hashing.family import KWiseIndependentFamily
 from repro.mis import deterministic_mis, greedy_mis, luby_mis
@@ -741,3 +748,143 @@ class TestArrayValidationDifferential:
         except ColoringError as exc:
             actual = str(exc)
         assert actual == expected
+
+
+# ----------------------------------------------------------------------
+# Array MIS endgame vs the scalar oracles (tests/mis_oracle.py)
+# ----------------------------------------------------------------------
+_MIS_SHAPES = ["random", "empty", "isolated", "star", "near_clique"]
+
+
+@st.composite
+def mis_reduction_instances(draw):
+    """A hostile-shaped graph with relabeled ids and drawn list palettes.
+
+    Ids may be non-contiguous, negative or below int64; palettes may be
+    larger than ``d + 1``, sparse, wide, or beyond int64 (store
+    unavailable); the palette assignment is sets-only or store-warm and
+    may list its nodes in reverse.
+    """
+    shape = draw(st.sampled_from(_MIS_SHAPES))
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(min_value=1, max_value=14))
+    if shape == "empty":
+        graph = Graph()
+    elif shape == "isolated":
+        graph = Graph(nodes=range(n))
+    elif shape == "star":
+        leaves = [(0, leaf) for leaf in range(1, n)]
+        extra = [(u, u + 1) for u in range(1, n - 1) if rng.random() < 0.2]
+        graph = Graph(nodes=range(n), edges=leaves + extra)
+    elif shape == "near_clique":
+        graph = Graph(
+            nodes=range(n),
+            edges=[(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.9],
+        )
+    else:
+        graph = draw(graphs(max_nodes=16))
+    stride = draw(st.sampled_from([1, 3, 17, -1, -5]))
+    offset = draw(st.sampled_from([0, 40, -200, -(2**70)]))
+    mapping = {node: offset + stride * node for node in graph.nodes()}
+    order = list(graph.nodes())
+    rng.shuffle(order)
+    relabeled = Graph(
+        nodes=[mapping[node] for node in order],
+        edges=[(mapping[u], mapping[v]) for u, v in graph.edges()],
+    )
+    extra = draw(st.integers(min_value=0, max_value=4))
+    universe_kind = draw(st.sampled_from(["dense", "sparse", "wide", "beyond_int64"]))
+    scale, base = {
+        "dense": (1, 0),
+        "sparse": (1000, 7),
+        "wide": (2**58, -(2**62)),
+        "beyond_int64": (1, 2**70),
+    }[universe_kind]
+    pool = relabeled.max_degree() + 1 + extra + 3
+    lists = {
+        node: [
+            base + scale * color
+            for color in rng.sample(range(pool), relabeled.degree(node) + 1 + extra)
+        ]
+        for node in relabeled.nodes()
+    }
+    if draw(st.booleans()):
+        lists = dict(reversed(list(lists.items())))
+    palettes = PaletteAssignment.from_lists(lists)
+    if draw(st.booleans()):
+        palettes.store()
+    return relabeled, palettes, draw(st.booleans())
+
+
+def _reduction_map(reduction):
+    return {vertex: reduction.node_color(vertex) for vertex in range(reduction.num_vertices)}
+
+
+class TestMISEndgameDifferential:
+    """The array builder and array MIS equal the scalar oracles exactly."""
+
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(mis_reduction_instances())
+    def test_reduction_graph_matches_oracle(self, data):
+        graph, palettes, truncate = data
+        expected_graph, expected_map = mis_oracle.build_reduction_graph(graph, palettes, truncate)
+        reduction = build_reduction_graph(graph, palettes, truncate)
+        assert _reduction_map(reduction) == expected_map
+        if reduction.num_vertices:
+            assert reduction.graph._adj_store is None, "adjacency sets were materialised"
+        view, expected_view = reduction.graph.csr(), build_csr(expected_graph._adj)
+        assert view.node_ids == expected_view.node_ids
+        assert view.indptr.tolist() == expected_view.indptr.tolist()
+        assert view.indices.tolist() == expected_view.indices.tolist()
+        _assert_same_graph(expected_graph, reduction.graph)
+
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(mis_reduction_instances(), st.sampled_from([None, 1, 2]))
+    def test_mis_and_coloring_match_oracle(self, data, max_phases):
+        graph, palettes, truncate = data
+        expected_graph, expected_map = mis_oracle.build_reduction_graph(graph, palettes, truncate)
+        reduction = build_reduction_graph(graph, palettes, truncate)
+        for actual_graph, oracle_graph in ((reduction.graph, expected_graph), (graph, graph)):
+            actual = deterministic_mis(actual_graph, max_phases=max_phases)
+            expected = mis_oracle.deterministic_mis(oracle_graph, max_phases=max_phases)
+            assert actual.independent_set == expected.independent_set
+            assert actual.phases == expected.phases
+        mis = mis_oracle.deterministic_mis(expected_graph).independent_set
+        assert coloring_from_mis(reduction, mis) == mis_oracle.coloring_from_mis(expected_map, mis)
+
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(mis_reduction_instances(), st.randoms(use_true_random=False))
+    def test_coloring_errors_match_oracle(self, data, rng):
+        graph, palettes, truncate = data
+        reduction = build_reduction_graph(graph, palettes, truncate)
+        expected_map = mis_oracle.build_reduction_graph(graph, palettes, truncate)[1]
+        vertices = list(range(reduction.num_vertices))
+        candidate = set(rng.sample(vertices, rng.randint(0, len(vertices))))
+        outcomes = []
+        for read in (
+            lambda: coloring_from_mis(reduction, candidate),
+            lambda: mis_oracle.coloring_from_mis(expected_map, candidate),
+        ):
+            try:
+                outcomes.append(read())
+            except ColoringError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(mis_reduction_instances(), st.randoms(use_true_random=False))
+    def test_empty_palette_error_matches_oracle(self, data, rng):
+        graph, palettes, truncate = data
+        nodes = graph.nodes()
+        if not nodes:
+            return
+        emptied = set(rng.sample(nodes, rng.randint(1, len(nodes))))
+        lists = {
+            node: set() if node in emptied else palettes.palette(node) for node in nodes
+        }
+        broken = PaletteAssignment.from_lists(lists)
+        with pytest.raises(ColoringError) as expected:
+            mis_oracle.build_reduction_graph(graph, broken, truncate)
+        with pytest.raises(ColoringError) as actual:
+            build_reduction_graph(graph, broken, truncate)
+        assert str(actual.value) == str(expected.value)
