@@ -90,7 +90,27 @@ class CostLedger:
 
 
 @dataclass
-class PoolHealth:
+class _Counters:
+    """Base of the integer telemetry records below.
+
+    Subclasses are dataclasses whose fields are all counters; this base
+    gives them the shared ``bump`` / ``as_dict`` / ``summary`` rendering.
+    """
+
+    def bump(self, counter: str, amount: int = 1) -> None:
+        """Increment one counter by ``amount`` (the counter must exist)."""
+        setattr(self, counter, getattr(self, counter) + amount)
+
+    def as_dict(self) -> Dict[str, int]:
+        return {spec.name: getattr(self, spec.name) for spec in fields(self)}
+
+    def summary(self) -> str:
+        """One-line ``name=value`` rendering (CLI, logs and ``/v1/healthz``)."""
+        return " ".join(f"{name}={value}" for name, value in self.as_dict().items())
+
+
+@dataclass
+class PoolHealth(_Counters):
     """Self-healing telemetry of the parallel scoring pool.
 
     The worker pool (:mod:`repro.parallel.executor`) survives worker
@@ -164,10 +184,6 @@ class PoolHealth:
         "orphan_segments_swept",
     )
 
-    def bump(self, counter: str, amount: int = 1) -> None:
-        """Increment one counter by ``amount`` (the counter must exist)."""
-        setattr(self, counter, getattr(self, counter) + amount)
-
     def merge(self, other: "PoolHealth") -> None:
         """Accumulate another record into this one (counters add up)."""
         for spec in fields(self):
@@ -198,18 +214,9 @@ class PoolHealth:
         """Whether any recovery action fired (a fault-free run is all-zero)."""
         return self.total_events > 0
 
-    def as_dict(self) -> Dict[str, int]:
-        return {spec.name: getattr(self, spec.name) for spec in fields(self)}
-
-    def summary(self) -> str:
-        """One-line ``name=value`` rendering (CLI and logs)."""
-        return " ".join(
-            f"{spec.name}={getattr(self, spec.name)}" for spec in fields(self)
-        )
-
 
 @dataclass
-class ServiceTelemetry:
+class ServiceTelemetry(_Counters):
     """Traffic telemetry of one coloring service (:mod:`repro.service`).
 
     The service layer counts every lifecycle event here — the process-wide
@@ -253,22 +260,9 @@ class ServiceTelemetry:
     cache_misses: int = 0
     cache_stores: int = 0
 
-    def bump(self, counter: str, amount: int = 1) -> None:
-        """Increment one counter by ``amount`` (the counter must exist)."""
-        setattr(self, counter, getattr(self, counter) + amount)
-
-    def as_dict(self) -> Dict[str, int]:
-        return {spec.name: getattr(self, spec.name) for spec in fields(self)}
-
-    def summary(self) -> str:
-        """One-line ``name=value`` rendering (logs and ``/v1/healthz``)."""
-        return " ".join(
-            f"{spec.name}={getattr(self, spec.name)}" for spec in fields(self)
-        )
-
 
 @dataclass
-class RunDurability:
+class RunDurability(_Counters):
     """Durability telemetry of one run (:mod:`repro.runtime`).
 
     The run-level durability layer — periodic checkpoints, resume, the
@@ -314,10 +308,6 @@ class RunDurability:
     prefetch_disabled: int = 0
     buffer_shrinks: int = 0
 
-    def bump(self, counter: str, amount: int = 1) -> None:
-        """Increment one counter by ``amount`` (the counter must exist)."""
-        setattr(self, counter, getattr(self, counter) + amount)
-
     def observe_rss(self, rss_mb: float) -> None:
         """Fold one RSS sample into the peak."""
         self.rss_peak_mb = max(self.rss_peak_mb, int(rss_mb))
@@ -326,12 +316,3 @@ class RunDurability:
     def resumed(self) -> bool:
         """Whether any work was replayed from a resume checkpoint."""
         return self.subtrees_restored > 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {spec.name: getattr(self, spec.name) for spec in fields(self)}
-
-    def summary(self) -> str:
-        """One-line ``name=value`` rendering (CLI and logs)."""
-        return " ".join(
-            f"{spec.name}={getattr(self, spec.name)}" for spec in fields(self)
-        )

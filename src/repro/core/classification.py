@@ -28,15 +28,18 @@ Two implementations of the cost coexist, by design:
 * :func:`classify_partition_batch` — the batched form of the *final*
   classification for the pair the selection settled on (one row instead of
   a candidate batch), producing the same :class:`PartitionClassification`
-  object as the reference; gated by
-  :attr:`repro.core.params.ColorReduceParameters.graph_use_batch`.
+  object as the reference.  ``Partition.run`` always takes its fused form,
+  :meth:`PartitionCostEvaluator.classify_selected`.
 
 Substitution rule: the batched paths return **bit-identical** results to
 the scalar ones for every pair (same integer counts, same IEEE-754
-comparisons in the same order), so the selection strategies and
-``Partition.run`` may use either interchangeably —
+comparisons in the same order).  Production runs only the batched paths;
+the scalar reference stays as the evaluator's single-pair ``__call__`` and
+as the test oracle (``tests/scalar_oracle.py`` reroutes ``Partition.run``
+to :func:`classify_partition` + :func:`color_bin_map`).
 ``tests/test_batch_kernels.py`` and ``tests/test_final_classification.py``
-assert this, including identical selected seeds and colorings end to end.
+assert the equivalence, including identical selected seeds and colorings
+end to end.
 """
 
 from __future__ import annotations

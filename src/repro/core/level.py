@@ -125,10 +125,6 @@ class CachedPairCost:
             return values
         return self._inner.many(pairs)
 
-    @property
-    def batch_enabled(self) -> bool:
-        return bool(getattr(self._inner, "batch_enabled", False))
-
     def classify_selected(self, h1, h2, scorer=None):
         counts = None if scorer is not None else self._counts.get(_pair_key(h1, h2))
         return self._inner.classify_selected(

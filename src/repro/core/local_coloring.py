@@ -88,10 +88,9 @@ def greedy_list_coloring(
         argsort/tolist setup), ``True`` forces the array sweep (building
         the view and the palette store if needed), ``False`` forces the
         scalar reference loop.  Results are bit-identical either way;
-        ``ColorReduce`` routes this through its ``graph_use_batch`` flag,
-        forcing the sweep for collected instances at or above the cutover
-        (depth-0 instances may arrive CSR-cold) and the scalar loop below
-        it.
+        ``ColorReduce`` forces the sweep for collected instances at or
+        above the cutover (depth-0 instances may arrive CSR-cold) and the
+        scalar loop below it.
 
     Raises
     ------

@@ -25,8 +25,10 @@ kernels — bit-identical by construction and by test, so the derandomized
 selection may score candidate batches as matrix computations.  The
 *selected* pair's full node-level outcome has the same split:
 :func:`node_level_outcome_batch` computes the reference
-:class:`NodeLevelOutcome` from the CSR view, gated by
-:attr:`repro.core.low_space.params.LowSpaceParameters.graph_use_batch`.
+:class:`NodeLevelOutcome` from the CSR view.  ``LowSpacePartition.run``
+always takes the array form (:meth:`LowSpaceCostEvaluator.outcome_selected`);
+:func:`node_level_outcome` is the scalar reference the differential tests
+reroute it to (``tests/scalar_oracle.py``).
 """
 
 from __future__ import annotations

@@ -37,7 +37,6 @@ class LowSpaceParameters:
     max_recursion_depth: int = 20
     selection_max_candidates: int = 2048
     selection_batch_size: int = 16
-    selection_use_batch: bool = True
     #: Shard candidate-slab scoring across this many worker processes
     #: (:mod:`repro.parallel`); outcomes are bit-identical for every value
     #: and ``1`` (default) is the zero-overhead in-process path — see
@@ -61,16 +60,6 @@ class LowSpaceParameters:
     #: Explicit engagement floor (slab sizes below it stay in-process);
     #: ``None`` = adaptive — see :attr:`repro.core.params.ColorReduceParameters.parallel_min_slab_pairs`.
     parallel_min_slab_pairs: Optional[int] = None
-    #: Route the graph-layer batch kernels: CSR-backed bin-instance
-    #: extraction, the selected pair's batched node-level classification
-    #: (:func:`repro.core.low_space.machine_sets.node_level_outcome_batch`),
-    #: the vectorized palette restriction, and the palette-update endgame
-    #: (:meth:`~repro.graph.palettes.PaletteAssignment.remove_colors_used_by_neighbors_batch`
-    #: / :meth:`~repro.graph.palettes.PaletteAssignment.subset_updated` for
-    #: the leftover-bin and MIS-path updates) — all bit-identical to the
-    #: scalar reference; see
-    #: :attr:`repro.core.params.ColorReduceParameters.graph_use_batch`.
-    graph_use_batch: bool = True
     #: Segmented cross-bin head-batch scoring per recursion level
     #: (:mod:`repro.core.level`); bit-identical outcomes either way.  See
     #: :attr:`repro.core.params.ColorReduceParameters.level_use_batch`.
@@ -103,24 +92,14 @@ class LowSpaceParameters:
             raise ConfigurationError("low_degree_threshold_override must be positive")
         if self.machine_chunk_override is not None and self.machine_chunk_override < 1:
             raise ConfigurationError("machine_chunk_override must be positive")
-        if self.parallel_workers < 1:
-            raise ConfigurationError("parallel_workers must be at least 1")
-        if self.parallel_max_retries < 0:
-            raise ConfigurationError("parallel_max_retries must be >= 0")
-        if self.parallel_shard_timeout <= 0:
-            raise ConfigurationError("parallel_shard_timeout must be positive")
-        if self.parallel_breaker_threshold < 1:
-            raise ConfigurationError("parallel_breaker_threshold must be >= 1")
-        if self.parallel_breaker_cooldown < 1:
-            raise ConfigurationError("parallel_breaker_cooldown must be >= 1")
-        if self.parallel_transport not in ("shm", "pickle"):
-            raise ConfigurationError(
-                "parallel_transport must be 'shm' or 'pickle'"
-            )
-        if self.parallel_min_slab_pairs is not None and self.parallel_min_slab_pairs < 0:
-            raise ConfigurationError("parallel_min_slab_pairs must be >= 0")
-        from repro.core.params import _validate_durability
+        from repro.core.params import (
+            _validate_durability,
+            _validate_parallel,
+            _validate_selection,
+        )
 
+        _validate_selection(self)
+        _validate_parallel(self)
         _validate_durability(self)
 
     def durability_enabled(self) -> bool:

@@ -19,14 +19,13 @@ which is why the target cost for selection is zero violations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from repro.core.classification import color_bin_arrays
 from repro.core.low_space.machine_sets import (
     MachineClassification,
     classify_machines,
     low_space_cost_function,
-    node_level_outcome,
 )
 from repro.core.low_space.params import LowSpaceParameters
 from repro.core.partition import ColorBinInstance
@@ -38,7 +37,7 @@ from repro.derand.conditional_expectation import (
 from repro.graph.graph import Graph
 from repro.graph.palettes import PaletteAssignment
 from repro.hashing.family import HashFunction, KWiseIndependentFamily
-from repro.types import BinIndex, NodeId
+from repro.types import NodeId
 
 
 @dataclass
@@ -107,9 +106,7 @@ class LowSpacePartition:
             node for node in graph.nodes() if graph.degree(node) <= threshold
         }
         high_degree_nodes: Set[NodeId] = set(graph.nodes()).difference(low_degree_nodes)
-        low_degree_graph = graph.induced_subgraph(
-            low_degree_nodes, use_csr=self.params.graph_use_batch
-        )
+        low_degree_graph = graph.induced_subgraph(low_degree_nodes, use_csr=True)
 
         if not high_degree_nodes:
             # Nothing to partition: every node takes the MIS path.
@@ -170,7 +167,6 @@ class LowSpacePartition:
             max_candidates=self.params.selection_max_candidates,
             candidate_salt=salt,
             rng_seed=salt,
-            use_batch=self.params.selection_use_batch,
             parallel_workers=self.params.parallel_workers,
             parallel_recovery=self.params.parallel_recovery_policy(),
             parallel_transport=self.params.parallel_transport,
@@ -193,37 +189,28 @@ class LowSpacePartition:
         if poll is not None:
             poll()
 
-        # Post-selection classification rides the batch layer when
-        # graph_use_batch is on: the selected pair's node-level outcome is
-        # one more pass over the evaluator's static arrays (the very ones
-        # the batched selection scored its candidates on), and the palette
-        # restriction below is a vectorized label scatter.  The full color
-        # universe is hashed exactly once (color_bin_arrays) and shared by
-        # both.  Outcomes are identical to the scalar reference either way.
-        use_batch = self.params.graph_use_batch
-        color_arrays = None
-        if use_batch:
-            scorer = None
-            if self.params.parallel_workers > 1:
-                from repro.parallel.executor import parallel_many_scorer
+        # Post-selection classification is one more pass over the
+        # evaluator's static arrays (the very ones the batched selection
+        # scored its candidates on), and the palette restriction below is a
+        # vectorized label scatter.  The full color universe is hashed
+        # exactly once (color_bin_arrays) and shared by both.
+        scorer = None
+        if self.params.parallel_workers > 1:
+            from repro.parallel.executor import parallel_many_scorer
 
-                # Reuses the selection's warm pool (same registry key), so the
-                # post-selection outcome shards ride for free.
-                scorer = parallel_many_scorer(
-                    cost,
-                    self.params.parallel_workers,
-                    policy=self.params.parallel_recovery_policy(),
-                    transport=self.params.parallel_transport,
-                    min_pairs=self.params.parallel_min_slab_pairs,
-                )
-            color_arrays = color_bin_arrays(palettes, h2, num_color_bins)
-            outcome = cost.outcome_selected(
-                h1, h2, color_arrays=color_arrays, scorer=scorer
+            # Reuses the selection's warm pool (same registry key), so the
+            # post-selection outcome shards ride for free.
+            scorer = parallel_many_scorer(
+                cost,
+                self.params.parallel_workers,
+                policy=self.params.parallel_recovery_policy(),
+                transport=self.params.parallel_transport,
+                min_pairs=self.params.parallel_min_slab_pairs,
             )
-        else:
-            outcome = node_level_outcome(
-                graph, palettes, high_degree_nodes, h1, h2, self.params, num_bins
-            )
+        color_arrays = color_bin_arrays(palettes, h2, num_color_bins)
+        outcome = cost.outcome_selected(
+            h1, h2, color_arrays=color_arrays, scorer=scorer
+        )
         machine_classification = None
         if classify_machine_level:
             machine_classification = classify_machines(
@@ -235,8 +222,7 @@ class LowSpacePartition:
         # routed to the low-degree/MIS path so correctness never depends on
         # the concentration argument.  All subgraphs of the level — the
         # MIS-path graph plus every bin — are sliced in one batched pass
-        # over the (already warm) CSR view; graph_use_batch off forces the
-        # scalar reference extraction with identical results.
+        # over the (already warm) CSR view.
         violating = outcome.violating_nodes
         usable = high_degree_nodes.difference(violating)
         bin_members = [
@@ -244,33 +230,15 @@ class LowSpacePartition:
             for bin_index in range(num_bins)
         ]
         subgraphs = graph.induced_subgraphs(
-            [low_degree_nodes.union(violating)] + bin_members,
-            use_csr=use_batch,
+            [low_degree_nodes.union(violating)] + bin_members, use_csr=True
         )
         low_degree_graph = subgraphs[0]
         if poll is not None:
             poll()
 
-        if use_batch:
-            universe, color_bin_ids = color_arrays
-            restricted = palettes.restricted_by_bins(
-                bin_members[:num_color_bins], universe, color_bin_ids
-            )
-        else:
-            color_bin_cache: Dict[int, BinIndex] = {}
-
-            def color_bin(color: int) -> BinIndex:
-                if color not in color_bin_cache:
-                    color_bin_cache[color] = h2(color % h2.domain_size) % num_color_bins
-                return color_bin_cache[color]
-
-            restricted = [
-                palettes.restricted_to(
-                    bin_members[bin_index],
-                    keep_color=lambda color, b=bin_index: color_bin(color) == b,
-                )
-                for bin_index in range(num_color_bins)
-            ]
+        restricted = palettes.restricted_by_bins(
+            bin_members[:num_color_bins], *color_arrays
+        )
         color_bins: List[ColorBinInstance] = []
         for bin_index in range(num_color_bins):
             color_bins.append(

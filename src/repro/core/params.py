@@ -69,11 +69,8 @@ class ColorReduceParameters:
     selection_strategy:
         How the hash pair is chosen (see :mod:`repro.derand`).
     selection_max_candidates / selection_chunk_bits / selection_batch_size:
-        Knobs forwarded to :class:`repro.derand.HashPairSelector`.
-    selection_use_batch:
-        Score selection batches through the vectorized cost kernels
-        (bit-identical outcomes; disable to force the scalar reference
-        path, e.g. for benchmarking the kernels themselves).
+        Knobs forwarded to :class:`repro.derand.HashPairSelector` (all
+        positive).
     parallel_workers:
         Shard candidate-slab scoring across this many worker processes
         (:mod:`repro.parallel`): each selection batch / conditional-
@@ -93,27 +90,6 @@ class ColorReduceParameters:
         All recovery is value-preserving — faults never change an outcome,
         only the :class:`repro.accounting.PoolHealth` record.  Ignored when
         ``parallel_workers == 1``.
-    graph_use_batch:
-        Route the graph-layer batch kernels: bin instances (and
-        capacity-split pieces) materialise through the CSR-backed
-        subgraph-extraction kernels (:func:`repro.graph.csr.split_by_bins` /
-        :func:`repro.graph.csr.extract_induced`), the *selected* pair's
-        final classification runs through
-        :func:`repro.core.classification.classify_partition_batch`, the
-        color-bin palette restriction through the vectorized
-        :meth:`repro.graph.palettes.PaletteAssignment.restricted_by_bins`,
-        and the ``ColorReduce`` endgame through the array-backed palette
-        store — palette updates via
-        :meth:`~repro.graph.palettes.PaletteAssignment.remove_colors_used_by_neighbors_batch`
-        / the fused
-        :meth:`~repro.graph.palettes.PaletteAssignment.subset_updated`,
-        and the local base-case coloring via the array sweep of
-        :func:`repro.core.local_coloring.greedy_list_coloring`
-        (``use_batch``) — instead of the scalar per-neighbor/per-color
-        Python loops.  Bit-identical outcomes — same node insertion order,
-        same adjacency sets, same classifications, same colorings,
-        ``removed`` counts and recursion trees; disable to force the
-        scalar reference paths.
     enforce_palette_surplus:
         If True (default), any node whose restricted palette does not exceed
         its in-bin degree is reclassified as bad.  With the paper exponents
@@ -154,7 +130,6 @@ class ColorReduceParameters:
     selection_chunk_bits: int = 4
     selection_batch_size: int = 16
     selection_rng_seed: int = 0
-    selection_use_batch: bool = True
     parallel_workers: int = 1
     parallel_max_retries: int = 2
     parallel_shard_timeout: float = 30.0
@@ -162,13 +137,10 @@ class ColorReduceParameters:
     parallel_breaker_cooldown: int = 8
     parallel_transport: str = "shm"
     parallel_min_slab_pairs: Optional[int] = None
-    graph_use_batch: bool = True
     #: Score all sibling bins' head candidate batches in one segmented
     #: cross-bin pass per recursion level (:mod:`repro.core.level`) instead
     #: of each bin's own head scoring; bit-identical outcomes either way.  Only
-    #: engaged when the batch layers it rides on are also enabled
-    #: (``graph_use_batch``, ``selection_use_batch``, single-process
-    #: selection, FIRST_FEASIBLE).
+    #: engaged with single-process FIRST_FEASIBLE selection.
     level_use_batch: bool = True
     enforce_palette_surplus: bool = True
     checkpoint_path: Optional[str] = None
@@ -190,22 +162,10 @@ class ColorReduceParameters:
             raise ConfigurationError("num_bins_override must be at least 2")
         if self.min_ell < 1:
             raise ConfigurationError("min_ell must be at least 1")
-        if self.parallel_workers < 1:
-            raise ConfigurationError("parallel_workers must be at least 1")
-        if self.parallel_max_retries < 0:
-            raise ConfigurationError("parallel_max_retries must be >= 0")
-        if self.parallel_shard_timeout <= 0:
-            raise ConfigurationError("parallel_shard_timeout must be positive")
-        if self.parallel_breaker_threshold < 1:
-            raise ConfigurationError("parallel_breaker_threshold must be >= 1")
-        if self.parallel_breaker_cooldown < 1:
-            raise ConfigurationError("parallel_breaker_cooldown must be >= 1")
-        if self.parallel_transport not in ("shm", "pickle"):
-            raise ConfigurationError(
-                "parallel_transport must be 'shm' or 'pickle'"
-            )
-        if self.parallel_min_slab_pairs is not None and self.parallel_min_slab_pairs < 0:
-            raise ConfigurationError("parallel_min_slab_pairs must be >= 0")
+        if self.selection_chunk_bits < 1:
+            raise ConfigurationError("selection_chunk_bits must be positive")
+        _validate_selection(self)
+        _validate_parallel(self)
         _validate_durability(self)
 
     def durability_enabled(self) -> bool:
@@ -390,6 +350,34 @@ class ColorReduceParameters:
             # deferred to G_0 exactly like probabilistically-bad nodes.
             return max(4.0, 0.01 * global_nodes, literal)
         return max(1.0, literal)
+
+
+def _validate_selection(params) -> None:
+    """Shared ``__post_init__`` checks of the selection knobs both parameter
+    sets forward to :class:`repro.derand.HashPairSelector`."""
+    if params.selection_batch_size < 1:
+        raise ConfigurationError("selection_batch_size must be positive")
+    if params.selection_max_candidates < 1:
+        raise ConfigurationError("selection_max_candidates must be positive")
+
+
+def _validate_parallel(params) -> None:
+    """Shared ``__post_init__`` checks of the worker-pool knobs (both param
+    sets carry the same seven fields; see :mod:`repro.parallel`)."""
+    if params.parallel_workers < 1:
+        raise ConfigurationError("parallel_workers must be at least 1")
+    if params.parallel_max_retries < 0:
+        raise ConfigurationError("parallel_max_retries must be >= 0")
+    if params.parallel_shard_timeout <= 0:
+        raise ConfigurationError("parallel_shard_timeout must be positive")
+    if params.parallel_breaker_threshold < 1:
+        raise ConfigurationError("parallel_breaker_threshold must be >= 1")
+    if params.parallel_breaker_cooldown < 1:
+        raise ConfigurationError("parallel_breaker_cooldown must be >= 1")
+    if params.parallel_transport not in ("shm", "pickle"):
+        raise ConfigurationError("parallel_transport must be 'shm' or 'pickle'")
+    if params.parallel_min_slab_pairs is not None and params.parallel_min_slab_pairs < 0:
+        raise ConfigurationError("parallel_min_slab_pairs must be >= 0")
 
 
 def _validate_durability(params) -> None:

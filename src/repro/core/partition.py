@@ -24,8 +24,6 @@ from typing import List, Optional
 
 from repro.core.classification import (
     PartitionClassification,
-    classify_partition,
-    color_bin_map,
     partition_cost_function,
 )
 from repro.core.params import ColorReduceParameters
@@ -147,7 +145,6 @@ class Partition:
             max_candidates=self.params.selection_max_candidates,
             rng_seed=self.params.selection_rng_seed * 1_000_003 + salt,
             candidate_salt=salt,
-            use_batch=self.params.selection_use_batch,
             parallel_workers=self.params.parallel_workers,
             parallel_recovery=self.params.parallel_recovery_policy(),
             parallel_transport=self.params.parallel_transport,
@@ -219,73 +216,50 @@ class Partition:
         h1, h2 = selection.h1, selection.h2
         if poll is not None:
             poll()
-        use_batch = self.params.graph_use_batch
-        num_color_bins = max(1, self.params.num_bins(ell) - 1)
-        # Post-selection classification and palette restriction both ride the
-        # batch layer when graph_use_batch is on: one fused pass over the
-        # evaluator's static arrays (the very ones the batched selection
-        # scored its candidates on — CSR view, flattened palette entries)
-        # yields the classification and every color bin's restricted
-        # palettes.  Outcomes are identical to the scalar reference either
-        # way.
-        restricted: Optional[List[PaletteAssignment]] = None
-        if use_batch:
-            scorer = None
-            if self.params.parallel_workers > 1:
-                from repro.parallel.executor import parallel_many_scorer
+        # Post-selection classification and palette restriction are one
+        # fused pass over the evaluator's static arrays (the very ones the
+        # batched selection scored its candidates on — CSR view, flattened
+        # palette entries); it yields the classification and every color
+        # bin's restricted palettes.
+        scorer = None
+        if self.params.parallel_workers > 1:
+            from repro.parallel.executor import parallel_many_scorer
 
-                # Reuses the selection's warm pool (same registry key), so the
-                # post-selection classification shards ride for free.
-                scorer = parallel_many_scorer(
-                    cost,
-                    self.params.parallel_workers,
-                    policy=self.params.parallel_recovery_policy(),
-                    transport=self.params.parallel_transport,
-                    min_pairs=self.params.parallel_min_slab_pairs,
-                )
-            classification, restricted = cost.classify_selected(h1, h2, scorer=scorer)
-        else:
-            classification = classify_partition(
-                graph, palettes, h1, h2, self.params, ell, global_nodes
+            # Reuses the selection's warm pool (same registry key), so the
+            # post-selection classification shards ride for free.
+            scorer = parallel_many_scorer(
+                cost,
+                self.params.parallel_workers,
+                policy=self.params.parallel_recovery_policy(),
+                transport=self.params.parallel_transport,
+                min_pairs=self.params.parallel_min_slab_pairs,
             )
+        classification, restricted = cost.classify_selected(h1, h2, scorer=scorer)
         num_bins = classification.num_bins
         last_bin = num_bins - 1
 
         # Materialise every bin instance of this level in one batched pass
-        # over the CSR view (split_by_bins); with graph_use_batch off, the
-        # same groups go through the scalar reference extraction instead.
-        # The selection already warmed the parent's CSR view, so the batched
-        # path pays no extra build.
+        # over the CSR view (split_by_bins).  The selection already warmed
+        # the parent's CSR view, so the extraction pays no extra build.
         bin_members = [
             classification.good_nodes_in_bin(bin_index)
             for bin_index in range(num_bins)
         ]
         subgraphs = graph.induced_subgraphs(
-            [classification.bad_nodes] + bin_members,
-            use_csr=use_batch,
+            [classification.bad_nodes] + bin_members, use_csr=True
         )
         bad_graph = subgraphs[0]
         if poll is not None:
             poll()
 
-        color_bins: List[ColorBinInstance] = []
-        if restricted is None:
-            colors_to_bins = color_bin_map(palettes, h2, num_color_bins)
-            restricted = [
-                palettes.restricted_to(
-                    bin_members[bin_index],
-                    keep_color=lambda color, b=bin_index: colors_to_bins[color] == b,
-                )
-                for bin_index in range(num_color_bins)
-            ]
-        for bin_index in range(num_color_bins):
-            color_bins.append(
-                ColorBinInstance(
-                    bin_index=bin_index,
-                    graph=subgraphs[1 + bin_index],
-                    palettes=restricted[bin_index],
-                )
+        color_bins = [
+            ColorBinInstance(
+                bin_index=bin_index,
+                graph=subgraphs[1 + bin_index],
+                palettes=restricted[bin_index],
             )
+            for bin_index in range(len(restricted))
+        ]
 
         leftover_members = bin_members[last_bin]
         leftover = ColorBinInstance(

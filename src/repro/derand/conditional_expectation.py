@@ -53,8 +53,11 @@ additionally caches scores by full joint seed across chunks, since fixing a
 chunk makes later candidate seeds a subset of seeds already scored.
 Batched costs are required to be bit-identical to their scalar form, so the
 selected pair, its cost, and all accounting (``evaluations``,
-``rounds_charged``) are independent of the path; ``use_batch=False`` forces
-the scalar reference path.
+``rounds_charged``) are independent of the path.  A plain callable without
+``many`` takes the scalar per-pair scan, which is how the kernel benchmarks
+time the reference; the differential tests' oracle
+(``tests/scalar_oracle.py``) forces the same scan by disabling
+:meth:`HashPairSelector._batch_cost`.
 
 Multiprocess scoring
 --------------------
@@ -154,10 +157,6 @@ class HashPairSelector:
         Deterministic offset mixed into the candidate-seed sequence so that
         different Partition calls examine different (but still deterministic)
         candidate orders.
-    use_batch:
-        Score candidate batches through the cost's vectorized ``many``
-        method when it offers one (see the module notes on batching below);
-        disable to force the scalar reference path, e.g. for benchmarking.
     parallel_workers:
         Shard batched slabs across this many worker processes (see the
         module notes on multiprocess scoring).  ``1`` (default) scores
@@ -194,7 +193,6 @@ class HashPairSelector:
         max_candidates: int = 4096,
         rng_seed: int = 0,
         candidate_salt: int = 0,
-        use_batch: bool = True,
         parallel_workers: int = 1,
         parallel_recovery=None,
         parallel_transport=None,
@@ -220,7 +218,6 @@ class HashPairSelector:
         self.max_candidates = max_candidates
         self.rng_seed = rng_seed
         self.candidate_salt = candidate_salt
-        self.use_batch = use_batch
         self.parallel_workers = parallel_workers
         self.parallel_recovery = parallel_recovery
         self.parallel_transport = parallel_transport
@@ -424,7 +421,7 @@ class HashPairSelector:
     # internals
     # ------------------------------------------------------------------
     def _batch_cost(self, cost: PairCost):
-        """The cost's vectorized batch scorer, if enabled and available.
+        """The cost's vectorized batch scorer, if it offers one.
 
         A batched cost is any callable with a ``many(pairs) -> values``
         method returning exactly ``[cost(h1, h2) for h1, h2 in pairs]``
@@ -432,12 +429,8 @@ class HashPairSelector:
         :mod:`repro.core.low_space.machine_sets` guarantee bit-identical
         values, so selection outcomes are independent of the path taken).
         """
-        if not self.use_batch:
-            return None
         many = getattr(cost, "many", None)
         if not callable(many):
-            return None
-        if not getattr(cost, "batch_enabled", True):
             return None
         if self.parallel_workers > 1:
             from repro.parallel.executor import parallel_many_scorer

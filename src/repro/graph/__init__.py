@@ -22,12 +22,13 @@ rebuilds from the live adjacency sets.  The batched cost evaluators warm
 the view as a side effect of hash-pair selection; ``induced_subgraph`` /
 ``induced_subgraphs`` / ``subgraph_degrees_within`` / ``relabeled`` then
 route through it (``use_csr=None`` means "iff warm"; the partition
-pipelines pass their ``graph_use_batch`` flag explicitly).  Children
-produced by the CSR path carry their own canonical warm view and
-materialise their adjacency sets lazily on first set-based access; both
-extraction paths yield the same node insertion order and the same
-adjacency sets, so every downstream outcome — colorings, recursion trees,
-selected seeds — is bit-identical between them.
+pipelines always pass ``use_csr=True``).  Children produced by the CSR
+path carry their own canonical warm view and materialise their adjacency
+sets lazily on first set-based access; both extraction paths yield the
+same node insertion order and the same adjacency sets, so every downstream
+outcome — colorings, recursion trees, selected seeds — is bit-identical
+between them (the scalar path is the differential tests' reference, see
+``tests/scalar_oracle.py``).
 """
 
 from repro.graph.graph import Graph

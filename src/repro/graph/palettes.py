@@ -953,8 +953,8 @@ class PaletteAssignment:
         materialised.  Returns ``(child, removed)``, identical to
         ``child = self.subset(nodes)`` followed by
         ``removed = child.remove_colors_used_by_neighbors(graph, coloring)``
-        (the scalar reference the drivers use when ``graph_use_batch`` is
-        off).
+        (the scalar reference ``tests/scalar_oracle.py`` reroutes the
+        drivers to).
         """
         store = self._store_if_warm()
         frame = store.membership_frame() if store is not None else None

@@ -461,17 +461,6 @@ class BatchCostEvaluatorBase:
         state.pop("_shm_segment", None)
         return state
 
-    @property
-    def batch_enabled(self) -> bool:
-        """Whether :meth:`many` may be used instead of per-pair calls.
-
-        Always true here (this module imports NumPy, a declared
-        dependency); the property exists for the selection strategies'
-        duck-typing probe — plain-callable cost functions without it fall
-        back to scalar evaluation.
-        """
-        return True
-
     # -- subclass hooks -------------------------------------------------
     def _prepare(self) -> dict:
         raise NotImplementedError

@@ -27,7 +27,16 @@ HTTP layer renders those as 400 responses.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Dict, Optional, Tuple
+from typing import (
+    Any,
+    Dict,
+    Optional,
+    Tuple,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 from repro.core.low_space.params import LowSpaceParameters
 from repro.core.params import ColorReduceParameters
@@ -93,7 +102,9 @@ def build_params(algorithm: str, overrides: Optional[Dict[str, Any]]):
     own ``__post_init__`` validation, so an out-of-range value produces
     the same actionable message the library raises.
     ``selection_strategy`` accepts the strategy's string value (e.g.
-    ``"first-feasible"``).
+    ``"first-feasible"``).  Every other value must match its field's
+    annotation (:func:`_accepts`), so a mistyped override is rejected at
+    submission instead of failing the run.
     """
     cls = ALGORITHMS[algorithm]
     if overrides is None:
@@ -101,6 +112,7 @@ def build_params(algorithm: str, overrides: Optional[Dict[str, Any]]):
     if not isinstance(overrides, dict):
         raise ConfigurationError("'params' must be a JSON object of overrides")
     allowed = {spec.name for spec in fields(cls)} - DURABILITY_FIELDS
+    annotations = get_type_hints(cls)
     cleaned: Dict[str, Any] = {}
     for name, value in overrides.items():
         if name in DURABILITY_FIELDS:
@@ -122,11 +134,43 @@ def build_params(algorithm: str, overrides: Optional[Dict[str, Any]]):
                     f"unknown selection_strategy {value!r}; choose one of "
                     f"{[s.value for s in SelectionStrategy]}"
                 ) from None
+        elif not _accepts(annotations[name], value):
+            raise ConfigurationError(
+                f"parameter {name!r} must be {_describe(annotations[name])}, "
+                f"got {value!r}"
+            )
         cleaned[name] = value
     try:
         return cls(**cleaned)
     except TypeError as exc:
         raise ConfigurationError(f"invalid params: {exc}") from exc
+
+
+def _accepts(annotation, value) -> bool:
+    """Whether a JSON override ``value`` fits a parameter field's annotation.
+
+    ``int`` rejects ``bool`` (a JSON ``true`` is not a count) as well as
+    ``float`` and ``str``; ``float`` also takes an ``int``; ``Optional``
+    also takes ``None``.
+    """
+    if get_origin(annotation) is Union:
+        return any(_accepts(arg, value) for arg in get_args(annotation))
+    if annotation is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if annotation is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, annotation)
+
+
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string"}
+
+
+def _describe(annotation) -> str:
+    if get_origin(annotation) is Union:
+        return " or ".join(_describe(arg) for arg in get_args(annotation))
+    if annotation is type(None):
+        return "null"
+    return _TYPE_NAMES.get(annotation, annotation.__name__)
 
 
 def _parse_seed(payload: Dict[str, Any]) -> int:

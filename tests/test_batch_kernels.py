@@ -10,12 +10,16 @@ ranges, independence parameters and both cost equations.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 np = pytest.importorskip("numpy")
 
+from scalar_oracle import (
+    LOW_SPACE_PARTITION_ENTRY_POINTS,
+    PARTITION_ENTRY_POINTS,
+    assert_same_run,
+    production_and_reference,
+)
 from repro.core.classification import partition_cost_function
 from repro.core.color_reduce import ColorReduce
 from repro.core.low_space.machine_sets import low_space_cost_function
@@ -313,6 +317,8 @@ class TestLowSpaceCostEquivalence:
 # selection: identical outcomes through the whole pipeline
 # ----------------------------------------------------------------------
 class TestSelectionEquivalence:
+    """Batched candidate scoring against the scalar per-pair scan."""
+
     @pytest.mark.parametrize(
         "strategy",
         [
@@ -321,11 +327,11 @@ class TestSelectionEquivalence:
             SelectionStrategy.CONDITIONAL_EXPECTATION,
         ],
     )
-    def test_selected_seeds_identical(self, strategy):
+    def test_selected_seeds_identical(self, monkeypatch, strategy):
         _, _, params, ell, cost, family1, family2 = _partition_setup()
         target = params.cost_target(ell, cost.graph.num_nodes)
-        outcomes = {}
-        for use_batch in (True, False):
+
+        def select():
             selector = HashPairSelector(
                 family1,
                 family2,
@@ -335,10 +341,11 @@ class TestSelectionEquivalence:
                 completion_samples=2,
                 exact_completion_bits=4,
                 candidate_salt=3,
-                use_batch=use_batch,
             )
-            outcomes[use_batch] = selector.select(cost, target_bound=target)
-        batched, scalar = outcomes[True], outcomes[False]
+            return selector.select(cost, target_bound=target)
+
+        batched, scalar, oracle = production_and_reference(monkeypatch, select)
+        oracle.assert_called("HashPairSelector._batch_cost")
         assert batched.h1.seed == scalar.h1.seed
         assert batched.h2.seed == scalar.h2.seed
         assert batched.cost == scalar.cost
@@ -346,68 +353,36 @@ class TestSelectionEquivalence:
         assert batched.rounds_charged == scalar.rounds_charged
         assert batched.fallback_used == scalar.fallback_used
 
-    def test_color_reduce_coloring_identical(self):
+    def test_color_reduce_coloring_identical(self, monkeypatch):
         graph = erdos_renyi(200, 0.06, seed=23)
-        base = ColorReduceParameters.scaled(num_bins=3)
-        results = {}
-        for use_batch in (True, False):
-            params = replace(base, selection_use_batch=use_batch)
-            results[use_batch] = ColorReduce(params).run(graph.copy())
-        assert results[True].coloring == results[False].coloring
-        assert results[True].rounds == results[False].rounds
-        assert results[True].total_bad_nodes == results[False].total_bad_nodes
+        params = ColorReduceParameters.scaled(num_bins=3, level_use_batch=False)
+        batched, scalar, oracle = production_and_reference(
+            monkeypatch, lambda: ColorReduce(params).run(graph.copy())
+        )
+        oracle.assert_called(*PARTITION_ENTRY_POINTS)
+        assert_same_run(batched, scalar)
+        assert batched.total_bad_nodes == scalar.total_bad_nodes
 
 
 # ----------------------------------------------------------------------
-# CSR-backed subgraph extraction: identical pipelines flag-on vs flag-off
+# post-selection and extraction kernels: identical pipelines against the
+# scalar oracle (tests/scalar_oracle.py)
 # ----------------------------------------------------------------------
-def _recursion_signature(node):
-    """A recursion tree as comparable data (structure plus statistics)."""
-    return (
-        node.depth,
-        node.num_nodes,
-        node.num_edges,
-        node.ell,
-        node.base_case,
-        node.num_bins,
-        node.num_bad_nodes,
-        node.num_bad_bins,
-        node.bad_graph_size,
-        node.selection_evaluations,
-        node.selection_cost,
-        [_recursion_signature(child) for child in node.children],
-    )
-
-
-def _low_space_signature(node):
-    return (
-        node.depth,
-        node.num_nodes,
-        node.num_edges,
-        node.max_degree,
-        node.num_bins,
-        node.low_degree_nodes,
-        node.violating_nodes,
-        node.mis_phases,
-        [_low_space_signature(child) for child in node.children],
-    )
-
-
 class TestGraphBatchEquivalence:
-    """``graph_use_batch`` on vs off must be bit-identical end to end."""
+    """Production runs must be bit-identical to the scalar oracle end to end."""
 
-    def test_partition_identical_instances_and_seeds(self):
+    def test_partition_identical_instances_and_seeds(self, monkeypatch):
         graph = erdos_renyi(150, 0.08, seed=11)
         palettes = PaletteAssignment.delta_plus_one(graph)
-        base = ColorReduceParameters.scaled(num_bins=4)
+        params = ColorReduceParameters.scaled(num_bins=4)
         ell = max(float(graph.max_degree()), 2.0)
-        results = {}
-        for use_batch in (True, False):
-            params = replace(base, graph_use_batch=use_batch)
-            results[use_batch] = Partition(params).run(
+        batched, scalar, oracle = production_and_reference(
+            monkeypatch,
+            lambda: Partition(params).run(
                 graph.copy(), palettes.copy(), ell, graph.num_nodes, salt=1
-            )
-        batched, scalar = results[True], results[False]
+            ),
+        )
+        oracle.assert_called(*PARTITION_ENTRY_POINTS)
         assert batched.h1.seed == scalar.h1.seed
         assert batched.h2.seed == scalar.h2.seed
         assert batched.bad_graph.nodes() == scalar.bad_graph.nodes()
@@ -421,64 +396,54 @@ class TestGraphBatchEquivalence:
                 assert b_bin.graph.neighbors(node) == s_bin.graph.neighbors(node)
                 assert b_bin.palettes.palette(node) == s_bin.palettes.palette(node)
 
-    def test_color_reduce_identical_end_to_end(self):
+    def test_color_reduce_identical_end_to_end(self, monkeypatch):
         graph = erdos_renyi(200, 0.06, seed=29)
-        base = ColorReduceParameters.scaled(num_bins=3)
-        results = {}
-        for use_batch in (True, False):
-            params = replace(base, graph_use_batch=use_batch)
-            results[use_batch] = ColorReduce(params).run(graph.copy())
-        assert results[True].coloring == results[False].coloring
-        assert results[True].rounds == results[False].rounds
-        assert results[True].total_bad_nodes == results[False].total_bad_nodes
-        assert _recursion_signature(results[True].recursion_root) == _recursion_signature(
-            results[False].recursion_root
+        params = ColorReduceParameters.scaled(num_bins=3, level_use_batch=False)
+        batched, scalar, oracle = production_and_reference(
+            monkeypatch, lambda: ColorReduce(params).run(graph.copy())
         )
+        oracle.assert_called(*PARTITION_ENTRY_POINTS, "greedy_list_coloring")
+        assert_same_run(batched, scalar)
+        assert batched.total_bad_nodes == scalar.total_bad_nodes
 
-    def test_color_reduce_identical_paper_mode(self):
+    def test_color_reduce_identical_paper_mode(self, monkeypatch):
         graph = erdos_renyi(120, 0.1, seed=31)
-        results = {}
-        for use_batch in (True, False):
-            params = ColorReduceParameters(graph_use_batch=use_batch)
-            results[use_batch] = ColorReduce(params).run(graph.copy())
-        assert results[True].coloring == results[False].coloring
-        assert _recursion_signature(results[True].recursion_root) == _recursion_signature(
-            results[False].recursion_root
+        params = ColorReduceParameters(level_use_batch=False)
+        batched, scalar, oracle = production_and_reference(
+            monkeypatch, lambda: ColorReduce(params).run(graph.copy())
         )
+        oracle.assert_called("greedy_list_coloring")
+        assert_same_run(batched, scalar)
 
-    def test_low_space_color_reduce_identical_end_to_end(self):
+    def test_low_space_color_reduce_identical_end_to_end(self, monkeypatch):
         from repro.core.low_space.color_reduce import LowSpaceColorReduce
 
         graph = erdos_renyi(150, 0.12, seed=37)
-        results = {}
-        for use_batch in (True, False):
-            params = LowSpaceParameters.scaled(
-                num_bins=3, low_degree_threshold=6, machine_chunk=8
-            )
-            params = replace(params, graph_use_batch=use_batch)
-            results[use_batch] = LowSpaceColorReduce(params).run(graph.copy())
-        assert results[True].coloring == results[False].coloring
-        assert results[True].rounds == results[False].rounds
-        assert results[True].total_mis_phases == results[False].total_mis_phases
-        assert _low_space_signature(results[True].recursion_root) == _low_space_signature(
-            results[False].recursion_root
+        params = LowSpaceParameters.scaled(
+            num_bins=3, low_degree_threshold=6, machine_chunk=8, level_use_batch=False
         )
+        batched, scalar, oracle = production_and_reference(
+            monkeypatch, lambda: LowSpaceColorReduce(params).run(graph.copy())
+        )
+        oracle.assert_called(*LOW_SPACE_PARTITION_ENTRY_POINTS)
+        assert_same_run(batched, scalar)
+        assert batched.total_mis_phases == scalar.total_mis_phases
 
-    def test_low_space_partition_identical_seeds(self):
+    def test_low_space_partition_identical_seeds(self, monkeypatch):
         from repro.core.low_space.partition import LowSpacePartition
 
         graph = erdos_renyi(150, 0.1, seed=13)
         palettes = PaletteAssignment.degree_plus_one(graph)
-        results = {}
-        for use_batch in (True, False):
-            params = LowSpaceParameters.scaled(
-                num_bins=3, low_degree_threshold=6, machine_chunk=8
-            )
-            params = replace(params, graph_use_batch=use_batch)
-            results[use_batch] = LowSpacePartition(params).run(
+        params = LowSpaceParameters.scaled(
+            num_bins=3, low_degree_threshold=6, machine_chunk=8
+        )
+        batched, scalar, oracle = production_and_reference(
+            monkeypatch,
+            lambda: LowSpacePartition(params).run(
                 graph.copy(), palettes.copy(), graph.num_nodes, salt=2
-            )
-        batched, scalar = results[True], results[False]
+            ),
+        )
+        oracle.assert_called(*LOW_SPACE_PARTITION_ENTRY_POINTS)
         assert batched.h1.seed == scalar.h1.seed
         assert batched.h2.seed == scalar.h2.seed
         assert batched.num_violating_nodes == scalar.num_violating_nodes

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from scalar_oracle import production_and_reference
 
 from repro.derand.conditional_expectation import (
     HashPairSelector,
@@ -126,18 +127,14 @@ class TestBatchedHeadProbe:
 
     MAX_CANDIDATES = 48
 
-    def _selector(self, use_batch):
+    def _select(self, values, target_bound):
         family1, family2 = small_families()
-        return HashPairSelector(
+        selector = HashPairSelector(
             family1,
             family2,
             max_candidates=self.MAX_CANDIDATES,
             candidate_salt=7,
-            use_batch=use_batch,
         )
-
-    def _select(self, use_batch, values, target_bound):
-        selector = self._selector(use_batch)
         pairs = [pair for batch in selector._candidate_batches() for pair in batch]
         cost = _TableCost(pairs, values)
         charges = []
@@ -169,13 +166,17 @@ class TestBatchedHeadProbe:
         ],
     )
     def test_matches_scalar_reference_without_scalar_calls(
-        self, feasible_index, target_bound
+        self, monkeypatch, feasible_index, target_bound
     ):
         values = [9.0] * self.MAX_CANDIDATES
         if feasible_index is not None:
             values[feasible_index] = 2.0
-        batched, batched_cost = self._select(True, values, target_bound)
-        reference, reference_cost = self._select(False, values, target_bound)
+        (batched, batched_cost), (reference, reference_cost), oracle = (
+            production_and_reference(
+                monkeypatch, lambda: self._select(values, target_bound)
+            )
+        )
+        oracle.assert_called("HashPairSelector._batch_cost")
         assert batched == reference
         assert batched_cost.scalar_calls == 0
         assert batched_cost.many_sizes[0] == 1  # the head is scored alone

@@ -5,18 +5,19 @@ the flat sorted-array store) that answer every operation identically; the
 batched endgame kernels — ``remove_colors_used_by_neighbors_batch``,
 ``subset_updated``, the array sweep of ``greedy_list_coloring``, the
 vectorized ``validate_for_graph`` / ``min_slack`` — are bit-identical
-substitutions for their scalar references; and flipping ``graph_use_batch``
-changes *nothing* observable end to end (colorings, recursion trees, round
-ledgers including the palette-update ``removed`` counts).
+substitutions for their scalar references; and rerouting the drivers to
+those references (``tests/scalar_oracle.py``) changes *nothing* observable
+end to end (colorings, recursion trees, round ledgers including the
+palette-update ``removed`` counts).
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 np = pytest.importorskip("numpy")
+
+from scalar_oracle import assert_same_run, production_and_reference, scalar_reference
 
 from repro.core.color_reduce import ColorReduce
 from repro.core.local_coloring import greedy_list_coloring
@@ -325,53 +326,23 @@ class TestGreedyBatchEdges:
 
 
 # ----------------------------------------------------------------------
-# tier-1 guard: the flag changes nothing observable, endgame included
+# tier-1 guard: the scalar oracle changes nothing observable, endgame included
 # ----------------------------------------------------------------------
-def _recursion_signature(node):
-    return (
-        node.depth,
-        node.num_nodes,
-        node.num_edges,
-        node.ell,
-        node.base_case,
-        node.num_bins,
-        node.num_bad_nodes,
-        node.num_bad_bins,
-        node.bad_graph_size,
-        [_recursion_signature(child) for child in node.children],
-    )
-
-
-def _low_space_signature(node):
-    return (
-        node.depth,
-        node.num_nodes,
-        node.num_edges,
-        node.max_degree,
-        node.num_bins,
-        node.low_degree_nodes,
-        node.violating_nodes,
-        node.mis_phases,
-        [_low_space_signature(child) for child in node.children],
-    )
-
-
 class TestEndgameGuard:
-    """``graph_use_batch`` on vs off: identical colorings, trees and ledgers."""
+    """Production against the scalar oracle: identical colorings, trees and
+    ledgers (``tests/scalar_oracle.py``)."""
 
-    def test_color_reduce_identical_including_removed_counts(self):
+    def test_color_reduce_identical_including_removed_counts(self, monkeypatch):
         graph = power_law(220, attachment=4, seed=17)
-        base = ColorReduceParameters.scaled(num_bins=3)
-        results = {}
-        for use_batch in (True, False):
-            params = replace(base, graph_use_batch=use_batch)
-            results[use_batch] = ColorReduce(params).run(graph.copy())
-        batched, scalar = results[True], results[False]
-        assert batched.coloring == scalar.coloring
-        assert batched.rounds == scalar.rounds
-        assert _recursion_signature(batched.recursion_root) == _recursion_signature(
-            scalar.recursion_root
+        params = ColorReduceParameters.scaled(num_bins=3, level_use_batch=False)
+        batched, scalar, oracle = production_and_reference(
+            monkeypatch, lambda: ColorReduce(params).run(graph.copy())
         )
+        oracle.assert_called(
+            "PaletteAssignment.remove_colors_used_by_neighbors_batch",
+            "greedy_list_coloring",
+        )
+        assert_same_run(batched, scalar)
         # the palette-update phase records the removed counts as words
         assert batched.ledger.phase("palette-update").message_words == scalar.ledger.phase(
             "palette-update"
@@ -379,33 +350,29 @@ class TestEndgameGuard:
         assert batched.ledger.phase("palette-update").rounds == scalar.ledger.phase(
             "palette-update"
         ).rounds
-        assert batched.ledger.snapshot() == scalar.ledger.snapshot()
 
-    def test_low_space_identical_including_removed_counts(self):
+    def test_low_space_identical_including_removed_counts(self, monkeypatch):
         graph = erdos_renyi(160, 0.12, seed=19)
-        results = {}
-        for use_batch in (True, False):
-            params = LowSpaceParameters.scaled(
-                num_bins=3, low_degree_threshold=6, machine_chunk=8
-            )
-            params = replace(params, graph_use_batch=use_batch)
-            results[use_batch] = LowSpaceColorReduce(params).run(graph.copy())
-        batched, scalar = results[True], results[False]
-        assert batched.coloring == scalar.coloring
-        assert batched.rounds == scalar.rounds
-        assert _low_space_signature(batched.recursion_root) == _low_space_signature(
-            scalar.recursion_root
+        params = LowSpaceParameters.scaled(
+            num_bins=3, low_degree_threshold=6, machine_chunk=8, level_use_batch=False
         )
+        batched, scalar, oracle = production_and_reference(
+            monkeypatch, lambda: LowSpaceColorReduce(params).run(graph.copy())
+        )
+        oracle.assert_called(
+            "PaletteAssignment.remove_colors_used_by_neighbors_batch",
+            "PaletteAssignment.subset_updated",
+        )
+        assert_same_run(batched, scalar)
         assert batched.ledger.phase("palette-update").message_words == scalar.ledger.phase(
             "palette-update"
         ).message_words
-        assert batched.ledger.snapshot() == scalar.ledger.snapshot()
 
-    def test_capacity_split_path_identical(self):
+    def test_capacity_split_path_identical(self, monkeypatch):
         # A squeezed local capacity forces _collect_and_color's split loop
         # (the fused subset_updated + piece-greedy path, normally reached
         # only by the randomized baseline's oversized bad graphs); both
-        # flags must agree bit for bit, removed counts included.
+        # paths must agree bit for bit, removed counts included.
         from repro.accounting import CostLedger
         from repro.congested_clique.model import CongestedCliqueSimulator
         from repro.core.color_reduce import _RunState
@@ -418,11 +385,9 @@ class TestEndgameGuard:
 
         graph = erdos_renyi(60, 0.2, seed=23)
         palettes = PaletteAssignment.delta_plus_one(graph)
-        results = {}
-        for use_batch in (True, False):
-            params = ColorReduceParameters.scaled(
-                num_bins=3, graph_use_batch=use_batch
-            )
+        params = ColorReduceParameters.scaled(num_bins=3)
+
+        def collect_and_color(warm):
             context = SqueezedContext(CongestedCliqueSimulator(graph.num_nodes))
             state = _RunState(
                 context=context,
@@ -433,15 +398,22 @@ class TestEndgameGuard:
             ledger = CostLedger()
             instance = graph.copy()
             instance_palettes = palettes.copy()
-            if use_batch:
+            if warm:
                 instance.csr()
                 instance_palettes.store()
             coloring = ColorReduce(params)._collect_and_color(
                 instance, instance_palettes, ledger, state, label="local-color"
             )
-            results[use_batch] = (coloring, ledger.snapshot())
-        batched_coloring, batched_ledger = results[True]
-        scalar_coloring, scalar_ledger = results[False]
+            return coloring, ledger.snapshot()
+
+        batched_coloring, batched_ledger = collect_and_color(warm=True)
+        with scalar_reference(monkeypatch) as oracle:
+            scalar_coloring, scalar_ledger = collect_and_color(warm=False)
+        oracle.assert_called(
+            "PaletteAssignment.subset_updated",
+            "Graph.induced_subgraphs",
+            "greedy_list_coloring",
+        )
         # the instance is oversized, so the split loop ran and updated
         # palettes between pieces
         assert "palette-update" in batched_ledger

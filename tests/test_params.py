@@ -140,3 +140,53 @@ class TestLowSpaceParameters:
             LowSpaceParameters(low_degree_threshold_override=0)
         with pytest.raises(ConfigurationError):
             LowSpaceParameters(machine_chunk_override=0)
+
+
+class TestSharedValidation:
+    """Selection and pool knobs are validated at construction, in both sets."""
+
+    PARAMETER_SETS = (ColorReduceParameters, LowSpaceParameters)
+
+    @pytest.mark.parametrize("cls", PARAMETER_SETS)
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("selection_batch_size", 0, "selection_batch_size must be positive"),
+            ("selection_batch_size", -3, "selection_batch_size must be positive"),
+            ("selection_max_candidates", 0, "selection_max_candidates must be positive"),
+            ("parallel_workers", 0, "parallel_workers must be at least 1"),
+            ("parallel_max_retries", -1, "parallel_max_retries must be >= 0"),
+            ("parallel_shard_timeout", 0.0, "parallel_shard_timeout must be positive"),
+            ("parallel_breaker_threshold", 0, "parallel_breaker_threshold must be >= 1"),
+            ("parallel_breaker_cooldown", 0, "parallel_breaker_cooldown must be >= 1"),
+            ("parallel_transport", "carrier-pigeon", "must be 'shm' or 'pickle'"),
+            ("parallel_min_slab_pairs", -1, "parallel_min_slab_pairs must be >= 0"),
+        ],
+    )
+    def test_rejected_at_construction(self, cls, field, value, message):
+        with pytest.raises(ConfigurationError, match=message):
+            cls(**{field: value})
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_chunk_bits_rejected_at_construction(self, value):
+        with pytest.raises(ConfigurationError, match="selection_chunk_bits must be positive"):
+            ColorReduceParameters(selection_chunk_bits=value)
+
+    @pytest.mark.parametrize("cls", PARAMETER_SETS)
+    def test_smallest_valid_values_accepted(self, cls):
+        params = cls(
+            selection_batch_size=1,
+            selection_max_candidates=1,
+            parallel_workers=1,
+            parallel_max_retries=0,
+            parallel_breaker_threshold=1,
+            parallel_breaker_cooldown=1,
+            parallel_min_slab_pairs=0,
+        )
+        assert params.selection_batch_size == 1
+
+    @pytest.mark.parametrize("cls", PARAMETER_SETS)
+    @pytest.mark.parametrize("flag", ["selection_use_batch", "graph_use_batch"])
+    def test_retired_batch_flags_are_gone(self, cls, flag):
+        with pytest.raises(TypeError):
+            cls(**{flag: False})

@@ -11,6 +11,9 @@ assert the invariants the rest of the library relies on:
 * the MIS algorithms always return maximal independent sets.
 * the array MIS endgame (reduction build, derandomized Luby phases,
   coloring read-off) equals its scalar oracle in ``tests/mis_oracle.py``.
+* both pipelines, on hostile shapes (empty, isolated nodes, stars, skew,
+  near-cliques, disconnected, non-contiguous ids), equal their scalar
+  oracle run (``tests/scalar_oracle.py``) and color validly.
 """
 
 from __future__ import annotations
@@ -19,8 +22,16 @@ import mis_oracle
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scalar_oracle import (
+    LOW_SPACE_PARTITION_ENTRY_POINTS,
+    PARTITION_ENTRY_POINTS,
+    assert_same_run,
+    production_and_reference,
+)
 
 from repro.core import ColorReduce, ColorReduceParameters
+from repro.core.low_space.color_reduce import LowSpaceColorReduce
+from repro.core.low_space.params import LowSpaceParameters
 from repro.core.low_space.mis_reduction import build_reduction_graph, coloring_from_mis
 from repro.core.local_coloring import greedy_list_coloring
 from repro.errors import ColoringError
@@ -888,3 +899,130 @@ class TestMISEndgameDifferential:
         with pytest.raises(ColoringError) as actual:
             build_reduction_graph(graph, broken, truncate)
         assert str(actual.value) == str(expected.value)
+
+
+# ----------------------------------------------------------------------
+# hostile shapes: both pipelines in production vs the scalar oracle
+# (tests/scalar_oracle.py)
+# ----------------------------------------------------------------------
+HOSTILE_SHAPES = ("empty", "isolated", "star", "near-clique", "disconnected", "skew")
+
+
+@st.composite
+def hostile_graphs(draw):
+    """A hostile-shape graph, optionally on shuffled, non-contiguous ids."""
+    shape = draw(st.sampled_from(HOSTILE_SHAPES))
+    rng = draw(st.randoms(use_true_random=False))
+    edges = set()
+    if shape == "empty":
+        n = 0
+    elif shape == "isolated":
+        # a few edges among a handful of nodes; everything else isolated
+        n = draw(st.integers(min_value=1, max_value=30))
+        active = rng.sample(range(n), min(n, rng.randint(0, 6)))
+        for u in active:
+            for v in active:
+                if u < v and rng.random() < 0.5:
+                    edges.add((u, v))
+    elif shape == "star":
+        n = draw(st.integers(min_value=2, max_value=40))
+        edges = {(0, v) for v in range(1, n)}
+        for _ in range(rng.randint(0, 3)):
+            u, v = sorted(rng.sample(range(1, n), 2)) if n > 2 else (0, 1)
+            edges.add((u, v))
+    elif shape == "near-clique":
+        n = draw(st.integers(min_value=3, max_value=20))
+        edges = {(u, v) for u in range(n) for v in range(u + 1, n)}
+        for edge in rng.sample(sorted(edges), rng.randint(0, len(edges) // 10)):
+            edges.discard(edge)
+    elif shape == "disconnected":
+        n = 0
+        for _ in range(draw(st.integers(min_value=2, max_value=4))):
+            size = rng.randint(1, 10)
+            density = rng.choice((0.3, 0.7, 1.0))
+            for u in range(n, n + size):
+                for v in range(u + 1, n + size):
+                    if rng.random() < density:
+                        edges.add((u, v))
+            n += size
+    else:  # skew: two hubs over a sparse random background
+        n = draw(st.integers(min_value=4, max_value=40))
+        for hub in (0, 1):
+            for v in range(2, n):
+                if rng.random() < 0.8:
+                    edges.add((hub, v))
+        for u in range(2, n):
+            for v in range(u + 1, n):
+                if rng.random() < 0.05:
+                    edges.add((u, v))
+    if draw(st.booleans()):
+        labels = draw(
+            st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True)
+        )
+    else:
+        labels = list(range(n))
+    order = draw(st.permutations(range(n)))
+    return Graph(
+        nodes=[labels[i] for i in order],
+        edges=[(labels[u], labels[v]) for u, v in sorted(edges)],
+    )
+
+
+class TestHostileShapesScalarOracle:
+    """Both pipelines equal the scalar oracle on hostile shapes, and color
+    them validly.  The oracle's reroutes undo themselves after every run, so
+    reusing the function-scoped ``monkeypatch`` across examples is safe."""
+
+    ORACLE_SETTINGS = settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+    )
+
+    @ORACLE_SETTINGS
+    @given(hostile_graphs())
+    def test_color_reduce_matches_oracle(self, monkeypatch, graph):
+        params = ColorReduceParameters.scaled(
+            num_bins=3, collect_factor=1.0, level_use_batch=False
+        )
+        production, reference, oracle = production_and_reference(
+            monkeypatch, lambda: ColorReduce(params).run(graph.copy())
+        )
+        assert_same_run(production, reference)
+        assert production.total_bad_nodes == reference.total_bad_nodes
+        assert_valid_list_coloring(
+            graph, PaletteAssignment.delta_plus_one(graph), production.coloring
+        )
+        if production.recursion_root.num_bins:
+            oracle.assert_called(*PARTITION_ENTRY_POINTS)
+        if graph.num_nodes:
+            oracle.assert_called("greedy_list_coloring")
+        if "palette-update" in production.ledger.snapshot():
+            assert (
+                oracle.calls["PaletteAssignment.remove_colors_used_by_neighbors_batch"]
+                + oracle.calls["PaletteAssignment.subset_updated"]
+            )
+
+    @ORACLE_SETTINGS
+    @given(hostile_graphs())
+    def test_low_space_matches_oracle(self, monkeypatch, graph):
+        params = LowSpaceParameters.scaled(
+            num_bins=3, low_degree_threshold=3, machine_chunk=4, level_use_batch=False
+        )
+        production, reference, oracle = production_and_reference(
+            monkeypatch, lambda: LowSpaceColorReduce(params).run(graph.copy())
+        )
+        assert_same_run(production, reference)
+        assert production.total_mis_phases == reference.total_mis_phases
+        assert_valid_list_coloring(
+            graph, PaletteAssignment.degree_plus_one(graph), production.coloring
+        )
+        if graph.num_nodes:
+            oracle.assert_called("Graph.induced_subgraph")
+        if graph.max_degree() > 3:
+            oracle.assert_called(*LOW_SPACE_PARTITION_ENTRY_POINTS)
+        if "palette-update" in production.ledger.snapshot():
+            assert (
+                oracle.calls["PaletteAssignment.remove_colors_used_by_neighbors_batch"]
+                + oracle.calls["PaletteAssignment.subset_updated"]
+            )

@@ -1,4 +1,5 @@
-"""Scale determinism (nightly): flags and worker counts never change results.
+"""Scale determinism (nightly): flags, worker counts and the scalar oracle
+never change results.
 
 The fast suites verify bit-identity of individual kernels on laptop-size
 instances; these tests assert the end-to-end contract at the scales where
@@ -13,6 +14,7 @@ Marked ``slow`` — the default run deselects them (``addopts`` in
 from __future__ import annotations
 
 import pytest
+from scalar_oracle import PARTITION_ENTRY_POINTS, production_and_reference
 
 from repro.core.color_reduce import ColorReduce
 from repro.core.params import ColorReduceParameters
@@ -71,13 +73,14 @@ def test_level_flag_and_workers_deterministic_at_1e5():
 
 
 @pytest.mark.slow
-def test_graph_batch_flag_deterministic_at_1e4():
-    """n = 10^4: the batched array kernels equal the scalar reference."""
+def test_graph_batch_flag_deterministic_at_1e4(monkeypatch):
+    """n = 10^4: the array kernels equal the scalar oracle end to end."""
     graph = erdos_renyi(10_000, 12 / 10_000, seed=7)
-    results = {}
-    for label, flag in (("batched", True), ("scalar", False)):
-        params = ColorReduceParameters.scaled(
-            num_bins=3, collect_factor=0.25, graph_use_batch=flag
-        )
-        results[label] = _fingerprint(ColorReduce(params).run(graph))
-    assert results["batched"] == results["scalar"]
+    params = ColorReduceParameters.scaled(
+        num_bins=3, collect_factor=0.25, level_use_batch=False
+    )
+    batched, scalar, oracle = production_and_reference(
+        monkeypatch, lambda: _fingerprint(ColorReduce(params).run(graph))
+    )
+    oracle.assert_called(*PARTITION_ENTRY_POINTS, "greedy_list_coloring")
+    assert batched == scalar

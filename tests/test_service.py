@@ -237,6 +237,36 @@ def test_cache_key_ignores_durability_knobs(tmp_path):
             {"edges": EDGES, "params": {"selection_strategy": "psychic"}},
             "unknown selection_strategy",
         ),
+        (
+            {"edges": EDGES, "params": {"independence": 4.0}},
+            "'independence' must be an integer",
+        ),
+        (
+            {"edges": EDGES, "params": {"selection_max_candidates": "10"}},
+            "'selection_max_candidates' must be an integer",
+        ),
+        (
+            {"edges": EDGES, "params": {"parallel_workers": 1.5}},
+            "'parallel_workers' must be an integer",
+        ),
+        (
+            {"edges": EDGES, "params": {"selection_batch_size": 2.5}},
+            "'selection_batch_size' must be an integer",
+        ),
+        (
+            {"edges": EDGES, "params": {"parallel_workers": True}},
+            "'parallel_workers' must be an integer",
+        ),
+        (
+            {"edges": EDGES, "params": {"num_bins_override": 3.0}},
+            "'num_bins_override' must be an integer or null",
+        ),
+        (
+            {"edges": EDGES, "algorithm": "low-space", "params": {"epsilon": "0.5"}},
+            "'epsilon' must be a number",
+        ),
+        # a flag retired from the engine is an unknown name, not a no-op
+        ({"edges": EDGES, "params": {"graph_use_batch": False}}, "unknown parameter"),
     ],
 )
 def test_invalid_submissions_rejected(make_service, body, fragment):
@@ -470,3 +500,17 @@ def test_shutdown_leaves_no_shm_residue(tmp_path):
     wait_for(service, document["job"])
     service.shutdown()
     assert shm_residue() == []
+
+
+def test_typed_overrides_accepted():
+    """A float field takes an int, an Optional field takes null."""
+    from repro.service.contracts import build_params
+
+    params = build_params(
+        "congested-clique",
+        {"parallel_shard_timeout": 5, "num_bins_override": None, "level_use_batch": False},
+    )
+    assert params.parallel_shard_timeout == 5
+    assert params.num_bins_override is None
+    assert params.level_use_batch is False
+    assert build_params("low-space", {"epsilon": 1}).epsilon == 1
