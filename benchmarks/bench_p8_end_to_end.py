@@ -44,7 +44,8 @@ from bench_json import emit_bench_json
 
 from repro.core.classification import partition_cost_function
 from repro.core.color_reduce import ColorReduce
-from repro.core.level import child_salt, head_pairs, prefetch_partition_level
+from repro.core.driver import child_salt
+from repro.core.level import head_pairs, prefetch_partition_level
 from repro.core.params import ColorReduceParameters
 from repro.core.partition import Partition
 from repro.graph.generators import erdos_renyi

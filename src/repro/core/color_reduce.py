@@ -26,22 +26,22 @@ recursive calls on the color bins run simultaneously (their round counts are
 combined with a maximum), while the leftover bin and the bad graph are
 handled afterwards (their round counts add).  The execution context charges
 the underlying simulator and enforces bandwidth/space budgets.
+
+The walk itself is the skeleton both pipelines share
+(:class:`repro.core.driver.RecursionDriver`); this module supplies
+Algorithm 1's steps.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.accounting import CostLedger, PoolHealth, RunDurability
 from repro.congested_clique.model import CongestedCliqueSimulator
 from repro.core.context import CongestedCliqueContext, ExecutionContext
-from repro.core.level import (
-    LEVEL_PREFETCH_MIN_SIZE,
-    child_salt,
-    prefetch_partition_level,
-)
+from repro.core.driver import RecursionDriver, RunState, prepare_palettes
+from repro.core.level import prefetch_partition_level
 from repro.core.local_coloring import (
     GREEDY_ARRAY_CUTOVER_NODES,
     greedy_list_coloring,
@@ -49,7 +49,7 @@ from repro.core.local_coloring import (
 from repro.core.params import ColorReduceParameters
 from repro.core.partition import Partition, PartitionResult
 from repro.derand.conditional_expectation import SelectionStrategy
-from repro.errors import InvariantViolationError, PaletteError, ReproError
+from repro.errors import PaletteError, ReproError
 from repro.graph.graph import Graph
 from repro.graph.palettes import PaletteAssignment
 from repro.graph.validation import assert_valid_list_coloring
@@ -124,7 +124,7 @@ class ColorReduceResult:
         return self.recursion_root.count_base_cases()
 
 
-class ColorReduce:
+class ColorReduce(RecursionDriver):
     """Deterministic (Δ+1)-list coloring in a simulated model.
 
     Parameters
@@ -139,6 +139,7 @@ class ColorReduce:
         returning (cheap, and every experiment keeps it on).
     """
 
+    ALGORITHM = "color-reduce"
     #: Words assumed per hash-function seed when broadcasting it.
     SEED_WORDS = 2
 
@@ -173,11 +174,7 @@ class ColorReduce:
         if palettes is None:
             palettes = PaletteAssignment.delta_plus_one(graph)
             palettes_are_implicit = True
-        # Warm the shared palette-entry store up front: the validation below
-        # vectorizes over it, and the root Partition's evaluator adopts the
-        # same flat arrays instead of re-flattening.
-        palettes.store()
-        palettes.validate_for_graph(graph)
+        prepare_palettes(graph, palettes)
         context = self._context
         if context is None:
             simulator = CongestedCliqueSimulator(max(graph.num_nodes, 1))
@@ -197,41 +194,14 @@ class ColorReduce:
                 "((Δ+1)-list coloring); use LowSpaceColorReduce for (deg+1)-list instances"
             )
         ell = max(raw_ell, 1.0)
-        global_nodes = max(graph.num_nodes, 1)
-
-        durable = None
-        if self.params.durability_enabled():
-            from repro.runtime.durability import DurableRun
-
-            durable = DurableRun.from_params(
-                self.params, "color-reduce", graph, palettes, global_nodes
-            )
-        state = _RunState(
-            context=context,
-            params=self.params,
-            global_nodes=global_nodes,
+        state = RunState(
+            model=context,
+            global_nodes=max(graph.num_nodes, 1),
             palettes_are_implicit=palettes_are_implicit,
-            durable=durable,
         )
-        health_baseline = None
-        if self.params.parallel_workers > 1:
-            from repro.parallel.executor import pool_health
-
-            health_baseline = pool_health()
-        if durable is None:
-            coloring, ledger, tree = self._color_reduce(
-                graph, palettes.copy(), ell, depth=0, state=state, salt=1
-            )
-        else:
-            with durable.active():
-                coloring, ledger, tree = self._color_reduce(
-                    graph, palettes.copy(), ell, depth=0, state=state, salt=1
-                )
-        run_health = PoolHealth()
-        if health_baseline is not None:
-            from repro.parallel.executor import pool_health
-
-            run_health = pool_health().delta(health_baseline)
+        coloring, ledger, tree, pool_health, durability = self._walk(
+            graph, palettes, ell, state
+        )
         if self.validate:
             assert_valid_list_coloring(graph, palettes, coloring)
         return ColorReduceResult(
@@ -240,135 +210,81 @@ class ColorReduce:
             ledger=ledger,
             recursion_root=tree,
             model=context.model_name,
-            global_nodes=global_nodes,
+            global_nodes=state.global_nodes,
             initial_ell=ell,
             total_bad_nodes=state.total_bad_nodes,
             total_invariant_violations=state.total_invariant_violations,
-            pool_health=run_health,
-            durability=durable.telemetry if durable is not None else RunDurability(),
+            pool_health=pool_health,
+            durability=durability,
         )
 
     # ------------------------------------------------------------------
-    # the recursion
+    # the pipeline's steps (see repro.core.driver)
     # ------------------------------------------------------------------
-    def _color_reduce(
-        self,
-        graph: Graph,
-        palettes: PaletteAssignment,
-        ell: float,
-        depth: int,
-        state: "_RunState",
-        salt: int = 1,
-        prefetched=None,
-    ) -> tuple[Dict[NodeId, Color], CostLedger, RecursionNode]:
-        """One node of the recursion, through the durability layer.
-
-        Without durability knobs this is a zero-overhead passthrough to
-        :meth:`_color_reduce_node`.  With them, every entry polls the
-        guardrails/signal flag, a salt with a checkpointed entry is
-        *restored* (its recorded coloring, ledger copy and tree node are
-        returned without recomputing — deterministic replay makes this
-        bit-identical), and every completed shallow subtree is *recorded*
-        into the checkpoint frontier.
-        """
-        durable = state.durable
-        if durable is None:
-            return self._color_reduce_node(
-                graph, palettes, ell, depth, state, salt, prefetched
-            )
-        durable.poll()
-        entry = durable.restored(salt)
-        if entry is not None:
-            state.total_bad_nodes += entry["bad_nodes"]
-            state.total_invariant_violations += entry["violations"]
-            return dict(entry["coloring"]), entry["ledger"].copy(), entry["tree"]
-        before_bad = state.total_bad_nodes
-        before_violations = state.total_invariant_violations
-        durable.enter(salt)
-        try:
-            coloring, ledger, node = self._color_reduce_node(
-                graph, palettes, ell, depth, state, salt, prefetched
-            )
-        finally:
-            durable.exit(salt)
-        durable.completed(
-            salt,
-            depth,
-            lambda: {
-                "coloring": dict(coloring),
-                "ledger": ledger.copy(),
-                "tree": node,
-                "bad_nodes": state.total_bad_nodes - before_bad,
-                "violations": state.total_invariant_violations - before_violations,
-            },
-        )
-        return coloring, ledger, node
-
-    def _color_reduce_node(
-        self,
-        graph: Graph,
-        palettes: PaletteAssignment,
-        ell: float,
-        depth: int,
-        state: "_RunState",
-        salt: int = 1,
-        prefetched=None,
-    ) -> tuple[Dict[NodeId, Color], CostLedger, RecursionNode]:
-        """One node of the recursion.
-
-        ``salt`` is the call's *positional* identity — the root gets 1 and
-        each child derives its own via :func:`repro.core.level.child_salt`
-        from the parent's salt and the child's bin index.  Unlike a
-        depth-first counter, a child's salt is known the moment its bin
-        index is, which is what lets the parent prefetch the whole level's
-        head-batch scores in one segmented pass (``prefetched`` then
-        carries this instance's :class:`~repro.core.level.CachedPairCost`).
-        """
-        ledger = CostLedger()
-        size = graph.size()
-        node = RecursionNode(
+    def _new_node(self, graph: Graph, ell: float, depth: int) -> RecursionNode:
+        return RecursionNode(
             depth=depth,
             num_nodes=graph.num_nodes,
             num_edges=graph.num_edges,
-            size=size,
+            size=graph.size(),
             ell=ell,
             base_case=False,
         )
+
+    def _base_case(
+        self,
+        graph: Graph,
+        palettes: PaletteAssignment,
+        ell: float,
+        depth: int,
+        ledger: CostLedger,
+        node: RecursionNode,
+        state: RunState,
+    ) -> Optional[Dict[NodeId, Color]]:
+        """Collect and color an instance of size ``O(n)`` (or at the depth cap)."""
         if graph.num_nodes == 0:
             node.base_case = True
-            return {}, ledger, node
-
-        collectable = size <= self.params.collect_threshold(state.global_nodes)
+            return {}
+        collectable = node.size <= self.params.collect_threshold(state.global_nodes)
         words = self._collect_words(graph, palettes, state)
-        fits_locally = words <= state.context.local_instance_capacity_words()
+        fits_locally = words <= state.model.local_instance_capacity_words()
         if (collectable and fits_locally) or graph.num_edges == 0:
             node.base_case = True
-            coloring = self._collect_and_color(graph, palettes, ledger, state, label="local-color")
-            return coloring, ledger, node
-
+            return self._collect_and_color(graph, palettes, ledger, state, label="local-color")
         if depth >= self.params.max_recursion_depth:
             if fits_locally:
                 node.base_case = True
-                coloring = self._collect_and_color(
+                return self._collect_and_color(
                     graph, palettes, ledger, state, label="local-color(depth-cap)"
                 )
-                return coloring, ledger, node
             raise ReproError(
-                f"recursion depth {depth} reached with an instance of size {size} "
+                f"recursion depth {depth} reached with an instance of size {node.size} "
                 f"that does not fit locally ({words} words); "
                 "check the partition parameters"
             )
+        return None
 
-        # --- Partition(G, l) -------------------------------------------------
+    def _partition(
+        self,
+        graph: Graph,
+        palettes: PaletteAssignment,
+        ell: float,
+        ledger: CostLedger,
+        node: RecursionNode,
+        state: RunState,
+        salt: int,
+        prefetched,
+    ):
+        """``Partition(G, l)``, its statistics and its communication charges."""
         partition = Partition(self.params).run(
             graph,
             palettes,
             ell,
             state.global_nodes,
-            context=state.context,
+            context=state.model,
             salt=salt,
             cost=prefetched,
-            poll=state.durable.poll if state.durable is not None else None,
+            poll=state.poll,
         )
         node.num_bins = partition.num_bins
         node.num_bad_nodes = partition.num_bad_nodes
@@ -380,168 +296,73 @@ class ColorReduce:
         node.invariant_violations = self._audit_invariant(partition, ell, state)
 
         ledger.charge("hash-selection", partition.selection.rounds_charged)
-        seed_rounds = state.context.record_seed_broadcast(self.SEED_WORDS, label="seed-broadcast")
+        seed_rounds = state.model.record_seed_broadcast(self.SEED_WORDS, label="seed-broadcast")
         ledger.charge("seed-broadcast", seed_rounds)
         shuffle_words = self._instance_words(graph, palettes, state)
-        shuffle_rounds = state.context.record_partition_shuffle(
+        shuffle_rounds = state.model.record_partition_shuffle(
             shuffle_words, label="partition-shuffle"
         )
         ledger.charge("partition-shuffle", shuffle_rounds, shuffle_words)
-        state.context.record_space(shuffle_words)
+        state.model.record_space(shuffle_words)
+        return partition, partition.bad_graph, self.params.next_ell(ell)
 
-        next_ell = self.params.next_ell(ell)
-        coloring: Dict[NodeId, Color] = {}
+    def _palette_update_rounds(self, removed: int, state: RunState) -> int:
+        return state.model.record_palette_update(max(removed, 1), label="palette-update")
 
-        # --- segmented cross-bin prefetch (repro.core.level) -----------------
-        # Score every recursing color bin's head batch of hash-pair
-        # candidates in one segmented pass before descending.  Best-effort:
-        # a failure (or a bin the predicate mispredicts) simply falls back
-        # to the per-bin evaluator inside the child's Partition call, with
-        # bit-identical selections either way.
-        prefetched_costs: Dict[int, object] = {}
-        if self._level_prefetch_enabled() and (
-            state.durable is None or state.durable.prefetch_allowed
-        ):
-            eligible = [
-                (
-                    bin_instance.bin_index,
-                    child_salt(salt, bin_instance.bin_index),
-                    bin_instance.graph,
-                    bin_instance.palettes,
-                )
-                for bin_instance in partition.color_bins
-                if bin_instance.graph.size() >= LEVEL_PREFETCH_MIN_SIZE
-                and self._will_partition(
-                    bin_instance.graph, bin_instance.palettes, depth + 1, state
-                )
-                # A bin whose subtree will be restored from the checkpoint
-                # never reaches its Partition call — don't score it.
-                and (
-                    state.durable is None
-                    or not state.durable.has(child_salt(salt, bin_instance.bin_index))
-                )
-            ]
-            if eligible:
-                try:
-                    prefetched_costs = prefetch_partition_level(
-                        eligible, self.params, next_ell, state.global_nodes
-                    )
-                except Exception:  # pragma: no cover - prefetch is best-effort
-                    prefetched_costs = {}
+    def _finish(
+        self,
+        graph: Graph,
+        palettes: PaletteAssignment,
+        ledger: CostLedger,
+        node: RecursionNode,
+        state: RunState,
+    ) -> Dict[NodeId, Color]:
+        """``G_0``: collect onto a single machine and color locally."""
+        return self._collect_and_color(graph, palettes, ledger, state, label="bad-graph-color")
 
-        # --- color bins recurse in parallel ---------------------------------
-        parallel_ledger: Optional[CostLedger] = None
-        for bin_instance in partition.color_bins:
-            if bin_instance.is_empty:
-                continue
-            child_coloring, child_ledger, child_node = self._color_reduce(
-                bin_instance.graph,
-                bin_instance.palettes,
-                next_ell,
-                depth + 1,
-                state,
-                salt=child_salt(salt, bin_instance.bin_index),
-                prefetched=prefetched_costs.get(bin_instance.bin_index),
-            )
-            coloring.update(child_coloring)
-            node.children.append(child_node)
-            if parallel_ledger is None:
-                parallel_ledger = child_ledger
-            else:
-                parallel_ledger.merge_parallel(child_ledger)
-        if parallel_ledger is not None:
-            ledger.merge_sequential(parallel_ledger)
-
-        # --- leftover bin: update palettes, then recurse ---------------------
-        leftover = partition.leftover
-        if not leftover.is_empty:
-            leftover_palettes = leftover.palettes
-            removed = leftover_palettes.remove_colors_used_by_neighbors_batch(
-                graph, coloring
-            )
-            update_rounds = state.context.record_palette_update(
-                max(removed, 1), label="palette-update"
-            )
-            ledger.charge("palette-update", update_rounds, removed)
-            child_coloring, child_ledger, child_node = self._color_reduce(
-                leftover.graph,
-                leftover_palettes,
-                next_ell,
-                depth + 1,
-                state,
-                salt=child_salt(salt, partition.num_bins - 1),
-            )
-            coloring.update(child_coloring)
-            node.children.append(child_node)
-            ledger.merge_sequential(child_ledger)
-
-        # --- bad graph G_0: update palettes, collect, color locally ----------
-        if partition.bad_graph.num_nodes > 0:
-            bad_palettes, removed = palettes.subset_updated(
-                partition.bad_graph.nodes(), graph, coloring
-            )
-            update_rounds = state.context.record_palette_update(
-                max(removed, 1), label="palette-update"
-            )
-            ledger.charge("palette-update", update_rounds, removed)
-            bad_coloring = self._collect_and_color(
-                partition.bad_graph, bad_palettes, ledger, state, label="bad-graph-color"
-            )
-            coloring.update(bad_coloring)
-
-        return coloring, ledger, node
-
-    # ------------------------------------------------------------------
-    # helpers
-    # ------------------------------------------------------------------
     def _level_prefetch_enabled(self) -> bool:
-        """Whether the cross-bin level prefetch applies under these params.
-
-        The segmented pass reproduces exactly the head-batch probes of the
-        single-process ``FIRST_FEASIBLE`` selection; any other configuration
-        (multiprocess scoring, exhaustive or randomized strategies) keeps
-        the per-bin route.
-        """
-        params = self.params
+        # The segmented pass reproduces only FIRST_FEASIBLE's head probes;
+        # exhaustive and randomized strategies keep the per-bin route.
         return (
-            params.level_use_batch
-            and params.parallel_workers == 1
-            and params.selection_strategy == SelectionStrategy.FIRST_FEASIBLE
+            super()._level_prefetch_enabled()
+            and self.params.selection_strategy == SelectionStrategy.FIRST_FEASIBLE
         )
 
     def _will_partition(
-        self, graph: Graph, palettes: PaletteAssignment, depth: int, state: "_RunState"
+        self, graph: Graph, palettes: PaletteAssignment, depth: int, state: RunState
     ) -> bool:
-        """Whether a child instance will reach its own Partition call.
-
-        Mirrors the base-case tests at the top of :meth:`_color_reduce`; a
-        misprediction only wastes (or skips) a prefetch — the child's own
-        run re-derives the truth.
-        """
+        """Mirrors :meth:`_base_case`; a misprediction only wastes (or skips)
+        a prefetch — the child's own run re-derives the truth."""
         if graph.num_nodes == 0 or graph.num_edges == 0:
             return False
         if depth >= self.params.max_recursion_depth:
             return False
         if graph.size() <= self.params.collect_threshold(state.global_nodes):
             words = self._collect_words(graph, palettes, state)
-            if words <= state.context.local_instance_capacity_words():
+            if words <= state.model.local_instance_capacity_words():
                 return False
         return True
 
+    def _prefetch(self, eligible, ell: float, state: RunState):
+        return prefetch_partition_level(eligible, self.params, ell, state.global_nodes)
+
+    # ------------------------------------------------------------------
+    # helpers
+    # ------------------------------------------------------------------
     def _collect_and_color(
         self,
         graph: Graph,
         palettes: PaletteAssignment,
         ledger: CostLedger,
-        state: "_RunState",
+        state: RunState,
         label: str,
     ) -> Dict[NodeId, Color]:
-        capacity = state.context.local_instance_capacity_words()
+        capacity = state.model.local_instance_capacity_words()
         words = self._collect_words(graph, palettes, state)
         if words <= capacity:
-            rounds = state.context.record_collect(words, label=label)
+            rounds = state.model.record_collect(words, label=label)
             ledger.charge(label, rounds, words)
-            state.context.record_space(words, max_local_words=words)
+            state.model.record_space(words, max_local_words=words)
             # Force the array sweep above the small-instance cutover (building
             # the CSR view when a depth-0 collectable instance arrives cold),
             # and take the scalar loop below it so deep-recursion leaves skip
@@ -564,14 +385,14 @@ class ColorReduce:
                 piece.nodes(), graph, coloring
             )
             if removed:
-                update_rounds = state.context.record_palette_update(
+                update_rounds = state.model.record_palette_update(
                     removed, label="palette-update"
                 )
                 ledger.charge("palette-update", update_rounds, removed)
             piece_words = self._collect_words(piece, piece_palettes, state)
-            rounds = state.context.record_collect(piece_words, label=label)
+            rounds = state.model.record_collect(piece_words, label=label)
             ledger.charge(label, rounds, piece_words)
-            state.context.record_space(piece_words, max_local_words=piece_words)
+            state.model.record_space(piece_words, max_local_words=piece_words)
             coloring.update(
                 greedy_list_coloring(
                     piece,
@@ -585,7 +406,7 @@ class ColorReduce:
         self,
         graph: Graph,
         palettes: PaletteAssignment,
-        state: "_RunState",
+        state: RunState,
         capacity: int,
     ) -> List[Graph]:
         """Split an oversized instance into induced subgraphs that fit locally."""
@@ -608,7 +429,7 @@ class ColorReduce:
         return graph.induced_subgraphs(piece_nodes, use_csr=True)
 
     def _collect_words(
-        self, graph: Graph, palettes: PaletteAssignment, state: "_RunState"
+        self, graph: Graph, palettes: PaletteAssignment, state: RunState
     ) -> int:
         """Words needed to ship an instance to one machine for local coloring.
 
@@ -625,7 +446,7 @@ class ColorReduce:
         return words
 
     def _instance_words(
-        self, graph: Graph, palettes: PaletteAssignment, state: "_RunState"
+        self, graph: Graph, palettes: PaletteAssignment, state: RunState
     ) -> int:
         """Words of an instance when redistributing it across machines."""
         words = graph.size()
@@ -634,7 +455,7 @@ class ColorReduce:
         return words
 
     def _audit_invariant(
-        self, partition: PartitionResult, ell: float, state: "_RunState"
+        self, partition: PartitionResult, ell: float, state: RunState
     ) -> int:
         """Audit Lemma 3.2 on the freshly produced color-bin instances.
 
@@ -642,8 +463,7 @@ class ColorReduce:
         ``l' < p'(v)``, ``d'(v) <= l' + palette_slack(l')`` and
         ``d'(v) < p'(v)``.  Violations are counted (and surface in the
         recursion statistics); with the paper's exponents on inputs
-        satisfying Corollary 3.3 there should be none, and
-        ``strict_invariants`` turns any violation into an error.
+        satisfying Corollary 3.3 there should be none.
         """
         next_ell = self.params.next_ell(ell)
         slack = self.params.palette_slack(next_ell)
@@ -671,10 +491,6 @@ class ColorReduce:
                 violations += int(np.count_nonzero(degrees > next_ell + slack))
             violations += int(np.count_nonzero(degrees >= sizes))
         state.total_invariant_violations += violations
-        if violations and state.strict_invariants:
-            raise InvariantViolationError(
-                f"{violations} invariant violations in a Partition call at l={ell}"
-            )
         return violations
 
     @staticmethod
@@ -695,19 +511,3 @@ class ColorReduce:
                 violations += 1
         return violations
 
-
-@dataclass
-class _RunState:
-    """Mutable bookkeeping threaded through one ``ColorReduce`` run."""
-
-    context: ExecutionContext
-    params: ColorReduceParameters
-    global_nodes: int
-    palettes_are_implicit: bool = False
-    strict_invariants: bool = False
-    total_bad_nodes: int = 0
-    total_invariant_violations: int = 0
-    #: The run's :class:`repro.runtime.durability.DurableRun`, or ``None``
-    #: when no durability knob is set (the recursion then bypasses the
-    #: durability layer entirely).
-    durable: Optional[object] = None

@@ -30,24 +30,20 @@ Candidate replication contract
 candidates that the child's own
 :meth:`repro.derand.conditional_expectation.HashPairSelector._candidate_batches`
 will enumerate for its salt.  This requires the recursion's salts to be
-*positionally* derivable — :func:`child_salt` mixes the parent's salt with
-the child's bin ordinal, replacing the old depth-first Partition counter
-(whose value for sibling ``k`` depended on the entire subtree of siblings
-``0..k-1`` and so could not be known at prefetch time).
+*positionally* derivable — :func:`repro.core.driver.child_salt` mixes the
+parent's salt with the child's bin ordinal, replacing the old depth-first
+Partition counter (whose value for sibling ``k`` depended on the entire
+subtree of siblings ``0..k-1`` and so could not be known at prefetch time).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.derand.conditional_expectation import _mix64
 from repro.hashing import batch as hb
-
-#: Multiplier decorrelating parent salt from child ordinals (same odd
-#: constant the selector uses to fold ``rng_seed`` with its salt).
-_SALT_STRIDE = 1_000_003
 
 #: Engagement floor for the cross-bin prefetch, in instance size
 #: (``num_nodes + num_edges``).  The prefetch eagerly scores the *whole*
@@ -57,17 +53,6 @@ _SALT_STRIDE = 1_000_003
 #: big enough to amortize the level arrays' setup; below the floor the
 #: drivers keep the per-bin route (outcomes are identical either way).
 LEVEL_PREFETCH_MIN_SIZE = 32_768
-
-
-def child_salt(parent_salt: int, ordinal: int) -> int:
-    """Deterministic salt of a child instance from its parent's salt.
-
-    ``ordinal`` is the child's position within its level (its bin index).
-    The value depends only on the path from the root — never on sibling
-    subtree sizes — so a level prefetch can compute every child's salt
-    before any child recursion runs.
-    """
-    return _mix64(parent_salt * _SALT_STRIDE + ordinal + 1)
 
 
 def head_pairs(family1, family2, salt: int, count: int) -> List[tuple]:

@@ -20,7 +20,9 @@ the MIS path remains, whose round cost dominates and gives the
 Round accounting mirrors Algorithm 1's: the color bins recurse in parallel
 (max of their round counts), the leftover bin and the MIS step follow
 sequentially, and every MIS phase is charged a constant number of MPC
-rounds.
+rounds.  The walk is the skeleton shared with ``ColorReduce``
+(:class:`repro.core.driver.RecursionDriver`); this module supplies
+Algorithm 3's steps.
 """
 
 from __future__ import annotations
@@ -29,11 +31,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.accounting import CostLedger, PoolHealth, RunDurability
-from repro.core.level import (
-    LEVEL_PREFETCH_MIN_SIZE,
-    child_salt,
-    prefetch_low_space_level,
-)
+from repro.core.driver import RecursionDriver, RunState, prepare_palettes
+from repro.core.level import prefetch_low_space_level
 from repro.core.low_space.mis_reduction import color_via_mis
 from repro.core.low_space.params import LowSpaceParameters
 from repro.core.low_space.partition import LowSpacePartition
@@ -107,7 +106,7 @@ class LowSpaceResult:
         return self.recursion_root.max_depth()
 
 
-class LowSpaceColorReduce:
+class LowSpaceColorReduce(RecursionDriver):
     """Deterministic (deg+1)-list coloring for the low-space MPC regime.
 
     Parameters
@@ -124,6 +123,8 @@ class LowSpaceColorReduce:
     validate:
         Validate the final coloring before returning.
     """
+
+    ALGORITHM = "low-space"
 
     def __init__(
         self,
@@ -144,10 +145,7 @@ class LowSpaceColorReduce:
         """Color ``graph`` from ``palettes`` (defaults to (deg+1)-lists)."""
         if palettes is None:
             palettes = PaletteAssignment.degree_plus_one(graph)
-        # Warm the shared palette-entry store: validation vectorizes and the
-        # partition's evaluator adopts the same flat arrays.
-        palettes.store()
-        palettes.validate_for_graph(graph)
+        prepare_palettes(graph, palettes)
         simulator = self._simulator
         if simulator is None:
             simulator = MPCSimulator(
@@ -157,37 +155,10 @@ class LowSpaceColorReduce:
                     epsilon=self.params.epsilon,
                 )
             )
-        durable = None
-        if self.params.durability_enabled():
-            from repro.runtime.durability import DurableRun
-
-            durable = DurableRun.from_params(
-                self.params, "low-space", graph, palettes, max(graph.num_nodes, 1)
-            )
-        state = _LowSpaceState(
-            simulator=simulator,
-            global_nodes=max(graph.num_nodes, 1),
-            durable=durable,
+        state = RunState(model=simulator, global_nodes=max(graph.num_nodes, 1))
+        coloring, ledger, tree, pool_health, durability = self._walk(
+            graph, palettes, None, state
         )
-        health_baseline = None
-        if self.params.parallel_workers > 1:
-            from repro.parallel.executor import pool_health
-
-            health_baseline = pool_health()
-        if durable is None:
-            coloring, ledger, tree = self._color_reduce(
-                graph, palettes.copy(), depth=0, state=state, salt=1
-            )
-        else:
-            with durable.active():
-                coloring, ledger, tree = self._color_reduce(
-                    graph, palettes.copy(), depth=0, state=state, salt=1
-                )
-        run_health = PoolHealth()
-        if health_baseline is not None:
-            from repro.parallel.executor import pool_health
-
-            run_health = pool_health().delta(health_baseline)
         if self.validate:
             assert_valid_list_coloring(graph, palettes, coloring)
         return LowSpaceResult(
@@ -198,88 +169,33 @@ class LowSpaceColorReduce:
             epsilon=self.params.epsilon,
             total_mis_phases=tree.total_mis_phases(),
             simulator=simulator,
-            pool_health=run_health,
-            durability=durable.telemetry if durable is not None else RunDurability(),
+            pool_health=pool_health,
+            durability=durability,
         )
 
     # ------------------------------------------------------------------
-    def _color_reduce(
-        self,
-        graph: Graph,
-        palettes: PaletteAssignment,
-        depth: int,
-        state: "_LowSpaceState",
-        salt: int = 1,
-        prefetched=None,
-    ) -> tuple[Dict[NodeId, Color], CostLedger, LowSpaceRecursionNode]:
-        """One node of the recursion, through the durability layer.
-
-        Same contract as the linear-space driver's wrapper: zero-overhead
-        passthrough without durability knobs; with them, entries poll the
-        guardrails, checkpointed salts are restored (bit-identical replay)
-        and completed shallow subtrees are recorded.
-        """
-        durable = state.durable
-        if durable is None:
-            return self._color_reduce_node(
-                graph, palettes, depth, state, salt, prefetched
-            )
-        durable.poll()
-        entry = durable.restored(salt)
-        if entry is not None:
-            return dict(entry["coloring"]), entry["ledger"].copy(), entry["tree"]
-        durable.enter(salt)
-        try:
-            coloring, ledger, node = self._color_reduce_node(
-                graph, palettes, depth, state, salt, prefetched
-            )
-        finally:
-            durable.exit(salt)
-        durable.completed(
-            salt,
-            depth,
-            lambda: {
-                "coloring": dict(coloring),
-                "ledger": ledger.copy(),
-                "tree": node,
-                "bad_nodes": 0,
-                "violations": 0,
-            },
-        )
-        return coloring, ledger, node
-
-    def _color_reduce_node(
-        self,
-        graph: Graph,
-        palettes: PaletteAssignment,
-        depth: int,
-        state: "_LowSpaceState",
-        salt: int = 1,
-        prefetched=None,
-    ) -> tuple[Dict[NodeId, Color], CostLedger, LowSpaceRecursionNode]:
-        """One node of the recursion.
-
-        ``salt`` is the call's positional identity (root 1, children via
-        :func:`repro.core.level.child_salt` on their bin index), which lets
-        the parent prefetch a whole level's head-batch scores in one
-        segmented pass; ``prefetched`` carries this instance's
-        :class:`~repro.core.level.CachedPairCost` when it did.
-        """
-        ledger = CostLedger()
-        node = LowSpaceRecursionNode(
+    # the pipeline's steps (see repro.core.driver)
+    # ------------------------------------------------------------------
+    def _new_node(self, graph: Graph, ell, depth: int) -> LowSpaceRecursionNode:
+        return LowSpaceRecursionNode(
             depth=depth,
             num_nodes=graph.num_nodes,
             num_edges=graph.num_edges,
             max_degree=graph.max_degree(),
         )
+
+    def _base_case(self, graph, palettes, ell, depth, ledger, node, state):
         if graph.num_nodes == 0:
-            return {}, ledger, node
+            return {}
         if depth >= self.params.max_recursion_depth:
             raise ReproError(
                 f"low-space recursion depth {depth} exceeded; the partition is not "
                 "reducing degrees (check the parameters)"
             )
+        return None
 
+    def _partition(self, graph, palettes, ell, ledger, node, state, salt, prefetched):
+        """``LowSpacePartition(G)``, its statistics and its shuffle charge."""
         partition = LowSpacePartition(self.params).run(
             graph,
             palettes,
@@ -287,166 +203,55 @@ class LowSpaceColorReduce:
             charge=lambda label, rounds: ledger.charge(label, rounds),
             salt=salt,
             cost=prefetched,
-            poll=state.durable.poll if state.durable is not None else None,
+            poll=state.poll,
         )
         node.num_bins = partition.num_bins
         node.low_degree_nodes = partition.low_degree_graph.num_nodes
         node.violating_nodes = partition.num_violating_nodes
         shuffle_words = graph.size() + palettes.total_size()
-        state.simulator.record_space_usage(
-            min(shuffle_words, state.simulator.regime.total_space_words)
+        state.model.record_space_usage(
+            min(shuffle_words, state.model.regime.total_space_words)
         )
         ledger.charge("partition-shuffle", PARTITION_SHUFFLE_ROUNDS, shuffle_words)
+        return partition, partition.low_degree_graph, None
 
-        coloring: Dict[NodeId, Color] = {}
+    def _palette_update_rounds(self, removed: int, state: RunState) -> int:
+        return PALETTE_UPDATE_ROUNDS
 
+    def _recurses(self, parent: Graph, child: Graph) -> bool:
         # A child that contains every node of the parent would recurse
         # forever (possible only for small residual degrees, where the hash
         # happens to map every node to one bin); such children take the MIS
-        # path directly instead.  Larger instances cannot degenerate this way
-        # because an all-in-one-bin assignment violates the selection
+        # path directly instead.  Larger instances cannot degenerate this
+        # way because an all-in-one-bin assignment violates the selection
         # conditions.
-        def made_progress(child_graph: Graph) -> bool:
-            return child_graph.num_nodes < graph.num_nodes
+        return child.num_nodes < parent.num_nodes
 
-        # --- segmented cross-bin prefetch (repro.core.level) -----------------
-        # Score every recursing bin's head batch of hash-pair candidates in
-        # one segmented pass before descending (children whose nodes are all
-        # low-degree are skipped inside the prefetch — their Partition call
-        # takes the trivial path).  Best-effort: any failure falls back to
-        # the per-bin evaluators with bit-identical selections.
-        prefetched_costs: Dict[int, object] = {}
-        if (
-            self._level_prefetch_enabled()
-            and depth + 1 < self.params.max_recursion_depth
-            and (state.durable is None or state.durable.prefetch_allowed)
-        ):
-            eligible = [
-                (
-                    bin_instance.bin_index,
-                    child_salt(salt, bin_instance.bin_index),
-                    bin_instance.graph,
-                    bin_instance.palettes,
-                )
-                for bin_instance in partition.color_bins
-                if bin_instance.graph.size() >= LEVEL_PREFETCH_MIN_SIZE
-                and made_progress(bin_instance.graph)
-                # Bins whose subtrees restore from the checkpoint never
-                # reach their Partition call — don't score them.
-                and (
-                    state.durable is None
-                    or not state.durable.has(child_salt(salt, bin_instance.bin_index))
-                )
-            ]
-            if eligible:
-                try:
-                    prefetched_costs = prefetch_low_space_level(
-                        eligible, self.params, state.global_nodes
-                    )
-                except Exception:  # pragma: no cover - prefetch is best-effort
-                    prefetched_costs = {}
-
-        # --- color bins recurse in parallel ---------------------------------
-        parallel_ledger: Optional[CostLedger] = None
-        for bin_instance in partition.color_bins:
-            if bin_instance.is_empty:
-                continue
-            if made_progress(bin_instance.graph):
-                child_coloring, child_ledger, child_node = self._color_reduce(
-                    bin_instance.graph,
-                    bin_instance.palettes,
-                    depth + 1,
-                    state,
-                    salt=child_salt(salt, bin_instance.bin_index),
-                    prefetched=prefetched_costs.get(bin_instance.bin_index),
-                )
-                node.children.append(child_node)
-            else:
-                child_coloring, child_ledger = self._color_by_mis(
-                    bin_instance.graph, bin_instance.palettes, node, state
-                )
-            coloring.update(child_coloring)
-            if parallel_ledger is None:
-                parallel_ledger = child_ledger
-            else:
-                parallel_ledger.merge_parallel(child_ledger)
-        if parallel_ledger is not None:
-            ledger.merge_sequential(parallel_ledger)
-
-        # --- leftover bin -----------------------------------------------------
-        leftover = partition.leftover
-        if not leftover.is_empty:
-            removed = leftover.palettes.remove_colors_used_by_neighbors_batch(
-                graph, coloring
-            )
-            ledger.charge("palette-update", PALETTE_UPDATE_ROUNDS, removed)
-            if made_progress(leftover.graph):
-                child_coloring, child_ledger, child_node = self._color_reduce(
-                    leftover.graph,
-                    leftover.palettes,
-                    depth + 1,
-                    state,
-                    salt=child_salt(salt, partition.num_bins - 1),
-                )
-                node.children.append(child_node)
-            else:
-                child_coloring, child_ledger = self._color_by_mis(
-                    leftover.graph, leftover.palettes, node, state
-                )
-            coloring.update(child_coloring)
-            ledger.merge_sequential(child_ledger)
-
-        # --- G_0: the MIS path ------------------------------------------------
-        low_graph = partition.low_degree_graph
-        if low_graph.num_nodes > 0:
-            low_palettes, removed = palettes.subset_updated(
-                low_graph.nodes(), graph, coloring
-            )
-            ledger.charge("palette-update", PALETTE_UPDATE_ROUNDS, removed)
-            mis_coloring, mis_ledger = self._color_by_mis(low_graph, low_palettes, node, state)
-            ledger.merge_sequential(mis_ledger)
-            coloring.update(mis_coloring)
-
-        return coloring, ledger, node
-
-    def _level_prefetch_enabled(self) -> bool:
-        """Whether the cross-bin level prefetch applies under these params.
-
-        Same contract as the linear-space driver's gate: the segmented pass
-        reproduces the single-process ``FIRST_FEASIBLE`` head probes (the
-        strategy this driver always uses), so multiprocess scoring keeps
-        the per-bin route.
-        """
-        return self.params.level_use_batch and self.params.parallel_workers == 1
-
-    def _color_by_mis(
+    def _finish(
         self,
         graph: Graph,
         palettes: PaletteAssignment,
+        ledger: CostLedger,
         node: LowSpaceRecursionNode,
-        state: "_LowSpaceState",
-    ) -> tuple[Dict[NodeId, Color], CostLedger]:
+        state: RunState,
+    ) -> Dict[NodeId, Color]:
         """Color one instance via the MIS reduction and charge its rounds."""
-        ledger = CostLedger()
         mis_coloring, mis_result, reduction = color_via_mis(graph, palettes, self.mis_solver)
         node.mis_phases += mis_result.phases
         node.reduction_vertices += reduction.num_vertices
         reduction_words = reduction.graph.size()
-        state.simulator.record_space_usage(
-            min(reduction_words, state.simulator.regime.total_space_words)
+        state.model.record_space_usage(
+            min(reduction_words, state.model.regime.total_space_words)
         )
         ledger.charge(
             "mis-reduction", ROUNDS_PER_MIS_PHASE * max(mis_result.phases, 1), reduction_words
         )
-        return mis_coloring, ledger
+        return mis_coloring
 
+    def _will_partition(self, graph, palettes, depth: int, state: RunState) -> bool:
+        # Children whose nodes are all low-degree are skipped inside the
+        # prefetch itself (their partition call takes the trivial path).
+        return depth < self.params.max_recursion_depth
 
-@dataclass
-class _LowSpaceState:
-    """Bookkeeping threaded through one ``LowSpaceColorReduce`` run."""
-
-    simulator: MPCSimulator
-    global_nodes: int
-    #: The run's :class:`repro.runtime.durability.DurableRun`, or ``None``
-    #: when no durability knob is set.
-    durable: Optional[object] = None
+    def _prefetch(self, eligible, ell, state: RunState):
+        return prefetch_low_space_level(eligible, self.params, state.global_nodes)

@@ -20,12 +20,17 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.core.params import RunParameters
 from repro.errors import ConfigurationError
 
 
 @dataclass(frozen=True)
-class LowSpaceParameters:
-    """Numeric knobs of ``LowSpaceColorReduce`` / ``LowSpacePartition``."""
+class LowSpaceParameters(RunParameters):
+    """Numeric knobs of ``LowSpaceColorReduce`` / ``LowSpacePartition``.
+
+    The selection, worker-pool, level-prefetch and durability knobs are
+    inherited from :class:`repro.core.params.RunParameters`.
+    """
 
     epsilon: float = 0.5
     num_bins_override: Optional[int] = None
@@ -35,48 +40,6 @@ class LowSpaceParameters:
     palette_slack_exponent: float = 0.7
     independence: int = 4
     max_recursion_depth: int = 20
-    selection_max_candidates: int = 2048
-    selection_batch_size: int = 16
-    #: Shard candidate-slab scoring across this many worker processes
-    #: (:mod:`repro.parallel`); outcomes are bit-identical for every value
-    #: and ``1`` (default) is the zero-overhead in-process path — see
-    #: :attr:`repro.core.params.ColorReduceParameters.parallel_workers`.
-    parallel_workers: int = 1
-    #: Self-healing knobs of the worker pool (failed shard attempts before
-    #: an in-process rescue, per-shard reply timeout, circuit-breaker
-    #: threshold and cool-down), forwarded as a
-    #: :class:`repro.parallel.executor.RecoveryPolicy` — see
-    #: :attr:`repro.core.params.ColorReduceParameters.parallel_max_retries`
-    #: and friends.  Ignored when ``parallel_workers == 1``.
-    parallel_max_retries: int = 2
-    parallel_shard_timeout: float = 30.0
-    parallel_breaker_threshold: int = 3
-    parallel_breaker_cooldown: int = 8
-    #: Payload transport across the process boundary — ``shm`` (default,
-    #: zero-copy shared-memory segments) or ``pickle`` (the differential
-    #: reference); see
-    #: :attr:`repro.core.params.ColorReduceParameters.parallel_transport`.
-    parallel_transport: str = "shm"
-    #: Explicit engagement floor (slab sizes below it stay in-process);
-    #: ``None`` = adaptive — see :attr:`repro.core.params.ColorReduceParameters.parallel_min_slab_pairs`.
-    parallel_min_slab_pairs: Optional[int] = None
-    #: Segmented cross-bin head-batch scoring per recursion level
-    #: (:mod:`repro.core.level`); bit-identical outcomes either way.  See
-    #: :attr:`repro.core.params.ColorReduceParameters.level_use_batch`.
-    level_use_batch: bool = True
-    mis_independence: int = 4
-    #: Run-level durability knobs (:mod:`repro.runtime`): periodic
-    #: checkpoints to ``checkpoint_path`` (flushed every
-    #: ``checkpoint_every_levels`` recorded subtrees), fingerprint-validated
-    #: resume from ``resume_path``, a soft RSS budget and a wall-clock
-    #: deadline — see
-    #: :attr:`repro.core.params.ColorReduceParameters.checkpoint_path` and
-    #: friends.  Resumed/degraded runs stay bit-identical.
-    checkpoint_path: Optional[str] = None
-    resume_path: Optional[str] = None
-    checkpoint_every_levels: int = 1
-    memory_budget_mb: Optional[float] = None
-    deadline_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon <= 1.0:
@@ -92,35 +55,7 @@ class LowSpaceParameters:
             raise ConfigurationError("low_degree_threshold_override must be positive")
         if self.machine_chunk_override is not None and self.machine_chunk_override < 1:
             raise ConfigurationError("machine_chunk_override must be positive")
-        from repro.core.params import (
-            _validate_durability,
-            _validate_parallel,
-            _validate_selection,
-        )
-
-        _validate_selection(self)
-        _validate_parallel(self)
-        _validate_durability(self)
-
-    def durability_enabled(self) -> bool:
-        """Whether any run-level durability knob is set (:mod:`repro.runtime`)."""
-        from repro.core.params import _durability_enabled
-
-        return _durability_enabled(self)
-
-    def parallel_recovery_policy(self):
-        """The pool's :class:`repro.parallel.executor.RecoveryPolicy`, or
-        ``None`` when ``parallel_workers == 1``."""
-        if self.parallel_workers < 2:
-            return None
-        from repro.parallel.executor import RecoveryPolicy
-
-        return RecoveryPolicy(
-            max_shard_retries=self.parallel_max_retries,
-            shard_timeout=self.parallel_shard_timeout,
-            breaker_threshold=self.parallel_breaker_threshold,
-            breaker_cooldown=self.parallel_breaker_cooldown,
-        )
+        super().__post_init__()
 
     # ------------------------------------------------------------------
     @classmethod

@@ -28,7 +28,7 @@ The paper fixes concrete exponents:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.derand.conditional_expectation import SelectionStrategy
@@ -36,7 +36,146 @@ from repro.errors import ConfigurationError
 
 
 @dataclass(frozen=True)
-class ColorReduceParameters:
+class RunParameters:
+    """Run knobs shared by both pipelines' parameter sets.
+
+    :class:`ColorReduceParameters` and
+    :class:`repro.core.low_space.params.LowSpaceParameters` inherit these
+    fields, their validation and the two helpers below.  Each subclass
+    declares its own ``max_recursion_depth`` (the defaults differ); the
+    shared checks validate it.
+
+    Attributes
+    ----------
+    selection_max_candidates / selection_batch_size:
+        Knobs forwarded to :class:`repro.derand.HashPairSelector` (both
+        positive).
+    parallel_workers:
+        Shard candidate-slab scoring across this many worker processes
+        (:mod:`repro.parallel`): each selection batch / conditional-
+        expectation chunk is split by the deterministic planner, scored by
+        the workers through the same batched evaluator (shipped once per
+        Partition level), and reduced positionally — selected seeds,
+        recursion trees and colorings are bit-identical for every value.
+        ``1`` (default) is the zero-overhead in-process path.
+    parallel_max_retries / parallel_shard_timeout / parallel_breaker_threshold
+    / parallel_breaker_cooldown:
+        Self-healing knobs of the worker pool, forwarded as a
+        :class:`repro.parallel.executor.RecoveryPolicy` (see
+        :meth:`parallel_recovery_policy`): failed shard attempts tolerated
+        before an in-process rescue, seconds to wait for one shard's reply,
+        and the circuit breaker's consecutive-failure threshold and
+        cool-down (slabs scored in-process before the pool is re-probed).
+        All recovery is value-preserving — faults never change an outcome,
+        only the :class:`repro.accounting.PoolHealth` record.  Ignored when
+        ``parallel_workers == 1``.
+    parallel_transport:
+        Payload transport across the process boundary — ``shm`` (default,
+        zero-copy shared-memory segments) or ``pickle`` (the differential
+        reference).
+    parallel_min_slab_pairs:
+        Explicit engagement floor (slab sizes below it stay in-process);
+        ``None`` = adaptive.
+    level_use_batch:
+        Score all sibling bins' head candidate batches in one segmented
+        cross-bin pass per recursion level (:mod:`repro.core.level`) instead
+        of each bin's own head scoring; bit-identical outcomes either way.
+        Only engaged with single-process ``FIRST_FEASIBLE`` selection.
+    checkpoint_path / resume_path / checkpoint_every_levels:
+        Run-level durability (:mod:`repro.runtime`): periodically write the
+        completed-subtree frontier to ``checkpoint_path`` (atomic rename;
+        flushed after every ``checkpoint_every_levels``-th recorded
+        subtree), and/or resume a previous run from ``resume_path``
+        (fingerprint-validated; the resumed run's coloring, recursion tree
+        and ledger are bit-identical to an uninterrupted run's).  When only
+        ``resume_path`` is set, new checkpoints keep updating that file.
+    memory_budget_mb / deadline_seconds:
+        Resource guardrails: a soft resident-set budget (degrade
+        gracefully — drop the level prefetch, shrink buffers — then
+        checkpoint and abort with a resumable
+        :class:`~repro.errors.ResourceBudgetExceeded`) and a wall-clock
+        watchdog with the same checkpoint-then-raise contract
+        (:class:`~repro.errors.DeadlineExceededError`).
+    """
+
+    selection_max_candidates: int = 2048
+    selection_batch_size: int = 16
+    parallel_workers: int = 1
+    parallel_max_retries: int = 2
+    parallel_shard_timeout: float = 30.0
+    parallel_breaker_threshold: int = 3
+    parallel_breaker_cooldown: int = 8
+    parallel_transport: str = "shm"
+    parallel_min_slab_pairs: Optional[int] = None
+    level_use_batch: bool = True
+    checkpoint_path: Optional[str] = None
+    resume_path: Optional[str] = None
+    checkpoint_every_levels: int = 1
+    memory_budget_mb: Optional[float] = None
+    deadline_seconds: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.max_recursion_depth < 1:
+            raise ConfigurationError("max_recursion_depth must be positive")
+        if self.selection_batch_size < 1:
+            raise ConfigurationError("selection_batch_size must be positive")
+        if self.selection_max_candidates < 1:
+            raise ConfigurationError("selection_max_candidates must be positive")
+        if self.parallel_workers < 1:
+            raise ConfigurationError("parallel_workers must be at least 1")
+        if self.parallel_max_retries < 0:
+            raise ConfigurationError("parallel_max_retries must be >= 0")
+        if self.parallel_shard_timeout <= 0:
+            raise ConfigurationError("parallel_shard_timeout must be positive")
+        if self.parallel_breaker_threshold < 1:
+            raise ConfigurationError("parallel_breaker_threshold must be >= 1")
+        if self.parallel_breaker_cooldown < 1:
+            raise ConfigurationError("parallel_breaker_cooldown must be >= 1")
+        if self.parallel_transport not in ("shm", "pickle"):
+            raise ConfigurationError("parallel_transport must be 'shm' or 'pickle'")
+        if self.parallel_min_slab_pairs is not None and self.parallel_min_slab_pairs < 0:
+            raise ConfigurationError("parallel_min_slab_pairs must be >= 0")
+        if self.checkpoint_every_levels < 1:
+            raise ConfigurationError("checkpoint_every_levels must be at least 1")
+        if self.memory_budget_mb is not None and self.memory_budget_mb <= 0:
+            raise ConfigurationError("memory_budget_mb must be positive")
+        if self.deadline_seconds is not None and self.deadline_seconds <= 0:
+            raise ConfigurationError("deadline_seconds must be positive")
+        if self.checkpoint_path is not None and not str(self.checkpoint_path).strip():
+            raise ConfigurationError("checkpoint_path must not be empty")
+        if self.resume_path is not None and not str(self.resume_path).strip():
+            raise ConfigurationError("resume_path must not be empty")
+
+    def durability_enabled(self) -> bool:
+        """Whether any run-level durability knob is set (:mod:`repro.runtime`)."""
+        return any(
+            knob is not None
+            for knob in (
+                self.checkpoint_path,
+                self.resume_path,
+                self.memory_budget_mb,
+                self.deadline_seconds,
+            )
+        )
+
+    def parallel_recovery_policy(self):
+        """The pool's :class:`repro.parallel.executor.RecoveryPolicy`, or
+        ``None`` when ``parallel_workers == 1`` (the in-process path never
+        imports the parallel package)."""
+        if self.parallel_workers < 2:
+            return None
+        from repro.parallel.executor import RecoveryPolicy
+
+        return RecoveryPolicy(
+            max_shard_retries=self.parallel_max_retries,
+            shard_timeout=self.parallel_shard_timeout,
+            breaker_threshold=self.parallel_breaker_threshold,
+            breaker_cooldown=self.parallel_breaker_cooldown,
+        )
+
+
+@dataclass(frozen=True)
+class ColorReduceParameters(RunParameters):
     """All numeric knobs of the partitioning recursion.
 
     Attributes
@@ -68,48 +207,16 @@ class ColorReduceParameters:
         Recursion on a sub-instance stops refining ``l`` below this value.
     selection_strategy:
         How the hash pair is chosen (see :mod:`repro.derand`).
-    selection_max_candidates / selection_chunk_bits / selection_batch_size:
-        Knobs forwarded to :class:`repro.derand.HashPairSelector` (all
-        positive).
-    parallel_workers:
-        Shard candidate-slab scoring across this many worker processes
-        (:mod:`repro.parallel`): each selection batch / conditional-
-        expectation chunk is split by the deterministic planner, scored by
-        the workers through the same batched evaluator (shipped once per
-        Partition level), and reduced positionally — selected seeds,
-        recursion trees and colorings are bit-identical for every value.
-        ``1`` (default) is the zero-overhead in-process path.
-    parallel_max_retries / parallel_shard_timeout / parallel_breaker_threshold
-    / parallel_breaker_cooldown:
-        Self-healing knobs of the worker pool, forwarded as a
-        :class:`repro.parallel.executor.RecoveryPolicy` (see
-        :meth:`parallel_recovery_policy`): failed shard attempts tolerated
-        before an in-process rescue, seconds to wait for one shard's reply,
-        and the circuit breaker's consecutive-failure threshold and
-        cool-down (slabs scored in-process before the pool is re-probed).
-        All recovery is value-preserving — faults never change an outcome,
-        only the :class:`repro.accounting.PoolHealth` record.  Ignored when
-        ``parallel_workers == 1``.
+    selection_chunk_bits / selection_rng_seed:
+        Knobs forwarded to :class:`repro.derand.HashPairSelector`.
     enforce_palette_surplus:
         If True (default), any node whose restricted palette does not exceed
         its in-bin degree is reclassified as bad.  With the paper exponents
         this is implied by the invariant (Lemma 3.2); enforcing it explicitly
         keeps the scaled mode unconditionally correct.
-    checkpoint_path / resume_path / checkpoint_every_levels:
-        Run-level durability (:mod:`repro.runtime`): periodically write the
-        completed-subtree frontier to ``checkpoint_path`` (atomic rename;
-        flushed after every ``checkpoint_every_levels``-th recorded
-        subtree), and/or resume a previous run from ``resume_path``
-        (fingerprint-validated; the resumed run's coloring, recursion tree
-        and ledger are bit-identical to an uninterrupted run's).  When only
-        ``resume_path`` is set, new checkpoints keep updating that file.
-    memory_budget_mb / deadline_seconds:
-        Resource guardrails: a soft resident-set budget (degrade
-        gracefully — drop the level prefetch, shrink buffers — then
-        checkpoint and abort with a resumable
-        :class:`~repro.errors.ResourceBudgetExceeded`) and a wall-clock
-        watchdog with the same checkpoint-then-raise contract
-        (:class:`~repro.errors.DeadlineExceededError`).
+
+    The selection, worker-pool, level-prefetch and durability knobs are
+    inherited from :class:`RunParameters`.
     """
 
     bin_exponent: float = 0.1
@@ -126,28 +233,9 @@ class ColorReduceParameters:
     bin_cap_slack_override: Optional[float] = None
     min_ell: int = 2
     selection_strategy: SelectionStrategy = SelectionStrategy.FIRST_FEASIBLE
-    selection_max_candidates: int = 2048
     selection_chunk_bits: int = 4
-    selection_batch_size: int = 16
     selection_rng_seed: int = 0
-    parallel_workers: int = 1
-    parallel_max_retries: int = 2
-    parallel_shard_timeout: float = 30.0
-    parallel_breaker_threshold: int = 3
-    parallel_breaker_cooldown: int = 8
-    parallel_transport: str = "shm"
-    parallel_min_slab_pairs: Optional[int] = None
-    #: Score all sibling bins' head candidate batches in one segmented
-    #: cross-bin pass per recursion level (:mod:`repro.core.level`) instead
-    #: of each bin's own head scoring; bit-identical outcomes either way.  Only
-    #: engaged with single-process FIRST_FEASIBLE selection.
-    level_use_batch: bool = True
     enforce_palette_surplus: bool = True
-    checkpoint_path: Optional[str] = None
-    resume_path: Optional[str] = None
-    checkpoint_every_levels: int = 1
-    memory_budget_mb: Optional[float] = None
-    deadline_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.bin_exponent < 1.0:
@@ -156,21 +244,13 @@ class ColorReduceParameters:
             raise ConfigurationError("independence must be an even integer >= 4")
         if self.collect_factor <= 0:
             raise ConfigurationError("collect_factor must be positive")
-        if self.max_recursion_depth < 1:
-            raise ConfigurationError("max_recursion_depth must be positive")
         if self.num_bins_override is not None and self.num_bins_override < 2:
             raise ConfigurationError("num_bins_override must be at least 2")
         if self.min_ell < 1:
             raise ConfigurationError("min_ell must be at least 1")
         if self.selection_chunk_bits < 1:
             raise ConfigurationError("selection_chunk_bits must be positive")
-        _validate_selection(self)
-        _validate_parallel(self)
-        _validate_durability(self)
-
-    def durability_enabled(self) -> bool:
-        """Whether any run-level durability knob is set (:mod:`repro.runtime`)."""
-        return _durability_enabled(self)
+        super().__post_init__()
 
     # ------------------------------------------------------------------
     # alternate constructors
@@ -212,21 +292,6 @@ class ColorReduceParameters:
     def with_strategy(self, strategy: SelectionStrategy) -> "ColorReduceParameters":
         """A copy using a different hash-selection strategy."""
         return replace(self, selection_strategy=strategy)
-
-    def parallel_recovery_policy(self):
-        """The pool's :class:`repro.parallel.executor.RecoveryPolicy`, or
-        ``None`` when ``parallel_workers == 1`` (the in-process path never
-        imports the parallel package)."""
-        if self.parallel_workers < 2:
-            return None
-        from repro.parallel.executor import RecoveryPolicy
-
-        return RecoveryPolicy(
-            max_shard_retries=self.parallel_max_retries,
-            shard_timeout=self.parallel_shard_timeout,
-            breaker_threshold=self.parallel_breaker_threshold,
-            breaker_cooldown=self.parallel_breaker_cooldown,
-        )
 
     @property
     def is_scaled(self) -> bool:
@@ -351,57 +416,3 @@ class ColorReduceParameters:
             return max(4.0, 0.01 * global_nodes, literal)
         return max(1.0, literal)
 
-
-def _validate_selection(params) -> None:
-    """Shared ``__post_init__`` checks of the selection knobs both parameter
-    sets forward to :class:`repro.derand.HashPairSelector`."""
-    if params.selection_batch_size < 1:
-        raise ConfigurationError("selection_batch_size must be positive")
-    if params.selection_max_candidates < 1:
-        raise ConfigurationError("selection_max_candidates must be positive")
-
-
-def _validate_parallel(params) -> None:
-    """Shared ``__post_init__`` checks of the worker-pool knobs (both param
-    sets carry the same seven fields; see :mod:`repro.parallel`)."""
-    if params.parallel_workers < 1:
-        raise ConfigurationError("parallel_workers must be at least 1")
-    if params.parallel_max_retries < 0:
-        raise ConfigurationError("parallel_max_retries must be >= 0")
-    if params.parallel_shard_timeout <= 0:
-        raise ConfigurationError("parallel_shard_timeout must be positive")
-    if params.parallel_breaker_threshold < 1:
-        raise ConfigurationError("parallel_breaker_threshold must be >= 1")
-    if params.parallel_breaker_cooldown < 1:
-        raise ConfigurationError("parallel_breaker_cooldown must be >= 1")
-    if params.parallel_transport not in ("shm", "pickle"):
-        raise ConfigurationError("parallel_transport must be 'shm' or 'pickle'")
-    if params.parallel_min_slab_pairs is not None and params.parallel_min_slab_pairs < 0:
-        raise ConfigurationError("parallel_min_slab_pairs must be >= 0")
-
-
-def _validate_durability(params) -> None:
-    """Shared ``__post_init__`` checks of the durability knobs (both param
-    sets carry the same five fields; see :mod:`repro.runtime`)."""
-    if params.checkpoint_every_levels < 1:
-        raise ConfigurationError("checkpoint_every_levels must be at least 1")
-    if params.memory_budget_mb is not None and params.memory_budget_mb <= 0:
-        raise ConfigurationError("memory_budget_mb must be positive")
-    if params.deadline_seconds is not None and params.deadline_seconds <= 0:
-        raise ConfigurationError("deadline_seconds must be positive")
-    if params.checkpoint_path is not None and not str(params.checkpoint_path).strip():
-        raise ConfigurationError("checkpoint_path must not be empty")
-    if params.resume_path is not None and not str(params.resume_path).strip():
-        raise ConfigurationError("resume_path must not be empty")
-
-
-def _durability_enabled(params) -> bool:
-    return any(
-        getattr(params, knob) is not None
-        for knob in (
-            "checkpoint_path",
-            "resume_path",
-            "memory_budget_mb",
-            "deadline_seconds",
-        )
-    )

@@ -1,7 +1,7 @@
 """Checkpoint files for durable ``ColorReduce`` runs.
 
 The recursion of both drivers is a depth-first walk whose every call is
-identified by a *positional salt* (:func:`repro.core.level.child_salt`):
+identified by a *positional salt* (:func:`repro.core.driver.child_salt`):
 the root is salt 1 and a child's salt is a pure function of its parent's
 salt and its bin ordinal.  A subtree's entire computation — candidate
 enumeration, selections, classifications, colorings — is therefore

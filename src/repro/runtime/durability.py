@@ -79,7 +79,8 @@ def current_supervisor():
 
 
 class DurableRun:
-    """Durability state threaded through one driver run via ``_RunState``."""
+    """Durability state of one driver run, carried on its
+    :class:`repro.core.driver.RunState`."""
 
     def __init__(
         self,

@@ -1,7 +1,7 @@
 """Resource guardrails: soft RSS budget and wall-clock deadline.
 
 A :class:`ResourceGuard` is polled at recursion boundaries (every
-``_color_reduce`` entry and the ``Partition`` phase boundaries).  The
+recursion call entry and the ``Partition`` phase boundaries).  The
 deadline check is a cheap monotonic-clock comparison and runs on every
 poll; RSS sampling reads ``/proc/self/status`` and is throttled to at most
 once per :data:`POLL_INTERVAL_SECONDS`.

@@ -375,8 +375,8 @@ class TestEndgameGuard:
         # paths must agree bit for bit, removed counts included.
         from repro.accounting import CostLedger
         from repro.congested_clique.model import CongestedCliqueSimulator
-        from repro.core.color_reduce import _RunState
         from repro.core.context import CongestedCliqueContext
+        from repro.core.driver import RunState
         from repro.graph.validation import assert_valid_list_coloring
 
         class SqueezedContext(CongestedCliqueContext):
@@ -389,9 +389,8 @@ class TestEndgameGuard:
 
         def collect_and_color(warm):
             context = SqueezedContext(CongestedCliqueSimulator(graph.num_nodes))
-            state = _RunState(
-                context=context,
-                params=params,
+            state = RunState(
+                model=context,
                 global_nodes=graph.num_nodes,
                 palettes_are_implicit=False,
             )

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.core.low_space.params import LowSpaceParameters
-from repro.core.params import ColorReduceParameters
+from repro.core.params import ColorReduceParameters, RunParameters
 from repro.derand.conditional_expectation import SelectionStrategy
 from repro.errors import ConfigurationError
 
@@ -141,9 +141,14 @@ class TestLowSpaceParameters:
         with pytest.raises(ConfigurationError):
             LowSpaceParameters(machine_chunk_override=0)
 
+    def test_mis_independence_is_gone(self):
+        with pytest.raises(TypeError):
+            LowSpaceParameters(mis_independence=4)
+
 
 class TestSharedValidation:
-    """Selection and pool knobs are validated at construction, in both sets."""
+    """Selection, pool and depth-cap knobs are validated at construction, in
+    both sets."""
 
     PARAMETER_SETS = (ColorReduceParameters, LowSpaceParameters)
 
@@ -161,6 +166,9 @@ class TestSharedValidation:
             ("parallel_breaker_cooldown", 0, "parallel_breaker_cooldown must be >= 1"),
             ("parallel_transport", "carrier-pigeon", "must be 'shm' or 'pickle'"),
             ("parallel_min_slab_pairs", -1, "parallel_min_slab_pairs must be >= 0"),
+            # rejected at construction, not mid-recursion as "depth 0 exceeded"
+            ("max_recursion_depth", 0, "max_recursion_depth must be positive"),
+            ("max_recursion_depth", -3, "max_recursion_depth must be positive"),
         ],
     )
     def test_rejected_at_construction(self, cls, field, value, message):
@@ -190,3 +198,26 @@ class TestSharedValidation:
     def test_retired_batch_flags_are_gone(self, cls, flag):
         with pytest.raises(TypeError):
             cls(**{flag: False})
+
+
+class TestRunParameters:
+    """Both parameter sets inherit the shared run knobs from one base."""
+
+    def test_both_sets_share_the_base(self):
+        from dataclasses import fields
+
+        shared = {spec.name for spec in fields(RunParameters)}
+        assert len(shared) == 15
+        for cls in (ColorReduceParameters, LowSpaceParameters):
+            assert issubclass(cls, RunParameters)
+            assert shared <= {spec.name for spec in fields(cls)}
+
+    def test_color_reduce_fingerprint_unchanged(self):
+        # fingerprint_params sorts by field name, so moving fields into the
+        # base keeps checkpoints and service cache keys of ColorReduce runs
+        # valid; this is the digest from before the base existed.
+        from repro.runtime.checkpoint import fingerprint_params
+
+        assert fingerprint_params(ColorReduceParameters()) == (
+            "9ff5e0613d0399638bf2e4eda30820568fff0b846e1e4c9de763cdd296cad6c7"
+        )

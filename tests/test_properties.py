@@ -14,9 +14,16 @@ assert the invariants the rest of the library relies on:
 * both pipelines, on hostile shapes (empty, isolated nodes, stars, skew,
   near-cliques, disconnected, non-contiguous ids), equal their scalar
   oracle run (``tests/scalar_oracle.py``) and color validly.
+* ``ColorReduce``'s outcome does not change when the same graph is built
+  from shuffled node and edge orders, on the instances where that holds;
+  the known order-sensitive cases of both pipelines are strict expected
+  failures.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import random
 
 import mis_oracle
 import pytest
@@ -35,7 +42,7 @@ from repro.core.low_space.params import LowSpaceParameters
 from repro.core.low_space.mis_reduction import build_reduction_graph, coloring_from_mis
 from repro.core.local_coloring import greedy_list_coloring
 from repro.errors import ColoringError
-from repro.graph import Graph, PaletteAssignment
+from repro.graph import Graph, PaletteAssignment, generators
 from repro.graph.csr import build_csr
 from repro.graph.validation import assert_valid_list_coloring, is_proper_coloring
 from repro.hashing.family import KWiseIndependentFamily
@@ -1026,3 +1033,120 @@ class TestHostileShapesScalarOracle:
                 oracle.calls["PaletteAssignment.remove_colors_used_by_neighbors_batch"]
                 + oracle.calls["PaletteAssignment.subset_updated"]
             )
+
+
+# ----------------------------------------------------------------------
+# reordering invariance: the output depends on the graph, not on the order
+# its nodes and edges were handed over
+# ----------------------------------------------------------------------
+def _reordered(graph: Graph, rng: random.Random) -> Graph:
+    """The same graph, built from shuffled node and edge orders (edges with
+    random orientation)."""
+    nodes = sorted(graph.nodes())
+    rng.shuffle(nodes)
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in graph.edges()]
+    rng.shuffle(edges)
+    return Graph(nodes=nodes, edges=edges)
+
+
+def _outcome(result):
+    return (
+        result.coloring,
+        dataclasses.astuple(result.recursion_root),
+        result.rounds,
+        list(result.ledger.snapshot().items()),
+    )
+
+
+GENERATOR_SHAPES = {
+    "erdos-renyi": lambda: generators.erdos_renyi(200, 0.06, seed=3),
+    "gnm": lambda: generators.gnm_random(250, 1000, seed=4),
+    "regular-like": lambda: generators.random_regular_like(200, 8, seed=5),
+    "power-law": lambda: generators.power_law(300, 3, seed=6),
+    "bipartite": lambda: generators.random_bipartite(100, 120, 0.1, seed=7),
+    "multipartite": lambda: generators.complete_multipartite([6, 9, 12]),
+    "ring-of-cliques": lambda: generators.ring_of_cliques(8, 7),
+    "ring": lambda: generators.ring(50),
+    "star": lambda: generators.star(40),
+    "complete": lambda: Graph.complete(25),
+    "edgeless": lambda: Graph.empty(30),
+}
+
+#: Why ``ColorReduce`` is not order-invariant everywhere: every extracted
+#: instance keeps its parent's node order, and the local greedy breaks
+#: degree ties in that order.
+GREEDY_TIES_REASON = (
+    "the local greedy breaks degree ties by insertion order, which every "
+    "extracted instance inherits from the input"
+)
+
+#: (shape, parameter set) pairs whose outcome does change under reordering:
+#: both are collected and greedy-colored at the root under paper params.
+ORDER_SENSITIVE_SHAPES = {("power-law", "paper"), ("ring", "paper")}
+
+PARAMETER_SETS = {
+    "paper": ColorReduceParameters(),
+    "scaled": ColorReduceParameters.scaled(num_bins=3),
+}
+
+
+def _shape_cases():
+    for shape in sorted(GENERATOR_SHAPES):
+        for name in PARAMETER_SETS:
+            marks = ()
+            if (shape, name) in ORDER_SENSITIVE_SHAPES:
+                marks = pytest.mark.xfail(strict=True, reason=GREEDY_TIES_REASON)
+            yield pytest.param(shape, name, marks=marks, id=f"{shape}-{name}")
+
+
+class TestReorderingInvariance:
+    """Whether an outcome depends only on the graph, or also on the order
+    its nodes and edges were handed over.
+
+    ``ColorReduce``'s coloring, recursion tree, rounds and ledger are
+    unchanged under shuffled node and edge orders (and flipped edge
+    orientations) on the ``gnm_random(300, 1500)`` family and on most
+    generator shapes.  The cases where they change are strict expected
+    failures, so a fix shows up as an unexpected pass.
+    """
+
+    ORDERS = 3
+
+    def _assert_invariant(self, graph: Graph, params) -> None:
+        expected = _outcome(ColorReduce(params).run(graph.copy()))
+        for order in range(self.ORDERS):
+            shuffled = _reordered(graph, random.Random(order))
+            assert _outcome(ColorReduce(params).run(shuffled)) == expected
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_color_reduce_gnm(self, seed):
+        graph = generators.gnm_random(300, 1500, seed=seed)
+        for params in PARAMETER_SETS.values():
+            self._assert_invariant(graph, params)
+
+    @pytest.mark.parametrize("shape, params_name", _shape_cases())
+    def test_color_reduce_generator_shapes(self, shape, params_name):
+        self._assert_invariant(GENERATOR_SHAPES[shape](), PARAMETER_SETS[params_name])
+
+    @pytest.mark.xfail(strict=True, reason=GREEDY_TIES_REASON)
+    def test_color_reduce_small_dense_instance(self):
+        # The root partitions here; a recursion leaf's greedy sees the ties.
+        graph = generators.gnm_random(13, 72, seed=1)
+        self._assert_invariant(graph, ColorReduceParameters.scaled(num_bins=3, collect_factor=1.0))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "LowSpaceColorReduce is not order-invariant: the MIS reduction "
+            "numbers its vertices by CSR position, which is insertion order"
+        ),
+    )
+    def test_low_space_edge_order(self):
+        graph = generators.gnm_random(300, 600, seed=9)
+        edges = sorted(tuple(sorted(edge)) for edge in graph.edges())
+        shuffled = list(edges)
+        random.Random(0).shuffle(shuffled)
+        in_order = LowSpaceColorReduce().run(Graph.from_edges(edges))
+        reordered = LowSpaceColorReduce().run(Graph.from_edges(shuffled))
+        assert reordered.total_mis_phases == in_order.total_mis_phases
+        assert reordered.coloring == in_order.coloring

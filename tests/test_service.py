@@ -267,6 +267,10 @@ def test_cache_key_ignores_durability_knobs(tmp_path):
         ),
         # a flag retired from the engine is an unknown name, not a no-op
         ({"edges": EDGES, "params": {"graph_use_batch": False}}, "unknown parameter"),
+        (
+            {"edges": EDGES, "algorithm": "low-space", "params": {"max_recursion_depth": 0}},
+            "max_recursion_depth must be positive",
+        ),
     ],
 )
 def test_invalid_submissions_rejected(make_service, body, fragment):
