@@ -44,11 +44,13 @@ end to end.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from repro.core.params import ColorReduceParameters
 from repro.derand.cost import PairCost
+from repro.errors import PaletteError
 from repro.graph.graph import Graph
 from repro.graph.palettes import PaletteAssignment, color_bins_of_entries
 from repro.hashing.batch import BatchCostEvaluatorBase
@@ -106,6 +108,25 @@ class PartitionClassification:
     def cost(self, global_nodes: int) -> float:
         """Equation (1): ``|bad nodes| + n * |bad bins|``."""
         return float(self.num_bad_nodes + global_nodes * self.num_bad_bins)
+
+
+def color_hash_domain(palettes: PaletteAssignment, global_nodes: int) -> int:
+    """The domain of ``h2``: ``[n^2]``, grown to cover the instance's colors.
+
+    The paper notes a list-coloring universe can have up to ``n^2``
+    colors; synthetic workloads are free to pick larger integers.  The
+    hash families map integers only, so a non-integral color (possible
+    only in a sets-backed assignment) is a :class:`PaletteError` here
+    rather than a silently truncated color further down.
+    """
+    universe = palettes.color_universe()
+    if palettes._store_if_warm() is None:
+        odd = next((c for c in universe if not isinstance(c, numbers.Integral)), None)
+        if odd is not None:
+            raise PaletteError(
+                f"color {odd!r} is not an integer; partitioning hashes integer colors"
+            )
+    return max(global_nodes * global_nodes, max(universe, default=0) + 1)
 
 
 def color_bin_map(

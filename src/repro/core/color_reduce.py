@@ -174,7 +174,7 @@ class ColorReduce(RecursionDriver):
         if palettes is None:
             palettes = PaletteAssignment.delta_plus_one(graph)
             palettes_are_implicit = True
-        prepare_palettes(graph, palettes)
+        graph, palettes = prepare_palettes(graph, palettes)
         context = self._context
         if context is None:
             simulator = CongestedCliqueSimulator(max(graph.num_nodes, 1))

@@ -42,6 +42,7 @@ from typing import Dict, Optional
 from repro.accounting import CostLedger, PoolHealth, RunDurability
 from repro.core.level import LEVEL_PREFETCH_MIN_SIZE
 from repro.derand.conditional_expectation import _mix64
+from repro.graph.palettes import canonical_instance
 
 #: Multiplier decorrelating parent salt from child ordinals (same odd
 #: constant the selector uses to fold ``rng_seed`` with its salt).
@@ -61,14 +62,19 @@ def child_salt(parent_salt: int, ordinal: int) -> int:
     return _mix64(parent_salt * _SALT_STRIDE + ordinal + 1)
 
 
-def prepare_palettes(graph, palettes) -> None:
-    """Warm the shared palette-entry store, then validate the palettes.
+def prepare_palettes(graph, palettes):
+    """Validate the palettes, then return the run's canonical instance.
 
-    The validation vectorizes over the store, and the root partition's
-    evaluator adopts the same flat arrays instead of re-flattening.
+    Warms the shared palette-entry store (the validation vectorizes over
+    it, and the root partition's evaluator adopts the same flat arrays
+    instead of re-flattening), validates against the input as given, and
+    returns ``(graph, palettes)`` in sorted node order
+    (:func:`~repro.graph.palettes.canonical_instance`) — a no-op for the
+    generators' and the array constructors' sorted ids.
     """
     palettes.store()
     palettes.validate_for_graph(graph)
+    return canonical_instance(graph, palettes)
 
 
 @dataclass

@@ -145,7 +145,7 @@ class LowSpaceColorReduce(RecursionDriver):
         """Color ``graph`` from ``palettes`` (defaults to (deg+1)-lists)."""
         if palettes is None:
             palettes = PaletteAssignment.degree_plus_one(graph)
-        prepare_palettes(graph, palettes)
+        graph, palettes = prepare_palettes(graph, palettes)
         simulator = self._simulator
         if simulator is None:
             simulator = MPCSimulator(

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.errors import ColoringError, PaletteError
 from repro.graph.graph import Graph
-from repro.graph.palettes import PaletteAssignment, _store_from_sets
+from repro.graph.palettes import PaletteAssignment, _store_from_rows
 from repro.mis.luby import MISResult
 from repro.types import Color, NodeId
 
@@ -97,8 +97,8 @@ def _palette_slices(
         lists = {node: palettes.palette(node) for node in node_ids if node in palettes}
         ordered = sorted(set().union(*lists.values()))
         rank = {color: index for index, color in enumerate(ordered)}
-        store = _store_from_sets(
-            {node: {rank[color] for color in colors} for node, colors in lists.items()}
+        store = _store_from_rows(
+            list(lists), [{rank[color] for color in colors} for colors in lists.values()]
         )
         universe = np.array(ordered, dtype=object)
     if store.nodes == node_ids:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Set
 
-from repro.core.classification import color_bin_arrays
+from repro.core.classification import color_bin_arrays, color_hash_domain
 from repro.core.low_space.machine_sets import (
     MachineClassification,
     classify_machines,
@@ -137,8 +137,7 @@ class LowSpacePartition:
             )
 
         node_domain = max(global_nodes, max(graph.nodes(), default=0) + 1)
-        universe = palettes.color_universe()
-        color_domain = max(global_nodes * global_nodes, max(universe, default=0) + 1)
+        color_domain = color_hash_domain(palettes, global_nodes)
         family1 = KWiseIndependentFamily(
             domain_size=node_domain, range_size=num_bins, independence=self.params.independence
         )

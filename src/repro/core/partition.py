@@ -24,6 +24,7 @@ from typing import List, Optional
 
 from repro.core.classification import (
     PartitionClassification,
+    color_hash_domain,
     partition_cost_function,
 )
 from repro.core.params import ColorReduceParameters
@@ -95,8 +96,7 @@ class Partition:
         num_bins = self.params.num_bins(ell)
         num_color_bins = max(1, num_bins - 1)
         node_domain = max(global_nodes, max(graph.nodes(), default=0) + 1)
-        universe = palettes.color_universe()
-        color_domain = max(global_nodes * global_nodes, max(universe, default=0) + 1)
+        color_domain = color_hash_domain(palettes, global_nodes)
         family1 = KWiseIndependentFamily(
             domain_size=node_domain,
             range_size=num_bins,

@@ -15,11 +15,19 @@ per-node color palette.  This subpackage provides:
 * :mod:`repro.graph.generators` — synthetic workload generators,
 * :mod:`repro.graph.validation` — proper/list-coloring validation.
 
-The array-view contract, in brief (details in :mod:`repro.graph.csr`):
-``Graph.csr()`` builds the view lazily and caches it; ``add_node`` /
-``add_edge`` invalidate it (``_csr = None``), and the next ``csr()`` call
-rebuilds from the live adjacency sets.  The batched cost evaluators warm
-the view as a side effect of hash-pair selection; ``induced_subgraph`` /
+Instances are built array-first: ``Graph.from_edges`` builds the canonical
+view in one vectorised pass and leaves the adjacency sets lazy, and the
+palette constructors (``delta_plus_one``, ``degree_plus_one``,
+``from_lists``) write the flat palette store directly, sets lazy.  Both
+``run`` methods then put the instance in sorted node order once
+(:func:`repro.graph.palettes.canonical_instance`), so a run's node order is
+canonical whatever the input order, for mutually comparable ids.
+
+The array-view contract, in brief (details in :mod:`repro.graph.csr`): a
+graph built from sets (``Graph(nodes, edges)``) builds its view on the
+first ``Graph.csr()`` call and caches it; ``add_node`` / ``add_edge``
+invalidate it (``_csr = None``), and the next ``csr()`` call rebuilds from
+the live adjacency sets.  ``induced_subgraph`` /
 ``induced_subgraphs`` / ``subgraph_degrees_within`` / ``relabeled`` then
 route through it (``use_csr=None`` means "iff warm"; the partition
 pipelines always pass ``use_csr=True``).  Children produced by the CSR

@@ -19,11 +19,12 @@ module provides that view:
 
 The array-view contract
 -----------------------
-Views are built lazily on the first :meth:`repro.graph.graph.Graph.csr`
-call (or by the batched cost evaluators, whose ``_prepare`` warms the view
-as a side effect of hash-pair selection) and cached on the instance; any
-mutation (``add_node`` / ``add_edge``) sets ``Graph._csr = None`` so the
-next ``csr()`` call rebuilds from the live adjacency sets.  The view itself
+``Graph.from_edges`` builds the view first, in one vectorised pass
+(:func:`csr_from_edges`), and leaves the adjacency sets lazy.  A graph
+built from sets builds its view on the first
+:meth:`repro.graph.graph.Graph.csr` call and caches it; any mutation
+(``add_node`` / ``add_edge``) sets ``Graph._csr = None`` so the next
+``csr()`` call rebuilds from the live adjacency sets.  The view itself
 is immutable and shares nothing with the adjacency sets, so subgraphs
 extracted from a view stay valid after the parent mutates.
 
@@ -48,8 +49,9 @@ Callers that rely on the warm view include the batched cost evaluators
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -87,13 +89,10 @@ class GraphCSR:
         """Whether ``node_ids[i] == i`` for all ``i`` (cached)."""
         cached = self._ids_are_positions
         if cached is None:
-            try:
-                ids = np.asarray(self.node_ids, dtype=np.int64)
-                cached = bool(
-                    np.array_equal(ids, np.arange(ids.shape[0], dtype=np.int64))
-                )
-            except (OverflowError, TypeError):
-                cached = False
+            ids = integer_array(self.node_ids)
+            cached = ids is not None and bool(
+                np.array_equal(ids, np.arange(ids.shape[0], dtype=np.int64))
+            )
             object.__setattr__(self, "_ids_are_positions", cached)
         return cached
 
@@ -160,6 +159,120 @@ def build_csr(adjacency: Dict[NodeId, "set"]) -> GraphCSR:
         degrees=degrees,
         edge_sources=edge_sources,
         _position=position,
+    )
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` as one sort plus an adjacent-difference mask.
+
+    Same result and dtype; on numpy 2.x ``np.unique`` takes a hash path
+    that is several times slower on large integer arrays.
+    """
+    ordered = np.sort(values)
+    if ordered.shape[0] < 2:
+        return ordered
+    distinct = np.empty(ordered.shape[0], dtype=bool)
+    distinct[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
+    return ordered[distinct]
+
+
+def integer_array(values) -> Optional[np.ndarray]:
+    """``values`` as an int64 array, or ``None`` unless all are int64 integers.
+
+    ``values`` is a sized sequence.  A ``None`` return (floats, strings,
+    ids or colors beyond int64) sends the caller to its sets-based path.
+    ``np.fromiter(..., dtype=np.int64)`` truncates floats silently, so one
+    ``sum`` first checks the element types: it stays an integer iff every
+    element is one.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            if not isinstance(sum(values), (int, np.integer)):
+                return None
+        return np.fromiter(values, dtype=np.int64, count=len(values))
+    except (OverflowError, TypeError, ValueError):
+        return None
+
+
+def _first_appearance(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(unique ids in first-appearance order, position of every id)``.
+
+    ``positions[k]`` is the index of ``ids[k]`` within the returned unique
+    array — the insertion order a scalar ``add_node`` loop over ``ids``
+    would produce.  A contiguous id range read in sorted order (the
+    generators' ``0..n-1`` layout) is answered by one subtraction; anything
+    else takes one stable argsort with an adjacent-difference mask (see
+    :func:`sorted_unique`).
+    """
+    if not ids.shape[0]:
+        return ids, ids
+    low, high = int(ids.min()), int(ids.max())
+    span = high - low + 1
+    if span <= ids.shape[0]:
+        head = ids[:span]
+        if bool(np.array_equal(head, np.arange(low, high + 1, dtype=np.int64))):
+            return head, ids - low
+    order = np.argsort(ids, kind="stable")
+    ordered = ids[order]
+    starts = np.empty(ids.shape[0], dtype=bool)
+    starts[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    first_index = order[starts]
+    insertion = np.argsort(first_index)
+    rank = np.empty(first_index.shape[0], dtype=np.int64)
+    rank[insertion] = np.arange(first_index.shape[0], dtype=np.int64)
+    positions = np.empty(ids.shape[0], dtype=np.int64)
+    positions[order] = rank[np.cumsum(starts) - 1]
+    return ordered[starts][insertion], positions
+
+
+def csr_from_edges(nodes, edges) -> Optional[GraphCSR]:
+    """The canonical view of ``Graph(nodes, edges)``, built from arrays.
+
+    ``nodes`` is a sequence of ids, ``edges`` a sequence of ``(u, v)``
+    pairs.  The result equals
+    :func:`build_csr` over the scalar graph's adjacency sets: node order is
+    first appearance over ``nodes`` then the edge endpoints (``u`` before
+    ``v``), parallel and reversed edges collapse, and neighbor runs are
+    sorted.  One key sort over the ``2m`` directed edges builds the layout.
+    Returns ``None`` when the ids are not all int64 integers (the caller
+    then builds the graph from sets); raises
+    :class:`~repro.errors.GraphError` on the first self-loop.
+    """
+    try:
+        if edges and set(map(len, edges)) != {2}:
+            return None
+    except TypeError:
+        return None
+    node_array = integer_array(nodes)
+    edge_array = integer_array(list(itertools.chain.from_iterable(edges)))
+    if node_array is None or edge_array is None:
+        return None
+    edge_array = edge_array.reshape(-1, 2)
+    loops = np.flatnonzero(edge_array[:, 0] == edge_array[:, 1])
+    if loops.shape[0]:
+        raise GraphError(f"self-loop on node {int(edge_array[loops[0], 0])} is not allowed")
+    node_ids, positions = _first_appearance(
+        np.concatenate([node_array, edge_array.ravel()])
+    )
+    num_nodes = node_ids.shape[0]
+    dtype = index_dtype(num_nodes)
+    ends = positions[node_array.shape[0] :].reshape(-1, 2)
+    keys = np.concatenate(
+        [ends[:, 0] * num_nodes + ends[:, 1], ends[:, 1] * num_nodes + ends[:, 0]]
+    )
+    keys = sorted_unique(keys)
+    edge_sources = (keys // max(num_nodes, 1)).astype(dtype)
+    degrees = np.bincount(edge_sources, minlength=num_nodes).astype(np.int64, copy=False)
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    return GraphCSR(
+        node_ids=node_ids.tolist(),
+        indptr=indptr,
+        indices=(keys % max(num_nodes, 1)).astype(dtype),
+        degrees=degrees,
+        edge_sources=edge_sources,
     )
 
 

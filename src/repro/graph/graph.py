@@ -74,13 +74,14 @@ class Graph:
         view = self._csr
         if view is None:  # pragma: no cover - _from_csr always sets the view
             raise GraphError("graph has neither adjacency sets nor a CSR view")
-        import numpy as np
+        from repro.graph.csr import integer_array
 
         node_ids = view.node_ids
-        try:
-            mapped = np.asarray(node_ids, dtype=np.int64)[view.indices].tolist()
-        except (OverflowError, TypeError):
-            # Ids beyond int64 (or oddly typed): fall back to Python lookups.
+        ids = integer_array(node_ids)
+        if ids is not None:
+            mapped = ids[view.indices].tolist()
+        else:
+            # Ids beyond int64 (or not integers): fall back to Python lookups.
             mapped = [node_ids[j] for j in view.indices.tolist()]
         bounds = view.indptr.tolist()
         adj: Dict[NodeId, Set[NodeId]] = {}
@@ -112,8 +113,22 @@ class Graph:
 
     @classmethod
     def from_edges(cls, edges: Iterable[Edge], nodes: Iterable[NodeId] = ()) -> "Graph":
-        """Build a graph from an edge list (plus optional isolated nodes)."""
-        return cls(nodes=nodes, edges=edges)
+        """Build a graph from an edge list (plus optional isolated nodes).
+
+        Array-first: integer ids go through one vectorised pass
+        (:func:`repro.graph.csr.csr_from_edges`) into the canonical CSR
+        view, and the adjacency sets stay lazy, as for extracted children.
+        The result equals ``Graph(nodes, edges)`` — same node order,
+        self-loop :class:`~repro.errors.GraphError`, parallel edges
+        collapsed — which is also the fallback for any other ids.
+        """
+        from repro.graph.csr import csr_from_edges
+
+        edges, nodes = list(edges), list(nodes)
+        view = csr_from_edges(nodes, edges)
+        if view is None:
+            return cls(nodes=nodes, edges=edges)
+        return cls._from_csr(view)
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
@@ -275,8 +290,9 @@ class Graph:
     def csr(self):
         """The cached array ("CSR") view of this graph.
 
-        Built on first use and invalidated by :meth:`add_node` /
-        :meth:`add_edge`; see :mod:`repro.graph.csr` for the full
+        Present from construction for :meth:`from_edges` graphs and
+        extracted children, built on first use otherwise, and invalidated
+        by :meth:`add_node` / :meth:`add_edge`; see :mod:`repro.graph.csr` for the full
         array-view contract.  The batched cost kernels use it to turn
         per-node classification loops into ``np.bincount``/scatter
         operations, and the ``use_csr`` fast paths of

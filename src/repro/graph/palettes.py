@@ -18,9 +18,14 @@ that mirror the graph layer's adjacency-sets / CSR-view split:
   slice) plus a ``(n + 1,)`` offsets array, exactly the layout the batched
   kernels already emit internally.
 
-The store is built lazily from the sets on the first :meth:`store` call
-and cached; scalar mutation invalidates it.  Conversely, assignments
-produced by the batch kernels (:meth:`restricted_by_bins`, :meth:`subset`
+The public constructors (:meth:`~PaletteAssignment.delta_plus_one`,
+:meth:`~PaletteAssignment.degree_plus_one`,
+:meth:`~PaletteAssignment.from_lists`) write the store directly and leave
+the sets lazy; a sets-first ``PaletteAssignment(mapping)`` builds its store
+on the first :meth:`store` call.  The store is cached, and scalar mutation
+invalidates it.  Colors that are not int64 integers (non-integral, or
+beyond int64) get no store at all.  Likewise, assignments produced by the
+batch kernels (:meth:`restricted_by_bins`, :meth:`subset`
 on an array-backed parent, the fused classification path) carry *only*
 their arrays — often plain slices of the parent's flat store — and
 materialise Python sets on the first genuinely set-based access, just like
@@ -45,6 +50,8 @@ perform:
 
 from __future__ import annotations
 
+import itertools
+import operator
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
 import numpy as np
@@ -256,6 +263,34 @@ def _graph_target_arrays(csr, target_nodes, rows):
     )
 
 
+def canonical_instance(graph: Graph, palettes: "PaletteAssignment"):
+    """``(graph, palettes)`` in sorted node-id order, palettes aligned.
+
+    The node order of an instance feeds its outcome (extraction order,
+    greedy tie-breaks, the MIS numbering), so both pipelines run on this
+    form and a coloring depends only on the instance, never on the order
+    it was given in.  A no-op returning the same objects when the ids are
+    already sorted and the palettes list exactly those nodes in that
+    order; otherwise one :func:`~repro.graph.csr.extract_induced` and one
+    :meth:`PaletteAssignment.subset` (palettes of nodes outside the graph
+    are dropped).  Ids that are not mutually comparable (integers mixed
+    with strings, say) do not sort and keep the graph's order, so for
+    those the outcome still depends on the input order.
+    """
+    ids = graph.nodes()
+    try:
+        ordered = sorted(ids)
+    except TypeError:
+        ordered = ids
+    if ordered != ids:
+        from repro.graph.csr import extract_induced
+
+        graph = Graph._from_csr(extract_induced(graph.csr(), ordered))
+    if palettes.nodes() != ordered:
+        palettes = palettes.subset(ordered)
+    return graph, palettes
+
+
 def _frame_query_positions(frame_colors, frame_size: int, neighbor_colors, colored_mask):
     """Frame positions of query colors plus their validity mask.
 
@@ -277,44 +312,51 @@ def _frame_query_positions(frame_colors, frame_size: int, neighbor_colors, color
     return query_positions, colored_mask & (frame_colors[query_positions] == neighbor_colors)
 
 
-def _store_from_sets(sets: Dict[NodeId, Set[Color]]) -> Optional[_PaletteStore]:
-    """Build a :class:`_PaletteStore` from a ``node -> color set`` mapping.
+def _store_from_rows(nodes: List[NodeId], rows: Sequence) -> Optional[_PaletteStore]:
+    """Build a :class:`_PaletteStore` from per-node color collections.
 
-    Returns ``None`` when a color cannot be represented as int64 (the
-    assignment then stays sets-only and every batch entry point falls back
-    to its scalar reference).  Colors that all fit ``[0, 2**31)`` are
+    ``rows[i]`` (sized and re-iterable: a set, list, range ...) holds the
+    colors of ``nodes[i]``.  Returns ``None`` when a color is not an int64
+    integer — non-integral or beyond int64 — and the assignment then stays
+    sets-only, with every batch entry point on its scalar reference.  Rows
+    are sorted and deduplicated only if one vectorised check finds an
+    out-of-order or repeated entry.  Colors that all fit ``[0, 2**31)`` are
     narrowed to int32 (the dtype policy in ``docs/ARCHITECTURE.md``);
     anything negative or wider keeps the overflow-guarded int64
     representation.  Children derived by slicing/compaction inherit the
     root's dtype.
     """
-    import itertools
+    from repro.graph.csr import integer_array
 
-    nodes = list(sets)
     count = len(nodes)
-    lengths = np.fromiter(
-        (len(sets[node]) for node in nodes), dtype=np.int64, count=count
-    )
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=count)
+    flat = integer_array(list(itertools.chain.from_iterable(rows)))
+    if flat is None:
+        return None
     offsets = np.zeros(count + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
-    total = int(offsets[-1])
-    try:
-        flat = np.fromiter(
-            itertools.chain.from_iterable(sets[node] for node in nodes),
-            dtype=np.int64,
-            count=total,
-        )
-    except (OverflowError, TypeError, ValueError):
-        return None
-    if total:
-        owners = np.repeat(np.arange(count, dtype=np.int64), lengths)
-        # lexsort is overflow-free (no combined keys): stable sort by
-        # (owner, color) leaves each node's slice sorted ascending.
-        flat = flat[np.lexsort((flat, owners))]
-        # flat is sorted per-owner slice, not globally — bound via min/max.
-        if int(flat.min()) >= 0 and int(flat.max()) <= np.iinfo(np.int32).max:
-            flat = flat.astype(np.int32)
-    return _PaletteStore(nodes, flat, offsets)
+    total = flat.shape[0]
+    if total > 1:
+        row_start = np.zeros(total, dtype=bool)
+        row_start[offsets[:-1][lengths > 0]] = True
+        if not bool(((flat[1:] > flat[:-1]) | row_start[1:]).all()):
+            owners = np.repeat(np.arange(count, dtype=np.int64), lengths)
+            # lexsort is overflow-free (no combined keys): stable sort by
+            # (owner, color) leaves each node's slice sorted ascending.
+            flat = flat[np.lexsort((flat, owners))]
+            keep = np.ones(total, dtype=bool)
+            keep[1:] = (flat[1:] != flat[:-1]) | row_start[1:]
+            if not bool(keep.all()):
+                flat = flat[keep]
+                np.cumsum(np.bincount(owners[keep], minlength=count), out=offsets[1:])
+    return _PaletteStore(nodes, _narrowed(flat), offsets)
+
+
+def _narrowed(flat: np.ndarray) -> np.ndarray:
+    """``flat`` as int32 when every color fits ``[0, 2**31)``, else unchanged."""
+    if flat.shape[0] and int(flat.min()) >= 0 and int(flat.max()) <= np.iinfo(np.int32).max:
+        return flat.astype(np.int32)
+    return flat
 
 
 class PaletteAssignment:
@@ -372,7 +414,8 @@ class PaletteAssignment:
         """
         store = self._store
         if store is None:
-            store = _store_from_sets(self._sets)
+            sets = self._sets
+            store = _store_from_rows(list(sets), list(sets.values()))
             self._store = store if store is not None else _STORE_UNAVAILABLE
             return store
         return None if store is _STORE_UNAVAILABLE else store
@@ -389,24 +432,57 @@ class PaletteAssignment:
         return sets
 
     # ------------------------------------------------------------------
-    # constructors for the three problem variants
+    # constructors for the three problem variants: they write the array
+    # store directly and leave the sets lazy; ``PaletteAssignment(mapping)``
+    # stays the sets-first reference they are tested against
     # ------------------------------------------------------------------
     @classmethod
     def delta_plus_one(cls, graph: Graph, delta: Optional[int] = None) -> "PaletteAssignment":
         """Palettes ``{0..Δ}`` for every node (plain ``(Δ+1)``-coloring)."""
         max_degree = graph.max_degree() if delta is None else delta
-        shared = range(max_degree + 1)
-        return cls({node: shared for node in graph.nodes()})
+        width = max(operator.index(max_degree) + 1, 0)
+        nodes = graph.nodes()
+        return cls._from_sizes(nodes, np.full(len(nodes), width, dtype=np.int64))
 
     @classmethod
     def degree_plus_one(cls, graph: Graph) -> "PaletteAssignment":
         """Palettes ``{0..deg(v)}`` (the canonical ``(deg+1)`` instance)."""
-        return cls({node: range(graph.degree(node) + 1) for node in graph.nodes()})
+        nodes = graph.nodes()
+        if graph.has_csr():
+            degrees = graph.csr().degrees
+        else:
+            degrees = np.fromiter(map(graph.degree, nodes), dtype=np.int64, count=len(nodes))
+        return cls._from_sizes(nodes, degrees + 1)
+
+    @classmethod
+    def _from_sizes(cls, nodes: List[NodeId], sizes: np.ndarray) -> "PaletteAssignment":
+        """Palettes ``{0..sizes[i] - 1}`` for ``nodes[i]``, as one store."""
+        from repro.graph.csr import concat_ranges
+
+        offsets = np.zeros(len(nodes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        flat = concat_ranges(np.zeros(len(nodes), dtype=np.int64), sizes)
+        return cls._adopt_store(_PaletteStore(nodes, _narrowed(flat), offsets))
 
     @classmethod
     def from_lists(cls, palettes: Mapping[NodeId, Iterable[Color]]) -> "PaletteAssignment":
-        """Arbitrary list-coloring palettes."""
-        return cls(palettes)
+        """Arbitrary list-coloring palettes.
+
+        Integer colors go straight into the array store; anything else
+        (non-integral colors, colors beyond int64) gives a sets-only
+        assignment, exactly as ``PaletteAssignment(palettes)`` would.
+        """
+        nodes = list(palettes)
+        rows = [
+            colors if isinstance(colors, (list, tuple, set, frozenset, range)) else list(colors)
+            for colors in palettes.values()
+        ]
+        store = _store_from_rows(nodes, rows)
+        if store is not None:
+            return cls._adopt_store(store)
+        assignment = cls(dict(zip(nodes, rows)))
+        assignment._store = _STORE_UNAVAILABLE
+        return assignment
 
     @classmethod
     def _adopt(cls, palettes: Dict[NodeId, Set[Color]]) -> "PaletteAssignment":
@@ -1068,21 +1144,10 @@ class PaletteAssignment:
                         f"but degree is {graph.degree(node)} (need degree + {slack})"
                     )
             return
-        node_list = graph.nodes()
-        index = store.index
-        rows = np.fromiter(
-            (index.get(node, -1) for node in node_list),
-            dtype=np.int64,
-            count=len(node_list),
-        )
+        node_list, rows, degrees = self._graph_rows(store, graph)
         missing = rows < 0
         safe_rows = np.where(missing, 0, rows)
         sizes = store.offsets[safe_rows + 1] - store.offsets[safe_rows]
-        degrees = np.fromiter(
-            (graph.degree(node) for node in node_list),
-            dtype=np.int64,
-            count=len(node_list),
-        )
         bad = missing | (sizes < degrees + slack)
         if not bool(bad.any()):
             return
@@ -1108,24 +1173,38 @@ class PaletteAssignment:
             if not slacks:
                 return 0
             return min(slacks)
-        node_list = graph.nodes()
-        index = store.index
-        rows = np.fromiter(
-            (index.get(node, -1) for node in node_list),
-            dtype=np.int64,
-            count=len(node_list),
-        )
+        _, rows, degrees = self._graph_rows(store, graph)
         present = rows >= 0
         if not bool(present.any()):
             return 0
         present_rows = rows[present]
         sizes = store.offsets[present_rows + 1] - store.offsets[present_rows]
-        degrees = np.fromiter(
-            (graph.degree(node) for node, keep in zip(node_list, present.tolist()) if keep),
-            dtype=np.int64,
-            count=int(present.sum()),
-        )
-        return int((sizes - degrees).min())
+        return int((sizes - degrees[present]).min())
+
+    @staticmethod
+    def _graph_rows(store: _PaletteStore, graph: Graph):
+        """``(graph nodes, their store rows or -1, their degrees)``.
+
+        Aligned stores (the canonical instance's) skip the per-node row
+        lookups, and a warm CSR view supplies the degrees as an array.
+        """
+        node_list = graph.nodes()
+        if store.nodes == node_list:
+            rows = np.arange(len(node_list), dtype=np.int64)
+        else:
+            index = store.index
+            rows = np.fromiter(
+                (index.get(node, -1) for node in node_list),
+                dtype=np.int64,
+                count=len(node_list),
+            )
+        if graph.has_csr():
+            degrees = graph.csr().degrees
+        else:
+            degrees = np.fromiter(
+                map(graph.degree, node_list), dtype=np.int64, count=len(node_list)
+            )
+        return node_list, rows, degrees
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

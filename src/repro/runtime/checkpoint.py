@@ -94,28 +94,50 @@ def fingerprint_params(params: Any) -> str:
     return hashlib.sha256(repr(sorted(items)).encode("utf-8")).hexdigest()
 
 
-def fingerprint_instance(graph: Any, palettes: Any) -> str:
-    """sha256 over the instance content: CSR arrays + palette entries.
+def hash_array(h: Any, array: Any) -> None:
+    """Feed a 1-d array to the hash ``h`` behind a tag of its dtype and length.
 
-    Both runs of a resume pair construct the graph and palettes the same
-    way (same workload/seed or same edge-list file), so hashing the CSR
-    view and the flat palette store is canonical between them.  Palettes
-    whose colors exceed int64 (no array store) fall back to a scalar sweep.
+    The tag keeps arrays apart whose raw bytes coincide: the int64 value
+    ``1 + 2 * 2**32`` and the int32 pair ``1, 2``, or one array's tail read
+    as the next array's head.
     """
     import numpy as np
 
+    array = np.ascontiguousarray(array)
+    h.update(f"{array.dtype.str}:{array.shape[0]};".encode("ascii"))
+    h.update(array.tobytes())
+
+
+def fingerprint_instance(graph: Any, palettes: Any) -> str:
+    """sha256 over the canonical instance: node ids, CSR arrays, palettes.
+
+    The instance is first put in sorted node order
+    (:func:`~repro.graph.palettes.canonical_instance`; a no-op inside a
+    run, whose instance already is), so for mutually comparable ids the
+    digest depends on the graph and palettes only, never on the order
+    they were given in.  Every array goes through :func:`hash_array`.
+    Ids or colors that are not int64 integers fall back to a ``repr``
+    sweep.
+    """
+    from repro.graph.csr import integer_array
+    from repro.graph.palettes import canonical_instance
+
+    graph, palettes = canonical_instance(graph, palettes)
     h = hashlib.sha256()
     csr = graph.csr()
-    h.update(np.asarray(csr.node_ids, dtype=np.int64).tobytes())
-    h.update(np.ascontiguousarray(csr.indptr).tobytes())
-    h.update(np.ascontiguousarray(csr.indices).tobytes())
+    ids = integer_array(csr.node_ids)
+    if ids is not None:
+        hash_array(h, ids)
+    else:
+        h.update(repr(csr.node_ids).encode("utf-8"))
+    hash_array(h, csr.indptr)
+    hash_array(h, csr.indices)
     store = palettes.store()
     if store is not None:
-        h.update(np.asarray(store.nodes, dtype=np.int64).tobytes())
-        h.update(np.ascontiguousarray(store.offsets).tobytes())
-        h.update(np.ascontiguousarray(store.flat).tobytes())
-    else:  # pragma: no cover - exotic (non-int64) color universes
-        for node in sorted(graph.nodes()):
+        hash_array(h, store.offsets)
+        hash_array(h, store.flat)
+    else:
+        for node in graph.nodes():
             h.update(repr((node, sorted(palettes.palette(node)))).encode("utf-8"))
     return h.hexdigest()
 

@@ -219,3 +219,38 @@ class TestColorReduceContexts:
             )
         ).run(dense_random)
         assert clique.coloring == mpc.coloring
+
+
+class TestNonIntegralColors:
+    """Non-integral colors are never truncated: a run colors from the
+    caller's palettes or raises, on both pipelines."""
+
+    @pytest.mark.parametrize("pipeline", [0, 1], ids=["color-reduce", "low-space"])
+    def test_path_colors_from_the_given_palettes(self, pipeline):
+        from repro.core.low_space.color_reduce import LowSpaceColorReduce
+
+        graph = Graph.from_edges([(0, 1), (1, 2)])
+        lists = {node: [0.5, 1.5, 2.5] for node in graph.nodes()}
+        solver = (ColorReduce(), LowSpaceColorReduce())[pipeline]
+        result = solver.run(graph, PaletteAssignment.from_lists(lists))
+        assert set(result.coloring.values()) <= {0.5, 1.5, 2.5}
+        assert_valid_list_coloring(graph, PaletteAssignment(lists), result.coloring)
+
+    @pytest.mark.parametrize("pipeline", [0, 1], ids=["color-reduce", "low-space"])
+    def test_partitioning_instance_is_rejected(self, pipeline):
+        graph = generators.gnm_random(300, 1500, seed=1)
+        lists = {
+            node: [color + 0.5 for color in range(graph.max_degree() + 1)]
+            for node in graph.nodes()
+        }
+        from repro.core.low_space.color_reduce import LowSpaceColorReduce
+        from repro.core.low_space.params import LowSpaceParameters
+
+        solver = (
+            ColorReduce(ColorReduceParameters.scaled(num_bins=3)),
+            LowSpaceColorReduce(
+                LowSpaceParameters.scaled(num_bins=3, low_degree_threshold=3, machine_chunk=4)
+            ),
+        )[pipeline]
+        with pytest.raises(PaletteError, match="not an integer"):
+            solver.run(graph, PaletteAssignment.from_lists(lists))

@@ -47,11 +47,12 @@ from repro.errors import (
     ResourceBudgetExceeded,
 )
 from repro.experiments.workloads import build_workload
-from repro.graph import generators
+from repro.graph import Graph, PaletteAssignment, generators
 from repro.runtime.checkpoint import (
     MAGIC,
     fingerprint_instance,
     fingerprint_params,
+    hash_array,
     load_checkpoint,
     write_checkpoint,
 )
@@ -232,6 +233,101 @@ class TestFingerprints:
             ColorReduce(
                 params=ColorReduceParameters.scaled(num_bins=4, resume_path=ck)
             ).run(graph, palettes)
+
+
+
+class TestStableInstanceFingerprint:
+    """``fingerprint_instance`` is a stable content hash of the instance."""
+
+    @staticmethod
+    def _instance(seed):
+        graph = generators.gnm_random(40, 90, seed=seed)
+        return graph, generators.shared_universe_palettes(graph, seed=seed)
+
+    @staticmethod
+    def _shuffled(graph, palettes, rng):
+        nodes = graph.nodes()
+        rng.shuffle(nodes)
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in graph.edges()]
+        rng.shuffle(edges)
+        lists = {node: sorted(palettes.palette(node), reverse=True) for node in nodes}
+        return Graph(nodes=nodes, edges=edges), PaletteAssignment(lists)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_deterministic(self, seed):
+        graph, palettes = self._instance(seed)
+        again_graph, again_palettes = self._instance(seed)
+        assert fingerprint_instance(graph, palettes) == fingerprint_instance(
+            again_graph, again_palettes
+        )
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_changes_with_the_content(self, seed):
+        graph, palettes = self._instance(seed)
+        digest = fingerprint_instance(graph, palettes)
+        u, v = next(iter(graph.edges()))
+        fewer_edges = Graph(nodes=graph.nodes(), edges=[e for e in graph.edges() if e != (u, v)])
+        assert fingerprint_instance(fewer_edges, palettes) != digest
+        lists = {node: palettes.palette(node) for node in graph.nodes()}
+        lists[u] = lists[u] | {10**6}
+        assert fingerprint_instance(graph, PaletteAssignment(lists)) != digest
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_invariant_under_node_and_edge_order(self, seed):
+        import random
+
+        graph, palettes = self._instance(seed)
+        shuffled_graph, shuffled_palettes = self._shuffled(graph, palettes, random.Random(seed))
+        assert fingerprint_instance(shuffled_graph, shuffled_palettes) == fingerprint_instance(
+            graph, palettes
+        )
+
+    @staticmethod
+    def _tagged(*arrays):
+        import hashlib
+
+        h = hashlib.sha256()
+        for array in arrays:
+            hash_array(h, array)
+        return h.hexdigest()
+
+    def test_dtype_tags_keep_int32_and_int64_bytes_apart(self):
+        import numpy as np
+
+        # The int64 value 1 + 2 * 2**32 has the bytes of the int32 pair 1, 2.
+        wide = np.array([1 + 2 * 2**32], dtype=np.int64)
+        narrow = np.array([1, 2], dtype=np.int32)
+        assert wide.tobytes() == narrow.tobytes()
+        assert self._tagged(wide) != self._tagged(narrow)
+
+    def test_length_tags_keep_array_boundaries_apart(self):
+        import numpy as np
+
+        left = (np.array([1, 2], dtype=np.int64), np.array([3], dtype=np.int64))
+        right = (np.array([1], dtype=np.int64), np.array([2, 3], dtype=np.int64))
+        assert b"".join(a.tobytes() for a in left) == b"".join(a.tobytes() for a in right)
+        assert self._tagged(*left) != self._tagged(*right)
+
+    def test_every_instance_array_is_tagged(self):
+        import hashlib
+
+        import numpy as np
+
+        graph, palettes = self._instance(0)
+        csr, store = graph.csr(), palettes.store()
+        arrays = (
+            np.asarray(csr.node_ids, dtype=np.int64),
+            csr.indptr,
+            csr.indices,
+            store.offsets,
+            store.flat,
+        )
+        untagged = hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays))
+        assert fingerprint_instance(graph, palettes) == self._tagged(*arrays)
+        assert fingerprint_instance(graph, palettes) != untagged.hexdigest()
 
 
 # ---------------------------------------------------------------------------

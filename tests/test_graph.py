@@ -145,3 +145,82 @@ class TestHelpers:
 
     def test_average_degree_empty(self):
         assert average_degree(Graph()) == 0.0
+
+
+def _assert_same_graph(built: Graph, reference: Graph) -> None:
+    """Same node order, same CSR arrays (and dtypes), same adjacency sets."""
+    import numpy as np
+
+    from repro.graph.csr import build_csr
+
+    assert built.nodes() == reference.nodes()
+    view, expected = built.csr(), build_csr(reference._adj)
+    assert view.node_ids == expected.node_ids
+    for name in ("indptr", "indices", "degrees", "edge_sources"):
+        got, want = getattr(view, name), getattr(expected, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+    assert built._adj == reference._adj
+
+
+class TestFromEdgesOracle:
+    """``Graph.from_edges`` (array-first) equals the scalar ``Graph(nodes, edges)``."""
+
+    @pytest.mark.parametrize(
+        "nodes, edges",
+        [
+            ([], []),
+            ([7, 3, 3, 11], []),  # only isolated nodes, one repeated
+            ([], [(5, 2), (2, 9), (9, 5)]),  # unsorted ids, first-appearance order
+            ([40, -3], [(1000, 7), (7, -3), (40, 1000)]),  # sparse and negative ids
+            ([2], [(0, 1), (1, 0), (0, 1), (2, 3), (3, 2)]),  # duplicates, reversed
+            (range(6), [(4, 5), (0, 5), (1, 2)]),
+        ],
+    )
+    def test_matches_the_scalar_constructor(self, nodes, edges):
+        built = Graph.from_edges(edges, nodes=nodes)
+        assert built._adj_store is None  # adjacency sets stay lazy
+        _assert_same_graph(built, Graph(nodes=nodes, edges=edges))
+
+    def test_random_instances(self):
+        import random
+
+        rng = random.Random(3)
+        for _ in range(100):
+            ids = rng.sample(range(-50, 10**6), rng.randint(2, 30))
+            nodes = rng.sample(ids, rng.randint(0, len(ids)))
+            edges = [tuple(rng.sample(ids, 2)) for _ in range(rng.randint(0, 60))]
+            _assert_same_graph(Graph.from_edges(edges, nodes), Graph(nodes, edges))
+
+    def test_generator_and_array_input(self):
+        import numpy as np
+
+        pairs = [(3, 1), (1, 2), (2, 3)]
+        reference = Graph(edges=pairs)
+        _assert_same_graph(Graph.from_edges(pair for pair in pairs), reference)
+        _assert_same_graph(Graph.from_edges(np.array(pairs, dtype=np.int32)), reference)
+
+    def test_self_loop_message(self):
+        with pytest.raises(GraphError, match="self-loop on node 3 is not allowed"):
+            Graph.from_edges([(1, 2), (3, 3), (4, 4)])
+
+    def test_string_ids_fall_back_to_sets(self):
+        edges = [("b", "a"), ("a", "c")]
+        built = Graph.from_edges(edges, nodes=["z"])
+        assert built._adj_store is not None
+        _assert_same_graph(built, Graph(nodes=["z"], edges=edges))
+
+    def test_float_ids_are_not_truncated(self):
+        built = Graph.from_edges([(0.5, 1), (1, 1.5)])
+        assert built.nodes() == [0.5, 1, 1.5]
+        assert built.neighbors(1) == {0.5, 1.5}
+
+    def test_csr_children_keep_float_ids(self):
+        graph = Graph(nodes=[2.5, 0.5, 1.5], edges=[(0.5, 1.5), (1.5, 2.5)])
+        child = graph.induced_subgraph([0.5, 1.5], use_csr=True)
+        assert not child.csr().ids_are_positions
+        assert child.neighbors(0.5) == {1.5}
+
+    def test_ids_beyond_int64_fall_back_to_sets(self):
+        edges = [(2**70, 1)]
+        _assert_same_graph(Graph.from_edges(edges), Graph(edges=edges))

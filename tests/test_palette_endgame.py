@@ -49,12 +49,21 @@ def _palettes_equal(a: PaletteAssignment, b: PaletteAssignment) -> bool:
 # ----------------------------------------------------------------------
 class TestPaletteStoreLifecycle:
     def test_store_is_built_lazily_and_cached(self):
-        palettes = PaletteAssignment.from_lists({0: [3, 1], 1: [2]})
+        palettes = PaletteAssignment({0: [3, 1], 1: [2]})
         assert palettes._store is None
         store = palettes.store()
         assert store is palettes.store()
         assert store.flat.tolist() == [1, 3, 2]  # sorted within each slice
         assert store.offsets.tolist() == [0, 2, 3]
+
+    def test_from_lists_writes_the_store_first(self):
+        palettes = PaletteAssignment.from_lists({0: [3, 1, 3], 1: [2]})
+        store = palettes._store
+        assert palettes._sets is None  # sets stay lazy
+        assert store is palettes.store()
+        assert store.flat.tolist() == [1, 3, 2]  # sorted, deduplicated
+        assert store.offsets.tolist() == [0, 2, 3]
+        assert palettes.palette(0) == {1, 3}
 
     def test_store_unavailable_for_colors_beyond_int64(self):
         palettes = PaletteAssignment.from_lists({0: [1, 2**70]})

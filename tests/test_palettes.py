@@ -79,7 +79,7 @@ class TestCopyOnWrite:
         assert palettes.palette(0) == {1, 2, 3}
 
     def test_sets_only_copy_duplicates_sets(self):
-        palettes = PaletteAssignment.from_lists(self.LISTS)
+        palettes = PaletteAssignment(self.LISTS)
         clone = palettes.copy()
         assert clone._store is None
         assert clone._sets is not None
@@ -194,3 +194,94 @@ class TestValidation:
 
     def test_min_slack_empty(self):
         assert PaletteAssignment({}).min_slack(Graph()) == 0
+
+
+def _assert_same_assignment(built: PaletteAssignment, reference: PaletteAssignment) -> None:
+    """Same nodes, palettes and (when one exists) the same store arrays."""
+    import numpy as np
+
+    assert built.nodes() == reference.nodes()
+    for node in reference.nodes():
+        assert built.palette(node) == reference.palette(node)
+    store, expected = built.store(), reference.store()
+    if expected is None:
+        assert store is None
+        return
+    assert store.nodes == expected.nodes
+    for name in ("flat", "offsets"):
+        got, want = getattr(store, name), getattr(expected, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+class TestArrayConstructorsOracle:
+    """The store-first constructors equal the sets-first ``PaletteAssignment(mapping)``."""
+
+    @pytest.mark.parametrize(
+        "lists",
+        [
+            {},
+            {0: [], 1: []},
+            {3: [9, 2, 5], 0: [1], 7: []},  # unsorted nodes and colors
+            {0: [4, 4, 1, 4], 1: [2, 2]},  # duplicates
+            {0: range(5), 1: range(2, 4)},  # ranges
+            {0: {3, 1}, 1: (7, -2)},  # sets, tuples, negative colors
+            {0: [1, 2**40], 1: [3]},  # int64, not int32
+            {0: [1, 2**70], 1: [3]},  # beyond int64: sets only
+        ],
+    )
+    def test_from_lists_matches_sets_first(self, lists):
+        built = PaletteAssignment.from_lists(lists)
+        _assert_same_assignment(built, PaletteAssignment(lists))
+        if built.store() is not None:
+            assert built._sets is None  # sets stay lazy
+
+    def test_from_lists_random_instances(self):
+        import random
+
+        rng = random.Random(5)
+        for _ in range(100):
+            base = rng.choice([0, -100, 2**31 - 10, 2**62])
+            lists = {
+                rng.randint(-5, 100): [
+                    base + rng.randint(0, 20) for _ in range(rng.randint(0, 10))
+                ]
+                for _ in range(rng.randint(0, 15))
+            }
+            _assert_same_assignment(
+                PaletteAssignment.from_lists(lists), PaletteAssignment(lists)
+            )
+
+    def test_from_lists_accepts_generators(self):
+        built = PaletteAssignment.from_lists({0: (c for c in [3, 1]), 1: iter([2])})
+        _assert_same_assignment(built, PaletteAssignment({0: [3, 1], 1: [2]}))
+
+    def test_non_integral_colors_stay_sets_only(self):
+        lists = {0: [0.5, 1.5], 1: [2]}
+        built = PaletteAssignment.from_lists(lists)
+        assert built.store() is None
+        assert built.palette(0) == {0.5, 1.5}
+        # the sets-first assignment refuses a store too, instead of truncating
+        assert PaletteAssignment(lists).store() is None
+
+    @pytest.mark.parametrize("delta", [None, 0, 3, -1])
+    def test_delta_plus_one_matches_sets_first(self, delta):
+        graph = Graph.from_edges([(5, 1), (1, 2), (2, 5), (2, 9)], nodes=[7])
+        width = graph.max_degree() + 1 if delta is None else delta + 1
+        expected = PaletteAssignment({node: range(width) for node in graph.nodes()})
+        built = PaletteAssignment.delta_plus_one(graph, delta)
+        assert built._sets is None
+        _assert_same_assignment(built, expected)
+
+    @pytest.mark.parametrize("array_first", [True, False])
+    def test_degree_plus_one_matches_sets_first(self, array_first):
+        edges = [(5, 1), (1, 2), (2, 5), (2, 9)]
+        graph = Graph.from_edges(edges, nodes=[7]) if array_first else Graph([7], edges)
+        expected = PaletteAssignment(
+            {node: range(graph.degree(node) + 1) for node in graph.nodes()}
+        )
+        _assert_same_assignment(PaletteAssignment.degree_plus_one(graph), expected)
+
+    def test_empty_graph(self):
+        _assert_same_assignment(PaletteAssignment.delta_plus_one(Graph()), PaletteAssignment({}))
+        _assert_same_assignment(PaletteAssignment.degree_plus_one(Graph()), PaletteAssignment({}))

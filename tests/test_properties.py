@@ -14,10 +14,8 @@ assert the invariants the rest of the library relies on:
 * both pipelines, on hostile shapes (empty, isolated nodes, stars, skew,
   near-cliques, disconnected, non-contiguous ids), equal their scalar
   oracle run (``tests/scalar_oracle.py``) and color validly.
-* ``ColorReduce``'s outcome does not change when the same graph is built
-  from shuffled node and edge orders, on the instances where that holds;
-  the known order-sensitive cases of both pipelines are strict expected
-  failures.
+* neither pipeline's outcome changes when the same graph is built from
+  shuffled node and edge orders with flipped edge orientations.
 """
 
 from __future__ import annotations
@@ -1072,42 +1070,20 @@ GENERATOR_SHAPES = {
     "edgeless": lambda: Graph.empty(30),
 }
 
-#: Why ``ColorReduce`` is not order-invariant everywhere: every extracted
-#: instance keeps its parent's node order, and the local greedy breaks
-#: degree ties in that order.
-GREEDY_TIES_REASON = (
-    "the local greedy breaks degree ties by insertion order, which every "
-    "extracted instance inherits from the input"
-)
-
-#: (shape, parameter set) pairs whose outcome does change under reordering:
-#: both are collected and greedy-colored at the root under paper params.
-ORDER_SENSITIVE_SHAPES = {("power-law", "paper"), ("ring", "paper")}
-
 PARAMETER_SETS = {
     "paper": ColorReduceParameters(),
     "scaled": ColorReduceParameters.scaled(num_bins=3),
 }
 
 
-def _shape_cases():
-    for shape in sorted(GENERATOR_SHAPES):
-        for name in PARAMETER_SETS:
-            marks = ()
-            if (shape, name) in ORDER_SENSITIVE_SHAPES:
-                marks = pytest.mark.xfail(strict=True, reason=GREEDY_TIES_REASON)
-            yield pytest.param(shape, name, marks=marks, id=f"{shape}-{name}")
-
-
 class TestReorderingInvariance:
-    """Whether an outcome depends only on the graph, or also on the order
-    its nodes and edges were handed over.
+    """An outcome depends only on the graph, not on the order its nodes and
+    edges were handed over.
 
-    ``ColorReduce``'s coloring, recursion tree, rounds and ledger are
-    unchanged under shuffled node and edge orders (and flipped edge
-    orientations) on the ``gnm_random(300, 1500)`` family and on most
-    generator shapes.  The cases where they change are strict expected
-    failures, so a fix shows up as an unexpected pass.
+    Both ``run`` methods put the instance in sorted node order at the door
+    (:func:`repro.graph.palettes.canonical_instance`), so the coloring,
+    recursion tree, rounds and ledger are unchanged under shuffled node and
+    edge orders and flipped edge orientations.
     """
 
     ORDERS = 3
@@ -1124,23 +1100,18 @@ class TestReorderingInvariance:
         for params in PARAMETER_SETS.values():
             self._assert_invariant(graph, params)
 
-    @pytest.mark.parametrize("shape, params_name", _shape_cases())
+    @pytest.mark.parametrize(
+        "shape, params_name",
+        [(shape, name) for shape in sorted(GENERATOR_SHAPES) for name in PARAMETER_SETS],
+    )
     def test_color_reduce_generator_shapes(self, shape, params_name):
         self._assert_invariant(GENERATOR_SHAPES[shape](), PARAMETER_SETS[params_name])
 
-    @pytest.mark.xfail(strict=True, reason=GREEDY_TIES_REASON)
     def test_color_reduce_small_dense_instance(self):
         # The root partitions here; a recursion leaf's greedy sees the ties.
         graph = generators.gnm_random(13, 72, seed=1)
         self._assert_invariant(graph, ColorReduceParameters.scaled(num_bins=3, collect_factor=1.0))
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason=(
-            "LowSpaceColorReduce is not order-invariant: the MIS reduction "
-            "numbers its vertices by CSR position, which is insertion order"
-        ),
-    )
     def test_low_space_edge_order(self):
         graph = generators.gnm_random(300, 600, seed=9)
         edges = sorted(tuple(sorted(edge)) for edge in graph.edges())
@@ -1149,4 +1120,27 @@ class TestReorderingInvariance:
         in_order = LowSpaceColorReduce().run(Graph.from_edges(edges))
         reordered = LowSpaceColorReduce().run(Graph.from_edges(shuffled))
         assert reordered.total_mis_phases == in_order.total_mis_phases
-        assert reordered.coloring == in_order.coloring
+        assert _outcome(reordered) == _outcome(in_order)
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(hostile_graphs(), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_both_pipelines_on_hostile_shapes(self, graph, seed):
+        rng = random.Random(seed)
+        variants = [_reordered(graph, rng) for _ in range(2)]
+        variants.append(
+            Graph.from_edges([(v, u) for u, v in graph.edges()], nodes=reversed(graph.nodes()))
+        )
+        pipelines = (
+            lambda g: ColorReduce(ColorReduceParameters.scaled(num_bins=3)).run(g),
+            lambda g: LowSpaceColorReduce(
+                LowSpaceParameters.scaled(num_bins=3, low_degree_threshold=3, machine_chunk=4)
+            ).run(g),
+        )
+        for run in pipelines:
+            expected = _outcome(run(graph.copy()))
+            for variant in variants:
+                assert _outcome(run(variant)) == expected
