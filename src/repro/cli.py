@@ -75,59 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "are bit-identical for every value)"
         ),
     )
-    color.add_argument(
-        "--parallel-max-retries",
-        type=int,
-        default=2,
-        help=(
-            "failed attempts tolerated per shard before it is rescored "
-            "in-process (self-healing pool; ignored at --parallel-workers 1)"
-        ),
-    )
-    color.add_argument(
-        "--parallel-shard-timeout",
-        type=float,
-        default=30.0,
-        help="seconds to wait for one shard's reply before retrying it",
-    )
-    color.add_argument(
-        "--parallel-breaker-threshold",
-        type=int,
-        default=3,
-        help=(
-            "consecutive pool-level failures before the circuit breaker "
-            "demotes scoring to the in-process path"
-        ),
-    )
-    color.add_argument(
-        "--parallel-breaker-cooldown",
-        type=int,
-        default=8,
-        help=(
-            "slabs scored in-process while the breaker is open, before a "
-            "probe slab re-tests the pool"
-        ),
-    )
-    color.add_argument(
-        "--parallel-transport",
-        choices=("shm", "pickle"),
-        default="shm",
-        help=(
-            "payload transport to the workers: zero-copy shared-memory "
-            "segments (default) or the queue-borne pickle encoding; "
-            "bit-identical either way"
-        ),
-    )
-    color.add_argument(
-        "--parallel-min-slab-pairs",
-        type=int,
-        default=None,
-        help=(
-            "engagement floor: slabs smaller than this are scored "
-            "in-process even with --parallel-workers > 1 (default: "
-            "adaptive from worker and CPU counts; 0 always engages)"
-        ),
-    )
 
     durability = color.add_argument_group(
         "durability",
@@ -289,19 +236,6 @@ def _validate_workers(workers: int) -> None:
         )
 
 
-def _parallel_overrides(args: argparse.Namespace) -> dict:
-    """The parameter overrides shared by both pipelines' param sets."""
-    return dict(
-        parallel_workers=args.parallel_workers,
-        parallel_max_retries=args.parallel_max_retries,
-        parallel_shard_timeout=args.parallel_shard_timeout,
-        parallel_breaker_threshold=args.parallel_breaker_threshold,
-        parallel_breaker_cooldown=args.parallel_breaker_cooldown,
-        parallel_transport=args.parallel_transport,
-        parallel_min_slab_pairs=args.parallel_min_slab_pairs,
-    )
-
-
 def _durability_overrides(args: argparse.Namespace) -> dict:
     """The durability knobs, validated for contradictions up front.
 
@@ -373,7 +307,9 @@ def _resolve_instance(args: argparse.Namespace):
 
 def _run_color(args: argparse.Namespace) -> int:
     _validate_workers(args.parallel_workers)
-    overrides = dict(_parallel_overrides(args), **_durability_overrides(args))
+    overrides = dict(
+        parallel_workers=args.parallel_workers, **_durability_overrides(args)
+    )
     graph, palettes, description = _resolve_instance(args)
     print(
         f"{description}: n={graph.num_nodes}, "

@@ -167,9 +167,6 @@ class LowSpacePartition:
             candidate_salt=salt,
             rng_seed=salt,
             parallel_workers=self.params.parallel_workers,
-            parallel_recovery=self.params.parallel_recovery_policy(),
-            parallel_transport=self.params.parallel_transport,
-            parallel_min_pairs=self.params.parallel_min_slab_pairs,
         )
         wrapped_charge = None
         if charge is not None:
@@ -199,13 +196,7 @@ class LowSpacePartition:
 
             # Reuses the selection's warm pool (same registry key), so the
             # post-selection outcome shards ride for free.
-            scorer = parallel_many_scorer(
-                cost,
-                self.params.parallel_workers,
-                policy=self.params.parallel_recovery_policy(),
-                transport=self.params.parallel_transport,
-                min_pairs=self.params.parallel_min_slab_pairs,
-            )
+            scorer = parallel_many_scorer(cost, self.params.parallel_workers)
         color_arrays = color_bin_arrays(palettes, h2, num_color_bins)
         outcome = cost.outcome_selected(
             h1, h2, color_arrays=color_arrays, scorer=scorer

@@ -41,7 +41,7 @@ class RunParameters:
 
     :class:`ColorReduceParameters` and
     :class:`repro.core.low_space.params.LowSpaceParameters` inherit these
-    fields, their validation and the two helpers below.  Each subclass
+    fields, their validation and :meth:`durability_enabled`.  Each subclass
     declares its own ``max_recursion_depth`` (the defaults differ); the
     shared checks validate it.
 
@@ -57,25 +57,11 @@ class RunParameters:
         the workers through the same batched evaluator (shipped once per
         Partition level), and reduced positionally — selected seeds,
         recursion trees and colorings are bit-identical for every value.
-        ``1`` (default) is the zero-overhead in-process path.
-    parallel_max_retries / parallel_shard_timeout / parallel_breaker_threshold
-    / parallel_breaker_cooldown:
-        Self-healing knobs of the worker pool, forwarded as a
-        :class:`repro.parallel.executor.RecoveryPolicy` (see
-        :meth:`parallel_recovery_policy`): failed shard attempts tolerated
-        before an in-process rescue, seconds to wait for one shard's reply,
-        and the circuit breaker's consecutive-failure threshold and
-        cool-down (slabs scored in-process before the pool is re-probed).
-        All recovery is value-preserving — faults never change an outcome,
-        only the :class:`repro.accounting.PoolHealth` record.  Ignored when
-        ``parallel_workers == 1``.
-    parallel_transport:
-        Payload transport across the process boundary — ``shm`` (default,
-        zero-copy shared-memory segments) or ``pickle`` (the differential
-        reference).
-    parallel_min_slab_pairs:
-        Explicit engagement floor (slab sizes below it stay in-process);
-        ``None`` = adaptive.
+        ``1`` (default) is the zero-overhead in-process path.  This is the
+        only parallel knob: the pool picks its own recovery policy,
+        transport and engagement floor (:mod:`repro.parallel.executor`).
+        Not part of a run's identity, so a checkpoint or cached result
+        serves every worker count.
     level_use_batch:
         Score all sibling bins' head candidate batches in one segmented
         cross-bin pass per recursion level (:mod:`repro.core.level`) instead
@@ -101,12 +87,6 @@ class RunParameters:
     selection_max_candidates: int = 2048
     selection_batch_size: int = 16
     parallel_workers: int = 1
-    parallel_max_retries: int = 2
-    parallel_shard_timeout: float = 30.0
-    parallel_breaker_threshold: int = 3
-    parallel_breaker_cooldown: int = 8
-    parallel_transport: str = "shm"
-    parallel_min_slab_pairs: Optional[int] = None
     level_use_batch: bool = True
     checkpoint_path: Optional[str] = None
     resume_path: Optional[str] = None
@@ -123,18 +103,6 @@ class RunParameters:
             raise ConfigurationError("selection_max_candidates must be positive")
         if self.parallel_workers < 1:
             raise ConfigurationError("parallel_workers must be at least 1")
-        if self.parallel_max_retries < 0:
-            raise ConfigurationError("parallel_max_retries must be >= 0")
-        if self.parallel_shard_timeout <= 0:
-            raise ConfigurationError("parallel_shard_timeout must be positive")
-        if self.parallel_breaker_threshold < 1:
-            raise ConfigurationError("parallel_breaker_threshold must be >= 1")
-        if self.parallel_breaker_cooldown < 1:
-            raise ConfigurationError("parallel_breaker_cooldown must be >= 1")
-        if self.parallel_transport not in ("shm", "pickle"):
-            raise ConfigurationError("parallel_transport must be 'shm' or 'pickle'")
-        if self.parallel_min_slab_pairs is not None and self.parallel_min_slab_pairs < 0:
-            raise ConfigurationError("parallel_min_slab_pairs must be >= 0")
         if self.checkpoint_every_levels < 1:
             raise ConfigurationError("checkpoint_every_levels must be at least 1")
         if self.memory_budget_mb is not None and self.memory_budget_mb <= 0:
@@ -156,21 +124,6 @@ class RunParameters:
                 self.memory_budget_mb,
                 self.deadline_seconds,
             )
-        )
-
-    def parallel_recovery_policy(self):
-        """The pool's :class:`repro.parallel.executor.RecoveryPolicy`, or
-        ``None`` when ``parallel_workers == 1`` (the in-process path never
-        imports the parallel package)."""
-        if self.parallel_workers < 2:
-            return None
-        from repro.parallel.executor import RecoveryPolicy
-
-        return RecoveryPolicy(
-            max_shard_retries=self.parallel_max_retries,
-            shard_timeout=self.parallel_shard_timeout,
-            breaker_threshold=self.parallel_breaker_threshold,
-            breaker_cooldown=self.parallel_breaker_cooldown,
         )
 
 

@@ -146,9 +146,6 @@ class Partition:
             rng_seed=self.params.selection_rng_seed * 1_000_003 + salt,
             candidate_salt=salt,
             parallel_workers=self.params.parallel_workers,
-            parallel_recovery=self.params.parallel_recovery_policy(),
-            parallel_transport=self.params.parallel_transport,
-            parallel_min_pairs=self.params.parallel_min_slab_pairs,
         )
         charge = context.selection_charge_callback("hash-selection") if context else None
         target = self.params.cost_target(ell, global_nodes)
@@ -227,13 +224,7 @@ class Partition:
 
             # Reuses the selection's warm pool (same registry key), so the
             # post-selection classification shards ride for free.
-            scorer = parallel_many_scorer(
-                cost,
-                self.params.parallel_workers,
-                policy=self.params.parallel_recovery_policy(),
-                transport=self.params.parallel_transport,
-                min_pairs=self.params.parallel_min_slab_pairs,
-            )
+            scorer = parallel_many_scorer(cost, self.params.parallel_workers)
         classification, restricted = cost.classify_selected(h1, h2, scorer=scorer)
         num_bins = classification.num_bins
         last_bin = num_bins - 1

@@ -162,22 +162,9 @@ class HashPairSelector:
         module notes on multiprocess scoring).  ``1`` (default) scores
         in-process with zero parallel overhead; values above 1 require the
         cost to be a shippable batched evaluator, else scoring stays
-        in-process.  Outcomes are identical for every value.
-    parallel_recovery:
-        Optional :class:`repro.parallel.executor.RecoveryPolicy` tuning the
-        pool's self-healing (shard retries, per-shard timeout, circuit
-        breaker); ``None`` keeps the pool's current policy.  Irrelevant
-        when ``parallel_workers == 1``.
-    parallel_transport:
-        Payload transport across the process boundary: ``None`` defaults
-        through ``REPRO_PARALLEL_TRANSPORT`` to ``shm`` (zero-copy
-        shared-memory segments); ``pickle`` keeps the queue-borne
-        encoding.  Bit-identical either way.
-    parallel_min_pairs:
-        Explicit engagement floor — slabs smaller than this stay
-        in-process.  ``None`` (default) resolves adaptively
-        (:func:`repro.parallel.executor.resolve_min_pairs`): on hosts
-        without a second usable core the pool is not engaged at all.
+        in-process.  Outcomes are identical for every value.  The worker
+        count is the pool's only input: its recovery policy, transport and
+        engagement floor are chosen by :mod:`repro.parallel.executor`.
     """
 
     def __init__(
@@ -194,9 +181,6 @@ class HashPairSelector:
         rng_seed: int = 0,
         candidate_salt: int = 0,
         parallel_workers: int = 1,
-        parallel_recovery=None,
-        parallel_transport=None,
-        parallel_min_pairs=None,
     ) -> None:
         if chunk_bits < 1:
             raise ConfigurationError("chunk_bits must be positive")
@@ -219,9 +203,6 @@ class HashPairSelector:
         self.rng_seed = rng_seed
         self.candidate_salt = candidate_salt
         self.parallel_workers = parallel_workers
-        self.parallel_recovery = parallel_recovery
-        self.parallel_transport = parallel_transport
-        self.parallel_min_pairs = parallel_min_pairs
 
     # ------------------------------------------------------------------
     # public API
@@ -435,13 +416,7 @@ class HashPairSelector:
         if self.parallel_workers > 1:
             from repro.parallel.executor import parallel_many_scorer
 
-            scorer = parallel_many_scorer(
-                cost,
-                self.parallel_workers,
-                policy=self.parallel_recovery,
-                transport=self.parallel_transport,
-                min_pairs=self.parallel_min_pairs,
-            )
+            scorer = parallel_many_scorer(cost, self.parallel_workers)
             if scorer is not None:
                 # Sharded scoring returns the exact `many` value vector, so
                 # the positional scans below are untouched by worker count.

@@ -20,13 +20,14 @@ Entry point for users: the ``parallel_workers`` knob on
 :class:`repro.core.params.ColorReduceParameters` /
 :class:`repro.core.low_space.params.LowSpaceParameters` (and the CLI's
 ``--parallel-workers``), routed through
-:class:`repro.derand.conditional_expectation.HashPairSelector`.
-``parallel_workers=1`` (the default) never touches this package.
+:class:`repro.derand.conditional_expectation.HashPairSelector`.  It is the
+only parallel option: the pool picks its own recovery policy, transport and
+engagement floor.  ``parallel_workers=1`` (the default) never touches this
+package.
 """
 
 from repro.parallel.executor import (
     MIN_PAIRS_ENV,
-    TRANSPORT_ENV,
     CircuitBreaker,
     ParallelSlabScorer,
     RecoveryPolicy,
@@ -70,7 +71,6 @@ __all__ = [
     "RecoveryPolicy",
     "SEGMENT_PREFIX",
     "SlabExecutor",
-    "TRANSPORT_ENV",
     "decode_evaluator",
     "decode_slab",
     "effective_cpu_count",

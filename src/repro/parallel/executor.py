@@ -63,15 +63,21 @@ zero-overhead in-process path.
 
 Transport and engagement
 ------------------------
-Under the default ``shm`` transport (see :mod:`repro.parallel.slabs`) the
+The worker count is the pool's only input; everything else is chosen here.
+The transport follows what the platform and the evaluator allow (see
+:mod:`repro.parallel.slabs`): where shared memory is available, the
 evaluator envelope's static arrays and each job's coefficient matrices move
-through named shared-memory segments; the queues carry only small control
-tuples, and :class:`~repro.accounting.PoolHealth` splits the volume into
-``bytes_shipped`` (pickled, per worker) vs ``bytes_shared`` (published
-once).  Engagement is adaptive: :func:`resolve_min_pairs` disables the pool
-outright on hosts without a second usable core (``REPRO_PARALLEL_MIN_PAIRS``
-overrides, ``0`` forcing engagement) so ``parallel_workers > 1`` is never a
-slowdown.  :meth:`SlabExecutor.run_phase` extends the same shard/retry/
+through named shared-memory segments and the queues carry only small
+control tuples; payloads that cannot be published (ids, colors or
+coefficients beyond ``int64``) and platforms without shared memory take the
+pickle envelope, bit-identically.  :class:`~repro.accounting.PoolHealth`
+splits the volume into ``bytes_shipped`` (pickled, per worker) vs
+``bytes_shared`` (published once).  Engagement is adaptive:
+:func:`resolve_min_pairs` disables the pool outright on hosts without a
+second usable core (``REPRO_PARALLEL_MIN_PAIRS`` overrides, ``0`` forcing
+engagement) so ``parallel_workers > 1`` is never a slowdown.  Recovery runs
+on :class:`RecoveryPolicy` defaults; tests tune a pool by assigning its
+``policy``.  :meth:`SlabExecutor.run_phase` extends the same shard/retry/
 rescue machinery to the post-selection phases (final classification,
 low-space outcome), sharding their per-node count vectors by node range.
 """
@@ -95,7 +101,12 @@ from repro.errors import (
     WorkerCrashError,
 )
 from repro.parallel import slabs
-from repro.parallel.faults import FaultInjector, FaultPlan, plan_from_env
+from repro.parallel.faults import (
+    FAULT_PLAN_ENV,
+    FaultInjector,
+    FaultPlan,
+    plan_from_env,
+)
 from repro.parallel.planner import plan_shards
 
 #: Evaluators cached per worker before FIFO eviction; recursion produces one
@@ -115,16 +126,10 @@ MIN_PARALLEL_PAIRS = 32
 START_METHOD_ENV = "REPRO_PARALLEL_START_METHOD"
 
 #: Environment override for the adaptive engagement floor: an integer slab
-#: size (``0`` = always engage the pool).  Takes precedence over both the
-#: ``parallel_min_slab_pairs`` knob and the cpu-count heuristic — tests and
-#: CI use it to exercise the pool on single-core hosts.
+#: size (``0`` = always engage the pool).  Takes precedence over the
+#: cpu-count heuristic — tests and CI use it to exercise the pool on
+#: single-core hosts.
 MIN_PAIRS_ENV = "REPRO_PARALLEL_MIN_PAIRS"
-
-#: Environment override for the payload transport: ``shm`` (default) or
-#: ``pickle`` (the PR-5 behaviour, kept as a differential reference).
-TRANSPORT_ENV = "REPRO_PARALLEL_TRANSPORT"
-
-_TRANSPORTS = ("shm", "pickle")
 
 _TOKEN_COUNTER = itertools.count(1)
 _TOKEN_ATTR = "_parallel_token"
@@ -219,16 +224,13 @@ def effective_cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def resolve_min_pairs(
-    num_workers: int, explicit: Optional[int] = None
-) -> Optional[int]:
+def resolve_min_pairs(num_workers: int) -> Optional[int]:
     """The slab-size floor below which scoring stays in-process, or
     ``None`` when the pool should not engage at all.
 
-    Precedence: the ``REPRO_PARALLEL_MIN_PAIRS`` override (``0`` = always
-    engage), then the explicit ``parallel_min_slab_pairs`` knob, then the
-    adaptive default — ``None`` on hosts without a second usable core
-    (where worker processes can only lose wall-clock), else
+    The ``REPRO_PARALLEL_MIN_PAIRS`` override (``0`` = always engage) wins;
+    otherwise the adaptive default — ``None`` on hosts without a second
+    usable core (where worker processes can only lose wall-clock), else
     ``max(2 * workers, MIN_PARALLEL_PAIRS)``.
     """
     raw = os.environ.get(MIN_PAIRS_ENV, "").strip()
@@ -242,24 +244,9 @@ def resolve_min_pairs(
         if value < 0:
             raise ConfigurationError(f"{MIN_PAIRS_ENV} must be >= 0")
         return value
-    if explicit is not None:
-        return explicit
     if effective_cpu_count() < 2:
         return None
     return max(2 * num_workers, MIN_PARALLEL_PAIRS)
-
-
-def _resolve_transport(transport: Optional[str] = None) -> str:
-    """Validate/default the payload transport (knob, env, platform)."""
-    if transport is None:
-        transport = os.environ.get(TRANSPORT_ENV, "").strip() or "shm"
-    if transport not in _TRANSPORTS:
-        raise ConfigurationError(
-            f"parallel transport must be one of {_TRANSPORTS}, got {transport!r}"
-        )
-    if transport == "shm" and not slabs.shared_memory_available():
-        return "pickle"  # pragma: no cover - platform without shm
-    return transport
 
 
 class _LoadFailure:
@@ -409,14 +396,15 @@ class SlabExecutor:
         start_method: Optional[str] = None,
         policy: Optional[RecoveryPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
-        transport: Optional[str] = None,
     ) -> None:
         if num_workers < 2:
             raise ConfigurationError(
                 "SlabExecutor needs at least 2 workers; workers=1 stays in-process"
             )
         self.num_workers = num_workers
-        self.transport = _resolve_transport(transport)
+        # Shared memory where the platform has it; the pickle envelope is
+        # the fallback (and, per payload, the route for values beyond int64).
+        self.transport = "shm" if slabs.shared_memory_available() else "pickle"
         self.policy = policy if policy is not None else RecoveryPolicy()
         self.health = PoolHealth()
         self.breaker = CircuitBreaker(self)
@@ -843,11 +831,7 @@ class SlabExecutor:
 _EXECUTORS: Dict[Tuple[int, str], SlabExecutor] = {}
 
 
-def get_executor(
-    num_workers: int,
-    policy: Optional[RecoveryPolicy] = None,
-    transport: Optional[str] = None,
-) -> SlabExecutor:
+def get_executor(num_workers: int) -> SlabExecutor:
     """The shared pool for ``num_workers`` under the current start method,
     (re)spawned lazily.
 
@@ -858,12 +842,9 @@ def get_executor(
     after ``REPRO_PARALLEL_START_METHOD`` asks for ``spawn``.  A cached
     pool is rebuilt when it was closed or when the ``REPRO_FAULT_PLAN``
     environment hook changed (a new chaos scenario must reach fresh
-    workers).  A caller-supplied ``policy``/``transport`` updates the
-    pool's knobs in place.
+    workers).
     """
-    import os as os_module
-
-    env_plan = os_module.environ.get("REPRO_FAULT_PLAN", "").strip() or None
+    env_plan = os.environ.get(FAULT_PLAN_ENV, "").strip() or None
     start_method = _preferred_start_method()
     key = (num_workers, start_method)
     executor = _EXECUTORS.get(key)
@@ -873,18 +854,9 @@ def get_executor(
         executor.close()
         executor = None
     if executor is None:
-        executor = SlabExecutor(
-            num_workers,
-            start_method=start_method,
-            policy=policy,
-            transport=transport,
-        )
+        executor = SlabExecutor(num_workers, start_method=start_method)
         _EXECUTORS[key] = executor
     else:
-        if policy is not None:
-            executor.policy = policy
-        if transport is not None:
-            executor.transport = _resolve_transport(transport)
         executor.ensure_workers()
     return executor
 
@@ -914,12 +886,10 @@ class ParallelSlabScorer:
     the selected pair.
     """
 
-    def __init__(
-        self, cost, executor: SlabExecutor, min_pairs: Optional[int] = None
-    ) -> None:
+    def __init__(self, cost, executor: SlabExecutor) -> None:
         self.cost = cost
         self.executor = executor
-        self.min_pairs = resolve_min_pairs(executor.num_workers, explicit=min_pairs)
+        self.min_pairs = resolve_min_pairs(executor.num_workers)
 
     def __call__(self, pairs) -> List[float]:
         pairs = list(pairs)
@@ -980,13 +950,7 @@ class ParallelSlabScorer:
         return parts
 
 
-def parallel_many_scorer(
-    cost,
-    num_workers: int,
-    policy: Optional[RecoveryPolicy] = None,
-    transport: Optional[str] = None,
-    min_pairs: Optional[int] = None,
-) -> Optional[ParallelSlabScorer]:
+def parallel_many_scorer(cost, num_workers: int) -> Optional[ParallelSlabScorer]:
     """A parallel scorer for ``cost``, or ``None`` if it cannot (or should
     not) be shipped.
 
@@ -996,10 +960,7 @@ def parallel_many_scorer(
     other ``many``-bearing costs stay on the in-process path.  Returns
     ``None`` — without spawning anything — when adaptive engagement rules
     the pool out (:func:`resolve_min_pairs`), so ``parallel_workers > 1``
-    on a single-core host costs nothing at all.  ``policy`` (e.g. from
-    :meth:`ColorReduceParameters.parallel_recovery_policy`) tunes the
-    shared pool's retry/breaker knobs; ``transport``/``min_pairs`` map the
-    ``parallel_transport``/``parallel_min_slab_pairs`` knobs through.
+    on a single-core host costs nothing at all.
     """
     if num_workers < 2:
         return None
@@ -1007,10 +968,6 @@ def parallel_many_scorer(
 
     if not isinstance(cost, BatchCostEvaluatorBase):
         return None
-    if resolve_min_pairs(num_workers, explicit=min_pairs) is None:
+    if resolve_min_pairs(num_workers) is None:
         return None
-    return ParallelSlabScorer(
-        cost,
-        get_executor(num_workers, policy=policy, transport=transport),
-        min_pairs=min_pairs,
-    )
+    return ParallelSlabScorer(cost, get_executor(num_workers))

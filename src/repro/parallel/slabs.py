@@ -27,10 +27,11 @@ original pair objects for the selection outcome.
 
 Shared-memory transport
 -----------------------
-Under the default ``shm`` transport both payload kinds move their bulk data
-out of band through named ``multiprocessing.shared_memory`` segments; only
-small control tuples (segment name, generation, manifest, shard bounds)
-cross the queues.  The parent *owns* every segment it publishes: each one
+Where the platform has shared memory (:func:`shared_memory_available`,
+checked once per pool) both payload kinds move their bulk data out of band
+through named ``multiprocessing.shared_memory`` segments; only small
+control tuples (segment name, generation, manifest, shard bounds) cross the
+queues.  The parent *owns* every segment it publishes: each one
 is recorded in a process-wide registry and unlinked exactly once — on
 evaluator-cache eviction, executor close, end of the slab's job, or at
 interpreter exit (``atexit``) as the last resort.  Workers only ever attach

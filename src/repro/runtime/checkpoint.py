@@ -31,11 +31,12 @@ removed by the next write or load.
 
 Fingerprints: a checkpoint is only valid for the exact run that produced
 it.  The header binds the algorithm name, a parameter fingerprint (every
-field of the parameter set *except* the durability knobs themselves — you
-may resume with a different budget or checkpoint cadence, but not with a
-different seed, strategy or batch routing), an instance fingerprint (graph
-CSR content + palette contents) and the run's global node count.  A
-mismatch on resume is a :class:`~repro.errors.ConfigurationError`.
+field of the parameter set *except* the durability knobs themselves and
+the worker count — you may resume with a different budget, checkpoint
+cadence or ``parallel_workers``, but not with a different seed, strategy
+or batch routing), an instance fingerprint (graph CSR content + palette
+contents) and the run's global node count.  A mismatch on resume is a
+:class:`~repro.errors.ConfigurationError`.
 """
 
 from __future__ import annotations
@@ -75,6 +76,12 @@ DURABILITY_FIELDS = frozenset(
     }
 )
 
+#: Fields :func:`fingerprint_params` skips: the durability knobs plus the
+#: worker count, which only decides where candidates are scored (outputs
+#: are bit-identical for every value).  Unlike the durability knobs it stays
+#: a service override, so it is not in :data:`DURABILITY_FIELDS`.
+_UNFINGERPRINTED = DURABILITY_FIELDS | {"parallel_workers"}
+
 #: Test hook: when set to ``N``, the process SIGKILLs itself immediately
 #: after the ``N``-th checkpoint write — a deterministic "host died at a
 #: level boundary" for the chaos suite.
@@ -85,10 +92,11 @@ KILL_AFTER_CHECKPOINTS_ENV = "REPRO_TEST_KILL_AFTER_CHECKPOINTS"
 # fingerprints
 # --------------------------------------------------------------------------
 def fingerprint_params(params: Any) -> str:
-    """sha256 over every non-durability field of a parameter dataclass."""
+    """sha256 over the fields of a parameter dataclass that can change the
+    output: all but the durability knobs and ``parallel_workers``."""
     items = [("__params__", type(params).__name__)]
     for spec in fields(params):
-        if spec.name in DURABILITY_FIELDS:
+        if spec.name in _UNFINGERPRINTED:
             continue
         items.append((spec.name, repr(getattr(params, spec.name))))
     return hashlib.sha256(repr(sorted(items)).encode("utf-8")).hexdigest()
@@ -168,7 +176,8 @@ def validate_header(
         raise ConfigurationError(
             f"checkpoint {path} was recorded for a different run "
             f"(mismatched: {', '.join(mismatched)}); --resume requires the "
-            "same graph, palettes and non-durability parameters"
+            "same graph, palettes and parameters (durability knobs and "
+            "the worker count may differ)"
         )
 
 

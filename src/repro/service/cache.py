@@ -7,18 +7,19 @@ purely from the inputs is a complete identity for the output:
 
     key = sha256(algorithm
                  || instance fingerprint   (CSR arrays + palette store)
-                 || parameter fingerprint  (every non-durability field))
+                 || parameter fingerprint  (every field but the durability
+                                            knobs and the worker count))
 
 The two fingerprints are exactly the ones the checkpoint layer already
 binds resume files with (:func:`repro.runtime.checkpoint.fingerprint_instance`,
 :func:`repro.runtime.checkpoint.fingerprint_params`) — one derivation,
-two consumers, no drift.  Durability knobs are excluded on purpose: a
-result computed under a different checkpoint cadence or memory budget is
-still the same result.
+two consumers, no drift.  Durability knobs and ``parallel_workers`` are
+excluded on purpose: a result computed under a different checkpoint
+cadence, memory budget or worker count is still the same result.
 
 Invalidation is purely *by construction*: any change to the graph, the
 palettes (including the submission seed that generates them), any
-non-durability parameter, or the algorithm yields a different key; there
+fingerprinted parameter, or the algorithm yields a different key; there
 is no TTL and no by-hand invalidation, because a cached value can never
 become wrong — only unreferenced.  The in-memory tier is a bounded LRU;
 the optional disk tier (one ``<key>.json`` per result, written atomically)

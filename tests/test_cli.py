@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -76,10 +81,7 @@ class TestCLI:
         from repro.parallel import shutdown_executors
 
         try:
-            code = main(
-                ["color", "--nodes", "100", "--parallel-workers", "3",
-                 "--parallel-shard-timeout", "10"]
-            )
+            code = main(["color", "--nodes", "100", "--parallel-workers", "3"])
         finally:
             shutdown_executors()
         captured = capsys.readouterr()
@@ -104,14 +106,48 @@ class TestCLI:
         assert "warning:" not in captured.err
 
     def test_invalid_recovery_knob_is_a_one_line_error(self, capsys):
-        code = main(
-            ["color", "--nodes", "100", "--parallel-workers", "2",
-             "--parallel-breaker-threshold", "0"]
-        )
+        # The pool's recovery knobs are no longer flags: argparse rejects
+        # them with its usual one-line usage error.
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["color", "--nodes", "100", "--parallel-workers", "2",
+                 "--parallel-breaker-threshold", "0"]
+            )
         captured = capsys.readouterr()
-        assert code == 2
-        assert "error:" in captured.err
-        assert "breaker_threshold" in captured.err
+        assert excinfo.value.code == 2
+        assert "error: unrecognized arguments" in captured.err
+        assert "--parallel-breaker-threshold" in captured.err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--parallel-max-retries", "2"),
+            ("--parallel-shard-timeout", "30"),
+            ("--parallel-breaker-threshold", "3"),
+            ("--parallel-breaker-cooldown", "8"),
+            ("--parallel-transport", "shm"),
+            ("--parallel-min-slab-pairs", "0"),
+        ],
+    )
+    def test_retired_pool_flags_are_rejected(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["color", "--nodes", "60", flag, value])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_retired_transport_flag_exits_two_from_the_shell(self):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "color", "--parallel-transport", "shm"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert result.returncode == 2
+        assert "--parallel-transport" in result.stderr
 
 
 class TestCLIInputHardening:

@@ -189,6 +189,14 @@ class TestFingerprints:
         b = ColorReduceParameters.scaled(num_bins=6)
         assert fingerprint_params(a) != fingerprint_params(b)
 
+    @pytest.mark.parametrize("cls", [ColorReduceParameters, LowSpaceParameters])
+    def test_worker_count_does_not_change_the_params_fingerprint(self, cls):
+        # Outputs are bit-identical for every worker count, so a checkpoint
+        # or cached result serves them all.
+        assert fingerprint_params(cls(parallel_workers=1)) == fingerprint_params(
+            cls(parallel_workers=2)
+        )
+
     def test_param_set_class_participates(self):
         assert fingerprint_params(ColorReduceParameters()) != fingerprint_params(
             LowSpaceParameters()
@@ -404,10 +412,14 @@ class TestResumeBitIdentity:
         ).run(graph, palettes)
         _assert_same_run(resumed, reference)
 
-    def test_resume_is_neutral_with_parallel_workers(self, tmp_path, instance):
+    def test_resume_is_neutral_with_parallel_workers(
+        self, tmp_path, instance, monkeypatch
+    ):
         graph, palettes = instance
-        scaled = dict(num_bins=4, parallel_workers=2, parallel_min_slab_pairs=2)
-        from repro.parallel import shutdown_executors
+        scaled = dict(num_bins=4, parallel_workers=2)
+        from repro.parallel import MIN_PAIRS_ENV, shutdown_executors
+
+        monkeypatch.setenv(MIN_PAIRS_ENV, "2")
 
         try:
             reference = ColorReduce(
@@ -474,6 +486,50 @@ class TestKillAndResume:
         ).run(graph, palettes)
         _assert_same_run(resumed, reference)
         assert resumed.durability.resumed
+
+    @pytest.mark.parametrize(
+        "algorithm, driver, params_cls, nodes, seed, kill_after",
+        [
+            ("congested-clique", ColorReduce, ColorReduceParameters, 400, 1, 2),
+            ("low-space", LowSpaceColorReduce, LowSpaceParameters, 600, 3, 3),
+        ],
+        ids=["color-reduce", "low-space"],
+    )
+    def test_checkpoint_at_one_worker_resumes_at_two(
+        self, tmp_path, monkeypatch, algorithm, driver, params_cls, nodes, seed,
+        kill_after,
+    ):
+        """The worker count is not part of a run's identity: a run killed
+        at one worker resumes with the pool engaged, bit-identically."""
+        from dataclasses import astuple
+
+        from repro.parallel import MIN_PAIRS_ENV, shutdown_executors
+
+        ck = str(tmp_path / "one-worker.ckpt")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "color", "--nodes", str(nodes),
+             "--seed", str(seed), "--algorithm", algorithm, "--checkpoint", ck],
+            env=_cli_env(REPRO_TEST_KILL_AFTER_CHECKPOINTS=str(kill_after)),
+            capture_output=True,
+            timeout=300,
+        )
+        assert proc.returncode == -signal.SIGKILL, proc.stderr.decode()
+        graph, palettes, _spec = build_workload("dense-random-lists", nodes, seed=seed)
+        reference = driver(params=params_cls()).run(graph, palettes)
+        monkeypatch.setenv(MIN_PAIRS_ENV, "0")
+        try:
+            resumed = driver(
+                params=params_cls(parallel_workers=2, resume_path=ck)
+            ).run(graph, palettes)
+        finally:
+            shutdown_executors()
+        assert resumed.coloring == reference.coloring
+        assert astuple(resumed.recursion_root) == astuple(reference.recursion_root)
+        assert resumed.rounds == reference.rounds
+        assert resumed.ledger.snapshot() == reference.ledger.snapshot()
+        assert resumed.durability.subtrees_restored >= 1
+        # The pool really scored part of the resumed walk.
+        assert resumed.pool_health.bytes_shared + resumed.pool_health.bytes_shipped > 0
 
     def test_cli_resume_after_kill_completes_with_exit_zero(self, tmp_path):
         ck = str(tmp_path / "cli.ckpt")
@@ -709,15 +765,20 @@ class TestOrphanSweep:
 @pytest.mark.slow
 class TestAcceptanceScale:
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_e5_nodes_sigkill_resume_bit_identical(self, tmp_path, workers):
+    def test_e5_nodes_sigkill_resume_bit_identical(
+        self, tmp_path, monkeypatch, workers
+    ):
         """n = 10^5: SIGKILL the run mid-flight, resume, and require the
         bit-identical coloring/tree/ledger — at 1 worker and with the
         multiprocess pool engaged."""
         graph = generators.erdos_renyi(100_000, 16 / 100_000, seed=42)
         palettes = generators.degree_plus_one_palettes(graph, seed=43)
         scaled = dict(num_bins=4, collect_factor=0.25)
+        child_env = dict(REPRO_TEST_KILL_AFTER_CHECKPOINTS="2")
         if workers > 1:
-            scaled.update(parallel_workers=workers, parallel_min_slab_pairs=2)
+            scaled.update(parallel_workers=workers)
+            child_env.update(REPRO_PARALLEL_MIN_PAIRS="2")
+            monkeypatch.setenv("REPRO_PARALLEL_MIN_PAIRS", "2")
         from repro.parallel import shutdown_executors
 
         try:
@@ -738,13 +799,13 @@ class TestAcceptanceScale:
                         "from repro.graph import generators\n"
                         "g = generators.erdos_renyi(100_000, 16 / 100_000, seed=42)\n"
                         "p = generators.degree_plus_one_palettes(g, seed=43)\n"
-                        f"extra = dict(parallel_workers={workers}, parallel_min_slab_pairs=2) if {workers} > 1 else dict()\n"
+                        f"extra = dict(parallel_workers={workers}) if {workers} > 1 else dict()\n"
                         "params = LowSpaceParameters.scaled(num_bins=4, low_degree_threshold=6,\n"
                         f"    checkpoint_path={ck!r}, **extra)\n"
                         "LowSpaceColorReduce(params=params).run(g, p)\n"
                     ),
                 ],
-                env=_cli_env(REPRO_TEST_KILL_AFTER_CHECKPOINTS="2"),
+                env=_cli_env(**child_env),
                 capture_output=True,
                 timeout=1800,
             )

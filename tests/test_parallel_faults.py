@@ -361,7 +361,7 @@ class TestScorerDegradation:
         )
         executor = SlabExecutor(2, policy=policy, fault_plan=plan)
         try:
-            scorer = ParallelSlabScorer(cost, executor, min_pairs=2)
+            scorer = ParallelSlabScorer(cost, executor)
             slabs = [_pairs(selection_setup, 10, salt=13 * i) for i in range(6)]
             for slab in slabs:
                 assert scorer(slab) == cost.many(slab)  # every path bit-exact
@@ -377,7 +377,7 @@ class TestScorerDegradation:
         cost = _fresh_cost(selection_setup)
         executor = SlabExecutor(2, policy=FAST)
         executor.close()  # simulate a pool lost out from under the scorer
-        scorer = ParallelSlabScorer(cost, executor, min_pairs=2)
+        scorer = ParallelSlabScorer(cost, executor)
         pairs = _pairs(selection_setup, 9)
         assert scorer(pairs) == cost.many(pairs)
         assert executor.health.in_process_rescues == 1
@@ -415,14 +415,6 @@ class TestPoolHygiene:
 # registry behaviour under faults
 # ----------------------------------------------------------------------
 class TestRegistry:
-    def test_policy_updates_in_place_without_rebuilding(self, monkeypatch):
-        monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
-        first = get_executor(2, policy=RecoveryPolicy(max_shard_retries=1))
-        second = get_executor(2, policy=RecoveryPolicy(max_shard_retries=5))
-        assert second is first
-        assert first.policy.max_shard_retries == 5
-        shutdown_executors()
-
     def test_env_fault_plan_change_rebuilds_the_pool(self, monkeypatch):
         monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
         clean = get_executor(2)
@@ -444,7 +436,7 @@ def _chaos_graph():
     return erdos_renyi(150, 0.12, seed=23)
 
 
-def _run_color_reduce(workers: int, **knobs):
+def _run_color_reduce(workers: int):
     # EXHAUSTIVE scores every candidate batch through the batch scorer, so
     # the pool genuinely sees a stream of slabs (FIRST_FEASIBLE usually
     # stops at its one-candidate head slab on these instances and would
@@ -456,7 +448,6 @@ def _run_color_reduce(workers: int, **knobs):
         parallel_workers=workers,
         selection_strategy=SelectionStrategy.EXHAUSTIVE,
         selection_max_candidates=64,
-        **knobs,
     )
     graph = _chaos_graph()
     palettes = PaletteAssignment.delta_plus_one(graph)
@@ -476,6 +467,12 @@ def _run_signature(result):
     )
 
 
+def _chaos_pool(workers: int, **policy) -> None:
+    """Give the shared pool for ``workers`` (spawned under the current fault
+    plan) a fast recovery policy; the run picks up the same pool."""
+    get_executor(workers).policy = RecoveryPolicy(shard_timeout=0.5, **policy)
+
+
 @pytest.fixture(scope="module")
 def fault_free_baseline():
     return _run_signature(_run_color_reduce(workers=1))
@@ -493,9 +490,8 @@ class TestEndToEndChaos:
             FaultSpec(worker=0, task=2, kind=kind, seconds=1.2)
         )
         monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
-        result = _run_color_reduce(
-            workers, parallel_shard_timeout=0.5, parallel_max_retries=2
-        )
+        _chaos_pool(workers, max_shard_retries=2)
+        result = _run_color_reduce(workers)
         assert _run_signature(result) == fault_free_baseline
         if kind in ("crash",):
             assert result.pool_health.worker_respawns >= 1
@@ -515,9 +511,8 @@ class TestEndToEndChaos:
             FaultSpec(worker=3, task=EVERY_TASK, kind="garble"),
         )
         monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
-        result = _run_color_reduce(
-            4, parallel_shard_timeout=0.5, parallel_max_retries=1
-        )
+        _chaos_pool(4, max_shard_retries=1)
+        result = _run_color_reduce(4)
         assert _run_signature(result) == fault_free_baseline
         health = result.pool_health
         assert health.degraded
@@ -536,7 +531,7 @@ class TestEndToEndChaos:
 
 
 # ----------------------------------------------------------------------
-# parameter plumbing for the new knobs
+# the recovery policy (the pool's own, not a run parameter)
 # ----------------------------------------------------------------------
 class TestRecoveryKnobs:
     def test_policy_validation(self):
@@ -548,33 +543,3 @@ class TestRecoveryKnobs:
             RecoveryPolicy(breaker_threshold=0)
         with pytest.raises(ConfigurationError):
             RecoveryPolicy(breaker_cooldown=0)
-
-    def test_params_validate_and_forward_the_knobs(self):
-        from repro.core.low_space.params import LowSpaceParameters
-
-        for bad in (
-            dict(parallel_max_retries=-1),
-            dict(parallel_shard_timeout=0.0),
-            dict(parallel_breaker_threshold=0),
-            dict(parallel_breaker_cooldown=0),
-        ):
-            with pytest.raises(ConfigurationError):
-                ColorReduceParameters(**bad)
-            with pytest.raises(ConfigurationError):
-                LowSpaceParameters(**bad)
-        params = ColorReduceParameters(
-            parallel_workers=2,
-            parallel_max_retries=7,
-            parallel_shard_timeout=11.0,
-            parallel_breaker_threshold=4,
-            parallel_breaker_cooldown=9,
-        )
-        policy = params.parallel_recovery_policy()
-        assert policy == RecoveryPolicy(
-            max_shard_retries=7,
-            shard_timeout=11.0,
-            breaker_threshold=4,
-            breaker_cooldown=9,
-        )
-        assert ColorReduceParameters().parallel_recovery_policy() is None
-        assert LowSpaceParameters().parallel_recovery_policy() is None

@@ -3,7 +3,10 @@
 The contract under test (see "Transport" in ``docs/ARCHITECTURE.md``): the
 zero-copy shared-memory transport changes only *how* bytes reach the
 workers — every value, selection outcome and coloring is bit-identical to
-both the pickle transport and the in-process path; the parent owns every
+both the pickle envelope and the in-process path.  The pool picks its
+transport from the platform, so the pickle reference is reached by
+switching shared memory off (:func:`_without_shared_memory`), exactly as
+on a platform without it.  The parent owns every
 ``repro_*`` segment and unlinks it on eviction, close and interpreter
 exit, so no run leaves segments behind in ``/dev/shm`` — even when a
 worker crashes mid-slab.
@@ -20,13 +23,11 @@ from repro.core.classification import partition_cost_function
 from repro.core.color_reduce import ColorReduce
 from repro.core.params import ColorReduceParameters
 from repro.core.partition import Partition
-from repro.errors import ConfigurationError
 from repro.graph.generators import erdos_renyi
 from repro.graph.palettes import PaletteAssignment
 from repro.parallel import (
     FAULT_PLAN_ENV,
     SEGMENT_PREFIX,
-    TRANSPORT_ENV,
     FaultPlan,
     FaultSpec,
     RecoveryPolicy,
@@ -96,6 +97,17 @@ def _pairs(setup, count, salt=0):
 
 
 FAST = RecoveryPolicy(max_shard_retries=2, shard_timeout=1.5, retry_backoff=0.01)
+
+
+def _without_shared_memory(monkeypatch) -> None:
+    """Make pools built from here on see a platform without shared memory,
+    so they take the pickle envelope (the differential reference)."""
+    monkeypatch.setattr(slabs, "shared_memory_available", lambda: False)
+
+
+def _use_transport(monkeypatch, transport: str) -> None:
+    if transport == "pickle":
+        _without_shared_memory(monkeypatch)
 
 
 # ----------------------------------------------------------------------
@@ -194,37 +206,43 @@ class TestEvaluatorEnvelope:
 # ----------------------------------------------------------------------
 class TestShmExecutor:
     @pytest.mark.parametrize("transport", ["shm", "pickle"])
-    def test_sharded_scoring_equals_in_process_many(self, selection_setup, transport):
+    def test_sharded_scoring_equals_in_process_many(
+        self, selection_setup, transport, monkeypatch
+    ):
         cost = _fresh_cost(selection_setup)
         pairs = _pairs(selection_setup, 11)
-        executor = SlabExecutor(2, policy=FAST, transport=transport)
+        _use_transport(monkeypatch, transport)
+        executor = SlabExecutor(2, policy=FAST)
         try:
+            assert executor.transport == transport
             assert executor.score_slab(cost, pairs) == cost.many(pairs)
         finally:
             executor.close()
 
-    def test_transport_env_override_and_validation(self, monkeypatch):
-        from repro.parallel.executor import _resolve_transport
+    def test_shared_pool_transport_follows_the_platform(self, monkeypatch):
+        monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
+        shutdown_executors()
+        try:
+            assert get_executor(2).transport == "shm"
+            shutdown_executors()
+            _without_shared_memory(monkeypatch)
+            assert get_executor(2).transport == "pickle"
+        finally:
+            shutdown_executors()
 
-        monkeypatch.setenv(TRANSPORT_ENV, "pickle")
-        assert _resolve_transport(None) == "pickle"
-        assert _resolve_transport("shm") == "shm"  # explicit beats env
-        monkeypatch.setenv(TRANSPORT_ENV, "carrier-pigeon")
-        with pytest.raises(ConfigurationError):
-            _resolve_transport(None)
-
-    def test_volume_counters_split_by_transport(self, selection_setup):
+    def test_volume_counters_split_by_transport(self, selection_setup, monkeypatch):
         cost = _fresh_cost(selection_setup)
         pairs = _pairs(selection_setup, 11)
 
-        executor = SlabExecutor(2, policy=FAST, transport="shm")
+        executor = SlabExecutor(2, policy=FAST)
         try:
             executor.score_slab(cost, pairs)
             assert executor.health.bytes_shared > 0
         finally:
             executor.close()
 
-        executor = SlabExecutor(2, policy=FAST, transport="pickle")
+        _without_shared_memory(monkeypatch)
+        executor = SlabExecutor(2, policy=FAST)
         try:
             executor.score_slab(cost, pairs)
             assert executor.health.bytes_shared == 0
@@ -234,7 +252,7 @@ class TestShmExecutor:
 
     def test_volume_counters_never_degrade_health(self, selection_setup):
         cost = _fresh_cost(selection_setup)
-        executor = SlabExecutor(2, policy=FAST, transport="shm")
+        executor = SlabExecutor(2, policy=FAST)
         try:
             executor.score_slab(cost, _pairs(selection_setup, 8))
             health = executor.health
@@ -256,7 +274,7 @@ class TestSegmentHygiene:
         pairs = _pairs(selection_setup, 8)
         before = _repro_segments()
         for _ in range(8):
-            executor = SlabExecutor(2, policy=FAST, transport="shm")
+            executor = SlabExecutor(2, policy=FAST)
             try:
                 assert executor.score_slab(cost, pairs) == cost.many(pairs)
             finally:
@@ -268,9 +286,7 @@ class TestSegmentHygiene:
         pairs = _pairs(selection_setup, 10)
         plan = FaultPlan.of(FaultSpec(worker=0, task=1, kind="crash"))
         before = _repro_segments()
-        executor = SlabExecutor(
-            2, policy=FAST, fault_plan=plan, transport="shm"
-        )
+        executor = SlabExecutor(2, policy=FAST, fault_plan=plan)
         try:
             assert executor.score_slab(cost, pairs) == cost.many(pairs)
             assert executor.health.worker_respawns >= 1
@@ -282,7 +298,7 @@ class TestSegmentHygiene:
         from repro.parallel.executor import WORKER_CACHE_SIZE
 
         graph, palettes, params, ell, _, _ = selection_setup
-        executor = SlabExecutor(2, policy=FAST, transport="shm")
+        executor = SlabExecutor(2, policy=FAST)
         try:
             before = _repro_segments()
             for extra in range(WORKER_CACHE_SIZE + 1):
@@ -331,7 +347,7 @@ class TestStartMethodRegistry:
 # ----------------------------------------------------------------------
 # end-to-end: chaos replay against the shm transport
 # ----------------------------------------------------------------------
-def _run_color_reduce(workers: int, **knobs):
+def _run_color_reduce(workers: int):
     from repro.derand.conditional_expectation import SelectionStrategy
 
     params = ColorReduceParameters.scaled(
@@ -339,7 +355,6 @@ def _run_color_reduce(workers: int, **knobs):
         parallel_workers=workers,
         selection_strategy=SelectionStrategy.EXHAUSTIVE,
         selection_max_candidates=64,
-        **knobs,
     )
     graph = erdos_renyi(150, 0.12, seed=23)
     palettes = PaletteAssignment.delta_plus_one(graph)
@@ -370,9 +385,11 @@ class TestEndToEndShm:
     ):
         monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
         shutdown_executors()
-        result = _run_color_reduce(
-            workers=2, parallel_transport=transport, parallel_shard_timeout=10
-        )
+        _use_transport(monkeypatch, transport)
+        pool = get_executor(2)
+        assert pool.transport == transport
+        pool.policy = RecoveryPolicy(shard_timeout=10)
+        result = _run_color_reduce(workers=2)
         assert _run_signature(result) == fault_free_baseline
         shutdown_executors()
 
@@ -386,12 +403,10 @@ class TestEndToEndShm:
         )
         monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
         shutdown_executors()
-        result = _run_color_reduce(
-            workers=2,
-            parallel_transport="shm",
-            parallel_shard_timeout=0.5,
-            parallel_max_retries=1,
-        )
+        pool = get_executor(2)
+        assert pool.transport == "shm"
+        pool.policy = RecoveryPolicy(shard_timeout=0.5, max_shard_retries=1)
+        result = _run_color_reduce(workers=2)
         assert _run_signature(result) == fault_free_baseline
         assert result.pool_health.degraded
         shutdown_executors()
@@ -406,9 +421,9 @@ class TestEndToEndShm:
         h1 = family1.from_seed_int(9)
         h2 = family2.from_seed_int(14)
         serial_classification, serial_restricted = cost.classify_selected(h1, h2)
-        executor = SlabExecutor(2, policy=FAST, transport="shm")
+        executor = SlabExecutor(2, policy=FAST)
         try:
-            scorer = ParallelSlabScorer(cost, executor, min_pairs=2)
+            scorer = ParallelSlabScorer(cost, executor)
             classification, restricted = cost.classify_selected(
                 h1, h2, scorer=scorer
             )

@@ -160,12 +160,6 @@ class TestSharedValidation:
             ("selection_batch_size", -3, "selection_batch_size must be positive"),
             ("selection_max_candidates", 0, "selection_max_candidates must be positive"),
             ("parallel_workers", 0, "parallel_workers must be at least 1"),
-            ("parallel_max_retries", -1, "parallel_max_retries must be >= 0"),
-            ("parallel_shard_timeout", 0.0, "parallel_shard_timeout must be positive"),
-            ("parallel_breaker_threshold", 0, "parallel_breaker_threshold must be >= 1"),
-            ("parallel_breaker_cooldown", 0, "parallel_breaker_cooldown must be >= 1"),
-            ("parallel_transport", "carrier-pigeon", "must be 'shm' or 'pickle'"),
-            ("parallel_min_slab_pairs", -1, "parallel_min_slab_pairs must be >= 0"),
             # rejected at construction, not mid-recursion as "depth 0 exceeded"
             ("max_recursion_depth", 0, "max_recursion_depth must be positive"),
             ("max_recursion_depth", -3, "max_recursion_depth must be positive"),
@@ -186,10 +180,6 @@ class TestSharedValidation:
             selection_batch_size=1,
             selection_max_candidates=1,
             parallel_workers=1,
-            parallel_max_retries=0,
-            parallel_breaker_threshold=1,
-            parallel_breaker_cooldown=1,
-            parallel_min_slab_pairs=0,
         )
         assert params.selection_batch_size == 1
 
@@ -199,6 +189,24 @@ class TestSharedValidation:
         with pytest.raises(TypeError):
             cls(**{flag: False})
 
+    @pytest.mark.parametrize("cls", PARAMETER_SETS)
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("parallel_max_retries", 2),
+            ("parallel_shard_timeout", 30.0),
+            ("parallel_breaker_threshold", 3),
+            ("parallel_breaker_cooldown", 8),
+            ("parallel_transport", "shm"),
+            ("parallel_min_slab_pairs", None),
+        ],
+    )
+    def test_retired_pool_knobs_are_gone(self, cls, knob, value):
+        # parallel_workers is the one parallel knob left; the pool tunes
+        # the rest itself.  Even the old default values are rejected.
+        with pytest.raises(TypeError):
+            cls(**{knob: value})
+
 
 class TestRunParameters:
     """Both parameter sets inherit the shared run knobs from one base."""
@@ -207,17 +215,19 @@ class TestRunParameters:
         from dataclasses import fields
 
         shared = {spec.name for spec in fields(RunParameters)}
-        assert len(shared) == 15
+        assert len(shared) == 9
         for cls in (ColorReduceParameters, LowSpaceParameters):
             assert issubclass(cls, RunParameters)
             assert shared <= {spec.name for spec in fields(cls)}
 
     def test_color_reduce_fingerprint_unchanged(self):
+        # The pin guards against accidental changes: every digest change
+        # invalidates existing checkpoints and service cache entries.
         # fingerprint_params sorts by field name, so moving fields into the
-        # base keeps checkpoints and service cache keys of ColorReduce runs
-        # valid; this is the digest from before the base existed.
+        # base kept it; retiring the six pool knobs (and no longer hashing
+        # parallel_workers) changed it on purpose.
         from repro.runtime.checkpoint import fingerprint_params
 
         assert fingerprint_params(ColorReduceParameters()) == (
-            "9ff5e0613d0399638bf2e4eda30820568fff0b846e1e4c9de763cdd296cad6c7"
+            "beb664b02eaf7d965635f8402ac25f731007aad79b8e245a61db72ca861c14f2"
         )

@@ -142,6 +142,21 @@ def test_repeat_submission_is_cache_hit_with_zero_recompute(make_service):
     assert service.result(second["job"]) == service.result(first["job"])
 
 
+def test_repeat_submission_with_other_worker_count_is_cache_hit(make_service):
+    # Outputs are bit-identical for every worker count, so the worker
+    # count is not part of the cache key; it stays a valid override.
+    service = make_service()
+    body = {"algorithm": "low-space", "edges": EDGES, "seed": 7}
+    first = wait_for(service, service.submit(body)["job"])
+    assert service.telemetry.jobs_computed == 1
+
+    second = service.submit(dict(body, params={"parallel_workers": 2}))
+    assert second["state"] == JobState.DONE
+    assert second["cache"]["hit"] is True
+    assert service.telemetry.jobs_computed == 1
+    assert service.result(second["job"]) == service.result(first["job"])
+
+
 def test_cache_survives_service_restart(make_service, tmp_path):
     spool = str(tmp_path / "persistent-spool")
     body = {"algorithm": "low-space", "edges": EDGES, "seed": 9}
@@ -270,6 +285,12 @@ def test_cache_key_ignores_durability_knobs(tmp_path):
         (
             {"edges": EDGES, "algorithm": "low-space", "params": {"max_recursion_depth": 0}},
             "max_recursion_depth must be positive",
+        ),
+        # the pool's retired tuning knobs are unknown names too
+        ({"edges": EDGES, "params": {"parallel_transport": "shm"}}, "unknown parameter"),
+        (
+            {"edges": EDGES, "algorithm": "low-space", "params": {"parallel_shard_timeout": 30.0}},
+            "unknown parameter",
         ),
     ],
 )
@@ -512,9 +533,9 @@ def test_typed_overrides_accepted():
 
     params = build_params(
         "congested-clique",
-        {"parallel_shard_timeout": 5, "num_bins_override": None, "level_use_batch": False},
+        {"collect_factor": 5, "num_bins_override": None, "level_use_batch": False},
     )
-    assert params.parallel_shard_timeout == 5
+    assert params.collect_factor == 5
     assert params.num_bins_override is None
     assert params.level_use_batch is False
     assert build_params("low-space", {"epsilon": 1}).epsilon == 1
