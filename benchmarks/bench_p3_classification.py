@@ -1,11 +1,11 @@
 """P3 — throughput of the post-selection classify + palette-restriction step.
 
 After the derandomized selection settles on a hash pair, ``Partition.run``
-still has to (a) build the full :class:`PartitionClassification` for the
-selected pair and (b) restrict every color bin's palettes to the colors
-``h2`` maps to that bin.  PR 1/2 batched the *selection* and the *subgraph
-extraction*; this step was the biggest Python loop left in the pipeline.
-The batch layer replaces it with
+still has to (a) classify every node for the selected pair
+(:class:`PartitionClassification`) and (b) restrict every color bin's
+palettes to the colors ``h2`` maps to that bin.  With the *selection* and
+the *subgraph extraction* batched, this step was once the biggest Python
+loop left in the pipeline.  The batch layer replaces it with
 :func:`repro.core.classification.classify_partition_batch` (one
 ``hash_many`` call, edge-endpoint compares and ``bincount`` scatters over
 the CSR view) plus
@@ -21,7 +21,11 @@ pair comes from an actual hash selection) for both paths, asserting
 * identical outputs — same classification, field by field, and the same
   restricted palette sets —
 
-so future PRs have a recorded trajectory to regress against.
+so future PRs have a recorded trajectory to regress against.  The
+batched classification keeps per-node columns and builds no
+``NodeClassification`` record unless ``.nodes`` is read, so the timed
+batched step builds none; the equivalence check reads ``.nodes`` and
+compares the records built on demand.
 """
 
 from __future__ import annotations

@@ -20,7 +20,15 @@ Two claims, measured on one large Erdős–Rényi instance:
    ``check_regression.py`` gates the median lower-is-better: the fresh
    time must stay within ``baseline / tolerance``.
 
-3. **Neutrality + determinism** (smoke scale).  The run with
+3. **Low-space end-to-end wall-clock** (gated record
+   ``e2e-lowspace``, ``metric: seconds``).  ``LowSpaceColorReduce`` with
+   the default parameters on ``power_law(n, 4)`` (seed 0) with random
+   (deg+1)-lists (seed ``1_000_003``) — at ``n = 10^5`` the
+   ``ls-powerlaw`` instance of ``perfbench`` — timed with the same
+   median-of-k protocol, the coloring asserted identical across the
+   repeats.
+
+4. **Neutrality + determinism** (smoke scale).  The run with
    ``level_use_batch`` on must produce the *identical* coloring, recursion
    tree and round ledger as with it off — the prefetch only moves work,
    never changes outcomes.  Peak RSS is recorded informationally
@@ -46,9 +54,11 @@ from repro.core.classification import partition_cost_function
 from repro.core.color_reduce import ColorReduce
 from repro.core.driver import child_salt
 from repro.core.level import head_pairs, prefetch_partition_level
+from repro.core.low_space.color_reduce import LowSpaceColorReduce
+from repro.core.low_space.params import LowSpaceParameters
 from repro.core.params import ColorReduceParameters
 from repro.core.partition import Partition
-from repro.graph.generators import erdos_renyi
+from repro.graph.generators import degree_plus_one_palettes, erdos_renyi, power_law
 from repro.graph.palettes import PaletteAssignment
 
 _SCALES = {
@@ -57,6 +67,9 @@ _SCALES = {
     "default": (1_000_000, 8, False),
     "full": (1_000_000, 8, False),
 }
+
+#: Nodes of the low-space end-to-end instance per scale.
+_LOW_SPACE_NODES = {"smoke": 100_000, "default": 1_000_000, "full": 1_000_000}
 
 #: collect_factor 0.25 forces at least two partitioning levels at these
 #: scales (children of the root are still above the collect threshold), so
@@ -131,6 +144,44 @@ def _level_head_scoring(graph, palettes, params, ell, global_nodes, min_children
     return per_bin_seconds, segmented_seconds
 
 
+def _median_of_runs(solve, runs: int):
+    """``(median seconds, samples, first result)`` of ``runs`` timed solves,
+    asserting every repeat reproduces the first run's coloring exactly."""
+    samples = []
+    first = None
+    for _ in range(runs):
+        started = time.perf_counter()
+        result = solve()
+        samples.append(time.perf_counter() - started)
+        if first is None:
+            first = result
+        else:
+            assert result.coloring == first.coloring, (
+                "end-to-end repeats produced different colorings"
+            )
+    return statistics.median(samples), samples, first
+
+
+def _low_space_e2e(experiment_scale: str, runs: int):
+    """The gated ``e2e-lowspace`` record."""
+    graph = power_law(_LOW_SPACE_NODES[experiment_scale], attachment=4, seed=0)
+    palettes = degree_plus_one_palettes(graph, seed=1_000_003)
+    median, samples, _ = _median_of_runs(
+        lambda: LowSpaceColorReduce(LowSpaceParameters()).run(graph, palettes.copy()),
+        runs,
+    )
+    return {
+        "op": "e2e-lowspace",
+        "n": graph.num_nodes,
+        "batch_s": round(median, 5),
+        "speedup": 0.0,
+        "metric": "seconds",
+        "runs": runs,
+        "samples": [round(s, 5) for s in samples],
+        "gate": True,
+    }
+
+
 def test_p8_end_to_end(benchmark, experiment_scale):
     num_nodes, avg_degree, run_reference = _SCALES[experiment_scale]
     graph = erdos_renyi(num_nodes, avg_degree / num_nodes, seed=42)
@@ -154,19 +205,9 @@ def test_p8_end_to_end(benchmark, experiment_scale):
     # hiccup cannot fail the wall-clock gate; every repeat must reproduce
     # the first run's coloring exactly.
     e2e_runs = max(1, int(os.environ.get("BENCH_P8_E2E_RUNS", "3")))
-    samples = []
-    result_on = None
-    for _ in range(e2e_runs):
-        started = time.perf_counter()
-        result = ColorReduce(params_on).run(graph)
-        samples.append(time.perf_counter() - started)
-        if result_on is None:
-            result_on = result
-        else:
-            assert result.coloring == result_on.coloring, (
-                "end-to-end repeats produced different colorings"
-            )
-    on_seconds = statistics.median(samples)
+    on_seconds, samples, result_on = _median_of_runs(
+        lambda: ColorReduce(params_on).run(graph), e2e_runs
+    )
 
     off_seconds = None
     if run_reference:
@@ -184,6 +225,8 @@ def test_p8_end_to_end(benchmark, experiment_scale):
         )
 
     rss_mb = _peak_rss_mb()
+    # After the RSS read: the peak-rss record stays the ColorReduce run's.
+    low_space_record = _low_space_e2e(experiment_scale, e2e_runs)
 
     benchmark.extra_info["num_nodes"] = graph.num_nodes
     benchmark.extra_info["num_edges"] = graph.num_edges
@@ -222,6 +265,7 @@ def test_p8_end_to_end(benchmark, experiment_scale):
     if off_seconds is not None:
         e2e_record["scalar_s"] = round(off_seconds, 5)
     records.insert(1, e2e_record)
+    records.append(low_space_record)
     emit_bench_json("p8", records)
 
     print()
@@ -245,4 +289,9 @@ def test_p8_end_to_end(benchmark, experiment_scale):
             f"  end-to-end ColorReduce (flag on): median {on_seconds:8.2f}s "
             f"of {e2e_runs} run(s) {[round(s, 2) for s in samples]}"
         )
+    print(
+        f"  end-to-end LowSpaceColorReduce: median "
+        f"{low_space_record['batch_s']:8.2f}s of {e2e_runs} run(s) "
+        f"{[round(s, 2) for s in low_space_record['samples']]}"
+    )
     print(f"  peak RSS: {rss_mb:8.1f} MiB")

@@ -27,8 +27,10 @@ Two implementations of the cost coexist, by design:
   palette counts all become ``np.bincount`` scatters.
 * :func:`classify_partition_batch` — the batched form of the *final*
   classification for the pair the selection settled on (one row instead of
-  a candidate batch), producing the same :class:`PartitionClassification`
-  object as the reference.  ``Partition.run`` always takes its fused form,
+  a candidate batch), producing a :class:`PartitionClassification` equal
+  to the reference's; it keeps per-node columns and builds the
+  :class:`NodeClassification` records only if they are read.
+  ``Partition.run`` always takes its fused form,
   :meth:`PartitionCostEvaluator.classify_selected`.
 
 Substitution rule: the batched paths return **bit-identical** results to
@@ -45,7 +47,8 @@ end to end.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, List, Optional, Set
 
 from repro.core.params import ColorReduceParameters
@@ -72,7 +75,16 @@ class NodeClassification:
     reason: str = ""
 
 
-@dataclass
+#: Reason strings of bad nodes, indexed by the reason code that
+#: :meth:`PartitionClassification.from_arrays` stores (0 means good).
+BAD_REASONS = (
+    "",
+    "degree deviation",
+    "palette shortfall",
+    "palette does not exceed in-bin degree",
+)
+
+
 class PartitionClassification:
     """The full outcome of classifying a ``(h1, h2)`` pair on an instance.
 
@@ -80,14 +92,86 @@ class PartitionClassification:
     (the one that receives no colors), and bins ``0..B-2`` are the color
     bins.  Bad nodes are listed separately and belong to no bin's recursive
     instance (they form the graph ``G_0``).
+
+    The scalar reference (:func:`classify_partition`) builds every field
+    eagerly.  The array pipeline builds the classification with
+    :meth:`from_arrays`: ``bad_nodes`` and :meth:`good_nodes_in_bin` read
+    the reason codes (0 is good), while ``bin_of_node`` and the per-node
+    :class:`NodeClassification` records (``nodes``, reason strings
+    included) are built on first access.  ``Partition.run`` reads neither,
+    so a production run builds no record.
     """
 
-    num_bins: int
-    bin_of_node: Dict[NodeId, BinIndex]
-    nodes: Dict[NodeId, NodeClassification]
-    bad_nodes: Set[NodeId] = field(default_factory=set)
-    bad_bins: Set[BinIndex] = field(default_factory=set)
-    bin_sizes: Dict[BinIndex, int] = field(default_factory=dict)
+    def __init__(
+        self,
+        num_bins: int,
+        bin_of_node: Optional[Dict[NodeId, BinIndex]],
+        nodes: Optional[Dict[NodeId, NodeClassification]],
+        bad_nodes: Optional[Set[NodeId]] = None,
+        bad_bins: Optional[Set[BinIndex]] = None,
+        bin_sizes: Optional[Dict[BinIndex, int]] = None,
+    ) -> None:
+        self.num_bins = num_bins
+        self._bin_of_node = bin_of_node
+        self._nodes = nodes
+        self.bad_nodes: Set[NodeId] = set() if bad_nodes is None else bad_nodes
+        self.bad_bins: Set[BinIndex] = set() if bad_bins is None else bad_bins
+        self.bin_sizes: Dict[BinIndex, int] = {} if bin_sizes is None else bin_sizes
+        #: The per-node columns of :meth:`from_arrays`, in node order.
+        self.columns: Optional[dict] = None
+
+    @classmethod
+    def from_arrays(cls, num_bins, bad_bins, bin_sizes, **columns):
+        """A classification over the per-node arrays of the batch pipeline.
+
+        ``columns`` holds ``node_ids`` (a list) and aligned arrays:
+        ``bins``, ``degree``, ``in_bin_degree``, ``palette_size``,
+        ``in_bin_palette``, ``in_color_bin`` and ``reason_code`` (an index
+        into :data:`BAD_REASONS`; 0 means good).
+        """
+        classification = cls(
+            num_bins, None, None, bad_bins=bad_bins, bin_sizes=bin_sizes
+        )
+        classification.columns = columns
+        bad = columns["reason_code"] != 0
+        classification.bad_nodes = set(compress(columns["node_ids"], bad.tolist()))
+        return classification
+
+    @property
+    def bin_of_node(self) -> Dict[NodeId, BinIndex]:
+        if self._bin_of_node is None:
+            columns = self.columns
+            self._bin_of_node = dict(zip(columns["node_ids"], columns["bins"].tolist()))
+        return self._bin_of_node
+
+    @property
+    def nodes(self) -> Dict[NodeId, NodeClassification]:
+        """Per-node records, built on first access for an array classification."""
+        if self._nodes is None:
+            self._nodes = self._records()
+        return self._nodes
+
+    def _records(self) -> Dict[NodeId, NodeClassification]:
+        columns = self.columns
+        # None marks the last bin's nodes, whose palette is not restricted.
+        in_bin_palette = [
+            count if in_color else None
+            for count, in_color in zip(
+                columns["in_bin_palette"].tolist(), columns["in_color_bin"].tolist()
+            )
+        ]
+        records = map(
+            NodeClassification,
+            columns["node_ids"],
+            columns["bins"].tolist(),
+            columns["degree"].tolist(),
+            columns["in_bin_degree"].tolist(),
+            columns["palette_size"].tolist(),
+            in_bin_palette,
+            (columns["reason_code"] == 0).tolist(),
+            [BAD_REASONS[code] for code in columns["reason_code"].tolist()],
+        )
+        return dict(zip(columns["node_ids"], records))
 
     @property
     def num_bad_nodes(self) -> int:
@@ -99,6 +183,10 @@ class PartitionClassification:
 
     def good_nodes_in_bin(self, bin_index: BinIndex) -> List[NodeId]:
         """Good nodes assigned to ``bin_index`` (the recursive instance)."""
+        columns = self.columns
+        if columns is not None:
+            keep = (columns["bins"] == bin_index) & (columns["reason_code"] == 0)
+            return list(compress(columns["node_ids"], keep.tolist()))
         return [
             node
             for node, assigned in self.bin_of_node.items()
@@ -423,48 +511,23 @@ def _classify_partition_arrays(
         surplus_fail = in_color_bin & (in_bin_palette <= in_bin_degree)
     else:
         surplus_fail = np.zeros(num_nodes, dtype=bool)
-    is_good = ~(degree_bad | shortfall | surplus_fail)
-
-    # ---- assembly: the only remaining Python loop (n records must be
-    # built either way).  Element access goes through plain lists because
-    # NumPy scalar indexing would dominate it; the (rare) bad nodes get
-    # their reason strings in a second, short pass so the hot loop stays a
-    # bare positional constructor.
-    bins1_list = bins1.tolist()
-    classification = PartitionClassification(
-        num_bins=num_bins,
-        bin_of_node=dict(zip(node_ids, bins1_list)),
-        nodes={},
-        bad_bins=bad_bins,
-        bin_sizes=bin_sizes,
+    reason_code = np.where(
+        degree_bad, 1, np.where(shortfall, 2, np.where(surplus_fail, 3, 0))
     )
-    rows = zip(
-        node_ids,
-        bins1_list,
-        csr.degrees.tolist(),
-        in_bin_degree.tolist(),
-        palette_sizes.tolist(),
-        in_bin_palette.tolist(),
-        in_color_bin.tolist(),
-        is_good.tolist(),
+    is_good = reason_code == 0
+    classification = PartitionClassification.from_arrays(
+        num_bins,
+        bad_bins,
+        bin_sizes,
+        node_ids=node_ids,
+        bins=bins1,
+        degree=csr.degrees,
+        in_bin_degree=in_bin_degree,
+        palette_size=palette_sizes,
+        in_bin_palette=in_bin_palette,
+        in_color_bin=in_color_bin,
+        reason_code=reason_code,
     )
-    nodes = classification.nodes
-    for node, node_bin, degree, d_prime, p_size, p_prime, in_color, good in rows:
-        nodes[node] = NodeClassification(
-            node, node_bin, degree, d_prime, p_size,
-            p_prime if in_color else None, good, "",
-        )
-    bad_nodes = classification.bad_nodes
-    for index in np.flatnonzero(~is_good).tolist():
-        node = node_ids[index]
-        record = nodes[node]
-        if degree_bad[index]:
-            record.reason = "degree deviation"
-        elif shortfall[index]:
-            record.reason = "palette shortfall"
-        else:
-            record.reason = "palette does not exceed in-bin degree"
-        bad_nodes.add(node)
 
     restricted: Optional[List[PaletteAssignment]] = None
     if collect_restricted:
@@ -550,10 +613,11 @@ def classify_partition_batch(
        the flattened palette entries (shape ``(total_entries,)``),
     5. the Definition 3.1 thresholds as array comparisons.
 
-    Only the final assembly of the per-node dataclasses remains a Python
-    loop (it must build ``n`` records either way).  The result is equal to
-    the scalar reference — same bins, same bad nodes/bins, same per-node
-    records including the ``reason`` strings — which
+    No per-node Python runs here: the result keeps the per-node columns
+    (:meth:`PartitionClassification.from_arrays`) and builds its records
+    only when ``nodes`` is first read.  It is equal to the scalar
+    reference — same bins, same bad nodes/bins, same per-node records
+    including the ``reason`` strings — which
     ``tests/test_final_classification.py`` asserts field by field.
     """
     classification, _ = _classify_partition_arrays(

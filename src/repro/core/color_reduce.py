@@ -37,6 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro.accounting import CostLedger, PoolHealth, RunDurability
 from repro.congested_clique.model import CongestedCliqueSimulator
 from repro.core.context import CongestedCliqueContext, ExecutionContext
@@ -184,9 +186,14 @@ class ColorReduce(RecursionDriver):
         # than l = Δ colors (Corollary 3.3 (i)).  Instances with smaller
         # (deg+1)-style palettes are the low-space algorithm's job
         # (Theorem 1.4 / LowSpaceColorReduce).
-        undersized = [
-            node for node in graph.nodes() if palettes.palette_size(node) <= raw_ell
-        ]
+        aligned = palettes.sizes_for(graph)
+        if aligned is not None:
+            node_list, sizes = aligned
+            undersized = [node_list[row] for row in np.flatnonzero(sizes <= raw_ell)[:1]]
+        else:
+            undersized = [
+                node for node in graph.nodes() if palettes.palette_size(node) <= raw_ell
+            ]
         if undersized:
             raise PaletteError(
                 f"node {undersized[0]} has only {palettes.palette_size(undersized[0])} "
@@ -481,8 +488,6 @@ class ColorReduce(RecursionDriver):
             # Vectorized audit: one comparison sweep per bin over the CSR
             # degrees and the flat palette sizes (aligned through the
             # store's row index), identical counts to the scalar loop.
-            import numpy as np
-
             csr = bin_instance.graph.csr()
             degrees = csr.degrees
             sizes = store.sizes()[store.rows_of(csr.node_ids)]

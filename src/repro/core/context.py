@@ -159,7 +159,7 @@ class LinearSpaceMPCContext(ExecutionContext):
         return self.simulator.broadcast(max(1, seed_words), label=label)
 
     def record_selection_step(self, label: str, rounds: int) -> None:
-        self.simulator.charge_rounds(label, rounds, words=len(self.simulator.machines))
+        self.simulator.charge_rounds(label, rounds, words=self.simulator.num_machines)
 
     def record_space(self, total_words: int, max_local_words: Optional[int] = None) -> None:
         self.simulator.record_space_usage(total_words, max_local_words)

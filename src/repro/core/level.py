@@ -514,6 +514,7 @@ def prefetch_low_space_level(
     returns ``{key: CachedPairCost}``.
     """
     from repro.core.low_space.machine_sets import low_space_cost_function
+    from repro.core.low_space.partition import split_by_degree
     from repro.hashing.family import KWiseIndependentFamily
 
     if not children:
@@ -526,9 +527,7 @@ def prefetch_low_space_level(
     pairs_by_child = []
     kept_children = []
     for key, salt, graph, palettes in children:
-        high_degree_nodes = {
-            node for node in graph.nodes() if graph.degree(node) > threshold
-        }
+        _, high_degree_nodes = split_by_degree(graph, threshold)
         if not high_degree_nodes:
             # The child's run() takes the no-partition early return; there
             # is no cost to prefetch.

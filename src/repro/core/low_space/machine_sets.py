@@ -24,9 +24,11 @@ and the batched :class:`LowSpaceCostEvaluator` built on the vectorized hash
 kernels — bit-identical by construction and by test, so the derandomized
 selection may score candidate batches as matrix computations.  The
 *selected* pair's full node-level outcome has the same split:
-:func:`node_level_outcome_batch` computes the reference
-:class:`NodeLevelOutcome` from the CSR view.  ``LowSpacePartition.run``
-always takes the array form (:meth:`LowSpaceCostEvaluator.outcome_selected`);
+:func:`node_level_outcome_batch` computes an outcome equal to the
+reference :class:`NodeLevelOutcome` from the CSR view, keeping per-node
+arrays and building its per-node dicts only if they are read.
+``LowSpacePartition.run`` always takes the array form
+(:meth:`LowSpaceCostEvaluator.outcome_selected`);
 :func:`node_level_outcome` is the scalar reference the differential tests
 reroute it to (``tests/scalar_oracle.py``).
 """
@@ -34,10 +36,11 @@ reroute it to (``tests/scalar_oracle.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.core.low_space.params import LowSpaceParameters
 from repro.derand.cost import PairCost
+from repro.errors import GraphError
 from repro.graph.graph import Graph
 from repro.graph.palettes import PaletteAssignment
 from repro.hashing.batch import BatchCostEvaluatorBase
@@ -170,14 +173,82 @@ def classify_machines(
     return result
 
 
-@dataclass
 class NodeLevelOutcome:
-    """Node-level consequences of a candidate pair (Lemma 4.5)."""
+    """Node-level consequences of a candidate pair (Lemma 4.5).
 
-    bin_of_node: Dict[NodeId, BinIndex]
-    in_bin_degree: Dict[NodeId, int]
-    in_bin_palette: Dict[NodeId, int]
-    violating_nodes: Set[NodeId] = field(default_factory=set)
+    ``violating_nodes`` is always a set.  The per-node maps
+    ``bin_of_node``, ``in_bin_degree`` and ``in_bin_palette`` are either
+    given (the scalar reference :func:`node_level_outcome` builds them) or,
+    for an outcome made by :meth:`from_arrays`, built from the arrays on
+    first access: ``LowSpacePartition.run`` reads only the violating set
+    and :meth:`bins_of`, so production builds no per-node dict.
+    """
+
+    def __init__(
+        self,
+        bin_of_node: Optional[Dict[NodeId, BinIndex]],
+        in_bin_degree: Optional[Dict[NodeId, int]],
+        in_bin_palette: Optional[Dict[NodeId, int]],
+        violating_nodes: Optional[Set[NodeId]] = None,
+    ) -> None:
+        self._bin_of_node = bin_of_node
+        self._in_bin_degree = in_bin_degree
+        self._in_bin_palette = in_bin_palette
+        self.violating_nodes: Set[NodeId] = (
+            set() if violating_nodes is None else violating_nodes
+        )
+        #: ``(high, bins, d', p', in_color_bin)`` over the sorted high ids.
+        self._arrays = None
+
+    @classmethod
+    def from_arrays(cls, high, bins_high, d_prime, p_prime, threshold, last_bin):
+        """The outcome of the per-node arrays over the sorted high ids.
+
+        ``high`` is the sorted int64 id array; the violating set is built
+        in that order, as the per-node reference walk over sorted ids would.
+        """
+        in_color_bin = bins_high != last_bin
+        violates = (d_prime > threshold) | (in_color_bin & (p_prime <= d_prime))
+        outcome = cls(None, None, None, set(high[violates].tolist()))
+        outcome._arrays = (high, bins_high, d_prime, p_prime, in_color_bin)
+        return outcome
+
+    @property
+    def bin_of_node(self) -> Dict[NodeId, BinIndex]:
+        if self._bin_of_node is None:
+            high, bins_high = self._arrays[:2]
+            self._bin_of_node = dict(zip(high.tolist(), bins_high.tolist()))
+        return self._bin_of_node
+
+    @property
+    def in_bin_degree(self) -> Dict[NodeId, int]:
+        if self._in_bin_degree is None:
+            high, _, d_prime = self._arrays[:3]
+            self._in_bin_degree = dict(zip(high.tolist(), d_prime.tolist()))
+        return self._in_bin_degree
+
+    @property
+    def in_bin_palette(self) -> Dict[NodeId, int]:
+        if self._in_bin_palette is None:
+            high, _, _, p_prime, in_color_bin = self._arrays
+            self._in_bin_palette = dict(
+                zip(high[in_color_bin].tolist(), p_prime[in_color_bin].tolist())
+            )
+        return self._in_bin_palette
+
+    def bins_of(self, nodes):
+        """The bins of ``nodes`` (an int64 array of high ids), aligned."""
+        import numpy as np
+
+        if self._arrays is None:
+            mapping = self._bin_of_node
+            return np.fromiter(
+                (mapping[node] for node in nodes.tolist()),
+                dtype=np.int64,
+                count=nodes.shape[0],
+            )
+        high, bins_high = self._arrays[:2]
+        return bins_high[np.searchsorted(high, nodes)]
 
     @property
     def cost(self) -> float:
@@ -280,44 +351,6 @@ def node_level_outcome_batch(
     return evaluator.outcome_selected(h1, h2, color_arrays=color_arrays)
 
 
-def _outcome_from_arrays(high, bins_high, d_prime, p_prime, threshold, last_bin):
-    """Assemble a :class:`NodeLevelOutcome` from the per-node arrays.
-
-    Shared final step of :func:`node_level_outcome_batch` and
-    :meth:`LowSpaceCostEvaluator.outcome_selected`; plain-list element
-    access keeps the (unavoidable) per-node dict construction cheap.
-    """
-    degree_violation = d_prime > threshold
-    in_color_bin = bins_high != last_bin
-    palette_violation = in_color_bin & (p_prime <= d_prime)
-
-    in_bin_degree: Dict[NodeId, int] = {}
-    in_bin_palette: Dict[NodeId, int] = {}
-    violating: Set[NodeId] = set()
-    bin_of_node: Dict[NodeId, BinIndex] = {}
-    rows = zip(
-        high,
-        bins_high.tolist(),
-        d_prime.tolist(),
-        p_prime.tolist(),
-        in_color_bin.tolist(),
-        (degree_violation | palette_violation).tolist(),
-    )
-    for node, node_bin, degree_in_bin, palette_in_bin, in_color, violates in rows:
-        bin_of_node[node] = node_bin
-        in_bin_degree[node] = degree_in_bin
-        if in_color:
-            in_bin_palette[node] = palette_in_bin
-        if violates:
-            violating.add(node)
-    return NodeLevelOutcome(
-        bin_of_node=bin_of_node,
-        in_bin_degree=in_bin_degree,
-        in_bin_palette=in_bin_palette,
-        violating_nodes=violating,
-    )
-
-
 class LowSpaceCostEvaluator(BatchCostEvaluatorBase):
     """Lemma 4.5 violation count with scalar reference and batched kernel.
 
@@ -332,9 +365,9 @@ class LowSpaceCostEvaluator(BatchCostEvaluatorBase):
     *both* endpoints high — neighbors outside the partition can never share
     a bin) and in-bin palette counts.  The per-node slack
     ``max(d(v)^0.6, degree_slack(machine_chunk))`` is precomputed with
-    scalar Python ``pow`` so thresholds are bit-identical to the reference
-    path.  Costs returned by the two paths are exactly equal
-    (``tests/test_batch_kernels.py``).
+    scalar Python ``pow``, once per distinct degree, so thresholds are
+    bit-identical to the reference path.  Costs returned by the two paths
+    are exactly equal (``tests/test_batch_kernels.py``).
     """
 
     def __init__(
@@ -401,32 +434,28 @@ class LowSpaceCostEvaluator(BatchCostEvaluatorBase):
         bins_high = (np.asarray(h1.hash_many(high)) % self.num_bins).astype(
             np.int64, copy=False
         )
-        if precomputed_counts is not None:
-            # (d', p') computed elsewhere over the same sorted-high order —
-            # e.g. the segmented cross-bin level pass (repro.core.level).
-            return _outcome_from_arrays(
-                high,
+        high_ids = np.asarray(high, dtype=np.int64)
+
+        def outcome(d_prime, p_prime):
+            return NodeLevelOutcome.from_arrays(
+                high_ids,
                 bins_high,
-                np.asarray(precomputed_counts[0], dtype=np.int64),
-                np.asarray(precomputed_counts[1], dtype=np.int64),
+                np.asarray(d_prime, dtype=np.int64),
+                np.asarray(p_prime, dtype=np.int64),
                 prep["threshold"],
                 last_bin,
             )
+
+        if precomputed_counts is not None:
+            # (d', p') computed elsewhere over the same sorted-high order —
+            # e.g. the segmented cross-bin level pass (repro.core.level).
+            return outcome(*precomputed_counts)
         if scorer is not None:
             parts = scorer.phase_values("outcome", h1, h2, num_high, 2)
             if parts is not None:
-                return _outcome_from_arrays(
-                    high,
-                    bins_high,
-                    np.asarray(parts[0], dtype=np.int64),
-                    np.asarray(parts[1], dtype=np.int64),
-                    prep["threshold"],
-                    last_bin,
-                )
+                return outcome(*parts)
         same_bin = bins_high[prep["edge_sources"]] == bins_high[prep["edge_targets"]]
-        d_prime = np.bincount(
-            prep["edge_sources"][same_bin], minlength=num_high
-        ).astype(np.int64, copy=False)
+        d_prime = np.bincount(prep["edge_sources"][same_bin], minlength=num_high)
         universe = prep["universe"]
         if not universe:
             universe_bins = np.zeros(0, dtype=np.int64)
@@ -442,12 +471,8 @@ class LowSpaceCostEvaluator(BatchCostEvaluatorBase):
             )
         entry_bins = universe_bins[prep["entry_colors"]]
         entry_match = entry_bins == bins_high[prep["entry_nodes"]]
-        p_prime = np.bincount(
-            prep["entry_nodes"][entry_match], minlength=num_high
-        ).astype(np.int64, copy=False)
-        return _outcome_from_arrays(
-            high, bins_high, d_prime, p_prime, prep["threshold"], last_bin
-        )
+        p_prime = np.bincount(prep["entry_nodes"][entry_match], minlength=num_high)
+        return outcome(d_prime, p_prime)
 
     # -- zero-copy transport --------------------------------------------
     def shared_payload(self):
@@ -553,20 +578,49 @@ class LowSpaceCostEvaluator(BatchCostEvaluatorBase):
         return d_prime.tolist() + p_prime.tolist()
 
     def _prepare(self):
+        """The static arrays every batch and the selected pair's outcome read.
+
+        Built from the instance's CSR view, with no per-node Python: the
+        high nodes get ranks in sorted-id order, one endpoint mask keeps
+        the directed edges with both endpoints high, and one int64 key sort
+        by (source rank, target rank) lays them out as contiguous runs of
+        ascending targets — the order of a per-node walk over the sorted
+        high ids and their sorted neighbors (``tests/scalar_oracle.py``
+        keeps that walk as the reference).
+        """
         import numpy as np
 
-        high = sorted(self.high_degree_nodes)
-        position = {node: index for index, node in enumerate(high)}
-        edge_sources: List[int] = []
-        edge_targets: List[int] = []
-        edge_indptr = np.zeros(len(high) + 1, dtype=np.int64)
-        for index, node in enumerate(high):
-            for neighbor in sorted(self.graph.iter_neighbors(node)):
-                other = position.get(neighbor)
-                if other is not None:
-                    edge_sources.append(index)
-                    edge_targets.append(other)
-            edge_indptr[index + 1] = len(edge_sources)
+        from repro.graph.csr import node_id_array
+
+        csr = self.graph.csr()
+        ids = node_id_array(csr)
+        high_ids = np.sort(
+            np.fromiter(
+                self.high_degree_nodes, dtype=np.int64,
+                count=len(self.high_degree_nodes),
+            )
+        )
+        num_high = high_ids.shape[0]
+        # Parent positions of the high nodes, in sorted-id order.
+        by_id = np.argsort(ids, kind="stable")
+        slots = np.searchsorted(ids, high_ids, sorter=by_id)
+        found = slots < ids.shape[0]
+        found[found] = ids[by_id[slots[found]]] == high_ids[found]
+        if not bool(found.all()):
+            missing = int(high_ids[np.argmin(found)])
+            raise GraphError(f"unknown node {missing}")
+        high_positions = by_id[slots]
+        rank = np.full(csr.num_nodes, -1, dtype=np.int64)
+        rank[high_positions] = np.arange(num_high, dtype=np.int64)
+        source_rank = rank[csr.edge_sources]
+        target_rank = rank[csr.indices]
+        both_high = (source_rank >= 0) & (target_rank >= 0)
+        # One int64 key sort orders the edges by (source rank, target rank).
+        keys = np.sort(source_rank[both_high] * num_high + target_rank[both_high])
+        edge_sources, edge_targets = np.divmod(keys, max(num_high, 1))
+        edge_indptr = np.zeros(num_high + 1, dtype=np.int64)
+        np.cumsum(np.bincount(edge_sources, minlength=num_high), out=edge_indptr[1:])
+        high = high_ids.tolist()
         # Palette entries and universe for the high nodes come from the
         # assignment's shared array store (one gather + unique instead of a
         # per-color Python loop; sets-backed fallback for colors beyond
@@ -575,19 +629,15 @@ class LowSpaceCostEvaluator(BatchCostEvaluatorBase):
         chunk_slack = self.params.degree_slack(
             self.params.machine_chunk(self.graph.num_nodes)
         )
-        # Scalar pow per node keeps thresholds bit-identical to the
-        # reference path (vectorized libm pow may round differently).
-        slack = np.fromiter(
-            (
-                max(self.graph.degree(node) ** 0.6, chunk_slack)
-                for node in high
-            ),
+        degrees = csr.degrees[high_positions].astype(np.int64, copy=False)
+        # Scalar pow, once per distinct degree, keeps thresholds
+        # bit-identical to the reference path (vectorized libm pow may
+        # round differently).
+        distinct, inverse = np.unique(degrees, return_inverse=True)
+        slack = np.array(
+            [max(degree ** 0.6, chunk_slack) for degree in distinct.tolist()],
             dtype=np.float64,
-            count=len(high),
-        )
-        degrees = np.fromiter(
-            (self.graph.degree(node) for node in high), dtype=np.int64, count=len(high)
-        )
+        )[inverse]
         self._prep = {
             "np": np,
             # Graph mutations are additive only (add_node/add_edge), so the
@@ -596,8 +646,8 @@ class LowSpaceCostEvaluator(BatchCostEvaluatorBase):
             "graph_signature": (self.graph.num_nodes, self.graph.num_edges),
             "high": high,
             "universe": entries["universe"],
-            "edge_sources": np.asarray(edge_sources, dtype=np.int64),
-            "edge_targets": np.asarray(edge_targets, dtype=np.int64),
+            "edge_sources": edge_sources,
+            "edge_targets": edge_targets,
             "edge_indptr": edge_indptr,
             "entry_nodes": entries["entry_nodes"],
             "entry_colors": entries["entry_positions"],

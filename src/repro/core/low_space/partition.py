@@ -19,7 +19,10 @@ which is why the target cost for selection is zero violations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set
+from itertools import compress
+from typing import List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.core.classification import color_bin_arrays, color_hash_domain
 from repro.core.low_space.machine_sets import (
@@ -34,6 +37,7 @@ from repro.derand.conditional_expectation import (
     SelectionOutcome,
     SelectionStrategy,
 )
+from repro.graph.csr import node_id_array
 from repro.graph.graph import Graph
 from repro.graph.palettes import PaletteAssignment
 from repro.hashing.family import HashFunction, KWiseIndependentFamily
@@ -57,6 +61,18 @@ class LowSpacePartitionResult:
     @property
     def high_degree_count(self) -> int:
         return sum(bin_.graph.num_nodes for bin_ in self.color_bins) + self.leftover.graph.num_nodes
+
+
+def split_by_degree(graph: Graph, threshold: float) -> Tuple[Set[NodeId], Set[NodeId]]:
+    """``(low, high)``: the nodes of degree at most ``threshold``, and the rest.
+
+    One compare over the CSR degrees; the sets are built in C from the
+    node order, so ``high`` iterates in the order the partition has always
+    handed to the bin extraction.
+    """
+    csr = graph.csr()
+    low = set(compress(csr.node_ids, (csr.degrees <= threshold).tolist()))
+    return low, set(csr.node_ids).difference(low)
 
 
 class LowSpacePartition:
@@ -102,14 +118,11 @@ class LowSpacePartition:
         num_color_bins = max(1, num_bins - 1)
         last_bin = num_bins - 1
 
-        low_degree_nodes: Set[NodeId] = {
-            node for node in graph.nodes() if graph.degree(node) <= threshold
-        }
-        high_degree_nodes: Set[NodeId] = set(graph.nodes()).difference(low_degree_nodes)
-        low_degree_graph = graph.induced_subgraph(low_degree_nodes, use_csr=True)
+        low_degree_nodes, high_degree_nodes = split_by_degree(graph, threshold)
 
         if not high_degree_nodes:
             # Nothing to partition: every node takes the MIS path.
+            low_degree_graph = graph.induced_subgraph(low_degree_nodes, use_csr=True)
             empty = ColorBinInstance(bin_index=last_bin, graph=Graph(), palettes=PaletteAssignment({}))
             dummy_family = KWiseIndependentFamily(
                 domain_size=max(global_nodes, 2),
@@ -136,7 +149,7 @@ class LowSpacePartition:
                 num_violating_nodes=0,
             )
 
-        node_domain = max(global_nodes, max(graph.nodes(), default=0) + 1)
+        node_domain = max(global_nodes, int(node_id_array(graph.csr()).max()) + 1)
         color_domain = color_hash_domain(palettes, global_nodes)
         family1 = KWiseIndependentFamily(
             domain_size=node_domain, range_size=num_bins, independence=self.params.independence
@@ -210,19 +223,22 @@ class LowSpacePartition:
         # Build the bin instances.  Nodes that still violate the conditions
         # (possible only in scaled mode, within the small allowance) are
         # routed to the low-degree/MIS path so correctness never depends on
-        # the concentration argument.  All subgraphs of the level — the
-        # MIS-path graph plus every bin — are sliced in one batched pass
-        # over the (already warm) CSR view.
+        # the concentration argument.  The MIS-path graph is one extraction
+        # and every bin is sliced in one batched pass over the (already
+        # warm) CSR view.  The bin members keep the set-iteration order of
+        # ``usable``: the extraction turns each group into a set, so that
+        # order decides the children's node order.
         violating = outcome.violating_nodes
-        usable = high_degree_nodes.difference(violating)
-        bin_members = [
-            [node for node in usable if outcome.bin_of_node[node] == bin_index]
-            for bin_index in range(num_bins)
-        ]
-        subgraphs = graph.induced_subgraphs(
-            [low_degree_nodes.union(violating)] + bin_members, use_csr=True
+        low_degree_graph = graph.induced_subgraph(
+            low_degree_nodes.union(violating), use_csr=True
         )
-        low_degree_graph = subgraphs[0]
+        usable = high_degree_nodes.difference(violating)
+        members = np.fromiter(usable, dtype=np.int64, count=len(usable))
+        member_bins = outcome.bins_of(members)
+        bin_members = [
+            members[member_bins == bin_index].tolist() for bin_index in range(num_bins)
+        ]
+        subgraphs = graph.induced_subgraphs(bin_members, use_csr=True)
         if poll is not None:
             poll()
 
@@ -234,14 +250,14 @@ class LowSpacePartition:
             color_bins.append(
                 ColorBinInstance(
                     bin_index=bin_index,
-                    graph=subgraphs[1 + bin_index],
+                    graph=subgraphs[bin_index],
                     palettes=restricted[bin_index],
                 )
             )
         leftover_members = bin_members[last_bin]
         leftover = ColorBinInstance(
             bin_index=last_bin,
-            graph=subgraphs[1 + last_bin],
+            graph=subgraphs[last_bin],
             palettes=palettes.subset(leftover_members),
         )
         return LowSpacePartitionResult(

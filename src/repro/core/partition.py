@@ -34,6 +34,7 @@ from repro.derand.conditional_expectation import (
     SelectionOutcome,
     SelectionStrategy,
 )
+from repro.graph.csr import node_id_array
 from repro.graph.graph import Graph
 from repro.graph.palettes import PaletteAssignment
 from repro.hashing.family import HashFunction, KWiseIndependentFamily
@@ -92,10 +93,13 @@ class Partition:
         coloring instance can have up to ``n^2`` distinct colors.  If the
         instance's colors happen to exceed ``n^2`` (synthetic workloads are
         free to pick any integers), the domain is grown to cover them.
+        Node ids must be integers (:class:`~repro.errors.GraphError`
+        otherwise), as colors must (:func:`color_hash_domain`).
         """
         num_bins = self.params.num_bins(ell)
         num_color_bins = max(1, num_bins - 1)
-        node_domain = max(global_nodes, max(graph.nodes(), default=0) + 1)
+        ids = node_id_array(graph.csr())
+        node_domain = max(global_nodes, int(ids.max()) + 1 if ids.shape[0] else 1)
         color_domain = color_hash_domain(palettes, global_nodes)
         family1 = KWiseIndependentFamily(
             domain_size=node_domain,

@@ -195,6 +195,34 @@ def integer_array(values) -> Optional[np.ndarray]:
         return None
 
 
+def node_id_array(csr: GraphCSR) -> np.ndarray:
+    """``csr.node_ids`` as an int64 array, in position order.
+
+    Partitioning hashes node ids with ``h1``, whose domain is the
+    integers, so an id that is not an int64 integer is a
+    :class:`~repro.errors.GraphError` naming the first offender (an
+    instance small enough for the base case never gets here).
+    """
+    if csr.ids_are_positions:
+        return np.arange(csr.num_nodes, dtype=np.int64)
+    ids = integer_array(csr.node_ids)
+    if ids is None:
+        odd = next(
+            (
+                node
+                for node in csr.node_ids
+                if not isinstance(node, (int, np.integer))
+                or not -(2**63) <= node < 2**63
+            ),
+            csr.node_ids[0],
+        )
+        raise GraphError(
+            f"node id {odd!r} is not an int64 integer; partitioning hashes "
+            "integer node ids"
+        )
+    return ids
+
+
 def _first_appearance(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(unique ids in first-appearance order, position of every id)``.
 

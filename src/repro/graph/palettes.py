@@ -728,8 +728,8 @@ class PaletteAssignment:
         """Restrict every color bin's palettes in one vectorized pass.
 
         The batched counterpart of calling :meth:`restricted_to` once per
-        color bin with ``keep_color=lambda c: color_bin(c) == b`` — the
-        biggest remaining Python loop of ``Partition.run`` /
+        color bin with ``keep_color=lambda c: color_bin(c) == b`` — once
+        the biggest Python loop of ``Partition.run`` /
         ``LowSpacePartition.run``.  ``bin_members[b]`` lists the nodes of
         color bin ``b``; ``universe`` is the *sorted* color universe (shape
         ``(U,)``, int64) and ``color_bin_ids[k]`` the bin that ``h2`` maps
@@ -1181,23 +1181,41 @@ class PaletteAssignment:
         sizes = store.offsets[present_rows + 1] - store.offsets[present_rows]
         return int((sizes - degrees[present]).min())
 
-    @staticmethod
-    def _graph_rows(store: _PaletteStore, graph: Graph):
-        """``(graph nodes, their store rows or -1, their degrees)``.
+    def sizes_for(self, graph: Graph):
+        """``(graph nodes, their palette sizes)``: a list and an aligned array.
 
-        Aligned stores (the canonical instance's) skip the per-node row
-        lookups, and a warm CSR view supplies the degrees as an array.
+        One gather over the warm array store instead of a per-node
+        :meth:`palette_size` walk.  Returns ``None`` without a warm store or
+        when some graph node has no palette; callers then take their
+        per-node path (which raises for the missing palette).
         """
+        store = self._store_if_warm()
+        if store is None:
+            return None
+        node_list, rows = self._node_rows(store, graph)
+        if bool((rows < 0).any()):
+            return None
+        return node_list, store.sizes()[rows]
+
+    @staticmethod
+    def _node_rows(store: _PaletteStore, graph: Graph):
+        """``(graph nodes, their store rows or -1)``; aligned stores (the
+        canonical instance's) skip the per-node row lookups."""
         node_list = graph.nodes()
         if store.nodes == node_list:
-            rows = np.arange(len(node_list), dtype=np.int64)
-        else:
-            index = store.index
-            rows = np.fromiter(
-                (index.get(node, -1) for node in node_list),
-                dtype=np.int64,
-                count=len(node_list),
-            )
+            return node_list, np.arange(len(node_list), dtype=np.int64)
+        index = store.index
+        return node_list, np.fromiter(
+            (index.get(node, -1) for node in node_list),
+            dtype=np.int64,
+            count=len(node_list),
+        )
+
+    @staticmethod
+    def _graph_rows(store: _PaletteStore, graph: Graph):
+        """``(graph nodes, their store rows or -1, their degrees)``; a warm
+        CSR view supplies the degrees as an array."""
+        node_list, rows = PaletteAssignment._node_rows(store, graph)
         if graph.has_csr():
             degrees = graph.csr().degrees
         else:

@@ -1,11 +1,16 @@
 """The MPC round/space simulator.
 
 :class:`MPCSimulator` combines an :class:`repro.mpc.regimes.MPCRegime` (the
-space budgets), a pool of :class:`repro.mpc.machine.Machine` objects, and a
+space budgets), a counted pool of machines, and a
 :class:`repro.accounting.CostLedger`.  Algorithms call its methods to declare
 the model-level operations they perform; the simulator charges rounds,
 validates space budgets, and tracks peak local / total space usage, which the
 space experiments (E6) report.
+
+The pool is a count: every accounting method needs only how many machines
+there are, so a low-space run over ``10^5`` machines constructs no
+:class:`repro.mpc.machine.Machine` objects.  :attr:`MPCSimulator.machines`
+builds them on first access for callers that want per-machine counters.
 """
 
 from __future__ import annotations
@@ -36,12 +41,24 @@ class MPCSimulator:
         count = regime.num_machines if num_machines is None else num_machines
         if count < 1:
             raise ConfigurationError("num_machines must be positive")
-        self.machines: List[Machine] = [
-            Machine(machine_id=i, capacity_words=regime.local_space_words) for i in range(count)
-        ]
+        if regime.local_space_words < 1:
+            raise ConfigurationError("capacity_words must be positive")
+        self.num_machines = count
+        self._machines: Optional[List[Machine]] = None
         self.ledger = CostLedger()
         self.peak_total_words = 0
         self.peak_local_words = 0
+
+    @property
+    def machines(self) -> List[Machine]:
+        """One :class:`Machine` per pool slot, built on first access."""
+        if self._machines is None:
+            capacity = self.regime.local_space_words
+            self._machines = [
+                Machine(machine_id=i, capacity_words=capacity)
+                for i in range(self.num_machines)
+            ]
+        return self._machines
 
     # ------------------------------------------------------------------
     # round accounting
@@ -79,8 +96,8 @@ class MPCSimulator:
     def broadcast(self, words: int, label: str = "broadcast") -> int:
         """Broadcast ``words`` words (e.g. a chosen hash-function seed)."""
         rounds = primitives.broadcast_rounds(self.regime, words)
-        self.ledger.charge(label, rounds, words * len(self.machines))
-        self.record_space_usage(total_words=words * len(self.machines), max_local_words=words)
+        self.ledger.charge(label, rounds, words * self.num_machines)
+        self.record_space_usage(total_words=words * self.num_machines, max_local_words=words)
         return rounds
 
     def collect_onto_machine(self, total_words: int, label: str = "collect") -> int:
@@ -123,7 +140,7 @@ class MPCSimulator:
                 f"budget of {self.regime.total_space_words} words"
             )
         if max_local_words is None:
-            max_local_words = -(-total_words // len(self.machines))  # ceiling division
+            max_local_words = -(-total_words // self.num_machines)  # ceiling division
         if max_local_words > self.regime.local_space_words:
             raise SpaceLimitExceededError(
                 f"phase uses {max_local_words} words on one machine, exceeding the "
@@ -141,11 +158,11 @@ class MPCSimulator:
             "local_budget_words": self.regime.local_space_words,
             "peak_total_words": self.peak_total_words,
             "total_budget_words": self.regime.total_space_words,
-            "num_machines": len(self.machines),
+            "num_machines": self.num_machines,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"MPCSimulator(regime={self.regime.name!r}, machines={len(self.machines)}, "
+            f"MPCSimulator(regime={self.regime.name!r}, machines={self.num_machines}, "
             f"rounds={self.rounds})"
         )

@@ -137,10 +137,16 @@ class DurableRun:
     # ------------------------------------------------------------------
     @contextlib.contextmanager
     def active(self):
-        """Install signal handlers for the walk; flush + restore after."""
+        """Install signal handlers for the walk; flush + restore after.
+
+        A signal recorded after the walk's last poll is honoured at the
+        walk's end, the run's final boundary, instead of being dropped.
+        """
         self.watcher.install()
         try:
             yield self
+            if self.watcher.signum is not None:
+                self.poll()
         finally:
             self.watcher.restore()
             self.manager.flush()

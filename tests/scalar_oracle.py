@@ -9,6 +9,10 @@ the drivers call to it:
 * ``PartitionCostEvaluator.classify_selected`` -> ``classify_partition``
   plus ``color_bin_map`` / ``restricted_to``,
 * ``LowSpaceCostEvaluator.outcome_selected`` -> ``node_level_outcome``,
+* ``LowSpaceCostEvaluator._prepare`` -> :func:`scalar_low_space_prepare`
+  (the per-node walk over sorted neighbor lists and scalar ``pow``),
+* ``PartitionClassification._records`` -> :func:`eager_records` (the
+  per-row record loop, reason strings in a second pass),
 * the low-space partition's ``color_bin_arrays`` -> per-color ``h2`` calls,
 * ``PaletteAssignment.restricted_by_bins`` -> ``restricted_to`` per bin,
 * ``PaletteAssignment.remove_colors_used_by_neighbors_batch`` ->
@@ -39,6 +43,8 @@ import numpy as np
 import repro.core.color_reduce as color_reduce_module
 import repro.core.low_space.partition as low_space_partition_module
 from repro.core.classification import (
+    NodeClassification,
+    PartitionClassification,
     PartitionCostEvaluator,
     classify_partition,
     color_bin_map,
@@ -106,6 +112,81 @@ def _outcome_selected(self, h1, h2, color_arrays=None, scorer=None, precomputed_
     )
 
 
+def scalar_low_space_prepare(self):
+    """The low-space evaluator's static arrays, walked node by node.
+
+    High nodes in sorted order, each node's sorted neighbors filtered to
+    the high set, and one scalar ``pow`` per node for the threshold.
+    """
+    high = sorted(self.high_degree_nodes)
+    position = {node: index for index, node in enumerate(high)}
+    edge_sources = []
+    edge_targets = []
+    edge_indptr = np.zeros(len(high) + 1, dtype=np.int64)
+    for index, node in enumerate(high):
+        for neighbor in sorted(self.graph.iter_neighbors(node)):
+            other = position.get(neighbor)
+            if other is not None:
+                edge_sources.append(index)
+                edge_targets.append(other)
+        edge_indptr[index + 1] = len(edge_sources)
+    entries = self.palette_entry_arrays(self.palettes, high)
+    chunk_slack = self.params.degree_slack(self.params.machine_chunk(self.graph.num_nodes))
+    slack = np.fromiter(
+        (max(self.graph.degree(node) ** 0.6, chunk_slack) for node in high),
+        dtype=np.float64,
+        count=len(high),
+    )
+    degrees = np.fromiter(
+        (self.graph.degree(node) for node in high), dtype=np.int64, count=len(high)
+    )
+    self._prep = {
+        "np": np,
+        "graph_signature": (self.graph.num_nodes, self.graph.num_edges),
+        "high": high,
+        "universe": entries["universe"],
+        "edge_sources": np.asarray(edge_sources, dtype=np.int64),
+        "edge_targets": np.asarray(edge_targets, dtype=np.int64),
+        "edge_indptr": edge_indptr,
+        "entry_nodes": entries["entry_nodes"],
+        "entry_colors": entries["entry_positions"],
+        "entry_indptr": entries["indptr"],
+        "threshold": degrees / self.num_bins + slack,
+        "node_xs_cache": {},
+        "color_xs_cache": {},
+    }
+    return self._prep
+
+
+def eager_records(self):
+    """An array classification's per-node records, one row at a time."""
+    columns = self.columns
+    nodes = {}
+    rows = zip(
+        columns["node_ids"],
+        columns["bins"].tolist(),
+        columns["degree"].tolist(),
+        columns["in_bin_degree"].tolist(),
+        columns["palette_size"].tolist(),
+        columns["in_bin_palette"].tolist(),
+        columns["in_color_bin"].tolist(),
+        columns["reason_code"].tolist(),
+    )
+    for node, node_bin, degree, d_prime, p_size, p_prime, in_color, code in rows:
+        nodes[node] = NodeClassification(
+            node, node_bin, degree, d_prime, p_size,
+            p_prime if in_color else None, code == 0, "",
+        )
+    for node, code in zip(columns["node_ids"], columns["reason_code"].tolist()):
+        if code == 1:
+            nodes[node].reason = "degree deviation"
+        elif code == 2:
+            nodes[node].reason = "palette shortfall"
+        elif code == 3:
+            nodes[node].reason = "palette does not exceed in-bin degree"
+    return nodes
+
+
 def _color_bin_arrays(palettes, h2, num_color_bins):
     colors_to_bins = color_bin_map(palettes, h2, num_color_bins)
     universe = sorted(colors_to_bins)
@@ -142,6 +223,8 @@ REROUTES = (
     (HashPairSelector, "_batch_cost", _no_batch_cost),
     (PartitionCostEvaluator, "classify_selected", _classify_selected),
     (LowSpaceCostEvaluator, "outcome_selected", _outcome_selected),
+    (LowSpaceCostEvaluator, "_prepare", scalar_low_space_prepare),
+    (PartitionClassification, "_records", eager_records),
     (low_space_partition_module, "color_bin_arrays", _color_bin_arrays),
     (PaletteAssignment, "restricted_by_bins", _restricted_by_bins),
     (PaletteAssignment, "remove_colors_used_by_neighbors_batch", _remove_colors),

@@ -14,6 +14,9 @@ assert the invariants the rest of the library relies on:
 * both pipelines, on hostile shapes (empty, isolated nodes, stars, skew,
   near-cliques, disconnected, non-contiguous ids), equal their scalar
   oracle run (``tests/scalar_oracle.py``) and color validly.
+* the low-space evaluator's array-built static arrays equal the scalar
+  per-node walk bit for bit on the same shapes, on negative ids and on
+  child instances.
 * neither pipeline's outcome changes when the same graph is built from
   shuffled node and edge orders with flipped edge orientations.
 """
@@ -24,6 +27,7 @@ import dataclasses
 import random
 
 import mis_oracle
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -32,10 +36,12 @@ from scalar_oracle import (
     PARTITION_ENTRY_POINTS,
     assert_same_run,
     production_and_reference,
+    scalar_low_space_prepare,
 )
 
 from repro.core import ColorReduce, ColorReduceParameters
 from repro.core.low_space.color_reduce import LowSpaceColorReduce
+from repro.core.low_space.machine_sets import LowSpaceCostEvaluator
 from repro.core.low_space.params import LowSpaceParameters
 from repro.core.low_space.mis_reduction import build_reduction_graph, coloring_from_mis
 from repro.core.local_coloring import greedy_list_coloring
@@ -1031,6 +1037,71 @@ class TestHostileShapesScalarOracle:
                 oracle.calls["PaletteAssignment.remove_colors_used_by_neighbors_batch"]
                 + oracle.calls["PaletteAssignment.subset_updated"]
             )
+
+
+# ----------------------------------------------------------------------
+# low-space evaluator prep: array build vs the scalar walk
+# ----------------------------------------------------------------------
+@st.composite
+def low_space_prep_instances(draw):
+    """A hostile shape plus an optional wide hub (degrees up to a few
+    hundred, where vectorized and scalar ``pow`` can round apart), on
+    shifted ids (possibly negative), optionally cut down to a child
+    instance whose CSR ids are not positions, plus a low-degree threshold
+    (high enough, sometimes, to leave no high node)."""
+    graph = draw(hostile_graphs())
+    nodes = graph.nodes()
+    edges = list(graph.edges())
+    # Hub degrees whose threshold d/B + d**0.6 rounds differently under
+    # numpy's vectorized pow (49 with B=3, 124 with B=4, 284 with B=2).
+    leaves = draw(st.sampled_from((0, 0, 49, 124, 284)))
+    if leaves:
+        hub = max(nodes, default=0) + 1
+        spokes = list(range(hub + 1, hub + 1 + leaves))
+        nodes = nodes + [hub] + spokes
+        edges += [(hub, leaf) for leaf in spokes]
+    shift = draw(st.sampled_from((0, -(10**6), 7)))
+    graph = Graph(
+        nodes=[node + shift for node in nodes],
+        edges=[(u + shift, v + shift) for u, v in edges if u != v],
+    )
+    if graph.num_nodes and draw(st.booleans()):
+        nodes = graph.nodes()
+        keep = draw(st.lists(st.sampled_from(nodes), unique=True, max_size=len(nodes)))
+        graph = graph.induced_subgraphs([keep], use_csr=True)[0]
+    threshold = draw(st.integers(min_value=0, max_value=graph.max_degree() + 1))
+    num_bins = draw(st.integers(min_value=2, max_value=4))
+    machine_chunk = draw(st.sampled_from((1, 4)))
+    return graph, threshold, num_bins, machine_chunk
+
+
+class TestLowSpacePrepOracle:
+    """The low-space evaluator's array-built static arrays equal the
+    per-node walk in ``tests/scalar_oracle.py`` bit for bit."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(low_space_prep_instances())
+    def test_prepare_matches_scalar_walk(self, instance):
+        graph, threshold, num_bins, machine_chunk = instance
+        palettes = PaletteAssignment.degree_plus_one(graph)
+        params = LowSpaceParameters.scaled(
+            num_bins=num_bins,
+            low_degree_threshold=max(threshold, 1),
+            machine_chunk=machine_chunk,
+        )
+        high = {node for node in graph.nodes() if graph.degree(node) > threshold}
+        production = LowSpaceCostEvaluator(graph, palettes, high, params, num_bins)._prepare()
+        reference = scalar_low_space_prepare(
+            LowSpaceCostEvaluator(graph, palettes, high, params, num_bins)
+        )
+        assert production["high"] == reference["high"]
+        for key in ("edge_sources", "edge_targets", "edge_indptr"):
+            assert production[key].dtype == np.int64
+            assert np.array_equal(production[key], reference[key]), key
+        assert production["threshold"].dtype == np.float64
+        assert np.array_equal(
+            production["threshold"].view(np.int64), reference["threshold"].view(np.int64)
+        )
 
 
 # ----------------------------------------------------------------------
