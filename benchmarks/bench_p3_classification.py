@@ -6,12 +6,12 @@ still has to (a) classify every node for the selected pair
 palettes to the colors ``h2`` maps to that bin.  With the *selection* and
 the *subgraph extraction* batched, this step was once the biggest Python
 loop left in the pipeline.  The batch layer replaces it with
-:func:`repro.core.classification.classify_partition_batch` (one
-``hash_many`` call, edge-endpoint compares and ``bincount`` scatters over
-the CSR view) plus
-:meth:`repro.graph.palettes.PaletteAssignment.restricted_by_bins` (one
-``searchsorted`` gather over the flattened palette entries), sharing the
-selected pair's color-bin arrays between the two.
+:meth:`repro.core.classification.PartitionCostEvaluator.classify_selected`:
+the evaluators' shared node-range count over the selection's static
+arrays (edge-endpoint compares and ``bincount`` scatters over the CSR
+view and the flattened palette entries), the Definition 3.1 thresholds as
+array comparisons, and the color-bin restriction fused into the same
+pass from the matched entries.
 
 This benchmark times the combined step for one real partition level (the
 pair comes from an actual hash selection) for both paths, asserting

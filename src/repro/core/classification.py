@@ -16,32 +16,26 @@ exposes the cost function used by :class:`repro.derand.HashPairSelector`.
 Two implementations of the cost coexist, by design:
 
 * :func:`classify_partition` — the per-node dataclass path.  It is the
-  *reference implementation*: readable, audited against Definition 3.1, and
-  the one that builds the actual :class:`PartitionClassification` for the
-  selected pair.
+  *reference implementation*: readable and audited against Definition
+  3.1.  Production never runs it: it is the evaluator's single-pair
+  ``__call__`` and the test oracle (``tests/scalar_oracle.py`` reroutes
+  ``Partition.run`` to it plus :func:`color_bin_map`).
 * :class:`PartitionCostEvaluator` (returned by
-  :func:`partition_cost_function`) — scores *batches* of candidate pairs as
-  a handful of NumPy array operations over the graph's CSR view
-  (:mod:`repro.graph.csr`) and the vectorized hash kernels
-  (:mod:`repro.hashing.batch`): in-bin degrees, bin sizes and in-bin
-  palette counts all become ``np.bincount`` scatters.
-* :func:`classify_partition_batch` — the batched form of the *final*
-  classification for the pair the selection settled on (one row instead of
-  a candidate batch), producing a :class:`PartitionClassification` equal
-  to the reference's; it keeps per-node columns and builds the
-  :class:`NodeClassification` records only if they are read.
-  ``Partition.run`` always takes its fused form,
-  :meth:`PartitionCostEvaluator.classify_selected`.
+  :func:`partition_cost_function`) — the batched path, on the count
+  kernels shared with the low-space cost
+  (:class:`repro.hashing.batch.BatchCostEvaluatorBase`):
+  :meth:`~PartitionCostEvaluator.many` scores candidate batches, and
+  :meth:`~PartitionCostEvaluator.classify_selected` classifies the
+  selected pair and restricts its color bins' palettes in one fused pass.
+
+:func:`hash_families` builds the hash families of both pipelines'
+partition steps.
 
 Substitution rule: the batched paths return **bit-identical** results to
 the scalar ones for every pair (same integer counts, same IEEE-754
-comparisons in the same order).  Production runs only the batched paths;
-the scalar reference stays as the evaluator's single-pair ``__call__`` and
-as the test oracle (``tests/scalar_oracle.py`` reroutes ``Partition.run``
-to :func:`classify_partition` + :func:`color_bin_map`).
-``tests/test_batch_kernels.py`` and ``tests/test_final_classification.py``
-assert the equivalence, including identical selected seeds and colorings
-end to end.
+comparisons in the same order).  ``tests/test_batch_kernels.py`` and
+``tests/test_final_classification.py`` assert the equivalence, including
+identical selected seeds and colorings end to end.
 """
 
 from __future__ import annotations
@@ -49,15 +43,20 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from itertools import compress
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.core.params import ColorReduceParameters
 from repro.derand.cost import PairCost
-from repro.errors import PaletteError
+from repro.errors import GraphError, PaletteError
+from repro.graph.csr import gather_segments, node_id_array
 from repro.graph.graph import Graph
-from repro.graph.palettes import PaletteAssignment, color_bins_of_entries
+from repro.graph.palettes import PaletteAssignment
+from repro.hashing import batch as hb
 from repro.hashing.batch import BatchCostEvaluatorBase
-from repro.hashing.family import HashFunction
+from repro.hashing.family import HashFunction, KWiseIndependentFamily
+from repro.hashing.field import MERSENNE_61
 from repro.types import BinIndex, Color, NodeId
 
 
@@ -198,23 +197,70 @@ class PartitionClassification:
         return float(self.num_bad_nodes + global_nodes * self.num_bad_bins)
 
 
-def color_hash_domain(palettes: PaletteAssignment, global_nodes: int) -> int:
-    """The domain of ``h2``: ``[n^2]``, grown to cover the instance's colors.
+def hash_families(
+    graph: Graph,
+    palettes: PaletteAssignment,
+    num_bins: int,
+    independence: int,
+    global_nodes: int,
+) -> Tuple[KWiseIndependentFamily, KWiseIndependentFamily]:
+    """The hash families ``H1`` (nodes) and ``H2`` (colors) of one partition step.
 
-    The paper notes a list-coloring universe can have up to ``n^2``
-    colors; synthetic workloads are free to pick larger integers.  The
-    hash families map integers only, so a non-integral color (possible
-    only in a sets-backed assignment) is a :class:`PaletteError` here
-    rather than a silently truncated color further down.
+    ``h1`` maps node ids to ``num_bins`` bins and ``h2`` maps colors to the
+    ``num_bins - 1`` color bins.  ``h1`` has domain ``[n]`` (global node
+    identifiers) and ``h2`` domain ``[n^2]`` — the paper notes a list
+    coloring universe can have up to ``n^2`` colors — each grown to cover
+    the instance's ids and colors.  Both families hash into the field
+    ``F_p`` with ``p <= 2**61 - 1``, so every id and color must be an
+    integer below that: an id that is not is a
+    :class:`~repro.errors.GraphError`, a color a
+    :class:`~repro.errors.PaletteError`, each naming the first offender.
+    Shared by ``Partition``, ``LowSpacePartition`` and the level prefetch.
     """
-    universe = palettes.color_universe()
-    if palettes._store_if_warm() is None:
-        odd = next((c for c in universe if not isinstance(c, numbers.Integral)), None)
-        if odd is not None:
-            raise PaletteError(
-                f"color {odd!r} is not an integer; partitioning hashes integer colors"
-            )
-    return max(global_nodes * global_nodes, max(universe, default=0) + 1)
+    ids = node_id_array(graph.csr())
+    node_domain = _field_domain(ids, global_nodes, "node id", GraphError)
+    store = palettes.store()
+    if store is None:
+        odd = next(
+            color
+            for node in palettes.nodes()
+            for color in palettes.iter_palette(node)
+            if not isinstance(color, numbers.Integral) or not -(2**63) <= color < 2**63
+        )
+        kind = "an int64 integer" if isinstance(odd, numbers.Integral) else "an integer"
+        raise PaletteError(
+            f"color {odd!r} is not {kind}; partitioning hashes integer colors"
+        )
+    color_domain = _field_domain(
+        store.universe(), global_nodes * global_nodes, "color", PaletteError
+    )
+    family1 = KWiseIndependentFamily(
+        domain_size=node_domain, range_size=num_bins, independence=independence
+    )
+    family2 = KWiseIndependentFamily(
+        domain_size=color_domain,
+        range_size=max(1, num_bins - 1),
+        independence=independence,
+    )
+    return family1, family2
+
+
+def _field_domain(values, floor: int, label: str, error) -> int:
+    """``max(floor, max(values) + 1)``, once every value is below the field.
+
+    ``values`` is an int64 array; the first value at or beyond
+    ``2**61 - 1`` (in array order) is named in ``error``.
+    """
+    if values.shape[0] == 0:
+        return max(floor, 1)
+    beyond = values >= MERSENNE_61
+    if bool(beyond.any()):
+        odd = int(values[beyond.argmax()])
+        raise error(
+            f"{label} {odd} is not below 2**61 - 1; partitioning hashes "
+            f"{label}s into that field"
+        )
+    return max(floor, int(values.max()) + 1)
 
 
 def color_bin_map(
@@ -240,15 +286,10 @@ def color_bin_arrays(
     entry-for-entry equal to the scalar ``color_bin_map`` dict (the hash
     kernel is bit-identical, see :mod:`repro.hashing.batch`).  One
     :func:`~repro.hashing.batch.hash_many` call replaces ``U`` scalar
-    polynomial evaluations; the pair feeds both the batched final
-    classification (:func:`classify_partition_batch`) and the vectorized
-    palette restriction
-    (:meth:`repro.graph.palettes.PaletteAssignment.restricted_by_bins`), so
-    the selected pair's color hashes are computed exactly once per
-    ``Partition`` call.
+    polynomial evaluations; the pair feeds the vectorized palette
+    restriction
+    (:meth:`repro.graph.palettes.PaletteAssignment.restricted_by_bins`).
     """
-    import numpy as np
-
     store = palettes._store_if_warm()
     if store is not None:
         # The assignment's array store caches its sorted unique colors:
@@ -377,316 +418,18 @@ def classify_partition(
     return classification
 
 
-def _classify_partition_arrays(
-    graph: Graph,
-    palettes: PaletteAssignment,
-    h1: HashFunction,
-    h2: HashFunction,
-    params: ColorReduceParameters,
-    ell: float,
-    global_nodes: int,
-    color_arrays,
-    collect_restricted: bool,
-    prep=None,
-    precomputed_counts=None,
-):
-    """Shared array pipeline behind the batched classification entry points
-    (:func:`classify_partition_batch` / :func:`classify_and_restrict_batch`
-    / :meth:`PartitionCostEvaluator.classify_selected`); see their
-    docstrings.
-
-    ``prep`` may pass a fresh :class:`PartitionCostEvaluator` prep dict, in
-    which case the palette-entry arrays the selection already built (flat
-    entry owners, universe positions, palette sizes) are reused and no
-    palette is flattened again.
-
-    ``precomputed_counts`` may pass ``(in_bin_degree, in_bin_palette)``
-    int64 arrays already reassembled from the parallel pool's phase shards
-    (:meth:`PartitionCostEvaluator.phase_shard`); the per-edge compare and
-    the bincounts — the O(m) half of this pass — are then skipped.  The
-    shards compute the identical integers, so the classification is
-    bit-identical either way.
-    """
-    import numpy as np
-
-    num_bins = params.num_bins(ell)
-    num_color_bins = max(1, num_bins - 1)
-    degree_slack = params.degree_slack(ell)
-    palette_slack = params.palette_slack(ell)
-    instance_nodes = graph.num_nodes
-    literal_palette_condition = not params.is_scaled and not params.bins_are_clamped(ell)
-    last_bin = num_bins - 1
-
-    csr = prep["csr"] if prep is not None else graph.csr()
-    node_ids = csr.node_ids
-    num_nodes = len(node_ids)
-
-    bins1 = (np.asarray(h1.hash_many(node_ids)) % num_bins).astype(np.int64, copy=False)
-
-    bin_size_counts = np.bincount(bins1, minlength=num_bins)
-    bin_cap = params.bin_cap(ell, instance_nodes, global_nodes)
-    bin_sizes = {index: int(bin_size_counts[index]) for index in range(num_bins)}
-    bad_bins = {index for index in range(num_bins) if bin_size_counts[index] >= bin_cap}
-
-    if precomputed_counts is not None:
-        in_bin_degree = precomputed_counts[0]
-    else:
-        same_bin = bins1[csr.edge_sources] == bins1[csr.indices]
-        in_bin_degree = np.bincount(
-            csr.edge_sources[same_bin], minlength=num_nodes
-        ).astype(np.int64, copy=False)
-
-    if prep is not None:
-        # The selection's batched evaluator already flattened every palette
-        # (entry owners aligned with the CSR node order, colors resolved to
-        # universe positions): reuse those arrays verbatim.
-        universe = prep.get("universe_array")
-        if universe is None:
-            universe = np.asarray(prep["universe"], dtype=np.int64)
-            prep["universe_array"] = universe
-        universe_bins = (
-            (np.asarray(h2.hash_many(universe.tolist())) % num_color_bins).astype(
-                np.int64, copy=False
-            )
-            if universe.shape[0]
-            else np.zeros(0, dtype=np.int64)
-        )
-        palette_sizes = prep["palette_sizes"]
-        entry_owners = prep["entry_nodes"]
-        entry_positions = prep["entry_colors"]
-        entry_bins = universe_bins[entry_positions]
-        entries_sorted = bool(prep.get("entries_sorted"))
-        flat_colors = None
-    else:
-        # Standalone entry points flatten through the assignment's shared
-        # array store (one gather; sets-backed fallback for colors beyond
-        # int64), so repeated calls stop re-paying the per-color loop.
-        from repro.hashing.batch import BatchCostEvaluatorBase
-
-        entries = BatchCostEvaluatorBase.palette_entry_arrays(palettes, node_ids)
-        palette_sizes = entries["sizes"]
-        entry_owners = entries["entry_nodes"]
-        entries_sorted = entries["sorted_entries"]
-        if color_arrays is None:
-            universe = entries["universe_array"]
-            if universe is None:
-                universe = np.asarray(entries["universe"], dtype=np.int64)
-            universe_bins = (
-                (np.asarray(h2.hash_many(universe.tolist())) % num_color_bins).astype(
-                    np.int64, copy=False
-                )
-                if universe.shape[0]
-                else np.zeros(0, dtype=np.int64)
-            )
-            entry_positions = entries["entry_positions"]
-            entry_bins = universe_bins[entry_positions]
-            flat_colors = None
-        else:
-            universe, universe_bins = color_arrays
-            flat_colors = entries["flat_colors"]
-            if not isinstance(flat_colors, np.ndarray):
-                flat_colors = np.fromiter(
-                    flat_colors, dtype=np.int64, count=int(palette_sizes.sum())
-                )
-            entry_positions = None
-            entry_bins = color_bins_of_entries(np, universe, universe_bins, flat_colors)
-    entry_match = entry_bins == bins1[entry_owners]
-    if precomputed_counts is not None:
-        in_bin_palette = precomputed_counts[1]
-    else:
-        in_bin_palette = np.bincount(
-            entry_owners[entry_match], minlength=num_nodes
-        ).astype(np.int64, copy=False)
-
-    expected = csr.degrees / num_bins
-    degree_bad = np.abs(in_bin_degree - expected) > degree_slack
-    in_color_bin = bins1 != last_bin
-    if literal_palette_condition:
-        shortfall = in_color_bin & (
-            in_bin_palette < palette_sizes / num_bins + palette_slack
-        )
-    else:
-        shortfall = np.zeros(num_nodes, dtype=bool)
-    if params.enforce_palette_surplus:
-        surplus_fail = in_color_bin & (in_bin_palette <= in_bin_degree)
-    else:
-        surplus_fail = np.zeros(num_nodes, dtype=bool)
-    reason_code = np.where(
-        degree_bad, 1, np.where(shortfall, 2, np.where(surplus_fail, 3, 0))
-    )
-    is_good = reason_code == 0
-    classification = PartitionClassification.from_arrays(
-        num_bins,
-        bad_bins,
-        bin_sizes,
-        node_ids=node_ids,
-        bins=bins1,
-        degree=csr.degrees,
-        in_bin_degree=in_bin_degree,
-        palette_size=palette_sizes,
-        in_bin_palette=in_bin_palette,
-        in_color_bin=in_color_bin,
-        reason_code=reason_code,
-    )
-
-    restricted: Optional[List[PaletteAssignment]] = None
-    if collect_restricted:
-        # Per-node kept counts are exactly the in-bin palette sizes, so the
-        # matched entries already form a CSR layout over the node order.
-        if flat_colors is not None:
-            kept_colors = flat_colors[entry_match]
-        else:
-            kept_colors = universe[entry_positions[entry_match]]
-        kept_bounds = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.cumsum(in_bin_palette, out=kept_bounds[1:])
-        eligible = is_good & in_color_bin
-        restricted = []
-        if entries_sorted:
-            # Entries came from the palette store (sorted per node): every
-            # color bin's assignment adopts gathered slices of the kept
-            # array — the children are array-backed from birth, and carry
-            # the universe as their membership frame so the downstream
-            # palette updates keep their table path.
-            from repro.graph.csr import gather_segments
-
-            kept_positions = (
-                entry_positions[entry_match] if entry_positions is not None else None
-            )
-            for bin_index in range(num_color_bins):
-                bin_rows = np.flatnonzero(eligible & (bins1 == bin_index))
-                lengths, gather = gather_segments(kept_bounds, bin_rows)
-                offsets = np.zeros(bin_rows.shape[0] + 1, dtype=np.int64)
-                np.cumsum(lengths, out=offsets[1:])
-                restricted.append(
-                    PaletteAssignment._from_arrays(
-                        [node_ids[row] for row in bin_rows.tolist()],
-                        kept_colors[gather],
-                        offsets,
-                        frame=(
-                            (universe, kept_positions[gather])
-                            if kept_positions is not None
-                            else None
-                        ),
-                    )
-                )
-        else:
-            # Unsorted entries (sets-backed fallback): rebuild per-node sets.
-            kept_list = kept_colors.tolist()
-            bounds_list = kept_bounds.tolist()
-            for bin_index in range(num_color_bins):
-                members: Dict[NodeId, Set[Color]] = {}
-                for row in np.flatnonzero(eligible & (bins1 == bin_index)).tolist():
-                    members[node_ids[row]] = set(
-                        kept_list[bounds_list[row] : bounds_list[row + 1]]
-                    )
-                restricted.append(PaletteAssignment._adopt(members))
-    return classification, restricted
-
-
-def classify_partition_batch(
-    graph: Graph,
-    palettes: PaletteAssignment,
-    h1: HashFunction,
-    h2: HashFunction,
-    params: ColorReduceParameters,
-    ell: float,
-    global_nodes: int,
-    color_arrays=None,
-) -> PartitionClassification:
-    """Batched :func:`classify_partition` for the *selected* hash pair.
-
-    The derandomized selection scores candidate pairs through the batched
-    :class:`PartitionCostEvaluator`, but the pair that wins still needs the
-    full :class:`PartitionClassification` (per-node records, bad sets, bin
-    sizes) — previously a per-node walk over Python adjacency sets.  This
-    function computes the same object from the graph's CSR view and the
-    vectorized hash kernels:
-
-    1. ``bins1``: one :func:`~repro.hashing.batch.hash_many` call over the
-       node ids (shape ``(n,)``),
-    2. color bins over the sorted palette universe
-       (:func:`color_bin_arrays`, shape ``(U,)``; pass ``color_arrays`` to
-       reuse a pair already computed elsewhere),
-    3. in-bin degrees: one edge-endpoint compare plus one ``bincount`` over
-       the CSR's directed edges,
-    4. in-bin palette sizes: one lookup gather plus one ``bincount`` over
-       the flattened palette entries (shape ``(total_entries,)``),
-    5. the Definition 3.1 thresholds as array comparisons.
-
-    No per-node Python runs here: the result keeps the per-node columns
-    (:meth:`PartitionClassification.from_arrays`) and builds its records
-    only when ``nodes`` is first read.  It is equal to the scalar
-    reference — same bins, same bad nodes/bins, same per-node records
-    including the ``reason`` strings — which
-    ``tests/test_final_classification.py`` asserts field by field.
-    """
-    classification, _ = _classify_partition_arrays(
-        graph, palettes, h1, h2, params, ell, global_nodes, color_arrays,
-        collect_restricted=False,
-    )
-    return classification
-
-
-def classify_and_restrict_batch(
-    graph: Graph,
-    palettes: PaletteAssignment,
-    h1: HashFunction,
-    h2: HashFunction,
-    params: ColorReduceParameters,
-    ell: float,
-    global_nodes: int,
-    color_arrays=None,
-):
-    """One fused pass: classification plus color-bin palette restriction.
-
-    ``Partition.run`` needs both the selected pair's
-    :class:`PartitionClassification` *and*, for every color bin, the
-    palettes of its good nodes restricted to the colors ``h2`` maps there.
-    Both are functions of the same per-entry comparison (``entry's color
-    bin == owner's node bin``), so this entry point computes the match
-    once and materialises the restricted palettes from the kept entries
-    while assembling the per-node records — the palette sets are built
-    straight from one gather instead of a second scan over the palettes
-    (:meth:`repro.graph.palettes.PaletteAssignment.restricted_by_bins`
-    remains the standalone vectorized restriction for callers that already
-    have a classification).
-
-    Returns ``(classification, restricted)`` where ``restricted[b]`` is the
-    :class:`~repro.graph.palettes.PaletteAssignment` for color bin ``b``
-    over ``classification.good_nodes_in_bin(b)`` (same node order, same
-    palette sets as the scalar ``restricted_to`` path).  When the entries
-    came from the palette store the children are array-backed — they adopt
-    slices of the kept-entry compaction and materialise Python sets only
-    if someone asks.
-    """
-    return _classify_partition_arrays(
-        graph, palettes, h1, h2, params, ell, global_nodes, color_arrays,
-        collect_restricted=True,
-    )
-
-
 class PartitionCostEvaluator(BatchCostEvaluatorBase):
     """Equation (1) cost with a scalar reference path and a batched kernel.
 
     Calling the evaluator with a single pair runs the per-node reference
-    implementation (:func:`classify_partition`).  :meth:`many` (inherited
-    scaffolding from :class:`repro.hashing.batch.BatchCostEvaluatorBase`)
-    scores a whole batch of candidate pairs as one matrix computation:
-
-    1. ``bins1``: a ``(S, n)`` node-bin matrix from the vectorized Horner
-       kernel (one row per candidate seed),
-    2. ``bins2``: a ``(S, U)`` color-bin matrix over the palette universe,
-    3. in-bin degrees: compare ``bins1`` at the two endpoint positions of
-       every directed edge (CSR ``edge_sources`` / ``indices``) and scatter
-       the matches with a per-row ``bincount``,
-    4. in-bin palette sizes: compare ``bins2`` at each palette entry's color
-       position against ``bins1`` at the owning node's position, scatter,
-    5. apply the Definition 3.1 thresholds as array comparisons and sum.
-
-    All static arrays (CSR view, palette-entry index arrays, per-node
-    degree/palette-size vectors, slack thresholds) are built once per
+    implementation (:func:`classify_partition`).  The batched paths
+    (:meth:`many`, :meth:`classify_selected`) run the shared count kernels
+    of :class:`repro.hashing.batch.BatchCostEvaluatorBase` over the
+    instance's CSR view — the prep's edge runs *are* the CSR arrays, no
+    copy — and apply the Definition 3.1 thresholds (:meth:`_conditions`)
+    as array comparisons.  The static arrays are built once per
     evaluator, i.e. once per ``Partition`` call, and shared by every batch
-    and every conditional-expectation chunk of the selection.
+    of the selection and the selected pair's pass.
     """
 
     def __init__(
@@ -711,281 +454,147 @@ class PartitionCostEvaluator(BatchCostEvaluatorBase):
         )
         return classification.cost(self.global_nodes)
 
+    # -- batched paths --------------------------------------------------
+    def _prepare(self) -> dict:
+        params, ell = self.params, self.ell
+        num_bins = params.num_bins(ell)
+        csr = self.graph.csr()
+        prep = {
+            "csr": csr,
+            "ids": node_id_array(csr),
+            "edge_sources": csr.edge_sources,
+            "edge_targets": csr.indices,
+            "edge_indptr": csr.indptr,
+            **self.palette_entry_arrays(self.palettes, csr.node_ids),
+            "num_bins": num_bins,
+            "num_color_bins": max(1, num_bins - 1),
+            "degrees": csr.degrees,
+            "degree_slack": params.degree_slack(ell),
+            "palette_slack": params.palette_slack(ell),
+            "bin_cap": params.bin_cap(ell, self.graph.num_nodes, self.global_nodes),
+            "literal_palette": not params.is_scaled and not params.bins_are_clamped(ell),
+        }
+        prep["palette_sizes"] = np.diff(prep["entry_indptr"])
+        return prep
+
+    def _conditions(self, prep: dict, bins, in_bin_degree, in_bin_palette):
+        """Definition 3.1's bad-node conditions, elementwise.
+
+        Works on one pair's vectors and on a slab's rows alike.  Returns
+        ``(degree deviation, palette shortfall, no palette surplus)``; a
+        condition the parameters switch off is ``None`` (see
+        :func:`classify_partition` for when each applies).
+        """
+        num_bins = prep["num_bins"]
+        expected = prep["degrees"] / num_bins
+        degree_bad = np.abs(in_bin_degree - expected) > prep["degree_slack"]
+        in_color_bin = bins != num_bins - 1
+        shortfall = surplus_fail = None
+        if prep["literal_palette"]:
+            shortfall = in_color_bin & (
+                in_bin_palette < prep["palette_sizes"] / num_bins + prep["palette_slack"]
+            )
+        if self.params.enforce_palette_surplus:
+            surplus_fail = in_color_bin & (in_bin_palette <= in_bin_degree)
+        return degree_bad, shortfall, surplus_fail
+
+    def _slab_costs(self, prep: dict, bins1, d_prime, p_prime):
+        bin_sizes = hb.rowwise_bincount(bins1, prep["num_bins"])
+        num_bad_bins = (bin_sizes >= prep["bin_cap"]).sum(axis=1)
+        bad, shortfall, surplus_fail = self._conditions(prep, bins1, d_prime, p_prime)
+        for condition in (shortfall, surplus_fail):
+            if condition is not None:
+                bad |= condition
+        return bad.sum(axis=1) + self.global_nodes * num_bad_bins
+
     # -- final classification for the selected pair ---------------------
     def classify_selected(
         self, h1: HashFunction, h2: HashFunction, scorer=None,
         precomputed_counts=None,
     ):
-        """Fused classification + palette restriction for the winning pair.
+        """Classification plus color-bin palette restriction for the winning pair.
 
-        The post-selection counterpart of :meth:`many`: one more pass over
-        the *same* static arrays ``_prepare`` built for the candidate
-        batches (CSR view, flattened palette entries, universe positions)
-        yields the full :class:`PartitionClassification` and every color
-        bin's restricted palettes — no palette is flattened a second time.
-        Returns ``(classification, restricted)`` exactly like
-        :func:`classify_and_restrict_batch`, and is bit-identical to the
-        scalar :func:`classify_partition` + ``restricted_to`` path.
+        One more pass over the static arrays the selection scored its
+        candidates on (:meth:`_selected_pass`): the in-bin counts, the
+        :class:`PartitionClassification` (per-node columns; records only
+        on demand), and — from the same entry match — every color bin's
+        restricted palettes.  Returns ``(classification, restricted)``
+        where ``restricted[b]`` holds the good nodes of color bin ``b``,
+        bit-identical to the scalar :func:`classify_partition` plus
+        ``restricted_to`` path.
 
         ``scorer`` may pass the selection's
-        :class:`repro.parallel.executor.ParallelSlabScorer`: the O(m)
-        in-bin count vectors are then sharded across the worker pool
-        (:meth:`phase_shard`) instead of computed serially — same
-        integers, same classification, different wall-clock.
+        :class:`repro.parallel.executor.ParallelSlabScorer` (the counts
+        are sharded by node range across the pool), and
+        ``precomputed_counts`` the ``(in_bin_degree, in_bin_palette)`` the
+        segmented level pass (:mod:`repro.core.level`) already computed —
+        the same integers either way.
         """
-        prep = self._prep
-        if prep is None or self._prep_is_stale(prep):
-            prep = self._prepare()
-        precomputed = None
-        if precomputed_counts is not None:
-            # Counts computed elsewhere over the same CSR node order — e.g.
-            # the segmented cross-bin level pass (repro.core.level), which
-            # already produced this pair's (in_bin_degree, in_bin_palette).
-            np = prep["np"]
-            precomputed = (
-                np.asarray(precomputed_counts[0], dtype=np.int64),
-                np.asarray(precomputed_counts[1], dtype=np.int64),
-            )
-        elif scorer is not None:
-            parts = scorer.phase_values(
-                "classify", h1, h2, len(prep["csr"].node_ids), 2
-            )
-            if parts is not None:
-                np = prep["np"]
-                precomputed = (
-                    np.asarray(parts[0], dtype=np.int64),
-                    np.asarray(parts[1], dtype=np.int64),
-                )
-        return _classify_partition_arrays(
-            self.graph, self.palettes, h1, h2, self.params, self.ell,
-            self.global_nodes, None, collect_restricted=True, prep=prep,
-            precomputed_counts=precomputed,
-        )
-
-    # -- zero-copy transport --------------------------------------------
-    def shared_payload(self):
-        """Static arrays + scalar state for the shm evaluator envelope.
-
-        Exports the CSR view and the flattened palette-entry arrays the
-        batched kernels read; returns ``None`` (pickle fallback) when the
-        palette store could not flatten (colors beyond ``int64``) or node
-        ids do not fit ``int64``.
-        """
-        prep = self._prep
-        if prep is None or self._prep_is_stale(prep):
-            prep = self._prepare()
-        if prep["universe_array"] is None or not prep["entries_sorted"]:
-            return None
-        np = prep["np"]
-        csr = prep["csr"]
-        try:
-            node_ids = np.asarray(csr.node_ids, dtype=np.int64)
-        except (OverflowError, TypeError, ValueError):
-            return None
-        state = {
-            "params": self.params,
-            "ell": self.ell,
-            "global_nodes": self.global_nodes,
-            "num_bins": prep["num_bins"],
-            "num_color_bins": prep["num_color_bins"],
-            "degree_slack": prep["degree_slack"],
-            "palette_slack": prep["palette_slack"],
-            "bin_cap": prep["bin_cap"],
-            "literal_palette": prep["literal_palette"],
-            "entries_sorted": prep["entries_sorted"],
-        }
-        arrays = {
-            "node_ids": node_ids,
-            "indptr": csr.indptr,
-            "indices": csr.indices,
-            "degrees": csr.degrees,
-            "edge_sources": csr.edge_sources,
-            "universe": prep["universe_array"],
-            "entry_nodes": prep["entry_nodes"],
-            "entry_colors": prep["entry_colors"],
-            "entry_indptr": prep["entry_indptr"],
-            "palette_sizes": prep["palette_sizes"],
-        }
-        return state, arrays
-
-    @classmethod
-    def from_shared_payload(cls, state, arrays):
-        """Worker-side rebuild over attached segment views (zero copies).
-
-        The instance has no live graph or palettes — only the prep arrays
-        the batched kernels (:meth:`_many_slab`, :meth:`phase_shard`)
-        read.  The scalar ``__call__`` path is deliberately unavailable.
-        """
-        import numpy as np
-
-        from repro.graph.csr import GraphCSR
-
-        evaluator = cls.__new__(cls)
-        evaluator.graph = None
-        evaluator.palettes = None
-        evaluator.params = state["params"]
-        evaluator.ell = state["ell"]
-        evaluator.global_nodes = state["global_nodes"]
-        universe_array = arrays["universe"]
-        evaluator._prep = {
-            "np": np,
-            "_shared": True,
-            "csr": GraphCSR(
-                node_ids=arrays["node_ids"].tolist(),
-                indptr=arrays["indptr"],
-                indices=arrays["indices"],
-                degrees=arrays["degrees"],
-                edge_sources=arrays["edge_sources"],
-            ),
-            "universe": universe_array.tolist(),
-            "universe_array": universe_array,
-            "entry_nodes": arrays["entry_nodes"],
-            "entry_colors": arrays["entry_colors"],
-            "entry_indptr": arrays["entry_indptr"],
-            "palette_sizes": arrays["palette_sizes"],
-            "entries_sorted": state["entries_sorted"],
-            "num_bins": state["num_bins"],
-            "num_color_bins": state["num_color_bins"],
-            "degree_slack": state["degree_slack"],
-            "palette_slack": state["palette_slack"],
-            "bin_cap": state["bin_cap"],
-            "literal_palette": state["literal_palette"],
-            "node_xs_cache": {},
-            "color_xs_cache": {},
-        }
-        return evaluator
-
-    def phase_shard(
-        self, phase: str, h1: HashFunction, h2: HashFunction, start: int, stop: int
-    ) -> List[float]:
-        """In-bin degree and in-bin palette counts for nodes
-        ``[start, stop)``, concatenated (``classify`` phase).
-
-        The CSR edge runs and palette-entry runs of a node range are
-        contiguous, so a shard touches exactly its own edges/entries; the
-        bincounts produce the same integers the serial pass produces for
-        those nodes, making the parent's reassembly bit-identical.
-        """
-        if phase != "classify":
-            raise ValueError(f"PartitionCostEvaluator has no phase {phase!r}")
-        prep = self._prep
-        if prep is None or (not prep.get("_shared") and self._prep_is_stale(prep)):
-            prep = self._prepare()
-        np = prep["np"]
-        csr = prep["csr"]
+        (prep, bins, universe_bins, in_bin_degree, in_bin_palette,
+         entry_match) = self._selected_pass(h1, h2, scorer, precomputed_counts)
+        entry_colors = prep["entry_colors"]
+        if entry_match is None:
+            entry_match = universe_bins[entry_colors] == bins[prep["entry_nodes"]]
         num_bins = prep["num_bins"]
-        num_color_bins = prep["num_color_bins"]
-        bins1 = (np.asarray(h1.hash_many(csr.node_ids)) % num_bins).astype(
-            np.int64, copy=False
+        node_ids = prep["csr"].node_ids
+        num_nodes = len(node_ids)
+
+        bin_size_counts = np.bincount(bins, minlength=num_bins)
+        bin_sizes = {index: int(bin_size_counts[index]) for index in range(num_bins)}
+        bad_bins = {
+            index for index in range(num_bins) if bin_size_counts[index] >= prep["bin_cap"]
+        }
+        degree_bad, shortfall, surplus_fail = self._conditions(
+            prep, bins, in_bin_degree, in_bin_palette
         )
-        lo, hi = int(csr.indptr[start]), int(csr.indptr[stop])
-        sources = csr.edge_sources[lo:hi]
-        same_bin = bins1[sources] == bins1[csr.indices[lo:hi]]
-        in_bin_degree = np.bincount(
-            sources[same_bin] - start, minlength=stop - start
+        # The first failed condition names the reason: write the codes in
+        # reverse order of precedence.
+        reason_code = np.zeros(num_nodes, dtype=np.int64)
+        for code, failed in ((3, surplus_fail), (2, shortfall), (1, degree_bad)):
+            if failed is not None:
+                reason_code[failed] = code
+        in_color_bin = bins != num_bins - 1
+        classification = PartitionClassification.from_arrays(
+            num_bins,
+            bad_bins,
+            bin_sizes,
+            node_ids=node_ids,
+            bins=bins,
+            degree=prep["degrees"],
+            in_bin_degree=in_bin_degree,
+            palette_size=prep["palette_sizes"],
+            in_bin_palette=in_bin_palette,
+            in_color_bin=in_color_bin,
+            reason_code=reason_code,
         )
+
+        # The kept entries, per node, are exactly the in-bin palette counts,
+        # so the matched entries already form a CSR layout over the node
+        # order.  Every color bin's assignment adopts gathered slices of
+        # the kept arrays — array-backed from birth, carrying the universe
+        # as their membership frame so later palette updates keep their
+        # table path.
         universe = prep["universe"]
-        universe_bins = (
-            (np.asarray(h2.hash_many(universe)) % num_color_bins).astype(
-                np.int64, copy=False
+        kept_positions = entry_colors[entry_match]
+        kept_colors = universe[kept_positions]
+        kept_bounds = np.zeros(num_nodes + 1, dtype=np.int64)
+        np.cumsum(in_bin_palette, out=kept_bounds[1:])
+        eligible = (reason_code == 0) & in_color_bin
+        restricted: List[PaletteAssignment] = []
+        for bin_index in range(prep["num_color_bins"]):
+            bin_rows = np.flatnonzero(eligible & (bins == bin_index))
+            lengths, gather = gather_segments(kept_bounds, bin_rows)
+            offsets = np.zeros(bin_rows.shape[0] + 1, dtype=np.int64)
+            np.cumsum(lengths, out=offsets[1:])
+            restricted.append(
+                PaletteAssignment._from_arrays(
+                    [node_ids[row] for row in bin_rows.tolist()],
+                    kept_colors[gather],
+                    offsets,
+                    frame=(universe, kept_positions[gather]),
+                )
             )
-            if len(universe)
-            else np.zeros(0, dtype=np.int64)
-        )
-        elo = int(prep["entry_indptr"][start])
-        ehi = int(prep["entry_indptr"][stop])
-        owners = prep["entry_nodes"][elo:ehi]
-        entry_match = universe_bins[prep["entry_colors"][elo:ehi]] == bins1[owners]
-        in_bin_palette = np.bincount(
-            owners[entry_match] - start, minlength=stop - start
-        )
-        return in_bin_degree.tolist() + in_bin_palette.tolist()
-
-    # -- batched path ---------------------------------------------------
-    def _prepare(self):
-        import numpy as np
-
-        params, ell = self.params, self.ell
-        num_bins = params.num_bins(ell)
-        csr = self.graph.csr()
-        # The flattened palette entries come from the assignment's shared
-        # array store (see ``palette_entry_arrays``): for children built by
-        # the batched restriction kernels the flat arrays already exist, so
-        # preparing the evaluator no longer re-flattens per Partition call.
-        entries = self.palette_entry_arrays(self.palettes, csr.node_ids)
-        self._prep = {
-            "np": np,
-            "csr": csr,
-            "universe": entries["universe"],
-            "universe_array": entries["universe_array"],
-            "entry_nodes": entries["entry_nodes"],
-            "entry_colors": entries["entry_positions"],
-            "entry_indptr": entries["indptr"],
-            "palette_sizes": entries["sizes"],
-            "entries_sorted": entries["sorted_entries"],
-            "num_bins": num_bins,
-            "num_color_bins": max(1, num_bins - 1),
-            "degree_slack": params.degree_slack(ell),
-            "palette_slack": params.palette_slack(ell),
-            "bin_cap": params.bin_cap(ell, self.graph.num_nodes, self.global_nodes),
-            "literal_palette": not params.is_scaled and not params.bins_are_clamped(ell),
-            "node_xs_cache": {},
-            "color_xs_cache": {},
-        }
-        return self._prep
-
-    def _prep_is_stale(self, prep) -> bool:
-        # The graph was mutated after the first batch (its CSR cache was
-        # invalidated): rebuild the static arrays so the batched path keeps
-        # matching the live-state scalar path.  Palettes have no such
-        # invalidation hook — they must not be mutated while this evaluator
-        # is in use (no in-repo caller does).
-        return prep["csr"] is not self.graph.csr()
-
-    def _slab_entries(self, prep) -> int:
-        return max(
-            1,
-            len(prep["entry_nodes"]),
-            prep["csr"].num_directed_edges,
-            len(prep["universe"]),
-        )
-
-    def _many_slab(self, pairs, prep) -> List[float]:
-        np = prep["np"]
-        from repro.hashing import batch as hb
-
-        csr = prep["csr"]
-        num_bins = prep["num_bins"]
-        num_color_bins = prep["num_color_bins"]
-        last_bin = num_bins - 1
-        bins1, bins2 = self._slab_bin_matrices(
-            pairs, prep, num_bins, num_color_bins, csr.node_ids, prep["universe"]
-        )
-
-        bin_sizes = hb.rowwise_bincount(bins1, num_bins)
-        num_bad_bins = (bin_sizes >= prep["bin_cap"]).sum(axis=1)
-
-        # Neighbor runs and palette-entry runs are contiguous in the CSR
-        # layout, so both in-bin counts are one gather + one reduceat.
-        same_bin = bins1[:, csr.edge_sources] == bins1[:, csr.indices]
-        in_bin_degree = hb.segment_sum_rows(same_bin, csr.indptr)
-
-        entry_match = bins2[:, prep["entry_colors"]] == bins1[:, prep["entry_nodes"]]
-        in_bin_palette = hb.segment_sum_rows(entry_match, prep["entry_indptr"])
-
-        expected = csr.degrees / num_bins
-        bad = np.abs(in_bin_degree - expected) > prep["degree_slack"]
-        in_color_bin = bins1 != last_bin
-        if prep["literal_palette"]:
-            bad |= in_color_bin & (
-                in_bin_palette
-                < prep["palette_sizes"] / num_bins + prep["palette_slack"]
-            )
-        if self.params.enforce_palette_surplus:
-            bad |= in_color_bin & (in_bin_palette <= in_bin_degree)
-
-        costs = bad.sum(axis=1) + self.global_nodes * num_bad_bins
-        return [float(value) for value in costs]
+        return classification, restricted
 
 
 def partition_cost_function(

@@ -116,11 +116,10 @@ class CachedPairCost:
             h1, h2, scorer=scorer, precomputed_counts=counts
         )
 
-    def outcome_selected(self, h1, h2, color_arrays=None, scorer=None):
+    def outcome_selected(self, h1, h2, scorer=None):
         counts = None if scorer is not None else self._counts.get(_pair_key(h1, h2))
         return self._inner.outcome_selected(
-            h1, h2, color_arrays=color_arrays, scorer=scorer,
-            precomputed_counts=counts,
+            h1, h2, scorer=scorer, precomputed_counts=counts
         )
 
     def __getattr__(self, name):
@@ -140,15 +139,10 @@ def partition_level_arrays(evaluators: Sequence) -> dict:
     endpoints, palette-entry owners and universe positions are shifted by
     per-child offsets so one flat pass covers the level.
     """
-    preps = []
-    for evaluator in evaluators:
-        prep = evaluator._prep
-        if prep is None or evaluator._prep_is_stale(prep):
-            prep = evaluator._prepare()
-        preps.append(prep)
+    preps = [evaluator._prepared() for evaluator in evaluators]
     first = preps[0]
     num_children = len(preps)
-    node_counts = [prep["csr"].num_nodes for prep in preps]
+    node_counts = [len(prep["ids"]) for prep in preps]
     node_offsets = np.zeros(num_children + 1, dtype=np.int64)
     np.cumsum(node_counts, out=node_offsets[1:])
     universe_counts = [len(prep["universe"]) for prep in preps]
@@ -164,13 +158,13 @@ def partition_level_arrays(evaluators: Sequence) -> dict:
 
     edge_sources = _concat(
         [
-            prep["csr"].edge_sources.astype(np.int64) + node_offsets[index]
+            prep["edge_sources"].astype(np.int64) + node_offsets[index]
             for index, prep in enumerate(preps)
         ]
     )
     edge_targets = _concat(
         [
-            prep["csr"].indices.astype(np.int64) + node_offsets[index]
+            prep["edge_targets"].astype(np.int64) + node_offsets[index]
             for index, prep in enumerate(preps)
         ]
     )
@@ -205,7 +199,7 @@ def partition_level_arrays(evaluators: Sequence) -> dict:
         "edge_targets": edge_targets,
         "entry_owners": entry_owners,
         "entry_positions": entry_positions,
-        "degrees": _concat([prep["csr"].degrees for prep in preps]),
+        "degrees": _concat([prep["degrees"] for prep in preps]),
         "palette_sizes": _concat([prep["palette_sizes"] for prep in preps]),
     }
 
@@ -236,7 +230,7 @@ def score_partition_level(
         [
             evaluators[index]._cached_xs(
                 preps[index], "node_xs_cache", pair_row[index][0],
-                preps[index]["csr"].node_ids,
+                preps[index]["ids"],
             )
             for index in range(num_children)
         ]
@@ -363,14 +357,9 @@ def low_space_level_arrays(evaluators: Sequence) -> dict:
     (same ``num_bins`` across the level).  High-node lists, high-high
     edge endpoints and palette entries are offset per child.
     """
-    preps = []
-    for evaluator in evaluators:
-        prep = evaluator._prep
-        if prep is None or evaluator._prep_is_stale(prep):
-            prep = evaluator._prepare()
-        preps.append(prep)
+    preps = [evaluator._prepared() for evaluator in evaluators]
     num_children = len(preps)
-    high_counts = [len(prep["high"]) for prep in preps]
+    high_counts = [len(prep["ids"]) for prep in preps]
     high_offsets = np.zeros(num_children + 1, dtype=np.int64)
     np.cumsum(high_counts, out=high_offsets[1:])
     universe_counts = [len(prep["universe"]) for prep in preps]
@@ -451,7 +440,7 @@ def score_low_space_level(
         [
             evaluators[index]._cached_xs(
                 preps[index], "node_xs_cache", pair_row[index][0],
-                preps[index]["high"],
+                preps[index]["ids"],
             )
             for index in range(num_children)
         ]
@@ -513,16 +502,15 @@ def prefetch_low_space_level(
     :meth:`repro.core.low_space.partition.LowSpacePartition.run` exactly;
     returns ``{key: CachedPairCost}``.
     """
+    from repro.core.classification import hash_families
     from repro.core.low_space.machine_sets import low_space_cost_function
     from repro.core.low_space.partition import split_by_degree
-    from repro.hashing.family import KWiseIndependentFamily
 
     if not children:
         return {}
     count = min(params.selection_batch_size, params.selection_max_candidates)
     threshold = params.low_degree_threshold(global_nodes)
     num_bins = params.num_bins(global_nodes)
-    num_color_bins = max(1, num_bins - 1)
     evaluators = []
     pairs_by_child = []
     kept_children = []
@@ -532,16 +520,8 @@ def prefetch_low_space_level(
             # The child's run() takes the no-partition early return; there
             # is no cost to prefetch.
             continue
-        node_domain = max(global_nodes, max(graph.nodes(), default=0) + 1)
-        universe = palettes.color_universe()
-        color_domain = max(global_nodes * global_nodes, max(universe, default=0) + 1)
-        family1 = KWiseIndependentFamily(
-            domain_size=node_domain, range_size=num_bins,
-            independence=params.independence,
-        )
-        family2 = KWiseIndependentFamily(
-            domain_size=color_domain, range_size=num_color_bins,
-            independence=params.independence,
+        family1, family2 = hash_families(
+            graph, palettes, num_bins, params.independence, global_nodes
         )
         pairs_by_child.append(head_pairs(family1, family2, salt, count))
         evaluators.append(

@@ -20,15 +20,13 @@ Lemma 4.5 (``d'(v) < 2 d(v) n^{-δ}`` and ``d'(v) < p'(v)``).
 
 As in :mod:`repro.core.classification`, the selection cost has two
 implementations: the per-node scalar reference (:func:`node_level_outcome`)
-and the batched :class:`LowSpaceCostEvaluator` built on the vectorized hash
-kernels — bit-identical by construction and by test, so the derandomized
-selection may score candidate batches as matrix computations.  The
-*selected* pair's full node-level outcome has the same split:
-:func:`node_level_outcome_batch` computes an outcome equal to the
-reference :class:`NodeLevelOutcome` from the CSR view, keeping per-node
-arrays and building its per-node dicts only if they are read.
-``LowSpacePartition.run`` always takes the array form
-(:meth:`LowSpaceCostEvaluator.outcome_selected`);
+and the batched :class:`LowSpaceCostEvaluator`, which runs the count
+kernels shared with the Equation (1) cost
+(:class:`repro.hashing.batch.BatchCostEvaluatorBase`) over the high-degree
+nodes and applies the Lemma 4.5 predicate — bit-identical by construction
+and by test.  ``LowSpacePartition.run`` takes the selected pair's outcome
+from :meth:`LowSpaceCostEvaluator.outcome_selected`, which keeps per-node
+arrays and builds its per-node dicts only if they are read;
 :func:`node_level_outcome` is the scalar reference the differential tests
 reroute it to (``tests/scalar_oracle.py``).
 """
@@ -38,9 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
+import numpy as np
+
 from repro.core.low_space.params import LowSpaceParameters
 from repro.derand.cost import PairCost
 from repro.errors import GraphError
+from repro.graph.csr import node_id_array
 from repro.graph.graph import Graph
 from repro.graph.palettes import PaletteAssignment
 from repro.hashing.batch import BatchCostEvaluatorBase
@@ -201,16 +202,15 @@ class NodeLevelOutcome:
         self._arrays = None
 
     @classmethod
-    def from_arrays(cls, high, bins_high, d_prime, p_prime, threshold, last_bin):
+    def from_arrays(cls, high, bins_high, d_prime, p_prime, violates, last_bin):
         """The outcome of the per-node arrays over the sorted high ids.
 
-        ``high`` is the sorted int64 id array; the violating set is built
-        in that order, as the per-node reference walk over sorted ids would.
+        ``high`` is the sorted int64 id array and ``violates`` the Lemma 4.5
+        mask over it; the violating set is built in that order, as the
+        per-node reference walk over sorted ids would.
         """
-        in_color_bin = bins_high != last_bin
-        violates = (d_prime > threshold) | (in_color_bin & (p_prime <= d_prime))
         outcome = cls(None, None, None, set(high[violates].tolist()))
-        outcome._arrays = (high, bins_high, d_prime, p_prime, in_color_bin)
+        outcome._arrays = (high, bins_high, d_prime, p_prime, bins_high != last_bin)
         return outcome
 
     @property
@@ -238,8 +238,6 @@ class NodeLevelOutcome:
 
     def bins_of(self, nodes):
         """The bins of ``nodes`` (an int64 array of high ids), aligned."""
-        import numpy as np
-
         if self._arrays is None:
             mapping = self._bin_of_node
             return np.fromiter(
@@ -289,7 +287,10 @@ def node_level_outcome(
     in_bin_degree: Dict[NodeId, int] = {}
     in_bin_palette: Dict[NodeId, int] = {}
     violating: Set[NodeId] = set()
-    for node in high_degree_nodes:
+    # Walk the ids in sorted order, as the array path does: the violating
+    # set's insertion order decides its iteration order, which reaches the
+    # node order of the partition's MIS-path extraction.
+    for node in sorted(high_degree_nodes):
         node_bin = bin_of_node[node]
         degree = graph.degree(node)
         d_prime = sum(
@@ -317,58 +318,24 @@ def node_level_outcome(
     )
 
 
-def node_level_outcome_batch(
-    graph: Graph,
-    palettes: PaletteAssignment,
-    high_degree_nodes: Set[NodeId],
-    h1: HashFunction,
-    h2: HashFunction,
-    params: LowSpaceParameters,
-    num_bins: int,
-    color_arrays=None,
-) -> NodeLevelOutcome:
-    """Batched :func:`node_level_outcome` for the *selected* hash pair.
-
-    The low-space selection scores candidates through the batched
-    :class:`LowSpaceCostEvaluator`, but the winning pair still needs the
-    full :class:`NodeLevelOutcome` (bins, in-bin degrees/palettes, the
-    violating set) — previously a per-node walk over Python adjacency and
-    palette sets.  This standalone form is a thin wrapper: it builds a
-    fresh :class:`LowSpaceCostEvaluator` and runs its
-    :meth:`~LowSpaceCostEvaluator.outcome_selected` pass, so there is
-    exactly one array pipeline to keep bit-identical to the scalar
-    reference.  ``color_arrays`` may pass a precomputed
-    ``(sorted universe, color bins)`` pair (see
-    :func:`repro.core.classification.color_bin_arrays`) covering at least
-    the high nodes' palette colors, so a caller combining classification
-    with palette restriction hashes each color only once.
-    ``LowSpacePartition.run`` calls ``outcome_selected`` directly on the
-    evaluator that drove the selection, reusing its warm static arrays.
-    """
-    evaluator = LowSpaceCostEvaluator(
-        graph, palettes, high_degree_nodes, params, num_bins
-    )
-    return evaluator.outcome_selected(h1, h2, color_arrays=color_arrays)
-
-
 class LowSpaceCostEvaluator(BatchCostEvaluatorBase):
     """Lemma 4.5 violation count with scalar reference and batched kernel.
 
-    The scalar path (``__call__``) delegates to :func:`node_level_outcome`;
-    :meth:`many` (inherited scaffolding from
-    :class:`repro.hashing.batch.BatchCostEvaluatorBase`) scores a batch of
-    candidate pairs with the same vectorized recipe as
-    :class:`repro.core.classification.PartitionCostEvaluator`,
-    restricted to the high-degree nodes: a ``(S, H)`` node-bin matrix, a
-    ``(S, U)`` color-bin matrix over the high nodes' palette universe, and
-    two gather + ``reduceat`` segment sums for in-bin degrees (edges with
-    *both* endpoints high — neighbors outside the partition can never share
-    a bin) and in-bin palette counts.  The per-node slack
+    The scalar path (``__call__``) delegates to :func:`node_level_outcome`.
+    The batched paths (:meth:`many`, :meth:`outcome_selected`) run the
+    shared count kernels of
+    :class:`repro.hashing.batch.BatchCostEvaluatorBase` over the
+    high-degree nodes: the scored ``ids`` are the sorted high ids, the
+    edge runs keep the edges with *both* endpoints high (neighbors outside
+    the partition can never share a bin), and the palette entries are the
+    high nodes'.  The per-node slack
     ``max(d(v)^0.6, degree_slack(machine_chunk))`` is precomputed with
     scalar Python ``pow``, once per distinct degree, so thresholds are
     bit-identical to the reference path.  Costs returned by the two paths
     are exactly equal (``tests/test_batch_kernels.py``).
     """
+
+    _LIVE_ATTRS = ("graph", "palettes", "high_degree_nodes")
 
     def __init__(
         self,
@@ -396,202 +363,17 @@ class LowSpaceCostEvaluator(BatchCostEvaluatorBase):
             self.num_bins,
         ).cost
 
-    # -- node-level outcome for the selected pair -----------------------
-    def outcome_selected(
-        self, h1: HashFunction, h2: HashFunction, color_arrays=None, scorer=None,
-        precomputed_counts=None,
-    ) -> NodeLevelOutcome:
-        """Full :class:`NodeLevelOutcome` for the winning pair, from prep.
+    # -- batched paths --------------------------------------------------
+    def _prepare(self) -> dict:
+        """The prep layout over the high nodes, built from the CSR view.
 
-        The post-selection counterpart of :meth:`many`: one more pass over
-        the same static arrays ``_prepare`` built for the candidate batches
-        (high-high edge lists, flattened palette entries, per-node
-        thresholds) — no adjacency or palette is walked again.
-        ``color_arrays`` may pass the full-universe
-        ``(sorted universe, color bins)`` pair
-        (:func:`repro.core.classification.color_bin_arrays`) that the
-        caller also feeds the palette restriction, in which case the high
-        nodes' color bins are looked up there instead of hashed a second
-        time.  Bit-identical to the scalar :func:`node_level_outcome`.
-
-        ``scorer`` may pass the selection's
-        :class:`repro.parallel.executor.ParallelSlabScorer`: the per-node
-        count vectors are then sharded across the worker pool
-        (:meth:`phase_shard`) instead of computed serially — the shards
-        produce the same integers, so the outcome is bit-identical.
+        No per-node Python: the high nodes get ranks in sorted-id order,
+        one endpoint mask keeps the directed edges with both endpoints
+        high, and one int64 key sort by (source rank, target rank) lays
+        them out as contiguous runs of ascending targets — the order of a
+        per-node walk over the sorted high ids and their sorted neighbors
+        (``tests/scalar_oracle.py`` keeps that walk as the reference).
         """
-        import numpy as np
-
-        from repro.graph.palettes import color_bins_of_entries
-
-        prep = self._prep
-        if prep is None or self._prep_is_stale(prep):
-            prep = self._prepare()
-        num_color_bins = max(1, self.num_bins - 1)
-        last_bin = self.num_bins - 1
-        high = prep["high"]
-        num_high = len(high)
-        bins_high = (np.asarray(h1.hash_many(high)) % self.num_bins).astype(
-            np.int64, copy=False
-        )
-        high_ids = np.asarray(high, dtype=np.int64)
-
-        def outcome(d_prime, p_prime):
-            return NodeLevelOutcome.from_arrays(
-                high_ids,
-                bins_high,
-                np.asarray(d_prime, dtype=np.int64),
-                np.asarray(p_prime, dtype=np.int64),
-                prep["threshold"],
-                last_bin,
-            )
-
-        if precomputed_counts is not None:
-            # (d', p') computed elsewhere over the same sorted-high order —
-            # e.g. the segmented cross-bin level pass (repro.core.level).
-            return outcome(*precomputed_counts)
-        if scorer is not None:
-            parts = scorer.phase_values("outcome", h1, h2, num_high, 2)
-            if parts is not None:
-                return outcome(*parts)
-        same_bin = bins_high[prep["edge_sources"]] == bins_high[prep["edge_targets"]]
-        d_prime = np.bincount(prep["edge_sources"][same_bin], minlength=num_high)
-        universe = prep["universe"]
-        if not universe:
-            universe_bins = np.zeros(0, dtype=np.int64)
-        elif color_arrays is not None:
-            full_universe, full_bins = color_arrays
-            universe_bins = color_bins_of_entries(
-                np, full_universe, full_bins,
-                np.asarray(universe, dtype=np.int64),
-            )
-        else:
-            universe_bins = (np.asarray(h2.hash_many(universe)) % num_color_bins).astype(
-                np.int64, copy=False
-            )
-        entry_bins = universe_bins[prep["entry_colors"]]
-        entry_match = entry_bins == bins_high[prep["entry_nodes"]]
-        p_prime = np.bincount(prep["entry_nodes"][entry_match], minlength=num_high)
-        return outcome(d_prime, p_prime)
-
-    # -- zero-copy transport --------------------------------------------
-    def shared_payload(self):
-        """Static arrays + scalar state for the shm evaluator envelope, or
-        ``None`` (pickle fallback) when node ids or palette colors do not
-        fit ``int64``."""
-        prep = self._prep
-        if prep is None or self._prep_is_stale(prep):
-            prep = self._prepare()
-        np = prep["np"]
-        try:
-            high = np.asarray(prep["high"], dtype=np.int64)
-            universe = np.asarray(prep["universe"], dtype=np.int64)
-        except (OverflowError, TypeError, ValueError):
-            return None
-        state = {"params": self.params, "num_bins": self.num_bins}
-        arrays = {
-            "high": high,
-            "universe": universe,
-            "edge_sources": prep["edge_sources"],
-            "edge_targets": prep["edge_targets"],
-            "edge_indptr": prep["edge_indptr"],
-            "entry_nodes": prep["entry_nodes"],
-            "entry_colors": prep["entry_colors"],
-            "entry_indptr": prep["entry_indptr"],
-            "threshold": prep["threshold"],
-        }
-        return state, arrays
-
-    @classmethod
-    def from_shared_payload(cls, state, arrays):
-        """Worker-side rebuild over attached segment views (zero copies).
-
-        No live graph or palettes — only the prep arrays the batched
-        kernels (:meth:`_many_slab`, :meth:`phase_shard`) read; the
-        ``float64`` threshold vector crosses bit-exactly, so worker-side
-        comparisons match the parent's.
-        """
-        import numpy as np
-
-        evaluator = cls.__new__(cls)
-        evaluator.graph = None
-        evaluator.palettes = None
-        evaluator.high_degree_nodes = None
-        evaluator.params = state["params"]
-        evaluator.num_bins = state["num_bins"]
-        evaluator._prep = {
-            "np": np,
-            "_shared": True,
-            "graph_signature": None,
-            "high": arrays["high"].tolist(),
-            "universe": arrays["universe"].tolist(),
-            "edge_sources": arrays["edge_sources"],
-            "edge_targets": arrays["edge_targets"],
-            "edge_indptr": arrays["edge_indptr"],
-            "entry_nodes": arrays["entry_nodes"],
-            "entry_colors": arrays["entry_colors"],
-            "entry_indptr": arrays["entry_indptr"],
-            "threshold": arrays["threshold"],
-            "node_xs_cache": {},
-            "color_xs_cache": {},
-        }
-        return evaluator
-
-    def phase_shard(
-        self, phase: str, h1: HashFunction, h2: HashFunction, start: int, stop: int
-    ) -> List[float]:
-        """In-bin degree and in-bin palette counts for high nodes
-        ``[start, stop)``, concatenated (``outcome`` phase).
-
-        The high-high edge runs and palette-entry runs of a node range are
-        contiguous (both indptr-indexed), so a shard touches exactly its
-        own edges/entries and its bincounts reproduce the serial pass's
-        integers for those nodes.
-        """
-        if phase != "outcome":
-            raise ValueError(f"LowSpaceCostEvaluator has no phase {phase!r}")
-        prep = self._prep
-        if prep is None or (not prep.get("_shared") and self._prep_is_stale(prep)):
-            prep = self._prepare()
-        np = prep["np"]
-        num_color_bins = max(1, self.num_bins - 1)
-        bins_high = (np.asarray(h1.hash_many(prep["high"])) % self.num_bins).astype(
-            np.int64, copy=False
-        )
-        lo, hi = int(prep["edge_indptr"][start]), int(prep["edge_indptr"][stop])
-        sources = prep["edge_sources"][lo:hi]
-        same_bin = bins_high[sources] == bins_high[prep["edge_targets"][lo:hi]]
-        d_prime = np.bincount(sources[same_bin] - start, minlength=stop - start)
-        universe = prep["universe"]
-        universe_bins = (
-            (np.asarray(h2.hash_many(universe)) % num_color_bins).astype(
-                np.int64, copy=False
-            )
-            if len(universe)
-            else np.zeros(0, dtype=np.int64)
-        )
-        elo = int(prep["entry_indptr"][start])
-        ehi = int(prep["entry_indptr"][stop])
-        owners = prep["entry_nodes"][elo:ehi]
-        entry_match = universe_bins[prep["entry_colors"][elo:ehi]] == bins_high[owners]
-        p_prime = np.bincount(owners[entry_match] - start, minlength=stop - start)
-        return d_prime.tolist() + p_prime.tolist()
-
-    def _prepare(self):
-        """The static arrays every batch and the selected pair's outcome read.
-
-        Built from the instance's CSR view, with no per-node Python: the
-        high nodes get ranks in sorted-id order, one endpoint mask keeps
-        the directed edges with both endpoints high, and one int64 key sort
-        by (source rank, target rank) lays them out as contiguous runs of
-        ascending targets — the order of a per-node walk over the sorted
-        high ids and their sorted neighbors (``tests/scalar_oracle.py``
-        keeps that walk as the reference).
-        """
-        import numpy as np
-
-        from repro.graph.csr import node_id_array
-
         csr = self.graph.csr()
         ids = node_id_array(csr)
         high_ids = np.sort(
@@ -620,12 +402,6 @@ class LowSpaceCostEvaluator(BatchCostEvaluatorBase):
         edge_sources, edge_targets = np.divmod(keys, max(num_high, 1))
         edge_indptr = np.zeros(num_high + 1, dtype=np.int64)
         np.cumsum(np.bincount(edge_sources, minlength=num_high), out=edge_indptr[1:])
-        high = high_ids.tolist()
-        # Palette entries and universe for the high nodes come from the
-        # assignment's shared array store (one gather + unique instead of a
-        # per-color Python loop; sets-backed fallback for colors beyond
-        # int64) — see BatchCostEvaluatorBase.palette_entry_arrays.
-        entries = self.palette_entry_arrays(self.palettes, high)
         chunk_slack = self.params.degree_slack(
             self.params.machine_chunk(self.graph.num_nodes)
         )
@@ -638,57 +414,58 @@ class LowSpaceCostEvaluator(BatchCostEvaluatorBase):
             [max(degree ** 0.6, chunk_slack) for degree in distinct.tolist()],
             dtype=np.float64,
         )[inverse]
-        self._prep = {
-            "np": np,
-            # Graph mutations are additive only (add_node/add_edge), so the
-            # (nodes, edges) pair detects any change since the arrays were
-            # built — mirroring PartitionCostEvaluator's CSR-identity guard.
-            "graph_signature": (self.graph.num_nodes, self.graph.num_edges),
-            "high": high,
-            "universe": entries["universe"],
+        return {
+            "csr": csr,
+            "ids": high_ids,
             "edge_sources": edge_sources,
             "edge_targets": edge_targets,
             "edge_indptr": edge_indptr,
-            "entry_nodes": entries["entry_nodes"],
-            "entry_colors": entries["entry_positions"],
-            "entry_indptr": entries["indptr"],
+            **self.palette_entry_arrays(self.palettes, high_ids.tolist()),
+            "num_bins": self.num_bins,
+            "num_color_bins": max(1, self.num_bins - 1),
             "threshold": degrees / self.num_bins + slack,
-            "node_xs_cache": {},
-            "color_xs_cache": {},
         }
-        return self._prep
 
-    def _prep_is_stale(self, prep) -> bool:
-        # Graph mutated since the arrays were built: follow the live state.
-        return prep["graph_signature"] != (self.graph.num_nodes, self.graph.num_edges)
-
-    def _slab_entries(self, prep) -> int:
-        return max(
-            1,
-            len(prep["entry_nodes"]),
-            len(prep["edge_sources"]),
-            len(prep["universe"]),
-            len(prep["high"]),
-        )
-
-    def _many_slab(self, pairs, prep) -> List[float]:
-        from repro.hashing import batch as hb
-
-        num_color_bins = max(1, self.num_bins - 1)
-        last_bin = self.num_bins - 1
-        bins1, bins2 = self._slab_bin_matrices(
-            pairs, prep, self.num_bins, num_color_bins, prep["high"], prep["universe"]
-        )
-
-        same_bin = bins1[:, prep["edge_sources"]] == bins1[:, prep["edge_targets"]]
-        d_prime = hb.segment_sum_rows(same_bin, prep["edge_indptr"])
-        entry_match = bins2[:, prep["entry_colors"]] == bins1[:, prep["entry_nodes"]]
-        p_prime = hb.segment_sum_rows(entry_match, prep["entry_indptr"])
-
+    @staticmethod
+    def _violations(prep: dict, bins, d_prime, p_prime):
+        """The Lemma 4.5 violation mask, elementwise (one pair's vectors or
+        a slab's rows): ``d'(v)`` above its threshold, or — in a color bin
+        — ``p'(v) <= d'(v)``."""
         violating = d_prime > prep["threshold"]
-        violating |= (bins1 != last_bin) & (p_prime <= d_prime)
-        return [float(value) for value in violating.sum(axis=1)]
+        violating |= (bins != prep["num_bins"] - 1) & (p_prime <= d_prime)
+        return violating
 
+    def _slab_costs(self, prep: dict, bins1, d_prime, p_prime):
+        return self._violations(prep, bins1, d_prime, p_prime).sum(axis=1)
+
+    # -- node-level outcome for the selected pair -----------------------
+    def outcome_selected(
+        self, h1: HashFunction, h2: HashFunction, scorer=None,
+        precomputed_counts=None,
+    ) -> NodeLevelOutcome:
+        """Full :class:`NodeLevelOutcome` for the winning pair.
+
+        One more pass over the static arrays the selection scored its
+        candidates on (:meth:`_selected_pass`) — no adjacency or palette is
+        walked again.  ``scorer`` (the selection's
+        :class:`repro.parallel.executor.ParallelSlabScorer`) shards the
+        counts by node range across the pool, and ``precomputed_counts``
+        passes the ``(d', p')`` the segmented level pass
+        (:mod:`repro.core.level`) already computed; the counts are the
+        same integers either way.  Bit-identical to the scalar
+        :func:`node_level_outcome`.
+        """
+        prep, bins, _, d_prime, p_prime, _ = self._selected_pass(
+            h1, h2, scorer, precomputed_counts
+        )
+        return NodeLevelOutcome.from_arrays(
+            prep["ids"],
+            bins,
+            d_prime,
+            p_prime,
+            self._violations(prep, bins, d_prime, p_prime),
+            prep["num_bins"] - 1,
+        )
 
 def low_space_cost_function(
     graph: Graph,

@@ -24,7 +24,7 @@ from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.classification import color_bin_arrays, color_hash_domain
+from repro.core.classification import color_bin_arrays, hash_families
 from repro.core.low_space.machine_sets import (
     MachineClassification,
     classify_machines,
@@ -37,7 +37,6 @@ from repro.derand.conditional_expectation import (
     SelectionOutcome,
     SelectionStrategy,
 )
-from repro.graph.csr import node_id_array
 from repro.graph.graph import Graph
 from repro.graph.palettes import PaletteAssignment
 from repro.hashing.family import HashFunction, KWiseIndependentFamily
@@ -149,15 +148,8 @@ class LowSpacePartition:
                 num_violating_nodes=0,
             )
 
-        node_domain = max(global_nodes, int(node_id_array(graph.csr()).max()) + 1)
-        color_domain = color_hash_domain(palettes, global_nodes)
-        family1 = KWiseIndependentFamily(
-            domain_size=node_domain, range_size=num_bins, independence=self.params.independence
-        )
-        family2 = KWiseIndependentFamily(
-            domain_size=color_domain,
-            range_size=num_color_bins,
-            independence=self.params.independence,
+        family1, family2 = hash_families(
+            graph, palettes, num_bins, self.params.independence, global_nodes
         )
         if cost is not None and not (
             getattr(cost, "graph", None) is graph
@@ -201,8 +193,7 @@ class LowSpacePartition:
         # Post-selection classification is one more pass over the
         # evaluator's static arrays (the very ones the batched selection
         # scored its candidates on), and the palette restriction below is a
-        # vectorized label scatter.  The full color universe is hashed
-        # exactly once (color_bin_arrays) and shared by both.
+        # vectorized label scatter over the full color universe.
         scorer = None
         if self.params.parallel_workers > 1:
             from repro.parallel.executor import parallel_many_scorer
@@ -210,10 +201,7 @@ class LowSpacePartition:
             # Reuses the selection's warm pool (same registry key), so the
             # post-selection outcome shards ride for free.
             scorer = parallel_many_scorer(cost, self.params.parallel_workers)
-        color_arrays = color_bin_arrays(palettes, h2, num_color_bins)
-        outcome = cost.outcome_selected(
-            h1, h2, color_arrays=color_arrays, scorer=scorer
-        )
+        outcome = cost.outcome_selected(h1, h2, scorer=scorer)
         machine_classification = None
         if classify_machine_level:
             machine_classification = classify_machines(
@@ -242,8 +230,9 @@ class LowSpacePartition:
         if poll is not None:
             poll()
 
+        universe, color_bin_ids = color_bin_arrays(palettes, h2, num_color_bins)
         restricted = palettes.restricted_by_bins(
-            bin_members[:num_color_bins], *color_arrays
+            bin_members[:num_color_bins], universe, color_bin_ids
         )
         color_bins: List[ColorBinInstance] = []
         for bin_index in range(num_color_bins):

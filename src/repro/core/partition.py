@@ -24,7 +24,7 @@ from typing import List, Optional
 
 from repro.core.classification import (
     PartitionClassification,
-    color_hash_domain,
+    hash_families,
     partition_cost_function,
 )
 from repro.core.params import ColorReduceParameters
@@ -34,7 +34,6 @@ from repro.derand.conditional_expectation import (
     SelectionOutcome,
     SelectionStrategy,
 )
-from repro.graph.csr import node_id_array
 from repro.graph.graph import Graph
 from repro.graph.palettes import PaletteAssignment
 from repro.hashing.family import HashFunction, KWiseIndependentFamily
@@ -86,32 +85,12 @@ class Partition:
     def build_families(
         self, graph: Graph, palettes: PaletteAssignment, ell: float, global_nodes: int
     ) -> tuple[KWiseIndependentFamily, KWiseIndependentFamily]:
-        """The hash families ``H1`` (nodes) and ``H2`` (colors).
-
-        ``h1`` has domain ``[n]`` (global node identifiers) and ``h2`` has
-        domain ``[n^2]`` — the paper notes the color universe of a list
-        coloring instance can have up to ``n^2`` distinct colors.  If the
-        instance's colors happen to exceed ``n^2`` (synthetic workloads are
-        free to pick any integers), the domain is grown to cover them.
-        Node ids must be integers (:class:`~repro.errors.GraphError`
-        otherwise), as colors must (:func:`color_hash_domain`).
-        """
-        num_bins = self.params.num_bins(ell)
-        num_color_bins = max(1, num_bins - 1)
-        ids = node_id_array(graph.csr())
-        node_domain = max(global_nodes, int(ids.max()) + 1 if ids.shape[0] else 1)
-        color_domain = color_hash_domain(palettes, global_nodes)
-        family1 = KWiseIndependentFamily(
-            domain_size=node_domain,
-            range_size=num_bins,
-            independence=self.params.independence,
+        """The hash families ``H1`` (nodes) and ``H2`` (colors) for bin
+        count ``num_bins(ell)`` (:func:`~repro.core.classification.hash_families`)."""
+        return hash_families(
+            graph, palettes, self.params.num_bins(ell), self.params.independence,
+            global_nodes,
         )
-        family2 = KWiseIndependentFamily(
-            domain_size=color_domain,
-            range_size=num_color_bins,
-            independence=self.params.independence,
-        )
-        return family1, family2
 
     def select_hash_pair(
         self,

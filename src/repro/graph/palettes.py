@@ -24,13 +24,16 @@ The public constructors (:meth:`~PaletteAssignment.delta_plus_one`,
 the sets lazy; a sets-first ``PaletteAssignment(mapping)`` builds its store
 on the first :meth:`store` call.  The store is cached, and scalar mutation
 invalidates it.  Colors that are not int64 integers (non-integral, or
-beyond int64) get no store at all.  Likewise, assignments produced by the
+beyond int64) get no store at all; such colors cannot be hashed either, so
+the partition step's restriction (:meth:`restricted_by_bins`) raises
+:class:`PaletteError` for them.  Likewise, assignments produced by the
 batch kernels (:meth:`restricted_by_bins`, :meth:`subset`
 on an array-backed parent, the fused classification path) carry *only*
 their arrays — often plain slices of the parent's flat store — and
 materialise Python sets on the first genuinely set-based access, just like
-CSR-extracted graphs materialise adjacency lazily.  Every public operation
-answers from whichever backing is available, with identical results.
+CSR-extracted graphs materialise adjacency lazily.  Every other public
+operation answers from whichever backing is available, with identical
+results.
 
 On top of it the class provides exactly the operations the algorithms
 perform:
@@ -59,35 +62,6 @@ import numpy as np
 from repro.errors import PaletteError
 from repro.graph.graph import Graph
 from repro.types import Color, ColoringMap, NodeId
-
-
-def color_bins_of_entries(np, universe, universe_bins, flat_colors):
-    """Color bin of every flattened palette entry (one gather).
-
-    ``universe`` is the *sorted* color universe (``(U,)`` int64) and
-    ``universe_bins`` the aligned bin of each universe color; the result is
-    ``universe_bins[position_of(color)]`` for every entry of
-    ``flat_colors``.  When the universe is (nearly) contiguous — the common
-    ``{0..Δ}``-style instance — a direct lookup table replaces the
-    ``searchsorted``.  Shared by the batched classification kernels
-    (:mod:`repro.core.classification`,
-    :mod:`repro.core.low_space.machine_sets`), whose flattened entries are
-    guaranteed to lie in the universe; entries outside it land on arbitrary
-    bins (:meth:`PaletteAssignment.restricted_by_bins` validates membership
-    explicitly instead, reusing its own lookup).
-    """
-    size = universe.shape[0]
-    if size == 0:
-        return np.zeros(0, dtype=np.int64)
-    base = int(universe[0])
-    span = int(universe[-1]) - base + 1
-    if span <= 4 * size + 64:
-        table = np.zeros(span, dtype=np.int64)
-        table[universe - base] = universe_bins
-        clipped = np.clip(flat_colors - base, 0, span - 1)
-        return table[clipped]
-    positions = np.searchsorted(universe, flat_colors)
-    return universe_bins[np.minimum(positions, size - 1)]
 
 
 class _PaletteStore:
@@ -742,8 +716,10 @@ class PaletteAssignment:
 
         Returns one :class:`PaletteAssignment` per group, equal (same nodes,
         same palette *sets*) to the scalar ``restricted_to`` result.  Raises
-        :class:`PaletteError` if a member has no palette or a member color is
-        missing from ``universe``.  An empty ``universe`` is answered
+        :class:`PaletteError` if a member has no palette, a member color is
+        missing from ``universe``, or the palettes have no array store
+        (colors that are not int64 integers, which the partition steps'
+        hash families reject before they get here).  An empty ``universe`` is answered
         explicitly: all-empty member palettes yield all-empty children, any
         member entry is a membership error (the general path would
         otherwise index row 0 of the empty ``color_bin_ids``).
@@ -753,7 +729,9 @@ class PaletteAssignment:
         ]
         store = self.store()
         if store is None:
-            return self._restricted_by_bins_sets(groups, universe, color_bin_ids)
+            raise PaletteError(
+                "restricted_by_bins: palette colors are not int64 integers"
+            )
         from repro.graph.csr import gather_segments
 
         flat_nodes: List[NodeId] = [node for members in groups for node in members]
@@ -810,71 +788,6 @@ class PaletteAssignment:
                 )
             results.append(PaletteAssignment._adopt_store(child))
             cursor += member_count
-        return results
-
-    def _restricted_by_bins_sets(
-        self,
-        groups: List[List[NodeId]],
-        universe: "np.ndarray",
-        color_bin_ids: "np.ndarray",
-    ) -> List["PaletteAssignment"]:
-        """Sets-backed :meth:`restricted_by_bins` (colors beyond int64)."""
-        import itertools
-
-        flat_nodes: List[NodeId] = [node for members in groups for node in members]
-        palettes: List[Set[Color]] = []
-        for node in flat_nodes:
-            try:
-                palettes.append(self._palettes[node])
-            except KeyError as exc:
-                raise PaletteError(f"node {node} has no palette") from exc
-        sizes = np.fromiter(
-            (len(colors) for colors in palettes), dtype=np.int64, count=len(palettes)
-        )
-        total = int(sizes.sum())
-        if universe.shape[0] == 0:
-            if total:
-                raise PaletteError(
-                    "restricted_by_bins: a member color is missing from the universe"
-                )
-            return [
-                PaletteAssignment._adopt({node: set() for node in members})
-                for members in groups
-            ]
-        flat_colors = np.fromiter(
-            itertools.chain.from_iterable(palettes), dtype=np.int64, count=total
-        )
-        entry_owner = np.repeat(np.arange(len(flat_nodes), dtype=np.int64), sizes)
-        node_group = np.repeat(
-            np.arange(len(groups), dtype=np.int64),
-            np.fromiter(
-                (len(members) for members in groups), dtype=np.int64, count=len(groups)
-            ),
-        )
-        owner_bin = node_group[entry_owner]
-        positions = np.searchsorted(universe, flat_colors)
-        if total and (
-            bool((positions >= universe.shape[0]).any())
-            or not bool(np.array_equal(universe[np.minimum(positions, universe.shape[0] - 1)], flat_colors))
-        ):
-            raise PaletteError("restricted_by_bins: a member color is missing from the universe")
-        keep = color_bin_ids[positions] == owner_bin
-        kept_colors = flat_colors[keep].tolist()
-        kept_counts = np.bincount(entry_owner[keep], minlength=len(flat_nodes))
-        bounds = np.zeros(len(flat_nodes) + 1, dtype=np.int64)
-        np.cumsum(kept_counts, out=bounds[1:])
-        # Per-node set rebuilding goes through plain lists: NumPy scalar
-        # indexing would dominate this final loop.
-        bounds_list = bounds.tolist()
-        results: List[PaletteAssignment] = []
-        cursor = 0
-        for members in groups:
-            restricted: Dict[NodeId, Set[Color]] = {}
-            for node in members:
-                start, end = bounds_list[cursor], bounds_list[cursor + 1]
-                restricted[node] = set(kept_colors[start:end])
-                cursor += 1
-            results.append(PaletteAssignment._adopt(restricted))
         return results
 
     def remove_colors_used_by_neighbors(

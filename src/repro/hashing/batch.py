@@ -28,13 +28,15 @@ bins after range reduction).  Two arithmetic regimes make this work:
 Every batched consumer in this repository asserts equivalence against the
 scalar reference in ``tests/test_batch_kernels.py``.
 
-:class:`BatchCostEvaluatorBase` (bottom of this module) carries the
-slab/cache scaffolding shared by the two batched cost evaluators —
-Equation (1)'s :class:`repro.core.classification.PartitionCostEvaluator`
-and Equation (2)'s
-:class:`repro.core.low_space.machine_sets.LowSpaceCostEvaluator` — so the
-staleness handling, slab sizing and per-family input caches cannot drift
-apart.
+:class:`BatchCostEvaluatorBase` (bottom of this module) is the shared core
+of the two batched cost evaluators — Equation (1)'s
+:class:`repro.core.classification.PartitionCostEvaluator` and Lemma 4.5's
+:class:`repro.core.low_space.machine_sets.LowSpaceCostEvaluator`.  Both
+score a hash pair from the in-bin degree ``d'(v)`` and in-bin palette size
+``p'(v)``; the base owns their one prep layout, the two kernels that count
+them (a slab of candidate rows, and one pair over a node range), the
+selected pair's pass, the staleness check and the shared-memory payload,
+so the evaluators keep only which nodes they score and their predicate.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import HashFamilyError
+from repro.errors import HashFamilyError, PaletteError
 
 #: Largest prime for which the int64 Horner step cannot overflow:
 #: ``acc * x + c <= (p - 1) * p < 2**62`` requires ``p < 2**31``.
@@ -410,37 +412,62 @@ def segment_sum_rows(matrix: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     return sums
 
 
+
+
+#: Prep entries that are per-process caches or live-instance handles, never
+#: part of the shared-memory payload.
+_LOCAL_PREP_KEYS = ("csr", "node_xs_cache", "color_xs_cache")
+
+
 class BatchCostEvaluatorBase:
-    """Shared slab/cache scaffolding of the batched pair-cost evaluators.
+    """The shared layout and count kernels of the batched pair-cost evaluators.
 
     Both selection costs — Equation (1)
     (:class:`repro.core.classification.PartitionCostEvaluator`) and the
     Lemma 4.5 violation count
     (:class:`repro.core.low_space.machine_sets.LowSpaceCostEvaluator`) —
-    share the same batched shape: static per-instance arrays prepared once,
-    invalidated when the graph mutates; candidate batches sliced into
-    cache-sized slabs; hash inputs cached per hash family; a candidate-by-bin
-    matrix pipeline per slab.  This base carries that scaffolding so the two
-    evaluators only implement the cost arithmetic itself.
+    score a hash pair from the same two per-node counts, the in-bin degree
+    ``d'(v)`` and the in-bin palette size ``p'(v)``; only the good/bad
+    predicate differs.  This base owns everything else.
 
-    Subclasses implement:
+    **The prep layout** (built once per instance by :meth:`_prepare`,
+    rebuilt when the graph's CSR view is replaced by a mutation):
 
-    * :meth:`_prepare` — build (and store on ``self._prep``) the static
-      arrays; returns the prep dict.  Must include ``node_xs_cache`` and
-      ``color_xs_cache`` entries for :meth:`_cached_xs`.
-    * :meth:`_prep_is_stale` — whether the live graph has drifted from the
-      arrays (CSR identity, size signature, ...), forcing a re-prepare.
-    * :meth:`_slab_entries` — the per-candidate element count used to size
-      slabs against :attr:`MAX_ELEMENTS`.
-    * :meth:`_many_slab` — score one slab of candidate pairs.
+    * ``ids`` — the scored nodes' ids (int64), in scoring order;
+    * ``edge_sources`` / ``edge_targets`` / ``edge_indptr`` — each scored
+      node's edges to other scored nodes as one contiguous run, endpoints
+      given as positions in ``ids``;
+    * ``entry_nodes`` / ``entry_colors`` / ``entry_indptr`` — each scored
+      node's palette entries as one contiguous run: owner position and the
+      color's position in ``universe``;
+    * ``universe`` — the sorted colors of those palettes;
+    * ``num_bins`` / ``num_color_bins``, ``csr`` (the live view, ``None``
+      on a worker) and the per-family hash-input caches.
+
+    Subclasses add their predicate's thresholds.
+
+    **Two count kernels.**  :meth:`_count_slab` counts a slab of candidate
+    pairs (one row each) for :meth:`many`; :meth:`_count_range` counts one
+    pair over a node range ``[start, stop)``.  The selected pair's pass is
+    the range ``[0, n)`` and a pool shard is a sub-range
+    (:meth:`range_counts`), so sharded and serial counts are the same
+    integers.
+
+    Subclasses implement :meth:`_prepare` (which nodes, edges and
+    thresholds), :meth:`_slab_costs` (their predicate over counted slabs)
+    and the selected-pair result on top of :meth:`_selected_pass`.
     """
 
     #: Soft cap on elements per intermediate matrix; batches are sliced into
-    #: slabs so ``slab_rows * _slab_entries()`` stays below this.
+    #: slabs so ``slab_rows`` times the longest prep array stays below this.
     #: Deliberately small: the gather/compare/reduceat pipeline is
     #: memory-bound, and slabs whose intermediates fit in cache are several
     #: times faster than one monolithic batch.
     MAX_ELEMENTS = 1 << 20
+
+    #: Attributes tied to the live instance; a shared-memory worker gets
+    #: ``None`` for them and reads only the prep arrays.
+    _LIVE_ATTRS: Tuple[str, ...] = ("graph", "palettes")
 
     def __init__(self) -> None:
         self._prep: Optional[dict] = None
@@ -448,13 +475,12 @@ class BatchCostEvaluatorBase:
     def __getstate__(self) -> dict:
         """Pickle the evaluator without its prepared static arrays.
 
-        ``_prep`` is a pure cache (and holds a module reference, which
-        pickle rejects); a worker process receiving the evaluator rebuilds
-        the arrays once from the instance state — the parallel layer
-        (:mod:`repro.parallel.slabs`) ships evaluators once per Partition
-        level, so each worker pays that preparation once, not per slab.
-        A shared-memory segment handle likewise never crosses a pickle
-        boundary.
+        ``_prep`` is a pure cache; a worker process receiving the evaluator
+        rebuilds the arrays once from the instance state — the parallel
+        layer (:mod:`repro.parallel.slabs`) ships evaluators once per
+        Partition level, so each worker pays that preparation once, not
+        per slab.  A shared-memory segment handle likewise never crosses a
+        pickle boundary.
         """
         state = self.__dict__.copy()
         state["_prep"] = None
@@ -463,203 +489,265 @@ class BatchCostEvaluatorBase:
 
     # -- subclass hooks -------------------------------------------------
     def _prepare(self) -> dict:
+        """The prep layout (see the class docstring) for the live instance."""
         raise NotImplementedError
 
-    def _prep_is_stale(self, prep: dict) -> bool:
+    def _slab_costs(self, prep: dict, bins1, d_prime, p_prime) -> np.ndarray:
+        """One cost per slab row from its node bins and counts."""
         raise NotImplementedError
 
-    def _slab_entries(self, prep: dict) -> int:
-        raise NotImplementedError
+    # -- the prep -------------------------------------------------------
+    def _prepared(self) -> dict:
+        """The prep, built on first use and rebuilt when the graph mutated.
 
-    def _many_slab(self, pairs, prep: dict) -> List[float]:
-        raise NotImplementedError
+        Graph mutations drop the cached CSR view, so CSR identity detects
+        any change since the arrays were built.  Palettes have no such
+        hook — they must not be mutated while the evaluator is in use (no
+        in-repo caller does).  A worker-side prep has no ``csr`` and is
+        never stale.
+        """
+        prep = self._prep
+        if prep is None or (
+            prep["csr"] is not None and prep["csr"] is not self.graph.csr()
+        ):
+            prep = self._prepare()
+            prep["node_xs_cache"] = {}
+            prep["color_xs_cache"] = {}
+            self._prep = prep
+        return prep
 
-    # -- zero-copy transport hooks --------------------------------------
+    @staticmethod
+    def palette_entry_arrays(palettes, node_ids) -> dict:
+        """The palette-entry part of the prep layout for ``node_ids``.
+
+        Answers from the assignment's array store
+        (:meth:`repro.graph.palettes.PaletteAssignment.store`): children
+        produced by the batched restriction kernels already carry their
+        flat arrays, so this is a couple of NumPy gathers.  Returns
+        ``universe``, ``entry_nodes``, ``entry_colors`` and
+        ``entry_indptr``.  Raises the palette layer's error for nodes
+        without a palette, and :class:`~repro.errors.PaletteError` when the
+        colors are not int64 integers (the hash families reject such
+        colors first; see :func:`repro.core.classification.hash_families`).
+        """
+        store = palettes.store()
+        if store is None:
+            raise PaletteError(
+                "palette colors are not int64 integers; partitioning hashes "
+                "integer colors"
+            )
+        if store.nodes == node_ids:
+            indptr = store.offsets
+            universe, positions = store.universe_positions()
+        else:
+            from repro.graph.csr import gather_segments
+
+            sizes, gather = gather_segments(store.offsets, store.rows_of(node_ids))
+            flat = store.flat[gather]
+            indptr = np.zeros(len(node_ids) + 1, dtype=np.int64)
+            np.cumsum(sizes, out=indptr[1:])
+            universe = np.unique(flat)
+            positions = np.searchsorted(universe, flat)
+        return {
+            "universe": universe,
+            "entry_nodes": np.repeat(
+                np.arange(len(node_ids), dtype=np.int64), indptr[1:] - indptr[:-1]
+            ),
+            "entry_colors": positions,
+            "entry_indptr": indptr,
+        }
+
+    # -- zero-copy transport --------------------------------------------
     def shared_payload(self):
-        """``(state, arrays)`` for the shared-memory evaluator envelope,
-        or ``None`` when this evaluator cannot export its static arrays
-        (non-integer node ids, colors beyond ``int64``, ...) and must ship
-        as a pickle.  ``state`` must be picklable; ``arrays`` is a dict of
-        NumPy arrays published once into a segment
-        (:func:`repro.parallel.slabs.publish_evaluator`)."""
-        return None
+        """``(state, arrays)`` for the shared-memory evaluator envelope.
+
+        ``arrays`` holds every array of the prep, published once into a
+        segment (:func:`repro.parallel.slabs.publish_evaluator`); ``state``
+        holds the evaluator's scalar attributes and the prep's scalars.
+        """
+        prep = self._prepared()
+        arrays = {
+            key: value for key, value in prep.items() if isinstance(value, np.ndarray)
+        }
+        scalars = {
+            key: value
+            for key, value in prep.items()
+            if key not in arrays and key not in _LOCAL_PREP_KEYS
+        }
+        attrs = {
+            key: value
+            for key, value in self.__dict__.items()
+            if not key.startswith("_") and key not in self._LIVE_ATTRS
+        }
+        return (attrs, scalars), arrays
 
     @classmethod
     def from_shared_payload(cls, state, arrays):
-        """Rebuild a worker-side evaluator whose ``_prep`` views point
-        directly into an attached shared-memory segment (zero copies).
-        Subclasses that return a payload from :meth:`shared_payload` must
-        implement the inverse here."""
-        raise NotImplementedError(
-            f"{cls.__name__} does not support the shared-memory transport"
-        )
+        """Worker-side rebuild whose prep views point straight into an
+        attached shared-memory segment (zero copies).  The evaluator has no
+        live instance: only the batched kernels (:meth:`many`,
+        :meth:`range_counts`) run on it, and the float64 thresholds cross
+        bit-exactly."""
+        attrs, scalars = state
+        evaluator = cls.__new__(cls)
+        evaluator.__dict__.update(dict.fromkeys(cls._LIVE_ATTRS))
+        evaluator.__dict__.update(attrs)
+        evaluator._prep = {
+            **arrays,
+            **scalars,
+            "csr": None,
+            "node_xs_cache": {},
+            "color_xs_cache": {},
+        }
+        return evaluator
 
-    def phase_shard(self, phase: str, h1, h2, start: int, stop: int) -> List[float]:
-        """Raw per-item count vectors of one post-selection *phase* shard,
-        concatenated, for items ``[start, stop)`` — exact integers as
-        floats, so the parent's reassembly is bit-identical to its own
-        serial pass.  Subclasses opt in per phase name."""
-        raise NotImplementedError(
-            f"{type(self).__name__} has no sharded phase {phase!r}"
-        )
-
-    # -- shared machinery -----------------------------------------------
+    # -- the two count kernels ------------------------------------------
     def many(self, pairs) -> List[float]:
         """Costs for a batch of pairs, bit-identical to the scalar path.
 
         All pairs of a batch must come from the same two hash families
         (identical prime/domain/range), which is how the selection
-        strategies produce them.  If the graph mutated since the static
-        arrays were built, they are rebuilt so the batched path keeps
-        matching the live-state scalar path.
+        strategies produce them.
         """
         if not pairs:
             return []
-        prep = self._prep
-        # Shared-memory-restored evaluators carry views instead of a live
-        # graph; their prep is immutable by construction, never stale.
-        if prep is None or (not prep.get("_shared") and self._prep_is_stale(prep)):
-            prep = self._prepare()
-        slab = max(1, self.MAX_ELEMENTS // max(1, self._slab_entries(prep)))
+        prep = self._prepared()
+        entries = max(
+            1,
+            len(prep["ids"]),
+            len(prep["edge_sources"]),
+            len(prep["entry_nodes"]),
+            len(prep["universe"]),
+        )
+        slab = max(1, self.MAX_ELEMENTS // entries)
         costs: List[float] = []
         for start in range(0, len(pairs), slab):
-            costs.extend(self._many_slab(pairs[start : start + slab], prep))
+            chunk = pairs[start : start + slab]
+            bins1, d_prime, p_prime = self._count_slab(chunk, prep)
+            costs.extend(
+                float(value) for value in self._slab_costs(prep, bins1, d_prime, p_prime)
+            )
         return costs
 
-    @staticmethod
-    def palette_entry_arrays(palettes, node_ids) -> dict:
-        """Flattened palette-entry arrays for ``node_ids``, store-backed.
+    def _count_slab(self, pairs, prep: dict):
+        """``(bins1, d', p')`` for a slab, one row per candidate pair.
 
-        The static palette arrays both cost evaluators prepare — sorted
-        color universe, per-node sizes, entry owners and universe
-        positions — used to be rebuilt from the Python palette sets once
-        per ``Partition`` call.  This helper answers from the assignment's
-        array store (:meth:`repro.graph.palettes.PaletteAssignment.store`)
-        instead: children produced by the batched restriction kernels
-        already carry their flat arrays, so preparing a child evaluator is
-        a couple of NumPy gathers rather than a per-color Python loop.
-
-        Returns a dict with ``universe`` (sorted unique colors of the
-        listed nodes, as a plain list — the hash-input shape the slab
-        pipeline consumes), ``universe_array`` (the same colors as an
-        int64 array, or ``None`` when they exceed int64), ``sizes`` /
-        ``indptr`` (palette sizes aligned with ``node_ids``),
-        ``entry_nodes`` (owner index per entry), ``entry_positions``
-        (position of each entry's color in ``universe``) and
-        ``sorted_entries`` (True iff every node's run is ascending — the
-        store guarantees it; the set-backed fallback does not).  Raises
-        the palette layer's error for nodes without a palette.
+        Edge runs and palette-entry runs are contiguous per node, so both
+        counts are one gather + compare + :func:`segment_sum_rows`.
         """
-        node_list = list(node_ids)
-        count = len(node_list)
-        store = palettes.store()
-        if store is not None:
-            if store.nodes == node_list:
-                flat = store.flat
-                sizes = store.sizes()
-                indptr = store.offsets
-                universe_array, positions = store.universe_positions()
-            else:
-                rows = store.rows_of(node_list)
-                from repro.graph.csr import gather_segments
-
-                sizes, gather = gather_segments(store.offsets, rows)
-                flat = store.flat[gather]
-                indptr = np.zeros(count + 1, dtype=np.int64)
-                np.cumsum(sizes, out=indptr[1:])
-                universe_array = np.unique(flat)
-                positions = np.searchsorted(universe_array, flat)
-            return {
-                "universe": universe_array.tolist(),
-                "universe_array": universe_array,
-                "flat_colors": flat,
-                "sizes": sizes,
-                "indptr": indptr,
-                "entry_nodes": np.repeat(np.arange(count, dtype=np.int64), sizes),
-                "entry_positions": positions,
-                "sorted_entries": True,
-            }
-        # Store unavailable (colors beyond int64 or not integers): exact
-        # scalar flatten, keeping universe positions as dict lookups.
-        import itertools
-
-        sizes = np.fromiter(
-            (palettes.palette_size(node) for node in node_list),
-            dtype=np.int64,
-            count=count,
-        )
-        total = int(sizes.sum())
-        flat_list = list(
-            itertools.chain.from_iterable(
-                palettes.iter_palette(node) for node in node_list
-            )
-        )
-        universe_list = sorted(set(flat_list))
-        position_of = {color: index for index, color in enumerate(universe_list)}
-        indptr = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum(sizes, out=indptr[1:])
-        return {
-            "universe": universe_list,
-            "universe_array": None,
-            "flat_colors": flat_list,
-            "sizes": sizes,
-            "indptr": indptr,
-            "entry_nodes": np.repeat(np.arange(count, dtype=np.int64), sizes),
-            "entry_positions": np.fromiter(
-                (position_of[color] for color in flat_list),
-                dtype=np.int64,
-                count=total,
-            ),
-            "sorted_entries": False,
-        }
+        bins1, bins2 = self._bin_matrices(pairs, prep)
+        same_bin = bins1[:, prep["edge_sources"]] == bins1[:, prep["edge_targets"]]
+        d_prime = segment_sum_rows(same_bin, prep["edge_indptr"])
+        entry_match = bins2[:, prep["entry_colors"]] == bins1[:, prep["entry_nodes"]]
+        p_prime = segment_sum_rows(entry_match, prep["entry_indptr"])
+        return bins1, d_prime, p_prime
 
     @staticmethod
-    def _cached_xs(
-        prep: dict, cache_name: str, hash_fn, values: Sequence[int]
-    ) -> np.ndarray:
+    def _count_range(prep: dict, node_bins, universe_bins, start: int, stop: int):
+        """``(d', p', entry_match)`` of one pair for scored nodes
+        ``[start, stop)``: exact int64 count vectors of length
+        ``stop - start`` and the match mask over that range's palette
+        entries.  A range touches exactly its own edge and entry runs, so
+        counts over sub-ranges concatenate to the counts over ``[0, n)``.
+        """
+        indptr = prep["edge_indptr"]
+        lo, hi = int(indptr[start]), int(indptr[stop])
+        sources = prep["edge_sources"][lo:hi]
+        same_bin = node_bins[sources] == node_bins[prep["edge_targets"][lo:hi]]
+        d_prime = np.bincount(sources[same_bin] - start, minlength=stop - start)
+        entry_indptr = prep["entry_indptr"]
+        lo, hi = int(entry_indptr[start]), int(entry_indptr[stop])
+        owners = prep["entry_nodes"][lo:hi]
+        entry_match = universe_bins[prep["entry_colors"][lo:hi]] == node_bins[owners]
+        p_prime = np.bincount(owners[entry_match] - start, minlength=stop - start)
+        return (
+            d_prime.astype(np.int64, copy=False),
+            p_prime.astype(np.int64, copy=False),
+            entry_match,
+        )
+
+    def range_counts(self, h1, h2, start: int, stop: int):
+        """``(d', p')`` of the pair ``(h1, h2)`` for scored nodes
+        ``[start, stop)`` — one pool shard of the selected-pair pass."""
+        prep = self._prepared()
+        node_bins, universe_bins = self._pair_bins(h1, h2, prep)
+        d_prime, p_prime, _ = self._count_range(
+            prep, node_bins, universe_bins, start, stop
+        )
+        return d_prime, p_prime
+
+    def _selected_pass(self, h1, h2, scorer=None, precomputed_counts=None):
+        """Bins and exact counts of the selected pair over every scored node.
+
+        The counts come from ``precomputed_counts`` (the segmented level
+        pass, :mod:`repro.core.level`), else from the pool's range shards
+        (``scorer``, a :class:`repro.parallel.executor.ParallelSlabScorer`),
+        else from one serial :meth:`_count_range` over ``[0, n)``; all three
+        are the same integers.  Returns ``(prep, node_bins, universe_bins,
+        d', p', entry_match)``; ``entry_match`` is ``None`` unless the
+        serial count ran.
+        """
+        prep = self._prepared()
+        node_bins, universe_bins = self._pair_bins(h1, h2, prep)
+        num_nodes = len(prep["ids"])
+        counts = precomputed_counts
+        if counts is None and scorer is not None:
+            counts = scorer.phase_values(h1, h2, num_nodes)
+        if counts is not None:
+            return (
+                prep,
+                node_bins,
+                universe_bins,
+                np.asarray(counts[0], dtype=np.int64),
+                np.asarray(counts[1], dtype=np.int64),
+                None,
+            )
+        d_prime, p_prime, entry_match = self._count_range(
+            prep, node_bins, universe_bins, 0, num_nodes
+        )
+        return prep, node_bins, universe_bins, d_prime, p_prime, entry_match
+
+    # -- hashing --------------------------------------------------------
+    @staticmethod
+    def _cached_xs(prep: dict, cache_name: str, hash_fn, values) -> np.ndarray:
         """``values % domain`` as a ready int64 array, cached per family."""
         key = (hash_fn.domain_size, hash_fn.prime)
         cache: Dict[Tuple[int, int], np.ndarray] = prep[cache_name]
         if key not in cache:
-            domain = hash_fn.domain_size
-            cache[key] = np.asarray(
-                [value % domain for value in values], dtype=np.int64
-            )
+            cache[key] = np.asarray(values, dtype=np.int64) % hash_fn.domain_size
         return cache[key]
 
-    def _slab_bin_matrices(
-        self,
-        pairs,
-        prep: dict,
-        num_bins: int,
-        num_color_bins: int,
-        node_values: Sequence[int],
-        color_values: Sequence[int],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The two candidate-by-bin matrices every slab starts from.
+    def _bin_matrices(self, pairs, prep: dict) -> Tuple[np.ndarray, np.ndarray]:
+        """The two candidate-by-bin matrices every count starts from.
 
         Validates family uniformity, resolves the cached hash inputs, and
-        returns ``(bins1, bins2)``: node bins in ``[num_bins]`` and color
-        bins in ``[num_color_bins]``, one row per candidate pair.
+        returns ``(bins1, bins2)``: node bins in ``[num_bins]`` over ``ids``
+        and color bins in ``[num_color_bins]`` over ``universe``, one row
+        per candidate pair.
         """
         from repro.derand.cost import assert_uniform_pair_families
 
         h1_ref, h2_ref = pairs[0]
         assert_uniform_pair_families(pairs)
-        node_xs = self._cached_xs(prep, "node_xs_cache", h1_ref, node_values)
-        color_xs = self._cached_xs(prep, "color_xs_cache", h2_ref, color_values)
+        node_xs = self._cached_xs(prep, "node_xs_cache", h1_ref, prep["ids"])
+        color_xs = self._cached_xs(prep, "color_xs_cache", h2_ref, prep["universe"])
         bins1 = hash_bins(
             [pair[0].coefficients for pair in pairs],
             node_xs,
             h1_ref.prime,
             h1_ref.range_size,
-            num_bins,
+            prep["num_bins"],
         )
         bins2 = hash_bins(
             [pair[1].coefficients for pair in pairs],
             color_xs,
             h2_ref.prime,
             h2_ref.range_size,
-            num_color_bins,
+            prep["num_color_bins"],
         )
         return bins1, bins2
+
+    def _pair_bins(self, h1, h2, prep: dict) -> Tuple[np.ndarray, np.ndarray]:
+        """``(node_bins, universe_bins)`` of one pair, as int64 vectors."""
+        bins1, bins2 = self._bin_matrices([(h1, h2)], prep)
+        return bins1[0].astype(np.int64), bins2[0].astype(np.int64)

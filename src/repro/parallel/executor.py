@@ -64,13 +64,12 @@ zero-overhead in-process path.
 Transport and engagement
 ------------------------
 The worker count is the pool's only input; everything else is chosen here.
-The transport follows what the platform and the evaluator allow (see
+The transport follows what the platform allows (see
 :mod:`repro.parallel.slabs`): where shared memory is available, the
 evaluator envelope's static arrays and each job's coefficient matrices move
 through named shared-memory segments and the queues carry only small
-control tuples; payloads that cannot be published (ids, colors or
-coefficients beyond ``int64``) and platforms without shared memory take the
-pickle envelope, bit-identically.  :class:`~repro.accounting.PoolHealth`
+control tuples; coefficients beyond ``int64`` and platforms without shared
+memory take the pickle envelope, bit-identically.  :class:`~repro.accounting.PoolHealth`
 splits the volume into ``bytes_shipped`` (pickled, per worker) vs
 ``bytes_shared`` (published once).  Engagement is adaptive:
 :func:`resolve_min_pairs` disables the pool outright on hosts without a
@@ -78,8 +77,11 @@ second usable core (``REPRO_PARALLEL_MIN_PAIRS`` overrides, ``0`` forcing
 engagement) so ``parallel_workers > 1`` is never a slowdown.  Recovery runs
 on :class:`RecoveryPolicy` defaults; tests tune a pool by assigning its
 ``policy``.  :meth:`SlabExecutor.run_phase` extends the same shard/retry/
-rescue machinery to the post-selection phases (final classification,
-low-space outcome), sharding their per-node count vectors by node range.
+rescue machinery to the selected pair's count pass (the final
+classification or low-space outcome): each shard is a node range
+``[start, stop)`` counted by the evaluator's ``range_counts`` (see
+:class:`repro.hashing.batch.BatchCostEvaluatorBase`), so the parent's
+reassembly equals the serial ``[0, n)`` count.
 """
 
 from __future__ import annotations
@@ -265,15 +267,21 @@ def _release_evaluator(evaluator) -> None:
 
 
 def _score_payload(evaluator, payload) -> List[float]:
-    """Worker-side payload dispatch: slab (shm or inline) or phase shard."""
+    """Worker-side payload dispatch: slab (shm or inline) or node range."""
     tag = payload[0] if isinstance(payload, tuple) and payload else None
     if tag == "shmslab":
         return [float(v) for v in evaluator.many(slabs.open_slab_shard(payload))]
-    if tag == "phase":
-        _, phase, pair_payload, start, stop = payload
+    if tag == "range":
+        _, pair_payload, start, stop = payload
         h1, h2 = slabs.decode_slab(pair_payload)[0]
-        return [float(v) for v in evaluator.phase_shard(phase, h1, h2, start, stop)]
+        return _range_values(evaluator, h1, h2, start, stop)
     return [float(v) for v in evaluator.many(slabs.decode_slab(payload))]
+
+
+def _range_values(evaluator, h1, h2, start: int, stop: int) -> List[float]:
+    """One node-range shard's ``d'`` then ``p'`` counts, as exact floats."""
+    d_prime, p_prime = evaluator.range_counts(h1, h2, start, stop)
+    return [float(v) for v in d_prime.tolist() + p_prime.tolist()]
 
 
 def _worker_main(
@@ -403,7 +411,8 @@ class SlabExecutor:
             )
         self.num_workers = num_workers
         # Shared memory where the platform has it; the pickle envelope is
-        # the fallback (and, per payload, the route for values beyond int64).
+        # the fallback (and, per slab, the route for coefficients beyond
+        # int64).
         self.transport = "shm" if slabs.shared_memory_available() else "pickle"
         self.policy = policy if policy is not None else RecoveryPolicy()
         self.health = PoolHealth()
@@ -574,27 +583,20 @@ class SlabExecutor:
         return values_out
 
     def run_phase(
-        self,
-        evaluator,
-        phase: str,
-        h1,
-        h2,
-        num_items: int,
-        values_per_item: int = 2,
-    ) -> List[List[float]]:
-        """Shard one post-selection phase across the pool by item range.
+        self, evaluator, h1, h2, num_items: int
+    ) -> Tuple[List[float], List[float]]:
+        """Shard the selected pair's count pass across the pool by node range.
 
-        Workers call ``evaluator.phase_shard(phase, h1, h2, start, stop)``
-        on their range and reply with the concatenated per-part count
-        vectors; the parent reassembles ``values_per_item`` full-length
-        vectors in item order.  Same retry/respawn/rescue machinery as
-        :meth:`score_slab` — a failed shard is recomputed in-process via
-        the parent evaluator's own ``phase_shard`` — so the result is
-        bit-identical to the serial pass.  Raises only if the pool is
-        closed.
+        Workers call ``evaluator.range_counts(h1, h2, start, stop)`` on
+        their range and reply with its ``d'`` then ``p'`` counts; the parent
+        reassembles both full-length vectors in node order.  Same
+        retry/respawn/rescue machinery as :meth:`score_slab` — a failed
+        shard is recomputed in-process via the parent evaluator's own
+        ``range_counts`` — so the result is bit-identical to the serial
+        pass.  Raises only if the pool is closed.
         """
         if num_items <= 0:
-            return [[] for _ in range(values_per_item)]
+            return [], []
         if self._closed:
             raise ParallelExecutionError("executor is closed")
         token = self._ensure_loaded(evaluator)
@@ -603,26 +605,26 @@ class SlabExecutor:
 
         def build_payload(shard_index: int):
             start, stop = shards[shard_index]
-            return ("phase", phase, pair_payload, start, stop)
+            return ("range", pair_payload, start, stop)
 
         def rescue(shard_index: int) -> List[float]:
             start, stop = shards[shard_index]
-            return [float(v) for v in evaluator.phase_shard(phase, h1, h2, start, stop)]
+            return _range_values(evaluator, h1, h2, start, stop)
 
         def expected_len(shard_index: int) -> int:
             start, stop = shards[shard_index]
-            return values_per_item * (stop - start)
+            return 2 * (stop - start)
 
         per_shard = self._run_shards(
             token, shards, build_payload, rescue, expected_len
         )
-        parts: List[List[float]] = [[] for _ in range(values_per_item)]
-        for shard_index, (start, stop) in enumerate(shards):
+        d_prime: List[float] = []
+        p_prime: List[float] = []
+        for (start, stop), values in zip(shards, per_shard):
             width = stop - start
-            values = per_shard[shard_index]
-            for part in range(values_per_item):
-                parts[part].extend(values[part * width : (part + 1) * width])
-        return parts
+            d_prime.extend(values[:width])
+            p_prime.extend(values[width:])
+        return d_prime, p_prime
 
     def _run_shards(
         self, token, shards, build_payload, compute_in_process, expected_len
@@ -916,13 +918,13 @@ class ParallelSlabScorer:
         return values
 
     def phase_values(
-        self, phase: str, h1, h2, num_items: int, values_per_item: int = 2
-    ) -> Optional[List[List[float]]]:
-        """Pool-sharded per-item count vectors for one post-selection
-        phase, or ``None`` when the caller should compute them itself
-        (below the engagement floor, breaker open, or unrecoverable pool
-        failure).  Either way the final counts are bit-identical — the
-        pool only moves *where* the bincounts run.
+        self, h1, h2, num_items: int
+    ) -> Optional[Tuple[List[float], List[float]]]:
+        """Pool-sharded ``(d', p')`` of the selected pair, or ``None`` when
+        the caller should count them itself (below the engagement floor,
+        breaker open, or unrecoverable pool failure).  Either way the
+        final counts are bit-identical — the pool only moves *where* the
+        bincounts run.
         """
         if (
             self.min_pairs is None
@@ -936,9 +938,7 @@ class ParallelSlabScorer:
             return None
         rescues_before = self.executor.health.in_process_rescues
         try:
-            parts = self.executor.run_phase(
-                self.cost, phase, h1, h2, num_items, values_per_item
-            )
+            parts = self.executor.run_phase(self.cost, h1, h2, num_items)
         except ParallelExecutionError:
             self.executor._health_bump("in_process_rescues")
             breaker.record_failure()

@@ -38,10 +38,9 @@ interpreter exit (``atexit``) as the last resort.  Workers only ever attach
 (read-only by convention) and detach; a worker death can therefore never
 leak a segment.  Every segment starts with an 8-byte generation counter
 that attach verifies against the control message, so a shard can never be
-scored against a recycled or stale segment.  Evaluators that cannot export
-their static arrays (e.g. palettes whose colors exceed ``int64``) and
-slabs whose coefficients exceed ``int64`` fall back to the original pickle
-envelope per payload — transparently, and bit-identically.
+scored against a recycled or stale segment.  Slabs whose coefficients
+exceed ``int64`` fall back to the original pickle envelope per payload —
+transparently, and bit-identically.
 """
 
 from __future__ import annotations
@@ -333,23 +332,19 @@ def release_attached(segment, evaluator=None) -> None:
 def publish_evaluator(evaluator, transport: str = "shm"):
     """Build the once-per-level broadcast envelope for an evaluator.
 
-    Returns ``("shm", meta, name, generation, manifest)`` when the
-    evaluator exports its static arrays (see
-    :meth:`repro.hashing.batch.BatchCostEvaluatorBase.shared_payload`) and
-    the transport allows it, else ``("pickle", blob)``.  The parent owns
+    Returns ``("shm", meta, name, generation, manifest)`` — the
+    evaluator's static arrays (see
+    :meth:`repro.hashing.batch.BatchCostEvaluatorBase.shared_payload`) in
+    a segment — when the transport allows it, else ``("pickle", blob)``.  The parent owns
     the published segment; pair the envelope with
     :func:`envelope_segments` + :func:`unlink_segment` on eviction/close.
     """
     if transport == "shm" and _shared_memory is not None:
-        payload = evaluator.shared_payload()
-        if payload is not None:
-            state, arrays = payload
-            generation = next(_generations)
-            name, manifest = publish_arrays(arrays, generation)
-            meta = pickle.dumps(
-                (type(evaluator), state), protocol=pickle.HIGHEST_PROTOCOL
-            )
-            return ("shm", meta, name, generation, manifest)
+        state, arrays = evaluator.shared_payload()
+        generation = next(_generations)
+        name, manifest = publish_arrays(arrays, generation)
+        meta = pickle.dumps((type(evaluator), state), protocol=pickle.HIGHEST_PROTOCOL)
+        return ("shm", meta, name, generation, manifest)
     return ("pickle", encode_evaluator(evaluator))
 
 

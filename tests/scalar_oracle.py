@@ -106,17 +106,18 @@ def _classify_selected(self, h1, h2, scorer=None, precomputed_counts=None):
     return classification, restricted
 
 
-def _outcome_selected(self, h1, h2, color_arrays=None, scorer=None, precomputed_counts=None):
+def _outcome_selected(self, h1, h2, scorer=None, precomputed_counts=None):
     return node_level_outcome(
         self.graph, self.palettes, self.high_degree_nodes, h1, h2, self.params, self.num_bins
     )
 
 
 def scalar_low_space_prepare(self):
-    """The low-space evaluator's static arrays, walked node by node.
+    """The low-space evaluator's prep layout, walked node by node.
 
     High nodes in sorted order, each node's sorted neighbors filtered to
-    the high set, and one scalar ``pow`` per node for the threshold.
+    the high set, and one scalar ``pow`` per node for the threshold.  The
+    keys are the shared layout of ``BatchCostEvaluatorBase``.
     """
     high = sorted(self.high_degree_nodes)
     position = {node: index for index, node in enumerate(high)}
@@ -130,7 +131,6 @@ def scalar_low_space_prepare(self):
                 edge_sources.append(index)
                 edge_targets.append(other)
         edge_indptr[index + 1] = len(edge_sources)
-    entries = self.palette_entry_arrays(self.palettes, high)
     chunk_slack = self.params.degree_slack(self.params.machine_chunk(self.graph.num_nodes))
     slack = np.fromiter(
         (max(self.graph.degree(node) ** 0.6, chunk_slack) for node in high),
@@ -140,22 +140,17 @@ def scalar_low_space_prepare(self):
     degrees = np.fromiter(
         (self.graph.degree(node) for node in high), dtype=np.int64, count=len(high)
     )
-    self._prep = {
-        "np": np,
-        "graph_signature": (self.graph.num_nodes, self.graph.num_edges),
-        "high": high,
-        "universe": entries["universe"],
+    return {
+        "csr": self.graph.csr(),
+        "ids": np.asarray(high, dtype=np.int64),
         "edge_sources": np.asarray(edge_sources, dtype=np.int64),
         "edge_targets": np.asarray(edge_targets, dtype=np.int64),
         "edge_indptr": edge_indptr,
-        "entry_nodes": entries["entry_nodes"],
-        "entry_colors": entries["entry_positions"],
-        "entry_indptr": entries["indptr"],
+        **self.palette_entry_arrays(self.palettes, high),
+        "num_bins": self.num_bins,
+        "num_color_bins": max(1, self.num_bins - 1),
         "threshold": degrees / self.num_bins + slack,
-        "node_xs_cache": {},
-        "color_xs_cache": {},
     }
-    return self._prep
 
 
 def eager_records(self):

@@ -1,4 +1,4 @@
-"""Docs sanity: markdown links resolve and the quickstart CLI works.
+"""Docs sanity: markdown links resolve, the quickstart CLI and the examples run.
 
 The CI docs job runs exactly this module (plus a bare ``--help`` probe),
 so a broken README link or an import error behind ``python -m repro``
@@ -56,18 +56,22 @@ def test_readme_names_the_verify_command():
     assert "pip install -e ." in readme
 
 
-def _run_cli(*args):
+def _run_python(*args, timeout=120):
     env = dict(os.environ)
     src = str(REPO_ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, "-m", "repro", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
         cwd=str(REPO_ROOT),
-        timeout=120,
+        timeout=timeout,
     )
+
+
+def _run_cli(*args):
+    return _run_python("-m", "repro", *args)
 
 
 def test_cli_help_exits_zero():
@@ -80,6 +84,21 @@ def test_cli_list_workloads_exits_zero():
     result = _run_cli("list-workloads")
     assert result.returncode == 0, result.stderr
     assert "dense-random" in result.stdout
+
+
+EXAMPLES = sorted((REPO_ROOT / "examples").glob("*.py"))
+
+
+def test_examples_are_found():
+    assert len(EXAMPLES) >= 4
+
+
+@pytest.mark.parametrize("example", EXAMPLES, ids=lambda p: p.name)
+def test_example_runs(example):
+    """Every example runs to exit 0, so a public-API change cannot break
+    one silently."""
+    result = _run_python(str(example), timeout=300)
+    assert result.returncode == 0, result.stderr
 
 
 # ---------------------------------------------------------------------------

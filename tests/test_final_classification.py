@@ -5,10 +5,11 @@ and the lazy-view structural queries run on the batch layer.  Exactly like
 the selection kernels, these paths are only allowed to exist as
 bit-identical substitutions for the scalar references:
 
-* :func:`repro.core.classification.classify_partition_batch` must rebuild
-  the reference :class:`PartitionClassification` field by field,
-* :func:`repro.core.low_space.machine_sets.node_level_outcome_batch` must
-  rebuild the reference :class:`NodeLevelOutcome`,
+* :meth:`repro.core.classification.PartitionCostEvaluator.classify_selected`
+  must rebuild the reference :class:`PartitionClassification` field by
+  field, and its fused restriction the per-bin ``restricted_to`` palettes,
+* :meth:`repro.core.low_space.machine_sets.LowSpaceCostEvaluator.outcome_selected`
+  must rebuild the reference :class:`NodeLevelOutcome`,
 * :meth:`repro.graph.palettes.PaletteAssignment.restricted_by_bins` must
   produce the same palette sets as the per-bin ``restricted_to`` loop,
 * ``greedy_list_coloring`` and the MIS reduction must answer structural
@@ -26,14 +27,14 @@ np = pytest.importorskip("numpy")
 
 from repro.core.classification import (
     classify_partition,
-    classify_partition_batch,
     color_bin_arrays,
     color_bin_map,
+    partition_cost_function,
 )
 from repro.core.local_coloring import greedy_list_coloring
 from repro.core.low_space.machine_sets import (
+    low_space_cost_function,
     node_level_outcome,
-    node_level_outcome_batch,
 )
 from repro.core.low_space.mis_reduction import build_reduction_graph, color_via_mis
 from repro.core.low_space.params import LowSpaceParameters
@@ -60,6 +61,19 @@ def _families(graph, palettes, num_bins, independence=4):
         independence=independence,
     )
     return family1, family2
+
+
+def _classify_selected(graph, palettes, h1, h2, params, ell, global_nodes):
+    """The selected pair's classification and restricted palettes, as
+    ``Partition.run`` computes them."""
+    evaluator = partition_cost_function(graph, palettes, params, ell, global_nodes)
+    return evaluator.classify_selected(h1, h2)
+
+
+def _outcome_selected(graph, palettes, high, h1, h2, params, num_bins):
+    """The selected pair's outcome, as ``LowSpacePartition.run`` computes it."""
+    evaluator = low_space_cost_function(graph, palettes, high, params, num_bins)
+    return evaluator.outcome_selected(h1, h2)
 
 
 def _assert_same_classification(expected, actual):
@@ -97,7 +111,7 @@ class TestClassifyPartitionBatch:
             expected = classify_partition(
                 graph, palettes, h1, h2, params, ell, graph.num_nodes
             )
-            actual = classify_partition_batch(
+            actual, _ = _classify_selected(
                 graph, palettes, h1, h2, params, ell, graph.num_nodes
             )
             _assert_same_classification(expected, actual)
@@ -123,36 +137,14 @@ class TestClassifyPartitionBatch:
         expected = classify_partition(
             graph, palettes, h1, h2, params, ell, graph.num_nodes
         )
-        actual = classify_partition_batch(
+        actual, _ = _classify_selected(
             graph, palettes, h1, h2, params, ell, graph.num_nodes
         )
         _assert_same_classification(expected, actual)
 
-    def test_shared_color_arrays_match_private_computation(self):
-        graph = erdos_renyi(80, 0.1, seed=5)
-        palettes = PaletteAssignment.delta_plus_one(graph)
-        params = ColorReduceParameters.scaled(num_bins=4)
-        ell = max(float(graph.max_degree()), 2.0)
-        num_color_bins = max(1, params.num_bins(ell) - 1)
-        family1, family2 = _families(graph, palettes, params.num_bins(ell))
-        h1, h2 = family1.from_seed_int(9), family2.from_seed_int(12)
-        shared = color_bin_arrays(palettes, h2, num_color_bins)
-        with_shared = classify_partition_batch(
-            graph, palettes, h1, h2, params, ell, graph.num_nodes, color_arrays=shared
-        )
-        without = classify_partition_batch(
-            graph, palettes, h1, h2, params, ell, graph.num_nodes
-        )
-        _assert_same_classification(without, with_shared)
-
     def test_classify_selected_reuses_evaluator_prep(self):
-        """The fused evaluator path (what Partition.run uses) matches both
-        the scalar reference and the standalone batched entry points."""
-        from repro.core.classification import (
-            classify_and_restrict_batch,
-            partition_cost_function,
-        )
-
+        """The evaluator path matches the scalar reference whether a
+        selection batch warmed its static arrays or not."""
         graph = erdos_renyi(120, 0.1, seed=3)
         palettes = PaletteAssignment.delta_plus_one(graph)
         params = ColorReduceParameters.scaled(num_bins=4)
@@ -163,34 +155,29 @@ class TestClassifyPartitionBatch:
         # Warm the prep exactly like a batched selection would.
         evaluator.many([(h1, h2)])
         from_prep, restricted_prep = evaluator.classify_selected(h1, h2)
-        standalone, restricted_standalone = classify_and_restrict_batch(
-            graph, palettes, h1, h2, params, ell, graph.num_nodes
-        )
         scalar = classify_partition(
             graph, palettes, h1, h2, params, ell, graph.num_nodes
         )
         _assert_same_classification(scalar, from_prep)
-        _assert_same_classification(scalar, standalone)
-        assert len(restricted_prep) == len(restricted_standalone)
-        for exp, act in zip(restricted_standalone, restricted_prep):
+        # Cold evaluator (no selection batch ran): prep is built on demand.
+        from_cold, restricted_cold = _classify_selected(
+            graph, palettes, h1, h2, params, ell, graph.num_nodes
+        )
+        _assert_same_classification(scalar, from_cold)
+        assert len(restricted_prep) == len(restricted_cold)
+        for exp, act in zip(restricted_cold, restricted_prep):
             assert act.nodes() == exp.nodes()
             for node in exp.nodes():
                 assert act.palette(node) == exp.palette(node)
-        # Cold evaluator (no selection batch ran): prep is built on demand.
-        cold = partition_cost_function(graph, palettes, params, ell, graph.num_nodes)
-        from_cold, _ = cold.classify_selected(h1, h2)
-        _assert_same_classification(scalar, from_cold)
 
     def test_fused_restriction_matches_scalar_restricted_to(self):
-        from repro.core.classification import classify_and_restrict_batch
-
         graph = erdos_renyi(100, 0.12, seed=9)
         palettes = PaletteAssignment.delta_plus_one(graph)
         params = ColorReduceParameters.scaled(num_bins=4)
         ell = max(float(graph.max_degree()), 2.0)
         family1, family2 = _families(graph, palettes, params.num_bins(ell))
         h1, h2 = family1.from_seed_int(5), family2.from_seed_int(44)
-        classification, restricted = classify_and_restrict_batch(
+        classification, restricted = _classify_selected(
             graph, palettes, h1, h2, params, ell, graph.num_nodes
         )
         num_color_bins = max(1, classification.num_bins - 1)
@@ -214,13 +201,13 @@ class TestClassifyPartitionBatch:
         family1, family2 = _families(edgeless, palettes, params.num_bins(8.0))
         h1, h2 = family1.from_seed_int(1), family2.from_seed_int(2)
         expected = classify_partition(edgeless, palettes, h1, h2, params, 8.0, 9)
-        actual = classify_partition_batch(edgeless, palettes, h1, h2, params, 8.0, 9)
+        actual, _ = _classify_selected(edgeless, palettes, h1, h2, params, 8.0, 9)
         _assert_same_classification(expected, actual)
 
         empty = Graph()
         empty_palettes = PaletteAssignment({})
         expected = classify_partition(empty, empty_palettes, h1, h2, params, 8.0, 9)
-        actual = classify_partition_batch(empty, empty_palettes, h1, h2, params, 8.0, 9)
+        actual, _ = _classify_selected(empty, empty_palettes, h1, h2, params, 8.0, 9)
         _assert_same_classification(expected, actual)
 
 
@@ -273,7 +260,7 @@ class TestNodeLevelOutcomeBatch:
             expected = node_level_outcome(
                 graph, palettes, high, h1, h2, params, num_bins
             )
-            actual = node_level_outcome_batch(
+            actual = _outcome_selected(
                 graph, palettes, high, h1, h2, params, num_bins
             )
             self._assert_same_outcome(expected, actual)
@@ -281,8 +268,6 @@ class TestNodeLevelOutcomeBatch:
     def test_outcome_selected_reuses_evaluator_prep(self):
         """The evaluator path (what LowSpacePartition.run uses) matches the
         scalar reference, warm or cold."""
-        from repro.core.low_space.machine_sets import low_space_cost_function
-
         graph = erdos_renyi(120, 0.12, seed=6)
         palettes = PaletteAssignment.degree_plus_one(graph)
         params = LowSpaceParameters.scaled(num_bins=3, low_degree_threshold=5)
@@ -300,7 +285,7 @@ class TestNodeLevelOutcomeBatch:
         cold = low_space_cost_function(graph, palettes, high, params, num_bins)
         self._assert_same_outcome(expected, cold.outcome_selected(h1, h2))
 
-    def test_empty_high_set_and_shared_arrays(self):
+    def test_empty_high_set(self):
         graph = erdos_renyi(40, 0.1, seed=2)
         palettes = PaletteAssignment.degree_plus_one(graph)
         params = LowSpaceParameters.scaled(num_bins=3, low_degree_threshold=6)
@@ -308,15 +293,7 @@ class TestNodeLevelOutcomeBatch:
         family1, family2 = _families(graph, palettes, num_bins)
         h1, h2 = family1.from_seed_int(3), family2.from_seed_int(8)
         expected = node_level_outcome(graph, palettes, set(), h1, h2, params, num_bins)
-        actual = node_level_outcome_batch(graph, palettes, set(), h1, h2, params, num_bins)
-        self._assert_same_outcome(expected, actual)
-
-        high = {node for node in graph.nodes() if graph.degree(node) > 3}
-        shared = color_bin_arrays(palettes, h2, max(1, num_bins - 1))
-        expected = node_level_outcome(graph, palettes, high, h1, h2, params, num_bins)
-        actual = node_level_outcome_batch(
-            graph, palettes, high, h1, h2, params, num_bins, color_arrays=shared
-        )
+        actual = _outcome_selected(graph, palettes, set(), h1, h2, params, num_bins)
         self._assert_same_outcome(expected, actual)
 
 

@@ -229,14 +229,14 @@ class TestRestrictedByBinsEdges:
         with pytest.raises(PaletteError):
             palettes.restricted_by_bins([[0]], empty, empty)
 
-    def test_empty_universe_sets_fallback_path(self):
-        # colors beyond int64 force the sets-backed implementation
+    def test_palettes_beyond_int64_raise(self):
+        # Colors beyond int64 have no array store; the partition step
+        # cannot hash them, so the restriction refuses them outright.
         palettes = PaletteAssignment.from_lists({0: [], 1: [2**70]})
         empty = np.zeros(0, dtype=np.int64)
-        results = palettes.restricted_by_bins([[0]], empty, empty)
-        assert results[0].palette(0) == set()
-        with pytest.raises(PaletteError):
-            palettes.restricted_by_bins([[1]], empty, empty)
+        for members in ([0], [1]):
+            with pytest.raises(PaletteError, match="not int64 integers"):
+                palettes.restricted_by_bins([members], empty, empty)
 
     def test_children_are_array_backed_with_sorted_slices(self):
         palettes = PaletteAssignment.from_lists({0: [4, 0, 2], 1: [1, 3, 5]})

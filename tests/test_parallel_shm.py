@@ -19,8 +19,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.classification import partition_cost_function
+from repro.core.classification import hash_families, partition_cost_function
 from repro.core.color_reduce import ColorReduce
+from repro.core.low_space.machine_sets import low_space_cost_function
+from repro.core.low_space.params import LowSpaceParameters
 from repro.core.params import ColorReduceParameters
 from repro.core.partition import Partition
 from repro.graph.generators import erdos_renyi
@@ -88,8 +90,35 @@ def _fresh_cost(setup):
     return partition_cost_function(graph, palettes, params, ell, graph.num_nodes)
 
 
+@pytest.fixture(scope="module")
+def low_space_setup():
+    graph = erdos_renyi(220, 0.12, seed=17)
+    palettes = PaletteAssignment.degree_plus_one(graph)
+    params = LowSpaceParameters.scaled(num_bins=3, low_degree_threshold=20)
+    high = {node for node in graph.nodes() if graph.degree(node) > 20}
+    num_bins = params.num_bins(graph.num_nodes)
+    family1, family2 = hash_families(
+        graph, palettes, num_bins, params.independence, graph.num_nodes
+    )
+    return graph, palettes, params, high, num_bins, family1, family2
+
+
+def _both_evaluators(selection_setup, low_space_setup):
+    """``(name, fresh evaluator, families)`` for the Eq. (1) and the
+    Lemma 4.5 cost, which share the base class's count kernels."""
+    graph, palettes, params, high, num_bins, family1, family2 = low_space_setup
+    return [
+        ("partition", _fresh_cost(selection_setup), selection_setup[4:]),
+        (
+            "low-space",
+            low_space_cost_function(graph, palettes, high, params, num_bins),
+            (family1, family2),
+        ),
+    ]
+
+
 def _pairs(setup, count, salt=0):
-    _, _, _, _, family1, family2 = setup
+    family1, family2 = setup[-2:]
     return [
         (family1.from_seed_int(3 * i + salt), family2.from_seed_int(5 * i + 1 + salt))
         for i in range(count)
@@ -162,20 +191,29 @@ class TestSegmentCodec:
 # evaluator envelope
 # ----------------------------------------------------------------------
 class TestEvaluatorEnvelope:
-    def test_shm_roundtrip_reproduces_costs(self, selection_setup):
-        cost = _fresh_cost(selection_setup)
-        pairs = _pairs(selection_setup, 6)
-        envelope = slabs.publish_evaluator(cost, "shm")
-        assert envelope[0] == "shm", "batched evaluator should take the shm path"
-        try:
-            restored = slabs.restore_evaluator(envelope)
+    def test_shm_roundtrip_reproduces_costs(self, selection_setup, low_space_setup):
+        for name, cost, families in _both_evaluators(selection_setup, low_space_setup):
+            pairs = _pairs(families, 6)
+            h1, h2 = pairs[0]
+            state, arrays = cost.shared_payload()
+            direct = type(cost).from_shared_payload(state, arrays)
+            assert direct.many(pairs) == cost.many(pairs), name
+            envelope = slabs.publish_evaluator(cost, "shm")
+            assert envelope[0] == "shm", "batched evaluator should take the shm path"
             try:
-                assert restored.many(pairs) == cost.many(pairs)
+                restored = slabs.restore_evaluator(envelope)
+                try:
+                    assert restored.many(pairs) == cost.many(pairs), name
+                    for left, right in zip(
+                        restored.range_counts(h1, h2, 3, 40),
+                        cost.range_counts(h1, h2, 3, 40),
+                    ):
+                        assert left.tolist() == right.tolist(), name
+                finally:
+                    slabs.release_attached(restored._shm_segment, restored)
             finally:
-                slabs.release_attached(restored._shm_segment, restored)
-        finally:
-            for name in slabs.envelope_segments(envelope):
-                slabs.unlink_segment(name)
+                for segment in slabs.envelope_segments(envelope):
+                    slabs.unlink_segment(segment)
 
     def test_pickle_transport_still_roundtrips(self, selection_setup):
         cost = _fresh_cost(selection_setup)
@@ -411,27 +449,48 @@ class TestEndToEndShm:
         assert result.pool_health.degraded
         shutdown_executors()
 
-    def test_post_selection_phases_accept_a_scorer(self, selection_setup):
-        """classify_selected with a pool-backed scorer must equal the
-        serial path bin for bin (the sharded bincounts are exact)."""
+    def test_post_selection_phases_accept_a_scorer(
+        self, selection_setup, low_space_setup
+    ):
+        """The selected pair's pass with a pool-backed scorer must equal the
+        serial path for both evaluators (the sharded range counts are
+        exact)."""
         from repro.parallel.executor import ParallelSlabScorer
 
-        graph, palettes, params, ell, family1, family2 = selection_setup
-        cost = _fresh_cost(selection_setup)
-        h1 = family1.from_seed_int(9)
-        h2 = family2.from_seed_int(14)
-        serial_classification, serial_restricted = cost.classify_selected(h1, h2)
-        executor = SlabExecutor(2, policy=FAST)
-        try:
-            scorer = ParallelSlabScorer(cost, executor)
-            classification, restricted = cost.classify_selected(
-                h1, h2, scorer=scorer
+        for name, cost, (family1, family2) in _both_evaluators(
+            selection_setup, low_space_setup
+        ):
+            h1 = family1.from_seed_int(9)
+            h2 = family2.from_seed_int(14)
+            selected = (
+                cost.classify_selected if name == "partition" else cost.outcome_selected
             )
-        finally:
-            executor.close()
-        assert classification.bad_nodes == serial_classification.bad_nodes
-        assert classification.num_bins == serial_classification.num_bins
-        for bin_index in range(classification.num_bins):
-            assert classification.good_nodes_in_bin(
-                bin_index
-            ) == serial_classification.good_nodes_in_bin(bin_index)
+            serial = selected(h1, h2)
+            executor = SlabExecutor(2, policy=FAST)
+            try:
+                scorer = ParallelSlabScorer(cost, executor)
+                sharded = selected(h1, h2, scorer=scorer)
+                assert executor.health.in_process_rescues == 0, name
+            finally:
+                executor.close()
+            if name == "partition":
+                (classification, restricted), (expected, expected_restricted) = (
+                    sharded, serial
+                )
+                assert classification.nodes == expected.nodes
+                assert classification.bad_nodes == expected.bad_nodes
+                for bin_index in range(classification.num_bins):
+                    assert classification.good_nodes_in_bin(
+                        bin_index
+                    ) == expected.good_nodes_in_bin(bin_index)
+                for left, right in zip(restricted, expected_restricted):
+                    assert left.nodes() == right.nodes()
+                    assert all(
+                        left.palette(node) == right.palette(node)
+                        for node in right.nodes()
+                    )
+            else:
+                assert sharded.violating_nodes == serial.violating_nodes
+                assert sharded.bin_of_node == serial.bin_of_node
+                assert sharded.in_bin_degree == serial.in_bin_degree
+                assert sharded.in_bin_palette == serial.in_bin_palette

@@ -3,6 +3,9 @@
 * Non-integer node ids are a :class:`GraphError` naming the first offender
   once an instance is big enough to partition; base-case instances still
   color.  An undersized palette still names the first offending node.
+* Ids and colors the hash field cannot take (at or beyond ``2**61 - 1``)
+  are a :class:`GraphError` / :class:`PaletteError` naming the value, in
+  both pipelines.
 * A production ``ColorReduce.run`` builds no :class:`NodeClassification`
   record and a ``LowSpaceColorReduce.run`` no MPC :class:`Machine`; both
   still answer on demand (``.nodes``, ``simulator.machines``).
@@ -12,12 +15,18 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from scalar_oracle import scalar_reference
 
 import repro.core.classification as classification_module
 import repro.mpc.model as mpc_model
-from repro.core.classification import classify_partition, classify_partition_batch
+from repro.core.classification import (
+    PartitionCostEvaluator,
+    classify_partition,
+    partition_cost_function,
+)
 from repro.core.color_reduce import ColorReduce
 from repro.core.low_space.color_reduce import LowSpaceColorReduce
 from repro.core.low_space.machine_sets import LowSpaceCostEvaluator
@@ -30,7 +39,18 @@ from repro.graph.graph import Graph
 from repro.graph.palettes import PaletteAssignment
 from repro.graph.validation import assert_valid_list_coloring
 from repro.hashing.family import KWiseIndependentFamily
+from repro.hashing.field import MERSENNE_61
 from repro.mpc import low_space_regime
+
+
+#: The array ``classify_selected``, captured before any oracle reroute.
+ARRAY_CLASSIFY_SELECTED = PartitionCostEvaluator.classify_selected
+
+
+def _lazy_classification(graph, palettes, h1, h2, params, ell):
+    """The selected pair's array classification (records built on demand)."""
+    evaluator = partition_cost_function(graph, palettes, params, ell, graph.num_nodes)
+    return ARRAY_CLASSIFY_SELECTED(evaluator, h1, h2)[0]
 
 
 def _string_ids(graph: Graph) -> Graph:
@@ -42,8 +62,8 @@ def _string_ids(graph: Graph) -> Graph:
 
 
 PIPELINES = {
-    "color-reduce": lambda graph: ColorReduce().run(graph),
-    "low-space": lambda graph: LowSpaceColorReduce().run(graph),
+    "color-reduce": lambda graph, palettes=None: ColorReduce().run(graph, palettes),
+    "low-space": lambda graph, palettes=None: LowSpaceColorReduce().run(graph, palettes),
 }
 
 
@@ -70,6 +90,47 @@ class TestNonIntegerIds:
         palettes = PaletteAssignment.delta_plus_one(graph)
         with pytest.raises(GraphError, match="2.5"):
             Partition().build_families(graph, palettes, 2.0, 3)
+
+
+def _shifted_lists(graph: Graph, pipeline: str, offset: int) -> PaletteAssignment:
+    """The pipeline's default palettes with every color shifted by ``offset``."""
+    delta = graph.max_degree()
+    return PaletteAssignment.from_lists(
+        {
+            node: range(
+                offset,
+                offset + (delta if pipeline == "color-reduce" else graph.degree(node)) + 1,
+            )
+            for node in graph.nodes()
+        }
+    )
+
+
+class TestOutOfFieldValues:
+    """The hash families take integers below ``2**61 - 1`` only; a color or
+    id beyond that is named, with the palette or graph error."""
+
+    @pytest.mark.parametrize("exponent", [62, 70])
+    @pytest.mark.parametrize("pipeline", sorted(PIPELINES))
+    def test_color_is_named(self, pipeline, exponent):
+        graph = erdos_renyi(3000, 0.01, seed=1)
+        palettes = _shifted_lists(graph, pipeline, 2**exponent)
+        with pytest.raises(PaletteError) as info:
+            PIPELINES[pipeline](graph, palettes)
+        named = int(re.match(r"color (\d+) is not ", str(info.value)).group(1))
+        assert named >= MERSENNE_61
+        assert named in palettes.color_universe()
+
+    @pytest.mark.parametrize("pipeline", sorted(PIPELINES))
+    def test_node_id_is_named(self, pipeline):
+        base = erdos_renyi(3000, 0.01, seed=1)
+        offset = 2**62
+        graph = Graph(
+            nodes=[node + offset for node in base.nodes()],
+            edges=[(u + offset, v + offset) for u, v in base.edges()],
+        )
+        with pytest.raises(GraphError, match=f"^node id {offset} is not below 2\\*\\*61 - 1"):
+            PIPELINES[pipeline](graph)
 
 
 def test_undersized_palette_names_the_first_node():
@@ -108,7 +169,7 @@ class TestNoPerNodeObjects:
         num_bins = params.num_bins(ell)
         h1 = KWiseIndependentFamily(graph.num_nodes, num_bins, 4).from_seed_int(5)
         h2 = KWiseIndependentFamily(graph.num_nodes**2, num_bins - 1, 4).from_seed_int(7)
-        lazy = classify_partition_batch(graph, palettes, h1, h2, params, ell, graph.num_nodes)
+        lazy = _lazy_classification(graph, palettes, h1, h2, params, ell)
         assert not built
         reference = classify_partition(graph, palettes, h1, h2, params, ell, graph.num_nodes)
         assert lazy.nodes == reference.nodes
@@ -151,9 +212,7 @@ class TestOracleReroutes:
 
         def run():
             costs = LowSpaceCostEvaluator(graph, palettes, high, params, 3).many(pairs)
-            nodes = classify_partition_batch(
-                graph, cr_palettes, h1, h2, cr_params, ell, graph.num_nodes
-            ).nodes
+            nodes = _lazy_classification(graph, cr_palettes, h1, h2, cr_params, ell).nodes
             return costs, nodes
 
         production = run()

@@ -17,6 +17,8 @@ assert the invariants the rest of the library relies on:
 * the low-space evaluator's array-built static arrays equal the scalar
   per-node walk bit for bit on the same shapes, on negative ids and on
   child instances.
+* both evaluators' node-range count over ``[0, n)`` equals the
+  concatenation of its counts over any sub-ranges.
 * neither pipeline's outcome changes when the same graph is built from
   shuffled node and edge orders with flipped edge orientations.
 """
@@ -322,6 +324,54 @@ def partition_instances(draw):
     return graph, palettes, seed1, seed2
 
 
+class TestRangeCounts:
+    """The selected-pair count kernel is one node-range count: over
+    ``[0, n)`` it equals the concatenation of its counts over any cut of
+    ``[0, n)`` into sub-ranges, for both evaluators."""
+
+    @SETTINGS
+    @given(
+        partition_instances(),
+        st.sampled_from(["partition", "low-space"]),
+        st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=4),
+    )
+    def test_full_range_is_the_concatenation_of_sub_ranges(self, data, kind, cuts):
+        from repro.core.classification import hash_families, partition_cost_function
+        from repro.core.low_space.machine_sets import low_space_cost_function
+
+        graph, palettes, seed1, seed2 = data
+        global_nodes = max(graph.num_nodes, 1)
+        if kind == "partition":
+            params = ColorReduceParameters.scaled(num_bins=3)
+            ell = max(float(graph.max_degree()), 2.0)
+            num_bins = params.num_bins(ell)
+            cost = partition_cost_function(graph, palettes, params, ell, global_nodes)
+        else:
+            params = LowSpaceParameters.scaled(num_bins=3, low_degree_threshold=1)
+            num_bins = params.num_bins(global_nodes)
+            high = {node for node in graph.nodes() if graph.degree(node) > 1}
+            cost = low_space_cost_function(graph, palettes, high, params, num_bins)
+        family1, family2 = hash_families(
+            graph, palettes, num_bins, params.independence, global_nodes
+        )
+        h1, h2 = family1.from_seed_int(seed1), family2.from_seed_int(seed2)
+        num_nodes = len(cost._prepared()["ids"])
+        bounds = sorted({0, num_nodes, *(int(cut * num_nodes) for cut in cuts)})
+        whole = cost.range_counts(h1, h2, 0, num_nodes)
+        parts = [
+            cost.range_counts(h1, h2, start, stop)
+            for start, stop in zip(bounds, bounds[1:])
+        ]
+        for index in range(2):
+            assert whole[index].dtype == np.int64
+            joined = [value for part in parts for value in part[index].tolist()]
+            assert whole[index].tolist() == joined
+        # The slab kernel counts the same integers for the same pair.
+        _, slab_d, slab_p = cost._count_slab([(h1, h2)], cost._prepared())
+        assert slab_d[0].tolist() == whole[0].tolist()
+        assert slab_p[0].tolist() == whole[1].tolist()
+
+
 class TestBatchedFinalClassificationDifferential:
     @staticmethod
     def _hash_pair(graph, palettes, num_bins, seed1, seed2):
@@ -341,7 +391,7 @@ class TestBatchedFinalClassificationDifferential:
     def test_classify_partition_batch_matches_scalar(self, data):
         from repro.core.classification import (
             classify_partition,
-            classify_partition_batch,
+            partition_cost_function,
         )
 
         graph, palettes, seed1, seed2 = data
@@ -351,9 +401,9 @@ class TestBatchedFinalClassificationDifferential:
         expected = classify_partition(
             graph, palettes, h1, h2, params, ell, max(graph.num_nodes, 1)
         )
-        actual = classify_partition_batch(
-            graph, palettes, h1, h2, params, ell, max(graph.num_nodes, 1)
-        )
+        actual, _ = partition_cost_function(
+            graph, palettes, params, ell, max(graph.num_nodes, 1)
+        ).classify_selected(h1, h2)
         assert actual.bin_of_node == expected.bin_of_node
         assert actual.bin_sizes == expected.bin_sizes
         assert actual.bad_bins == expected.bad_bins
@@ -619,7 +669,6 @@ class TestSegmentedLevelDifferential:
     @LEVEL_SETTINGS
     @given(level_instances())
     def test_low_space_prefetch_matches_per_bin(self, data):
-        from repro.core.classification import color_bin_arrays
         from repro.core.level import head_pairs, prefetch_low_space_level
         from repro.core.low_space.machine_sets import low_space_cost_function
         from repro.core.low_space.params import LowSpaceParameters
@@ -670,13 +719,8 @@ class TestSegmentedLevelDifferential:
             assert [proxy(*pair) for pair in pairs] == list(reference.many(pairs))
             assert proxy(*pairs[0]) == reference(*pairs[0])
             h1, h2 = pairs[0]
-            color_arrays = color_bin_arrays(palettes, h2, num_color_bins)
-            outcome_proxy = proxy.outcome_selected(
-                h1, h2, color_arrays=color_arrays
-            )
-            outcome_ref = reference.outcome_selected(
-                h1, h2, color_arrays=color_arrays
-            )
+            outcome_proxy = proxy.outcome_selected(h1, h2)
+            outcome_ref = reference.outcome_selected(h1, h2)
             assert outcome_proxy.violating_nodes == outcome_ref.violating_nodes
             assert outcome_proxy.bin_of_node == outcome_ref.bin_of_node
             assert outcome_proxy.cost == outcome_ref.cost
@@ -1094,8 +1138,8 @@ class TestLowSpacePrepOracle:
         reference = scalar_low_space_prepare(
             LowSpaceCostEvaluator(graph, palettes, high, params, num_bins)
         )
-        assert production["high"] == reference["high"]
-        for key in ("edge_sources", "edge_targets", "edge_indptr"):
+        assert production.keys() == reference.keys()
+        for key in ("ids", "edge_sources", "edge_targets", "edge_indptr"):
             assert production[key].dtype == np.int64
             assert np.array_equal(production[key], reference[key]), key
         assert production["threshold"].dtype == np.float64
