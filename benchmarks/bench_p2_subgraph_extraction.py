@@ -3,8 +3,9 @@
 Every ``Partition`` / ``LowSpacePartition`` level materialises its bin
 instances as induced subgraphs.  The CSR-backed extraction layer
 (:func:`repro.graph.csr.split_by_bins`, ``Graph.induced_subgraphs``)
-replaces the scalar per-neighbor set-membership loops with one label
-scatter plus per-group array gathers on the cached CSR view.  This
+replaces the scalar per-neighbor set-membership loops (kept as the
+reference ``induced_subgraphs`` in ``tests/scalar_oracle.py``) with one
+label scatter plus per-group array gathers on the cached CSR view.  This
 benchmark times the bin-instance construction phase of one real partition
 level (the groups come from an actual hash selection + classification) for
 both paths, asserting
@@ -22,6 +23,8 @@ the deferred cost stays visible.
 from __future__ import annotations
 
 import time
+
+from scalar_oracle import induced_subgraphs
 
 from repro.core.classification import classify_partition
 from repro.core.params import ColorReduceParameters
@@ -88,16 +91,16 @@ def test_p2_subgraph_extraction(benchmark, experiment_scale):
 
     # Warm both paths once (interpreter/ufunc one-offs are not part of
     # either algorithm).
-    graph.induced_subgraphs(groups, use_csr=False)
-    graph.induced_subgraphs(groups, use_csr=True)
+    induced_subgraphs(graph, groups)
+    graph.induced_subgraphs(groups)
 
     # --- headline: the bin-instance construction phase --------------------
     scalar_seconds = _best_of(
-        lambda: graph.induced_subgraphs(groups, use_csr=False), rounds
+        lambda: induced_subgraphs(graph, groups), rounds
     )
     batched_seconds = benchmark.pedantic(
         _best_of,
-        args=(lambda: graph.induced_subgraphs(groups, use_csr=True), rounds),
+        args=(lambda: graph.induced_subgraphs(groups), rounds),
         rounds=1,
         iterations=1,
     )
@@ -105,18 +108,18 @@ def test_p2_subgraph_extraction(benchmark, experiment_scale):
 
     # --- secondary: construction plus full adjacency consumption ----------
     scalar_consumed = _best_of(
-        lambda: _touch_children(graph.induced_subgraphs(groups, use_csr=False)),
+        lambda: _touch_children(induced_subgraphs(graph, groups)),
         rounds,
     )
     batched_consumed = _best_of(
-        lambda: _touch_children(graph.induced_subgraphs(groups, use_csr=True)),
+        lambda: _touch_children(graph.induced_subgraphs(groups)),
         rounds,
     )
     consumed_speedup = scalar_consumed / batched_consumed
 
     # --- equivalence: identical children ----------------------------------
-    scalar_children = graph.induced_subgraphs(groups, use_csr=False)
-    batched_children = graph.induced_subgraphs(groups, use_csr=True)
+    scalar_children = induced_subgraphs(graph, groups)
+    batched_children = graph.induced_subgraphs(groups)
     identical = True
     for expected, actual in zip(scalar_children, batched_children):
         if actual.nodes() != expected.nodes():

@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import time
 
+from scalar_oracle import restricted_to
+
 from repro.core.classification import (
     classify_partition,
     color_bin_map,
@@ -79,7 +81,8 @@ def _scalar_step(graph, palettes, params, ell, h1, h2):
     num_color_bins = max(1, classification.num_bins - 1)
     colors_to_bins = color_bin_map(palettes, h2, num_color_bins)
     restricted = [
-        palettes.restricted_to(
+        restricted_to(
+            palettes,
             classification.good_nodes_in_bin(bin_index),
             keep_color=lambda color, b=bin_index: colors_to_bins[color] == b,
         )

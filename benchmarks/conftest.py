@@ -11,7 +11,14 @@ Select the sweep size with ``--experiment-scale={smoke,default,full}``.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
+
+# The bench_p* files time the array kernels against the scalar references
+# kept in tests/scalar_oracle.py.
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:
@@ -35,3 +42,4 @@ def run_once(benchmark, runner, scale: str):
     print()
     print(result.render())
     return result
+

@@ -520,8 +520,8 @@ class PartitionCostEvaluator(BatchCostEvaluatorBase):
         on demand), and — from the same entry match — every color bin's
         restricted palettes.  Returns ``(classification, restricted)``
         where ``restricted[b]`` holds the good nodes of color bin ``b``,
-        bit-identical to the scalar :func:`classify_partition` plus
-        ``restricted_to`` path.
+        bit-identical to the scalar :func:`classify_partition` plus the
+        per-bin palette restriction of ``tests/scalar_oracle.py``.
 
         ``scorer`` may pass the selection's
         :class:`repro.parallel.executor.ParallelSlabScorer` (the counts

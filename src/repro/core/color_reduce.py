@@ -44,10 +44,7 @@ from repro.congested_clique.model import CongestedCliqueSimulator
 from repro.core.context import CongestedCliqueContext, ExecutionContext
 from repro.core.driver import RecursionDriver, RunState, prepare_palettes
 from repro.core.level import prefetch_partition_level
-from repro.core.local_coloring import (
-    GREEDY_ARRAY_CUTOVER_NODES,
-    greedy_list_coloring,
-)
+from repro.core.local_coloring import greedy_list_coloring
 from repro.core.params import ColorReduceParameters
 from repro.core.partition import Partition, PartitionResult
 from repro.derand.conditional_expectation import SelectionStrategy
@@ -370,15 +367,7 @@ class ColorReduce(RecursionDriver):
             rounds = state.model.record_collect(words, label=label)
             ledger.charge(label, rounds, words)
             state.model.record_space(words, max_local_words=words)
-            # Force the array sweep above the small-instance cutover (building
-            # the CSR view when a depth-0 collectable instance arrives cold),
-            # and take the scalar loop below it so deep-recursion leaves skip
-            # the sweep's fixed setup (bit-identical either way).
-            return greedy_list_coloring(
-                graph,
-                palettes,
-                use_batch=graph.num_nodes >= GREEDY_ARRAY_CUTOVER_NODES,
-            )
+            return greedy_list_coloring(graph, palettes)
         # The instance does not fit on one machine.  The deterministic
         # algorithm never reaches this point (Corollary 3.10 bounds |G_0| by
         # O(n)), but the randomized baseline occasionally does on unlucky
@@ -400,13 +389,7 @@ class ColorReduce(RecursionDriver):
             rounds = state.model.record_collect(piece_words, label=label)
             ledger.charge(label, rounds, piece_words)
             state.model.record_space(piece_words, max_local_words=piece_words)
-            coloring.update(
-                greedy_list_coloring(
-                    piece,
-                    piece_palettes,
-                    use_batch=piece.num_nodes >= GREEDY_ARRAY_CUTOVER_NODES,
-                )
-            )
+            coloring.update(greedy_list_coloring(piece, piece_palettes))
         return coloring
 
     def _split_for_capacity(
@@ -433,7 +416,7 @@ class ColorReduce(RecursionDriver):
         if current:
             piece_nodes.append(current)
         # One batched extraction for all pieces (they are disjoint chunks).
-        return graph.induced_subgraphs(piece_nodes, use_csr=True)
+        return graph.induced_subgraphs(piece_nodes)
 
     def _collect_words(
         self, graph: Graph, palettes: PaletteAssignment, state: RunState

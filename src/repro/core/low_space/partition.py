@@ -121,7 +121,7 @@ class LowSpacePartition:
 
         if not high_degree_nodes:
             # Nothing to partition: every node takes the MIS path.
-            low_degree_graph = graph.induced_subgraph(low_degree_nodes, use_csr=True)
+            low_degree_graph = graph.induced_subgraph(low_degree_nodes)
             empty = ColorBinInstance(bin_index=last_bin, graph=Graph(), palettes=PaletteAssignment({}))
             dummy_family = KWiseIndependentFamily(
                 domain_size=max(global_nodes, 2),
@@ -217,16 +217,14 @@ class LowSpacePartition:
         # ``usable``: the extraction turns each group into a set, so that
         # order decides the children's node order.
         violating = outcome.violating_nodes
-        low_degree_graph = graph.induced_subgraph(
-            low_degree_nodes.union(violating), use_csr=True
-        )
+        low_degree_graph = graph.induced_subgraph(low_degree_nodes.union(violating))
         usable = high_degree_nodes.difference(violating)
         members = np.fromiter(usable, dtype=np.int64, count=len(usable))
         member_bins = outcome.bins_of(members)
         bin_members = [
             members[member_bins == bin_index].tolist() for bin_index in range(num_bins)
         ]
-        subgraphs = graph.induced_subgraphs(bin_members, use_csr=True)
+        subgraphs = graph.induced_subgraphs(bin_members)
         if poll is not None:
             poll()
 

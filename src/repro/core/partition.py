@@ -219,9 +219,7 @@ class Partition:
             classification.good_nodes_in_bin(bin_index)
             for bin_index in range(num_bins)
         ]
-        subgraphs = graph.induced_subgraphs(
-            [classification.bad_nodes] + bin_members, use_csr=True
-        )
+        subgraphs = graph.induced_subgraphs([classification.bad_nodes] + bin_members)
         bad_graph = subgraphs[0]
         if poll is not None:
             poll()

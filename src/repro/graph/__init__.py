@@ -27,16 +27,12 @@ The array-view contract, in brief (details in :mod:`repro.graph.csr`): a
 graph built from sets (``Graph(nodes, edges)``) builds its view on the
 first ``Graph.csr()`` call and caches it; ``add_node`` / ``add_edge``
 invalidate it (``_csr = None``), and the next ``csr()`` call rebuilds from
-the live adjacency sets.  ``induced_subgraph`` /
-``induced_subgraphs`` / ``subgraph_degrees_within`` / ``relabeled`` then
-route through it (``use_csr=None`` means "iff warm"; the partition
-pipelines always pass ``use_csr=True``).  Children produced by the CSR
-path carry their own canonical warm view and materialise their adjacency
-sets lazily on first set-based access; both extraction paths yield the
-same node insertion order and the same adjacency sets, so every downstream
-outcome — colorings, recursion trees, selected seeds — is bit-identical
-between them (the scalar path is the differential tests' reference, see
-``tests/scalar_oracle.py``).
+the live adjacency sets.  ``induced_subgraph`` / ``induced_subgraphs``
+always cut their children from the view (building it if cold).  Each child
+carries its own canonical warm view and materialises its adjacency sets
+lazily on first set-based access.  The per-neighbor set loop the
+extraction replaced yields the same node insertion order and adjacency
+sets; it is the differential tests' reference (``tests/scalar_oracle.py``).
 """
 
 from repro.graph.graph import Graph

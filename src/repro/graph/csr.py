@@ -29,22 +29,17 @@ is immutable and shares nothing with the adjacency sets, so subgraphs
 extracted from a view stay valid after the parent mutates.
 
 On top of the view this module provides the vectorized subgraph-extraction
-kernels the recursion pipeline uses to materialise bin instances:
+kernel the recursion pipeline uses to materialise bin instances:
+:func:`split_by_bins` builds the child views of any number of disjoint node
+groups (one group for a single induced subgraph) from one shared
+label/reindex scatter plus per-group gathers.
 
-* :func:`extract_induced` — mask + gather + reindex producing a child
-  ``GraphCSR`` (in a caller-chosen node order) in one pass,
-* :func:`split_by_bins` — all bin subgraphs of a partition level from one
-  shared label/reindex scatter plus per-group gathers,
-* :func:`degrees_within` — induced-subgraph degrees as one bincount,
-  replacing the per-neighbor set-membership scan.
-
-Child views returned by the extraction kernels are *canonical*: identical
-(arrays and node order) to what :func:`build_csr` would build from the
-child's adjacency sets, so they can be cached on the child graph directly.
-Callers that rely on the warm view include the batched cost evaluators
-(:class:`repro.hashing.batch.BatchCostEvaluatorBase` subclasses) and the
-``use_csr`` fast paths of ``Graph.induced_subgraph`` /
-``Graph.subgraph_degrees_within`` / ``Graph.relabeled``.
+Child views are *canonical*: identical (arrays and node order) to what
+:func:`build_csr` would build from the child's adjacency sets, so they can
+be cached on the child graph directly.  Callers that rely on the warm view
+include the batched cost evaluators
+(:class:`repro.hashing.batch.BatchCostEvaluatorBase` subclasses) and
+``Graph.induced_subgraph`` / ``Graph.induced_subgraphs``.
 """
 
 from __future__ import annotations
@@ -400,43 +395,19 @@ def _gather_rows(
     return rows, csr.indices[gather]
 
 
-def extract_induced(csr: GraphCSR, kept_ids: Sequence[NodeId]) -> GraphCSR:
-    """The induced-subgraph view of ``kept_ids`` as one mask/gather/reindex.
-
-    ``kept_ids`` must be distinct identifiers present in ``csr`` (callers
-    filter unknown ids first); their order becomes the child's node order.
-    The kernel gathers only the kept rows' neighbor runs, drops neighbors
-    outside the subset with one reindex lookup, and assembles a canonical
-    child view (``len(kept_ids)`` nodes) — no per-neighbor Python set
-    membership tests.  Scalar reference:
-    ``Graph._induced_from_keep`` (the per-neighbor loop behind
-    ``Graph.induced_subgraph(..., use_csr=False)``); the child equals what
-    :func:`build_csr` would produce from that graph's adjacency sets.
-    """
-    old_positions = _positions_of(csr, kept_ids)
-    new_of_old = np.full(csr.num_nodes, -1, dtype=np.int64)
-    new_of_old[old_positions] = np.arange(len(kept_ids), dtype=np.int64)
-    rows, neighbor_positions = _gather_rows(csr, old_positions)
-    neighbors = new_of_old[neighbor_positions]
-    inside = neighbors >= 0
-    return _assemble_child(kept_ids, rows[inside], neighbors[inside])
-
-
 def split_by_bins(
     csr: GraphCSR, groups: Sequence[Iterable[NodeId]]
 ) -> List[GraphCSR]:
     """Child views for all (disjoint) node groups of one partition level.
 
-    The batched counterpart of calling :func:`extract_induced` per bin: one
-    label scatter and one reindex scatter cover the whole level, then each
+    One label scatter and one reindex scatter cover the whole level, then each
     child gathers only its own members' neighbor runs, keeps the same-label
     edges, and key-sorts its own (much smaller) edge set into the canonical
     layout — total work one pass over the level's directed edges plus the
     per-child sorts.  Returns ``len(groups)`` child views; group order
     defines the children's order, and each group's id order defines its
     child's node order.  Scalar reference: one
-    ``Graph._induced_from_keep`` call per group
-    (``Graph.induced_subgraphs(..., use_csr=False)``).  Raises
+    ``induced_from_keep`` call per group (``tests/scalar_oracle.py``).  Raises
     :class:`~repro.errors.GraphError` if the groups overlap (or a group
     repeats an id) — a label scatter cannot represent overlapping bins.
     """
@@ -465,22 +436,3 @@ def split_by_bins(
             )
         )
     return children
-
-
-def degrees_within(csr: GraphCSR, kept_ids: Sequence[NodeId]) -> np.ndarray:
-    """Induced-subgraph degrees of ``kept_ids`` (aligned with its order).
-
-    Returns an int64 array of shape ``(len(kept_ids),)``.  One membership
-    mask plus one bincount over the directed edges whose endpoints both lie
-    in the subset — the vectorized replacement for the per-neighbor
-    set-membership scan of the scalar
-    ``Graph.subgraph_degrees_within(..., use_csr=False)`` path.
-    """
-    old_positions = _positions_of(csr, kept_ids)
-    mask = np.zeros(csr.num_nodes, dtype=bool)
-    mask[old_positions] = True
-    inside = mask[csr.edge_sources] & mask[csr.indices]
-    counts = np.bincount(
-        csr.edge_sources[inside], minlength=csr.num_nodes
-    ).astype(np.int64, copy=False)
-    return counts[old_positions]

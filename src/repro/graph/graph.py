@@ -5,6 +5,9 @@ baselines all operate on this structure.  It is intentionally small: an
 adjacency-set representation with the handful of operations the paper's
 algorithms actually need (degrees, induced subgraphs, size accounting),
 plus a cached array view (:meth:`Graph.csr`) for the batched cost kernels.
+Induced subgraphs are always cut from that view
+(:func:`repro.graph.csr.split_by_bins`); the per-neighbor set loop they
+replaced is the test oracle's reference (``tests/scalar_oracle.py``).
 
 Nodes are arbitrary hashable integers; they do *not* need to be contiguous,
 because recursive calls of ``ColorReduce`` operate on induced subgraphs that
@@ -14,7 +17,7 @@ keep the original node identifiers (the paper's hash function ``h1`` maps the
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
 from repro.errors import GraphError
 from repro.types import Edge, NodeId
@@ -187,26 +190,29 @@ class Graph:
         return list(self._adj_store)
 
     def edges(self) -> Iterator[Edge]:
-        """Iterate over edges as ``(u, v)`` with ``u < v``.
+        """Iterate over the edges, each once, as ``(u, v)``.
 
-        On a lazily-backed graph (:meth:`_from_csr`) the edges are read
-        straight off the array view, so iterating them never forces
-        adjacency materialisation.  Iteration *order* may differ between
-        the two backings; the edge *set* is identical.
+        ``u < v`` when the ids are mutually comparable; otherwise ``u`` is
+        the endpoint inserted first.  On a lazily-backed graph
+        (:meth:`_from_csr`) the edges are read straight off the array view,
+        so iterating them never forces adjacency materialisation.
+        Iteration *order* may differ between the two backings; the edge
+        *set* is identical.
         """
         if self._adj_store is None:
             view = self._csr
             ids = view.node_ids
-            sources = view.edge_sources.tolist()
-            targets = view.indices.tolist()
-            for i, j in zip(sources, targets):
-                u, v = ids[i], ids[j]
-                if u < v:
-                    yield (u, v)
+            ranks = _edge_ranks(ids)
+            for i, j in zip(view.edge_sources.tolist(), view.indices.tolist()):
+                if ranks[i] < ranks[j]:
+                    yield (ids[i], ids[j])
             return
+        ids = list(self._adj_store)
+        rank_of = dict(zip(ids, _edge_ranks(ids)))
         for u, neigh in self._adj_store.items():
+            rank = rank_of[u]
             for v in neigh:
-                if u < v:
+                if rank < rank_of[v]:
                     yield (u, v)
 
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
@@ -295,11 +301,9 @@ class Graph:
         by :meth:`add_node` / :meth:`add_edge`; see :mod:`repro.graph.csr` for the full
         array-view contract.  The batched cost kernels use it to turn
         per-node classification loops into ``np.bincount``/scatter
-        operations, and the ``use_csr`` fast paths of
-        :meth:`induced_subgraph` / :meth:`subgraph_degrees_within` /
-        :meth:`relabeled` extract subgraphs from it without per-neighbor
-        set lookups.  Subgraphs produced by those fast paths carry their
-        own (canonical) warm view.
+        operations, and :meth:`induced_subgraph` / :meth:`induced_subgraphs`
+        extract subgraphs from it without per-neighbor set lookups; the
+        subgraphs carry their own (canonical) warm view.
         """
         if self._csr is None:
             from repro.graph.csr import build_csr
@@ -310,29 +314,10 @@ class Graph:
     def has_csr(self) -> bool:
         """Whether the array view is currently warm (built, not invalidated).
 
-        The probe behind every ``use_csr=None`` / ``use_batch=None`` auto
-        mode (here and in :func:`repro.core.local_coloring.greedy_list_coloring`):
-        consumers take the array path iff it is free to take.
+        Lets consumers read arrays off the view when it is free to take
+        (palette construction and validation), without building it.
         """
         return self._csr is not None
-
-    def _resolve_use_csr(self, use_csr: Optional[bool]) -> bool:
-        """``None`` means auto: take the array path iff the view is warm."""
-        if use_csr is None:
-            return self._csr is not None
-        return use_csr
-
-    def _members_for_filter(self):
-        """A membership container over the node set, cheapest available.
-
-        Used by the extraction methods to filter unknown ids without
-        forcing a lazy graph to materialise its adjacency sets — the CSR
-        view's position map answers membership just as well.
-        """
-        adj = self._adj_store
-        if adj is None:
-            return self._csr.position
-        return adj
 
     @classmethod
     def _from_csr(cls, view) -> "Graph":
@@ -353,77 +338,32 @@ class Graph:
     # ------------------------------------------------------------------
     # derived graphs
     # ------------------------------------------------------------------
-    def induced_subgraph(
-        self, nodes: Iterable[NodeId], use_csr: Optional[bool] = None
-    ) -> "Graph":
+    def induced_subgraph(self, nodes: Iterable[NodeId]) -> "Graph":
         """The subgraph induced by ``nodes`` (unknown ids are ignored).
 
-        ``use_csr`` selects the extraction path: ``None`` (default) uses the
-        vectorized CSR kernel iff the array view is already warm, ``True``
-        forces it (building the view if needed), ``False`` forces the scalar
-        reference loop.  Both paths produce the same graph — same node
-        insertion order, same adjacency sets — and the CSR path additionally
-        hands the child a warm canonical view.
+        The child is backed by its own warm canonical CSR view and
+        materialises adjacency sets lazily; its node order is the
+        iteration order of the filtered id set.
         """
-        members = self._members_for_filter()
-        keep = {node for node in nodes if node in members}
-        if self._resolve_use_csr(use_csr):
-            from repro.graph.csr import extract_induced
+        return self._extract([nodes])[0]
 
-            return Graph._from_csr(extract_induced(self.csr(), list(keep)))
-        return self._induced_from_keep(keep)
-
-    def _induced_from_keep(self, keep: Set[NodeId]) -> "Graph":
-        """Scalar reference extraction from an already-filtered node set."""
-        sub = Graph(nodes=keep)
-        for u in keep:
-            for v in self._adj[u]:
-                if v in keep and u < v:
-                    sub.add_edge(u, v)
-        return sub
-
-    def induced_subgraphs(
-        self, groups: Sequence[Iterable[NodeId]], use_csr: Optional[bool] = None
-    ) -> List["Graph"]:
+    def induced_subgraphs(self, groups: Sequence[Iterable[NodeId]]) -> List["Graph"]:
         """Induced subgraphs of several *disjoint* node groups in one pass.
 
-        The batched form of :meth:`induced_subgraph` used by the partition
-        pipelines to slice every bin instance of a level at once
-        (:func:`repro.graph.csr.split_by_bins`).  With ``use_csr`` resolving
-        to False each group goes through the scalar reference path instead;
-        results are identical either way.  Unknown ids are ignored; groups
-        must not overlap on the CSR path (:class:`~repro.errors.GraphError`).
+        The partition pipelines slice every bin instance of a level at once;
+        each child is what :meth:`induced_subgraph` returns for its group.
+        Overlapping groups are a :class:`~repro.errors.GraphError`.
         """
-        members = self._members_for_filter()
-        keeps = [{node for node in group if node in members} for group in groups]
-        if not self._resolve_use_csr(use_csr):
-            return [self._induced_from_keep(keep) for keep in keeps]
+        return self._extract(groups)
+
+    def _extract(self, groups: Sequence[Iterable[NodeId]]) -> List["Graph"]:
+        """Children of :func:`repro.graph.csr.split_by_bins` over the known ids."""
         from repro.graph.csr import split_by_bins
 
-        children = split_by_bins(self.csr(), [list(keep) for keep in keeps])
-        return [Graph._from_csr(child) for child in children]
-
-    def subgraph_degrees_within(
-        self, nodes: Iterable[NodeId], use_csr: Optional[bool] = None
-    ) -> Dict[NodeId, int]:
-        """Degrees restricted to the induced subgraph, without building it.
-
-        This is the quantity ``d'(v)`` of Definition 3.1 (degree within the
-        bin of ``v``) and is needed when classifying good/bad nodes before
-        materialising the bin subgraphs.  With a warm CSR view (or
-        ``use_csr=True``) the counts come from one membership mask plus one
-        bincount (:func:`repro.graph.csr.degrees_within`) instead of a
-        per-neighbor set-membership scan.
-        """
-        members = self._members_for_filter()
-        keep = {node for node in nodes if node in members}
-        if self._resolve_use_csr(use_csr):
-            from repro.graph.csr import degrees_within
-
-            kept_ids = list(keep)
-            counts = degrees_within(self.csr(), kept_ids)
-            return {node: int(count) for node, count in zip(kept_ids, counts)}
-        return {u: sum(1 for v in self._adj[u] if v in keep) for u in keep}
+        view = self.csr()
+        members = view.position
+        keeps = [list({node for node in group if node in members}) for group in groups]
+        return [Graph._from_csr(child) for child in split_by_bins(view, keeps)]
 
     def connected_components(self) -> List[Set[NodeId]]:
         """Connected components as a list of node sets (iterative BFS)."""
@@ -448,37 +388,24 @@ class Graph:
     # ------------------------------------------------------------------
     # misc
     # ------------------------------------------------------------------
-    def relabeled(
-        self, use_csr: Optional[bool] = None
-    ) -> Tuple["Graph", Dict[NodeId, NodeId]]:
-        """Return a copy with nodes relabeled ``0..n-1`` plus the mapping.
-
-        The mapping sends *original* ids to *new* ids (insertion order).
-        Useful for handing instances to array-based baselines.  With a warm
-        CSR view the relabeled graph is the view itself re-captioned —
-        positions *are* the new ids — so no edge iteration happens at all.
-        """
-        if self._resolve_use_csr(use_csr):
-            from repro.graph.csr import GraphCSR
-
-            view = self.csr()
-            num_nodes = view.num_nodes
-            relabeled_view = GraphCSR(
-                node_ids=list(range(num_nodes)),
-                indptr=view.indptr,
-                indices=view.indices,
-                degrees=view.degrees,
-                edge_sources=view.edge_sources,
-            )
-            return Graph._from_csr(relabeled_view), dict(view.position)
-        mapping = {node: index for index, node in enumerate(self._adj)}
-        relabeled = Graph(nodes=mapping.values())
-        for u, v in self.edges():
-            relabeled.add_edge(mapping[u], mapping[v])
-        return relabeled, mapping
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"
+
+
+def _edge_ranks(ids: Sequence[NodeId]) -> List[int]:
+    """Per-position ranks orienting :meth:`Graph.edges`.
+
+    The rank of ``ids[i]`` in sorted order when the ids are mutually
+    comparable, ``i`` itself otherwise (integers mixed with strings, say).
+    """
+    try:
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+    except TypeError:
+        return list(range(len(ids)))
+    ranks = [0] * len(ids)
+    for rank, index in enumerate(order):
+        ranks[index] = rank
+    return ranks
 
 
 def degree_histogram(graph: Graph) -> Dict[int, int]:

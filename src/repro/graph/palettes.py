@@ -10,9 +10,8 @@ The paper distinguishes three problem variants (Section 1):
 :class:`PaletteAssignment` stores palettes in one (or both) of two backings
 that mirror the graph layer's adjacency-sets / CSR-view split:
 
-* **Python sets** — the model-faithful, mutable reference representation
-  (each node holds its own palette locally; storage is never shared
-  between nodes),
+* **Python sets** — the model-faithful reference representation (each node
+  holds its own palette locally),
 * **an array store** (:class:`_PaletteStore`) — one flat int64 color array
   holding every palette back to back (sorted ascending within each node's
   slice) plus a ``(n + 1,)`` offsets array, exactly the layout the batched
@@ -22,40 +21,42 @@ The public constructors (:meth:`~PaletteAssignment.delta_plus_one`,
 :meth:`~PaletteAssignment.degree_plus_one`,
 :meth:`~PaletteAssignment.from_lists`) write the store directly and leave
 the sets lazy; a sets-first ``PaletteAssignment(mapping)`` builds its store
-on the first :meth:`store` call.  The store is cached, and scalar mutation
-invalidates it.  Colors that are not int64 integers (non-integral, or
-beyond int64) get no store at all; such colors cannot be hashed either, so
-the partition step's restriction (:meth:`restricted_by_bins`) raises
-:class:`PaletteError` for them.  Likewise, assignments produced by the
-batch kernels (:meth:`restricted_by_bins`, :meth:`subset`
-on an array-backed parent, the fused classification path) carry *only*
-their arrays — often plain slices of the parent's flat store — and
-materialise Python sets on the first genuinely set-based access, just like
-CSR-extracted graphs materialise adjacency lazily.  Every other public
-operation answers from whichever backing is available, with identical
-results.
+on the first :meth:`store` call.  Neither backing is ever edited in place:
+the one mutator, the pruning kernel, swaps in a new store and drops the
+sets, which is why :meth:`~PaletteAssignment.copy` and the batch kernels'
+children may share a parent's backings (or slices of its arrays).  Colors
+that are not int64 integers (non-integral, or beyond int64) get no store at
+all; such colors cannot be hashed either, so every operation of the
+partition and update steps raises :class:`PaletteError` for them.
+Assignments produced by the batch kernels (:meth:`restricted_by_bins`,
+:meth:`subset` on an array-backed parent, the fused classification path)
+carry *only* their arrays and materialise Python sets on the first
+genuinely set-based access, just like CSR-extracted graphs materialise
+adjacency lazily.  Every query answers from whichever backing is
+available, with identical results.
 
 On top of it the class provides exactly the operations the algorithms
 perform:
 
 * restriction to the colors a hash function maps to a given bin
-  (``Partition`` / ``LowSpacePartition``) — per bin via
-  :meth:`PaletteAssignment.restricted_to`, or for a whole partition level
-  at once via the vectorized
-  :meth:`PaletteAssignment.restricted_by_bins`,
-* removal of colors already used by colored neighbors (the two
-  "update color palettes" steps in ``ColorReduce``) — scalar reference
-  :meth:`remove_colors_used_by_neighbors` and the vectorized
-  :meth:`remove_colors_used_by_neighbors_batch` (one CSR gather plus one
-  segmented-membership mark plus one masked compaction),
+  (``Partition`` / ``LowSpacePartition``) — for a whole partition level at
+  once via :meth:`PaletteAssignment.restricted_by_bins`,
+* removal of colors already used by colored neighbors (the two "update
+  color palettes" steps in ``ColorReduce``) —
+  :meth:`PaletteAssignment.remove_colors_used_by_neighbors_batch` (one CSR
+  gather plus one segmented-membership mark plus one masked compaction)
+  and its fused form :meth:`PaletteAssignment.subset_updated`,
 * size queries ``p(v)`` used by the good/bad node classification.
+
+The per-bin, per-neighbor set loops these kernels replaced are the test
+oracle's references (``tests/scalar_oracle.py``).
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
 import numpy as np
 
@@ -174,34 +175,38 @@ _STORE_UNAVAILABLE = object()
 
 
 def _coloring_arrays(csr, coloring: ColoringMap):
-    """``coloring`` as (graph positions, int64 colors) arrays, or ``None``.
+    """``coloring`` as (graph positions, int64 colors) arrays.
 
     Shared ingestion for the pruning kernels: keys outside the graph are
-    dropped, and a ``None`` return (colors or ids beyond int64) tells the
-    caller to fall back to its scalar reference.
+    dropped, and a color that is not an int64 integer is a
+    :class:`PaletteError` naming it (``np.fromiter`` alone would truncate
+    ``1.5`` to ``1``).
     """
-    import numpy as np
+    from repro.graph.csr import integer_array
 
-    try:
-        if csr.ids_are_positions:
-            keys = np.fromiter(coloring.keys(), dtype=np.int64, count=len(coloring))
-            values = np.fromiter(coloring.values(), dtype=np.int64, count=len(coloring))
-            inside = (keys >= 0) & (keys < csr.num_nodes)
-            return keys[inside], values[inside]
-        position = csr.position
-        positions_list: List[int] = []
-        values_list: List[Color] = []
-        for colored_node, used in coloring.items():
-            pos = position.get(colored_node)
-            if pos is not None:
-                positions_list.append(pos)
-                values_list.append(used)
-        return (
-            np.asarray(positions_list, dtype=np.int64),
-            np.asarray(values_list, dtype=np.int64),
+    colors = integer_array(coloring.values())
+    if colors is None:
+        node, color = next(
+            (node, color)
+            for node, color in coloring.items()
+            if integer_array([color]) is None
         )
-    except (OverflowError, TypeError, ValueError):
-        return None
+        raise PaletteError(
+            f"color {color!r} of node {node!r} is not an int64 integer"
+        )
+    if csr.ids_are_positions:
+        keys = integer_array(coloring.keys())
+        if keys is not None:
+            inside = (keys >= 0) & (keys < csr.num_nodes)
+            return keys[inside], colors[inside]
+    position = csr.position
+    positions = np.fromiter(
+        (position.get(node, -1) for node in coloring),
+        dtype=np.int64,
+        count=len(coloring),
+    )
+    inside = positions >= 0
+    return positions[inside], colors[inside]
 
 
 def _graph_target_arrays(csr, target_nodes, rows):
@@ -213,13 +218,10 @@ def _graph_target_arrays(csr, target_nodes, rows):
     loops' ``continue``.  Shared by the pruning kernels so the
     ``ids_are_positions`` fast path cannot drift between them.
     """
-    import numpy as np
+    from repro.graph.csr import integer_array
 
     if csr.ids_are_positions:
-        try:
-            ids = np.fromiter(target_nodes, dtype=np.int64, count=len(target_nodes))
-        except (OverflowError, TypeError, ValueError):
-            ids = None
+        ids = integer_array(target_nodes)
         if ids is not None:
             inside = (ids >= 0) & (ids < csr.num_nodes)
             return ids[inside], np.asarray(rows, dtype=np.int64)[inside]
@@ -245,7 +247,7 @@ def canonical_instance(graph: Graph, palettes: "PaletteAssignment"):
     form and a coloring depends only on the instance, never on the order
     it was given in.  A no-op returning the same objects when the ids are
     already sorted and the palettes list exactly those nodes in that
-    order; otherwise one :func:`~repro.graph.csr.extract_induced` and one
+    order; otherwise one :func:`~repro.graph.csr.split_by_bins` and one
     :meth:`PaletteAssignment.subset` (palettes of nodes outside the graph
     are dropped).  Ids that are not mutually comparable (integers mixed
     with strings, say) do not sort and keep the graph's order, so for
@@ -257,9 +259,9 @@ def canonical_instance(graph: Graph, palettes: "PaletteAssignment"):
     except TypeError:
         ordered = ids
     if ordered != ids:
-        from repro.graph.csr import extract_induced
+        from repro.graph.csr import split_by_bins
 
-        graph = Graph._from_csr(extract_induced(graph.csr(), ordered))
+        graph = Graph._from_csr(split_by_bins(graph.csr(), [ordered])[0])
     if palettes.nodes() != ordered:
         palettes = palettes.subset(ordered)
     return graph, palettes
@@ -292,7 +294,7 @@ def _store_from_rows(nodes: List[NodeId], rows: Sequence) -> Optional[_PaletteSt
     ``rows[i]`` (sized and re-iterable: a set, list, range ...) holds the
     colors of ``nodes[i]``.  Returns ``None`` when a color is not an int64
     integer — non-integral or beyond int64 — and the assignment then stays
-    sets-only, with every batch entry point on its scalar reference.  Rows
+    sets-only (the batch kernels raise :class:`PaletteError` for it).  Rows
     are sorted and deduplicated only if one vectorised check finds an
     out-of-order or repeated entry.  Colors that all fit ``[0, 2**31)`` are
     narrowed to int32 (the dtype policy in ``docs/ARCHITECTURE.md``);
@@ -334,11 +336,10 @@ def _narrowed(flat: np.ndarray) -> np.ndarray:
 
 
 class PaletteAssignment:
-    """A mapping from node to its (mutable) color palette.
+    """A mapping from node to its color palette.
 
-    The class never shares palette storage between nodes, so restricting or
-    shrinking one node's palette can never affect another node — matching the
-    model, where each node holds its own palette locally.
+    Restricting or pruning one node's palette never affects another node —
+    matching the model, where each node holds its own palette locally.
     """
 
     __slots__ = ("_sets", "_store")
@@ -381,10 +382,8 @@ class PaletteAssignment:
         """The cached array store, built from the sets on first use.
 
         Returns ``None`` when the palette colors cannot be represented as
-        int64 — every batch kernel then falls back to its scalar reference.
-        Scalar mutation (:meth:`remove_color`, the scalar
-        :meth:`remove_colors_used_by_neighbors`) invalidates the cache; the
-        batched pruning replaces it wholesale instead.
+        int64 (the batch kernels then raise :class:`PaletteError`).  The
+        pruning kernel replaces the store wholesale.
         """
         store = self._store
         if store is None:
@@ -398,12 +397,6 @@ class PaletteAssignment:
         """The array store iff already built — never triggers a build."""
         store = self._store
         return store if isinstance(store, _PaletteStore) else None
-
-    def _mutable_sets(self) -> Dict[NodeId, Set[Color]]:
-        """The sets backing, about to be mutated: drop the array cache."""
-        sets = self._palettes
-        self._store = None
-        return sets
 
     # ------------------------------------------------------------------
     # constructors for the three problem variants: they write the array
@@ -460,11 +453,10 @@ class PaletteAssignment:
 
     @classmethod
     def _adopt(cls, palettes: Dict[NodeId, Set[Color]]) -> "PaletteAssignment":
-        """Wrap an already-built ``node -> color set`` dict without copying.
+        """Wrap a ``node -> color set`` dict without copying.
 
-        For the batch kernels, which assemble fresh per-node sets
-        themselves; the caller must hand over ownership — the dict and its
-        sets must not be mutated afterwards.
+        The dict and its sets must not be mutated afterwards (they may be
+        shared with the parent of a :meth:`subset`).
         """
         assignment = cls({})
         assignment._sets = palettes
@@ -506,22 +498,15 @@ class PaletteAssignment:
         return cls._adopt_store(store)
 
     def copy(self) -> "PaletteAssignment":
-        """Independent copy, copy-on-write over a warm array store.
+        """Independent copy that shares both backings.
 
-        With a warm store the clone shares it and leaves its sets lazy:
-        they are materialized from the store on the first set-based access,
-        on either side.  Sharing is safe because a store is immutable —
-        mutation replaces or drops a store, never edits it — so a change
-        to either assignment never reaches the other.  Without a store
-        (cold, or :data:`_STORE_UNAVAILABLE`) the palette sets are
-        duplicated.
+        Sharing is safe because neither backing is edited in place: the
+        pruning kernel swaps in a new store and drops the sets, so a change
+        to either assignment never reaches the other.
         """
         clone = PaletteAssignment({})
+        clone._sets = self._sets
         clone._store = self._store
-        if isinstance(self._store, _PaletteStore):
-            clone._sets = None
-        else:
-            clone._sets = {node: set(colors) for node, colors in self._sets.items()}
         return clone
 
     # ------------------------------------------------------------------
@@ -634,41 +619,13 @@ class PaletteAssignment:
     # ------------------------------------------------------------------
     # the operations the algorithms perform
     # ------------------------------------------------------------------
-    def restricted_to(
-        self,
-        nodes: Iterable[NodeId],
-        keep_color: Optional[Callable[[Color], bool]] = None,
-    ) -> "PaletteAssignment":
-        """A new assignment for ``nodes``, optionally filtering colors.
-
-        ``Partition`` restricts the palettes of nodes in bins
-        ``1..ℓ^0.1 - 1`` to the colors hashed to their bin: pass
-        ``keep_color=lambda c: h2(c) == bin_of_node``.  Without a filter
-        this is :meth:`subset` (which slices the array store when warm).
-        """
-        if keep_color is None:
-            return self.subset(nodes)
-        sets = self._sets
-        store = self._store
-        result: Dict[NodeId, Set[Color]] = {}
-        for node in nodes:
-            if sets is not None:
-                try:
-                    colors: Iterable[Color] = sets[node]
-                except KeyError as exc:
-                    raise PaletteError(f"node {node} has no palette") from exc
-            else:
-                colors = store.row_slice(self._row_of(store, node)).tolist()
-            result[node] = {color for color in colors if keep_color(color)}
-        return PaletteAssignment._adopt(result)
-
     def subset(self, nodes: Iterable[NodeId]) -> "PaletteAssignment":
         """A new assignment containing only ``nodes`` (palettes unchanged).
 
         With a warm array store the child adopts gathered slices of the
         parent's flat arrays (no per-color Python work, sets stay lazy);
-        otherwise the palette sets are copied as before.  Results are
-        identical either way.
+        otherwise it shares the parent's palette sets, which are never
+        edited in place.  Results are identical either way.
         """
         store = self._store_if_warm()
         if store is not None:
@@ -685,13 +642,10 @@ class PaletteAssignment:
                 child._frame = (frame[0], frame[1][gather])
             return PaletteAssignment._adopt_store(child)
         sets = self._palettes
-        result: Dict[NodeId, Set[Color]] = {}
-        for node in nodes:
-            try:
-                result[node] = set(sets[node])
-            except KeyError as exc:
-                raise PaletteError(f"node {node} has no palette") from exc
-        return PaletteAssignment._adopt(result)
+        try:
+            return PaletteAssignment._adopt({node: sets[node] for node in nodes})
+        except KeyError as exc:
+            raise PaletteError(f"node {exc.args[0]} has no palette") from exc
 
     def restricted_by_bins(
         self,
@@ -701,10 +655,8 @@ class PaletteAssignment:
     ) -> List["PaletteAssignment"]:
         """Restrict every color bin's palettes in one vectorized pass.
 
-        The batched counterpart of calling :meth:`restricted_to` once per
-        color bin with ``keep_color=lambda c: color_bin(c) == b`` — once
-        the biggest Python loop of ``Partition.run`` /
-        ``LowSpacePartition.run``.  ``bin_members[b]`` lists the nodes of
+        Node ``v`` of color bin ``b`` keeps the colors ``c`` of its palette
+        with ``color_bin(c) == b``.  ``bin_members[b]`` lists the nodes of
         color bin ``b``; ``universe`` is the *sorted* color universe (shape
         ``(U,)``, int64) and ``color_bin_ids[k]`` the bin that ``h2`` maps
         ``universe[k]`` to (as produced by
@@ -715,7 +667,8 @@ class PaletteAssignment:
         assignments whose Python sets stay lazy.
 
         Returns one :class:`PaletteAssignment` per group, equal (same nodes,
-        same palette *sets*) to the scalar ``restricted_to`` result.  Raises
+        same palette *sets*) to the per-bin scalar reference in
+        ``tests/scalar_oracle.py``.  Raises
         :class:`PaletteError` if a member has no palette, a member color is
         missing from ``universe``, or the palettes have no array store
         (colors that are not int64 integers, which the partition steps'
@@ -790,7 +743,7 @@ class PaletteAssignment:
             cursor += member_count
         return results
 
-    def remove_colors_used_by_neighbors(
+    def remove_colors_used_by_neighbors_batch(
         self,
         graph: Graph,
         coloring: ColoringMap,
@@ -800,50 +753,26 @@ class PaletteAssignment:
 
         This implements the two "Update color palettes of ..." steps of
         ``ColorReduce`` (and the corresponding step of
-        ``LowSpaceColorReduce``).  Returns the number of palette entries
-        removed, which the space-accounting experiments use.  Scalar
-        reference of :meth:`remove_colors_used_by_neighbors_batch`.
-        """
-        palettes = self._mutable_sets()
-        targets = palettes.keys() if nodes is None else nodes
-        removed = 0
-        for node in targets:
-            if node not in palettes:
-                raise PaletteError(f"node {node} has no palette")
-            if node not in graph:
-                continue
-            palette = palettes[node]
-            for neighbor in graph.iter_neighbors(node):
-                used = coloring.get(neighbor)
-                if used is not None and used in palette:
-                    palette.discard(used)
-                    removed += 1
-        return removed
-
-    def remove_colors_used_by_neighbors_batch(
-        self,
-        graph: Graph,
-        coloring: ColoringMap,
-        nodes: Optional[Iterable[NodeId]] = None,
-    ) -> int:
-        """Vectorized :meth:`remove_colors_used_by_neighbors` (same result).
-
-        One gather over the graph's CSR view collects every target node's
-        colored-neighbor colors, one segmented-membership mark
+        ``LowSpaceColorReduce``) for the ``nodes`` (default: every palette
+        node; nodes outside ``graph`` keep their palettes).  Returns the
+        number of palette entries removed, which the space-accounting
+        experiments use; a color blocked by several neighbors is removed —
+        and counted — once.  One gather over the graph's CSR view collects
+        every target node's colored-neighbor colors, one
+        segmented-membership mark
         (:func:`repro.hashing.batch.segment_mark_members`) locates the
         palette entries they block, and one masked compaction swaps in the
-        pruned store; the returned ``removed`` count equals the scalar
-        path's exactly (a color blocked by several neighbors is removed —
-        and counted — once).  Falls back to the scalar reference when the
-        store is unavailable (colors or coloring values beyond int64).
-        The one observable difference is the error path: missing target
-        palettes are rejected up front, before any pruning, while the
-        scalar loop may discard some entries before reaching the offending
-        target.
+        pruned store.  Raises :class:`PaletteError`, before any pruning,
+        for a target without a palette, palettes without an array store and
+        coloring values that are not int64 integers.  Scalar reference: the
+        per-neighbor loop in ``tests/scalar_oracle.py``.
         """
         store = self.store()
         if store is None:
-            return self.remove_colors_used_by_neighbors(graph, coloring, nodes)
+            raise PaletteError(
+                "remove_colors_used_by_neighbors_batch: palette colors are "
+                "not int64 integers"
+            )
         if nodes is None:
             target_nodes: Sequence[NodeId] = store.nodes
             rows_list: Sequence[int] = range(len(store.nodes))
@@ -856,10 +785,7 @@ class PaletteAssignment:
         from repro.hashing.batch import segment_mark_members
 
         csr = graph.csr()
-        colored_arrays = _coloring_arrays(csr, coloring)
-        if colored_arrays is None:
-            return self.remove_colors_used_by_neighbors(graph, coloring, nodes)
-        positions_array, values_array = colored_arrays
+        positions_array, values_array = _coloring_arrays(csr, coloring)
         if not positions_array.shape[0]:
             return 0
         color_of = np.zeros(csr.num_nodes, dtype=np.int64)
@@ -941,20 +867,20 @@ class PaletteAssignment:
         the pruned child — the intermediate restricted store is never
         materialised.  Returns ``(child, removed)``, identical to
         ``child = self.subset(nodes)`` followed by
-        ``removed = child.remove_colors_used_by_neighbors(graph, coloring)``
-        (the scalar reference ``tests/scalar_oracle.py`` reroutes the
-        drivers to).
+        ``removed = child.remove_colors_used_by_neighbors_batch(graph, coloring)``
+        (which this falls back to without a warm store and membership
+        frame; both raise the same :class:`PaletteError` cases).  An empty
+        coloring prunes nothing and needs no store: the low-space pipeline's
+        ``G_0`` of an instance without high-degree nodes takes this path
+        with palettes of any colors.
         """
         store = self._store_if_warm()
         frame = store.membership_frame() if store is not None else None
         frame_size = int(frame[0].shape[0]) if frame is not None else 0
         node_list = list(dict.fromkeys(nodes))
-        if (
-            store is None
-            or not frame_size
-            or len(node_list) * frame_size > (1 << 22)
-            or not coloring
-        ):
+        if not coloring:
+            return self.subset(node_list), 0
+        if store is None or not frame_size or len(node_list) * frame_size > (1 << 22):
             child = self.subset(node_list)
             return child, child.remove_colors_used_by_neighbors_batch(graph, coloring)
         from repro.graph.csr import gather_segments
@@ -968,11 +894,7 @@ class PaletteAssignment:
         np.cumsum(member_sizes, out=offsets[1:])
 
         csr = graph.csr()
-        colored_arrays = _coloring_arrays(csr, coloring)
-        if colored_arrays is None:
-            child = self.subset(node_list)
-            return child, child.remove_colors_used_by_neighbors(graph, coloring)
-        colored_positions_array, colored_values_array = colored_arrays
+        colored_positions_array, colored_values_array = _coloring_arrays(csr, coloring)
         frame_colors = frame[0]
         child_frame = (frame_colors, member_positions)
         if not colored_positions_array.shape[0]:
@@ -1025,14 +947,6 @@ class PaletteAssignment:
         child_store._frame = child_frame
         return PaletteAssignment._adopt_store(child_store), removed
 
-    def remove_color(self, node: NodeId, color: Color) -> None:
-        """Remove a single color from a node's palette (no-op if absent)."""
-        palettes = self._mutable_sets()
-        try:
-            palettes[node].discard(color)
-        except KeyError as exc:
-            raise PaletteError(f"node {node} has no palette") from exc
-
     # ------------------------------------------------------------------
     # validation helpers
     # ------------------------------------------------------------------
@@ -1072,27 +986,6 @@ class PaletteAssignment:
             f"palette of node {node} has {int(sizes[first])} colors "
             f"but degree is {int(degrees[first])} (need degree + {slack})"
         )
-
-    def min_slack(self, graph: Graph) -> int:
-        """The minimum over nodes of ``p(v) - d(v)`` (can be negative)."""
-        store = self._store_if_warm()
-        if store is None:
-            palettes = self._palettes
-            slacks = [
-                len(palettes[node]) - graph.degree(node)
-                for node in graph.nodes()
-                if node in palettes
-            ]
-            if not slacks:
-                return 0
-            return min(slacks)
-        _, rows, degrees = self._graph_rows(store, graph)
-        present = rows >= 0
-        if not bool(present.any()):
-            return 0
-        present_rows = rows[present]
-        sizes = store.offsets[present_rows + 1] - store.offsets[present_rows]
-        return int((sizes - degrees[present]).min())
 
     def sizes_for(self, graph: Graph):
         """``(graph nodes, their palette sizes)``: a list and an aligned array.

@@ -2,25 +2,33 @@
 
 Production ``ColorReduce`` / ``LowSpaceColorReduce`` run one path: the
 array kernels.  The per-node loops those kernels replaced are kept as the
-reference, and :func:`scalar_reference` reroutes every array entry point
-the drivers call to it:
+reference — in this module, or in production where it still runs them
+(the small-instance greedy loop) — and :func:`scalar_reference` reroutes
+every array entry point the drivers call to it:
 
 * ``HashPairSelector._batch_cost`` -> ``None`` (the per-pair scan),
 * ``PartitionCostEvaluator.classify_selected`` -> ``classify_partition``
-  plus ``color_bin_map`` / ``restricted_to``,
+  plus ``color_bin_map`` / :func:`restricted_to`,
 * ``LowSpaceCostEvaluator.outcome_selected`` -> ``node_level_outcome``,
 * ``LowSpaceCostEvaluator._prepare`` -> :func:`scalar_low_space_prepare`
   (the per-node walk over sorted neighbor lists and scalar ``pow``),
 * ``PartitionClassification._records`` -> :func:`eager_records` (the
   per-row record loop, reason strings in a second pass),
 * the low-space partition's ``color_bin_arrays`` -> per-color ``h2`` calls,
-* ``PaletteAssignment.restricted_by_bins`` -> ``restricted_to`` per bin,
+* ``PaletteAssignment.restricted_by_bins`` -> :func:`restricted_to` per bin,
 * ``PaletteAssignment.remove_colors_used_by_neighbors_batch`` ->
-  ``remove_colors_used_by_neighbors``,
+  :func:`remove_colors_used_by_neighbors`,
 * ``PaletteAssignment.subset_updated`` -> ``subset`` plus
-  ``remove_colors_used_by_neighbors``,
-* ``Graph.induced_subgraph`` / ``induced_subgraphs`` -> ``use_csr=False``,
-* ``ColorReduce``'s ``greedy_list_coloring`` -> ``use_batch=False``.
+  :func:`remove_colors_used_by_neighbors`,
+* ``Graph.induced_subgraph`` / ``induced_subgraphs`` ->
+  :func:`induced_subgraph` / :func:`induced_subgraphs` (the per-neighbor
+  set loop :func:`induced_from_keep`),
+* ``ColorReduce``'s ``greedy_list_coloring`` ->
+  ``repro.core.local_coloring._greedy_scalar`` (the loop production keeps
+  for instances below the array sweep's cutover).
+
+The references are also what the unit-level differential tests and the
+``bench_p*`` benchmarks compare the array kernels with.
 
 A differential test runs the same instance in production and under the
 oracle and compares coloring, rounds, recursion tree and ledger
@@ -49,8 +57,10 @@ from repro.core.classification import (
     classify_partition,
     color_bin_map,
 )
+from repro.core.local_coloring import _greedy_scalar
 from repro.core.low_space.machine_sets import LowSpaceCostEvaluator, node_level_outcome
 from repro.derand.conditional_expectation import HashPairSelector
+from repro.errors import PaletteError
 from repro.graph.graph import Graph
 from repro.graph.palettes import PaletteAssignment
 
@@ -84,6 +94,80 @@ class ScalarOracle:
 
 
 # ----------------------------------------------------------------------
+# the graph and palette references
+# ----------------------------------------------------------------------
+def induced_from_keep(graph, keep):
+    """The subgraph induced by the set ``keep`` of known ids, one neighbor
+    at a time over the adjacency sets.
+
+    Nodes are inserted in ``keep``'s iteration order, as the extraction
+    kernel orders a child.  Ids must be mutually comparable.
+    """
+    sub = Graph(nodes=keep)
+    for u in keep:
+        for v in graph._adj[u]:
+            if v in keep and u < v:
+                sub.add_edge(u, v)
+    return sub
+
+
+def induced_subgraphs(graph, groups):
+    """``Graph.induced_subgraphs``: unknown ids dropped, one loop per group."""
+    return [
+        induced_from_keep(graph, {node for node in group if node in graph})
+        for group in groups
+    ]
+
+
+def induced_subgraph(graph, nodes):
+    """``Graph.induced_subgraph`` as one group of :func:`induced_subgraphs`."""
+    return induced_subgraphs(graph, [nodes])[0]
+
+
+def restricted_to(palettes, nodes, keep_color):
+    """``nodes``' palettes filtered by ``keep_color``, one color at a time.
+
+    One color bin of ``restricted_by_bins``: pass
+    ``keep_color=lambda c: color_bin(c) == b``.
+    """
+    return PaletteAssignment._adopt(
+        {
+            node: {color for color in palettes.iter_palette(node) if keep_color(color)}
+            for node in nodes
+        }
+    )
+
+
+def remove_colors_used_by_neighbors(palettes, graph, coloring, nodes=None):
+    """``remove_colors_used_by_neighbors_batch`` as a per-neighbor loop.
+
+    Prunes ``palettes`` in place and returns the number of entries removed.
+    Copy-on-write: a pruned palette is a new set, so copies sharing the
+    old sets are untouched.
+    """
+    sets = dict(palettes._palettes)
+    targets = list(sets) if nodes is None else nodes
+    removed = 0
+    for node in targets:
+        if node not in sets:
+            raise PaletteError(f"node {node} has no palette")
+        if node not in graph:
+            continue
+        blocked = {
+            coloring[neighbor]
+            for neighbor in graph.iter_neighbors(node)
+            if neighbor in coloring
+        }
+        hit = sets[node] & blocked
+        if hit:
+            sets[node] = sets[node] - hit
+            removed += len(hit)
+    palettes._sets = sets
+    palettes._store = None
+    return removed
+
+
+# ----------------------------------------------------------------------
 # the scalar references, with the signatures of the entry points they replace
 # ----------------------------------------------------------------------
 def _no_batch_cost(self, cost):
@@ -97,7 +181,8 @@ def _classify_selected(self, h1, h2, scorer=None, precomputed_counts=None):
     num_color_bins = max(1, self.params.num_bins(self.ell) - 1)
     colors_to_bins = color_bin_map(self.palettes, h2, num_color_bins)
     restricted = [
-        self.palettes.restricted_to(
+        restricted_to(
+            self.palettes,
             classification.good_nodes_in_bin(bin_index),
             keep_color=lambda color, b=bin_index: colors_to_bins[color] == b,
         )
@@ -192,25 +277,17 @@ def _color_bin_arrays(palettes, h2, num_color_bins):
 def _restricted_by_bins(self, bin_members, universe, color_bin_ids):
     colors_to_bins = dict(zip(universe.tolist(), color_bin_ids.tolist()))
     return [
-        self.restricted_to(
-            members, keep_color=lambda color, b=bin_index: colors_to_bins[color] == b
+        restricted_to(
+            self, members, keep_color=lambda color, b=bin_index: colors_to_bins[color] == b
         )
         for bin_index, members in enumerate(bin_members)
     ]
 
 
-def _remove_colors(self, graph, coloring, nodes=None):
-    return self.remove_colors_used_by_neighbors(graph, coloring, nodes)
-
-
 def _subset_updated(self, nodes, graph, coloring):
     subset = self.subset(nodes)
-    return subset, subset.remove_colors_used_by_neighbors(graph, coloring)
+    return subset, remove_colors_used_by_neighbors(subset, graph, coloring)
 
-
-_induced_subgraph = Graph.induced_subgraph
-_induced_subgraphs = Graph.induced_subgraphs
-_greedy = color_reduce_module.greedy_list_coloring
 
 #: ``(owner, attribute, scalar reference)``; the counter key is
 #: ``"Owner.attribute"`` for classes and the bare attribute for modules.
@@ -222,23 +299,11 @@ REROUTES = (
     (PartitionClassification, "_records", eager_records),
     (low_space_partition_module, "color_bin_arrays", _color_bin_arrays),
     (PaletteAssignment, "restricted_by_bins", _restricted_by_bins),
-    (PaletteAssignment, "remove_colors_used_by_neighbors_batch", _remove_colors),
+    (PaletteAssignment, "remove_colors_used_by_neighbors_batch", remove_colors_used_by_neighbors),
     (PaletteAssignment, "subset_updated", _subset_updated),
-    (
-        Graph,
-        "induced_subgraph",
-        lambda self, nodes, use_csr=None: _induced_subgraph(self, nodes, use_csr=False),
-    ),
-    (
-        Graph,
-        "induced_subgraphs",
-        lambda self, groups, use_csr=None: _induced_subgraphs(self, groups, use_csr=False),
-    ),
-    (
-        color_reduce_module,
-        "greedy_list_coloring",
-        lambda *args, use_batch=None, **kwargs: _greedy(*args, use_batch=False, **kwargs),
-    ),
+    (Graph, "induced_subgraph", induced_subgraph),
+    (Graph, "induced_subgraphs", induced_subgraphs),
+    (color_reduce_module, "greedy_list_coloring", _greedy_scalar),
 )
 
 

@@ -56,6 +56,29 @@ def test_readme_names_the_verify_command():
     assert "pip install -e ." in readme
 
 
+#: ``Graph.<attr>`` / ``PaletteAssignment.<attr>`` as the docs name them.
+_CLASS_ATTRIBUTE = re.compile(r"\b(Graph|PaletteAssignment)\.(\w+)")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [REPO_ROOT / "README.md", REPO_ROOT / "docs" / "ARCHITECTURE.md"],
+    ids=lambda p: p.name,
+)
+def test_docs_name_existing_graph_and_palette_attributes(doc):
+    from repro.graph import Graph, PaletteAssignment
+
+    classes = {"Graph": Graph, "PaletteAssignment": PaletteAssignment}
+    named = set(_CLASS_ATTRIBUTE.findall(doc.read_text(encoding="utf-8")))
+    assert named, f"{doc.name} names no Graph / PaletteAssignment attribute"
+    missing = sorted(
+        f"{owner}.{attribute}"
+        for owner, attribute in named
+        if not hasattr(classes[owner], attribute)
+    )
+    assert not missing, f"{doc.name} names attributes that do not exist: {missing}"
+
+
 def _run_python(*args, timeout=120):
     env = dict(os.environ)
     src = str(REPO_ROOT / "src")

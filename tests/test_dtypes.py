@@ -18,7 +18,7 @@ from repro.core.classification import partition_cost_function
 from repro.core.level import head_pairs
 from repro.core.partition import Partition
 from repro.graph import Graph, PaletteAssignment
-from repro.graph.csr import build_csr, extract_induced, index_dtype
+from repro.graph.csr import build_csr, index_dtype, split_by_bins
 from repro.parallel.slabs import (
     attach_arrays,
     decode_evaluator,
@@ -53,7 +53,7 @@ class TestIndexDtypeBoundary:
             nodes=range(10),
             edges=[(i, (i + 1) % 10) for i in range(10)],
         )
-        child = extract_induced(graph.csr(), [0, 1, 2, 3, 4])
+        child = split_by_bins(graph.csr(), [[0, 1, 2, 3, 4]])[0]
         assert child.indices.dtype == np.int32
         assert child.edge_sources.dtype == np.int32
         assert child.degrees.dtype == np.int64

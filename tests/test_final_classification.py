@@ -7,7 +7,8 @@ bit-identical substitutions for the scalar references:
 
 * :meth:`repro.core.classification.PartitionCostEvaluator.classify_selected`
   must rebuild the reference :class:`PartitionClassification` field by
-  field, and its fused restriction the per-bin ``restricted_to`` palettes,
+  field, and its fused restriction the per-bin ``restricted_to`` palettes
+  (the references live in ``tests/scalar_oracle.py``),
 * :meth:`repro.core.low_space.machine_sets.LowSpaceCostEvaluator.outcome_selected`
   must rebuild the reference :class:`NodeLevelOutcome`,
 * :meth:`repro.graph.palettes.PaletteAssignment.restricted_by_bins` must
@@ -25,13 +26,15 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
+from scalar_oracle import induced_subgraph, restricted_to
+
 from repro.core.classification import (
     classify_partition,
     color_bin_arrays,
     color_bin_map,
     partition_cost_function,
 )
-from repro.core.local_coloring import greedy_list_coloring
+from repro.core.local_coloring import _greedy_scalar, greedy_list_coloring
 from repro.core.low_space.machine_sets import (
     low_space_cost_function,
     node_level_outcome,
@@ -185,7 +188,8 @@ class TestClassifyPartitionBatch:
         assert len(restricted) == num_color_bins
         for bin_index in range(num_color_bins):
             members = classification.good_nodes_in_bin(bin_index)
-            expected = palettes.restricted_to(
+            expected = restricted_to(
+                palettes,
                 members,
                 keep_color=lambda color, b=bin_index: colors_to_bins[color] == b,
             )
@@ -304,8 +308,8 @@ class TestRestrictedByBins:
     def _scalar_restriction(self, palettes, bin_members, h2, num_color_bins):
         colors_to_bins = color_bin_map(palettes, h2, num_color_bins)
         return [
-            palettes.restricted_to(
-                members, keep_color=lambda color, b=index: colors_to_bins[color] == b
+            restricted_to(
+                palettes, members, keep_color=lambda color, b=index: colors_to_bins[color] == b
             )
             for index, members in enumerate(bin_members)
         ]
@@ -364,8 +368,8 @@ class TestLazyViewConsumers:
         graph = erdos_renyi(110, 0.1, seed=seed)
         keep = [node for node in graph.nodes() if node % 3]
         graph.csr()
-        lazy = graph.induced_subgraph(keep, use_csr=True)
-        scalar = graph.induced_subgraph(keep, use_csr=False)
+        lazy = graph.induced_subgraph(keep)
+        scalar = induced_subgraph(graph, keep)
         assert lazy._adj_store is None
         return lazy, scalar
 
@@ -380,9 +384,7 @@ class TestLazyViewConsumers:
         lazy, scalar = self._lazy_child()
         lazy_coloring = greedy_list_coloring(lazy, PaletteAssignment.degree_plus_one(lazy))
         assert lazy._adj_store is None, "greedy coloring forced materialisation"
-        scalar_coloring = greedy_list_coloring(
-            scalar, PaletteAssignment.degree_plus_one(scalar)
-        )
+        scalar_coloring = _greedy_scalar(scalar, PaletteAssignment.degree_plus_one(scalar))
         assert lazy_coloring == scalar_coloring
 
     def test_mis_reduction_stays_lazy_and_matches(self):

@@ -98,6 +98,33 @@ class TestQueries:
         assert len(edges) == 3
         assert all(u < v for u, v in edges)
 
+    @pytest.mark.parametrize("lazy", [False, True], ids=["sets", "view"])
+    def test_edges_of_ids_that_do_not_compare(self, lazy):
+        # 1 < "b" raises TypeError: each edge is oriented by insertion
+        # order instead, once, on both backings.
+        graph = Graph(nodes=[1, "b", "c"], edges=[(1, "b"), ("b", "c")])
+        if lazy:
+            graph = graph.induced_subgraph(graph.nodes())
+            assert graph._adj_store is None
+        edges = list(graph.edges())
+        assert len(edges) == 2
+        assert {frozenset(edge) for edge in edges} == {
+            frozenset((1, "b")),
+            frozenset(("b", "c")),
+        }
+
+    @pytest.mark.parametrize("lazy", [False, True], ids=["sets", "view"])
+    def test_edges_keep_the_id_order_of_comparable_ids(self, lazy):
+        # insertion order disagrees with id order: still (smaller, larger)
+        graph = Graph(nodes=[30, 10, 20], edges=[(30, 10), (20, 30), (10, 20)])
+        if lazy:
+            graph = graph.induced_subgraph(graph.nodes())
+            assert graph._adj_store is None
+        expected = [
+            (u, v) for u in graph.nodes() for v in graph.neighbors(u) if u < v
+        ]
+        assert sorted(graph.edges()) == sorted(expected) == [(10, 20), (10, 30), (20, 30)]
+
     def test_len_and_iter(self, triangle):
         assert len(triangle) == 3
         assert sorted(triangle) == [0, 1, 2]
@@ -117,7 +144,7 @@ class TestDerivedGraphs:
         assert sub.has_edge(0, 1)
 
     def test_subgraph_degrees_within(self, petersen):
-        degrees = petersen.subgraph_degrees_within([0, 1, 2, 3, 4])
+        degrees = petersen.induced_subgraph([0, 1, 2, 3, 4]).degrees()
         # The outer 5-cycle: each node keeps exactly its two cycle neighbors.
         assert all(value == 2 for value in degrees.values())
 
@@ -126,13 +153,6 @@ class TestDerivedGraphs:
         components = sorted(graph.connected_components(), key=len)
         assert len(components) == 3
         assert {9} in components
-
-    def test_relabeled(self):
-        graph = Graph(edges=[(10, 20), (20, 30)])
-        relabeled, mapping = graph.relabeled()
-        assert set(relabeled.nodes()) == {0, 1, 2}
-        assert relabeled.num_edges == 2
-        assert relabeled.has_edge(mapping[10], mapping[20])
 
 
 class TestHelpers:
@@ -217,7 +237,7 @@ class TestFromEdgesOracle:
 
     def test_csr_children_keep_float_ids(self):
         graph = Graph(nodes=[2.5, 0.5, 1.5], edges=[(0.5, 1.5), (1.5, 2.5)])
-        child = graph.induced_subgraph([0.5, 1.5], use_csr=True)
+        child = graph.induced_subgraph([0.5, 1.5])
         assert not child.csr().ids_are_positions
         assert child.neighbors(0.5) == {1.5}
 

@@ -1,14 +1,14 @@
 """The array-backed palette store and the batched ColorReduce endgame.
 
-PR 4's contract: ``PaletteAssignment`` keeps two backings (Python sets and
-the flat sorted-array store) that answer every operation identically; the
+The contract: ``PaletteAssignment`` keeps two backings (Python sets and
+the flat sorted-array store) that answer every query identically; the
 batched endgame kernels — ``remove_colors_used_by_neighbors_batch``,
 ``subset_updated``, the array sweep of ``greedy_list_coloring``, the
-vectorized ``validate_for_graph`` / ``min_slack`` — are bit-identical
-substitutions for their scalar references; and rerouting the drivers to
-those references (``tests/scalar_oracle.py``) changes *nothing* observable
-end to end (colorings, recursion trees, round ledgers including the
-palette-update ``removed`` counts).
+vectorized ``validate_for_graph`` — are bit-identical substitutions for
+their scalar references (``tests/scalar_oracle.py``, and the greedy loop
+``_greedy_scalar``); and rerouting the drivers to those references changes
+*nothing* observable end to end (colorings, recursion trees, round ledgers
+including the palette-update ``removed`` counts).
 """
 
 from __future__ import annotations
@@ -17,10 +17,20 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from scalar_oracle import assert_same_run, production_and_reference, scalar_reference
+from scalar_oracle import (
+    assert_same_run,
+    production_and_reference,
+    remove_colors_used_by_neighbors,
+    scalar_reference,
+)
 
 from repro.core.color_reduce import ColorReduce
-from repro.core.local_coloring import greedy_list_coloring
+from repro.core.local_coloring import (
+    _FALLBACK,
+    _greedy_over_arrays,
+    _greedy_scalar,
+    greedy_list_coloring,
+)
 from repro.core.low_space.color_reduce import LowSpaceColorReduce
 from repro.core.low_space.params import LowSpaceParameters
 from repro.core.params import ColorReduceParameters
@@ -71,21 +81,15 @@ class TestPaletteStoreLifecycle:
         assert palettes.store() is None  # cached failure, no retry crash
         assert palettes.palette(0) == {1, 2**70}
 
-    def test_scalar_mutation_invalidates_store(self):
-        palettes = PaletteAssignment.from_lists({0: [1, 2], 1: [2, 3]})
-        palettes.store()
-        palettes.remove_color(0, 1)
-        assert palettes._store is None
-        assert palettes.store().flat.tolist() == [2, 2, 3]
-
     def test_copy_shares_the_immutable_store(self):
-        palettes = PaletteAssignment.from_lists({0: [1, 2]})
+        palettes = PaletteAssignment.from_lists({0: [1, 2], 1: [1]})
         store = palettes.store()
         clone = palettes.copy()
         assert clone._store is store
-        clone.remove_color(0, 1)
+        clone.remove_colors_used_by_neighbors_batch(Graph(edges=[(0, 1)]), {1: 1})
         assert palettes.palette(0) == {1, 2}
         assert clone.palette(0) == {2}
+        assert palettes.store() is store
 
     def test_subset_of_warm_store_is_array_backed(self):
         palettes = PaletteAssignment.from_lists({0: [5, 1], 1: [2], 2: [9, 7]})
@@ -131,8 +135,8 @@ class TestBatchRemoveEquivalence:
     def _check(self, graph, palettes, coloring, nodes=None):
         scalar = _sets_backed(palettes)
         batch = palettes.copy()
-        removed_scalar = scalar.remove_colors_used_by_neighbors(
-            graph, coloring, nodes=nodes
+        removed_scalar = remove_colors_used_by_neighbors(
+            scalar, graph, coloring, nodes=nodes
         )
         removed_batch = batch.remove_colors_used_by_neighbors_batch(
             graph, coloring, nodes=nodes
@@ -161,13 +165,18 @@ class TestBatchRemoveEquivalence:
         with pytest.raises(PaletteError):
             palettes.remove_colors_used_by_neighbors_batch(graph, {0: 0}, nodes=[3])
 
-    def test_huge_colors_fall_back_to_scalar(self):
+    def test_huge_colors_raise(self):
+        # No array store: the kernel refuses the palettes, before pruning.
         graph = Graph(edges=[(0, 1)])
         palettes = PaletteAssignment.from_lists({0: [2**70, 1], 1: [2**70, 3]})
         assert palettes.store() is None
-        removed = palettes.remove_colors_used_by_neighbors_batch(graph, {0: 2**70})
-        assert removed == 1
-        assert palettes.palette(1) == {3}
+        with pytest.raises(PaletteError, match="not int64 integers"):
+            palettes.remove_colors_used_by_neighbors_batch(graph, {0: 2**70})
+        assert palettes.palette(1) == {2**70, 3}
+        # an empty coloring prunes nothing, store or not
+        child, removed = palettes.subset_updated([1], graph, {})
+        assert removed == 0
+        assert child.palette(1) == {2**70, 3}
 
     def test_large_universe_uses_searchsorted_path(self):
         # no membership frame, universe too scattered for the table gate
@@ -189,7 +198,7 @@ class TestSubsetUpdatedEquivalence:
         members = [node for node in graph.nodes() if node % 2]
         scalar_sets = _sets_backed(palettes)
         expected = scalar_sets.subset(members)
-        expected_removed = expected.remove_colors_used_by_neighbors(graph, coloring)
+        expected_removed = remove_colors_used_by_neighbors(expected, graph, coloring)
         child, removed = palettes.subset_updated(members, graph, coloring)
         assert removed == expected_removed
         assert _palettes_equal(expected, child)
@@ -280,48 +289,36 @@ class TestVectorizedValidation:
             vectorized.validate_for_graph(graph)
         assert str(vector_error.value) == str(scalar_error.value)
 
-    def test_min_slack_matches_scalar(self):
-        graph = erdos_renyi(50, 0.2, seed=11)
-        palettes = PaletteAssignment.degree_plus_one(graph)
-        scalar = _sets_backed(palettes)
-        palettes.store()
-        assert palettes.min_slack(graph) == scalar.min_slack(graph)
-        # missing palettes are skipped on both paths
-        partial = PaletteAssignment.from_lists({0: [0, 1, 2, 3]})
-        partial_scalar = _sets_backed(partial)
-        partial.store()
-        assert partial.min_slack(graph) == partial_scalar.min_slack(graph)
-        assert PaletteAssignment({}).min_slack(graph) == 0
-
 
 class TestGreedyBatchEdges:
+    """The array sweep (``_greedy_over_arrays``, called directly below the
+    cutover) against the scalar loop."""
+
     def test_forced_batch_matches_scalar(self):
         graph = power_law(150, attachment=4, seed=13)
         palettes = PaletteAssignment.delta_plus_one(graph)
-        scalar = greedy_list_coloring(graph, palettes, use_batch=False)
-        batched = greedy_list_coloring(graph, palettes, use_batch=True)
-        assert scalar == batched
+        assert greedy_list_coloring(graph, palettes) == _greedy_scalar(graph, palettes)
 
     def test_custom_order_and_duplicates(self):
-        # A repeated order entry re-colors the node sequentially; the batch
-        # sweep must fall back to the scalar loop (its rank filter would
+        # A repeated order entry re-colors the node sequentially; the array
+        # sweep must hand over to the scalar loop (its rank filter would
         # otherwise drop the first pass's edges).  This order diverges if
         # the duplicate is mishandled: node 1 must see node 0's first color.
         graph = Graph(edges=[(0, 1), (1, 2)])
         palettes = PaletteAssignment.from_lists({node: [0, 1] for node in range(3)})
         order = [0, 1, 0, 2]
-        scalar = greedy_list_coloring(graph, palettes, order=order, use_batch=False)
-        batched = greedy_list_coloring(graph, palettes, order=order, use_batch=True)
-        assert scalar == batched
+        assert _greedy_over_arrays(graph, palettes, order, None) is _FALLBACK
+        scalar = _greedy_scalar(graph, palettes, order=order)
+        assert greedy_list_coloring(graph, palettes, order=order) == scalar
         assert scalar == {0: 0, 1: 1, 2: 0}
 
     def test_coloring_error_parity(self):
         graph = Graph(edges=[(0, 1), (0, 2), (1, 2)])
         palettes = PaletteAssignment.from_lists({0: [0], 1: [0], 2: [0]})
         with pytest.raises(ColoringError) as scalar_error:
-            greedy_list_coloring(graph, palettes, use_batch=False)
+            _greedy_scalar(graph, palettes)
         with pytest.raises(ColoringError) as batch_error:
-            greedy_list_coloring(graph, palettes, use_batch=True)
+            _greedy_over_arrays(graph, palettes, None, None)
         assert str(batch_error.value) == str(scalar_error.value)
 
     def test_non_interval_palettes_take_scan_path(self):
@@ -329,9 +326,8 @@ class TestGreedyBatchEdges:
         palettes = PaletteAssignment.from_lists(
             {0: [10, 40, 70], 1: [10, 40, 70, 90], 2: [20, 40, 80, 90], 3: [5, 90]}
         )
-        scalar = greedy_list_coloring(graph, palettes, use_batch=False)
-        batched = greedy_list_coloring(graph, palettes, use_batch=True)
-        assert scalar == batched
+        scalar = _greedy_scalar(graph, palettes)
+        assert _greedy_over_arrays(graph, palettes, None, None) == scalar
 
 
 # ----------------------------------------------------------------------

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from scalar_oracle import remove_colors_used_by_neighbors, restricted_to
 
 from repro.errors import PaletteError
 from repro.graph import Graph, PaletteAssignment
+
+#: The path 0 - 1 - 2.
+PATH = Graph(nodes=[0, 1, 2], edges=[(0, 1), (1, 2)])
 
 
 class TestConstructors:
@@ -29,15 +33,15 @@ class TestConstructors:
         assert palettes.palette(1) == {7, 9}
 
     def test_copy_is_deep(self):
-        palettes = PaletteAssignment.from_lists({0: [1, 2]})
+        palettes = PaletteAssignment.from_lists({0: [1, 2], 1: [1]})
         clone = palettes.copy()
-        clone.remove_color(0, 1)
+        clone.remove_colors_used_by_neighbors_batch(PATH, {1: 1})
         assert palettes.palette(0) == {1, 2}
         assert clone.palette(0) == {2}
 
 
 class TestCopyOnWrite:
-    """``copy()`` shares a warm store; mutation never crosses the copy."""
+    """``copy()`` shares both backings; pruning never crosses the copy."""
 
     LISTS = {0: [1, 2, 3], 1: [2, 3], 2: [5]}
 
@@ -57,16 +61,18 @@ class TestCopyOnWrite:
 
     def test_clone_mutation_leaves_original_unchanged(self):
         palettes = self._warm()
+        palettes.palette(0)  # both backings present, both shared
         clone = palettes.copy()
-        clone.remove_color(0, 1)
-        assert clone.palette(0) == {2, 3}
+        assert clone._sets is palettes._sets
+        assert clone.remove_colors_used_by_neighbors_batch(PATH, {1: 2}) == 1
+        assert clone.palette(0) == {1, 3}
         assert palettes.palette(0) == {1, 2, 3}
         assert palettes.store().row_slice(0).tolist() == [1, 2, 3]
 
     def test_original_mutation_leaves_clone_unchanged(self):
         palettes = self._warm()
         clone = palettes.copy()
-        palettes.remove_color(1, 2)
+        palettes.remove_colors_used_by_neighbors_batch(PATH, {0: 2})
         assert palettes.palette(1) == {3}
         assert clone.palette(1) == {2, 3}
 
@@ -78,30 +84,27 @@ class TestCopyOnWrite:
         assert clone.palette(0) == {1, 3}
         assert palettes.palette(0) == {1, 2, 3}
 
-    def test_sets_only_copy_duplicates_sets(self):
+    def test_sets_only_copy_shares_sets(self):
         palettes = PaletteAssignment(self.LISTS)
         clone = palettes.copy()
         assert clone._store is None
-        assert clone._sets is not None
-        for node in palettes.nodes():
-            assert clone._sets[node] is not palettes._sets[node]
-        clone.remove_color(0, 1)
-        palettes.remove_color(2, 5)
-        assert palettes.palette(0) == {1, 2, 3}
-        assert clone.palette(2) == {5}
+        assert clone._sets is palettes._sets
+        clone.remove_colors_used_by_neighbors_batch(PATH, {1: 2})
+        palettes.remove_colors_used_by_neighbors_batch(PATH, {1: 5})
+        assert clone.palette(0) == {1, 3} and clone.palette(2) == {5}
+        assert palettes.palette(0) == {1, 2, 3} and palettes.palette(2) == set()
 
-    def test_store_unavailable_copy_duplicates_sets(self):
+    def test_store_unavailable_copy_shares_sets(self):
         from repro.graph.palettes import _STORE_UNAVAILABLE
 
         palettes = PaletteAssignment.from_lists({0: [1, 2**70], 1: [3]})
         assert palettes.store() is None
         clone = palettes.copy()
         assert clone._store is _STORE_UNAVAILABLE
-        assert clone._sets[0] is not palettes._sets[0]
-        clone.remove_color(0, 2**70)
-        palettes.remove_color(1, 3)
-        assert palettes.palette(0) == {1, 2**70}
-        assert clone.palette(1) == {3}
+        assert clone._sets is palettes._sets
+        assert clone.palette(0) == {1, 2**70}
+        with pytest.raises(PaletteError, match="not int64 integers"):
+            clone.remove_colors_used_by_neighbors_batch(PATH, {1: 3})
 
 
 class TestQueries:
@@ -134,16 +137,29 @@ class TestQueries:
 
 
 class TestOperations:
+    """The production kernels on small cases, next to the scalar references."""
+
     def test_restricted_to_filters_colors(self):
+        import numpy as np
+
         palettes = PaletteAssignment.from_lists({0: [1, 2, 3, 4], 1: [2, 4, 6]})
-        restricted = palettes.restricted_to([0, 1], keep_color=lambda c: c % 2 == 0)
+        restricted = restricted_to(palettes, [0, 1], keep_color=lambda c: c % 2 == 0)
         assert restricted.palette(0) == {2, 4}
         assert restricted.palette(1) == {2, 4, 6}
+        universe = np.arange(1, 7, dtype=np.int64)
+        (batched,) = palettes.restricted_by_bins([[0, 1]], universe, universe % 2)
+        assert batched.palette(0) == {2, 4}
+        assert batched.palette(1) == {2, 4, 6}
 
     def test_restricted_to_unknown_node_raises(self):
+        import numpy as np
+
         palettes = PaletteAssignment.from_lists({0: [1]})
         with pytest.raises(PaletteError):
-            palettes.restricted_to([0, 9])
+            restricted_to(palettes, [0, 9], keep_color=lambda c: True)
+        universe = np.asarray([1], dtype=np.int64)
+        with pytest.raises(PaletteError):
+            palettes.restricted_by_bins([[0, 9]], universe, universe * 0)
 
     def test_subset_keeps_palettes(self):
         palettes = PaletteAssignment.from_lists({0: [1, 2], 1: [3]})
@@ -152,25 +168,66 @@ class TestOperations:
         assert subset.palette(0) == {1, 2}
 
     def test_remove_colors_used_by_neighbors(self, triangle):
-        palettes = PaletteAssignment.delta_plus_one(triangle)
-        removed = palettes.remove_colors_used_by_neighbors(triangle, {0: 1})
-        # Both neighbors of node 0 lose color 1.
-        assert removed == 2
-        assert palettes.palette(1) == {0, 2}
-        assert palettes.palette(2) == {0, 2}
-        assert palettes.palette(0) == {0, 1, 2}
+        for remove in _REMOVERS:
+            palettes = PaletteAssignment.delta_plus_one(triangle)
+            removed = remove(palettes, triangle, {0: 1})
+            # Both neighbors of node 0 lose color 1.
+            assert removed == 2
+            assert palettes.palette(1) == {0, 2}
+            assert palettes.palette(2) == {0, 2}
+            assert palettes.palette(0) == {0, 1, 2}
 
     def test_remove_colors_restricted_to_nodes(self, triangle):
-        palettes = PaletteAssignment.delta_plus_one(triangle)
-        removed = palettes.remove_colors_used_by_neighbors(triangle, {0: 1}, nodes=[2])
-        assert removed == 1
-        assert palettes.palette(1) == {0, 1, 2}
-        assert palettes.palette(2) == {0, 2}
+        for remove in _REMOVERS:
+            palettes = PaletteAssignment.delta_plus_one(triangle)
+            removed = remove(palettes, triangle, {0: 1}, nodes=[2])
+            assert removed == 1
+            assert palettes.palette(1) == {0, 1, 2}
+            assert palettes.palette(2) == {0, 2}
 
     def test_remove_color_noop_when_absent(self):
-        palettes = PaletteAssignment.from_lists({0: [1]})
-        palettes.remove_color(0, 9)
+        palettes = PaletteAssignment.from_lists({0: [1], 1: [5]})
+        assert palettes.remove_colors_used_by_neighbors_batch(PATH, {1: 9}) == 0
         assert palettes.palette(0) == {1}
+
+
+#: The production pruning kernel and its scalar reference.
+_REMOVERS = (
+    PaletteAssignment.remove_colors_used_by_neighbors_batch,
+    remove_colors_used_by_neighbors,
+)
+
+
+class TestNonIntegralColoringValues:
+    """A coloring value that is not an int64 integer is named, never truncated."""
+
+    PALETTES = {0: [1, 2, 3], 1: [1, 2, 3], 2: [1, 2, 3]}
+
+    @pytest.mark.parametrize("offset", [0, 10], ids=["positions", "ids"])
+    @pytest.mark.parametrize("value", [1.5, 2**70, "1"])
+    def test_pruning_raises_naming_the_value(self, offset, value):
+        graph = Graph(
+            nodes=[offset, offset + 1, offset + 2],
+            edges=[(offset, offset + 1), (offset + 1, offset + 2)],
+        )
+        lists = {offset + node: colors for node, colors in self.PALETTES.items()}
+        palettes = PaletteAssignment.from_lists(lists)
+        coloring = {offset: value}
+        with pytest.raises(PaletteError, match=f"color {value!r} of node {offset}"):
+            palettes.remove_colors_used_by_neighbors_batch(graph, coloring)
+        assert palettes.palette(offset + 1) == {1, 2, 3}
+        palettes.store().universe_positions()  # a frame: the fused path
+        with pytest.raises(PaletteError, match=f"color {value!r} of node {offset}"):
+            palettes.subset_updated([offset + 1], graph, coloring)
+        # the reference removes nothing: 1.5 is in no integer palette
+        reference = PaletteAssignment.from_lists(lists)
+        assert remove_colors_used_by_neighbors(reference, graph, coloring) == 0
+
+    def test_float_coloring_keys_are_not_truncated(self):
+        # key 1.5 is no node of the graph: nothing is pruned for it
+        palettes = PaletteAssignment.from_lists(self.PALETTES)
+        assert palettes.remove_colors_used_by_neighbors_batch(PATH, {1.5: 1}) == 0
+        assert palettes.palette(0) == {1, 2, 3}
 
 
 class TestValidation:
@@ -187,13 +244,6 @@ class TestValidation:
         palettes = PaletteAssignment.from_lists({0: [0, 1], 1: [0, 1, 2], 2: [0, 1, 2]})
         with pytest.raises(PaletteError):
             palettes.validate_for_graph(triangle)
-
-    def test_min_slack(self, path_graph):
-        palettes = PaletteAssignment.degree_plus_one(path_graph)
-        assert palettes.min_slack(path_graph) == 1
-
-    def test_min_slack_empty(self):
-        assert PaletteAssignment({}).min_slack(Graph()) == 0
 
 
 def _assert_same_assignment(built: PaletteAssignment, reference: PaletteAssignment) -> None:

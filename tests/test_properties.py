@@ -37,7 +37,11 @@ from scalar_oracle import (
     LOW_SPACE_PARTITION_ENTRY_POINTS,
     PARTITION_ENTRY_POINTS,
     assert_same_run,
+    induced_subgraph,
+    induced_subgraphs,
     production_and_reference,
+    remove_colors_used_by_neighbors,
+    restricted_to,
     scalar_low_space_prepare,
 )
 
@@ -46,7 +50,7 @@ from repro.core.low_space.color_reduce import LowSpaceColorReduce
 from repro.core.low_space.machine_sets import LowSpaceCostEvaluator
 from repro.core.low_space.params import LowSpaceParameters
 from repro.core.low_space.mis_reduction import build_reduction_graph, coloring_from_mis
-from repro.core.local_coloring import greedy_list_coloring
+from repro.core.local_coloring import _greedy_over_arrays, _greedy_scalar, greedy_list_coloring
 from repro.errors import ColoringError
 from repro.graph import Graph, PaletteAssignment, generators
 from repro.graph.csr import build_csr
@@ -152,7 +156,7 @@ class TestPaletteProperties:
     def test_removal_never_grows_palettes(self, data, coloring):
         graph, palettes = data
         before = {node: palettes.palette_size(node) for node in palettes.nodes()}
-        palettes.remove_colors_used_by_neighbors(graph, coloring)
+        palettes.remove_colors_used_by_neighbors_batch(graph, coloring)
         for node in palettes.nodes():
             assert palettes.palette_size(node) <= before[node]
 
@@ -160,9 +164,11 @@ class TestPaletteProperties:
     @given(graphs_with_palettes())
     def test_restriction_is_subset(self, data):
         graph, palettes = data
-        restricted = palettes.restricted_to(graph.nodes(), keep_color=lambda c: c % 2 == 0)
+        universe = palettes.store().universe().astype(np.int64)
+        (restricted,) = palettes.restricted_by_bins([graph.nodes()], universe, universe % 2)
         for node in graph.nodes():
             assert restricted.palette(node).issubset(palettes.palette(node))
+            assert all(color % 2 == 0 for color in restricted.palette(node))
 
 
 class TestHashFamilyProperties:
@@ -239,28 +245,19 @@ class TestCSRExtractionDifferential:
     @given(sparse_graphs_with_subsets())
     def test_induced_subgraph_matches_scalar(self, data):
         graph, subset = data
-        scalar = graph.induced_subgraph(subset, use_csr=False)
-        batched = graph.induced_subgraph(subset, use_csr=True)
+        scalar = induced_subgraph(graph, subset)
+        batched = graph.induced_subgraph(subset)
         _assert_same_graph(scalar, batched)
 
     @SETTINGS
     @given(sparse_graphs_with_subsets())
     def test_subgraph_degrees_within_matches_scalar(self, data):
+        # d'(v): degrees inside the subgraph, read off the child's view
         graph, subset = data
-        scalar = graph.subgraph_degrees_within(subset, use_csr=False)
-        batched = graph.subgraph_degrees_within(subset, use_csr=True)
+        scalar = induced_subgraph(graph, subset).degrees()
+        batched = graph.induced_subgraph(subset).degrees()
         assert batched == scalar
         assert list(batched) == list(scalar)  # same key order
-
-    @SETTINGS
-    @given(sparse_graphs_with_subsets())
-    def test_relabeled_matches_scalar(self, data):
-        graph, _ = data
-        scalar_graph, scalar_map = graph.relabeled(use_csr=False)
-        batched_graph, batched_map = graph.relabeled(use_csr=True)
-        assert batched_map == scalar_map
-        assert list(batched_map) == list(scalar_map)
-        _assert_same_graph(scalar_graph, batched_graph)
 
     @SETTINGS
     @given(sparse_graphs_with_subsets(), st.integers(min_value=1, max_value=5))
@@ -271,8 +268,8 @@ class TestCSRExtractionDifferential:
             [node for index, node in enumerate(nodes) if index % num_groups == g]
             for g in range(num_groups)
         ]
-        scalar = graph.induced_subgraphs(groups, use_csr=False)
-        batched = graph.induced_subgraphs(groups, use_csr=True)
+        scalar = induced_subgraphs(graph, groups)
+        batched = graph.induced_subgraphs(groups)
         assert len(scalar) == len(batched) == num_groups
         for expected, actual in zip(scalar, batched):
             _assert_same_graph(expected, actual)
@@ -284,7 +281,7 @@ class TestCSRExtractionDifferential:
         from repro.graph.csr import build_csr
 
         graph, subset = data
-        child = graph.induced_subgraph(subset, use_csr=True)
+        child = graph.induced_subgraph(subset)
         cached = child.csr()
         rebuilt = build_csr(child._adj)
         assert rebuilt.node_ids == cached.node_ids
@@ -425,8 +422,8 @@ class TestBatchedFinalClassificationDifferential:
         ]
         colors_to_bins = color_bin_map(palettes, h2, num_color_bins)
         expected = [
-            palettes.restricted_to(
-                members, keep_color=lambda color, b=index: colors_to_bins[color] == b
+            restricted_to(
+                palettes, members, keep_color=lambda color, b=index: colors_to_bins[color] == b
             )
             for index, members in enumerate(bin_members)
         ]
@@ -441,19 +438,15 @@ class TestBatchedFinalClassificationDifferential:
     @SETTINGS
     @given(sparse_graphs_with_subsets())
     def test_lazy_view_greedy_matches_materialised(self, data):
-        from repro.core.local_coloring import greedy_list_coloring
-
         graph, subset = data
         graph.csr()
-        lazy = graph.induced_subgraph(subset, use_csr=True)
-        scalar = graph.induced_subgraph(subset, use_csr=False)
+        lazy = graph.induced_subgraph(subset)
+        scalar = induced_subgraph(graph, subset)
         lazy_coloring = greedy_list_coloring(
             lazy, PaletteAssignment.degree_plus_one(lazy)
         )
         assert lazy._adj_store is None  # the sweep never materialises
-        scalar_coloring = greedy_list_coloring(
-            scalar, PaletteAssignment.degree_plus_one(scalar)
-        )
+        scalar_coloring = _greedy_scalar(scalar, PaletteAssignment.degree_plus_one(scalar))
         assert lazy_coloring == scalar_coloring
 
 
@@ -485,8 +478,8 @@ class TestPaletteKernelEquivalence:
         scalar._palettes  # force the sets backing for the reference
         scalar._store = None
         batch = palettes.copy()
-        removed_scalar = scalar.remove_colors_used_by_neighbors(
-            graph, coloring, nodes=nodes
+        removed_scalar = remove_colors_used_by_neighbors(
+            scalar, graph, coloring, nodes=nodes
         )
         removed_batch = batch.remove_colors_used_by_neighbors_batch(
             graph, coloring, nodes=nodes
@@ -530,7 +523,7 @@ class TestPaletteKernelEquivalence:
         reference._palettes
         reference._store = None
         expected = reference.subset(members)
-        removed_expected = expected.remove_colors_used_by_neighbors(graph, coloring)
+        removed_expected = remove_colors_used_by_neighbors(expected, graph, coloring)
         palettes.store()
         child, removed = palettes.subset_updated(members, graph, coloring)
         assert removed == removed_expected
@@ -540,15 +533,16 @@ class TestPaletteKernelEquivalence:
 
 
 class TestGreedyBatchEquivalence:
-    """The array greedy sweep is a bit-identical scalar substitution."""
+    """The array greedy sweep is a bit-identical scalar substitution (called
+    directly: these instances are mostly below its cutover)."""
 
     @SETTINGS
     @given(relabeled_instances())
     def test_default_order_matches(self, data):
         graph, palettes = data
-        scalar = greedy_list_coloring(graph, palettes, use_batch=False)
-        batched = greedy_list_coloring(graph, palettes, use_batch=True)
-        assert scalar == batched
+        scalar = _greedy_scalar(graph, palettes)
+        assert _greedy_over_arrays(graph, palettes, None, None) == scalar
+        assert greedy_list_coloring(graph, palettes) == scalar
 
     @SETTINGS
     @given(graphs_with_palettes(), st.dictionaries(st.integers(0, 39), st.integers(0, 60)))
@@ -556,13 +550,8 @@ class TestGreedyBatchEquivalence:
         # graph nodes present in ``external`` are recolored from scratch;
         # their hints still block neighbors processed before them
         graph, palettes = data
-        scalar = greedy_list_coloring(
-            graph, palettes, already_colored=external, use_batch=False
-        )
-        batched = greedy_list_coloring(
-            graph, palettes, already_colored=external, use_batch=True
-        )
-        assert scalar == batched
+        scalar = _greedy_scalar(graph, palettes, already_colored=external)
+        assert _greedy_over_arrays(graph, palettes, None, external) == scalar
 
     @SETTINGS
     @given(graphs(max_nodes=15), st.integers(min_value=1, max_value=3))
@@ -577,11 +566,11 @@ class TestGreedyBatchEquivalence:
         scalar_error = batch_error = None
         scalar = batched = None
         try:
-            scalar = greedy_list_coloring(graph, palettes, use_batch=False)
+            scalar = _greedy_scalar(graph, palettes)
         except ColoringError as exc:
             scalar_error = str(exc)
         try:
-            batched = greedy_list_coloring(graph, palettes, use_batch=True)
+            batched = _greedy_over_arrays(graph, palettes, None, None)
         except ColoringError as exc:
             batch_error = str(exc)
         assert scalar_error == batch_error
@@ -1112,7 +1101,7 @@ def low_space_prep_instances(draw):
     if graph.num_nodes and draw(st.booleans()):
         nodes = graph.nodes()
         keep = draw(st.lists(st.sampled_from(nodes), unique=True, max_size=len(nodes)))
-        graph = graph.induced_subgraphs([keep], use_csr=True)[0]
+        graph = graph.induced_subgraphs([keep])[0]
     threshold = draw(st.integers(min_value=0, max_value=graph.max_degree() + 1))
     num_bins = draw(st.integers(min_value=2, max_value=4))
     machine_chunk = draw(st.sampled_from((1, 4)))

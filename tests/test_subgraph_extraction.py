@@ -13,15 +13,17 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
+from scalar_oracle import induced_from_keep, induced_subgraph, induced_subgraphs
+
 from repro.errors import GraphError
-from repro.graph.csr import build_csr, degrees_within, extract_induced, split_by_bins
+from repro.graph.csr import build_csr, split_by_bins
 from repro.graph.generators import erdos_renyi
 from repro.graph.graph import Graph
 
 
 def _fresh_parent() -> Graph:
     graph = erdos_renyi(60, 0.15, seed=3)
-    graph.csr()  # warm the view so extraction takes the array path
+    graph.csr()  # warm the view, as a real selection leaves it
     return graph
 
 
@@ -42,7 +44,7 @@ class TestCacheInvalidation:
         """Mutating the parent must not disturb extracted children."""
         parent = _fresh_parent()
         members = [node for node in parent.nodes() if node % 3 == 0]
-        child = parent.induced_subgraph(members, use_csr=True)
+        child = parent.induced_subgraph(members)
         child_nodes_before = child.nodes()
         child_adj_before = {node: child.neighbors(node) for node in child.nodes()}
 
@@ -64,17 +66,17 @@ class TestCacheInvalidation:
         _assert_canonical_view(child)
 
         # Extracting again reflects the mutated parent.
-        fresh = parent.induced_subgraph(members + [10_000], use_csr=True)
+        fresh = parent.induced_subgraph(members + [10_000])
         assert fresh.has_edge(u, v)
         assert 10_000 in fresh
-        scalar = parent.induced_subgraph(members + [10_000], use_csr=False)
+        scalar = induced_subgraph(parent, members + [10_000])
         assert fresh.nodes() == scalar.nodes()
         for node in scalar.nodes():
             assert fresh.neighbors(node) == scalar.neighbors(node)
 
     def test_child_mutation_invalidates_child_view_only(self):
         parent = _fresh_parent()
-        child = parent.induced_subgraph(parent.nodes()[:20], use_csr=True)
+        child = parent.induced_subgraph(parent.nodes()[:20])
         parent_view = parent.csr()
         isolated = [node for node in child.nodes()]
         u, v = isolated[0], isolated[-1]
@@ -88,13 +90,13 @@ class TestCacheInvalidation:
     def test_subgraph_degrees_within_tracks_mutation(self):
         parent = _fresh_parent()
         members = parent.nodes()[:30]
-        before = parent.subgraph_degrees_within(members, use_csr=True)
+        before = parent.induced_subgraph(members).degrees()
         u, v = members[0], members[1]
         changed = not parent.has_edge(u, v)
         if changed:
             parent.add_edge(u, v)
-        after = parent.subgraph_degrees_within(members, use_csr=True)
-        scalar = parent.subgraph_degrees_within(members, use_csr=False)
+        after = parent.induced_subgraph(members).degrees()
+        scalar = induced_subgraph(parent, members).degrees()
         assert after == scalar
         if changed:
             assert after[u] == before[u] + 1
@@ -106,7 +108,7 @@ class TestSplitByBins:
         graph = erdos_renyi(20, 0.3, seed=1)
         nodes = graph.nodes()
         with pytest.raises(GraphError):
-            graph.induced_subgraphs([nodes[:10], nodes[5:15]], use_csr=True)
+            graph.induced_subgraphs([nodes[:10], nodes[5:15]])
 
     def test_duplicate_ids_within_group_rejected(self):
         graph = erdos_renyi(10, 0.3, seed=1)
@@ -115,11 +117,11 @@ class TestSplitByBins:
 
     def test_empty_groups_and_empty_graph(self):
         graph = Graph()
-        assert graph.induced_subgraphs([], use_csr=True) == []
-        children = graph.induced_subgraphs([[], [1, 2]], use_csr=True)
+        assert graph.induced_subgraphs([]) == []
+        children = graph.induced_subgraphs([[], [1, 2]])
         assert [child.num_nodes for child in children] == [0, 0]
         edgeless = Graph(nodes=range(5))
-        children = edgeless.induced_subgraphs([[0, 2], [1, 3, 4]], use_csr=True)
+        children = edgeless.induced_subgraphs([[0, 2], [1, 3, 4]])
         assert [child.nodes() for child in children] == [[0, 2], [1, 3, 4]]
         assert all(child.num_edges == 0 for child in children)
 
@@ -127,8 +129,8 @@ class TestSplitByBins:
         graph = erdos_renyi(30, 0.2, seed=7)
         nodes = graph.nodes()
         groups = [nodes[:5], nodes[20:25]]
-        batched = graph.induced_subgraphs(groups, use_csr=True)
-        scalar = graph.induced_subgraphs(groups, use_csr=False)
+        batched = graph.induced_subgraphs(groups)
+        scalar = induced_subgraphs(graph, groups)
         for expected, actual in zip(scalar, batched):
             assert actual.nodes() == expected.nodes()
             for node in expected.nodes():
@@ -136,10 +138,12 @@ class TestSplitByBins:
 
 
 class TestExtractInducedKernel:
+    """``split_by_bins`` with one group: the single-subgraph extraction."""
+
     def test_child_view_is_canonical(self):
         graph = erdos_renyi(40, 0.25, seed=9)
         kept = [node for node in graph.nodes() if node % 2 == 0]
-        child_view = extract_induced(graph.csr(), kept)
+        child_view = split_by_bins(graph.csr(), [kept])[0]
         child = Graph._from_csr(child_view)
         assert child.csr() is child_view
         _assert_canonical_view(child)
@@ -147,8 +151,7 @@ class TestExtractInducedKernel:
     def test_degrees_within_kernel_matches_scalar(self):
         graph = erdos_renyi(40, 0.25, seed=9)
         kept = [node for node in graph.nodes() if node % 2 == 0]
-        counts = degrees_within(graph.csr(), kept)
-        scalar = graph.subgraph_degrees_within(kept, use_csr=False)
-        sub = graph.induced_subgraph(kept, use_csr=False)
+        counts = split_by_bins(graph.csr(), [kept])[0].degrees
+        sub = induced_from_keep(graph, set(kept))
         for node, count in zip(kept, counts):
-            assert scalar[node] == int(count) == sub.degree(node)
+            assert int(count) == sub.degree(node)

@@ -41,6 +41,24 @@ class TestProperColoring:
         assert is_proper_coloring(Graph(), {})
 
 
+class TestIdsThatDoNotCompare:
+    """Integers mixed with strings: validation must not order the ids."""
+
+    GRAPH_EDGES = [(1, "b"), ("b", "c")]
+
+    def _graph(self):
+        return Graph(nodes=[1, "b", "c"], edges=self.GRAPH_EDGES)
+
+    def test_proper_coloring_accepted(self):
+        assert is_proper_coloring(self._graph(), {1: 0, "b": 1, "c": 0})
+
+    def test_monochromatic_edge_is_a_coloring_error(self):
+        graph = self._graph()
+        palettes = PaletteAssignment({node: {0, 1} for node in graph.nodes()})
+        with pytest.raises(ColoringError, match="monochromatic"):
+            assert_valid_list_coloring(graph, palettes, {1: 0, "b": 0, "c": 1})
+
+
 class TestListColoring:
     def test_palette_respecting_coloring(self, triangle):
         palettes = PaletteAssignment.from_lists({0: [0, 5], 1: [1, 5], 2: [2, 5]})
