@@ -274,10 +274,10 @@ class RunDurability(_Counters):
     Attributes
     ----------
     checkpoints_written:
-        Atomic checkpoint files written (tmp-file + rename).
+        Checkpoint records written (each into one of two slot files).
     checkpoint_bytes:
-        Payload bytes of the *last* checkpoint written (the file is
-        rewritten whole each time, so the last size is the file's size).
+        Payload bytes of the *last* checkpoint written (each write is a
+        whole record, so the last size is the newest record's size).
     subtrees_recorded:
         Completed recursion subtrees recorded into the checkpoint frontier.
     subtrees_restored:

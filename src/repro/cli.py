@@ -87,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help=(
             "periodically write the completed-subtree frontier to PATH "
-            "(atomic rename, digest-verified); a killed run resumes "
+            "(two slot files, digest-verified); a killed run resumes "
             "bit-identically with --resume PATH"
         ),
     )

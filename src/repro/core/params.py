@@ -69,7 +69,8 @@ class RunParameters:
         Only engaged with single-process ``FIRST_FEASIBLE`` selection.
     checkpoint_path / resume_path / checkpoint_every_levels:
         Run-level durability (:mod:`repro.runtime`): periodically write the
-        completed-subtree frontier to ``checkpoint_path`` (atomic rename;
+        completed-subtree frontier to ``checkpoint_path`` (two slot files
+        overwritten in turn, :func:`~repro.runtime.checkpoint.checkpoint_files`;
         flushed after every ``checkpoint_every_levels``-th recorded
         subtree), and/or resume a previous run from ``resume_path``
         (fingerprint-validated; the resumed run's coloring, recursion tree

@@ -87,9 +87,9 @@ class ShardIntegrityError(ParallelExecutionError):
 
 
 class CheckpointError(ReproError):
-    """Raised when a checkpoint file cannot be read back: missing file,
-    wrong magic, truncated payload, or a digest mismatch (the file was
-    corrupted after the atomic rename).  Never raised for a *mismatched*
+    """Raised when neither slot file of a checkpoint can be read back:
+    missing file, wrong magic (an older format included), truncated
+    payload, or a digest mismatch.  Never raised for a *mismatched*
     checkpoint — resuming against the wrong graph or parameters is a
     :class:`ConfigurationError`."""
 

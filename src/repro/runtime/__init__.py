@@ -1,6 +1,6 @@
 """Run-level durability: checkpoint/resume, guardrails, signal shutdown.
 
-* :mod:`repro.runtime.checkpoint` — atomic, fingerprint-bound checkpoint
+* :mod:`repro.runtime.checkpoint` — crash-safe, fingerprint-bound checkpoint
   files holding the salt-keyed frontier of completed recursion subtrees;
 * :mod:`repro.runtime.guard` — soft RSS budget with a graceful degradation
   ladder, plus a wall-clock deadline watchdog;
@@ -18,6 +18,7 @@ uninterrupted one.
 from repro.runtime.checkpoint import (
     CHECKPOINT_RECORD_DEPTH,
     CheckpointManager,
+    checkpoint_files,
     fingerprint_instance,
     fingerprint_params,
     load_checkpoint,
@@ -35,6 +36,7 @@ __all__ = [
     "DurableRun",
     "ResourceGuard",
     "SignalWatcher",
+    "checkpoint_files",
     "current_rss_mb",
     "fingerprint_instance",
     "fingerprint_params",

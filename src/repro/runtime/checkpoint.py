@@ -20,14 +20,27 @@ memoization*:
   bit-identically.  The resumed run's coloring, recursion tree and ledger
   are exactly those of an uninterrupted run.
 
-File format: ``MAGIC``, a fixed header (sha256 digest + length of the
-payload), then the pickled payload (fingerprint header + entries).  The
-digest is verified *before* unpickling, so a truncated or corrupted file
-is rejected with :class:`~repro.errors.CheckpointError` instead of feeding
-garbage to ``pickle``.  Writes go to ``<path>.tmp`` and are renamed into
-place (atomic on POSIX), so the file on disk is always a complete,
-verifiable checkpoint; a stale ``.tmp`` left by a SIGKILL mid-write is
-removed by the next write or load.
+File format: a checkpoint at ``path`` is two *slot* files, ``path``
+itself (slot A) and ``<path>.1`` (slot B); see :func:`checkpoint_files`.
+Each slot holds one record: ``MAGIC``, a fixed header (sequence number,
+sha256 digest over the sequence number then the payload, payload length)
+and the pickled payload (fingerprint header + entries).  Bytes past the
+payload length are ignored, because slots are never truncated.  The
+digest is verified *before* unpickling, so a truncated or corrupted slot
+is never fed to ``pickle``, and since it covers the sequence number a
+torn header cannot pair a new number with an old payload.  Loading
+returns the highest-numbered slot that verifies and raises
+:class:`~repro.errors.CheckpointError` only when neither does; a file in
+the older single-file format (``REPROCKPT\\x01``) is rejected by name.
+
+Writing overwrites in place, at offset 0, the slot that does not hold the
+newest verified checkpoint (slot A at a fresh path), then fsyncs it; the
+parent directory is fsynced once, when a slot file is created.  A write
+killed at any byte therefore leaves the previous checkpoint whole in the
+other slot.  No write truncates, unlinks or renames a file: a rename
+frees the replaced file's blocks, which is synchronous on a
+``discard``-mounted file system and cost more than the rest of a
+checkpointed run.
 
 Fingerprints: a checkpoint is only valid for the exact run that produced
 it.  The header binds the algorithm name, a parameter fingerprint (every
@@ -47,15 +60,20 @@ import pickle
 import signal
 import struct
 from dataclasses import fields
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import CheckpointError, ConfigurationError
 
-#: File magic of every checkpoint (version byte included).
-MAGIC = b"REPROCKPT\x01"
+#: File magic of every checkpoint slot (version byte included).
+MAGIC = b"REPROCKPT\x02"
 
-#: Fixed-size header after the magic: payload sha256 digest + length.
-_HEADER = struct.Struct("<32sQ")
+#: Magic of the older single-file format, named when it is rejected.
+_V1_MAGIC = b"REPROCKPT\x01"
+
+#: Fixed-size header after the magic: sequence number, sha256 digest over
+#: ``seq`` then the payload, payload length.
+_HEADER = struct.Struct("<Q32sQ")
+_SEQ = struct.Struct("<Q")
 
 #: Subtrees completing at depth <= this are recorded into the frontier.
 #: Deeper completions are folded into their (recorded) ancestors, keeping
@@ -184,55 +202,121 @@ def validate_header(
 # --------------------------------------------------------------------------
 # codec
 # --------------------------------------------------------------------------
+def checkpoint_files(path: str) -> Tuple[str, str]:
+    """The two slot files of the checkpoint at ``path``: slot A is ``path``
+    itself (a fresh path's first write lands there), slot B is ``<path>.1``."""
+    return path, f"{path}.1"
+
+
+class _Slot(NamedTuple):
+    """What one slot file holds: ``seq`` from a complete header (else 0),
+    the digest-verified payload ``blob`` (else ``None``, with ``reason``)."""
+
+    exists: bool
+    seq: int
+    blob: Optional[memoryview]
+    reason: str
+
+
+def _digest(seq: int, blob: Any) -> bytes:
+    h = hashlib.sha256(_SEQ.pack(seq))
+    h.update(blob)
+    return h.digest()
+
+
+def _read_slot(name: str) -> _Slot:
+    try:
+        with open(name, "rb") as handle:
+            data = handle.read()
+    except OSError as exc:
+        exists = not isinstance(exc, FileNotFoundError)
+        return _Slot(exists, 0, None, f"cannot read checkpoint {name}: {exc}")
+    if not data.startswith(MAGIC):
+        if data.startswith(_V1_MAGIC):
+            reason = (
+                f"{name} is a checkpoint in the older single-file format "
+                "(REPROCKPT v1), which this version cannot resume; rerun "
+                "without --resume"
+            )
+        else:
+            reason = f"{name} is not a repro checkpoint (bad or missing magic)"
+        return _Slot(True, 0, None, reason)
+    start = len(MAGIC) + _HEADER.size
+    if len(data) < start:
+        return _Slot(True, 0, None, f"{name} is truncated (incomplete header)")
+    seq, digest, length = _HEADER.unpack_from(data, len(MAGIC))
+    blob = memoryview(data)[start:start + length]
+    if len(blob) != length:
+        return _Slot(
+            True, seq, None,
+            f"{name} is truncated ({len(blob)} payload bytes, expected {length})",
+        )
+    if _digest(seq, blob) != digest:
+        return _Slot(True, seq, None, f"{name} is corrupt (payload digest mismatch)")
+    return _Slot(True, seq, blob, "")
+
+
+def _newest(slots: List[_Slot]) -> Optional[int]:
+    """Index of the highest-``seq`` slot that verifies, if any does."""
+    best = None
+    for i, slot in enumerate(slots):
+        if slot.blob is not None and (best is None or slot.seq > slots[best].seq):
+            best = i
+    return best
+
+
+def _fsync_directory(name: str) -> None:
+    fd = os.open(os.path.dirname(os.path.abspath(name)), os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def write_checkpoint(path: str, payload: Dict[str, Any]) -> int:
-    """Atomically write ``payload`` to ``path``; returns the payload size."""
+    """Durably write ``payload`` as the newest checkpoint at ``path``;
+    returns the payload size.
+
+    The record overwrites, in place, the slot that does not hold the
+    newest verified checkpoint (slot A when neither verifies), with a
+    sequence number above both slots' headers.  A write killed at any byte
+    therefore leaves the previous checkpoint intact in the other slot.
+    """
     blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    digest = hashlib.sha256(blob).digest()
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as handle:
-        handle.write(MAGIC)
-        handle.write(_HEADER.pack(digest, len(blob)))
-        handle.write(blob)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    names = checkpoint_files(path)
+    slots = [_read_slot(name) for name in names]
+    newest = _newest(slots)
+    target = 0 if newest is None else 1 - newest
+    seq = 1 + max(slot.seq for slot in slots)
+    record = MAGIC + _HEADER.pack(seq, _digest(seq, blob), len(blob)) + blob
+    fd = os.open(names[target], os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(record)
+        written = 0
+        while written < len(record):
+            written += os.pwrite(fd, view[written:], written)
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+    if not slots[target].exists:
+        _fsync_directory(names[target])
     return len(blob)
 
 
 def load_checkpoint(path: str) -> Dict[str, Any]:
-    """Read and verify one checkpoint file.
+    """Read the newest verified checkpoint at ``path``.
 
-    Raises :class:`~repro.errors.CheckpointError` for anything that is not
-    a complete, digest-verified checkpoint; the digest is checked before
-    ``pickle`` ever sees the bytes.  Removes a stale ``<path>.tmp`` left by
-    a write that was killed before its rename.
+    Returns the payload of the highest-``seq`` slot whose digest verifies;
+    the digest is checked before ``pickle`` ever sees the bytes.  Raises
+    :class:`~repro.errors.CheckpointError` when no slot verifies, worded
+    from slot A's reason.
     """
+    slots = [_read_slot(name) for name in checkpoint_files(path)]
+    newest = _newest(slots)
+    if newest is None:
+        raise CheckpointError(slots[0].reason)
     try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    try:
-        os.unlink(f"{path}.tmp")
-    except OSError:
-        pass
-    if not data.startswith(MAGIC):
-        raise CheckpointError(
-            f"{path} is not a repro checkpoint (bad or missing magic)"
-        )
-    body = data[len(MAGIC):]
-    if len(body) < _HEADER.size:
-        raise CheckpointError(f"{path} is truncated (incomplete header)")
-    digest, length = _HEADER.unpack_from(body, 0)
-    blob = body[_HEADER.size:]
-    if len(blob) != length:
-        raise CheckpointError(
-            f"{path} is truncated ({len(blob)} payload bytes, expected {length})"
-        )
-    if hashlib.sha256(blob).digest() != digest:
-        raise CheckpointError(f"{path} is corrupt (payload digest mismatch)")
-    try:
-        payload = pickle.loads(blob)
+        payload = pickle.loads(slots[newest].blob)
     except Exception as exc:  # pragma: no cover - digest already vouched
         raise CheckpointError(f"{path} cannot be decoded: {exc}") from exc
     if not isinstance(payload, dict) or "header" not in payload or "entries" not in payload:

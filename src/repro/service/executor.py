@@ -3,8 +3,9 @@
 Each executor thread pulls queued jobs and runs them through the existing
 drivers (:class:`~repro.core.color_reduce.ColorReduce` /
 :class:`~repro.core.low_space.color_reduce.LowSpaceColorReduce`) with the
-run-level durability layer *always on*: every job gets a checkpoint file
-under the spool (``jobs/<id>/run.ckpt``) plus the service's per-job
+run-level durability layer *always on*: every job gets a checkpoint
+under the spool (``jobs/<id>/run.ckpt`` and its second slot
+``run.ckpt.1``, removed once the job is done) plus the service's per-job
 memory/deadline budgets, so cancellation and guard aborts are controlled,
 resumable stops — never lost work.  Jobs may additionally shard their own
 candidate scoring across the :mod:`repro.parallel` worker pool via the
@@ -38,6 +39,7 @@ from typing import Any, Dict, Optional
 from repro.accounting import ServiceTelemetry
 from repro.errors import ReproError, RunAbortedError, RunInterrupted
 from repro.graph.validation import count_colors_used
+from repro.runtime.checkpoint import checkpoint_files
 from repro.runtime.durability import supervised
 from repro.service.cache import ResultCache
 from repro.service.jobs import JobRecord, JobState, JobStore
@@ -310,9 +312,9 @@ class JobExecutor:
             colors_used=payload["colors_used"],
             cached=True,
         )
+        self._cleanup_checkpoint(record)
         self.store.transition(record, JobState.DONE)
         self.telemetry.bump("jobs_computed")
-        self._cleanup_checkpoint(record)
 
     def _compute(self, record: JobRecord, params) -> Dict[str, Any]:
         """One engine run → the JSON result payload the API serves."""
@@ -367,7 +369,7 @@ class JobExecutor:
         path = record.checkpoint_path
         if not path:
             return
-        for name in (path, f"{path}.tmp"):
+        for name in checkpoint_files(path):
             try:
                 os.unlink(name)
             except OSError:

@@ -7,10 +7,11 @@ The contract under test (docs/ARCHITECTURE.md, "Failure semantics"):
   uninterrupted run — checkpoint/resume is salt-keyed memoization of a
   deterministic walk, so restoring any subset of recorded subtrees is
   outcome-neutral;
-* checkpoint files are atomic and digest-verified: a truncated, corrupted
-  or foreign file is rejected with a typed error before ``pickle`` sees a
-  byte, and a fingerprint mismatch (different instance, parameters or
-  algorithm) is a :class:`ConfigurationError`;
+* checkpoints are two digest-verified slot files written in turn: a write
+  torn at any byte leaves the previous checkpoint loadable, a truncated,
+  corrupted or foreign file is rejected with a typed error before
+  ``pickle`` sees a byte, and a fingerprint mismatch (different instance,
+  parameters or algorithm) is a :class:`ConfigurationError`;
 * resource-guard aborts (memory budget, deadline) and signal shutdowns
   (SIGTERM/SIGINT) are controlled stops at recursion boundaries: final
   checkpoint flushed, pools drained, shared memory unlinked, distinct
@@ -50,6 +51,7 @@ from repro.experiments.workloads import build_workload
 from repro.graph import Graph, PaletteAssignment, generators
 from repro.runtime.checkpoint import (
     MAGIC,
+    checkpoint_files,
     fingerprint_instance,
     fingerprint_params,
     hash_array,
@@ -152,7 +154,7 @@ class TestCheckpointCodec:
         }
         write_checkpoint(path, payload)
         blob = bytearray(open(path, "rb").read())
-        body_start = len(MAGIC) + 40  # past magic + digest + length
+        body_start = len(MAGIC) + 48  # past magic + seq + digest + length
         position = body_start + flip % (len(blob) - body_start)
         flip_bit = data.draw(st.integers(min_value=1, max_value=255))
         blob[position] ^= flip_bit
@@ -160,13 +162,105 @@ class TestCheckpointCodec:
         with pytest.raises(CheckpointError, match="corrupt|truncated"):
             load_checkpoint(path)
 
-    def test_stale_tmp_is_removed_by_load(self, tmp_path):
+    def test_writes_touch_only_the_two_slot_files(self, tmp_path):
         path = str(tmp_path / "s.ckpt")
-        write_checkpoint(path, {"header": {}, "entries": {}})
-        stale = path + ".tmp"
-        open(stale, "wb").write(b"killed mid-write")
-        load_checkpoint(path)
-        assert not os.path.exists(stale)
+        assert checkpoint_files(path) == (path, path + ".1")
+        for i in range(5):
+            write_checkpoint(path, {"header": {}, "entries": {i: {}}})
+            assert load_checkpoint(path)["entries"] == {i: {}}
+            if i == 0:  # a fresh path's first write lands in slot A
+                assert os.listdir(tmp_path) == ["s.ckpt"]
+        assert sorted(os.listdir(tmp_path)) == ["s.ckpt", "s.ckpt.1"]
+
+    @pytest.mark.parametrize("next_entries", [1, 40], ids=["shorter", "longer"])
+    def test_torn_write_at_any_byte_loads_the_previous_payload(
+        self, tmp_path, next_entries
+    ):
+        """A write killed after any prefix of its record leaves the slot it
+        was overwriting torn; loading returns the previous checkpoint,
+        exactly, and never a half-written one."""
+        import shutil
+
+        def payload(n):
+            return {"header": {"n": n}, "entries": {s: {"c": s * 3} for s in range(n)}}
+
+        path = str(tmp_path / "torn.ckpt")
+        write_checkpoint(path, payload(8))  # slot A
+        write_checkpoint(path, payload(9))  # slot B, the previous checkpoint
+        slot_a = checkpoint_files(path)[0]
+        old_a = open(slot_a, "rb").read()
+        # The next write goes to slot A; record its bytes on a copy.
+        done = tmp_path / "done"
+        done.mkdir()
+        done_path = str(done / "torn.ckpt")
+        for name, done_name in zip(checkpoint_files(path), checkpoint_files(done_path)):
+            shutil.copyfile(name, done_name)
+        size = write_checkpoint(done_path, payload(next_entries))
+        record = open(done_path, "rb").read()[: len(MAGIC) + 48 + size]
+        assert record != old_a[: len(record)]
+        # Prefixes in increasing order only ever grow the slot, so writing
+        # in place leaves exactly the torn bytes (and truncates nothing).
+        fd = os.open(slot_a, os.O_WRONLY)
+        try:
+            for cut in range(len(record)):
+                os.pwrite(fd, record[:cut], 0)
+                assert load_checkpoint(path) == payload(9), cut
+            os.pwrite(fd, record, 0)
+        finally:
+            os.close(fd)
+        assert open(slot_a, "rb").read() == record + old_a[len(record):]
+        assert load_checkpoint(path) == payload(next_entries)
+
+    @pytest.mark.parametrize("damage_a", ["truncate", "corrupt"])
+    @pytest.mark.parametrize("damage_b", ["truncate", "corrupt"])
+    def test_both_slots_damaged_is_a_checkpoint_error(
+        self, tmp_path, damage_a, damage_b
+    ):
+        path = str(tmp_path / "both.ckpt")
+        write_checkpoint(path, {"header": {}, "entries": {1: {}}})
+        write_checkpoint(path, {"header": {}, "entries": {2: {}}})
+        for name, damage in zip(checkpoint_files(path), (damage_a, damage_b)):
+            data = bytearray(open(name, "rb").read())
+            if damage == "truncate":
+                data = data[:-3]
+            else:
+                data[-1] ^= 0xFF
+            open(name, "wb").write(bytes(data))
+        with pytest.raises(CheckpointError, match="truncated|corrupt"):
+            load_checkpoint(path)
+
+    def test_older_single_file_format_is_named(self, tmp_path):
+        import hashlib
+        import pickle
+        import struct
+
+        path = str(tmp_path / "v1.ckpt")
+        blob = pickle.dumps({"header": {}, "entries": {}})
+        with open(path, "wb") as handle:
+            handle.write(b"REPROCKPT\x01")
+            handle.write(struct.pack("<32sQ", hashlib.sha256(blob).digest(), len(blob)))
+            handle.write(blob)
+        with pytest.raises(CheckpointError, match="older single-file format"):
+            load_checkpoint(path)
+        # A fresh run at that path simply supersedes it.
+        write_checkpoint(path, {"header": {"fresh": True}, "entries": {}})
+        assert load_checkpoint(path)["header"] == {"fresh": True}
+
+    def test_write_never_overwrites_the_only_verified_slot(self, tmp_path):
+        """Slot B carries the higher ``seq`` but fails its digest, slot A
+        verifies: the next write must go to B and leave A untouched."""
+        path = str(tmp_path / "d.ckpt")
+        slot_a, slot_b = checkpoint_files(path)
+        write_checkpoint(path, {"header": {}, "entries": {1: {}}})
+        write_checkpoint(path, {"header": {}, "entries": {2: {}}})
+        data = bytearray(open(slot_b, "rb").read())
+        data[-1] ^= 0xFF
+        open(slot_b, "wb").write(bytes(data))
+        assert load_checkpoint(path)["entries"] == {1: {}}
+        before = open(slot_a, "rb").read()
+        write_checkpoint(path, {"header": {}, "entries": {3: {}}})
+        assert open(slot_a, "rb").read() == before
+        assert load_checkpoint(path)["entries"] == {3: {}}
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +549,7 @@ class TestKillAndResume:
         )
         assert proc.returncode == -signal.SIGKILL, proc.stderr.decode()
         assert os.path.exists(ck), "no checkpoint survived the kill"
-        assert not os.path.exists(ck + ".tmp")
+        load_checkpoint(ck)
 
         # The CLI's defaults are the dataclass defaults, so an in-process
         # run of the same workload is the uninterrupted reference.
@@ -531,6 +625,34 @@ class TestKillAndResume:
         # The pool really scored part of the resumed walk.
         assert resumed.pool_health.bytes_shared + resumed.pool_health.bytes_shipped > 0
 
+    def test_fresh_run_at_a_used_path_supersedes_the_old_checkpoint(self, tmp_path):
+        """A fresh run at a path holding another run's finished checkpoint,
+        killed after its first write, resumes from its own record."""
+        ck = str(tmp_path / "reused.ckpt")
+        finished = subprocess.run(
+            [sys.executable, "-m", "repro", "color", "--nodes", "400",
+             "--checkpoint", ck],
+            env=_cli_env(),
+            capture_output=True,
+            timeout=300,
+        )
+        assert finished.returncode == 0, finished.stderr.decode()
+        killed = subprocess.run(
+            [sys.executable, "-m", "repro", "color", "--nodes", "300",
+             "--checkpoint", ck],
+            env=_cli_env(REPRO_TEST_KILL_AFTER_CHECKPOINTS="1"),
+            capture_output=True,
+            timeout=300,
+        )
+        assert killed.returncode == -signal.SIGKILL, killed.stderr.decode()
+        graph, palettes, _spec = build_workload("dense-random-lists", 300, seed=1)
+        reference = ColorReduce(params=ColorReduceParameters()).run(graph, palettes)
+        resumed = ColorReduce(
+            params=ColorReduceParameters(resume_path=ck)
+        ).run(graph, palettes)
+        _assert_same_run(resumed, reference)
+        assert resumed.durability.subtrees_restored >= 1
+
     def test_cli_resume_after_kill_completes_with_exit_zero(self, tmp_path):
         ck = str(tmp_path / "cli.ckpt")
         killed = subprocess.run(
@@ -558,38 +680,44 @@ class TestKillAndResume:
 # ---------------------------------------------------------------------------
 class TestSignalShutdown:
     def test_sigterm_finishes_level_checkpoints_and_exits_143(self, tmp_path):
-        # The handler installs once the recursion starts; a signal landing
-        # in the short setup window before that (workload build,
-        # fingerprinting) still takes the default disposition.  Escalating
-        # delays make one landing inside the handled window deterministic
-        # in practice.
+        # This instance walks on for ~0.15 s after its first flush.
+        self._sigterm_then_resume(tmp_path, ["--nodes", "20000"])
+
+    def test_sigterm_low_space_run_exits_143_and_resumes(self, tmp_path):
+        # This instance walks on for ~0.6 s after its first flush.
+        self._sigterm_then_resume(
+            tmp_path, ["--algorithm", "low-space", "--nodes", "5000", "--seed", "5"]
+        )
+
+    @staticmethod
+    def _sigterm_then_resume(tmp_path, args):
+        # The first checkpoint flush happens inside the walk, where the
+        # handler is installed, so signal as soon as the file exists.
         ck = str(tmp_path / "term.ckpt")
-        proc = err = None
-        for delay in (0.5, 1.0, 1.5, 2.0):
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "repro", "color", "--nodes", "12000",
-                 "--checkpoint", ck],
-                env=_cli_env(),
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                text=True,
-                bufsize=1,
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "color", *args, "--checkpoint", ck],
+            env=_cli_env(),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        deadline = time.monotonic() + 300
+        while not os.path.exists(ck) and proc.poll() is None:
+            assert time.monotonic() < deadline, "no checkpoint was written"
+            time.sleep(0.001)
+        if proc.poll() is not None:
+            _out, err = proc.communicate()
+            pytest.fail(
+                f"the SIGTERM did not land: the run exited ({proc.returncode}) "
+                f"before its first checkpoint was seen\n{err}"
             )
-            # The banner prints after the workload is built, shortly before
-            # the recursion starts; signal after so it lands mid-run.
-            proc.stdout.readline()
-            time.sleep(delay)
-            if proc.poll() is not None:  # pragma: no cover - very fast host
-                pytest.skip("run finished before the signal could land")
-            proc.send_signal(signal.SIGTERM)
-            _out, err = proc.communicate(timeout=300)
-            if proc.returncode == 128 + signal.SIGTERM:
-                break
-            assert proc.returncode == -signal.SIGTERM, err  # pre-handler window
-        assert proc.returncode == 128 + signal.SIGTERM, err
+        proc.send_signal(signal.SIGTERM)
+        _out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 128 + signal.SIGTERM, (
+            f"the SIGTERM did not land inside the walk (exit {proc.returncode})\n{err}"
+        )
         assert "interrupted" in err and "--resume" in err
-        assert os.path.exists(ck)
-        assert not os.path.exists(ck + ".tmp")
+        load_checkpoint(ck)
         leaked = [
             name for name in os.listdir("/dev/shm")
             if name.startswith(f"repro_{proc.pid}_")
@@ -597,8 +725,7 @@ class TestSignalShutdown:
         assert not leaked, f"SIGTERM left shared-memory residue: {leaked}"
         # ... and the checkpoint it left is a valid resume point.
         resumed = subprocess.run(
-            [sys.executable, "-m", "repro", "color", "--nodes", "12000",
-             "--resume", ck],
+            [sys.executable, "-m", "repro", "color", *args, "--resume", ck],
             env=_cli_env(),
             capture_output=True,
             timeout=600,

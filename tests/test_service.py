@@ -379,6 +379,10 @@ def test_cancel_mid_run_leaves_resumable_checkpoint(make_service, tmp_path):
     fresh_doc = wait_for(fresh, fresh.submit(body)["job"])
     assert fresh.result(fresh_doc["job"])["coloring"] == result["coloring"]
     assert fresh.result(fresh_doc["job"])["ledger"] == result["ledger"]
+    # A finished job leaves neither of its checkpoint's slot files behind.
+    for service_, job in ((service, document["job"]), (fresh, fresh_doc["job"])):
+        job_dir = service_.settings.job_dir(job)
+        assert [n for n in os.listdir(job_dir) if n.startswith("run.ckpt")] == []
 
 
 def test_cancel_queued_job_and_resume(make_service):
