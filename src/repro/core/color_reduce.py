@@ -426,13 +426,20 @@ class ColorReduce(RecursionDriver):
         Section 3.6: when coloring locally we may drop palette colors down to
         ``d(v) + 1`` per node, so the shipped palette data is ``O(m + n)``
         regardless of the original palette sizes.  With implicit palettes
-        (plain (Δ+1)-coloring) no palette entries travel at all.
+        (plain (Δ+1)-coloring) no palette entries travel at all.  A warm
+        palette store answers with one array expression over the CSR
+        degrees; sets-only palettes take the per-node sum.
         """
         words = graph.size()
         if not state.palettes_are_implicit:
-            words += sum(
-                min(palettes.palette_size(v), graph.degree(v) + 1) for v in graph.nodes()
-            )
+            sized = palettes.sizes_for(graph)
+            if sized is None:
+                words += sum(
+                    min(palettes.palette_size(v), graph.degree(v) + 1)
+                    for v in graph.nodes()
+                )
+            else:
+                words += int(np.minimum(sized[1], graph.csr().degrees + 1).sum())
         return words
 
     def _instance_words(

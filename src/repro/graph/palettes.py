@@ -35,6 +35,16 @@ genuinely set-based access, just like CSR-extracted graphs materialise
 adjacency lazily.  Every query answers from whichever backing is
 available, with identical results.
 
+Each recursion level hashes the instance's color universe, and the cost
+evaluators index colors by their rank in it.  A store's exact universe
+and entry ranks (:meth:`_PaletteStore.ranks`) come from its membership
+frame — the sorted universe of an ancestor, with each entry's position
+in it, which every batch-kernel child inherits — or, for a root, from its
+color span ``max - min + 1``: one boolean scatter, one ``cumsum`` and one
+gather, linear in the frame plus the entries.  Only a store whose frame
+and span are both wider than its entries (sparse colors, up to ``±2**62``)
+sorts, with ``np.unique`` plus one binary search per entry.
+
 On top of it the class provides exactly the operations the algorithms
 perform:
 
@@ -74,9 +84,14 @@ class _PaletteStore:
     latter two are exactly the static arrays the batched cost evaluators
     need (:meth:`repro.hashing.batch.BatchCostEvaluatorBase.palette_entry_arrays`),
     so flattening is paid once per assignment, not once per ``Partition``
-    call.  Stores are never mutated in place: the pruning kernel swaps in a
-    freshly compacted store, which is why children and copies may share a
-    parent's store (or slices of its arrays) safely.
+    call.  Both come from one rank kernel, :meth:`ranks`, which derives the
+    exact universe and positions from the store's membership frame (an
+    ancestor's ranks, inherited by every batch-kernel child) or, on a
+    root, from its color span — linear scatters, no sort — and sorts only
+    a root whose colors are sparser than its entries.  Stores are never
+    mutated in place: the pruning kernel swaps in a freshly compacted
+    store, which is why children and copies may share a parent's store (or
+    slices of its arrays) safely.
     """
 
     __slots__ = (
@@ -134,39 +149,105 @@ class _PaletteStore:
         return cached
 
     def universe(self) -> np.ndarray:
-        """Sorted unique colors over all rows (cached)."""
+        """Sorted unique colors over all rows (cached; see :meth:`ranks`)."""
         cached = self._universe
         if cached is None:
-            cached = np.unique(self.flat)
+            cached = self.ranks()[0]
             self._universe = cached
         return cached
 
     def universe_positions(self):
-        """``(universe, positions)``: each entry's index in the universe."""
-        positions = self._positions
-        if positions is None:
-            positions = np.searchsorted(self.universe(), self.flat)
-            self._positions = positions
-        return self._universe, positions
+        """``(universe, positions)``: each entry's index in the universe.
+
+        Both are cached, which makes them the store's membership frame
+        (and its children's, see :meth:`membership_frame`).
+        """
+        if self._positions is None:
+            universe, self._positions = self.ranks()
+            if self._universe is None:
+                self._universe = universe
+        return self._universe, self._positions
+
+    def ranks(self, gather: Optional[np.ndarray] = None):
+        """``(universe, positions)`` of the entries ``flat[gather]``.
+
+        ``gather`` (default: every entry) indexes :attr:`flat`.  The pair
+        equals ``np.unique(flat[gather])`` and ``np.searchsorted(universe,
+        flat[gather])`` in values and dtypes, derived in the cheapest of
+        three ways:
+
+        * a membership frame no wider than the entries (inherited from an
+          ancestor, or the store's own cached ranks): one boolean scatter
+          over the frame, one ``cumsum`` and one gather
+          (:func:`rank_in_frame`) — linear, no sort;
+        * otherwise, a color span ``max - min + 1`` no wider than the
+          entries (a root's dense ``{0..Δ}`` / shared-universe lists): the
+          span serves as the frame;
+        * otherwise (colors sparser than the entries, possibly near
+          ``±2**62``): one sort (``np.unique``) plus one binary search per
+          entry, in memory linear in the entries whatever the span.
+
+        Nothing is cached here; :meth:`universe` and
+        :meth:`universe_positions` cache what they return.
+        """
+        flat = self.flat if gather is None else self.flat[gather]
+        count = flat.shape[0]
+        if not count:
+            return flat[:0].copy(), np.zeros(0, dtype=np.intp)
+        frame = self.membership_frame()
+        if frame is not None and frame[0].shape[0] <= count:
+            frame_colors, frame_positions = frame
+            keys = frame_positions if gather is None else frame_positions[gather]
+            distinct, positions = rank_in_frame(keys, frame_colors.shape[0])
+            return frame_colors[distinct], positions
+        low, high = int(flat.min()), int(flat.max())
+        if high - low < count:
+            distinct, positions = rank_in_frame(
+                np.subtract(flat, low, dtype=np.intp), high - low + 1
+            )
+            return (distinct + low).astype(flat.dtype), positions
+        universe = np.unique(flat)
+        return universe, np.searchsorted(universe, flat)
 
     def membership_frame(self):
         """``(frame_colors, entry_positions)`` in a shared sorted frame.
 
         The frame is any sorted color array containing every entry (an
-        ancestor's universe, usually): enough for membership tests, *not*
-        the store's exact universe — :meth:`universe` stays authoritative
-        for universe-sensitive consumers (hash domains, selection).
+        ancestor's universe, usually): enough for membership tests and,
+        through :meth:`ranks`, for the store's exact universe and entry
+        positions in time linear in the frame plus the entries.
         Children built by the batch kernels inherit slices of their
-        parent's frame, so the pruning kernel's table path never
-        recomputes positions down a recursion branch.  Returns ``None``
-        when no frame was inherited and the exact positions are not cached
-        either (the kernel then uses the frame-free searchsorted path).
+        parent's frame, so neither the pruning kernel's table path nor the
+        ranks of a child ever sort or binary-search down a recursion
+        branch.  Returns ``None`` when no frame was inherited and the
+        exact positions are not cached either (the pruning kernel then
+        uses the frame-free searchsorted path, and :meth:`ranks` the
+        store's color span or a sort).
         """
         if self._frame is not None:
             return self._frame
         if self._positions is not None:
             return self._universe, self._positions
         return None
+
+
+def rank_in_frame(keys: np.ndarray, frame_size: int):
+    """Dense ranks of ``keys``, integers in ``[0, frame_size)``.
+
+    Returns ``(distinct, positions)``: the sorted distinct keys (intp) and
+    each key's index among them (intp) — ``np.unique(keys)`` and
+    ``np.searchsorted(distinct, keys)`` — from one boolean scatter over the
+    frame, one ``cumsum`` and one gather, in ``O(frame_size + len(keys))``.
+    A fully covered frame (dense ``{0..Δ}`` palettes) skips the last two:
+    every key is then its own rank.
+    """
+    present = np.zeros(frame_size, dtype=bool)
+    present[keys] = True
+    if bool(present.all()):
+        return np.arange(frame_size, dtype=np.intp), keys.astype(np.intp, copy=False)
+    rank = np.cumsum(present, dtype=np.intp)
+    rank -= 1
+    return np.flatnonzero(present), rank[keys]
 
 
 #: Sentinel cached when the palette colors cannot be represented as int64
@@ -661,10 +742,12 @@ class PaletteAssignment:
         ``(U,)``, int64) and ``color_bin_ids[k]`` the bin that ``h2`` maps
         ``universe[k]`` to (as produced by
         :func:`repro.core.classification.color_bin_arrays`).  Member
-        palettes are gathered from the array store, each entry's bin
-        resolved with one ``searchsorted`` + gather, and the children
-        adopt contiguous slices of the masked compaction — array-backed
-        assignments whose Python sets stay lazy.
+        palettes are gathered from the array store and ranked
+        (:meth:`_PaletteStore.ranks`); the members' universe is located in
+        ``universe`` with one ``searchsorted`` of its size, each entry's bin
+        is one gather through its rank, and the children adopt contiguous
+        slices of the masked compaction — array-backed assignments whose
+        Python sets stay lazy.
 
         Returns one :class:`PaletteAssignment` per group, equal (same nodes,
         same palette *sets*) to the per-bin scalar reference in
@@ -672,10 +755,10 @@ class PaletteAssignment:
         :class:`PaletteError` if a member has no palette, a member color is
         missing from ``universe``, or the palettes have no array store
         (colors that are not int64 integers, which the partition steps'
-        hash families reject before they get here).  An empty ``universe`` is answered
-        explicitly: all-empty member palettes yield all-empty children, any
-        member entry is a membership error (the general path would
-        otherwise index row 0 of the empty ``color_bin_ids``).
+        hash families reject before they get here).  Colors held only by
+        non-members need not be in ``universe``; with an empty ``universe``
+        all-empty member palettes yield all-empty children and any member
+        entry is a membership error.
         """
         groups: List[List[NodeId]] = [
             list(dict.fromkeys(members)) for members in bin_members
@@ -690,23 +773,16 @@ class PaletteAssignment:
         flat_nodes: List[NodeId] = [node for members in groups for node in members]
         rows = store.rows_of(flat_nodes)
         sizes, gather = gather_segments(store.offsets, rows)
-        member_flat = store.flat[gather]
-        total = int(member_flat.shape[0])
+        total = int(gather.shape[0])
         group_sizes = np.fromiter(
             (len(members) for members in groups), dtype=np.int64, count=len(groups)
         )
         entry_owner = np.repeat(np.arange(len(flat_nodes), dtype=np.int64), sizes)
-        if universe.shape[0] == 0:
-            if total:
-                raise PaletteError(
-                    "restricted_by_bins: a member color is missing from the universe"
-                )
-            keep = np.zeros(0, dtype=bool)
-        else:
-            positions = np.searchsorted(universe, member_flat)
-            if total and (
-                bool((positions >= universe.shape[0]).any())
-                or not bool(np.array_equal(universe[np.minimum(positions, universe.shape[0] - 1)], member_flat))
+        if total:
+            member_universe, member_positions = store.ranks(gather)
+            at = np.searchsorted(universe, member_universe)
+            if bool((at >= universe.shape[0]).any()) or not bool(
+                np.array_equal(universe[at], member_universe)
             ):
                 raise PaletteError(
                     "restricted_by_bins: a member color is missing from the universe"
@@ -714,8 +790,11 @@ class PaletteAssignment:
             owner_bin = np.repeat(
                 np.arange(len(groups), dtype=np.int64), group_sizes
             )[entry_owner]
-            keep = color_bin_ids[positions] == owner_bin
-        kept_flat = member_flat[keep]
+            keep = color_bin_ids[at][member_positions] == owner_bin
+        else:
+            keep = np.zeros(0, dtype=bool)
+        kept_gather = gather[keep]
+        kept_flat = store.flat[kept_gather]
         kept_counts = (
             np.bincount(entry_owner[keep], minlength=len(flat_nodes))
             if total
@@ -724,7 +803,7 @@ class PaletteAssignment:
         bounds = np.zeros(len(flat_nodes) + 1, dtype=np.int64)
         np.cumsum(kept_counts, out=bounds[1:])
         frame = store.membership_frame()
-        kept_frame = frame[1][gather][keep] if frame is not None else None
+        kept_frame = frame[1][kept_gather] if frame is not None else None
         results: List[PaletteAssignment] = []
         cursor = 0
         for members, member_count in zip(groups, group_sizes.tolist()):

@@ -523,7 +523,13 @@ class BatchCostEvaluatorBase:
         Answers from the assignment's array store
         (:meth:`repro.graph.palettes.PaletteAssignment.store`): children
         produced by the batched restriction kernels already carry their
-        flat arrays, so this is a couple of NumPy gathers.  Returns
+        flat arrays, so this is a couple of NumPy gathers.  The universe
+        and the entries' positions in it are the store's exact ranks
+        (:meth:`~repro.graph.palettes._PaletteStore.ranks`), derived from
+        its membership frame or its color span — a scatter and a
+        ``cumsum``, no sort — whenever either is no wider than the
+        entries; only stores whose node order differs from ``node_ids``
+        rank just the gathered entries.  Returns
         ``universe``, ``entry_nodes``, ``entry_colors`` and
         ``entry_indptr``.  Raises the palette layer's error for nodes
         without a palette, and :class:`~repro.errors.PaletteError` when the
@@ -543,11 +549,9 @@ class BatchCostEvaluatorBase:
             from repro.graph.csr import gather_segments
 
             sizes, gather = gather_segments(store.offsets, store.rows_of(node_ids))
-            flat = store.flat[gather]
             indptr = np.zeros(len(node_ids) + 1, dtype=np.int64)
             np.cumsum(sizes, out=indptr[1:])
-            universe = np.unique(flat)
-            positions = np.searchsorted(universe, flat)
+            universe, positions = store.ranks(gather)
         return {
             "universe": universe,
             "entry_nodes": np.repeat(

@@ -28,7 +28,9 @@ every array entry point the drivers call to it:
   for instances below the array sweep's cutover).
 
 The references are also what the unit-level differential tests and the
-``bench_p*`` benchmarks compare the array kernels with.
+``bench_p*`` benchmarks compare the array kernels with.  One of them,
+:func:`rank_oracle` (the palette store's universe and entry ranks), has no
+reroute: the drivers reach the rank kernel only through the store.
 
 A differential test runs the same instance in production and under the
 oracle and compares coloring, rounds, recursion tree and ledger
@@ -136,6 +138,17 @@ def restricted_to(palettes, nodes, keep_color):
             for node in nodes
         }
     )
+
+
+def rank_oracle(flat):
+    """``(universe, positions)`` of the color array ``flat`` by one sort and
+    one binary search per entry: ``np.unique`` plus ``np.searchsorted``.
+
+    The reference for ``_PaletteStore.ranks``, which derives the same
+    arrays (same dtypes) from a membership frame or the color span.
+    """
+    universe = np.unique(flat)
+    return universe, np.searchsorted(universe, flat)
 
 
 def remove_colors_used_by_neighbors(palettes, graph, coloring, nodes=None):

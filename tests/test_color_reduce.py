@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.congested_clique import CongestedCliqueSimulator
@@ -11,6 +13,7 @@ from repro.core import (
     CongestedCliqueContext,
     LinearSpaceMPCContext,
 )
+from repro.core.driver import RunState
 from repro.core.local_coloring import greedy_list_coloring, instance_words
 from repro.core.recursion import summarize_recursion
 from repro.errors import ColoringError, PaletteError
@@ -254,3 +257,48 @@ class TestNonIntegralColors:
         )[pipeline]
         with pytest.raises(PaletteError, match="not an integer"):
             solver.run(graph, PaletteAssignment.from_lists(lists))
+
+
+class TestCollectWords:
+    """Section 3.6's shipped words: ``|G|`` plus ``min(p(v), d(v) + 1)``."""
+
+    @staticmethod
+    def _per_node(graph, palettes):
+        return graph.size() + sum(
+            min(palettes.palette_size(v), graph.degree(v) + 1) for v in graph.nodes()
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_array_path_equals_per_node_sum(self, seed):
+        rng = random.Random(seed)
+        graph = generators.gnm_random(60, 200, seed=seed)
+        order = graph.nodes()
+        rng.shuffle(order)  # a store order that is not the graph order
+        # Palettes both smaller and larger than deg + 1.
+        lists = {
+            node: rng.sample(range(300), rng.randrange(2 * graph.degree(node) + 3))
+            for node in order
+        }
+        palettes = PaletteAssignment.from_lists(lists)
+        assert palettes.store().nodes != graph.nodes()
+        state = RunState(model=None, global_nodes=graph.num_nodes)
+        words = ColorReduce()._collect_words(graph, palettes, state)
+        assert words == self._per_node(graph, palettes)
+        # The sets-first assignment (cold store) takes the per-node sum.
+        assert words == ColorReduce()._collect_words(graph, PaletteAssignment(lists), state)
+
+    def test_sets_only_instance_is_charged_the_same_words(self):
+        graph = generators.gnm_random(12, 20, seed=3)
+        delta = graph.max_degree()
+        rng = random.Random(3)
+        ints = {
+            node: rng.sample(range(4 * delta), delta + 1 + rng.randrange(3))
+            for node in graph.nodes()
+        }
+        halves = {node: [color + 0.5 for color in colors] for node, colors in ints.items()}
+        sets_only = PaletteAssignment.from_lists(halves)
+        assert sets_only.store() is None
+        result = ColorReduce().run(graph, sets_only)
+        assert_valid_list_coloring(graph, PaletteAssignment(halves), result.coloring)
+        reference = ColorReduce().run(graph, PaletteAssignment.from_lists(ints))
+        assert result.ledger.snapshot() == reference.ledger.snapshot()

@@ -359,6 +359,36 @@ class TestRestrictedByBins:
         with pytest.raises(PaletteError):
             palettes.restricted_by_bins([[1]], universe, bins)
 
+    _MISSING = "restricted_by_bins: a member color is missing from the universe"
+
+    @pytest.mark.parametrize("framed", [False, True], ids=["frame-free", "framed"])
+    def test_color_of_a_non_member_may_be_missing(self, framed):
+        # Node 2 is no member: its color 1000 need not be in the universe.
+        palettes = PaletteAssignment.from_lists({1: [5, 6, 7], 2: [6, 1000]})
+        if framed:
+            palettes.store().universe_positions()
+        universe = np.asarray([5, 6, 7], dtype=np.int64)
+        bins = np.asarray([0, 1, 0], dtype=np.int64)
+        (child,) = palettes.restricted_by_bins([[1]], universe, bins)
+        assert child.palette(1) == {5, 7}
+
+    @pytest.mark.parametrize("framed", [False, True], ids=["frame-free", "framed"])
+    @pytest.mark.parametrize(
+        "universe",
+        [[], [5, 7], [5, 6], [6, 7], [-3, 5, 7, 1000], [5, 6, 2**62]],
+        ids=["empty", "middle", "last", "first", "negative", "beyond"],
+    )
+    def test_member_color_missing_raises_the_same_message(self, framed, universe):
+        # Member 1 lacks one color; the non-member's 1000 is irrelevant.
+        palettes = PaletteAssignment.from_lists({1: [5, 6, 7], 2: [6, 1000]})
+        if framed:
+            palettes.store().universe_positions()
+        universe = np.asarray(universe, dtype=np.int64)
+        bins = np.zeros(universe.shape[0], dtype=np.int64)
+        with pytest.raises(PaletteError) as raised:
+            palettes.restricted_by_bins([[], [1]], universe, bins)
+        assert str(raised.value) == self._MISSING
+
 
 # ----------------------------------------------------------------------
 # lazy-view consumers (greedy local coloring, MIS reduction)

@@ -21,6 +21,10 @@ assert the invariants the rest of the library relies on:
   concatenation of its counts over any sub-ranges.
 * neither pipeline's outcome changes when the same graph is built from
   shuffled node and edge orders with flipped edge orientations.
+* the palette store's rank kernel (universe plus entry positions, from a
+  membership frame, the color span or a sort) equals ``np.unique`` plus
+  ``np.searchsorted`` in values and dtypes, on roots and on every kind of
+  child that inherits a frame.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from scalar_oracle import (
     induced_subgraph,
     induced_subgraphs,
     production_and_reference,
+    rank_oracle,
     remove_colors_used_by_neighbors,
     restricted_to,
     scalar_low_space_prepare,
@@ -530,6 +535,127 @@ class TestPaletteKernelEquivalence:
         assert child.nodes() == expected.nodes()
         for node in members:
             assert child.palette(node) == expected.palette(node)
+
+
+@st.composite
+def rank_instances(draw):
+    """A graph plus list palettes in one of four color regimes.
+
+    ``narrow`` (int32 store), ``negative`` (int64), ``huge`` (sparse
+    colors near ``±2**62``: the sort path) and ``shared`` (most nodes hold
+    the whole small universe: spans and frames no wider than the entries).
+    """
+    graph = draw(graphs(max_nodes=14))
+    regime = draw(st.sampled_from(["narrow", "negative", "huge", "shared"]))
+    rng = draw(st.randoms(use_true_random=False))
+    if regime == "huge":
+        pool = sorted(
+            {sign * 2**62 + rng.randrange(-1000, 1000) for sign in (-1, 1) for _ in range(8)}
+        )
+    else:
+        base = {"narrow": rng.randrange(50), "negative": rng.randrange(-60, 0), "shared": 0}
+        pool = list(range(base[regime], base[regime] + rng.randrange(1, 25)))
+    palettes = {}
+    for node in graph.nodes():
+        whole = regime == "shared" and rng.random() < 0.8
+        palettes[node] = rng.sample(pool, len(pool) if whole else rng.randrange(len(pool) + 1))
+    return graph, PaletteAssignment.from_lists(palettes)
+
+
+class TestRankKernel:
+    """``_PaletteStore.ranks`` equals its sort-and-search oracle exactly."""
+
+    @staticmethod
+    def _assert_ranks(store, gather=None):
+        entries = store.flat if gather is None else store.flat[gather]
+        for got, want in zip(store.ranks(gather), rank_oracle(entries)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    def _assert_store(self, store, rng):
+        """Every gather shape first, then the caching accessors (which make
+        the store's own ranks its membership frame)."""
+        count = store.flat.shape[0]
+        self._assert_ranks(store)
+        self._assert_ranks(store, np.zeros(0, dtype=np.int64))
+        self._assert_ranks(store, np.asarray(rng.sample(range(count), count), dtype=np.int64))
+        if count:
+            strict = sorted(rng.sample(range(count), rng.randrange(count)))
+            self._assert_ranks(store, np.asarray(strict, dtype=np.int64))
+        universe, positions = rank_oracle(store.flat)
+        for got, want in (
+            (store.universe(), universe),
+            (store.universe_positions()[0], universe),
+            (store.universe_positions()[1], positions),
+        ):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    @SETTINGS
+    @given(rank_instances(), st.randoms(use_true_random=False))
+    def test_ranks_match_oracle_on_roots_and_framed_children(self, data, rng):
+        graph, palettes = data
+        root = palettes.store()
+        self._assert_store(root, rng)  # frame-free first; cached afterwards
+        nodes = graph.nodes()
+        members = rng.sample(nodes, rng.randrange(len(nodes) + 1))
+        universe = root.universe()
+        coloring = (
+            {node: int(rng.choice(universe)) for node in rng.sample(nodes, len(nodes) // 2)}
+            if universe.shape[0]
+            else {}
+        )
+        groups = [[], [], []]
+        for node in members:
+            groups[rng.randrange(3)].append(node)
+        bins = np.asarray([rng.randrange(3) for _ in range(universe.shape[0])], dtype=np.int64)
+        pruned = palettes.copy()
+        pruned.remove_colors_used_by_neighbors_batch(graph, coloring)
+        children = [
+            palettes.subset(members),
+            *palettes.restricted_by_bins(groups, universe.astype(np.int64), bins),
+            palettes.subset_updated(members, graph, coloring)[0],
+            pruned,
+        ]
+        for child in children:
+            store = child.store()
+            assert store.membership_frame() is not None
+            self._assert_store(store, rng)
+
+    @pytest.mark.parametrize("base", [0, -5, 2**62], ids=["int32", "negative", "near-2**62"])
+    @pytest.mark.parametrize(
+        "rows, sorts",
+        [
+            ([[0, 1, 2], [1]], False),  # span 3 < 4 entries
+            ([[0, 1, 2, 3]], False),  # span 4 == 4 entries
+            ([[0, 1, 2, 4]], True),  # span 5 > 4 entries
+        ],
+        ids=["below", "at", "above"],
+    )
+    def test_span_boundary(self, monkeypatch, base, rows, sorts):
+        palettes = PaletteAssignment.from_lists(
+            {node: [base + color for color in row] for node, row in enumerate(rows)}
+        )
+        root = palettes.store()
+        expected = rank_oracle(root.flat)
+        sorted_calls = []
+        real_unique = np.unique
+        monkeypatch.setattr(
+            np, "unique", lambda *a, **k: sorted_calls.append(1) or real_unique(*a, **k)
+        )
+        for got, want in zip(root.ranks(), expected):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        assert bool(sorted_calls) == sorts
+        # A child whose frame (the root's ranks) is no wider than its
+        # entries never sorts, whatever the root's span.
+        root.universe_positions()
+        child = palettes.subset(reversed(palettes.nodes())).store()
+        child_expected = rank_oracle(child.flat)
+        sorted_calls.clear()
+        for got, want in zip(child.ranks(), child_expected):
+            np.testing.assert_array_equal(got, want)
+        assert not sorted_calls
 
 
 class TestGreedyBatchEquivalence:
