@@ -156,7 +156,7 @@ def _small_instance_cutover():
 
 def _palette_ranks(scale: str):
     """Time the store's rank kernel against ``rank_oracle`` on a
-    ``cc-lists``-shaped root store (no frame: the span path).
+    ``cc-lists``-shaped root store (the span path).
 
     Returns ``(num_nodes, entries, oracle_s, kernel_s, identical)``.
     """

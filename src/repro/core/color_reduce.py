@@ -427,19 +427,20 @@ class ColorReduce(RecursionDriver):
         ``d(v) + 1`` per node, so the shipped palette data is ``O(m + n)``
         regardless of the original palette sizes.  With implicit palettes
         (plain (Δ+1)-coloring) no palette entries travel at all.  A warm
-        palette store answers with one array expression over the CSR
-        degrees; sets-only palettes take the per-node sum.
+        palette store answers with one array expression over the palette
+        sizes and degrees; sets-only palettes take the per-node sum.
         """
         words = graph.size()
         if not state.palettes_are_implicit:
-            sized = palettes.sizes_for(graph)
-            if sized is None:
+            aligned = palettes.sizes_and_degrees(graph)
+            if aligned is None:
                 words += sum(
                     min(palettes.palette_size(v), graph.degree(v) + 1)
                     for v in graph.nodes()
                 )
             else:
-                words += int(np.minimum(sized[1], graph.csr().degrees + 1).sum())
+                sizes, degrees = aligned
+                words += int(np.minimum(sizes, degrees + 1).sum())
         return words
 
     def _instance_words(

@@ -86,7 +86,16 @@ class Partition:
         self, graph: Graph, palettes: PaletteAssignment, ell: float, global_nodes: int
     ) -> tuple[KWiseIndependentFamily, KWiseIndependentFamily]:
         """The hash families ``H1`` (nodes) and ``H2`` (colors) for bin
-        count ``num_bins(ell)`` (:func:`~repro.core.classification.hash_families`)."""
+        count ``num_bins(ell)`` (:func:`~repro.core.classification.hash_families`).
+
+        The cost evaluator that follows reads the entry positions of a
+        store aligned with the graph's CSR view
+        (:meth:`~repro.hashing.batch.BatchCostEvaluatorBase.palette_entry_arrays`);
+        such a store is ranked here once, for the families' universe and
+        the evaluator alike."""
+        store = palettes.store()
+        if store is not None and graph.has_csr() and store.nodes == graph.csr().node_ids:
+            store.universe_positions()
         return hash_families(
             graph, palettes, self.params.num_bins(ell), self.params.independence,
             global_nodes,

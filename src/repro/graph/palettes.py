@@ -37,13 +37,13 @@ available, with identical results.
 
 Each recursion level hashes the instance's color universe, and the cost
 evaluators index colors by their rank in it.  A store's exact universe
-and entry ranks (:meth:`_PaletteStore.ranks`) come from its membership
-frame — the sorted universe of an ancestor, with each entry's position
-in it, which every batch-kernel child inherits — or, for a root, from its
-color span ``max - min + 1``: one boolean scatter, one ``cumsum`` and one
-gather, linear in the frame plus the entries.  Only a store whose frame
-and span are both wider than its entries (sparse colors, up to ``±2**62``)
-sorts, with ``np.unique`` plus one binary search per entry.
+and entry ranks (:meth:`_PaletteStore.ranks`) come from its color span
+``max - min + 1`` whenever that is no wider than its entries (the dense
+``{0..Δ}``, deg+1 and shared-universe palettes): one boolean scatter,
+one ``cumsum`` and one gather, linear in the entries
+(:func:`span_ranks`).  Only a store whose colors are sparser than its
+entries (up to ``±2**62``) sorts, with ``np.unique`` plus one binary
+search per entry.
 
 On top of it the class provides exactly the operations the algorithms
 perform:
@@ -85,10 +85,9 @@ class _PaletteStore:
     need (:meth:`repro.hashing.batch.BatchCostEvaluatorBase.palette_entry_arrays`),
     so flattening is paid once per assignment, not once per ``Partition``
     call.  Both come from one rank kernel, :meth:`ranks`, which derives the
-    exact universe and positions from the store's membership frame (an
-    ancestor's ranks, inherited by every batch-kernel child) or, on a
-    root, from its color span — linear scatters, no sort — and sorts only
-    a root whose colors are sparser than its entries.  Stores are never
+    exact universe and positions from the entries' color span — a linear
+    scatter, no sort — and sorts only when the colors are sparser than
+    the entries.  Stores are never
     mutated in place: the pruning kernel swaps in a freshly compacted
     store, which is why children and copies may share a parent's store (or
     slices of its arrays) safely.
@@ -160,7 +159,9 @@ class _PaletteStore:
         """``(universe, positions)``: each entry's index in the universe.
 
         Both are cached, which makes them the store's membership frame
-        (and its children's, see :meth:`membership_frame`).
+        (and its children's, see :meth:`membership_frame`).  Call it only
+        where the positions are read: children inherit the cached
+        positions as per-entry frame arrays.
         """
         if self._positions is None:
             universe, self._positions = self.ranks()
@@ -173,39 +174,19 @@ class _PaletteStore:
 
         ``gather`` (default: every entry) indexes :attr:`flat`.  The pair
         equals ``np.unique(flat[gather])`` and ``np.searchsorted(universe,
-        flat[gather])`` in values and dtypes, derived in the cheapest of
-        three ways:
-
-        * a membership frame no wider than the entries (inherited from an
-          ancestor, or the store's own cached ranks): one boolean scatter
-          over the frame, one ``cumsum`` and one gather
-          (:func:`rank_in_frame`) — linear, no sort;
-        * otherwise, a color span ``max - min + 1`` no wider than the
-          entries (a root's dense ``{0..Δ}`` / shared-universe lists): the
-          span serves as the frame;
-        * otherwise (colors sparser than the entries, possibly near
-          ``±2**62``): one sort (``np.unique``) plus one binary search per
-          entry, in memory linear in the entries whatever the span.
+        flat[gather])`` in values and dtypes: :func:`span_ranks` when the
+        entries' color span is no wider than the entries, otherwise
+        (colors sparser than the entries, possibly near ``±2**62``) one
+        sort plus one binary search per entry, in memory linear in the
+        entries whatever the span.
 
         Nothing is cached here; :meth:`universe` and
         :meth:`universe_positions` cache what they return.
         """
         flat = self.flat if gather is None else self.flat[gather]
-        count = flat.shape[0]
-        if not count:
-            return flat[:0].copy(), np.zeros(0, dtype=np.intp)
-        frame = self.membership_frame()
-        if frame is not None and frame[0].shape[0] <= count:
-            frame_colors, frame_positions = frame
-            keys = frame_positions if gather is None else frame_positions[gather]
-            distinct, positions = rank_in_frame(keys, frame_colors.shape[0])
-            return frame_colors[distinct], positions
-        low, high = int(flat.min()), int(flat.max())
-        if high - low < count:
-            distinct, positions = rank_in_frame(
-                np.subtract(flat, low, dtype=np.intp), high - low + 1
-            )
-            return (distinct + low).astype(flat.dtype), positions
+        dense = span_ranks(flat)
+        if dense is not None:
+            return dense
         universe = np.unique(flat)
         return universe, np.searchsorted(universe, flat)
 
@@ -213,16 +194,14 @@ class _PaletteStore:
         """``(frame_colors, entry_positions)`` in a shared sorted frame.
 
         The frame is any sorted color array containing every entry (an
-        ancestor's universe, usually): enough for membership tests and,
-        through :meth:`ranks`, for the store's exact universe and entry
-        positions in time linear in the frame plus the entries.
-        Children built by the batch kernels inherit slices of their
-        parent's frame, so neither the pruning kernel's table path nor the
-        ranks of a child ever sort or binary-search down a recursion
-        branch.  Returns ``None`` when no frame was inherited and the
-        exact positions are not cached either (the pruning kernel then
-        uses the frame-free searchsorted path, and :meth:`ranks` the
-        store's color span or a sort).
+        ancestor's universe, usually): enough for membership tests, *not*
+        the store's exact universe — :meth:`ranks` derives that from the
+        entries themselves.  Children built by the batch kernels inherit
+        slices of their parent's frame, so the pruning kernel's table path
+        never recomputes positions down a recursion branch.  Returns
+        ``None`` when no frame was inherited and the exact positions are
+        not cached either (the kernel then uses the frame-free
+        searchsorted path).
         """
         if self._frame is not None:
             return self._frame
@@ -231,23 +210,44 @@ class _PaletteStore:
         return None
 
 
-def rank_in_frame(keys: np.ndarray, frame_size: int):
-    """Dense ranks of ``keys``, integers in ``[0, frame_size)``.
+def span_ranks(flat: np.ndarray):
+    """``(universe, positions)`` of the colors ``flat`` from their span.
 
-    Returns ``(distinct, positions)``: the sorted distinct keys (intp) and
-    each key's index among them (intp) — ``np.unique(keys)`` and
-    ``np.searchsorted(distinct, keys)`` — from one boolean scatter over the
-    frame, one ``cumsum`` and one gather, in ``O(frame_size + len(keys))``.
-    A fully covered frame (dense ``{0..Δ}`` palettes) skips the last two:
-    every key is then its own rank.
+    Equal in values and dtypes to ``np.unique(flat)`` and
+    ``np.searchsorted(universe, flat)``, or ``None`` when the span
+    ``max - min + 1`` is wider than the entries.  One boolean scatter
+    over the span, one ``cumsum`` and one gather, in ``O(len(flat))``.  A fully covered span (dense ``{0..Δ}``
+    palettes) skips the last two: every offset is then its own rank.
     """
-    present = np.zeros(frame_size, dtype=bool)
+    count = flat.shape[0]
+    if not count:
+        return flat[:0].copy(), np.zeros(0, dtype=np.intp)
+    low, high = int(flat.min()), int(flat.max())
+    if high - low >= count:
+        return None
+    keys = np.subtract(flat, low, dtype=np.intp)
+    present = np.zeros(high - low + 1, dtype=bool)
     present[keys] = True
     if bool(present.all()):
-        return np.arange(frame_size, dtype=np.intp), keys.astype(np.intp, copy=False)
-    rank = np.cumsum(present, dtype=np.intp)
-    rank -= 1
-    return np.flatnonzero(present), rank[keys]
+        distinct, positions = np.arange(high - low + 1, dtype=np.intp), keys
+    else:
+        rank = np.cumsum(present, dtype=np.intp)
+        rank -= 1
+        distinct, positions = np.flatnonzero(present), rank[keys]
+    return (distinct + low).astype(flat.dtype), positions
+
+
+def _locate(universe: np.ndarray, colors: np.ndarray) -> np.ndarray:
+    """Each color's index in the sorted ``universe``; :class:`PaletteError`
+    when one is missing (the membership check of :meth:`restricted_by_bins`)."""
+    at = np.searchsorted(universe, colors)
+    if bool((at >= universe.shape[0]).any()) or not bool(
+        np.array_equal(universe[at], colors)
+    ):
+        raise PaletteError(
+            "restricted_by_bins: a member color is missing from the universe"
+        )
+    return at
 
 
 #: Sentinel cached when the palette colors cannot be represented as int64
@@ -742,10 +742,12 @@ class PaletteAssignment:
         ``(U,)``, int64) and ``color_bin_ids[k]`` the bin that ``h2`` maps
         ``universe[k]`` to (as produced by
         :func:`repro.core.classification.color_bin_arrays`).  Member
-        palettes are gathered from the array store and ranked
-        (:meth:`_PaletteStore.ranks`); the members' universe is located in
-        ``universe`` with one ``searchsorted`` of its size, each entry's bin
-        is one gather through its rank, and the children adopt contiguous
+        palettes are gathered from the array store.  When their color span
+        is no wider than their entries they are ranked (:func:`span_ranks`),
+        the members' universe is located in ``universe`` with one
+        ``searchsorted`` of its size and each entry's bin is one gather
+        through its rank; sparser colors are located one binary search per
+        entry.  The children adopt contiguous
         slices of the masked compaction — array-backed assignments whose
         Python sets stay lazy.
 
@@ -779,18 +781,19 @@ class PaletteAssignment:
         )
         entry_owner = np.repeat(np.arange(len(flat_nodes), dtype=np.int64), sizes)
         if total:
-            member_universe, member_positions = store.ranks(gather)
-            at = np.searchsorted(universe, member_universe)
-            if bool((at >= universe.shape[0]).any()) or not bool(
-                np.array_equal(universe[at], member_universe)
-            ):
-                raise PaletteError(
-                    "restricted_by_bins: a member color is missing from the universe"
-                )
+            member_flat = store.flat[gather]
+            dense = span_ranks(member_flat)
+            if dense is None:
+                entry_bins = color_bin_ids[_locate(universe, member_flat)]
+            else:
+                member_universe, member_positions = dense
+                entry_bins = color_bin_ids[_locate(universe, member_universe)][
+                    member_positions
+                ]
             owner_bin = np.repeat(
                 np.arange(len(groups), dtype=np.int64), group_sizes
             )[entry_owner]
-            keep = color_bin_ids[at][member_positions] == owner_bin
+            keep = entry_bins == owner_bin
         else:
             keep = np.zeros(0, dtype=bool)
         kept_gather = gather[keep]
@@ -1081,6 +1084,22 @@ class PaletteAssignment:
         if bool((rows < 0).any()):
             return None
         return node_list, store.sizes()[rows]
+
+    def sizes_and_degrees(self, graph: Graph):
+        """``(palette sizes, degrees)`` of the graph nodes: aligned arrays.
+
+        Like :meth:`sizes_for`, ``None`` without a warm store or when some
+        graph node has no palette.  The degrees come off the graph's CSR
+        view only when it is warm (:meth:`_graph_rows`), so asking never
+        builds one.
+        """
+        store = self._store_if_warm()
+        if store is None:
+            return None
+        _, rows, degrees = self._graph_rows(store, graph)
+        if bool((rows < 0).any()):
+            return None
+        return store.sizes()[rows], degrees
 
     @staticmethod
     def _node_rows(store: _PaletteStore, graph: Graph):

@@ -526,10 +526,10 @@ class BatchCostEvaluatorBase:
         flat arrays, so this is a couple of NumPy gathers.  The universe
         and the entries' positions in it are the store's exact ranks
         (:meth:`~repro.graph.palettes._PaletteStore.ranks`), derived from
-        its membership frame or its color span — a scatter and a
-        ``cumsum``, no sort — whenever either is no wider than the
-        entries; only stores whose node order differs from ``node_ids``
-        rank just the gathered entries.  Returns
+        the entries' color span — a scatter and a ``cumsum``, no sort —
+        whenever it is no wider than the entries; only stores whose node
+        order differs from ``node_ids`` rank just the gathered entries
+        (and cache nothing).  Returns
         ``universe``, ``entry_nodes``, ``entry_colors`` and
         ``entry_indptr``.  Raises the palette layer's error for nodes
         without a palette, and :class:`~repro.errors.PaletteError` when the

@@ -287,6 +287,22 @@ class TestCollectWords:
         # The sets-first assignment (cold store) takes the per-node sum.
         assert words == ColorReduce()._collect_words(graph, PaletteAssignment(lists), state)
 
+    def test_counting_words_builds_no_csr_view(self):
+        source = generators.gnm_random(30, 70, seed=2)
+        graph = Graph()
+        for node in source.nodes():
+            graph.add_node(node)
+        for u, v in source.edges():
+            graph.add_edge(u, v)
+        rng = random.Random(2)
+        palettes = PaletteAssignment.from_lists(
+            {node: rng.sample(range(100), rng.randrange(1, 20)) for node in graph.nodes()}
+        )
+        state = RunState(model=None, global_nodes=graph.num_nodes)
+        words = ColorReduce()._collect_words(graph, palettes, state)
+        assert not graph.has_csr()
+        assert words == self._per_node(graph, palettes)
+
     def test_sets_only_instance_is_charged_the_same_words(self):
         graph = generators.gnm_random(12, 20, seed=3)
         delta = graph.max_degree()

@@ -46,7 +46,7 @@ from repro.core.partition import Partition
 from repro.errors import PaletteError
 from repro.graph.generators import erdos_renyi, ring_of_cliques
 from repro.graph.graph import Graph
-from repro.graph.palettes import PaletteAssignment
+from repro.graph.palettes import PaletteAssignment, span_ranks
 from repro.hashing.family import KWiseIndependentFamily
 from repro.mis.deterministic import deterministic_mis
 
@@ -361,28 +361,49 @@ class TestRestrictedByBins:
 
     _MISSING = "restricted_by_bins: a member color is missing from the universe"
 
-    @pytest.mark.parametrize("framed", [False, True], ids=["frame-free", "framed"])
-    def test_color_of_a_non_member_may_be_missing(self, framed):
-        # Node 2 is no member: its color 1000 need not be in the universe.
-        palettes = PaletteAssignment.from_lists({1: [5, 6, 7], 2: [6, 1000]})
+    #: Member 1's colors: ranked through their span ("dense") or, when
+    #: that span is wider than the entries, searched one entry at a time
+    #: ("sparse").
+    _SPACINGS = {"dense": (5, 6, 7), "sparse": (5, 600, 70_000)}
+
+    def _palettes(self, spacing, framed):
+        a, b, c = self._SPACINGS[spacing]
+        palettes = PaletteAssignment.from_lists({1: [a, b, c], 2: [b, 10**6]})
+        store = palettes.store()
         if framed:
-            palettes.store().universe_positions()
-        universe = np.asarray([5, 6, 7], dtype=np.int64)
+            store.universe_positions()
+        assert (span_ranks(store.flat[:3]) is None) == (spacing == "sparse")
+        return palettes
+
+    @pytest.mark.parametrize("spacing", ["dense", "sparse"])
+    @pytest.mark.parametrize("framed", [False, True], ids=["frame-free", "framed"])
+    def test_color_of_a_non_member_may_be_missing(self, framed, spacing):
+        # Node 2 is no member: its color 10**6 need not be in the universe.
+        palettes = self._palettes(spacing, framed)
+        a, b, c = self._SPACINGS[spacing]
+        universe = np.asarray([a, b, c], dtype=np.int64)
         bins = np.asarray([0, 1, 0], dtype=np.int64)
         (child,) = palettes.restricted_by_bins([[1]], universe, bins)
-        assert child.palette(1) == {5, 7}
+        assert child.palette(1) == {a, c}
 
+    @pytest.mark.parametrize("spacing", ["dense", "sparse"])
     @pytest.mark.parametrize("framed", [False, True], ids=["frame-free", "framed"])
     @pytest.mark.parametrize(
-        "universe",
-        [[], [5, 7], [5, 6], [6, 7], [-3, 5, 7, 1000], [5, 6, 2**62]],
-        ids=["empty", "middle", "last", "first", "negative", "beyond"],
+        "lacking",
+        ["empty", "middle", "last", "first", "negative", "beyond"],
     )
-    def test_member_color_missing_raises_the_same_message(self, framed, universe):
-        # Member 1 lacks one color; the non-member's 1000 is irrelevant.
-        palettes = PaletteAssignment.from_lists({1: [5, 6, 7], 2: [6, 1000]})
-        if framed:
-            palettes.store().universe_positions()
+    def test_member_color_missing_raises_the_same_message(self, framed, spacing, lacking):
+        # Member 1 lacks one color; the non-member's 10**6 is irrelevant.
+        palettes = self._palettes(spacing, framed)
+        a, b, c = self._SPACINGS[spacing]
+        universe = {
+            "empty": [],
+            "middle": [a, c],
+            "last": [a, b],
+            "first": [b, c],
+            "negative": [-3, a, c, 10**6],
+            "beyond": [a, b, 2**62],
+        }[lacking]
         universe = np.asarray(universe, dtype=np.int64)
         bins = np.zeros(universe.shape[0], dtype=np.int64)
         with pytest.raises(PaletteError) as raised:

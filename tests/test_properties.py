@@ -21,10 +21,10 @@ assert the invariants the rest of the library relies on:
   concatenation of its counts over any sub-ranges.
 * neither pipeline's outcome changes when the same graph is built from
   shuffled node and edge orders with flipped edge orientations.
-* the palette store's rank kernel (universe plus entry positions, from a
-  membership frame, the color span or a sort) equals ``np.unique`` plus
-  ``np.searchsorted`` in values and dtypes, on roots and on every kind of
-  child that inherits a frame.
+* the palette store's rank kernel (universe plus entry positions, from
+  the color span or a sort) equals ``np.unique`` plus ``np.searchsorted``
+  in values and dtypes, on roots and on every kind of child that inherits
+  a membership frame.
 """
 
 from __future__ import annotations
@@ -51,14 +51,17 @@ from scalar_oracle import (
 )
 
 from repro.core import ColorReduce, ColorReduceParameters
+from repro.core.classification import partition_cost_function
 from repro.core.low_space.color_reduce import LowSpaceColorReduce
 from repro.core.low_space.machine_sets import LowSpaceCostEvaluator
 from repro.core.low_space.params import LowSpaceParameters
 from repro.core.low_space.mis_reduction import build_reduction_graph, coloring_from_mis
 from repro.core.local_coloring import _greedy_over_arrays, _greedy_scalar, greedy_list_coloring
+from repro.core.partition import Partition
 from repro.errors import ColoringError
 from repro.graph import Graph, PaletteAssignment, generators
 from repro.graph.csr import build_csr
+from repro.graph.palettes import _PaletteStore
 from repro.graph.validation import assert_valid_list_coloring, is_proper_coloring
 from repro.hashing.family import KWiseIndependentFamily
 from repro.mis import deterministic_mis, greedy_mis, luby_mis
@@ -543,7 +546,7 @@ def rank_instances(draw):
 
     ``narrow`` (int32 store), ``negative`` (int64), ``huge`` (sparse
     colors near ``±2**62``: the sort path) and ``shared`` (most nodes hold
-    the whole small universe: spans and frames no wider than the entries).
+    the whole small universe: spans no wider than the entries).
     """
     graph = draw(graphs(max_nodes=14))
     regime = draw(st.sampled_from(["narrow", "negative", "huge", "shared"]))
@@ -622,6 +625,31 @@ class TestRankKernel:
             assert store.membership_frame() is not None
             self._assert_store(store, rng)
 
+    def test_partition_ranks_an_aligned_store_once(self, monkeypatch):
+        # The families' universe and the cost evaluator's entry positions
+        # come from one rank of the store.
+        graph = generators.gnm_random(40, 120, seed=1)
+        delta = graph.max_degree()
+        palettes = PaletteAssignment.from_lists(
+            {node: range(2 * delta + 2) for node in graph.nodes()}
+        )
+        store = palettes.store()
+        assert store.nodes == graph.csr().node_ids
+        calls = []
+        real_ranks = _PaletteStore.ranks
+        monkeypatch.setattr(
+            _PaletteStore,
+            "ranks",
+            lambda self, gather=None: calls.append(gather) or real_ranks(self, gather),
+        )
+        partition = Partition()
+        partition.build_families(graph, palettes, float(delta), graph.num_nodes)
+        cost = partition_cost_function(
+            graph, palettes, partition.params, float(delta), graph.num_nodes
+        )
+        assert cost._prepared()["entry_colors"] is store.universe_positions()[1]
+        assert calls == [None]
+
     @pytest.mark.parametrize("base", [0, -5, 2**62], ids=["int32", "negative", "near-2**62"])
     @pytest.mark.parametrize(
         "rows, sorts",
@@ -647,15 +675,6 @@ class TestRankKernel:
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
         assert bool(sorted_calls) == sorts
-        # A child whose frame (the root's ranks) is no wider than its
-        # entries never sorts, whatever the root's span.
-        root.universe_positions()
-        child = palettes.subset(reversed(palettes.nodes())).store()
-        child_expected = rank_oracle(child.flat)
-        sorted_calls.clear()
-        for got, want in zip(child.ranks(), child_expected):
-            np.testing.assert_array_equal(got, want)
-        assert not sorted_calls
 
 
 class TestGreedyBatchEquivalence:
