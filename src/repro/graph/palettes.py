@@ -781,10 +781,11 @@ class PaletteAssignment:
         )
         entry_owner = np.repeat(np.arange(len(flat_nodes), dtype=np.int64), sizes)
         if total:
-            member_flat = store.flat[gather]
-            dense = span_ranks(member_flat)
+            # The member entries are gathered where they are read, so no
+            # copy of them outlives its use.
+            dense = span_ranks(store.flat[gather])
             if dense is None:
-                entry_bins = color_bin_ids[_locate(universe, member_flat)]
+                entry_bins = color_bin_ids[_locate(universe, store.flat[gather])]
             else:
                 member_universe, member_positions = dense
                 entry_bins = color_bin_ids[_locate(universe, member_universe)][
