@@ -145,7 +145,7 @@ def rank_oracle(flat):
     one binary search per entry: ``np.unique`` plus ``np.searchsorted``.
 
     The reference for ``_PaletteStore.ranks``, which derives the same
-    arrays (same dtypes) from a membership frame or the color span.
+    arrays (same dtypes) from the color span when it can.
     """
     universe = np.unique(flat)
     return universe, np.searchsorted(universe, flat)
