@@ -87,10 +87,9 @@ class _PaletteStore:
     call.  Both come from one rank kernel, :meth:`ranks`, which derives the
     exact universe and positions from the entries' color span — a linear
     scatter, no sort — and sorts only when the colors are sparser than
-    the entries.  Stores are never
-    mutated in place: the pruning kernel swaps in a freshly compacted
-    store, which is why children and copies may share a parent's store (or
-    slices of its arrays) safely.
+    the entries.  Stores are never mutated in place: the pruning kernel
+    swaps in a freshly compacted store, which is why children and copies
+    may share a parent's store (or slices of its arrays) safely.
     """
 
     __slots__ = (
@@ -216,8 +215,9 @@ def span_ranks(flat: np.ndarray):
     Equal in values and dtypes to ``np.unique(flat)`` and
     ``np.searchsorted(universe, flat)``, or ``None`` when the span
     ``max - min + 1`` is wider than the entries.  One boolean scatter
-    over the span, one ``cumsum`` and one gather, in ``O(len(flat))``.  A fully covered span (dense ``{0..Δ}``
-    palettes) skips the last two: every offset is then its own rank.
+    over the span, one ``cumsum`` and one gather, in ``O(len(flat))``.
+    A fully covered span (dense ``{0..Δ}`` palettes) skips the last two:
+    every offset is then its own rank.
     """
     count = flat.shape[0]
     if not count:
@@ -747,9 +747,8 @@ class PaletteAssignment:
         the members' universe is located in ``universe`` with one
         ``searchsorted`` of its size and each entry's bin is one gather
         through its rank; sparser colors are located one binary search per
-        entry.  The children adopt contiguous
-        slices of the masked compaction — array-backed assignments whose
-        Python sets stay lazy.
+        entry.  The children adopt contiguous slices of the masked
+        compaction — array-backed assignments whose Python sets stay lazy.
 
         Returns one :class:`PaletteAssignment` per group, equal (same nodes,
         same palette *sets*) to the per-bin scalar reference in
