@@ -9,7 +9,7 @@ as per-neighbor dict/set loops and a per-node ``sorted(palette)`` sweep —
 the last scalar territory of the pipeline.  The array-backed palette store
 replaces them with :meth:`PaletteAssignment.subset_updated` /
 :meth:`PaletteAssignment.remove_colors_used_by_neighbors_batch` (one CSR
-gather + one membership-table mark + one masked compaction) and the array
+gather + one segmented-membership mark + one masked compaction) and the array
 sweep of :func:`repro.core.local_coloring.greedy_list_coloring` (blocked
 sets off pre-filtered CSR runs, first-free picks over the store's sorted
 slices).  The scalar side runs the references: the per-neighbor pruning

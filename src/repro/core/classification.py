@@ -571,12 +571,8 @@ class PartitionCostEvaluator(BatchCostEvaluatorBase):
         # The kept entries, per node, are exactly the in-bin palette counts,
         # so the matched entries already form a CSR layout over the node
         # order.  Every color bin's assignment adopts gathered slices of
-        # the kept arrays — array-backed from birth, carrying the universe
-        # as their membership frame so later palette updates keep their
-        # table path.
-        universe = prep["universe"]
-        kept_positions = entry_colors[entry_match]
-        kept_colors = universe[kept_positions]
+        # the kept arrays: array-backed from birth.
+        kept_colors = prep["universe"][entry_colors[entry_match]]
         kept_bounds = np.zeros(num_nodes + 1, dtype=np.int64)
         np.cumsum(in_bin_palette, out=kept_bounds[1:])
         eligible = (reason_code == 0) & in_color_bin
@@ -591,7 +587,6 @@ class PartitionCostEvaluator(BatchCostEvaluatorBase):
                     [node_ids[row] for row in bin_rows.tolist()],
                     kept_colors[gather],
                     offsets,
-                    frame=(universe, kept_positions[gather]),
                 )
             )
         return classification, restricted

@@ -53,9 +53,10 @@ perform:
   once via :meth:`PaletteAssignment.restricted_by_bins`,
 * removal of colors already used by colored neighbors (the two "update
   color palettes" steps in ``ColorReduce``) —
-  :meth:`PaletteAssignment.remove_colors_used_by_neighbors_batch` (one CSR
-  gather plus one segmented-membership mark plus one masked compaction)
-  and its fused form :meth:`PaletteAssignment.subset_updated`,
+  :meth:`PaletteAssignment.remove_colors_used_by_neighbors_batch`, the one
+  pruning kernel (one CSR gather plus one segmented-membership mark plus
+  one masked compaction), and :meth:`PaletteAssignment.subset_updated`,
+  which restricts to an instance's nodes and then runs it,
 * size queries ``p(v)`` used by the good/bad node classification.
 
 The per-bin, per-neighbor set loops these kernels replaced are the test
@@ -94,7 +95,7 @@ class _PaletteStore:
 
     __slots__ = (
         "nodes", "flat", "offsets",
-        "_index", "_universe", "_positions", "_entry_rows", "_frame",
+        "_index", "_universe", "_positions", "_entry_rows",
     )
 
     def __init__(self, nodes: List[NodeId], flat: np.ndarray, offsets: np.ndarray) -> None:
@@ -105,7 +106,6 @@ class _PaletteStore:
         self._universe: Optional[np.ndarray] = None
         self._positions: Optional[np.ndarray] = None
         self._entry_rows: Optional[np.ndarray] = None
-        self._frame = None
 
     @property
     def index(self) -> Dict[NodeId, int]:
@@ -157,10 +157,8 @@ class _PaletteStore:
     def universe_positions(self):
         """``(universe, positions)``: each entry's index in the universe.
 
-        Both are cached, which makes them the store's membership frame
-        (and its children's, see :meth:`membership_frame`).  Call it only
-        where the positions are read: children inherit the cached
-        positions as per-entry frame arrays.
+        Both are cached; the aligned cost evaluator reads them, so call it
+        only where the positions are read.
         """
         if self._positions is None:
             universe, self._positions = self.ranks()
@@ -188,25 +186,6 @@ class _PaletteStore:
             return dense
         universe = np.unique(flat)
         return universe, np.searchsorted(universe, flat)
-
-    def membership_frame(self):
-        """``(frame_colors, entry_positions)`` in a shared sorted frame.
-
-        The frame is any sorted color array containing every entry (an
-        ancestor's universe, usually): enough for membership tests, *not*
-        the store's exact universe — :meth:`ranks` derives that from the
-        entries themselves.  Children built by the batch kernels inherit
-        slices of their parent's frame, so the pruning kernel's table path
-        never recomputes positions down a recursion branch.  Returns
-        ``None`` when no frame was inherited and the exact positions are
-        not cached either (the kernel then uses the frame-free
-        searchsorted path).
-        """
-        if self._frame is not None:
-            return self._frame
-        if self._positions is not None:
-            return self._universe, self._positions
-        return None
 
 
 def span_ranks(flat: np.ndarray):
@@ -255,13 +234,34 @@ def _locate(universe: np.ndarray, colors: np.ndarray) -> np.ndarray:
 _STORE_UNAVAILABLE = object()
 
 
+def _graph_positions(csr, nodes):
+    """``(positions, inside)``: the graph position of every node in
+    ``nodes`` (a sized collection) and the mask of those in the graph.
+
+    Nodes outside the graph are the scalar loops' ``continue``: the
+    pruning kernel drops them through ``inside``.
+    """
+    from repro.graph.csr import integer_array
+
+    if csr.ids_are_positions:
+        ids = integer_array(nodes)
+        if ids is not None:
+            return ids, (ids >= 0) & (ids < csr.num_nodes)
+    position = csr.position
+    positions = np.fromiter(
+        (position.get(node, -1) for node in nodes),
+        dtype=np.int64,
+        count=len(nodes),
+    )
+    return positions, positions >= 0
+
+
 def _coloring_arrays(csr, coloring: ColoringMap):
     """``coloring`` as (graph positions, int64 colors) arrays.
 
-    Shared ingestion for the pruning kernels: keys outside the graph are
-    dropped, and a color that is not an int64 integer is a
-    :class:`PaletteError` naming it (``np.fromiter`` alone would truncate
-    ``1.5`` to ``1``).
+    The pruning kernel's ingestion: keys outside the graph are dropped,
+    and a color that is not an int64 integer is a :class:`PaletteError`
+    naming it (``np.fromiter`` alone would truncate ``1.5`` to ``1``).
     """
     from repro.graph.csr import integer_array
 
@@ -275,49 +275,8 @@ def _coloring_arrays(csr, coloring: ColoringMap):
         raise PaletteError(
             f"color {color!r} of node {node!r} is not an int64 integer"
         )
-    if csr.ids_are_positions:
-        keys = integer_array(coloring.keys())
-        if keys is not None:
-            inside = (keys >= 0) & (keys < csr.num_nodes)
-            return keys[inside], colors[inside]
-    position = csr.position
-    positions = np.fromiter(
-        (position.get(node, -1) for node in coloring),
-        dtype=np.int64,
-        count=len(coloring),
-    )
-    inside = positions >= 0
+    positions, inside = _graph_positions(csr, coloring.keys())
     return positions[inside], colors[inside]
-
-
-def _graph_target_arrays(csr, target_nodes, rows):
-    """Positions of the targets present in the graph, plus aligned row ids.
-
-    ``rows`` carries one caller-defined row id per target (store rows for
-    the in-place pruning, local child rows for the fused kernel); targets
-    absent from the graph are dropped from both arrays — the scalar
-    loops' ``continue``.  Shared by the pruning kernels so the
-    ``ids_are_positions`` fast path cannot drift between them.
-    """
-    from repro.graph.csr import integer_array
-
-    if csr.ids_are_positions:
-        ids = integer_array(target_nodes)
-        if ids is not None:
-            inside = (ids >= 0) & (ids < csr.num_nodes)
-            return ids[inside], np.asarray(rows, dtype=np.int64)[inside]
-    position = csr.position
-    present_positions: List[int] = []
-    present_rows: List[int] = []
-    for node, row in zip(target_nodes, rows):
-        pos = position.get(node)
-        if pos is not None:
-            present_positions.append(pos)
-            present_rows.append(row)
-    return (
-        np.asarray(present_positions, dtype=np.int64),
-        np.asarray(present_rows, dtype=np.int64),
-    )
 
 
 def canonical_instance(graph: Graph, palettes: "PaletteAssignment"):
@@ -346,27 +305,6 @@ def canonical_instance(graph: Graph, palettes: "PaletteAssignment"):
     if palettes.nodes() != ordered:
         palettes = palettes.subset(ordered)
     return graph, palettes
-
-
-def _frame_query_positions(frame_colors, frame_size: int, neighbor_colors, colored_mask):
-    """Frame positions of query colors plus their validity mask.
-
-    A direct offset when the frame is contiguous (the (Δ+1)/(deg+1)
-    shape), one ``searchsorted`` into the (small) frame otherwise; colors
-    outside the frame — and uncolored neighbors, per ``colored_mask`` —
-    come back invalid.  Shared by the pruning kernels' table paths.
-    """
-    import numpy as np
-
-    base = int(frame_colors[0])
-    if int(frame_colors[-1]) - base + 1 == frame_size:
-        query_positions = neighbor_colors - base
-        valid = colored_mask & (query_positions >= 0) & (query_positions < frame_size)
-        return np.where(valid, query_positions, 0), valid
-    query_positions = np.minimum(
-        np.searchsorted(frame_colors, neighbor_colors), frame_size - 1
-    )
-    return query_positions, colored_mask & (frame_colors[query_positions] == neighbor_colors)
 
 
 def _store_from_rows(nodes: List[NodeId], rows: Sequence) -> Optional[_PaletteStore]:
@@ -510,7 +448,7 @@ class PaletteAssignment:
         offsets = np.zeros(len(nodes) + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
         flat = concat_ranges(np.zeros(len(nodes), dtype=np.int64), sizes)
-        return cls._adopt_store(_PaletteStore(nodes, _narrowed(flat), offsets))
+        return cls._from_arrays(nodes, _narrowed(flat), offsets)
 
     @classmethod
     def from_lists(cls, palettes: Mapping[NodeId, Iterable[Color]]) -> "PaletteAssignment":
@@ -565,18 +503,9 @@ class PaletteAssignment:
         nodes: List[NodeId],
         flat: np.ndarray,
         offsets: np.ndarray,
-        frame=None,
     ) -> "PaletteAssignment":
-        """:meth:`_adopt_store` over raw ``(nodes, flat, offsets)`` arrays.
-
-        ``frame`` optionally attaches a membership frame (see
-        :meth:`_PaletteStore.membership_frame`) the caller derived from the
-        parent's arrays.
-        """
-        store = _PaletteStore(nodes, flat, offsets)
-        if frame is not None:
-            store._frame = frame
-        return cls._adopt_store(store)
+        """:meth:`_adopt_store` over raw ``(nodes, flat, offsets)`` arrays."""
+        return cls._adopt_store(_PaletteStore(nodes, flat, offsets))
 
     def copy(self) -> "PaletteAssignment":
         """Independent copy that shares both backings.
@@ -717,11 +646,9 @@ class PaletteAssignment:
             lengths, gather = gather_segments(store.offsets, rows)
             offsets = np.zeros(len(node_list) + 1, dtype=np.int64)
             np.cumsum(lengths, out=offsets[1:])
-            child = _PaletteStore(node_list, store.flat[gather], offsets)
-            frame = store.membership_frame()
-            if frame is not None:
-                child._frame = (frame[0], frame[1][gather])
-            return PaletteAssignment._adopt_store(child)
+            return PaletteAssignment._from_arrays(
+                node_list, store.flat[gather], offsets
+            )
         sets = self._palettes
         try:
             return PaletteAssignment._adopt({node: sets[node] for node in nodes})
@@ -805,23 +732,18 @@ class PaletteAssignment:
         )
         bounds = np.zeros(len(flat_nodes) + 1, dtype=np.int64)
         np.cumsum(kept_counts, out=bounds[1:])
-        frame = store.membership_frame()
-        kept_frame = frame[1][kept_gather] if frame is not None else None
         results: List[PaletteAssignment] = []
         cursor = 0
         for members, member_count in zip(groups, group_sizes.tolist()):
             node_bounds = bounds[cursor : cursor + member_count + 1]
             offsets = node_bounds - node_bounds[0]
-            child = _PaletteStore(
-                members,
-                kept_flat[node_bounds[0] : node_bounds[-1]],
-                np.ascontiguousarray(offsets),
-            )
-            if kept_frame is not None:
-                child._frame = (
-                    frame[0], kept_frame[node_bounds[0] : node_bounds[-1]]
+            results.append(
+                PaletteAssignment._from_arrays(
+                    members,
+                    kept_flat[node_bounds[0] : node_bounds[-1]],
+                    np.ascontiguousarray(offsets),
                 )
-            results.append(PaletteAssignment._adopt_store(child))
+            )
             cursor += member_count
         return results
 
@@ -829,25 +751,24 @@ class PaletteAssignment:
         self,
         graph: Graph,
         coloring: ColoringMap,
-        nodes: Optional[Iterable[NodeId]] = None,
     ) -> int:
         """Remove from each node's palette the colors of its colored neighbors.
 
         This implements the two "Update color palettes of ..." steps of
         ``ColorReduce`` (and the corresponding step of
-        ``LowSpaceColorReduce``) for the ``nodes`` (default: every palette
-        node; nodes outside ``graph`` keep their palettes).  Returns the
-        number of palette entries removed, which the space-accounting
-        experiments use; a color blocked by several neighbors is removed —
-        and counted — once.  One gather over the graph's CSR view collects
-        every target node's colored-neighbor colors, one
+        ``LowSpaceColorReduce``) for every palette node; nodes outside
+        ``graph`` keep their palettes.  Returns the number of palette
+        entries removed, which the space-accounting experiments use; a
+        color blocked by several neighbors is removed — and counted — once.
+        It is the one pruning kernel: one gather over the graph's CSR view
+        collects every node's colored-neighbor colors, one
         segmented-membership mark
         (:func:`repro.hashing.batch.segment_mark_members`) locates the
         palette entries they block, and one masked compaction swaps in the
         pruned store.  Raises :class:`PaletteError`, before any pruning,
-        for a target without a palette, palettes without an array store and
-        coloring values that are not int64 integers.  Scalar reference: the
-        per-neighbor loop in ``tests/scalar_oracle.py``.
+        for palettes without an array store and coloring values that are
+        not int64 integers.  Scalar reference: the per-neighbor loop in
+        ``tests/scalar_oracle.py``.
         """
         store = self.store()
         if store is None:
@@ -855,81 +776,42 @@ class PaletteAssignment:
                 "remove_colors_used_by_neighbors_batch: palette colors are "
                 "not int64 integers"
             )
-        if nodes is None:
-            target_nodes: Sequence[NodeId] = store.nodes
-            rows_list: Sequence[int] = range(len(store.nodes))
-        else:
-            target_nodes = list(nodes)
-            rows_list = store.rows_of(target_nodes).tolist()
-        if not len(target_nodes) or not coloring or not store.flat.shape[0]:
+        if not coloring or not store.flat.shape[0]:
             return 0
         from repro.graph.csr import gather_segments
         from repro.hashing.batch import segment_mark_members
 
         csr = graph.csr()
-        positions_array, values_array = _coloring_arrays(csr, coloring)
-        if not positions_array.shape[0]:
+        colored_positions, colors = _coloring_arrays(csr, coloring)
+        if not colored_positions.shape[0]:
             return 0
         color_of = np.zeros(csr.num_nodes, dtype=np.int64)
         has_color = np.zeros(csr.num_nodes, dtype=bool)
-        color_of[positions_array] = values_array
-        has_color[positions_array] = True
-        target_positions, target_rows = _graph_target_arrays(
-            csr, target_nodes, rows_list
-        )
-        if not target_positions.shape[0]:
-            return 0
-        lengths, gather = gather_segments(csr.indptr, target_positions)
+        color_of[colored_positions] = colors
+        has_color[colored_positions] = True
+        node_positions, inside = _graph_positions(csr, store.nodes)
+        lengths, gather = gather_segments(csr.indptr, node_positions[inside])
         neighbor_positions = csr.indices[gather]
-        num_rows = len(store.nodes)
-        total_entries = int(store.flat.shape[0])
-        frame = store.membership_frame()
-        frame_size = int(frame[0].shape[0]) if frame is not None else 0
-        if frame_size and (
-            num_rows * frame_size <= max(1 << 22, 4 * total_entries)
-        ):
-            # A (possibly inherited) membership frame is available and small:
-            # resolve each colored neighbor's color to its frame position,
-            # scatter (row, position) marks into a flat table, and read
-            # every entry's fate back with one gather.  Uncolored neighbors
-            # ride along and are dropped by the validity mask.
-            frame_colors, entry_positions = frame
-            query_positions, valid = _frame_query_positions(
-                frame_colors,
-                frame_size,
-                color_of[neighbor_positions],
-                has_color[neighbor_positions],
-            )
-            query_rows = np.repeat(target_rows, lengths)
-            table = np.zeros(num_rows * frame_size, dtype=bool)
-            table[query_rows[valid] * frame_size + query_positions[valid]] = True
-            removed_mask = table[
-                store.entry_rows() * np.int64(frame_size) + entry_positions
-            ]
-        else:
-            colored = has_color[neighbor_positions]
-            if not bool(colored.any()):
-                return 0
-            removed_mask = segment_mark_members(
-                store.flat,
-                store.offsets,
-                color_of[neighbor_positions[colored]],
-                np.repeat(target_rows, lengths)[colored],
-                segment_of_entry=store.entry_rows(),
-            )
+        colored = has_color[neighbor_positions]
+        if not bool(colored.any()):
+            return 0
+        removed_mask = segment_mark_members(
+            store.flat,
+            store.offsets,
+            color_of[neighbor_positions[colored]],
+            np.repeat(np.flatnonzero(inside), lengths)[colored],
+            segment_of_entry=store.entry_rows(),
+        )
         removed = int(removed_mask.sum())
         if removed == 0:
             return 0
-        keep_mask = ~removed_mask
+        num_rows = len(store.nodes)
         new_sizes = store.sizes() - np.bincount(
             store.entry_rows()[removed_mask], minlength=num_rows
         )
         new_offsets = np.zeros(num_rows + 1, dtype=np.int64)
         np.cumsum(new_sizes, out=new_offsets[1:])
-        pruned = _PaletteStore(store.nodes, store.flat[keep_mask], new_offsets)
-        if frame is not None:
-            pruned._frame = (frame[0], frame[1][keep_mask])
-        self._store = pruned
+        self._store = _PaletteStore(store.nodes, store.flat[~removed_mask], new_offsets)
         self._sets = None
         return removed
 
@@ -939,95 +821,19 @@ class PaletteAssignment:
         graph: Graph,
         coloring: ColoringMap,
     ) -> tuple:
-        """Fused :meth:`subset` + :meth:`remove_colors_used_by_neighbors_batch`.
+        """:meth:`subset` followed by :meth:`remove_colors_used_by_neighbors_batch`.
 
         The bad-graph and capacity-split steps of both ``ColorReduce``
         drivers restrict the palettes to an instance's nodes and
-        immediately prune the colors of colored neighbors.  Running the
-        two as one kernel gathers each member's palette slice (and its
-        inherited frame positions) exactly once and compacts straight to
-        the pruned child — the intermediate restricted store is never
-        materialised.  Returns ``(child, removed)``, identical to
-        ``child = self.subset(nodes)`` followed by
-        ``removed = child.remove_colors_used_by_neighbors_batch(graph, coloring)``
-        (which this falls back to without a warm store and membership
-        frame; both raise the same :class:`PaletteError` cases).  An empty
-        coloring prunes nothing and needs no store: the low-space pipeline's
-        ``G_0`` of an instance without high-degree nodes takes this path
-        with palettes of any colors.
+        immediately prune the colors of colored neighbors.  Returns
+        ``(child, removed)``.  An empty coloring prunes nothing and needs
+        no store: the low-space pipeline's ``G_0`` of an instance without
+        high-degree nodes takes this path with palettes of any colors.
         """
-        store = self._store_if_warm()
-        frame = store.membership_frame() if store is not None else None
-        frame_size = int(frame[0].shape[0]) if frame is not None else 0
-        node_list = list(dict.fromkeys(nodes))
+        child = self.subset(nodes)
         if not coloring:
-            return self.subset(node_list), 0
-        if store is None or not frame_size or len(node_list) * frame_size > (1 << 22):
-            child = self.subset(node_list)
-            return child, child.remove_colors_used_by_neighbors_batch(graph, coloring)
-        from repro.graph.csr import gather_segments
-
-        rows = store.rows_of(node_list)
-        member_sizes, member_gather = gather_segments(store.offsets, rows)
-        member_flat = store.flat[member_gather]
-        member_positions = frame[1][member_gather]
-        member_count = len(node_list)
-        offsets = np.zeros(member_count + 1, dtype=np.int64)
-        np.cumsum(member_sizes, out=offsets[1:])
-
-        csr = graph.csr()
-        colored_positions_array, colored_values_array = _coloring_arrays(csr, coloring)
-        frame_colors = frame[0]
-        child_frame = (frame_colors, member_positions)
-        if not colored_positions_array.shape[0]:
-            child_store = _PaletteStore(node_list, member_flat, offsets)
-            child_store._frame = child_frame
-            return PaletteAssignment._adopt_store(child_store), 0
-        color_of = np.zeros(csr.num_nodes, dtype=np.int64)
-        has_color = np.zeros(csr.num_nodes, dtype=bool)
-        color_of[colored_positions_array] = colored_values_array
-        has_color[colored_positions_array] = True
-
-        # Members present in the graph, with their local row for the marks.
-        target_positions, target_local_rows = _graph_target_arrays(
-            csr, node_list, range(member_count)
-        )
-
-        removed = 0
-        keep_flat = member_flat
-        keep_positions = member_positions
-        if target_positions.shape[0]:
-            lengths, edge_gather = gather_segments(csr.indptr, target_positions)
-            neighbor_positions = csr.indices[edge_gather]
-            query_positions, valid = _frame_query_positions(
-                frame_colors,
-                frame_size,
-                color_of[neighbor_positions],
-                has_color[neighbor_positions],
-            )
-            query_rows = np.repeat(target_local_rows, lengths)
-            table = np.zeros(member_count * frame_size, dtype=bool)
-            table[query_rows[valid] * frame_size + query_positions[valid]] = True
-            member_entry_rows = np.repeat(
-                np.arange(member_count, dtype=np.int64), member_sizes
-            )
-            removed_mask = table[
-                member_entry_rows * np.int64(frame_size) + member_positions
-            ]
-            removed = int(removed_mask.sum())
-            if removed:
-                keep = ~removed_mask
-                keep_flat = member_flat[keep]
-                keep_positions = member_positions[keep]
-                child_frame = (frame_colors, keep_positions)
-                new_sizes = member_sizes - np.bincount(
-                    member_entry_rows[removed_mask], minlength=member_count
-                )
-                offsets = np.zeros(member_count + 1, dtype=np.int64)
-                np.cumsum(new_sizes, out=offsets[1:])
-        child_store = _PaletteStore(node_list, keep_flat, offsets)
-        child_store._frame = child_frame
-        return PaletteAssignment._adopt_store(child_store), removed
+            return child, 0
+        return child, child.remove_colors_used_by_neighbors_batch(graph, coloring)
 
     # ------------------------------------------------------------------
     # validation helpers

@@ -315,15 +315,14 @@ def segment_mark_members(
     The kernel encodes ``(segment, value)`` pairs as combined integer keys
     (segment-major, so the encoded ``flat`` stays globally sorted) and
     resolves every query with one :func:`numpy.searchsorted`.  This is the
-    membership primitive behind the batched palette pruning
-    (:meth:`repro.graph.palettes.PaletteAssignment.remove_colors_used_by_neighbors_batch`,
-    its path for universes too large for a position table).  Scalar
-    reference: one ``value in segment_set`` probe per query.
-    ``segment_of_entry`` may
-    pass the precomputed ``repeat(arange(num_segments), lengths)``
-    expansion (callers holding a palette store get it cached).  If the
-    combined key cannot fit int64 (astronomical color values), the
-    per-query ``bisect`` path keeps the result exact.
+    membership primitive of the one palette-pruning kernel
+    (:meth:`repro.graph.palettes.PaletteAssignment.remove_colors_used_by_neighbors_batch`).
+    Scalar reference: one ``value in segment_set`` probe per query.
+    ``segment_of_entry`` may pass the precomputed
+    ``repeat(arange(num_segments), lengths)`` expansion (callers holding a
+    palette store get it cached).  If the combined key cannot fit int64
+    (color spans near ``2**63``), the per-query ``bisect`` path keeps the
+    result exact.
     """
     total = int(flat.shape[0])
     mask = np.zeros(total, dtype=bool)

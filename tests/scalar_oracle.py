@@ -62,7 +62,6 @@ from repro.core.classification import (
 from repro.core.local_coloring import _greedy_scalar
 from repro.core.low_space.machine_sets import LowSpaceCostEvaluator, node_level_outcome
 from repro.derand.conditional_expectation import HashPairSelector
-from repro.errors import PaletteError
 from repro.graph.graph import Graph
 from repro.graph.palettes import PaletteAssignment
 
@@ -151,7 +150,7 @@ def rank_oracle(flat):
     return universe, np.searchsorted(universe, flat)
 
 
-def remove_colors_used_by_neighbors(palettes, graph, coloring, nodes=None):
+def remove_colors_used_by_neighbors(palettes, graph, coloring):
     """``remove_colors_used_by_neighbors_batch`` as a per-neighbor loop.
 
     Prunes ``palettes`` in place and returns the number of entries removed.
@@ -159,11 +158,8 @@ def remove_colors_used_by_neighbors(palettes, graph, coloring, nodes=None):
     old sets are untouched.
     """
     sets = dict(palettes._palettes)
-    targets = list(sets) if nodes is None else nodes
     removed = 0
-    for node in targets:
-        if node not in sets:
-            raise PaletteError(f"node {node} has no palette")
+    for node in list(sets):
         if node not in graph:
             continue
         blocked = {

@@ -366,20 +366,17 @@ class TestRestrictedByBins:
     #: ("sparse").
     _SPACINGS = {"dense": (5, 6, 7), "sparse": (5, 600, 70_000)}
 
-    def _palettes(self, spacing, framed):
+    def _palettes(self, spacing):
         a, b, c = self._SPACINGS[spacing]
         palettes = PaletteAssignment.from_lists({1: [a, b, c], 2: [b, 10**6]})
         store = palettes.store()
-        if framed:
-            store.universe_positions()
         assert (span_ranks(store.flat[:3]) is None) == (spacing == "sparse")
         return palettes
 
     @pytest.mark.parametrize("spacing", ["dense", "sparse"])
-    @pytest.mark.parametrize("framed", [False, True], ids=["frame-free", "framed"])
-    def test_color_of_a_non_member_may_be_missing(self, framed, spacing):
+    def test_color_of_a_non_member_may_be_missing(self, spacing):
         # Node 2 is no member: its color 10**6 need not be in the universe.
-        palettes = self._palettes(spacing, framed)
+        palettes = self._palettes(spacing)
         a, b, c = self._SPACINGS[spacing]
         universe = np.asarray([a, b, c], dtype=np.int64)
         bins = np.asarray([0, 1, 0], dtype=np.int64)
@@ -387,14 +384,13 @@ class TestRestrictedByBins:
         assert child.palette(1) == {a, c}
 
     @pytest.mark.parametrize("spacing", ["dense", "sparse"])
-    @pytest.mark.parametrize("framed", [False, True], ids=["frame-free", "framed"])
     @pytest.mark.parametrize(
         "lacking",
         ["empty", "middle", "last", "first", "negative", "beyond"],
     )
-    def test_member_color_missing_raises_the_same_message(self, framed, spacing, lacking):
+    def test_member_color_missing_raises_the_same_message(self, spacing, lacking):
         # Member 1 lacks one color; the non-member's 10**6 is irrelevant.
-        palettes = self._palettes(spacing, framed)
+        palettes = self._palettes(spacing)
         a, b, c = self._SPACINGS[spacing]
         universe = {
             "empty": [],

@@ -132,38 +132,73 @@ class TestPaletteStoreLifecycle:
 # batch kernels vs scalar references
 # ----------------------------------------------------------------------
 class TestBatchRemoveEquivalence:
-    def _check(self, graph, palettes, coloring, nodes=None):
+    def _check(self, graph, palettes, coloring):
         scalar = _sets_backed(palettes)
         batch = palettes.copy()
-        removed_scalar = remove_colors_used_by_neighbors(
-            scalar, graph, coloring, nodes=nodes
-        )
-        removed_batch = batch.remove_colors_used_by_neighbors_batch(
-            graph, coloring, nodes=nodes
-        )
+        removed_scalar = remove_colors_used_by_neighbors(scalar, graph, coloring)
+        removed_batch = batch.remove_colors_used_by_neighbors_batch(graph, coloring)
         assert removed_scalar == removed_batch
         assert _palettes_equal(scalar, batch)
-        return removed_batch
+        return batch, removed_batch
 
     def test_shared_color_counted_once(self):
-        graph = Graph(edges=[(0, 1), (0, 2), (1, 2)])
+        graph = Graph(edges=[(0, 2), (1, 2)])
         palettes = PaletteAssignment.delta_plus_one(graph)
         palettes.store()
         # both colored neighbors of node 2 use color 1: removed once
-        assert self._check(graph, palettes, {0: 1, 1: 1}, nodes=[2]) == 1
+        pruned, removed = self._check(graph, palettes, {0: 1, 1: 1})
+        assert removed == 1
+        assert pruned.palette(2) == {0, 2}
 
     def test_targets_absent_from_graph_are_skipped(self):
         graph = Graph(edges=[(0, 1)])
         palettes = PaletteAssignment.from_lists({0: [0, 1], 1: [0, 1], 5: [0, 1]})
         palettes.store()
-        self._check(graph, palettes, {0: 0}, nodes=[1, 5])
+        pruned, removed = self._check(graph, palettes, {0: 0})
+        assert removed == 1
+        assert pruned.palette(5) == {0, 1}
 
-    def test_missing_target_palette_raises(self):
-        graph = Graph(edges=[(0, 1)])
-        palettes = PaletteAssignment.from_lists({0: [0, 1]})
-        palettes.store()
-        with pytest.raises(PaletteError):
-            palettes.remove_colors_used_by_neighbors_batch(graph, {0: 0}, nodes=[3])
+    def test_key_overflow_fallback_matches_oracle(self, monkeypatch):
+        # Colors at -2**62 and +2**62 in one store: the combined
+        # (row, color) key of segment_mark_members cannot fit int64, so
+        # every query takes its per-query bisect path.
+        import bisect
+
+        calls = []
+        real_bisect_left = bisect.bisect_left
+
+        def counting_bisect_left(*args):
+            calls.append(args[1])
+            return real_bisect_left(*args)
+
+        monkeypatch.setattr(bisect, "bisect_left", counting_bisect_left)
+        low, high = -(2**62), 2**62
+        graph = Graph(edges=[(0, 1), (1, 2), (2, 3), (1, 4)])
+        lists = {
+            0: [low, 0, high],
+            1: [low, 1, 5, high],
+            2: [low, 5, high],
+            3: [high, low],
+            4: [0, 7],
+        }
+        # node 1's neighbor 4 uses color 3, which is in no palette (its
+        # insertion point is node 1's kept 5); nodes 1 and 3 stay uncolored
+        coloring = {0: high, 2: low, 4: 3}
+        palettes = PaletteAssignment.from_lists(lists)
+        assert palettes.store().flat.dtype == np.int64
+        pruned, removed = self._check(graph, palettes, coloring)
+        assert calls
+        assert removed == 3
+        assert pruned.palette(1) == {1, 5} and pruned.palette(3) == {high}
+        assert pruned.palette(0) == {low, 0, high}
+        calls.clear()
+        members = [1, 3, 4]
+        expected = _sets_backed(palettes).subset(members)
+        expected_removed = remove_colors_used_by_neighbors(expected, graph, coloring)
+        child, removed = palettes.subset_updated(members, graph, coloring)
+        assert calls
+        assert removed == expected_removed == 3
+        assert _palettes_equal(expected, child)
 
     def test_huge_colors_raise(self):
         # No array store: the kernel refuses the palettes, before pruning.
@@ -179,7 +214,7 @@ class TestBatchRemoveEquivalence:
         assert child.palette(1) == {2**70, 3}
 
     def test_large_universe_uses_searchsorted_path(self):
-        # no membership frame, universe too scattered for the table gate
+        # colors spread over a wide span: the combined-key search still fits
         graph = erdos_renyi(60, 0.2, seed=3)
         palettes = PaletteAssignment.from_lists(
             {node: [node * 10**6 + k for k in range(5)] + [7] for node in graph.nodes()}
@@ -375,7 +410,7 @@ class TestEndgameGuard:
 
     def test_capacity_split_path_identical(self, monkeypatch):
         # A squeezed local capacity forces _collect_and_color's split loop
-        # (the fused subset_updated + piece-greedy path, normally reached
+        # (the subset_updated + piece-greedy path, normally reached
         # only by the randomized baseline's oversized bad graphs); both
         # paths must agree bit for bit, removed counts included.
         from repro.accounting import CostLedger

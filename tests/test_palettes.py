@@ -178,12 +178,15 @@ class TestOperations:
             assert palettes.palette(0) == {0, 1, 2}
 
     def test_remove_colors_restricted_to_nodes(self, triangle):
+        # pruning a subset leaves the parent's other palettes alone
         for remove in _REMOVERS:
             palettes = PaletteAssignment.delta_plus_one(triangle)
-            removed = remove(palettes, triangle, {0: 1}, nodes=[2])
+            child = palettes.subset([2])
+            removed = remove(child, triangle, {0: 1})
             assert removed == 1
+            assert child.palette(2) == {0, 2}
             assert palettes.palette(1) == {0, 1, 2}
-            assert palettes.palette(2) == {0, 2}
+            assert palettes.palette(2) == {0, 1, 2}
 
     def test_remove_color_noop_when_absent(self):
         palettes = PaletteAssignment.from_lists({0: [1], 1: [5]})
@@ -216,7 +219,6 @@ class TestNonIntegralColoringValues:
         with pytest.raises(PaletteError, match=f"color {value!r} of node {offset}"):
             palettes.remove_colors_used_by_neighbors_batch(graph, coloring)
         assert palettes.palette(offset + 1) == {1, 2, 3}
-        palettes.store().universe_positions()  # a frame: the fused path
         with pytest.raises(PaletteError, match=f"color {value!r} of node {offset}"):
             palettes.subset_updated([offset + 1], graph, coloring)
         # the reference removes nothing: 1.5 is in no integer palette

@@ -23,8 +23,8 @@ assert the invariants the rest of the library relies on:
   shuffled node and edge orders with flipped edge orientations.
 * the palette store's rank kernel (universe plus entry positions, from
   the color span or a sort) equals ``np.unique`` plus ``np.searchsorted``
-  in values and dtypes, on roots and on every kind of child that inherits
-  a membership frame.
+  in values and dtypes, on roots and on every kind of child the batch
+  kernels build.
 """
 
 from __future__ import annotations
@@ -481,17 +481,13 @@ class TestPaletteKernelEquivalence:
     """Batch palette pruning is a bit-identical scalar substitution."""
 
     @staticmethod
-    def _assert_equivalent(graph, palettes, coloring, nodes=None):
+    def _assert_equivalent(graph, palettes, coloring):
         scalar = palettes.copy()
         scalar._palettes  # force the sets backing for the reference
         scalar._store = None
         batch = palettes.copy()
-        removed_scalar = remove_colors_used_by_neighbors(
-            scalar, graph, coloring, nodes=nodes
-        )
-        removed_batch = batch.remove_colors_used_by_neighbors_batch(
-            graph, coloring, nodes=nodes
-        )
+        removed_scalar = remove_colors_used_by_neighbors(scalar, graph, coloring)
+        removed_batch = batch.remove_colors_used_by_neighbors_batch(graph, coloring)
         assert removed_scalar == removed_batch
         assert scalar.nodes() == batch.nodes()
         for node in scalar.nodes():
@@ -519,8 +515,7 @@ class TestPaletteKernelEquivalence:
             {node: palettes.palette(node) for node in palettes.nodes()}
             | {10_000: {1, 2}, 10_001: {3}}
         )
-        targets = extra.nodes()
-        self._assert_equivalent(graph, extra, coloring, nodes=targets)
+        self._assert_equivalent(graph, extra, coloring)
 
     @SETTINGS
     @given(graphs_with_palettes(), st.dictionaries(st.integers(0, 39), st.integers(0, 60)))
@@ -576,8 +571,7 @@ class TestRankKernel:
             np.testing.assert_array_equal(got, want)
 
     def _assert_store(self, store, rng):
-        """Every gather shape first, then the caching accessors (which make
-        the store's own ranks its membership frame)."""
+        """Every gather shape first, then the caching accessors."""
         count = store.flat.shape[0]
         self._assert_ranks(store)
         self._assert_ranks(store, np.zeros(0, dtype=np.int64))
@@ -596,10 +590,10 @@ class TestRankKernel:
 
     @SETTINGS
     @given(rank_instances(), st.randoms(use_true_random=False))
-    def test_ranks_match_oracle_on_roots_and_framed_children(self, data, rng):
+    def test_ranks_match_oracle_on_roots_and_children(self, data, rng):
         graph, palettes = data
         root = palettes.store()
-        self._assert_store(root, rng)  # frame-free first; cached afterwards
+        self._assert_store(root, rng)
         nodes = graph.nodes()
         members = rng.sample(nodes, rng.randrange(len(nodes) + 1))
         universe = root.universe()
@@ -621,9 +615,7 @@ class TestRankKernel:
             pruned,
         ]
         for child in children:
-            store = child.store()
-            assert store.membership_frame() is not None
-            self._assert_store(store, rng)
+            self._assert_store(child.store(), rng)
 
     def test_partition_ranks_an_aligned_store_once(self, monkeypatch):
         # The families' universe and the cost evaluator's entry positions
