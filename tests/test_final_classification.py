@@ -366,17 +366,31 @@ class TestRestrictedByBins:
     #: ("sparse").
     _SPACINGS = {"dense": (5, 6, 7), "sparse": (5, 600, 70_000)}
 
-    def _palettes(self, spacing):
+    #: The store read: a root, or a child sliced out of a warm parent, so
+    #: member 1's row follows a non-member's and its entries start past
+    #: the parent's first row.
+    _SOURCES = ["root", "child"]
+
+    def _palettes(self, spacing, source):
         a, b, c = self._SPACINGS[spacing]
-        palettes = PaletteAssignment.from_lists({1: [a, b, c], 2: [b, 10**6]})
+        lists = {1: [a, b, c], 2: [b, 10**6]}
+        if source == "root":
+            palettes = PaletteAssignment.from_lists(lists)
+        else:
+            parent = PaletteAssignment.from_lists({0: [10**6 + 1], **lists, 3: [c]})
+            parent.store()
+            palettes = parent.subset([2, 1])
         store = palettes.store()
-        assert (span_ranks(store.flat[:3]) is None) == (spacing == "sparse")
+        (row,) = store.rows_of([1]).tolist()
+        assert store.row_slice(row).tolist() == [a, b, c]
+        assert (span_ranks(store.row_slice(row)) is None) == (spacing == "sparse")
         return palettes
 
     @pytest.mark.parametrize("spacing", ["dense", "sparse"])
-    def test_color_of_a_non_member_may_be_missing(self, spacing):
+    @pytest.mark.parametrize("source", _SOURCES)
+    def test_color_of_a_non_member_may_be_missing(self, source, spacing):
         # Node 2 is no member: its color 10**6 need not be in the universe.
-        palettes = self._palettes(spacing)
+        palettes = self._palettes(spacing, source)
         a, b, c = self._SPACINGS[spacing]
         universe = np.asarray([a, b, c], dtype=np.int64)
         bins = np.asarray([0, 1, 0], dtype=np.int64)
@@ -384,13 +398,16 @@ class TestRestrictedByBins:
         assert child.palette(1) == {a, c}
 
     @pytest.mark.parametrize("spacing", ["dense", "sparse"])
+    @pytest.mark.parametrize("source", _SOURCES)
     @pytest.mark.parametrize(
         "lacking",
         ["empty", "middle", "last", "first", "negative", "beyond"],
     )
-    def test_member_color_missing_raises_the_same_message(self, spacing, lacking):
+    def test_member_color_missing_raises_the_same_message(
+        self, source, spacing, lacking
+    ):
         # Member 1 lacks one color; the non-member's 10**6 is irrelevant.
-        palettes = self._palettes(spacing)
+        palettes = self._palettes(spacing, source)
         a, b, c = self._SPACINGS[spacing]
         universe = {
             "empty": [],
