@@ -268,8 +268,9 @@ def adversarial_disjoint_palettes(
 ) -> PaletteAssignment:
     """List palettes drawn from a universe of size up to ``n^2``.
 
-    Each node's palette is drawn from its own block of colors with partial
-    overlap with neighbors' blocks.  This exercises the large color domain
+    Node ``i`` (in node order) owns the block ``[i * size, (i + 1) * size)``
+    of colors; each of its colors is, with probability 1/2, replaced by a
+    color from a random neighbor's block, so neighboring palettes overlap.  This exercises the large color domain
     that forces the paper's ``h2`` hash function to have domain ``[n^2]``.
     """
     rng = _rng(seed)
@@ -277,7 +278,10 @@ def adversarial_disjoint_palettes(
     delta = graph.max_degree()
     size = delta + 1 if palette_size is None else palette_size
     palettes: Dict[NodeId, List[Color]] = {}
-    for index, node in enumerate(graph.nodes()):
+    # Node ``v``'s block starts at ``index_of[v] * size``: blocks follow
+    # the node order, not the ids, so any labelling gets the same layout.
+    index_of = {node: index for index, node in enumerate(graph.nodes())}
+    for node, index in index_of.items():
         block_start = index * size
         own_block = list(range(block_start, block_start + size))
         # Overlap: with probability 1/2 replace a color with one from a
@@ -286,8 +290,7 @@ def adversarial_disjoint_palettes(
         for i in range(len(own_block)):
             if neighbors and rng.random() < 0.5:
                 other = rng.choice(neighbors)
-                other_index = list(graph.nodes()).index(other) if False else other
-                own_block[i] = (other_index % n) * size + rng.randrange(size)
+                own_block[i] = index_of[other] * size + rng.randrange(size)
         # Ensure the palette still has `size` distinct colors.
         distinct = list(dict.fromkeys(own_block))
         extra = block_start + size

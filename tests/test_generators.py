@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -123,6 +125,41 @@ class TestPaletteGenerators:
         graph = generators.erdos_renyi(30, 0.3, seed=5)
         palettes = generators.adversarial_disjoint_palettes(graph, seed=6)
         palettes.validate_for_graph(graph)
+
+    @pytest.mark.parametrize(
+        "seed,digest",
+        [
+            (6, "546963235336aeecff3eedeb4b1176290bd161b9eb98c8b7647fd8ce8b55e3e5"),
+            (11, "8fc8ca221b48c92fe47ebcdfe481c387e909d65e9bead2b3a519a7db1b59bafb"),
+        ],
+    )
+    def test_adversarial_palettes_unchanged_on_sequential_ids(self, seed, digest):
+        # Recorded before the block lookup moved from ids to node order;
+        # on ids 0..n-1 in order the two agree.
+        graph = generators.erdos_renyi(80, 0.1, seed=seed)
+        palettes = generators.adversarial_disjoint_palettes(graph, seed=seed)
+        listing = repr([(v, sorted(palettes.palette(v))) for v in graph.nodes()])
+        assert hashlib.sha256(listing.encode()).hexdigest() == digest
+
+    def test_adversarial_overlap_lands_in_a_neighbor_block(self):
+        base = generators.erdos_renyi(25, 0.3, seed=5)
+        graph = Graph.from_edges(
+            [(7 * u + 1000, 7 * v + 1000) for u, v in base.edges()],
+            nodes=[7 * v + 1000 for v in base.nodes()],
+        )
+        palettes = generators.adversarial_disjoint_palettes(graph, seed=6)
+        size = graph.max_degree() + 1
+        block_of = {node: index for index, node in enumerate(graph.nodes())}
+        filler = graph.num_nodes * size
+        replaced = 0
+        for node in graph.nodes():
+            neighbor_blocks = {block_of[other] for other in graph.neighbors(node)}
+            for color in palettes.palette(node):
+                if color // size == block_of[node] or color >= filler:
+                    continue
+                replaced += 1
+                assert color // size in neighbor_blocks
+        assert replaced > 0
 
     def test_palette_generators_deterministic(self):
         graph = generators.erdos_renyi(40, 0.2, seed=9)
