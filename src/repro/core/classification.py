@@ -50,7 +50,7 @@ import numpy as np
 from repro.core.params import ColorReduceParameters
 from repro.derand.cost import PairCost
 from repro.errors import GraphError, PaletteError
-from repro.graph.csr import gather_segments, node_id_array
+from repro.graph.csr import gather_segments, node_id_array, set_order
 from repro.graph.graph import Graph
 from repro.graph.palettes import PaletteAssignment
 from repro.hashing import batch as hb
@@ -118,12 +118,13 @@ class PartitionClassification:
         self.bin_sizes: Dict[BinIndex, int] = {} if bin_sizes is None else bin_sizes
         #: The per-node columns of :meth:`from_arrays`, in node order.
         self.columns: Optional[dict] = None
+        self._groups: Optional[List[np.ndarray]] = None
 
     @classmethod
     def from_arrays(cls, num_bins, bad_bins, bin_sizes, **columns):
         """A classification over the per-node arrays of the batch pipeline.
 
-        ``columns`` holds ``node_ids`` (a list) and aligned arrays:
+        ``columns`` holds ``node_ids`` (the view's ids) and aligned arrays:
         ``bins``, ``degree``, ``in_bin_degree``, ``palette_size``,
         ``in_bin_palette``, ``in_color_bin`` and ``reason_code`` (an index
         into :data:`BAD_REASONS`; 0 means good).
@@ -133,14 +134,22 @@ class PartitionClassification:
         )
         classification.columns = columns
         bad = columns["reason_code"] != 0
-        classification.bad_nodes = set(compress(columns["node_ids"], bad.tolist()))
+        node_ids = columns["node_ids"]
+        if isinstance(node_ids, np.ndarray):
+            classification.bad_nodes = set(node_ids[bad].tolist())
+        else:
+            classification.bad_nodes = set(compress(node_ids, bad.tolist()))
         return classification
+
+    def _id_list(self) -> list:
+        node_ids = self.columns["node_ids"]
+        return node_ids.tolist() if isinstance(node_ids, np.ndarray) else node_ids
 
     @property
     def bin_of_node(self) -> Dict[NodeId, BinIndex]:
         if self._bin_of_node is None:
             columns = self.columns
-            self._bin_of_node = dict(zip(columns["node_ids"], columns["bins"].tolist()))
+            self._bin_of_node = dict(zip(self._id_list(), columns["bins"].tolist()))
         return self._bin_of_node
 
     @property
@@ -159,9 +168,10 @@ class PartitionClassification:
                 columns["in_bin_palette"].tolist(), columns["in_color_bin"].tolist()
             )
         ]
+        node_ids = self._id_list()
         records = map(
             NodeClassification,
-            columns["node_ids"],
+            node_ids,
             columns["bins"].tolist(),
             columns["degree"].tolist(),
             columns["in_bin_degree"].tolist(),
@@ -170,7 +180,7 @@ class PartitionClassification:
             (columns["reason_code"] == 0).tolist(),
             [BAD_REASONS[code] for code in columns["reason_code"].tolist()],
         )
-        return dict(zip(columns["node_ids"], records))
+        return dict(zip(node_ids, records))
 
     @property
     def num_bad_nodes(self) -> int:
@@ -185,12 +195,41 @@ class PartitionClassification:
         columns = self.columns
         if columns is not None:
             keep = (columns["bins"] == bin_index) & (columns["reason_code"] == 0)
-            return list(compress(columns["node_ids"], keep.tolist()))
+            return list(compress(self._id_list(), keep.tolist()))
         return [
             node
             for node, assigned in self.bin_of_node.items()
             if assigned == bin_index and node not in self.bad_nodes
         ]
+
+    def bin_groups(self, csr) -> List[np.ndarray]:
+        """The node groups ``Partition`` extracts, as positions in ``csr``.
+
+        ``[bad nodes] + [good nodes of bin b for every bin b]``, each in
+        :func:`~repro.graph.csr.set_order` — the bad group as the set it
+        always was, each bin as the set of its good nodes in node order —
+        so the children's node order is the one the extraction has always
+        produced.  Cached: the palette restriction of
+        :meth:`PartitionCostEvaluator.classify_selected` and the
+        extraction read the same groups.
+        """
+        if self._groups is None:
+            columns = self.columns
+            if columns is not None:
+                bins, bad = columns["bins"], columns["reason_code"] != 0
+            else:
+                ids = csr.id_list()
+                bins = np.fromiter(
+                    map(self.bin_of_node.__getitem__, ids), dtype=np.int64, count=len(ids)
+                )
+                bad = np.fromiter(
+                    map(self.bad_nodes.__contains__, ids), dtype=bool, count=len(ids)
+                )
+            self._groups = [set_order(csr, np.flatnonzero(bad), via_set=True)] + [
+                set_order(csr, np.flatnonzero(~bad & (bins == bin_index)))
+                for bin_index in range(self.num_bins)
+            ]
+        return self._groups
 
     def cost(self, global_nodes: int) -> float:
         """Equation (1): ``|bad nodes| + n * |bad bins|``."""
@@ -346,7 +385,8 @@ def classify_partition(
     literal_palette_condition = not params.is_scaled and not params.bins_are_clamped(ell)
 
     bin_of_node: Dict[NodeId, BinIndex] = {
-        node: h1(node % h1.domain_size) % num_bins for node in graph.nodes()
+        node: h1(key % h1.domain_size) % num_bins
+        for node, key in zip(graph.nodes(), node_id_array(graph.csr()).tolist())
     }
     color_bins = color_bin_map(palettes, h2, num_color_bins)
 
@@ -536,7 +576,8 @@ class PartitionCostEvaluator(BatchCostEvaluatorBase):
         if entry_match is None:
             entry_match = universe_bins[entry_colors] == bins[prep["entry_nodes"]]
         num_bins = prep["num_bins"]
-        node_ids = prep["csr"].node_ids
+        csr = prep["csr"]
+        node_ids = csr.node_ids
         num_nodes = len(node_ids)
 
         bin_size_counts = np.bincount(bins, minlength=num_bins)
@@ -571,22 +612,24 @@ class PartitionCostEvaluator(BatchCostEvaluatorBase):
         # The kept entries, per node, are exactly the in-bin palette counts,
         # so the matched entries already form a CSR layout over the node
         # order.  Every color bin's assignment adopts gathered slices of
-        # the kept arrays: array-backed from birth.
+        # the kept arrays, its nodes in the order the bin's graph will
+        # list them (:meth:`PartitionClassification.bin_groups`):
+        # array-backed from birth and aligned with its graph.
         kept_colors = prep["universe"][entry_colors[entry_match]]
         kept_bounds = np.zeros(num_nodes + 1, dtype=np.int64)
         np.cumsum(in_bin_palette, out=kept_bounds[1:])
-        eligible = (reason_code == 0) & in_color_bin
+        groups = classification.bin_groups(csr)
         restricted: List[PaletteAssignment] = []
         for bin_index in range(prep["num_color_bins"]):
-            bin_rows = np.flatnonzero(eligible & (bins == bin_index))
+            bin_rows = groups[1 + bin_index]
+            if bin_index == num_bins - 1:  # a single bin is no color bin
+                bin_rows = bin_rows[:0]
             lengths, gather = gather_segments(kept_bounds, bin_rows)
             offsets = np.zeros(bin_rows.shape[0] + 1, dtype=np.int64)
             np.cumsum(lengths, out=offsets[1:])
             restricted.append(
                 PaletteAssignment._from_arrays(
-                    [node_ids[row] for row in bin_rows.tolist()],
-                    kept_colors[gather],
-                    offsets,
+                    csr.ids_at(bin_rows), kept_colors[gather], offsets
                 )
             )
         return classification, restricted

@@ -49,6 +49,7 @@ from repro.core.params import ColorReduceParameters
 from repro.core.partition import Partition, PartitionResult
 from repro.derand.conditional_expectation import SelectionStrategy
 from repro.errors import PaletteError, ReproError
+from repro.graph.csr import same_ids
 from repro.graph.graph import Graph
 from repro.graph.palettes import PaletteAssignment
 from repro.graph.validation import assert_valid_list_coloring
@@ -244,29 +245,31 @@ class ColorReduce(RecursionDriver):
         ledger: CostLedger,
         node: RecursionNode,
         state: RunState,
-    ) -> Optional[Dict[NodeId, Color]]:
+    ) -> bool:
         """Collect and color an instance of size ``O(n)`` (or at the depth cap)."""
         if graph.num_nodes == 0:
             node.base_case = True
-            return {}
+            return True
         collectable = node.size <= self.params.collect_threshold(state.global_nodes)
         words = self._collect_words(graph, palettes, state)
         fits_locally = words <= state.model.local_instance_capacity_words()
         if (collectable and fits_locally) or graph.num_edges == 0:
             node.base_case = True
-            return self._collect_and_color(graph, palettes, ledger, state, label="local-color")
+            self._collect_and_color(graph, palettes, ledger, state, label="local-color")
+            return True
         if depth >= self.params.max_recursion_depth:
             if fits_locally:
                 node.base_case = True
-                return self._collect_and_color(
+                self._collect_and_color(
                     graph, palettes, ledger, state, label="local-color(depth-cap)"
                 )
+                return True
             raise ReproError(
                 f"recursion depth {depth} reached with an instance of size {node.size} "
                 f"that does not fit locally ({words} words); "
                 "check the partition parameters"
             )
-        return None
+        return False
 
     def _partition(
         self,
@@ -320,9 +323,9 @@ class ColorReduce(RecursionDriver):
         ledger: CostLedger,
         node: RecursionNode,
         state: RunState,
-    ) -> Dict[NodeId, Color]:
+    ) -> None:
         """``G_0``: collect onto a single machine and color locally."""
-        return self._collect_and_color(graph, palettes, ledger, state, label="bad-graph-color")
+        self._collect_and_color(graph, palettes, ledger, state, label="bad-graph-color")
 
     def _level_prefetch_enabled(self) -> bool:
         # The segmented pass reproduces only FIRST_FEASIBLE's head probes;
@@ -360,25 +363,27 @@ class ColorReduce(RecursionDriver):
         ledger: CostLedger,
         state: RunState,
         label: str,
-    ) -> Dict[NodeId, Color]:
+    ) -> None:
+        """Color the instance locally into ``state.coloring``."""
         capacity = state.model.local_instance_capacity_words()
         words = self._collect_words(graph, palettes, state)
         if words <= capacity:
             rounds = state.model.record_collect(words, label=label)
             ledger.charge(label, rounds, words)
             state.model.record_space(words, max_local_words=words)
-            return greedy_list_coloring(graph, palettes)
+            state.coloring.paint_mapping(greedy_list_coloring(graph, palettes))
+            return
         # The instance does not fit on one machine.  The deterministic
         # algorithm never reaches this point (Corollary 3.10 bounds |G_0| by
         # O(n)), but the randomized baseline occasionally does on unlucky
         # seeds.  Rather than failing, split the instance into pieces that do
         # fit and color them sequentially, updating palettes in between —
         # model-legal, and the extra rounds are exactly the measured price of
-        # the missing guarantee.
-        coloring: Dict[NodeId, Color] = {}
+        # the missing guarantee.  The instance's nodes are uncolored on
+        # entry, so the run coloring holds exactly the earlier pieces' colors.
         for piece in self._split_for_capacity(graph, palettes, state, capacity):
             piece_palettes, removed = palettes.subset_updated(
-                piece.nodes(), graph, coloring
+                piece.csr().node_ids, graph, state.coloring
             )
             if removed:
                 update_rounds = state.model.record_palette_update(
@@ -389,8 +394,7 @@ class ColorReduce(RecursionDriver):
             rounds = state.model.record_collect(piece_words, label=label)
             ledger.charge(label, rounds, piece_words)
             state.model.record_space(piece_words, max_local_words=piece_words)
-            coloring.update(greedy_list_coloring(piece, piece_palettes))
-        return coloring
+            state.coloring.paint_mapping(greedy_list_coloring(piece, piece_palettes))
 
     def _split_for_capacity(
         self,
@@ -477,11 +481,14 @@ class ColorReduce(RecursionDriver):
                 )
                 continue
             # Vectorized audit: one comparison sweep per bin over the CSR
-            # degrees and the flat palette sizes (aligned through the
-            # store's row index), identical counts to the scalar loop.
+            # degrees and the flat palette sizes (the store lists the bin's
+            # nodes in its graph's order), identical counts to the scalar
+            # loop.
             csr = bin_instance.graph.csr()
             degrees = csr.degrees
-            sizes = store.sizes()[store.rows_of(csr.node_ids)]
+            sizes = store.sizes()
+            if not same_ids(store.nodes, csr.node_ids):
+                sizes = sizes[store.rows_for(csr.node_ids)]
             if literal_lemma:
                 violations += int(np.count_nonzero(next_ell >= sizes))
                 violations += int(np.count_nonzero(degrees > next_ell + slack))

@@ -42,7 +42,7 @@ from typing import Dict, Optional
 from repro.accounting import CostLedger, PoolHealth, RunDurability
 from repro.core.level import LEVEL_PREFETCH_MIN_SIZE
 from repro.derand.conditional_expectation import _mix64
-from repro.graph.palettes import canonical_instance
+from repro.graph.palettes import RunColoring, canonical_instance, position_instance
 
 #: Multiplier decorrelating parent salt from child ordinals (same odd
 #: constant the selector uses to fold ``rng_seed`` with its salt).
@@ -94,6 +94,8 @@ class RunState:
     #: when no durability knob is set (the recursion then bypasses the
     #: durability layer entirely).
     durable: Optional[object] = None
+    #: The run coloring, by root position: every leaf paints its slots.
+    coloring: Optional[RunColoring] = None
 
     @property
     def poll(self):
@@ -117,9 +119,14 @@ class RecursionDriver:
     def _walk(self, graph, palettes, ell, state: RunState):
         """Run the whole recursion from the root (salt 1).
 
-        Builds the run's durability state (when a knob is set) and measures
-        the worker pool's recovery events over the walk.  Returns
-        ``(coloring, ledger, tree, pool_health, durability)``.
+        ``graph`` and ``palettes`` are the canonical instance
+        (:func:`prepare_palettes`).  The recursion runs on its position
+        form (:func:`~repro.graph.palettes.position_instance`): nodes are
+        root positions inside, and the original ids come back only in the
+        returned coloring.  Builds the run's durability state (when a knob
+        is set) and measures the worker pool's recovery events over the
+        walk.  Returns ``(coloring, ledger, tree, pool_health,
+        durability)``.
         """
         params = self.params
         durable = None
@@ -135,10 +142,11 @@ class RecursionDriver:
             from repro.parallel.executor import pool_health
 
             health_baseline = pool_health()
+        root, root_palettes = position_instance(graph, palettes.copy())
+        state.coloring = RunColoring(root.num_nodes)
         with durable.active() if durable is not None else contextlib.nullcontext():
-            coloring, ledger, tree = self._recurse(
-                graph, palettes.copy(), ell, 0, state, salt=1
-            )
+            ledger, tree = self._recurse(root, root_palettes, ell, 0, state, salt=1)
+        coloring = state.coloring.to_dict(root.csr().hash_keys)
         run_health = (
             PoolHealth() if health_baseline is None else pool_health().delta(health_baseline)
         )
@@ -151,13 +159,15 @@ class RecursionDriver:
     def _recurse(self, graph, palettes, ell, depth, state: RunState, salt, prefetched=None):
         """One call of the recursion, through the durability layer.
 
-        Without durability knobs this is a zero-overhead passthrough to
-        :meth:`_reduce`.  With them, every entry polls the guardrails and
-        the signal flag, a salt with a checkpointed entry is *restored*
-        (its recorded coloring, ledger copy and tree node are returned
-        without recomputing — deterministic replay makes this
-        bit-identical), and every completed shallow subtree is *recorded*
-        into the checkpoint frontier.
+        Returns ``(ledger, tree node)``; the call's nodes are painted into
+        ``state.coloring``.  Without durability knobs this is a
+        zero-overhead passthrough to :meth:`_reduce`.  With them, every
+        entry polls the guardrails and the signal flag, a salt with a
+        checkpointed entry is *restored* (its recorded colors are painted
+        and its ledger copy and tree node returned without recomputing —
+        deterministic replay makes this bit-identical), and every
+        completed shallow subtree is *recorded* into the checkpoint
+        frontier: its nodes' root positions and colors as two arrays.
         """
         durable = state.durable
         if durable is None:
@@ -165,30 +175,33 @@ class RecursionDriver:
         durable.poll()
         entry = durable.restored(salt)
         if entry is not None:
+            state.coloring.paint(entry["nodes"], entry["colors"])
             state.total_bad_nodes += entry["bad_nodes"]
             state.total_invariant_violations += entry["violations"]
-            return dict(entry["coloring"]), entry["ledger"].copy(), entry["tree"]
+            return entry["ledger"].copy(), entry["tree"]
         before_bad = state.total_bad_nodes
         before_violations = state.total_invariant_violations
         durable.enter(salt)
         try:
-            coloring, ledger, node = self._reduce(
+            ledger, node = self._reduce(
                 graph, palettes, ell, depth, state, salt, prefetched
             )
         finally:
             durable.exit(salt)
+        nodes = graph.csr().node_ids
         durable.completed(
             salt,
             depth,
             lambda: {
-                "coloring": dict(coloring),
+                "nodes": nodes,
+                "colors": state.coloring.colors[nodes],
                 "ledger": ledger.copy(),
                 "tree": node,
                 "bad_nodes": state.total_bad_nodes - before_bad,
                 "violations": state.total_invariant_violations - before_violations,
             },
         )
-        return coloring, ledger, node
+        return ledger, node
 
     def _reduce(self, graph, palettes, ell, depth, state: RunState, salt, prefetched):
         """One node of the recursion.
@@ -200,23 +213,22 @@ class RecursionDriver:
         """
         ledger = CostLedger()
         node = self._new_node(graph, ell, depth)
-        coloring = self._base_case(graph, palettes, ell, depth, ledger, node, state)
-        if coloring is not None:
-            return coloring, ledger, node
+        if self._base_case(graph, palettes, ell, depth, ledger, node, state):
+            return ledger, node
         partition, g0, child_ell = self._partition(
             graph, palettes, ell, ledger, node, state, salt, prefetched
         )
         prefetched_costs = self._prefetch_level(
             graph, partition, child_ell, depth + 1, state, salt
         )
-        coloring = {}
+        coloring = state.coloring
 
         # --- color bins recurse in parallel ---------------------------------
         parallel_ledger: Optional[CostLedger] = None
         for bin_instance in partition.color_bins:
             if bin_instance.is_empty:
                 continue
-            child_coloring, child_ledger = self._descend(
+            child_ledger = self._descend(
                 graph,
                 bin_instance,
                 child_ell,
@@ -226,7 +238,6 @@ class RecursionDriver:
                 child_salt(salt, bin_instance.bin_index),
                 prefetched_costs.get(bin_instance.bin_index),
             )
-            coloring.update(child_coloring)
             if parallel_ledger is None:
                 parallel_ledger = child_ledger
             else:
@@ -242,7 +253,7 @@ class RecursionDriver:
             )
             update_rounds = self._palette_update_rounds(removed, state)
             ledger.charge("palette-update", update_rounds, removed)
-            child_coloring, child_ledger = self._descend(
+            child_ledger = self._descend(
                 graph,
                 leftover,
                 child_ell,
@@ -251,30 +262,32 @@ class RecursionDriver:
                 state,
                 child_salt(salt, partition.num_bins - 1),
             )
-            coloring.update(child_coloring)
             ledger.merge_sequential(child_ledger)
 
         # --- G_0: update palettes, then finish -------------------------------
         if g0.num_nodes > 0:
-            g0_palettes, removed = palettes.subset_updated(g0.nodes(), graph, coloring)
+            g0_palettes, removed = palettes.subset_updated(
+                g0.csr().node_ids, graph, coloring
+            )
             update_rounds = self._palette_update_rounds(removed, state)
             ledger.charge("palette-update", update_rounds, removed)
-            coloring.update(self._finish(g0, g0_palettes, ledger, node, state))
+            self._finish(g0, g0_palettes, ledger, node, state)
 
-        return coloring, ledger, node
+        return ledger, node
 
     def _descend(
         self, parent, child, ell, depth, node, state: RunState, salt, prefetched=None
     ):
-        """Recurse on one bin, or finish it directly; returns its coloring and ledger."""
+        """Recurse on one bin, or finish it directly; returns its ledger."""
         if self._recurses(parent, child.graph):
-            coloring, ledger, child_node = self._recurse(
+            ledger, child_node = self._recurse(
                 child.graph, child.palettes, ell, depth, state, salt, prefetched
             )
             node.children.append(child_node)
-            return coloring, ledger
+            return ledger
         ledger = CostLedger()
-        return self._finish(child.graph, child.palettes, ledger, node, state), ledger
+        self._finish(child.graph, child.palettes, ledger, node, state)
+        return ledger
 
     def _prefetch_level(
         self, parent, partition, ell, depth, state: RunState, salt
@@ -329,8 +342,9 @@ class RecursionDriver:
         """The recursion-tree record of one call (before partitioning)."""
         raise NotImplementedError
 
-    def _base_case(self, graph, palettes, ell, depth, ledger, node, state):
-        """Color the instance without partitioning it, or return ``None``."""
+    def _base_case(self, graph, palettes, ell, depth, ledger, node, state) -> bool:
+        """Color the instance without partitioning it (painting
+        ``state.coloring``), or return ``False``."""
         raise NotImplementedError
 
     def _partition(self, graph, palettes, ell, ledger, node, state, salt, prefetched):
@@ -350,8 +364,9 @@ class RecursionDriver:
         """Whether a non-empty child bin recurses (else :meth:`_finish` colors it)."""
         return True
 
-    def _finish(self, graph, palettes, ledger, node, state):
-        """Color ``G_0`` (or a non-recursing child), charging into ``ledger``."""
+    def _finish(self, graph, palettes, ledger, node, state) -> None:
+        """Color ``G_0`` (or a non-recursing child) into ``state.coloring``,
+        charging into ``ledger``."""
         raise NotImplementedError
 
     def _will_partition(self, graph, palettes, depth, state) -> bool:

@@ -184,15 +184,15 @@ class LowSpaceColorReduce(RecursionDriver):
             max_degree=graph.max_degree(),
         )
 
-    def _base_case(self, graph, palettes, ell, depth, ledger, node, state):
+    def _base_case(self, graph, palettes, ell, depth, ledger, node, state) -> bool:
         if graph.num_nodes == 0:
-            return {}
+            return True
         if depth >= self.params.max_recursion_depth:
             raise ReproError(
                 f"low-space recursion depth {depth} exceeded; the partition is not "
                 "reducing degrees (check the parameters)"
             )
-        return None
+        return False
 
     def _partition(self, graph, palettes, ell, ledger, node, state, salt, prefetched):
         """``LowSpacePartition(G)``, its statistics and its shuffle charge."""
@@ -234,7 +234,7 @@ class LowSpaceColorReduce(RecursionDriver):
         ledger: CostLedger,
         node: LowSpaceRecursionNode,
         state: RunState,
-    ) -> Dict[NodeId, Color]:
+    ) -> None:
         """Color one instance via the MIS reduction and charge its rounds."""
         mis_coloring, mis_result, reduction = color_via_mis(graph, palettes, self.mis_solver)
         node.mis_phases += mis_result.phases
@@ -246,7 +246,7 @@ class LowSpaceColorReduce(RecursionDriver):
         ledger.charge(
             "mis-reduction", ROUNDS_PER_MIS_PHASE * max(mis_result.phases, 1), reduction_words
         )
-        return mis_coloring
+        state.coloring.paint_mapping(mis_coloring)
 
     def _will_partition(self, graph, palettes, depth: int, state: RunState) -> bool:
         # Children whose nodes are all low-degree are skipped inside the

@@ -95,6 +95,17 @@ def split_into_chunks(items: Sequence[int], chunk_size: int) -> List[Sequence[in
     return chunks
 
 
+def _key_maps(graph: Graph):
+    """``(id_of, key_of)``: between a graph's node ids and the ids ``h1``
+    hashes (:func:`~repro.core.low_space.partition.split_by_degree`'s
+    sets), for the per-node references; identities outside a solve."""
+    csr = graph.csr()
+    keys = csr.keys_at(np.arange(csr.num_nodes, dtype=np.int64))
+    keys = keys.tolist() if isinstance(keys, np.ndarray) else keys
+    ids = csr.id_list()
+    return dict(zip(keys, ids)), dict(zip(ids, keys))
+
+
 def classify_machines(
     graph: Graph,
     palettes: PaletteAssignment,
@@ -126,10 +137,11 @@ def classify_machines(
             color_bin_cache[color] = h2(color % h2.domain_size) % num_color_bins
         return color_bin_cache[color]
 
+    id_of, key_of = _key_maps(graph)
     result = MachineClassification()
     for node in high_degree_nodes:
         node_bin = bin_of_node[node]
-        neighbors = sorted(graph.iter_neighbors(node))
+        neighbors = sorted(key_of[other] for other in graph.iter_neighbors(id_of[node]))
         in_bin_degree = 0
         for chunk_items in split_into_chunks(neighbors, chunk_size):
             in_bin = sum(
@@ -150,7 +162,7 @@ def classify_machines(
         result.node_in_bin_degree[node] = in_bin_degree
 
         if node_bin != last_bin:
-            palette = sorted(palettes.palette(node))
+            palette = sorted(palettes.palette(id_of[node]))
             in_bin_palette = 0
             for chunk_items in split_into_chunks(palette, chunk_size):
                 in_bin = sum(1 for color in chunk_items if color_bin(color) == node_bin)
@@ -284,6 +296,7 @@ def node_level_outcome(
             color_bin_cache[color] = h2(color % h2.domain_size) % num_color_bins
         return color_bin_cache[color]
 
+    id_of, key_of = _key_maps(graph)
     in_bin_degree: Dict[NodeId, int] = {}
     in_bin_palette: Dict[NodeId, int] = {}
     violating: Set[NodeId] = set()
@@ -292,11 +305,11 @@ def node_level_outcome(
     # node order of the partition's MIS-path extraction.
     for node in sorted(high_degree_nodes):
         node_bin = bin_of_node[node]
-        degree = graph.degree(node)
+        degree = graph.degree(id_of[node])
         d_prime = sum(
             1
-            for neighbor in graph.iter_neighbors(node)
-            if bin_of_node.get(neighbor, -1) == node_bin
+            for neighbor in graph.iter_neighbors(id_of[node])
+            if bin_of_node.get(key_of[neighbor], -1) == node_bin
         )
         in_bin_degree[node] = d_prime
         slack = max(
@@ -306,7 +319,9 @@ def node_level_outcome(
         if d_prime > threshold:
             violating.add(node)
         if node_bin != last_bin:
-            p_prime = sum(1 for color in palettes.palette(node) if color_bin(color) == node_bin)
+            p_prime = sum(
+                1 for color in palettes.palette(id_of[node]) if color_bin(color) == node_bin
+            )
             in_bin_palette[node] = p_prime
             if p_prime <= d_prime:
                 violating.add(node)
@@ -420,7 +435,7 @@ class LowSpaceCostEvaluator(BatchCostEvaluatorBase):
             "edge_sources": edge_sources,
             "edge_targets": edge_targets,
             "edge_indptr": edge_indptr,
-            **self.palette_entry_arrays(self.palettes, high_ids.tolist()),
+            **self.palette_entry_arrays(self.palettes, csr.ids_at(high_positions)),
             "num_bins": self.num_bins,
             "num_color_bins": max(1, self.num_bins - 1),
             "threshold": degrees / self.num_bins + slack,

@@ -94,20 +94,20 @@ def _palette_slices(
     store = palettes.store()
     universe = None
     if store is None:
-        lists = {node: palettes.palette(node) for node in node_ids if node in palettes}
+        listed = node_ids.tolist() if isinstance(node_ids, np.ndarray) else node_ids
+        lists = {node: palettes.palette(node) for node in listed if node in palettes}
         ordered = sorted(set().union(*lists.values()))
         rank = {color: index for index, color in enumerate(ordered)}
         store = _store_from_rows(
             list(lists), [{rank[color] for color in colors} for colors in lists.values()]
         )
         universe = np.array(ordered, dtype=object)
-    if store.nodes == node_ids:
+    from repro.graph.csr import same_ids
+
+    if same_ids(store.nodes, node_ids):
         rows = np.arange(len(node_ids), dtype=np.int64)
     else:
-        index = store.index
-        rows = np.fromiter(
-            (index.get(node, -1) for node in node_ids), dtype=np.int64, count=len(node_ids)
-        )
+        rows = store.locate(node_ids)
     starts = store.offsets[rows]
     sizes = np.where(rows >= 0, store.offsets[rows + 1] - starts, -1)
     return store.flat, starts, sizes, universe
@@ -226,12 +226,11 @@ def coloring_from_mis(
     if not bool((per_node == 1).all()):
         return _coloring_by_scan(reduction, independent_set)
     node_ids = reduction.node_ids
-    return dict(
-        zip(
-            [node_ids[owner] for owner in owners.tolist()],
-            reduction.colors[chosen].tolist(),
-        )
-    )
+    if isinstance(node_ids, np.ndarray):
+        chosen_nodes = node_ids[owners].tolist()
+    else:
+        chosen_nodes = [node_ids[owner] for owner in owners.tolist()]
+    return dict(zip(chosen_nodes, reduction.colors[chosen].tolist()))
 
 
 def color_via_mis(

@@ -37,6 +37,7 @@ from repro.derand.conditional_expectation import (
     SelectionOutcome,
     SelectionStrategy,
 )
+from repro.graph.csr import set_order
 from repro.graph.graph import Graph
 from repro.graph.palettes import PaletteAssignment
 from repro.hashing.family import HashFunction, KWiseIndependentFamily
@@ -65,13 +66,19 @@ class LowSpacePartitionResult:
 def split_by_degree(graph: Graph, threshold: float) -> Tuple[Set[NodeId], Set[NodeId]]:
     """``(low, high)``: the nodes of degree at most ``threshold``, and the rest.
 
+    Both are sets of the ids ``h1`` hashes (:meth:`~repro.graph.csr.GraphCSR.keys_at`:
+    the original ids inside a solve, the node ids elsewhere); the
+    partition's set algebra and its groups' order are over these ids.
     One compare over the CSR degrees; the sets are built in C from the
     node order, so ``high`` iterates in the order the partition has always
     handed to the bin extraction.
     """
     csr = graph.csr()
-    low = set(compress(csr.node_ids, (csr.degrees <= threshold).tolist()))
-    return low, set(csr.node_ids).difference(low)
+    keys = csr.keys_at(np.arange(csr.num_nodes, dtype=np.int64))
+    if isinstance(keys, np.ndarray):
+        keys = keys.tolist()
+    low = set(compress(keys, (csr.degrees <= threshold).tolist()))
+    return low, set(keys).difference(low)
 
 
 class LowSpacePartition:
@@ -119,9 +126,13 @@ class LowSpacePartition:
 
         low_degree_nodes, high_degree_nodes = split_by_degree(graph, threshold)
 
+        csr = graph.csr()
         if not high_degree_nodes:
             # Nothing to partition: every node takes the MIS path.
-            low_degree_graph = graph.induced_subgraph(low_degree_nodes)
+            low_degree_graph = graph.induced_subgraph(
+                set_order(csr, csr.locate_keys(list(low_degree_nodes))),
+                by_position=True,
+            )
             empty = ColorBinInstance(bin_index=last_bin, graph=Graph(), palettes=PaletteAssignment({}))
             dummy_family = KWiseIndependentFamily(
                 domain_size=max(global_nodes, 2),
@@ -213,24 +224,34 @@ class LowSpacePartition:
         # routed to the low-degree/MIS path so correctness never depends on
         # the concentration argument.  The MIS-path graph is one extraction
         # and every bin is sliced in one batched pass over the (already
-        # warm) CSR view.  The bin members keep the set-iteration order of
-        # ``usable``: the extraction turns each group into a set, so that
-        # order decides the children's node order.
+        # warm) CSR view.  The groups are ordered over the hashed ids
+        # (:func:`~repro.graph.csr.set_order`): the MIS path as the union
+        # set iterates, each bin as the set of its members in the
+        # iteration order of ``usable``.
         violating = outcome.violating_nodes
-        low_degree_graph = graph.induced_subgraph(low_degree_nodes.union(violating))
+        mis_path = low_degree_nodes.union(violating)
+        low_degree_graph = graph.induced_subgraph(
+            set_order(csr, csr.locate_keys(list(mis_path))), by_position=True
+        )
         usable = high_degree_nodes.difference(violating)
         members = np.fromiter(usable, dtype=np.int64, count=len(usable))
         member_bins = outcome.bins_of(members)
-        bin_members = [
-            members[member_bins == bin_index].tolist() for bin_index in range(num_bins)
-        ]
-        subgraphs = graph.induced_subgraphs(bin_members)
+        member_rows = csr.locate_keys(members)
+        subgraphs = graph.induced_subgraphs(
+            [
+                set_order(csr, member_rows[member_bins == bin_index])
+                for bin_index in range(num_bins)
+            ],
+            by_position=True,
+        )
         if poll is not None:
             poll()
 
         universe, color_bin_ids = color_bin_arrays(palettes, h2, num_color_bins)
         restricted = palettes.restricted_by_bins(
-            bin_members[:num_color_bins], universe, color_bin_ids
+            [subgraph.csr().node_ids for subgraph in subgraphs[:num_color_bins]],
+            universe,
+            color_bin_ids,
         )
         color_bins: List[ColorBinInstance] = []
         for bin_index in range(num_color_bins):
@@ -241,11 +262,10 @@ class LowSpacePartition:
                     palettes=restricted[bin_index],
                 )
             )
-        leftover_members = bin_members[last_bin]
         leftover = ColorBinInstance(
             bin_index=last_bin,
             graph=subgraphs[last_bin],
-            palettes=palettes.subset(leftover_members),
+            palettes=palettes.subset(subgraphs[last_bin].csr().node_ids),
         )
         return LowSpacePartitionResult(
             h1=h1,

@@ -93,8 +93,14 @@ class Partition:
         (:meth:`~repro.hashing.batch.BatchCostEvaluatorBase.palette_entry_arrays`);
         such a store is ranked here once, for the families' universe and
         the evaluator alike."""
+        from repro.graph.csr import same_ids
+
         store = palettes.store()
-        if store is not None and graph.has_csr() and store.nodes == graph.csr().node_ids:
+        if (
+            store is not None
+            and graph.has_csr()
+            and same_ids(store.nodes, graph.csr().node_ids)
+        ):
             store.universe_positions()
         return hash_families(
             graph, palettes, self.params.num_bins(ell), self.params.independence,
@@ -222,13 +228,12 @@ class Partition:
         last_bin = num_bins - 1
 
         # Materialise every bin instance of this level in one batched pass
-        # over the CSR view (split_by_bins).  The selection already warmed
-        # the parent's CSR view, so the extraction pays no extra build.
-        bin_members = [
-            classification.good_nodes_in_bin(bin_index)
-            for bin_index in range(num_bins)
-        ]
-        subgraphs = graph.induced_subgraphs([classification.bad_nodes] + bin_members)
+        # over the CSR view (split_by_bins), from the position groups the
+        # classification hands over.  The selection already warmed the
+        # parent's CSR view, so the extraction pays no extra build.
+        subgraphs = graph.induced_subgraphs(
+            classification.bin_groups(graph.csr()), by_position=True
+        )
         bad_graph = subgraphs[0]
         if poll is not None:
             poll()
@@ -242,11 +247,11 @@ class Partition:
             for bin_index in range(len(restricted))
         ]
 
-        leftover_members = bin_members[last_bin]
+        leftover_graph = subgraphs[1 + last_bin]
         leftover = ColorBinInstance(
             bin_index=last_bin,
-            graph=subgraphs[1 + last_bin],
-            palettes=palettes.subset(leftover_members),
+            graph=leftover_graph,
+            palettes=palettes.subset(leftover_graph.csr().node_ids),
         )
 
         return PartitionResult(

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -58,38 +58,19 @@ from repro.types import NodeId
 class GraphCSR:
     """Immutable array view of a graph (see the module docstring)."""
 
-    node_ids: List[NodeId]
+    node_ids: Union[List[NodeId], np.ndarray]
     indptr: np.ndarray
     indices: np.ndarray
     degrees: np.ndarray
     edge_sources: np.ndarray = field(repr=False)
-    #: Inverse of ``node_ids``, built lazily via :attr:`position` (extraction
-    #: produces many short-lived child views whose inverse is never needed).
-    _position: Dict[NodeId, int] = field(default=None, repr=False)
-    #: Lazily cached flag for the common root-instance layout where
-    #: ``node_ids[i] == i``, letting position lookups skip the dict entirely.
-    _ids_are_positions: bool = field(default=None, repr=False)
-
-    @property
-    def position(self) -> Dict[NodeId, int]:
-        """``position[node] == i`` iff ``node_ids[i] == node`` (cached)."""
-        mapping = self._position
-        if mapping is None:
-            mapping = {node: index for index, node in enumerate(self.node_ids)}
-            object.__setattr__(self, "_position", mapping)
-        return mapping
-
-    @property
-    def ids_are_positions(self) -> bool:
-        """Whether ``node_ids[i] == i`` for all ``i`` (cached)."""
-        cached = self._ids_are_positions
-        if cached is None:
-            ids = integer_array(self.node_ids)
-            cached = ids is not None and bool(
-                np.array_equal(ids, np.arange(ids.shape[0], dtype=np.int64))
-            )
-            object.__setattr__(self, "_ids_are_positions", cached)
-        return cached
+    #: The solve root's original ids, in root position order, when
+    #: ``node_ids`` are root positions (see :func:`position_view`);
+    #: ``None`` when the node ids are the ids themselves.
+    hash_keys: Optional[np.ndarray] = field(default=None, repr=False)
+    #: Cached :func:`id_locator` of ``node_ids``, built on the first lookup.
+    _locator: object = field(default=None, repr=False)
+    #: Cached :func:`id_locator` of the hashed ids (:meth:`keys_at`).
+    _key_locator: object = field(default=None, repr=False)
 
     @property
     def num_nodes(self) -> int:
@@ -98,6 +79,107 @@ class GraphCSR:
     @property
     def num_directed_edges(self) -> int:
         return int(self.indices.shape[0])
+
+    def id_list(self) -> list:
+        """``node_ids`` as a list of Python objects."""
+        ids = self.node_ids
+        return ids.tolist() if isinstance(ids, np.ndarray) else ids
+
+    def ids_at(self, rows: np.ndarray):
+        """The node ids at positions ``rows``, of ``node_ids``' kind."""
+        ids = self.node_ids
+        if isinstance(ids, np.ndarray):
+            return ids[rows]
+        return [ids[row] for row in rows.tolist()]
+
+    def keys_at(self, rows: np.ndarray):
+        """The ids ``h1`` hashes — the root's original ids — of ``rows``.
+
+        An int64 array, or a list when some id is not an int64 integer.
+        """
+        if self.hash_keys is not None:
+            keys = self.hash_keys[self.node_ids[rows]]
+            return keys.tolist() if keys.dtype == object else keys
+        ids = self.ids_at(rows)
+        if isinstance(ids, np.ndarray):
+            return ids
+        array = integer_array(ids)
+        return ids if array is None else array
+
+    def locate(self, ids) -> np.ndarray:
+        """The position of every id in ``ids`` (a sized sequence), -1 for
+        ids that are not nodes; int64."""
+        locator = self._locator
+        if locator is None:
+            locator = id_locator(self.node_ids)
+            object.__setattr__(self, "_locator", locator)
+        return locate_ids(locator, ids)
+
+    def locate_keys(self, keys) -> np.ndarray:
+        """:meth:`locate` over the hashed ids (:meth:`keys_at`) instead of
+        the node ids; the same thing outside a solve."""
+        if self.hash_keys is None:
+            return self.locate(keys)
+        locator = self._key_locator
+        if locator is None:
+            locator = id_locator(self.keys_at(np.arange(self.num_nodes, dtype=np.int64)))
+            object.__setattr__(self, "_key_locator", locator)
+        return locate_ids(locator, keys)
+
+
+def same_ids(first, second) -> bool:
+    """Whether two node-id sequences (lists or int64 arrays) are equal."""
+    if first is second:
+        return True
+    if isinstance(first, np.ndarray) or isinstance(second, np.ndarray):
+        return len(first) == len(second) and bool(
+            np.array_equal(np.asarray(first), np.asarray(second))
+        )
+    return first == second
+
+
+def id_locator(node_ids):
+    """A lookup structure for :func:`locate_ids` over ``node_ids``.
+
+    Int64 ids give ``(ids, order)``: ``order`` sorts them (``None`` when
+    they already ascend, as in a root).  Other ids give a dict.
+    """
+    if isinstance(node_ids, np.ndarray) and node_ids.dtype != object:
+        ids = node_ids
+    else:
+        ids = integer_array(node_ids)
+    if ids is None:
+        return {node: row for row, node in enumerate(node_ids)}
+    if ids.shape[0] < 2 or bool((ids[1:] > ids[:-1]).all()):
+        return ids, None
+    order = np.argsort(ids, kind="stable")
+    return ids[order], order
+
+
+def locate_ids(locator, ids) -> np.ndarray:
+    """Positions of ``ids`` under a :func:`id_locator`, -1 where absent."""
+    if isinstance(locator, dict):
+        return np.fromiter(
+            (locator.get(node, -1) for node in ids), dtype=np.int64, count=len(ids)
+        )
+    ordered, order = locator
+    queries = ids if isinstance(ids, np.ndarray) else integer_array(ids)
+    if queries is None:  # some query is not an int64 integer: not a node
+        return np.array(
+            [
+                locate_ids(locator, [node])[0]
+                if isinstance(node, (int, np.integer)) and -(2**63) <= node < 2**63
+                else -1
+                for node in ids
+            ],
+            dtype=np.int64,
+        )
+    if not ordered.shape[0]:
+        return np.full(queries.shape[0], -1, dtype=np.int64)
+    at = np.minimum(np.searchsorted(ordered, queries), ordered.shape[0] - 1)
+    hit = ordered[at] == queries
+    rows = at if order is None else order[at]
+    return np.where(hit, rows, -1).astype(np.int64, copy=False)
 
 
 def index_dtype(num_nodes: int) -> type:
@@ -153,7 +235,6 @@ def build_csr(adjacency: Dict[NodeId, "set"]) -> GraphCSR:
         indices=indices,
         degrees=degrees,
         edge_sources=edge_sources,
-        _position=position,
     )
 
 
@@ -191,31 +272,80 @@ def integer_array(values) -> Optional[np.ndarray]:
 
 
 def node_id_array(csr: GraphCSR) -> np.ndarray:
-    """``csr.node_ids`` as an int64 array, in position order.
+    """The ids ``h1`` hashes (:meth:`GraphCSR.keys_at`), as an int64 array in
+    position order.
 
     Partitioning hashes node ids with ``h1``, whose domain is the
     integers, so an id that is not an int64 integer is a
     :class:`~repro.errors.GraphError` naming the first offender (an
     instance small enough for the base case never gets here).
     """
-    if csr.ids_are_positions:
-        return np.arange(csr.num_nodes, dtype=np.int64)
-    ids = integer_array(csr.node_ids)
-    if ids is None:
-        odd = next(
-            (
-                node
-                for node in csr.node_ids
-                if not isinstance(node, (int, np.integer))
-                or not -(2**63) <= node < 2**63
-            ),
-            csr.node_ids[0],
+    keys = csr.keys_at(np.arange(csr.num_nodes, dtype=np.int64))
+    if isinstance(keys, np.ndarray):
+        return keys
+    odd = next(
+        (
+            node
+            for node in keys
+            if not isinstance(node, (int, np.integer))
+            or not -(2**63) <= node < 2**63
+        ),
+        keys[0],
+    )
+    raise GraphError(
+        f"node id {odd!r} is not an int64 integer; partitioning hashes "
+        "integer node ids"
+    )
+
+
+def position_view(csr: GraphCSR) -> GraphCSR:
+    """The solve's root view: node ids are positions, ids move to ``hash_keys``.
+
+    Same arrays as ``csr``; ``node_ids`` becomes ``arange(n)`` and
+    ``hash_keys`` holds the original ids (int64, or objects when some id
+    is not an int64 integer).  Every view extracted from it keeps
+    ``hash_keys`` and names its nodes by root position.
+    """
+    ids = csr.node_ids
+    keys = ids if isinstance(ids, np.ndarray) else integer_array(ids)
+    if keys is None:
+        keys = np.empty(len(ids), dtype=object)
+        keys[:] = ids
+    return GraphCSR(
+        node_ids=np.arange(csr.num_nodes, dtype=np.int64),
+        indptr=csr.indptr,
+        indices=csr.indices,
+        degrees=csr.degrees,
+        edge_sources=csr.edge_sources,
+        hash_keys=keys,
+    )
+
+
+def set_order(csr: GraphCSR, rows, via_set: bool = False) -> np.ndarray:
+    """``rows`` in the iteration order of a Python set of their ids.
+
+    The one place that orders an extracted group: the children's node
+    order (and with it every tie-break below them) is the order
+    ``list({node for node in group})`` gives over the original ids
+    (:meth:`GraphCSR.keys_at`), as it always has been.  ``rows`` are
+    positions in ``csr`` in the group's iteration order; ``via_set``
+    first collects them into a set, as a group that was itself a set.
+    The ordered ids map back to rows with one ``searchsorted`` over the
+    group's sorted ids.  Repeated rows collapse.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    keys = csr.keys_at(rows)
+    labels = keys.tolist() if isinstance(keys, np.ndarray) else keys
+    ordered = list({label for label in (set(labels) if via_set else labels)})
+    if not isinstance(keys, np.ndarray):
+        row_of = dict(zip(labels, rows.tolist()))
+        return np.fromiter(
+            (row_of[label] for label in ordered), dtype=np.int64, count=len(ordered)
         )
-        raise GraphError(
-            f"node id {odd!r} is not an int64 integer; partitioning hashes "
-            "integer node ids"
-        )
-    return ids
+    if keys.shape[0] < 2 or bool((keys[1:] > keys[:-1]).all()):
+        return rows[np.searchsorted(keys, ordered)]
+    by_key = np.argsort(keys, kind="stable")
+    return rows[by_key[np.searchsorted(keys, ordered, sorter=by_key)]]
 
 
 def _first_appearance(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -299,18 +429,8 @@ def csr_from_edges(nodes, edges) -> Optional[GraphCSR]:
     )
 
 
-def _positions_of(csr: GraphCSR, node_ids: Sequence[NodeId]) -> np.ndarray:
-    """Parent positions of ``node_ids`` as an int64 array (ids must exist)."""
-    if csr.ids_are_positions:
-        return np.asarray(node_ids, dtype=np.int64)
-    position = csr.position
-    return np.fromiter(
-        (position[node] for node in node_ids), dtype=np.int64, count=len(node_ids)
-    )
-
-
 def _assemble_child(
-    node_ids: Sequence[NodeId], rows: np.ndarray, targets: np.ndarray
+    node_ids, rows: np.ndarray, targets: np.ndarray, hash_keys=None
 ) -> GraphCSR:
     """Canonical child CSR from its directed edge list in child positions.
 
@@ -334,11 +454,12 @@ def _assemble_child(
         indices = np.zeros(0, dtype=dtype)
     edge_sources = np.repeat(np.arange(num_nodes, dtype=dtype), degrees)
     return GraphCSR(
-        node_ids=list(node_ids),
+        node_ids=node_ids if isinstance(node_ids, np.ndarray) else list(node_ids),
         indptr=indptr,
         indices=indices,
         degrees=degrees,
         edge_sources=edge_sources,
+        hash_keys=hash_keys,
     )
 
 
@@ -395,44 +516,42 @@ def _gather_rows(
     return rows, csr.indices[gather]
 
 
-def split_by_bins(
-    csr: GraphCSR, groups: Sequence[Iterable[NodeId]]
-) -> List[GraphCSR]:
-    """Child views for all (disjoint) node groups of one partition level.
+def split_by_bins(csr: GraphCSR, groups: Sequence[np.ndarray]) -> List[GraphCSR]:
+    """Child views for all (disjoint) position groups of one partition level.
 
-    One label scatter and one reindex scatter cover the whole level, then each
-    child gathers only its own members' neighbor runs, keeps the same-label
-    edges, and key-sorts its own (much smaller) edge set into the canonical
-    layout — total work one pass over the level's directed edges plus the
-    per-child sorts.  Returns ``len(groups)`` child views; group order
-    defines the children's order, and each group's id order defines its
-    child's node order.  Scalar reference: one
-    ``induced_from_keep`` call per group (``tests/scalar_oracle.py``).  Raises
-    :class:`~repro.errors.GraphError` if the groups overlap (or a group
-    repeats an id) — a label scatter cannot represent overlapping bins.
+    ``groups[g]`` is an int64 array of positions in ``csr``, in the order
+    child ``g`` lists its nodes; the child's ``node_ids`` are
+    ``csr.node_ids`` at those positions (root positions inside a solve)
+    and it keeps ``csr.hash_keys``.  One label scatter and one reindex
+    scatter cover the whole level, then each child gathers only its own
+    members' neighbor runs, keeps the same-label edges, and key-sorts its
+    own (much smaller) edge set into the canonical layout — total work one
+    pass over the level's directed edges plus the per-child sorts.  Scalar
+    reference: one ``induced_from_keep`` call per group
+    (``tests/scalar_oracle.py``).  Raises :class:`~repro.errors.GraphError`
+    if the groups overlap (or a group repeats a position) — a label
+    scatter cannot represent overlapping bins.
     """
-    group_ids: List[List[NodeId]] = [list(group) for group in groups]
+    positions_of = [np.asarray(group, dtype=np.int64) for group in groups]
     labels = np.full(csr.num_nodes, -1, dtype=np.int64)
     new_of_old = np.full(csr.num_nodes, -1, dtype=np.int64)
-    group_positions: List[np.ndarray] = []
     total_members = 0
-    for label, ids in enumerate(group_ids):
-        positions = _positions_of(csr, ids)
-        group_positions.append(positions)
+    for label, positions in enumerate(positions_of):
         labels[positions] = label
-        new_of_old[positions] = np.arange(len(ids), dtype=np.int64)
-        total_members += len(ids)
+        new_of_old[positions] = np.arange(positions.shape[0], dtype=np.int64)
+        total_members += positions.shape[0]
     if total_members != int((labels >= 0).sum()):
         raise GraphError("split_by_bins groups must be disjoint")
     children: List[GraphCSR] = []
-    for label, (ids, positions) in enumerate(zip(group_ids, group_positions)):
+    for label, positions in enumerate(positions_of):
         rows, neighbor_positions = _gather_rows(csr, positions)
         kept = np.flatnonzero(labels.take(neighbor_positions) == label)
         children.append(
             _assemble_child(
-                ids,
+                csr.ids_at(positions),
                 rows.take(kept),
                 new_of_old.take(neighbor_positions.take(kept)),
+                csr.hash_keys,
             )
         )
     return children

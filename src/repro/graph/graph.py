@@ -79,7 +79,7 @@ class Graph:
             raise GraphError("graph has neither adjacency sets nor a CSR view")
         from repro.graph.csr import integer_array
 
-        node_ids = view.node_ids
+        node_ids = view.id_list()
         ids = integer_array(node_ids)
         if ids is not None:
             mapped = ids[view.indices].tolist()
@@ -158,8 +158,16 @@ class Graph:
     # ------------------------------------------------------------------
     def __contains__(self, node: NodeId) -> bool:
         if self._adj_store is None:
-            return node in self._csr.position
+            return self._row(node) >= 0
         return node in self._adj_store
+
+    def _row(self, node: NodeId) -> int:
+        """The view position of ``node`` (-1 if absent); CSR-only graphs."""
+        try:
+            hash(node)
+        except TypeError:
+            return -1
+        return int(self._csr.locate([node])[0])
 
     def __len__(self) -> int:
         if self._adj_store is None:
@@ -168,7 +176,7 @@ class Graph:
 
     def __iter__(self) -> Iterator[NodeId]:
         if self._adj_store is None:
-            return iter(self._csr.node_ids)
+            return iter(self._csr.id_list())
         return iter(self._adj_store)
 
     @property
@@ -186,7 +194,7 @@ class Graph:
     def nodes(self) -> List[NodeId]:
         """All node identifiers (in insertion order)."""
         if self._adj_store is None:
-            return list(self._csr.node_ids)
+            return list(self._csr.id_list())
         return list(self._adj_store)
 
     def edges(self) -> Iterator[Edge]:
@@ -201,7 +209,7 @@ class Graph:
         """
         if self._adj_store is None:
             view = self._csr
-            ids = view.node_ids
+            ids = view.id_list()
             ranks = _edge_ranks(ids)
             for i, j in zip(view.edge_sources.tolist(), view.indices.tolist()):
                 if ranks[i] < ranks[j]:
@@ -240,13 +248,11 @@ class Graph:
         """
         if self._adj_store is None:
             view = self._csr
-            try:
-                pos = view.position[node]
-            except KeyError as exc:
-                raise GraphError(f"unknown node {node}") from exc
-            ids = view.node_ids
-            run = view.indices[view.indptr[pos] : view.indptr[pos + 1]].tolist()
-            return (ids[j] for j in run)
+            pos = self._row(node)
+            if pos < 0:
+                raise GraphError(f"unknown node {node}")
+            run = view.ids_at(view.indices[view.indptr[pos] : view.indptr[pos + 1]])
+            return iter(run if isinstance(run, list) else run.tolist())
         try:
             return iter(self._adj_store[node])
         except KeyError as exc:
@@ -255,11 +261,10 @@ class Graph:
     def degree(self, node: NodeId) -> int:
         """Degree of ``node``."""
         if self._adj_store is None:
-            view = self._csr
-            try:
-                return int(view.degrees[view.position[node]])
-            except KeyError as exc:
-                raise GraphError(f"unknown node {node}") from exc
+            pos = self._row(node)
+            if pos < 0:
+                raise GraphError(f"unknown node {node}")
+            return int(self._csr.degrees[pos])
         try:
             return len(self._adj_store[node])
         except KeyError as exc:
@@ -269,10 +274,7 @@ class Graph:
         """Mapping from node to degree."""
         if self._adj_store is None:
             view = self._csr
-            return {
-                node: int(degree)
-                for node, degree in zip(view.node_ids, view.degrees)
-            }
+            return dict(zip(view.id_list(), view.degrees.tolist()))
         return {node: len(neigh) for node, neigh in self._adj_store.items()}
 
     def max_degree(self) -> int:
@@ -338,32 +340,44 @@ class Graph:
     # ------------------------------------------------------------------
     # derived graphs
     # ------------------------------------------------------------------
-    def induced_subgraph(self, nodes: Iterable[NodeId]) -> "Graph":
+    def induced_subgraph(self, nodes, by_position: bool = False) -> "Graph":
         """The subgraph induced by ``nodes`` (unknown ids are ignored).
 
         The child is backed by its own warm canonical CSR view and
         materialises adjacency sets lazily; its node order is the
-        iteration order of the filtered id set.
+        iteration order of the filtered id set.  ``by_position`` is as in
+        :meth:`induced_subgraphs`.
         """
-        return self._extract([nodes])[0]
+        return self._extract([nodes], by_position)[0]
 
-    def induced_subgraphs(self, groups: Sequence[Iterable[NodeId]]) -> List["Graph"]:
+    def induced_subgraphs(
+        self, groups: Sequence, by_position: bool = False
+    ) -> List["Graph"]:
         """Induced subgraphs of several *disjoint* node groups in one pass.
 
         The partition pipelines slice every bin instance of a level at once;
         each child is what :meth:`induced_subgraph` returns for its group.
+        With ``by_position`` each group is instead an int64 array of
+        positions in :meth:`csr`, already in the child's node order (the
+        pipelines order their groups with :func:`repro.graph.csr.set_order`).
         Overlapping groups are a :class:`~repro.errors.GraphError`.
         """
-        return self._extract(groups)
+        return self._extract(groups, by_position)
 
-    def _extract(self, groups: Sequence[Iterable[NodeId]]) -> List["Graph"]:
-        """Children of :func:`repro.graph.csr.split_by_bins` over the known ids."""
-        from repro.graph.csr import split_by_bins
+    def _extract(self, groups: Sequence, by_position: bool) -> List["Graph"]:
+        """Children of :func:`repro.graph.csr.split_by_bins`: position
+        groups as given, id groups over their known ids, each in
+        :func:`~repro.graph.csr.set_order`."""
+        from repro.graph.csr import set_order, split_by_bins
 
         view = self.csr()
-        members = view.position
-        keeps = [list({node for node in group if node in members}) for group in groups]
-        return [Graph._from_csr(child) for child in split_by_bins(view, keeps)]
+        if not by_position:
+            keeps = []
+            for group in groups:
+                rows = view.locate(list(group))
+                keeps.append(set_order(view, rows[rows >= 0]))
+            groups = keeps
+        return [Graph._from_csr(child) for child in split_by_bins(view, groups)]
 
     def connected_components(self) -> List[Set[NodeId]]:
         """Connected components as a list of node sets (iterative BFS)."""

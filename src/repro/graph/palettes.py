@@ -95,38 +95,48 @@ class _PaletteStore:
 
     __slots__ = (
         "nodes", "flat", "offsets",
-        "_index", "_universe", "_positions", "_entry_rows",
+        "_locator", "_universe", "_positions", "_entry_rows",
     )
 
-    def __init__(self, nodes: List[NodeId], flat: np.ndarray, offsets: np.ndarray) -> None:
+    def __init__(self, nodes, flat: np.ndarray, offsets: np.ndarray) -> None:
+        #: A list of ids, or an int64 array of root positions inside a solve.
         self.nodes = nodes
         self.flat = flat
         self.offsets = offsets
-        self._index: Optional[Dict[NodeId, int]] = None
+        self._locator = None
         self._universe: Optional[np.ndarray] = None
         self._positions: Optional[np.ndarray] = None
         self._entry_rows: Optional[np.ndarray] = None
 
-    @property
-    def index(self) -> Dict[NodeId, int]:
-        """``index[node] == i`` iff ``nodes[i] == node`` (cached)."""
-        mapping = self._index
-        if mapping is None:
-            mapping = {node: row for row, node in enumerate(self.nodes)}
-            self._index = mapping
-        return mapping
+    def node_list(self) -> list:
+        """:attr:`nodes` as a list of Python objects."""
+        nodes = self.nodes
+        return nodes.tolist() if isinstance(nodes, np.ndarray) else list(nodes)
 
-    def rows_of(self, node_list: Sequence[NodeId]) -> np.ndarray:
-        """Store rows of ``node_list``; :class:`PaletteError` on a miss."""
-        index = self.index
+    def locate(self, nodes) -> np.ndarray:
+        """The row of every node in ``nodes`` (a sized sequence), -1 for
+        nodes without a palette (:func:`repro.graph.csr.locate_ids`)."""
+        from repro.graph.csr import id_locator, locate_ids
+
+        if self._locator is None:
+            self._locator = id_locator(self.nodes)
+        return locate_ids(self._locator, nodes)
+
+    def rows_for(self, nodes) -> np.ndarray:
+        """:meth:`locate`, with :class:`PaletteError` for the first miss."""
+        rows = self.locate(nodes)
+        missing = np.flatnonzero(rows < 0)
+        if missing.shape[0]:
+            raise PaletteError(f"node {nodes[int(missing[0])]} has no palette")
+        return rows
+
+    def row(self, node: NodeId) -> int:
+        """The row of ``node``, or -1."""
         try:
-            return np.fromiter(
-                (index[node] for node in node_list),
-                dtype=np.int64,
-                count=len(node_list),
-            )
-        except KeyError as exc:
-            raise PaletteError(f"node {exc.args[0]} has no palette") from exc
+            hash(node)
+        except TypeError:
+            return -1
+        return int(self.locate([node])[0])
 
     def row_slice(self, row: int) -> np.ndarray:
         """The (sorted) palette slice of store row ``row`` — a view."""
@@ -141,7 +151,7 @@ class _PaletteStore:
         cached = self._entry_rows
         if cached is None:
             cached = np.repeat(
-                np.arange(len(self.nodes), dtype=np.int64), self.sizes()
+                np.arange(self.offsets.shape[0] - 1, dtype=np.int64), self.sizes()
             )
             self._entry_rows = cached
         return cached
@@ -234,39 +244,78 @@ def _locate(universe: np.ndarray, colors: np.ndarray) -> np.ndarray:
 _STORE_UNAVAILABLE = object()
 
 
-def _graph_positions(csr, nodes):
-    """``(positions, inside)``: the graph position of every node in
-    ``nodes`` (a sized collection) and the mask of those in the graph.
+class RunColoring:
+    """The coloring of one solve, indexed by root position.
 
-    Nodes outside the graph are the scalar loops' ``continue``: the
-    pruning kernel drops them through ``inside``.
+    ``colors[p]`` is the color of the node at root position ``p`` once
+    ``colored[p]`` is set.  A separate mask is needed because colors may
+    be negative or near ``±2**62``: no color value is safe as a sentinel.
+    Each recursion leaf paints its own slots; the pruning kernel reads a
+    neighbor's color with one gather through a view's root positions.
+    The array is int64 unless a leaf paints colors that are not int64
+    integers (palettes without an array store), which switches it to
+    objects — such instances never partition, so no pruning reads it.
+    """
+
+    __slots__ = ("colors", "colored", "count")
+
+    def __init__(self, num_nodes: int) -> None:
+        self.colors = np.zeros(num_nodes, dtype=np.int64)
+        self.colored = np.zeros(num_nodes, dtype=bool)
+        #: Number of painted slots (each node is painted once).
+        self.count = 0
+
+    def __len__(self) -> int:
+        return self.count
+
+    def paint(self, positions: np.ndarray, colors) -> None:
+        """Set the colors of the nodes at root ``positions``."""
+        from repro.graph.csr import integer_array
+
+        values = colors if isinstance(colors, np.ndarray) else integer_array(colors)
+        if values is None or values.dtype == object:
+            if self.colors.dtype != object:
+                self.colors = self.colors.astype(object)
+            values = np.empty(len(colors), dtype=object)
+            values[:] = list(colors)
+        self.colors[positions] = values
+        self.colored[positions] = True
+        self.count += len(positions)
+
+    def paint_mapping(self, coloring: ColoringMap) -> None:
+        """Paint a ``root position -> color`` mapping (a leaf's coloring)."""
+        if coloring:
+            positions = np.fromiter(coloring.keys(), dtype=np.int64, count=len(coloring))
+            self.paint(positions, list(coloring.values()))
+
+    def to_dict(self, hash_keys) -> Dict[NodeId, Color]:
+        """The coloring keyed by original id (``hash_keys[p]`` for slot
+        ``p``), in root order — the solve's door out."""
+        painted = np.flatnonzero(self.colored)
+        return dict(zip(hash_keys[painted].tolist(), self.colors[painted].tolist()))
+
+
+def _neighbor_colors(csr, coloring, neighbor_rows: np.ndarray):
+    """``(colored, colors)``: which of the neighbors at ``csr`` positions
+    ``neighbor_rows`` are colored, and the int64 colors of those.
+
+    A :class:`RunColoring` is read through the view's root positions.  A
+    mapping (the public door) is keyed by node id: keys outside the graph
+    are dropped, and a color that is not an int64 integer is a
+    :class:`PaletteError` naming it, raised before anything is read
+    (``np.fromiter`` alone would truncate ``1.5`` to ``1``).
     """
     from repro.graph.csr import integer_array
 
-    if csr.ids_are_positions:
-        ids = integer_array(nodes)
-        if ids is not None:
-            return ids, (ids >= 0) & (ids < csr.num_nodes)
-    position = csr.position
-    positions = np.fromiter(
-        (position.get(node, -1) for node in nodes),
-        dtype=np.int64,
-        count=len(nodes),
-    )
-    return positions, positions >= 0
-
-
-def _coloring_arrays(csr, coloring: ColoringMap):
-    """``coloring`` as (graph positions, int64 colors) arrays.
-
-    The pruning kernel's ingestion: keys outside the graph are dropped,
-    and a color that is not an int64 integer is a :class:`PaletteError`
-    naming it (``np.fromiter`` alone would truncate ``1.5`` to ``1``).
-    """
-    from repro.graph.csr import integer_array
-
-    colors = integer_array(coloring.values())
-    if colors is None:
+    if isinstance(coloring, RunColoring):
+        roots = csr.node_ids[neighbor_rows]
+        colored = coloring.colored[roots]
+        colors = coloring.colors[roots[colored]]
+        if colors.dtype == object:
+            raise PaletteError("the run coloring holds colors that are not int64 integers")
+        return colored, colors
+    values = integer_array(coloring.values())
+    if values is None:
         node, color = next(
             (node, color)
             for node, color in coloring.items()
@@ -275,8 +324,14 @@ def _coloring_arrays(csr, coloring: ColoringMap):
         raise PaletteError(
             f"color {color!r} of node {node!r} is not an int64 integer"
         )
-    positions, inside = _graph_positions(csr, coloring.keys())
-    return positions[inside], colors[inside]
+    positions = csr.locate(list(coloring.keys()))
+    inside = positions >= 0
+    color_of = np.zeros(csr.num_nodes, dtype=np.int64)
+    has_color = np.zeros(csr.num_nodes, dtype=bool)
+    color_of[positions[inside]] = values[inside]
+    has_color[positions[inside]] = True
+    colored = has_color[neighbor_rows]
+    return colored, color_of[neighbor_rows[colored]]
 
 
 def canonical_instance(graph: Graph, palettes: "PaletteAssignment"):
@@ -301,10 +356,38 @@ def canonical_instance(graph: Graph, palettes: "PaletteAssignment"):
     if ordered != ids:
         from repro.graph.csr import split_by_bins
 
-        graph = Graph._from_csr(split_by_bins(graph.csr(), [ordered])[0])
+        rows = np.asarray(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
+        graph = Graph._from_csr(split_by_bins(graph.csr(), [rows])[0])
     if palettes.nodes() != ordered:
         palettes = palettes.subset(ordered)
     return graph, palettes
+
+
+def position_instance(graph: Graph, palettes: "PaletteAssignment"):
+    """The solve's root instance: nodes named by position, palettes aligned.
+
+    ``graph`` and ``palettes`` are a canonical instance
+    (:func:`canonical_instance`).  The returned graph shares the arrays of
+    ``graph``'s view, names its nodes ``0..n-1`` and keeps the original
+    ids as ``hash_keys`` (:func:`repro.graph.csr.position_view`); the
+    returned palettes hold the same entries under the same positions, with
+    the very ``node_ids`` array of the graph's view as their nodes.  Every
+    instance extracted below names its nodes by root position, so the
+    engine translates ids only here and in
+    :meth:`RunColoring.to_dict`.
+    """
+    from repro.graph.csr import position_view
+
+    view = position_view(graph.csr())
+    positions = view.node_ids
+    store = palettes.store()
+    if store is not None:
+        aligned = PaletteAssignment._from_arrays(positions, store.flat, store.offsets)
+    else:
+        aligned = PaletteAssignment._adopt(
+            dict(zip(positions.tolist(), palettes._palettes.values()))
+        )
+    return Graph._from_csr(view), aligned
 
 
 def _store_from_rows(nodes: List[NodeId], rows: Sequence) -> Optional[_PaletteStore]:
@@ -354,6 +437,14 @@ def _narrowed(flat: np.ndarray) -> np.ndarray:
     return flat
 
 
+def _distinct(nodes):
+    """``nodes`` without repeats, first occurrences in order.  An int64
+    array (root positions, distinct by construction) passes through."""
+    if isinstance(nodes, np.ndarray):
+        return nodes
+    return list(dict.fromkeys(nodes))
+
+
 class PaletteAssignment:
     """A mapping from node to its color palette.
 
@@ -391,7 +482,7 @@ class PaletteAssignment:
         bounds = store.offsets.tolist()
         sets: Dict[NodeId, Set[Color]] = {}
         start = 0
-        for node, end in zip(store.nodes, bounds[1:]):
+        for node, end in zip(store.node_list(), bounds[1:]):
             sets[node] = set(flat_list[start:end])
             start = end
         self._sets = sets
@@ -500,7 +591,7 @@ class PaletteAssignment:
     @classmethod
     def _from_arrays(
         cls,
-        nodes: List[NodeId],
+        nodes,
         flat: np.ndarray,
         offsets: np.ndarray,
     ) -> "PaletteAssignment":
@@ -526,7 +617,7 @@ class PaletteAssignment:
         sets = self._sets
         if sets is not None:
             return node in sets
-        return node in self._store.index
+        return self._store.row(node) >= 0
 
     def __len__(self) -> int:
         sets = self._sets
@@ -539,13 +630,13 @@ class PaletteAssignment:
         sets = self._sets
         if sets is not None:
             return list(sets)
-        return list(self._store.nodes)
+        return self._store.node_list()
 
     def _row_of(self, store: _PaletteStore, node: NodeId) -> int:
-        try:
-            return store.index[node]
-        except KeyError as exc:
-            raise PaletteError(f"node {node} has no palette") from exc
+        row = store.row(node)
+        if row < 0:
+            raise PaletteError(f"node {node} has no palette")
+        return row
 
     def palette(self, node: NodeId) -> Set[Color]:
         """A copy of the palette of ``node``."""
@@ -614,8 +705,8 @@ class PaletteAssignment:
         if sets is not None:
             return color in sets.get(node, ())
         store = self._store
-        row = store.index.get(node)
-        if row is None:
+        row = store.row(node)
+        if row < 0:
             return False
         row_slice = store.row_slice(row)
         try:
@@ -639,8 +730,8 @@ class PaletteAssignment:
         """
         store = self._store_if_warm()
         if store is not None:
-            node_list = list(dict.fromkeys(nodes))
-            rows = store.rows_of(node_list)
+            node_list = _distinct(nodes)
+            rows = store.rows_for(node_list)
             from repro.graph.csr import gather_segments
 
             lengths, gather = gather_segments(store.offsets, rows)
@@ -688,9 +779,7 @@ class PaletteAssignment:
         all-empty member palettes yield all-empty children and any member
         entry is a membership error.
         """
-        groups: List[List[NodeId]] = [
-            list(dict.fromkeys(members)) for members in bin_members
-        ]
+        groups = [_distinct(members) for members in bin_members]
         store = self.store()
         if store is None:
             raise PaletteError(
@@ -698,14 +787,17 @@ class PaletteAssignment:
             )
         from repro.graph.csr import gather_segments
 
-        flat_nodes: List[NodeId] = [node for members in groups for node in members]
-        rows = store.rows_of(flat_nodes)
+        member_rows = [store.rows_for(members) for members in groups]
+        rows = (
+            np.concatenate(member_rows) if member_rows else np.zeros(0, dtype=np.int64)
+        )
+        num_members = rows.shape[0]
         sizes, gather = gather_segments(store.offsets, rows)
         total = int(gather.shape[0])
         group_sizes = np.fromiter(
             (len(members) for members in groups), dtype=np.int64, count=len(groups)
         )
-        entry_owner = np.repeat(np.arange(len(flat_nodes), dtype=np.int64), sizes)
+        entry_owner = np.repeat(np.arange(num_members, dtype=np.int64), sizes)
         if total:
             # The member entries are gathered where they are read, so no
             # copy of them outlives its use.
@@ -726,11 +818,11 @@ class PaletteAssignment:
         kept_gather = gather[keep]
         kept_flat = store.flat[kept_gather]
         kept_counts = (
-            np.bincount(entry_owner[keep], minlength=len(flat_nodes))
+            np.bincount(entry_owner[keep], minlength=num_members)
             if total
-            else np.zeros(len(flat_nodes), dtype=np.int64)
+            else np.zeros(num_members, dtype=np.int64)
         )
-        bounds = np.zeros(len(flat_nodes) + 1, dtype=np.int64)
+        bounds = np.zeros(num_members + 1, dtype=np.int64)
         np.cumsum(kept_counts, out=bounds[1:])
         results: List[PaletteAssignment] = []
         cursor = 0
@@ -750,14 +842,16 @@ class PaletteAssignment:
     def remove_colors_used_by_neighbors_batch(
         self,
         graph: Graph,
-        coloring: ColoringMap,
+        coloring,
     ) -> int:
         """Remove from each node's palette the colors of its colored neighbors.
 
         This implements the two "Update color palettes of ..." steps of
         ``ColorReduce`` (and the corresponding step of
         ``LowSpaceColorReduce``) for every palette node; nodes outside
-        ``graph`` keep their palettes.  Returns the number of palette
+        ``graph`` keep their palettes.  ``coloring`` is the solve's
+        :class:`RunColoring` (read through ``graph``'s root positions) or
+        a ``node -> color`` mapping.  Returns the number of palette
         entries removed, which the space-accounting experiments use; a
         color blocked by several neighbors is removed — and counted — once.
         It is the one pruning kernel: one gather over the graph's CSR view
@@ -776,36 +870,34 @@ class PaletteAssignment:
                 "remove_colors_used_by_neighbors_batch: palette colors are "
                 "not int64 integers"
             )
-        if not coloring or not store.flat.shape[0]:
+        if not len(coloring) or not store.flat.shape[0]:
             return 0
-        from repro.graph.csr import gather_segments
+        from repro.graph.csr import gather_segments, same_ids
         from repro.hashing.batch import segment_mark_members
 
         csr = graph.csr()
-        colored_positions, colors = _coloring_arrays(csr, coloring)
-        if not colored_positions.shape[0]:
-            return 0
-        color_of = np.zeros(csr.num_nodes, dtype=np.int64)
-        has_color = np.zeros(csr.num_nodes, dtype=bool)
-        color_of[colored_positions] = colors
-        has_color[colored_positions] = True
-        node_positions, inside = _graph_positions(csr, store.nodes)
-        lengths, gather = gather_segments(csr.indptr, node_positions[inside])
-        neighbor_positions = csr.indices[gather]
-        colored = has_color[neighbor_positions]
-        if not bool(colored.any()):
+        num_rows = store.offsets.shape[0] - 1
+        if same_ids(store.nodes, csr.node_ids):
+            owners = np.arange(num_rows, dtype=np.int64)
+            node_rows = owners
+        else:
+            node_rows = csr.locate(store.nodes)
+            owners = np.flatnonzero(node_rows >= 0)
+            node_rows = node_rows[owners]
+        lengths, gather = gather_segments(csr.indptr, node_rows)
+        colored, colors = _neighbor_colors(csr, coloring, csr.indices[gather])
+        if not colors.shape[0]:
             return 0
         removed_mask = segment_mark_members(
             store.flat,
             store.offsets,
-            color_of[neighbor_positions[colored]],
-            np.repeat(np.flatnonzero(inside), lengths)[colored],
+            colors,
+            np.repeat(owners, lengths)[colored],
             segment_of_entry=store.entry_rows(),
         )
         removed = int(removed_mask.sum())
         if removed == 0:
             return 0
-        num_rows = len(store.nodes)
         new_sizes = store.sizes() - np.bincount(
             store.entry_rows()[removed_mask], minlength=num_rows
         )
@@ -819,7 +911,7 @@ class PaletteAssignment:
         self,
         nodes: Iterable[NodeId],
         graph: Graph,
-        coloring: ColoringMap,
+        coloring,
     ) -> tuple:
         """:meth:`subset` followed by :meth:`remove_colors_used_by_neighbors_batch`.
 
@@ -831,7 +923,7 @@ class PaletteAssignment:
         high-degree nodes takes this path with palettes of any colors.
         """
         child = self.subset(nodes)
-        if not coloring:
+        if not len(coloring):
             return child, 0
         return child, child.remove_colors_used_by_neighbors_batch(graph, coloring)
 
@@ -909,17 +1001,14 @@ class PaletteAssignment:
 
     @staticmethod
     def _node_rows(store: _PaletteStore, graph: Graph):
-        """``(graph nodes, their store rows or -1)``; aligned stores (the
-        canonical instance's) skip the per-node row lookups."""
-        node_list = graph.nodes()
-        if store.nodes == node_list:
-            return node_list, np.arange(len(node_list), dtype=np.int64)
-        index = store.index
-        return node_list, np.fromiter(
-            (index.get(node, -1) for node in node_list),
-            dtype=np.int64,
-            count=len(node_list),
-        )
+        """``(graph node ids, their store rows or -1)``; aligned stores (the
+        canonical instance's) skip the lookup."""
+        from repro.graph.csr import same_ids
+
+        node_ids = graph.csr().node_ids if graph.has_csr() else graph.nodes()
+        if same_ids(store.nodes, node_ids):
+            return node_ids, np.arange(len(node_ids), dtype=np.int64)
+        return node_ids, store.locate(node_ids)
 
     @staticmethod
     def _graph_rows(store: _PaletteStore, graph: Graph):

@@ -81,7 +81,7 @@ def _proper_colors_by_position(csr, coloring: ColoringMap) -> Optional[np.ndarra
     not form an int64 array (uncolored nodes, non-integer or out-of-range
     colors): the caller then runs the scalar check, which decides.
     """
-    colors = np.array(list(map(coloring.get, csr.node_ids)))
+    colors = np.array(list(map(coloring.get, csr.id_list())))
     if colors.dtype.kind != "i":
         return None
     if bool((colors[csr.edge_sources] == colors[csr.indices]).any()):
@@ -107,16 +107,13 @@ def _palettes_respected(
     store = palettes._store_if_warm()
     if store is None or len(coloring) != csr.num_nodes:
         return False
+    from repro.graph.csr import same_ids
+
     num_rows = len(store.nodes)
-    if store.nodes == csr.node_ids:
+    if same_ids(store.nodes, csr.node_ids):
         row_colors = colors
     else:
-        position = csr.position
-        row_positions = np.fromiter(
-            (position.get(node, -1) for node in store.nodes),
-            dtype=np.int64,
-            count=num_rows,
-        )
+        row_positions = csr.locate(store.nodes)
         if bool((row_positions < 0).any()):
             return False  # palettes of nodes outside the graph
         row_colors = colors[row_positions]

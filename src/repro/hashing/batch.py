@@ -541,13 +541,13 @@ class BatchCostEvaluatorBase:
                 "palette colors are not int64 integers; partitioning hashes "
                 "integer colors"
             )
-        if store.nodes == node_ids:
+        from repro.graph.csr import gather_segments, same_ids
+
+        if same_ids(store.nodes, node_ids):
             indptr = store.offsets
             universe, positions = store.universe_positions()
         else:
-            from repro.graph.csr import gather_segments
-
-            sizes, gather = gather_segments(store.offsets, store.rows_of(node_ids))
+            sizes, gather = gather_segments(store.offsets, store.rows_for(node_ids))
             indptr = np.zeros(len(node_ids) + 1, dtype=np.int64)
             np.cumsum(sizes, out=indptr[1:])
             universe, positions = store.ranks(gather)

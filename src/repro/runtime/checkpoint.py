@@ -155,7 +155,7 @@ def fingerprint_instance(graph: Any, palettes: Any) -> str:
     if ids is not None:
         hash_array(h, ids)
     else:
-        h.update(repr(csr.node_ids).encode("utf-8"))
+        h.update(repr(csr.id_list()).encode("utf-8"))
     hash_array(h, csr.indptr)
     hash_array(h, csr.indices)
     store = palettes.store()
@@ -173,7 +173,7 @@ def run_header(
 ) -> Dict[str, Any]:
     """The fingerprint header binding a checkpoint to one exact run."""
     return {
-        "format": 1,
+        "format": 2,
         "algorithm": algorithm,
         "params": fingerprint_params(params),
         "instance": fingerprint_instance(graph, palettes),
@@ -332,7 +332,8 @@ class CheckpointManager:
 
     ``entries`` maps a call's positional salt to a dict with keys
     ``depth``, ``ancestors`` (the salts on the path from the root,
-    exclusive), ``coloring``, ``ledger`` (a :class:`CostLedger` copy),
+    exclusive), ``nodes`` and ``colors`` (the subtree's root positions and
+    their colors, two aligned arrays), ``ledger`` (a :class:`CostLedger` copy),
     ``tree`` (the subtree's recursion node) and the run-counter deltas
     (``bad_nodes``, ``violations``).  ``path`` may be ``None`` — the
     frontier is then kept in memory only (a guard abort still raises, just

@@ -175,7 +175,7 @@ class DurableRun:
         entry = self.manager.restored(salt)
         if entry is not None:
             self.telemetry.bump("subtrees_restored")
-            self.telemetry.bump("nodes_restored", len(entry["coloring"]))
+            self.telemetry.bump("nodes_restored", len(entry["nodes"]))
             if self.supervisor is not None:
                 self.supervisor.on_subtree(self.manager, entry["depth"])
         return entry

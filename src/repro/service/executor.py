@@ -100,7 +100,7 @@ class JobSupervisor:
         reading the checkpoint frontier here is race-free; the endpoint
         threads only ever read the plain-int snapshot under the lock.
         """
-        nodes = sum(len(entry["coloring"]) for entry in manager.entries.values())
+        nodes = sum(len(entry["nodes"]) for entry in manager.entries.values())
         with self._lock:
             self._subtrees_completed += 1
             self._nodes_completed = nodes

@@ -44,6 +44,7 @@ call site fails loudly instead of comparing production with itself.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -63,7 +64,7 @@ from repro.core.local_coloring import _greedy_scalar
 from repro.core.low_space.machine_sets import LowSpaceCostEvaluator, node_level_outcome
 from repro.derand.conditional_expectation import HashPairSelector
 from repro.graph.graph import Graph
-from repro.graph.palettes import PaletteAssignment
+from repro.graph.palettes import PaletteAssignment, RunColoring
 
 #: Entry points every ``Partition`` level reaches.
 PARTITION_ENTRY_POINTS = (
@@ -98,31 +99,61 @@ class ScalarOracle:
 # the graph and palette references
 # ----------------------------------------------------------------------
 def induced_from_keep(graph, keep):
-    """The subgraph induced by the set ``keep`` of known ids, one neighbor
-    at a time over the adjacency sets.
+    """The subgraph induced by the known ids ``keep``, one neighbor at a
+    time over the adjacency sets.
 
     Nodes are inserted in ``keep``'s iteration order, as the extraction
-    kernel orders a child.  Ids must be mutually comparable.
+    kernel orders a child.  Ids must be mutually comparable.  A child of
+    a solve's graph (whose ids are root positions) keeps the root's
+    ``hash_keys`` and names its nodes by an int64 array, like the
+    kernel's children.
     """
+    members = set(keep)
     sub = Graph(nodes=keep)
     for u in keep:
         for v in graph._adj[u]:
-            if v in keep and u < v:
+            if v in members and u < v:
                 sub.add_edge(u, v)
+    hash_keys = graph.csr().hash_keys
+    if hash_keys is not None:
+        view = sub.csr()
+        sub._csr = dataclasses.replace(
+            view, node_ids=np.asarray(view.node_ids, dtype=np.int64), hash_keys=hash_keys
+        )
     return sub
 
 
-def induced_subgraphs(graph, groups):
-    """``Graph.induced_subgraphs``: unknown ids dropped, one loop per group."""
-    return [
-        induced_from_keep(graph, {node for node in group if node in graph})
-        for group in groups
-    ]
+def induced_subgraphs(graph, groups, by_position=False):
+    """``Graph.induced_subgraphs``: unknown ids dropped, one loop per group.
+
+    Id groups are ordered as a set over the ids ``h1`` hashes (the
+    original ids inside a solve); position groups are taken as ordered.
+    """
+    view = graph.csr()
+    if by_position:
+        return [induced_from_keep(graph, _ids(view, group)) for group in groups]
+    key_of = dict(zip(view.id_list(), _keys(view)))
+    id_of = {key: node for node, key in key_of.items()}
+    children = []
+    for group in groups:
+        keys = {key_of[node] for node in group if node in graph}
+        children.append(induced_from_keep(graph, [id_of[key] for key in keys]))
+    return children
 
 
-def induced_subgraph(graph, nodes):
+def _ids(view, rows):
+    ids = view.ids_at(np.asarray(rows, dtype=np.int64))
+    return ids.tolist() if isinstance(ids, np.ndarray) else ids
+
+
+def _keys(view):
+    keys = view.keys_at(np.arange(view.num_nodes, dtype=np.int64))
+    return keys.tolist() if isinstance(keys, np.ndarray) else keys
+
+
+def induced_subgraph(graph, nodes, by_position=False):
     """``Graph.induced_subgraph`` as one group of :func:`induced_subgraphs`."""
-    return induced_subgraphs(graph, [nodes])[0]
+    return induced_subgraphs(graph, [nodes], by_position)[0]
 
 
 def restricted_to(palettes, nodes, keep_color):
@@ -155,8 +186,12 @@ def remove_colors_used_by_neighbors(palettes, graph, coloring):
 
     Prunes ``palettes`` in place and returns the number of entries removed.
     Copy-on-write: a pruned palette is a new set, so copies sharing the
-    old sets are untouched.
+    old sets are untouched.  A solve's :class:`RunColoring` is read as the
+    ``root position -> color`` dict of its painted slots.
     """
+    if isinstance(coloring, RunColoring):
+        painted = np.flatnonzero(coloring.colored)
+        coloring = dict(zip(painted.tolist(), coloring.colors[painted].tolist()))
     sets = dict(palettes._palettes)
     removed = 0
     for node in list(sets):

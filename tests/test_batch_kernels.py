@@ -170,7 +170,7 @@ class TestGraphCSR:
         assert csr.num_directed_edges == 2 * graph.num_edges
         for index, node in enumerate(csr.node_ids):
             run = csr.indices[csr.indptr[index] : csr.indptr[index + 1]]
-            expected = sorted(csr.position[v] for v in graph.neighbors(node))
+            expected = sorted(csr.locate(list(graph.neighbors(node))).tolist())
             assert list(run) == expected
             assert csr.degrees[index] == graph.degree(node)
         assert (csr.edge_sources == np.repeat(np.arange(csr.num_nodes), csr.degrees)).all()

@@ -115,7 +115,7 @@ class TestPaletteStoreDowncast:
         )
         store = palettes.store()
         assert store is not None
-        rows = store.rows_of([35, 7])
+        rows = store.rows_for([35, 7])
         assert rows.dtype == np.int64
         assert store.sizes()[rows].tolist() == [2, 3]
 

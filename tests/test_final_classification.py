@@ -381,7 +381,7 @@ class TestRestrictedByBins:
             parent.store()
             palettes = parent.subset([2, 1])
         store = palettes.store()
-        (row,) = store.rows_of([1]).tolist()
+        (row,) = store.rows_for([1]).tolist()
         assert store.row_slice(row).tolist() == [a, b, c]
         assert (span_ranks(store.row_slice(row)) is None) == (spacing == "sparse")
         return palettes

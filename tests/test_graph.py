@@ -238,7 +238,10 @@ class TestFromEdgesOracle:
     def test_csr_children_keep_float_ids(self):
         graph = Graph(nodes=[2.5, 0.5, 1.5], edges=[(0.5, 1.5), (1.5, 2.5)])
         child = graph.induced_subgraph([0.5, 1.5])
-        assert not child.csr().ids_are_positions
+        view = child.csr()
+        assert view.hash_keys is None
+        assert sorted(view.locate([0.5, 1.5]).tolist()) == [0, 1]
+        assert view.locate([0, 1]).tolist() == [-1, -1]
         assert child.neighbors(0.5) == {1.5}
 
     def test_ids_beyond_int64_fall_back_to_sets(self):

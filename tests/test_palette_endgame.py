@@ -417,6 +417,7 @@ class TestEndgameGuard:
         from repro.congested_clique.model import CongestedCliqueSimulator
         from repro.core.context import CongestedCliqueContext
         from repro.core.driver import RunState
+        from repro.graph.palettes import RunColoring, position_instance
         from repro.graph.validation import assert_valid_list_coloring
 
         class SqueezedContext(CongestedCliqueContext):
@@ -427,27 +428,28 @@ class TestEndgameGuard:
         palettes = PaletteAssignment.delta_plus_one(graph)
         params = ColorReduceParameters.scaled(num_bins=3)
 
-        def collect_and_color(warm):
+        def collect_and_color():
             context = SqueezedContext(CongestedCliqueSimulator(graph.num_nodes))
             state = RunState(
                 model=context,
                 global_nodes=graph.num_nodes,
                 palettes_are_implicit=False,
+                coloring=RunColoring(graph.num_nodes),
             )
             ledger = CostLedger()
-            instance = graph.copy()
-            instance_palettes = palettes.copy()
-            if warm:
-                instance.csr()
-                instance_palettes.store()
-            coloring = ColorReduce(params)._collect_and_color(
+            # The solve's form of the instance: nodes named by position.
+            instance, instance_palettes = position_instance(
+                graph.copy(), palettes.copy()
+            )
+            ColorReduce(params)._collect_and_color(
                 instance, instance_palettes, ledger, state, label="local-color"
             )
+            coloring = state.coloring.to_dict(instance.csr().hash_keys)
             return coloring, ledger.snapshot()
 
-        batched_coloring, batched_ledger = collect_and_color(warm=True)
+        batched_coloring, batched_ledger = collect_and_color()
         with scalar_reference(monkeypatch) as oracle:
-            scalar_coloring, scalar_ledger = collect_and_color(warm=False)
+            scalar_coloring, scalar_ledger = collect_and_color()
         oracle.assert_called(
             "PaletteAssignment.subset_updated",
             "Graph.induced_subgraphs",

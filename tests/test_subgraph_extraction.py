@@ -32,7 +32,8 @@ def _assert_canonical_view(graph: Graph) -> None:
     cached = graph.csr()
     rebuilt = build_csr(graph._adj)
     assert rebuilt.node_ids == cached.node_ids
-    assert rebuilt.position == cached.position
+    ids = rebuilt.id_list()
+    assert (rebuilt.locate(ids) == cached.locate(ids)).all()
     assert (rebuilt.indptr == cached.indptr).all()
     assert (rebuilt.indices == cached.indices).all()
     assert (rebuilt.degrees == cached.degrees).all()
