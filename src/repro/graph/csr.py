@@ -6,8 +6,11 @@ in-bin degrees, bin sizes and bad-node counts become
 ``np.bincount``/scatter operations instead of per-node Python loops.  This
 module provides that view:
 
-* ``node_ids[i]`` — the graph's (arbitrary integer) node identifiers in
-  insertion order; ``position[node] == i`` inverts it,
+* ``node_ids[i]`` — the node at position ``i``, in insertion order: the
+  graph's ids (a list), or, inside a solve, an int64 array of *root
+  positions* whose original ids sit in ``hash_keys`` (see "Positions
+  inside a solve" below); :meth:`GraphCSR.locate` inverts it with one
+  vectorized ``searchsorted``,
 * ``indptr`` / ``indices`` — the usual CSR layout: the neighbors of the
   node at position ``i`` sit at positions ``indices[indptr[i]:indptr[i+1]]``
   (values are *positions*, not identifiers), sorted within each run,
@@ -40,6 +43,17 @@ be cached on the child graph directly.  Callers that rely on the warm view
 include the batched cost evaluators
 (:class:`repro.hashing.batch.BatchCostEvaluatorBase` subclasses) and
 ``Graph.induced_subgraph`` / ``Graph.induced_subgraphs``.
+
+Positions inside a solve
+------------------------
+A solve runs on :func:`position_view` of its sorted root: ``node_ids`` is
+``arange(n)`` and ``hash_keys`` the original ids.  :func:`split_by_bins`
+takes position groups and gives each child ``node_ids[group]`` and the
+same ``hash_keys``, so every instance of the recursion names its nodes by
+root position.  Two things still read the original ids, through
+:meth:`GraphCSR.keys_at`: ``h1`` hashes them (:func:`node_id_array`), and
+:func:`set_order` orders each extracted group as a Python set of them, as
+the extraction always has.
 """
 
 from __future__ import annotations
@@ -79,6 +93,10 @@ class GraphCSR:
     @property
     def num_directed_edges(self) -> int:
         return int(self.indices.shape[0])
+
+    def __getstate__(self) -> dict:
+        """Pickle without the lookup caches (rebuilt on first use)."""
+        return {**self.__dict__, "_locator": None, "_key_locator": None}
 
     def id_list(self) -> list:
         """``node_ids`` as a list of Python objects."""

@@ -163,10 +163,6 @@ class Graph:
 
     def _row(self, node: NodeId) -> int:
         """The view position of ``node`` (-1 if absent); CSR-only graphs."""
-        try:
-            hash(node)
-        except TypeError:
-            return -1
         return int(self._csr.locate([node])[0])
 
     def __len__(self) -> int:

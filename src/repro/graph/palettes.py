@@ -132,10 +132,6 @@ class _PaletteStore:
 
     def row(self, node: NodeId) -> int:
         """The row of ``node``, or -1."""
-        try:
-            hash(node)
-        except TypeError:
-            return -1
         return int(self.locate([node])[0])
 
     def row_slice(self, row: int) -> np.ndarray:

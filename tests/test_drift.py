@@ -1,0 +1,28 @@
+"""Static drift checks over the library source.
+
+Inside a solve, nodes are named by root position and the original ids
+come back only at the door (``docs/ARCHITECTURE.md``, "Labels only at the
+door").  The id-to-position translations that design removed must not
+come back under their old names.
+"""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: The removed translation helpers: ``GraphCSR.position``, the palette
+#: store's row index and row lookup, and the ids-are-positions fast path.
+RETIRED = re.compile(r"\.position\b|store\.index|rows_of|ids_are_positions")
+
+
+def test_retired_id_translations_stay_out_of_src():
+    hits = [
+        f"{path.relative_to(SRC.parent)}:{number}: {line.strip()}"
+        for path in sorted(SRC.rglob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if RETIRED.search(line)
+    ]
+    assert not hits, "retired id translations in src/:\n" + "\n".join(hits)

@@ -321,6 +321,25 @@ class TestFingerprints:
                 params=ColorReduceParameters.scaled(num_bins=4, resume_path=ck)
             ).run(other, other_palettes)
 
+    def test_resume_from_an_id_keyed_format_1_checkpoint_is_refused(
+        self, tmp_path, instance
+    ):
+        # Format 1 stored each subtree's coloring as an id-keyed dict;
+        # format 2 stores root positions and colors as arrays.
+        graph, palettes = instance
+        ck = str(tmp_path / "old.ckpt")
+        params = ColorReduceParameters.scaled(num_bins=4, checkpoint_path=ck)
+        ColorReduce(params=params).run(graph, palettes)
+        payload = load_checkpoint(ck)
+        assert payload["header"]["format"] == 2
+        assert all({"nodes", "colors"} <= set(e) for e in payload["entries"].values())
+        payload["header"]["format"] = 1
+        write_checkpoint(ck, payload)
+        with pytest.raises(ConfigurationError, match="mismatched: format"):
+            ColorReduce(
+                params=ColorReduceParameters.scaled(num_bins=4, resume_path=ck)
+            ).run(graph, palettes)
+
     def test_resume_across_algorithms_is_a_configuration_error(
         self, tmp_path, instance
     ):
