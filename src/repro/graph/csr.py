@@ -111,27 +111,28 @@ class GraphCSR:
         return [ids[row] for row in rows.tolist()]
 
     def keys_at(self, rows: np.ndarray):
-        """The ids ``h1`` hashes — the root's original ids — of ``rows``.
+        """The ids ``h1`` hashes at ``rows``: the root's original ids inside
+        a solve, the node ids elsewhere.  An int64 array, or a list."""
+        if self.hash_keys is None:
+            return self.ids_at(rows)
+        keys = self.hash_keys[self.node_ids[rows]]
+        return keys.tolist() if keys.dtype == object else keys
 
-        An int64 array, or a list when some id is not an int64 integer.
-        """
-        if self.hash_keys is not None:
-            keys = self.hash_keys[self.node_ids[rows]]
-            return keys.tolist() if keys.dtype == object else keys
-        ids = self.ids_at(rows)
-        if isinstance(ids, np.ndarray):
-            return ids
-        array = integer_array(ids)
-        return ids if array is None else array
-
-    def locate(self, ids) -> np.ndarray:
-        """The position of every id in ``ids`` (a sized sequence), -1 for
-        ids that are not nodes; int64."""
+    def _id_locator(self):
         locator = self._locator
         if locator is None:
             locator = id_locator(self.node_ids)
             object.__setattr__(self, "_locator", locator)
-        return locate_ids(locator, ids)
+        return locator
+
+    def locate(self, ids) -> np.ndarray:
+        """The position of every id in ``ids`` (a sized sequence), -1 for
+        ids that are not nodes; int64."""
+        return locate_ids(self._id_locator(), ids)
+
+    def row(self, node: NodeId) -> int:
+        """The position of one node, -1 if it is not one (per-node queries)."""
+        return locate_one(self._id_locator(), node)
 
     def locate_keys(self, keys) -> np.ndarray:
         """:meth:`locate` over the hashed ids (:meth:`keys_at`) instead of
@@ -156,22 +157,43 @@ def same_ids(first, second) -> bool:
     return first == second
 
 
+#: Up to this many ids, :func:`id_locator` builds a dict: on the few
+#: nodes of a recursion leaf, the per-node queries of the small-instance
+#: greedy loop cost a hash probe instead of a NumPy binary search.
+SMALL_LOCATOR_IDS = 64
+
+
 def id_locator(node_ids):
     """A lookup structure for :func:`locate_ids` over ``node_ids``.
 
-    Int64 ids give ``(ids, order)``: ``order`` sorts them (``None`` when
-    they already ascend, as in a root).  Other ids give a dict.
+    More than :data:`SMALL_LOCATOR_IDS` int64 ids give ``(ids, order)``:
+    ``order`` sorts them (``None`` when they already ascend, as in a
+    root).  Fewer ids, or ids that are not int64 integers, give a dict.
     """
     if isinstance(node_ids, np.ndarray) and node_ids.dtype != object:
         ids = node_ids
     else:
         ids = integer_array(node_ids)
-    if ids is None:
-        return {node: row for row, node in enumerate(node_ids)}
+    if ids is None or ids.shape[0] <= SMALL_LOCATOR_IDS:
+        keys = node_ids.tolist() if isinstance(node_ids, np.ndarray) else node_ids
+        return {node: row for row, node in enumerate(keys)}
     if ids.shape[0] < 2 or bool((ids[1:] > ids[:-1]).all()):
         return ids, None
     order = np.argsort(ids, kind="stable")
     return ids[order], order
+
+
+def locate_one(locator, node) -> int:
+    """:func:`locate_ids` for a single id, at scalar cost (one binary probe)."""
+    if isinstance(locator, dict):
+        return locator.get(node, -1)
+    if not isinstance(node, (int, np.integer)) or not -(2**63) <= node < 2**63:
+        return -1
+    ordered, order = locator
+    at = int(ordered.searchsorted(node))
+    if at == ordered.shape[0] or ordered[at] != node:
+        return -1
+    return at if order is None else int(order[at])
 
 
 def locate_ids(locator, ids) -> np.ndarray:
@@ -183,15 +205,7 @@ def locate_ids(locator, ids) -> np.ndarray:
     ordered, order = locator
     queries = ids if isinstance(ids, np.ndarray) else integer_array(ids)
     if queries is None:  # some query is not an int64 integer: not a node
-        return np.array(
-            [
-                locate_ids(locator, [node])[0]
-                if isinstance(node, (int, np.integer)) and -(2**63) <= node < 2**63
-                else -1
-                for node in ids
-            ],
-            dtype=np.int64,
-        )
+        return np.array([locate_one(locator, node) for node in ids], dtype=np.int64)
     if not ordered.shape[0]:
         return np.full(queries.shape[0], -1, dtype=np.int64)
     at = np.minimum(np.searchsorted(ordered, queries), ordered.shape[0] - 1)
@@ -299,8 +313,9 @@ def node_id_array(csr: GraphCSR) -> np.ndarray:
     instance small enough for the base case never gets here).
     """
     keys = csr.keys_at(np.arange(csr.num_nodes, dtype=np.int64))
-    if isinstance(keys, np.ndarray):
-        return keys
+    array = keys if isinstance(keys, np.ndarray) else integer_array(keys)
+    if array is not None:
+        return array
     odd = next(
         (
             node
@@ -348,22 +363,12 @@ def set_order(csr: GraphCSR, rows, via_set: bool = False) -> np.ndarray:
     (:meth:`GraphCSR.keys_at`), as it always has been.  ``rows`` are
     positions in ``csr`` in the group's iteration order; ``via_set``
     first collects them into a set, as a group that was itself a set.
-    The ordered ids map back to rows with one ``searchsorted`` over the
-    group's sorted ids.  Repeated rows collapse.
+    The ordered ids map back to rows with one lookup
+    (:meth:`GraphCSR.locate_keys`).  Repeated rows collapse.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    keys = csr.keys_at(rows)
+    keys = csr.keys_at(np.asarray(rows, dtype=np.int64))
     labels = keys.tolist() if isinstance(keys, np.ndarray) else keys
-    ordered = list({label for label in (set(labels) if via_set else labels)})
-    if not isinstance(keys, np.ndarray):
-        row_of = dict(zip(labels, rows.tolist()))
-        return np.fromiter(
-            (row_of[label] for label in ordered), dtype=np.int64, count=len(ordered)
-        )
-    if keys.shape[0] < 2 or bool((keys[1:] > keys[:-1]).all()):
-        return rows[np.searchsorted(keys, ordered)]
-    by_key = np.argsort(keys, kind="stable")
-    return rows[by_key[np.searchsorted(keys, ordered, sorter=by_key)]]
+    return csr.locate_keys(list({label for label in (set(labels) if via_set else labels)}))
 
 
 def _first_appearance(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -158,12 +158,8 @@ class Graph:
     # ------------------------------------------------------------------
     def __contains__(self, node: NodeId) -> bool:
         if self._adj_store is None:
-            return self._row(node) >= 0
+            return self._csr.row(node) >= 0
         return node in self._adj_store
-
-    def _row(self, node: NodeId) -> int:
-        """The view position of ``node`` (-1 if absent); CSR-only graphs."""
-        return int(self._csr.locate([node])[0])
 
     def __len__(self) -> int:
         if self._adj_store is None:
@@ -244,7 +240,7 @@ class Graph:
         """
         if self._adj_store is None:
             view = self._csr
-            pos = self._row(node)
+            pos = view.row(node)
             if pos < 0:
                 raise GraphError(f"unknown node {node}")
             run = view.ids_at(view.indices[view.indptr[pos] : view.indptr[pos + 1]])
@@ -257,7 +253,7 @@ class Graph:
     def degree(self, node: NodeId) -> int:
         """Degree of ``node``."""
         if self._adj_store is None:
-            pos = self._row(node)
+            pos = self._csr.row(node)
             if pos < 0:
                 raise GraphError(f"unknown node {node}")
             return int(self._csr.degrees[pos])

@@ -72,6 +72,17 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
 import numpy as np
 
 from repro.errors import PaletteError
+from repro.graph.csr import (
+    concat_ranges,
+    gather_segments,
+    id_locator,
+    integer_array,
+    locate_ids,
+    locate_one,
+    position_view,
+    same_ids,
+    split_by_bins,
+)
 from repro.graph.graph import Graph
 from repro.types import Color, ColoringMap, NodeId
 
@@ -113,14 +124,15 @@ class _PaletteStore:
         nodes = self.nodes
         return nodes.tolist() if isinstance(nodes, np.ndarray) else list(nodes)
 
+    def _id_locator(self):
+        if self._locator is None:
+            self._locator = id_locator(self.nodes)
+        return self._locator
+
     def locate(self, nodes) -> np.ndarray:
         """The row of every node in ``nodes`` (a sized sequence), -1 for
         nodes without a palette (:func:`repro.graph.csr.locate_ids`)."""
-        from repro.graph.csr import id_locator, locate_ids
-
-        if self._locator is None:
-            self._locator = id_locator(self.nodes)
-        return locate_ids(self._locator, nodes)
+        return locate_ids(self._id_locator(), nodes)
 
     def rows_for(self, nodes) -> np.ndarray:
         """:meth:`locate`, with :class:`PaletteError` for the first miss."""
@@ -131,8 +143,8 @@ class _PaletteStore:
         return rows
 
     def row(self, node: NodeId) -> int:
-        """The row of ``node``, or -1."""
-        return int(self.locate([node])[0])
+        """The row of ``node``, or -1 (per-node queries)."""
+        return locate_one(self._id_locator(), node)
 
     def row_slice(self, row: int) -> np.ndarray:
         """The (sorted) palette slice of store row ``row`` — a view."""
@@ -266,8 +278,6 @@ class RunColoring:
 
     def paint(self, positions: np.ndarray, colors) -> None:
         """Set the colors of the nodes at root ``positions``."""
-        from repro.graph.csr import integer_array
-
         values = colors if isinstance(colors, np.ndarray) else integer_array(colors)
         if values is None or values.dtype == object:
             if self.colors.dtype != object:
@@ -301,15 +311,10 @@ def _neighbor_colors(csr, coloring, neighbor_rows: np.ndarray):
     :class:`PaletteError` naming it, raised before anything is read
     (``np.fromiter`` alone would truncate ``1.5`` to ``1``).
     """
-    from repro.graph.csr import integer_array
-
     if isinstance(coloring, RunColoring):
-        roots = csr.node_ids[neighbor_rows]
-        colored = coloring.colored[roots]
-        colors = coloring.colors[roots[colored]]
-        if colors.dtype == object:
-            raise PaletteError("the run coloring holds colors that are not int64 integers")
-        return colored, colors
+        roots = csr.node_ids
+        colored = coloring.colored[roots][neighbor_rows]
+        return colored, coloring.colors[roots[neighbor_rows[colored]]]
     values = integer_array(coloring.values())
     if values is None:
         node, color = next(
@@ -350,8 +355,6 @@ def canonical_instance(graph: Graph, palettes: "PaletteAssignment"):
     except TypeError:
         ordered = ids
     if ordered != ids:
-        from repro.graph.csr import split_by_bins
-
         rows = np.asarray(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
         graph = Graph._from_csr(split_by_bins(graph.csr(), [rows])[0])
     if palettes.nodes() != ordered:
@@ -372,8 +375,6 @@ def position_instance(graph: Graph, palettes: "PaletteAssignment"):
     engine translates ids only here and in
     :meth:`RunColoring.to_dict`.
     """
-    from repro.graph.csr import position_view
-
     view = position_view(graph.csr())
     positions = view.node_ids
     store = palettes.store()
@@ -400,8 +401,6 @@ def _store_from_rows(nodes: List[NodeId], rows: Sequence) -> Optional[_PaletteSt
     representation.  Children derived by slicing/compaction inherit the
     root's dtype.
     """
-    from repro.graph.csr import integer_array
-
     count = len(nodes)
     lengths = np.fromiter(map(len, rows), dtype=np.int64, count=count)
     flat = integer_array(list(itertools.chain.from_iterable(rows)))
@@ -530,8 +529,6 @@ class PaletteAssignment:
     @classmethod
     def _from_sizes(cls, nodes: List[NodeId], sizes: np.ndarray) -> "PaletteAssignment":
         """Palettes ``{0..sizes[i] - 1}`` for ``nodes[i]``, as one store."""
-        from repro.graph.csr import concat_ranges
-
         offsets = np.zeros(len(nodes) + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
         flat = concat_ranges(np.zeros(len(nodes), dtype=np.int64), sizes)
@@ -728,8 +725,6 @@ class PaletteAssignment:
         if store is not None:
             node_list = _distinct(nodes)
             rows = store.rows_for(node_list)
-            from repro.graph.csr import gather_segments
-
             lengths, gather = gather_segments(store.offsets, rows)
             offsets = np.zeros(len(node_list) + 1, dtype=np.int64)
             np.cumsum(lengths, out=offsets[1:])
@@ -781,8 +776,6 @@ class PaletteAssignment:
             raise PaletteError(
                 "restricted_by_bins: palette colors are not int64 integers"
             )
-        from repro.graph.csr import gather_segments
-
         member_rows = [store.rows_for(members) for members in groups]
         rows = (
             np.concatenate(member_rows) if member_rows else np.zeros(0, dtype=np.int64)
@@ -868,7 +861,6 @@ class PaletteAssignment:
             )
         if not len(coloring) or not store.flat.shape[0]:
             return 0
-        from repro.graph.csr import gather_segments, same_ids
         from repro.hashing.batch import segment_mark_members
 
         csr = graph.csr()
@@ -999,8 +991,6 @@ class PaletteAssignment:
     def _node_rows(store: _PaletteStore, graph: Graph):
         """``(graph node ids, their store rows or -1)``; aligned stores (the
         canonical instance's) skip the lookup."""
-        from repro.graph.csr import same_ids
-
         node_ids = graph.csr().node_ids if graph.has_csr() else graph.nodes()
         if same_ids(store.nodes, node_ids):
             return node_ids, np.arange(len(node_ids), dtype=np.int64)
