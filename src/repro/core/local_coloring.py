@@ -185,9 +185,9 @@ def _greedy_over_arrays(
             return _FALLBACK
 
     # Palette row per position: the identity when the store is aligned with
-    # the CSR (the common case for bin instances); otherwise resolved via
-    # the store index, with missing palettes reported at the node's turn —
-    # exactly when the scalar loop would raise.
+    # the CSR (every instance of a solve); otherwise located in the store
+    # (-1 for a missing palette, reported at the node's turn —
+    # exactly when the scalar loop would raise).
     if same_ids(store.nodes, node_ids):
         row_of_position = None
     else:

@@ -367,8 +367,11 @@ def set_order(csr: GraphCSR, rows, via_set: bool = False) -> np.ndarray:
     (:meth:`GraphCSR.locate_keys`).  Repeated rows collapse.
     """
     keys = csr.keys_at(np.asarray(rows, dtype=np.int64))
-    labels = keys.tolist() if isinstance(keys, np.ndarray) else keys
-    return csr.locate_keys(list({label for label in (set(labels) if via_set else labels)}))
+    if not isinstance(keys, np.ndarray):
+        return csr.locate_keys(list({label for label in (set(keys) if via_set else keys)}))
+    labels = keys.tolist()
+    ordered = {label for label in (set(labels) if via_set else labels)}
+    return csr.locate_keys(np.fromiter(ordered, dtype=np.int64, count=len(ordered)))
 
 
 def _first_appearance(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

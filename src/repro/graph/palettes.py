@@ -91,7 +91,7 @@ class _PaletteStore:
     """Immutable flat-array palette store (see the module docstring).
 
     ``nodes[i]``'s palette is ``flat[offsets[i]:offsets[i + 1]]``, sorted
-    ascending.  The node→row index, the sorted color universe and the
+    ascending.  The node lookup (:meth:`locate`), the sorted color universe and the
     universe position of every entry are derived lazily and cached — the
     latter two are exactly the static arrays the batched cost evaluators
     need (:meth:`repro.hashing.batch.BatchCostEvaluatorBase.palette_entry_arrays`),
