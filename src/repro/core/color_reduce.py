@@ -49,7 +49,6 @@ from repro.core.params import ColorReduceParameters
 from repro.core.partition import Partition, PartitionResult
 from repro.derand.conditional_expectation import SelectionStrategy
 from repro.errors import PaletteError, ReproError
-from repro.graph.csr import same_ids
 from repro.graph.graph import Graph
 from repro.graph.palettes import PaletteAssignment
 from repro.graph.validation import assert_valid_list_coloring
@@ -481,14 +480,11 @@ class ColorReduce(RecursionDriver):
                 )
                 continue
             # Vectorized audit: one comparison sweep per bin over the CSR
-            # degrees and the flat palette sizes (the store lists the bin's
-            # nodes in its graph's order), identical counts to the scalar
-            # loop.
+            # degrees and the flat palette sizes (aligned through the
+            # store's rows), identical counts to the scalar loop.
             csr = bin_instance.graph.csr()
             degrees = csr.degrees
-            sizes = store.sizes()
-            if not same_ids(store.nodes, csr.node_ids):
-                sizes = sizes[store.rows_for(csr.node_ids)]
+            sizes = store.sizes()[store.rows_for(csr.node_ids)]
             if literal_lemma:
                 violations += int(np.count_nonzero(next_ell >= sizes))
                 violations += int(np.count_nonzero(degrees > next_ell + slack))

@@ -102,12 +102,7 @@ def _palette_slices(
             list(lists), [{rank[color] for color in colors} for colors in lists.values()]
         )
         universe = np.array(ordered, dtype=object)
-    from repro.graph.csr import same_ids
-
-    if same_ids(store.nodes, node_ids):
-        rows = np.arange(len(node_ids), dtype=np.int64)
-    else:
-        rows = store.locate(node_ids)
+    rows = store.locate(node_ids)
     starts = store.offsets[rows]
     sizes = np.where(rows >= 0, store.offsets[rows + 1] - starts, -1)
     return store.flat, starts, sizes, universe

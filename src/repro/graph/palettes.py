@@ -131,7 +131,11 @@ class _PaletteStore:
 
     def locate(self, nodes) -> np.ndarray:
         """The row of every node in ``nodes`` (a sized sequence), -1 for
-        nodes without a palette (:func:`repro.graph.csr.locate_ids`)."""
+        nodes without a palette (:func:`repro.graph.csr.locate_ids`).
+        ``nodes`` equal to :attr:`nodes` (its graph's ids, when aligned)
+        answer ``arange`` directly."""
+        if same_ids(self.nodes, nodes):
+            return np.arange(len(nodes), dtype=np.int64)
         return locate_ids(self._id_locator(), nodes)
 
     def rows_for(self, nodes) -> np.ndarray:
@@ -865,14 +869,9 @@ class PaletteAssignment:
 
         csr = graph.csr()
         num_rows = store.offsets.shape[0] - 1
-        if same_ids(store.nodes, csr.node_ids):
-            owners = np.arange(num_rows, dtype=np.int64)
-            node_rows = owners
-        else:
-            node_rows = csr.locate(store.nodes)
-            owners = np.flatnonzero(node_rows >= 0)
-            node_rows = node_rows[owners]
-        lengths, gather = gather_segments(csr.indptr, node_rows)
+        node_rows = csr.locate(store.nodes)
+        owners = np.flatnonzero(node_rows >= 0)
+        lengths, gather = gather_segments(csr.indptr, node_rows[owners])
         colored, colors = _neighbor_colors(csr, coloring, csr.indices[gather])
         if not colors.shape[0]:
             return 0
@@ -989,11 +988,8 @@ class PaletteAssignment:
 
     @staticmethod
     def _node_rows(store: _PaletteStore, graph: Graph):
-        """``(graph node ids, their store rows or -1)``; aligned stores (the
-        canonical instance's) skip the lookup."""
+        """``(graph node ids, their store rows or -1)``."""
         node_ids = graph.csr().node_ids if graph.has_csr() else graph.nodes()
-        if same_ids(store.nodes, node_ids):
-            return node_ids, np.arange(len(node_ids), dtype=np.int64)
         return node_ids, store.locate(node_ids)
 
     @staticmethod

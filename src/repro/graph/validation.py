@@ -107,16 +107,11 @@ def _palettes_respected(
     store = palettes._store_if_warm()
     if store is None or len(coloring) != csr.num_nodes:
         return False
-    from repro.graph.csr import same_ids
-
     num_rows = len(store.nodes)
-    if same_ids(store.nodes, csr.node_ids):
-        row_colors = colors
-    else:
-        row_positions = csr.locate(store.nodes)
-        if bool((row_positions < 0).any()):
-            return False  # palettes of nodes outside the graph
-        row_colors = colors[row_positions]
+    row_positions = csr.locate(store.nodes)
+    if bool((row_positions < 0).any()):
+        return False  # palettes of nodes outside the graph
+    row_colors = colors[row_positions]
     hits = np.flatnonzero(store.flat == np.repeat(row_colors, store.sizes()))
     hit_rows = np.searchsorted(store.offsets, hits, side="right") - 1
     return bool((np.bincount(hit_rows, minlength=num_rows) > 0).all())
