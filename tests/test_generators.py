@@ -167,3 +167,129 @@ class TestPaletteGenerators:
         b = generators.shared_universe_palettes(graph, seed=1)
         for node in graph.nodes():
             assert a.palette(node) == b.palette(node)
+
+
+def _digest_graph(graph) -> str:
+    """sha256 over a graph's node order and its CSR arrays (dtypes too)."""
+    import numpy as np
+
+    h = hashlib.sha256(repr(graph.nodes()).encode())
+    view = graph.csr()
+    for name in ("indptr", "indices", "degrees", "edge_sources"):
+        array = np.ascontiguousarray(getattr(view, name))
+        h.update(f"{name}:{array.dtype}:".encode())
+        h.update(array.tobytes())
+    return h.hexdigest()
+
+
+def _digest_palettes(palettes) -> str:
+    """sha256 over a palette assignment's array store (nodes, flat, offsets)."""
+    import numpy as np
+
+    store = palettes.store()
+    h = hashlib.sha256(repr(store.node_list()).encode())
+    for name in ("flat", "offsets"):
+        array = np.ascontiguousarray(getattr(store, name))
+        h.update(f"{name}:{array.dtype}:".encode())
+        h.update(array.tobytes())
+    return h.hexdigest()
+
+
+#: ``name -> (build(seed), {seed: digest})``.  The structured generators
+#: take no seed; their "seed" picks the shape.
+GRAPH_PINS = {
+    "erdos_renyi": (
+        lambda seed: generators.erdos_renyi(300, 0.05, seed=seed),
+        {
+            1: "ce3862e85c2c4228be6a3a2178747ef23ae7749a7ed9d404149eb5c3696430af",
+            2: "8e0d102bdd639eaf860cccc95ecf8c28424bc1a247dc950d4d0e754b438f373f",
+        },
+    ),
+    "gnm_random": (
+        lambda seed: generators.gnm_random(200, 900, seed=seed),
+        {
+            1: "9619688b81b4f6813955d2408b6a52a703b76310c71be942ff872b9753e8f4b0",
+            2: "24f46476c5f154b50de686e411243e61f964ea8e7779adbf2128a075201dfe07",
+        },
+    ),
+    "power_law": (
+        lambda seed: generators.power_law(400, attachment=3, seed=seed),
+        {
+            1: "47ed17e7b58c0d97d669a873121ae9ad91ea1709d685e7d7abe2ae130528f114",
+            2: "61dd7ad486c69cbefe099625c1aa64c35cbf6284db44f3fa4edb4413b8a73fb8",
+        },
+    ),
+    "random_regular_like": (
+        lambda seed: generators.random_regular_like(200, 7, seed=seed),
+        {
+            1: "10c1595fbf25d58ef97635a9dcf09e439191eafd03bcd41f09f4266fa8eb382b",
+            2: "888cfe70d9e0acf0e10cdc39fa99aba17f265a21792c2dfa982186e78aa242ed",
+        },
+    ),
+    "random_bipartite": (
+        lambda seed: generators.random_bipartite(60, 80, 0.1, seed=seed),
+        {
+            1: "4622b30eca936fddbc31c2c5388a1f61a91857ebcc62830cc169306018ed0f2c",
+            2: "6847ae8ffcde6366beb846ead2feec56134c17e8f57beaf350c34d3a870c5307",
+        },
+    ),
+    "complete_multipartite": (
+        lambda seed: generators.complete_multipartite([seed + 2, 3, 2 * seed]),
+        {
+            1: "62f2d22f8b0eb04dca1c8b481626ae85eafb93708ed2eba7bb91707596fc8254",
+            2: "75e108c7a9c8bc800622d0335fdf81112a7b5633068fc35ca6925e39d426a4bc",
+        },
+    ),
+    "ring_of_cliques": (
+        lambda seed: generators.ring_of_cliques(seed + 3, 2 * seed + 2),
+        {
+            1: "126a63edd91c4da93ff85fe2630fb2e79b0d3ec40760ea6622220fd61819cdd0",
+            2: "1f43f6f11020a1b96f70626608f732287e9094fc7dec03bf5e92f15ef0005fa2",
+        },
+    ),
+}
+
+PALETTE_PINS = {
+    "shared_universe_palettes": (
+        lambda graph, seed: generators.shared_universe_palettes(graph, seed=seed),
+        {
+            1: "ef39bcd60fa05ef49c0e20ff3fb17634c1a4e1cbf49ffd1c67478b7957f7c7c8",
+            2: "3a5c246057f3b0890aed88fe0b8926e43ac481cdaf0451e9a564e66e078b4533",
+        },
+    ),
+    "degree_plus_one_palettes": (
+        lambda graph, seed: generators.degree_plus_one_palettes(graph, seed=seed),
+        {
+            1: "b12eb4f7a667b4548c35fb05735e311b9e9c607d1437b3b2e9e3aaefcfedfc93",
+            2: "531411294a7a65c584ea6dd47cb731ab0be9a37cd597454e8e92998fd6fbac80",
+        },
+    ),
+    "adversarial_disjoint_palettes": (
+        lambda graph, seed: generators.adversarial_disjoint_palettes(graph, seed=seed),
+        {
+            1: "6e175490939d2367c0438809b4718245b0a275ca06d1e8c50b2a47d08f8f60f8",
+            2: "0dec6b9bb07001a6018841ce318c541114ef8cd2e71e4600b4e119c3de98d817",
+        },
+    ),
+}
+
+
+class TestGeneratorPins:
+    """The generators' outputs are pinned: node order, CSR and store arrays.
+
+    The benchmark and the golden tests build every instance through these
+    functions, so a digest change here is an input change there.
+    """
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("name", sorted(GRAPH_PINS))
+    def test_graph_digest(self, name, seed):
+        build, digests = GRAPH_PINS[name]
+        assert _digest_graph(build(seed)) == digests[seed]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("name", sorted(PALETTE_PINS))
+    def test_palette_digest(self, name, seed):
+        build, digests = PALETTE_PINS[name]
+        graph = generators.power_law(150, attachment=3, seed=seed)
+        assert _digest_palettes(build(graph, seed)) == digests[seed]
