@@ -84,9 +84,7 @@ def _setup(scale: str):
     params = ColorReduceParameters.scaled(num_bins=4)
     ell = max(float(graph.max_degree()), 2.0)
     # One real partition level, exactly as the batched pipeline stages it:
-    # the selection warms the CSR view and the shared palette store, the
-    # color bins are colored, and the leftover bin awaits its update.
-    palettes.store()
+    # the color bins are colored, and the leftover bin awaits its update.
     partition = Partition(params).run(graph, palettes, ell, num_nodes, salt=1)
     coloring = {}
     for bin_instance in partition.color_bins:
@@ -95,16 +93,14 @@ def _setup(scale: str):
                 greedy_list_coloring(bin_instance.graph, bin_instance.palettes)
             )
     leftover_nodes = partition.leftover.graph.nodes()
-    # The scalar reference state (PR 3): palettes as plain Python sets, the
-    # instance a lazy CSR child (batched extraction ships them that way).
-    sets_palettes = palettes.copy()
-    sets_palettes._palettes  # materialise the sets ...
-    sets_palettes._store = None  # ... and drop the array store
+    # The scalar references read a copy of the palettes; the instance is an
+    # extracted CSR child (batched extraction ships them that way).
+    reference_palettes = palettes.copy()
     lazy_instance = graph.induced_subgraph(graph.nodes())
     return (
         graph,
         palettes,
-        sets_palettes,
+        reference_palettes,
         coloring,
         leftover_nodes,
         lazy_instance,
@@ -136,7 +132,6 @@ def _small_instance_cutover():
     num_nodes = max(4, GREEDY_ARRAY_CUTOVER_NODES - 4)
     graph = erdos_renyi(num_nodes, 0.3, seed=9)
     palettes = PaletteAssignment.delta_plus_one(graph)
-    palettes.store()
     leaf = graph.induced_subgraph(graph.nodes())
     leaf.csr()
 
@@ -179,7 +174,7 @@ def test_p4_palette_endgame(benchmark, experiment_scale):
     (
         graph,
         palettes,
-        sets_palettes,
+        reference_palettes,
         coloring,
         leftover_nodes,
         lazy_instance,
@@ -188,14 +183,14 @@ def test_p4_palette_endgame(benchmark, experiment_scale):
 
     # --- the two endgame operations, scalar vs batched ---------------------
     def scalar_update():
-        restricted = sets_palettes.subset(leftover_nodes)
+        restricted = reference_palettes.subset(leftover_nodes)
         return restricted, remove_colors_used_by_neighbors(restricted, graph, coloring)
 
     def batched_update():
         return palettes.subset_updated(leftover_nodes, graph, coloring)
 
     def scalar_greedy():
-        return _greedy_scalar(lazy_instance, sets_palettes)
+        return _greedy_scalar(lazy_instance, reference_palettes)
 
     def batched_greedy():
         return greedy_list_coloring(lazy_instance, palettes)

@@ -259,7 +259,7 @@ def hash_families(
     ids = node_id_array(graph.csr())
     node_domain = _field_domain(ids, global_nodes, "node id", GraphError)
     store = palettes.store()
-    if store is None:
+    if store.table is not None:
         odd = next(
             color
             for node in palettes.nodes()
@@ -329,13 +329,15 @@ def color_bin_arrays(
     restriction
     (:meth:`repro.graph.palettes.PaletteAssignment.restricted_by_bins`).
     """
-    store = palettes._store_if_warm()
-    if store is not None:
-        # The assignment's array store caches its sorted unique colors:
-        # identical to sorted(color_universe()) with no per-palette union.
-        universe = store.universe()
-    else:
-        universe = np.asarray(sorted(palettes.color_universe()), dtype=np.int64)
+    store = palettes.store()
+    if store.table is not None:
+        raise PaletteError(
+            "palette colors are not int64 integers; partitioning hashes "
+            "integer colors"
+        )
+    # The assignment's array store caches its sorted unique colors:
+    # identical to sorted(color_universe()) with no per-palette union.
+    universe = store.universe()
     if universe.shape[0] == 0:
         return universe, np.zeros(0, dtype=np.int64)
     bins = np.asarray(h2.hash_many(universe.tolist())) % num_color_bins

@@ -183,14 +183,8 @@ class ColorReduce(RecursionDriver):
         # than l = Δ colors (Corollary 3.3 (i)).  Instances with smaller
         # (deg+1)-style palettes are the low-space algorithm's job
         # (Theorem 1.4 / LowSpaceColorReduce).
-        aligned = palettes.sizes_for(graph)
-        if aligned is not None:
-            node_list, sizes = aligned
-            undersized = [node_list[row] for row in np.flatnonzero(sizes <= raw_ell)[:1]]
-        else:
-            undersized = [
-                node for node in graph.nodes() if palettes.palette_size(node) <= raw_ell
-            ]
+        node_list, sizes = palettes.sizes_for(graph)
+        undersized = [node_list[row] for row in np.flatnonzero(sizes <= raw_ell)[:1]]
         if undersized:
             raise PaletteError(
                 f"node {undersized[0]} has only {palettes.palette_size(undersized[0])} "
@@ -429,21 +423,13 @@ class ColorReduce(RecursionDriver):
         Section 3.6: when coloring locally we may drop palette colors down to
         ``d(v) + 1`` per node, so the shipped palette data is ``O(m + n)``
         regardless of the original palette sizes.  With implicit palettes
-        (plain (Δ+1)-coloring) no palette entries travel at all.  A warm
-        palette store answers with one array expression over the palette
-        sizes and degrees; sets-only palettes take the per-node sum.
+        (plain (Δ+1)-coloring) no palette entries travel at all.  One array
+        expression over the palette sizes and degrees.
         """
         words = graph.size()
         if not state.palettes_are_implicit:
-            aligned = palettes.sizes_and_degrees(graph)
-            if aligned is None:
-                words += sum(
-                    min(palettes.palette_size(v), graph.degree(v) + 1)
-                    for v in graph.nodes()
-                )
-            else:
-                sizes, degrees = aligned
-                words += int(np.minimum(sizes, degrees + 1).sum())
+            sizes, degrees = palettes.sizes_and_degrees(graph)
+            words += int(np.minimum(sizes, degrees + 1).sum())
         return words
 
     def _instance_words(
@@ -473,40 +459,12 @@ class ColorReduce(RecursionDriver):
         for bin_instance in partition.color_bins:
             if bin_instance.is_empty:
                 continue
-            store = bin_instance.palettes.store()
-            if store is None:
-                violations += self._audit_bin_scalar(
-                    bin_instance, next_ell, slack, literal_lemma
-                )
-                continue
-            # Vectorized audit: one comparison sweep per bin over the CSR
-            # degrees and the flat palette sizes (aligned through the
-            # store's rows), identical counts to the scalar loop.
-            csr = bin_instance.graph.csr()
-            degrees = csr.degrees
-            sizes = store.sizes()[store.rows_for(csr.node_ids)]
+            # One comparison sweep per bin over the CSR degrees and the
+            # flat palette sizes (aligned through the store's rows).
+            sizes, degrees = bin_instance.palettes.sizes_and_degrees(bin_instance.graph)
             if literal_lemma:
                 violations += int(np.count_nonzero(next_ell >= sizes))
                 violations += int(np.count_nonzero(degrees > next_ell + slack))
             violations += int(np.count_nonzero(degrees >= sizes))
         state.total_invariant_violations += violations
         return violations
-
-    @staticmethod
-    def _audit_bin_scalar(
-        bin_instance, next_ell: float, slack: float, literal_lemma: bool
-    ) -> int:
-        """Per-node reference audit of one color bin (see `_audit_invariant`)."""
-        violations = 0
-        for v in bin_instance.graph.nodes():
-            d_prime = bin_instance.graph.degree(v)
-            p_prime = bin_instance.palettes.palette_size(v)
-            if literal_lemma:
-                if next_ell >= p_prime:
-                    violations += 1
-                if d_prime > next_ell + slack:
-                    violations += 1
-            if d_prime >= p_prime:
-                violations += 1
-        return violations
-

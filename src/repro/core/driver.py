@@ -8,7 +8,7 @@ Algorithm 1 and Algorithms 3/4 have one shape:
     update the palettes of G_0, finish G_0
 
 :class:`RecursionDriver` writes that walk once, together with what every
-call of it needs: the run scaffolding (palette warm-up, durability, the
+call of it needs: the run scaffolding (palette validation, durability, the
 pool-health delta), the durability wrapper of each call (guard polls,
 restore by salt, subtree recording), the best-effort level prefetch of the
 color bins' head batches, and the round accounting of the descent (color
@@ -65,14 +65,11 @@ def child_salt(parent_salt: int, ordinal: int) -> int:
 def prepare_palettes(graph, palettes):
     """Validate the palettes, then return the run's canonical instance.
 
-    Warms the shared palette-entry store (the validation vectorizes over
-    it, and the root partition's evaluator adopts the same flat arrays
-    instead of re-flattening), validates against the input as given, and
-    returns ``(graph, palettes)`` in sorted node order
+    Validates against the input as given, and returns ``(graph,
+    palettes)`` in sorted node order
     (:func:`~repro.graph.palettes.canonical_instance`) — a no-op for the
     generators' and the array constructors' sorted ids.
     """
-    palettes.store()
     palettes.validate_for_graph(graph)
     return canonical_instance(graph, palettes)
 

@@ -12,21 +12,19 @@ the invariant the algorithm maintains.
 Two implementations of the same sweep exist, picked by instance size alone
 (:data:`GREEDY_ARRAY_CUTOVER_NODES`):
 
-* the **array sweep** — for collected instances at or above the cutover,
-  building the CSR view if it is cold.  The processing order comes from
+* the **array sweep** — for collected instances at or above the cutover.
+  The processing order comes from
   one stable ``argsort`` of the CSR degree vector (identical, ties and
   all, to the loop's ``sorted``), each node's blocked set is gathered from
   its CSR neighbor run, and the chosen color is the first entry of the
   node's palette slice — already sorted in the assignment's array store
   (:meth:`repro.graph.palettes.PaletteAssignment.store`) — that no colored
-  neighbor blocks.  No palette is copied or sorted per node, no
-  per-neighbor iterator is constructed, and the graph's adjacency sets are
-  never materialised;
+  neighbor blocks.  No palette is copied or sorted per node and no
+  per-neighbor iterator is constructed;
 * the **scalar loop** (:func:`_greedy_scalar`) — the sequential procedure
   described above, reading neighbor lists through
-  :meth:`repro.graph.graph.Graph.iter_neighbors` (which on CSR-extracted
-  children answers straight from the lazy array view) and re-sorting each
-  node's palette set on the fly.  It colors the instances below the
+  :meth:`repro.graph.graph.Graph.iter_neighbors` (one view row per node)
+  and re-sorting each node's palette on the fly.  It colors the instances below the
   cutover, where the sweep's fixed setup does not pay, and the ones the
   sweep cannot represent (:data:`_FALLBACK`).
 
@@ -46,7 +44,7 @@ from repro.graph.palettes import PaletteAssignment
 from repro.types import Color, ColoringMap, NodeId
 
 #: Internal sentinel: the array sweep cannot represent this instance
-#: (colors beyond int64, order entries outside the graph, repeated order
+#: (a color table, order entries outside the graph, repeated order
 #: entries) — run the scalar loop, which either handles it or raises the
 #: exact error the caller expects.
 _FALLBACK = object()
@@ -160,7 +158,7 @@ def _greedy_over_arrays(
     if num_nodes == 0:
         return {}
     store = palettes.store()
-    if store is None:
+    if store.table is not None:
         return _FALLBACK
     node_ids = csr.node_ids
     if order is None:

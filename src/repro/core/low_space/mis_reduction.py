@@ -20,11 +20,10 @@ colors kept for the node at CSR position ``i``, so vertices are numbered
 in ``(owner, color)`` order.  Clique edges come from one segment
 expansion.  Conflict edges expand every directed CSR edge ``(s, t)`` over
 the vertices of ``s`` and look each ``(t, color)`` key up in the sorted
-vertex keys.  The result is a graph over a canonical CSR view whose
-adjacency sets are never built, plus the ``(owner position, color)``
-arrays that map vertices back.  Neither the instance's adjacency sets nor
-its palette sets are touched.  Palettes whose colors do not fit int64 are
-ranked into int64 first, so every input takes the same path.  The scalar
+vertex keys.  The result is a graph over a canonical CSR view, plus the
+``(owner position, color)`` arrays that map vertices back.  Palettes
+holding a color table (colors that are not int64 integers) are ranked by
+sorted color first, so every input takes the same path.  The scalar
 reference lives in the test oracle ``tests/mis_oracle.py``.
 """
 
@@ -93,7 +92,7 @@ def _palette_slices(
     """
     store = palettes.store()
     universe = None
-    if store is None:
+    if store.table is not None:
         listed = node_ids.tolist() if isinstance(node_ids, np.ndarray) else node_ids
         lists = {node: palettes.palette(node) for node in listed if node in palettes}
         ordered = sorted(set().union(*lists.values()))

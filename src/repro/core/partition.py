@@ -96,11 +96,7 @@ class Partition:
         from repro.graph.csr import same_ids
 
         store = palettes.store()
-        if (
-            store is not None
-            and graph.has_csr()
-            and same_ids(store.nodes, graph.csr().node_ids)
-        ):
+        if store.table is None and same_ids(store.nodes, graph.csr().node_ids):
             store.universe_positions()
         return hash_families(
             graph, palettes, self.params.num_bins(ell), self.params.independence,
@@ -229,8 +225,7 @@ class Partition:
 
         # Materialise every bin instance of this level in one batched pass
         # over the CSR view (split_by_bins), from the position groups the
-        # classification hands over.  The selection already warmed the
-        # parent's CSR view, so the extraction pays no extra build.
+        # classification hands over.
         subgraphs = graph.induced_subgraphs(
             classification.bin_groups(graph.csr()), by_position=True
         )

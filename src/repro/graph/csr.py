@@ -1,4 +1,4 @@
-"""Array ("CSR") view of a :class:`repro.graph.graph.Graph`.
+"""Array ("CSR") view of a :class:`repro.graph.graph.Graph` — its one backing.
 
 The batched cost kernels (:mod:`repro.core.classification`,
 :mod:`repro.core.low_space.machine_sets`) need the graph as flat arrays so
@@ -22,27 +22,23 @@ module provides that view:
 
 The array-view contract
 -----------------------
-``Graph.from_edges`` builds the view first, in one vectorised pass
-(:func:`csr_from_edges`), and leaves the adjacency sets lazy.  A graph
-built from sets builds its view on the first
-:meth:`repro.graph.graph.Graph.csr` call and caches it; any mutation
-(``add_node`` / ``add_edge``) sets ``Graph._csr = None`` so the next
-``csr()`` call rebuilds from the live adjacency sets.  The view itself
-is immutable and shares nothing with the adjacency sets, so subgraphs
-extracted from a view stay valid after the parent mutates.
+A graph is one immutable, *canonical* view: node order is insertion
+order, parallel edges are collapsed and every neighbor run is sorted by
+position.  One builder, :func:`csr_from_edges`, makes every view that is
+not cut from another: ``Graph.from_edges`` hands it the edge list, and a
+graph grown by ``add_node`` / ``add_edge`` buffers the additions and
+folds them, with its current view, into a new view on its next query.
+A view is never edited, so graphs may share one (``Graph.copy``) and
+subgraphs extracted from it stay valid after the parent grows.
 
 On top of the view this module provides the vectorized subgraph-extraction
 kernel the recursion pipeline uses to materialise bin instances:
 :func:`split_by_bins` builds the child views of any number of disjoint node
 groups (one group for a single induced subgraph) from one shared
-label/reindex scatter plus per-group gathers.
-
-Child views are *canonical*: identical (arrays and node order) to what
-:func:`build_csr` would build from the child's adjacency sets, so they can
-be cached on the child graph directly.  Callers that rely on the warm view
-include the batched cost evaluators
-(:class:`repro.hashing.batch.BatchCostEvaluatorBase` subclasses) and
-``Graph.induced_subgraph`` / ``Graph.induced_subgraphs``.
+label/reindex scatter plus per-group gathers.  Child views are canonical
+too: what :func:`csr_from_edges` would build from the child's nodes and
+edges.  The node-by-node reference for both builders is the
+adjacency-set graph of ``tests/scalar_oracle.py``.
 
 Positions inside a solve
 ------------------------
@@ -230,49 +226,6 @@ def index_dtype(num_nodes: int) -> type:
     return np.int32 if num_nodes <= np.iinfo(np.int32).max else np.int64
 
 
-def build_csr(adjacency: Dict[NodeId, "set"]) -> GraphCSR:
-    """Build a :class:`GraphCSR` from an adjacency-set mapping.
-
-    For ``n`` nodes and ``m`` undirected edges the view holds ``node_ids``
-    of length ``n``, ``indptr`` of shape ``(n + 1,)``, and ``indices`` /
-    ``edge_sources`` of shape ``(2m,)`` (one entry per *directed* edge,
-    :func:`index_dtype`-narrowed).  Neighbor lists are sorted by
-    *position* so the layout is deterministic for a given insertion order
-    (the batched and scalar cost paths then traverse edges in a fixed
-    order).
-    """
-    node_ids = list(adjacency)
-    position = {node: index for index, node in enumerate(node_ids)}
-    num_nodes = len(node_ids)
-    dtype = index_dtype(num_nodes)
-    degrees = np.fromiter(
-        (len(adjacency[node]) for node in node_ids), dtype=np.int64, count=num_nodes
-    )
-    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
-    edge_sources = np.repeat(np.arange(num_nodes, dtype=dtype), degrees)
-    # One flat pass over the adjacency sets (dict order == node order), then
-    # a single C-level sort of (source, target) keys instead of a Python
-    # ``sorted`` per node: groups stay contiguous and targets end up sorted
-    # within each group.
-    flat = [
-        position[neighbor] for node in node_ids for neighbor in adjacency[node]
-    ]
-    indices = np.asarray(flat, dtype=dtype)
-    if num_nodes and indices.shape[0]:
-        keys = np.sort(
-            edge_sources.astype(np.int64) * num_nodes + indices.astype(np.int64)
-        )
-        indices = (keys % num_nodes).astype(dtype)
-    return GraphCSR(
-        node_ids=node_ids,
-        indptr=indptr,
-        indices=indices,
-        degrees=degrees,
-        edge_sources=edge_sources,
-    )
-
-
 def sorted_unique(values: np.ndarray) -> np.ndarray:
     """``np.unique(values)`` as one sort plus an adjacent-difference mask.
 
@@ -292,7 +245,7 @@ def integer_array(values) -> Optional[np.ndarray]:
     """``values`` as an int64 array, or ``None`` unless all are int64 integers.
 
     ``values`` is a sized sequence.  A ``None`` return (floats, strings,
-    ids or colors beyond int64) sends the caller to its sets-based path.
+    ids or colors beyond int64) sends the caller to its dict-coded path.
     ``np.fromiter(..., dtype=np.int64)`` truncates floats silently, so one
     ``sum`` first checks the element types: it stays an integer iff every
     element is one.
@@ -409,38 +362,45 @@ def _first_appearance(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[starts][insertion], positions
 
 
-def csr_from_edges(nodes, edges) -> Optional[GraphCSR]:
-    """The canonical view of ``Graph(nodes, edges)``, built from arrays.
+def csr_from_edges(nodes, edges) -> GraphCSR:
+    """The canonical view of the graph with ``nodes`` and ``edges``.
 
-    ``nodes`` is a sequence of ids, ``edges`` a sequence of ``(u, v)``
-    pairs.  The result equals
-    :func:`build_csr` over the scalar graph's adjacency sets: node order is
-    first appearance over ``nodes`` then the edge endpoints (``u`` before
-    ``v``), parallel and reversed edges collapse, and neighbor runs are
-    sorted.  One key sort over the ``2m`` directed edges builds the layout.
-    Returns ``None`` when the ids are not all int64 integers (the caller
-    then builds the graph from sets); raises
-    :class:`~repro.errors.GraphError` on the first self-loop.
+    ``nodes`` is a sequence of hashable ids, ``edges`` a sequence of
+    ``(u, v)`` pairs.  Node order is first appearance over ``nodes`` then
+    the edge endpoints (``u`` before ``v``), parallel and reversed edges
+    collapse, and neighbor runs are sorted by position.  Ids that are all
+    int64 integers get their positions from one vectorised pass
+    (:func:`_first_appearance`); any other ids get first-appearance
+    integer codes from one dict pass, so ids that compare equal (``1`` and
+    ``1.0``) are one node.  Then one key sort over the ``2m`` directed
+    edges builds the layout.  Raises :class:`~repro.errors.GraphError` on
+    the first self-loop.
     """
-    try:
-        if edges and set(map(len, edges)) != {2}:
-            return None
-    except TypeError:
-        return None
-    node_array = integer_array(nodes)
-    edge_array = integer_array(list(itertools.chain.from_iterable(edges)))
-    if node_array is None or edge_array is None:
-        return None
-    edge_array = edge_array.reshape(-1, 2)
-    loops = np.flatnonzero(edge_array[:, 0] == edge_array[:, 1])
+    if edges and set(map(len, edges)) != {2}:
+        raise GraphError("every edge must be a (u, v) pair")
+    ids = list(nodes)
+    num_listed = len(ids)
+    ids.extend(itertools.chain.from_iterable(edges))
+    values = integer_array(ids)
+    if values is not None:
+        node_array, positions = _first_appearance(values)
+        node_ids = node_array.tolist()
+    else:
+        codes: Dict[NodeId, int] = {}
+        positions = np.fromiter(
+            (codes.setdefault(node, len(codes)) for node in ids),
+            dtype=np.int64,
+            count=len(ids),
+        )
+        node_ids = list(codes)
+    ends = positions[num_listed:].reshape(-1, 2)
+    loops = np.flatnonzero(ends[:, 0] == ends[:, 1])
     if loops.shape[0]:
-        raise GraphError(f"self-loop on node {int(edge_array[loops[0], 0])} is not allowed")
-    node_ids, positions = _first_appearance(
-        np.concatenate([node_array, edge_array.ravel()])
-    )
-    num_nodes = node_ids.shape[0]
+        raise GraphError(
+            f"self-loop on node {ids[num_listed + 2 * int(loops[0])]} is not allowed"
+        )
+    num_nodes = len(node_ids)
     dtype = index_dtype(num_nodes)
-    ends = positions[node_array.shape[0] :].reshape(-1, 2)
     keys = np.concatenate(
         [ends[:, 0] * num_nodes + ends[:, 1], ends[:, 1] * num_nodes + ends[:, 0]]
     )
@@ -450,7 +410,7 @@ def csr_from_edges(nodes, edges) -> Optional[GraphCSR]:
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(degrees, out=indptr[1:])
     return GraphCSR(
-        node_ids=node_ids.tolist(),
+        node_ids=node_ids,
         indptr=indptr,
         indices=(keys % max(num_nodes, 1)).astype(dtype),
         degrees=degrees,
@@ -464,10 +424,9 @@ def _assemble_child(
     """Canonical child CSR from its directed edge list in child positions.
 
     ``rows[j]`` / ``targets[j]`` are the child positions of the endpoints of
-    one directed edge.  One flat key sort restores the :func:`build_csr`
-    layout (rows contiguous, targets sorted within each run), so the result
-    is exactly what ``build_csr`` would produce from the child's adjacency
-    sets — safe to cache on the child graph.
+    one directed edge.  One flat key sort restores the canonical layout
+    (rows contiguous, targets sorted within each run), the one
+    :func:`csr_from_edges` builds.
     """
     num_nodes = len(node_ids)
     dtype = index_dtype(num_nodes)

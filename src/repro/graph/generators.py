@@ -90,9 +90,10 @@ def gnm_random(n: int, m: int, seed: Optional[int] = None) -> Graph:
 def random_regular_like(n: int, degree: int, seed: Optional[int] = None) -> Graph:
     """A near-regular random graph via a configuration-model style pairing.
 
-    Multi-edges and self-loops produced by the pairing are dropped, so node
-    degrees may fall slightly below ``degree``; this is fine for workload
-    purposes (the coloring algorithms only need ``p(v) > d(v)``).
+    Multi-edges and self-loops produced by the pairing are dropped (a
+    repeated edge collapses in ``add_edge``), so node degrees may fall
+    slightly below ``degree``; this is fine for workload purposes (the
+    coloring algorithms only need ``p(v) > d(v)``).
     """
     if degree >= n:
         raise ConfigurationError("degree must be smaller than n")
@@ -104,7 +105,7 @@ def random_regular_like(n: int, degree: int, seed: Optional[int] = None) -> Grap
     graph = Graph.empty(n)
     for i in range(0, len(stubs) - 1, 2):
         u, v = stubs[i], stubs[i + 1]
-        if u != v and not graph.has_edge(u, v):
+        if u != v:
             graph.add_edge(u, v)
     return graph
 

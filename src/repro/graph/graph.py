@@ -1,30 +1,33 @@
 """Undirected simple graph used throughout the reproduction.
 
 The congested-clique and MPC simulators, the coloring algorithms and the
-baselines all operate on this structure.  It is intentionally small: an
-adjacency-set representation with the handful of operations the paper's
-algorithms actually need (degrees, induced subgraphs, size accounting),
-plus a cached array view (:meth:`Graph.csr`) for the batched cost kernels.
-Induced subgraphs are always cut from that view
-(:func:`repro.graph.csr.split_by_bins`); the per-neighbor set loop they
+baselines all operate on this structure.  It is intentionally small: one
+immutable array view (:meth:`Graph.csr`, see :mod:`repro.graph.csr`)
+with the handful of operations the paper's algorithms actually need
+(degrees, induced subgraphs, size accounting).  Every query reads the
+view; induced subgraphs are cut from it
+(:func:`repro.graph.csr.split_by_bins`).  The adjacency-set graph it
 replaced is the test oracle's reference (``tests/scalar_oracle.py``).
 
-Nodes are arbitrary hashable integers; they do *not* need to be contiguous,
-because recursive calls of ``ColorReduce`` operate on induced subgraphs that
-keep the original node identifiers (the paper's hash function ``h1`` maps the
-*global* identifier space ``[n]`` to bins).
+Nodes are arbitrary hashable ids, usually integers; they do *not* need to
+be contiguous, because recursive calls of ``ColorReduce`` operate on
+induced subgraphs that keep the original node identifiers (the paper's hash
+function ``h1`` maps the *global* identifier space ``[n]`` to bins).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Dict, Iterable, Iterator, List, Sequence, Set
+
+import numpy as np
 
 from repro.errors import GraphError
+from repro.graph.csr import GraphCSR, csr_from_edges, set_order, split_by_bins
 from repro.types import Edge, NodeId
 
 
 class Graph:
-    """An undirected simple graph stored as adjacency sets.
+    """An undirected simple graph held as one canonical array view.
 
     Parameters
     ----------
@@ -34,104 +37,66 @@ class Graph:
     edges:
         Optional iterable of ``(u, v)`` pairs.  Self-loops are rejected;
         parallel edges are collapsed.
+
+    The state is an immutable :class:`~repro.graph.csr.GraphCSR` plus a
+    buffer of the nodes and edges added since it was built.  The first
+    query folds the two into a new view
+    (:func:`~repro.graph.csr.csr_from_edges`); node order is insertion
+    order throughout.
     """
 
-    __slots__ = ("_adj_store", "_csr")
+    __slots__ = ("_view", "_added_nodes", "_added_edges")
 
     def __init__(
         self,
         nodes: Iterable[NodeId] = (),
         edges: Iterable[Edge] = (),
     ) -> None:
-        self._adj_store: Optional[Dict[NodeId, Set[NodeId]]] = {}
-        self._csr = None
-        for node in nodes:
-            self.add_node(node)
+        self._view: GraphCSR = _EMPTY_VIEW
+        #: Every added node and edge endpoint, in insertion order.
+        self._added_nodes: List[NodeId] = list(nodes)
+        self._added_edges: List[Edge] = []
         for u, v in edges:
             self.add_edge(u, v)
-
-    # ------------------------------------------------------------------
-    # adjacency storage (materialised lazily for CSR-extracted graphs)
-    # ------------------------------------------------------------------
-    @property
-    def _adj(self) -> Dict[NodeId, Set[NodeId]]:
-        """The adjacency-set mapping, materialised on first access.
-
-        Graphs built by :meth:`_from_csr` start with only their (canonical)
-        array view; the adjacency sets are reconstructed from it the first
-        time any set-based operation needs them.  Structural queries
-        (``num_nodes``, ``num_edges``, ``degree``, ``nodes`` ...) answer
-        straight from the view, so e.g. empty bin instances and recursion
-        statistics never pay for materialisation.
-        """
-        adj = self._adj_store
-        if adj is None:
-            adj = self._materialize_adjacency()
-        return adj
-
-    @_adj.setter
-    def _adj(self, value: Dict[NodeId, Set[NodeId]]) -> None:
-        self._adj_store = value
-
-    def _materialize_adjacency(self) -> Dict[NodeId, Set[NodeId]]:
-        view = self._csr
-        if view is None:  # pragma: no cover - _from_csr always sets the view
-            raise GraphError("graph has neither adjacency sets nor a CSR view")
-        from repro.graph.csr import integer_array
-
-        node_ids = view.id_list()
-        ids = integer_array(node_ids)
-        if ids is not None:
-            mapped = ids[view.indices].tolist()
-        else:
-            # Ids beyond int64 (or not integers): fall back to Python lookups.
-            mapped = [node_ids[j] for j in view.indices.tolist()]
-        bounds = view.indptr.tolist()
-        adj: Dict[NodeId, Set[NodeId]] = {}
-        start = 0
-        for node, end in zip(node_ids, bounds[1:]):
-            adj[node] = set(mapped[start:end])
-            start = end
-        self._adj_store = adj
-        return adj
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     def add_node(self, node: NodeId) -> None:
         """Insert ``node`` if not already present."""
-        if node not in self._adj:
-            self._adj[node] = set()
-            self._csr = None
+        self._added_nodes.append(node)
 
     def add_edge(self, u: NodeId, v: NodeId) -> None:
         """Insert the undirected edge ``{u, v}``, adding endpoints as needed."""
         if u == v:
             raise GraphError(f"self-loop on node {u} is not allowed")
-        if v in self._adj.get(u, ()):
-            return  # already present: keep the cached CSR view valid
-        self._adj.setdefault(u, set()).add(v)
-        self._adj.setdefault(v, set()).add(u)
-        self._csr = None
+        self._added_nodes += (u, v)
+        self._added_edges.append((u, v))
+
+    def _folded(self) -> GraphCSR:
+        """The view, after folding the added nodes and edges into it."""
+        if self._added_nodes:
+            view = self._view
+            upper = view.edge_sources < view.indices
+            edges = list(
+                zip(view.ids_at(view.edge_sources[upper]), view.ids_at(view.indices[upper]))
+            )
+            self._view = csr_from_edges(
+                view.id_list() + self._added_nodes, edges + self._added_edges
+            )
+            self._added_nodes, self._added_edges = [], []
+        return self._view
 
     @classmethod
     def from_edges(cls, edges: Iterable[Edge], nodes: Iterable[NodeId] = ()) -> "Graph":
         """Build a graph from an edge list (plus optional isolated nodes).
 
-        Array-first: integer ids go through one vectorised pass
-        (:func:`repro.graph.csr.csr_from_edges`) into the canonical CSR
-        view, and the adjacency sets stay lazy, as for extracted children.
-        The result equals ``Graph(nodes, edges)`` — same node order,
+        The lists go straight to :func:`repro.graph.csr.csr_from_edges`;
+        the result equals ``Graph(nodes, edges)``: same node order,
         self-loop :class:`~repro.errors.GraphError`, parallel edges
-        collapsed — which is also the fallback for any other ids.
+        collapsed.
         """
-        from repro.graph.csr import csr_from_edges
-
-        edges, nodes = list(edges), list(nodes)
-        view = csr_from_edges(nodes, edges)
-        if view is None:
-            return cls(nodes=nodes, edges=edges)
-        return cls._from_csr(view)
+        return cls._from_csr(csr_from_edges(list(nodes), list(edges)))
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
@@ -148,28 +113,20 @@ class Graph:
         return cls(nodes=range(n))
 
     def copy(self) -> "Graph":
-        """An independent deep copy of this graph."""
-        clone = Graph()
-        clone._adj = {node: set(neigh) for node, neigh in self._adj.items()}
-        return clone
+        """An independent copy (it shares the immutable view)."""
+        return Graph._from_csr(self._folded())
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     def __contains__(self, node: NodeId) -> bool:
-        if self._adj_store is None:
-            return self._csr.row(node) >= 0
-        return node in self._adj_store
+        return self._folded().row(node) >= 0
 
     def __len__(self) -> int:
-        if self._adj_store is None:
-            return self._csr.num_nodes
-        return len(self._adj_store)
+        return self._folded().num_nodes
 
     def __iter__(self) -> Iterator[NodeId]:
-        if self._adj_store is None:
-            return iter(self._csr.id_list())
-        return iter(self._adj_store)
+        return iter(self._folded().id_list())
 
     @property
     def num_nodes(self) -> int:
@@ -179,104 +136,64 @@ class Graph:
     @property
     def num_edges(self) -> int:
         """Number of (undirected) edges."""
-        if self._adj_store is None:
-            return self._csr.num_directed_edges // 2
-        return sum(len(neigh) for neigh in self._adj_store.values()) // 2
+        return self._folded().num_directed_edges // 2
 
     def nodes(self) -> List[NodeId]:
         """All node identifiers (in insertion order)."""
-        if self._adj_store is None:
-            return list(self._csr.id_list())
-        return list(self._adj_store)
+        return list(self._folded().id_list())
 
     def edges(self) -> Iterator[Edge]:
-        """Iterate over the edges, each once, as ``(u, v)``.
+        """Iterate over the edges, each once, as ``(u, v)``, off the view.
 
         ``u < v`` when the ids are mutually comparable; otherwise ``u`` is
-        the endpoint inserted first.  On a lazily-backed graph
-        (:meth:`_from_csr`) the edges are read straight off the array view,
-        so iterating them never forces adjacency materialisation.
-        Iteration *order* may differ between the two backings; the edge
-        *set* is identical.
+        the endpoint inserted first.
         """
-        if self._adj_store is None:
-            view = self._csr
-            ids = view.id_list()
-            ranks = _edge_ranks(ids)
-            for i, j in zip(view.edge_sources.tolist(), view.indices.tolist()):
-                if ranks[i] < ranks[j]:
-                    yield (ids[i], ids[j])
-            return
-        ids = list(self._adj_store)
-        rank_of = dict(zip(ids, _edge_ranks(ids)))
-        for u, neigh in self._adj_store.items():
-            rank = rank_of[u]
-            for v in neigh:
-                if rank < rank_of[v]:
-                    yield (u, v)
+        view = self._folded()
+        ids = view.id_list()
+        ranks = _edge_ranks(ids)
+        for i, j in zip(view.edge_sources.tolist(), view.indices.tolist()):
+            if ranks[i] < ranks[j]:
+                yield (ids[i], ids[j])
 
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
-        """Whether the edge ``{u, v}`` is present."""
-        return v in self._adj.get(u, ())
+        """Whether the edge ``{u, v}`` is present (one probe of ``u``'s sorted run)."""
+        view = self._folded()
+        source, target = view.row(u), view.row(v)
+        if source < 0 or target < 0:
+            return False
+        run = view.indices[view.indptr[source] : view.indptr[source + 1]]
+        at = int(run.searchsorted(target))
+        return at < run.shape[0] and int(run[at]) == target
 
     def neighbors(self, node: NodeId) -> Set[NodeId]:
-        """The neighbor set of ``node`` (a live view is never exposed)."""
-        try:
-            return set(self._adj[node])
-        except KeyError as exc:
-            raise GraphError(f"unknown node {node}") from exc
+        """The neighbor set of ``node`` (a fresh set)."""
+        return set(self.iter_neighbors(node))
 
     def iter_neighbors(self, node: NodeId) -> Iterator[NodeId]:
-        """Iterate over the neighbors of ``node`` without copying the set.
+        """Iterate over the neighbors of ``node``, read off its view row.
 
-        The no-copy counterpart of :meth:`neighbors` for hot loops that only
-        scan (classification, palette updates, MIS sweeps).  On a
-        lazily-backed graph (:meth:`_from_csr`) the neighbor run is read
-        straight off the array view, so scanning consumers — the greedy
-        local coloring, palette updates, the MIS sweeps — never force
-        adjacency materialisation.  Iteration *order* may differ between the
-        two backings; the neighbor *set* is identical.  The iterator reads
-        live storage: do not mutate the graph while holding it.
+        The counterpart of :meth:`neighbors` for loops that only scan
+        (the greedy local coloring, the MIS sweeps); neighbors arrive in
+        insertion order.
         """
-        if self._adj_store is None:
-            view = self._csr
-            pos = view.row(node)
-            if pos < 0:
-                raise GraphError(f"unknown node {node}")
-            run = view.ids_at(view.indices[view.indptr[pos] : view.indptr[pos + 1]])
-            return iter(run if isinstance(run, list) else run.tolist())
-        try:
-            return iter(self._adj_store[node])
-        except KeyError as exc:
-            raise GraphError(f"unknown node {node}") from exc
+        view = self._folded()
+        pos = _position(view, node)
+        return iter(_ids_at(view, view.indices[view.indptr[pos] : view.indptr[pos + 1]]))
 
     def degree(self, node: NodeId) -> int:
         """Degree of ``node``."""
-        if self._adj_store is None:
-            pos = self._csr.row(node)
-            if pos < 0:
-                raise GraphError(f"unknown node {node}")
-            return int(self._csr.degrees[pos])
-        try:
-            return len(self._adj_store[node])
-        except KeyError as exc:
-            raise GraphError(f"unknown node {node}") from exc
+        view = self._folded()
+        return int(view.degrees[_position(view, node)])
 
     def degrees(self) -> Dict[NodeId, int]:
         """Mapping from node to degree."""
-        if self._adj_store is None:
-            view = self._csr
-            return dict(zip(view.id_list(), view.degrees.tolist()))
-        return {node: len(neigh) for node, neigh in self._adj_store.items()}
+        view = self._folded()
+        return dict(zip(view.id_list(), view.degrees.tolist()))
 
     def max_degree(self) -> int:
         """The maximum degree Δ (0 for an empty or edgeless graph)."""
-        if self._adj_store is None:
-            view = self._csr
-            return int(view.degrees.max()) if view.num_nodes else 0
-        if not self._adj_store:
-            return 0
-        return max(len(neigh) for neigh in self._adj_store.values())
+        view = self._folded()
+        return int(view.degrees.max()) if view.num_nodes else 0
 
     def size(self) -> int:
         """The paper's notion of instance *size*: ``num_nodes + num_edges``.
@@ -287,46 +204,23 @@ class Graph:
         """
         return self.num_nodes + self.num_edges
 
-    def csr(self):
-        """The cached array ("CSR") view of this graph.
+    def csr(self) -> GraphCSR:
+        """The graph's array ("CSR") view; see :mod:`repro.graph.csr`.
 
-        Present from construction for :meth:`from_edges` graphs and
-        extracted children, built on first use otherwise, and invalidated
-        by :meth:`add_node` / :meth:`add_edge`; see :mod:`repro.graph.csr` for the full
-        array-view contract.  The batched cost kernels use it to turn
-        per-node classification loops into ``np.bincount``/scatter
-        operations, and :meth:`induced_subgraph` / :meth:`induced_subgraphs`
-        extract subgraphs from it without per-neighbor set lookups; the
-        subgraphs carry their own (canonical) warm view.
+        The batched cost kernels use it to turn per-node classification
+        loops into ``np.bincount``/scatter operations, and
+        :meth:`induced_subgraph` / :meth:`induced_subgraphs` cut their
+        children from it.
         """
-        if self._csr is None:
-            from repro.graph.csr import build_csr
-
-            self._csr = build_csr(self._adj)
-        return self._csr
-
-    def has_csr(self) -> bool:
-        """Whether the array view is currently warm (built, not invalidated).
-
-        Lets consumers read arrays off the view when it is free to take
-        (palette construction and validation), without building it.
-        """
-        return self._csr is not None
+        return self._folded()
 
     @classmethod
-    def _from_csr(cls, view) -> "Graph":
-        """A graph backed by a canonical CSR view (adjacency sets deferred).
-
-        The view must be canonical (node order == intended insertion order,
-        neighbor runs sorted — what the extraction kernels produce), so the
-        cached view is indistinguishable from one rebuilt from ``_adj``.
-        Adjacency sets are materialised lazily on first set-based access
-        (see :attr:`_adj`); purely structural queries are answered from the
-        view directly.
-        """
+    def _from_csr(cls, view: GraphCSR) -> "Graph":
+        """A graph over ``view``, which must be canonical (node order ==
+        intended insertion order, neighbor runs sorted — what the builder
+        and the extraction kernels produce)."""
         graph = cls()
-        graph._adj_store = None
-        graph._csr = view
+        graph._view = view
         return graph
 
     # ------------------------------------------------------------------
@@ -335,8 +229,7 @@ class Graph:
     def induced_subgraph(self, nodes, by_position: bool = False) -> "Graph":
         """The subgraph induced by ``nodes`` (unknown ids are ignored).
 
-        The child is backed by its own warm canonical CSR view and
-        materialises adjacency sets lazily; its node order is the
+        The child holds its own canonical view; its node order is the
         iteration order of the filtered id set.  ``by_position`` is as in
         :meth:`induced_subgraphs`.
         """
@@ -360,9 +253,7 @@ class Graph:
         """Children of :func:`repro.graph.csr.split_by_bins`: position
         groups as given, id groups over their known ids, each in
         :func:`~repro.graph.csr.set_order`."""
-        from repro.graph.csr import set_order, split_by_bins
-
-        view = self.csr()
+        view = self._folded()
         if not by_position:
             keeps = []
             for group in groups:
@@ -372,30 +263,56 @@ class Graph:
         return [Graph._from_csr(child) for child in split_by_bins(view, groups)]
 
     def connected_components(self) -> List[Set[NodeId]]:
-        """Connected components as a list of node sets (iterative BFS)."""
-        seen: Set[NodeId] = set()
-        components: List[Set[NodeId]] = []
-        for start in self._adj:
-            if start in seen:
-                continue
-            component = {start}
-            frontier = [start]
-            seen.add(start)
-            while frontier:
-                node = frontier.pop()
-                for neigh in self._adj[node]:
-                    if neigh not in seen:
-                        seen.add(neigh)
-                        component.add(neigh)
-                        frontier.append(neigh)
-            components.append(component)
-        return components
+        """Connected components as a list of node sets.
+
+        Components come in the order of their first node.  Every node
+        points at a smaller-or-equal position of its component; each
+        round hooks each edge's targets onto the smaller pointer and then
+        shortcuts the pointers to their roots, until no edge moves one.
+        The root is then the component's first position.
+        """
+        view = self._folded()
+        parent = np.arange(view.num_nodes, dtype=np.int64)
+        sources, targets = view.edge_sources, view.indices
+        while True:
+            hooked = parent.copy()
+            np.minimum.at(hooked, parent[sources], parent[targets])
+            while True:
+                jumped = hooked[hooked]
+                if np.array_equal(jumped, hooked):
+                    break
+                hooked = jumped
+            if np.array_equal(hooked, parent):
+                break
+            parent = hooked
+        if not view.num_nodes:
+            return []
+        order = np.argsort(parent, kind="stable")
+        bounds = np.flatnonzero(np.diff(parent[order])) + 1
+        return [set(_ids_at(view, group)) for group in np.split(order, bounds)]
 
     # ------------------------------------------------------------------
     # misc
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"
+
+
+_EMPTY_VIEW = csr_from_edges([], [])
+
+
+def _position(view: GraphCSR, node: NodeId) -> int:
+    """The position of ``node`` in ``view``; :class:`GraphError` if unknown."""
+    pos = view.row(node)
+    if pos < 0:
+        raise GraphError(f"unknown node {node}")
+    return pos
+
+
+def _ids_at(view: GraphCSR, rows: np.ndarray) -> list:
+    """The node ids at positions ``rows``, as a list of Python objects."""
+    ids = view.ids_at(rows)
+    return ids if isinstance(ids, list) else ids.tolist()
 
 
 def _edge_ranks(ids: Sequence[NodeId]) -> List[int]:

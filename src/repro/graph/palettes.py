@@ -7,33 +7,27 @@ The paper distinguishes three problem variants (Section 1):
 * ``(deg+1)-list coloring`` — node ``v`` has an arbitrary palette of
   ``deg(v)+1`` colors.
 
-:class:`PaletteAssignment` stores palettes in one (or both) of two backings
-that mirror the graph layer's adjacency-sets / CSR-view split:
+:class:`PaletteAssignment` holds its palettes in one array store
+(:class:`_PaletteStore`): one flat color array holding every palette back
+to back (sorted ascending within each node's slice) plus a ``(n + 1,)``
+offsets array, exactly the layout the batched kernels emit internally.
+Every constructor writes it — :meth:`~PaletteAssignment.delta_plus_one`
+and :meth:`~PaletteAssignment.degree_plus_one` from the palette sizes,
+``PaletteAssignment(mapping)`` and :meth:`~PaletteAssignment.from_lists`
+from any ``node -> colors`` mapping — and every query reads it.  A store
+is never edited in place: the one mutator, the pruning kernel, swaps in a
+new store, which is why :meth:`~PaletteAssignment.copy` and the batch
+kernels' children (:meth:`~PaletteAssignment.restricted_by_bins`,
+:meth:`~PaletteAssignment.subset`, the fused classification path) may
+share a parent's store or slices of its arrays.
 
-* **Python sets** — the model-faithful reference representation (each node
-  holds its own palette locally),
-* **an array store** (:class:`_PaletteStore`) — one flat int64 color array
-  holding every palette back to back (sorted ascending within each node's
-  slice) plus a ``(n + 1,)`` offsets array, exactly the layout the batched
-  kernels already emit internally.
-
-The public constructors (:meth:`~PaletteAssignment.delta_plus_one`,
-:meth:`~PaletteAssignment.degree_plus_one`,
-:meth:`~PaletteAssignment.from_lists`) write the store directly and leave
-the sets lazy; a sets-first ``PaletteAssignment(mapping)`` builds its store
-on the first :meth:`store` call.  Neither backing is ever edited in place:
-the one mutator, the pruning kernel, swaps in a new store and drops the
-sets, which is why :meth:`~PaletteAssignment.copy` and the batch kernels'
-children may share a parent's backings (or slices of its arrays).  Colors
-that are not int64 integers (non-integral, or beyond int64) get no store at
-all; such colors cannot be hashed either, so every operation of the
-partition and update steps raises :class:`PaletteError` for them.
-Assignments produced by the batch kernels (:meth:`restricted_by_bins`,
-:meth:`subset` on an array-backed parent, the fused classification path)
-carry *only* their arrays and materialise Python sets on the first
-genuinely set-based access, just like CSR-extracted graphs materialise
-adjacency lazily.  Every query answers from whichever backing is
-available, with identical results.
+Colors that are not int64 integers (non-integral, beyond int64, strings)
+are held through a color table: the store's ``table`` lists the distinct
+colors and ``flat`` holds codes into it, and the queries map codes back.
+Such colors cannot be hashed, so every operation of the partition and
+update steps raises :class:`PaletteError` for them; the small-instance
+paths (the greedy local coloring, the MIS reduction, validation) color
+and check them through their scalar routes.
 
 Each recursion level hashes the instance's color universe, and the cost
 evaluators index colors by their rank in it.  A store's exact universe
@@ -60,7 +54,9 @@ perform:
 * size queries ``p(v)`` used by the good/bad node classification.
 
 The per-bin, per-neighbor set loops these kernels replaced are the test
-oracle's references (``tests/scalar_oracle.py``).
+oracle's references (``tests/scalar_oracle.py``).  The per-node sets the
+store replaced are the model's picture (each node holds its own palette
+locally); the queries answer as those sets would.
 """
 
 from __future__ import annotations
@@ -105,15 +101,21 @@ class _PaletteStore:
     """
 
     __slots__ = (
-        "nodes", "flat", "offsets",
+        "nodes", "flat", "offsets", "table",
         "_locator", "_universe", "_positions", "_entry_rows",
     )
 
-    def __init__(self, nodes, flat: np.ndarray, offsets: np.ndarray) -> None:
+    def __init__(
+        self, nodes, flat: np.ndarray, offsets: np.ndarray, table: Optional[np.ndarray] = None
+    ) -> None:
         #: A list of ids, or an int64 array of root positions inside a solve.
         self.nodes = nodes
         self.flat = flat
         self.offsets = offsets
+        #: ``None`` when ``flat`` holds the colors themselves; otherwise an
+        #: object array of the distinct colors (first appearance) that
+        #: ``flat`` holds codes into — colors that are not int64 integers.
+        self.table = table
         self._locator = None
         self._universe: Optional[np.ndarray] = None
         self._positions: Optional[np.ndarray] = None
@@ -153,6 +155,10 @@ class _PaletteStore:
     def row_slice(self, row: int) -> np.ndarray:
         """The (sorted) palette slice of store row ``row`` — a view."""
         return self.flat[self.offsets[row] : self.offsets[row + 1]]
+
+    def colors(self, entries: np.ndarray) -> list:
+        """The colors of flat ``entries``, as Python objects."""
+        return entries.tolist() if self.table is None else self.table[entries].tolist()
 
     def sizes(self) -> np.ndarray:
         """Per-row palette sizes, aligned with :attr:`nodes`."""
@@ -251,11 +257,6 @@ def _locate(universe: np.ndarray, colors: np.ndarray) -> np.ndarray:
     return at
 
 
-#: Sentinel cached when the palette colors cannot be represented as int64
-#: (so repeated ``store()`` calls do not retry the failing conversion).
-_STORE_UNAVAILABLE = object()
-
-
 class RunColoring:
     """The coloring of one solve, indexed by root position.
 
@@ -265,7 +266,7 @@ class RunColoring:
     Each recursion leaf paints its own slots; the pruning kernel reads a
     neighbor's color with one gather through a view's root positions.
     The array is int64 unless a leaf paints colors that are not int64
-    integers (palettes without an array store), which switches it to
+    integers (palettes holding a color table), which switches it to
     objects — such instances never partition, so no pruning reads it.
     """
 
@@ -382,34 +383,41 @@ def position_instance(graph: Graph, palettes: "PaletteAssignment"):
     view = position_view(graph.csr())
     positions = view.node_ids
     store = palettes.store()
-    if store is not None:
-        aligned = PaletteAssignment._from_arrays(positions, store.flat, store.offsets)
-    else:
-        aligned = PaletteAssignment._adopt(
-            dict(zip(positions.tolist(), palettes._palettes.values()))
-        )
+    aligned = PaletteAssignment._from_arrays(
+        positions, store.flat, store.offsets, store.table
+    )
     return Graph._from_csr(view), aligned
 
 
-def _store_from_rows(nodes: List[NodeId], rows: Sequence) -> Optional[_PaletteStore]:
+def _store_from_rows(nodes: List[NodeId], rows: Sequence) -> _PaletteStore:
     """Build a :class:`_PaletteStore` from per-node color collections.
 
     ``rows[i]`` (sized and re-iterable: a set, list, range ...) holds the
-    colors of ``nodes[i]``.  Returns ``None`` when a color is not an int64
-    integer — non-integral or beyond int64 — and the assignment then stays
-    sets-only (the batch kernels raise :class:`PaletteError` for it).  Rows
-    are sorted and deduplicated only if one vectorised check finds an
-    out-of-order or repeated entry.  Colors that all fit ``[0, 2**31)`` are
-    narrowed to int32 (the dtype policy in ``docs/ARCHITECTURE.md``);
-    anything negative or wider keeps the overflow-guarded int64
-    representation.  Children derived by slicing/compaction inherit the
-    root's dtype.
+    colors of ``nodes[i]``.  Colors that are not all int64 integers
+    (non-integral, or beyond int64) get a color table: ``flat`` then holds
+    their first-appearance codes, one dict pass, so colors that compare
+    equal (``1`` and ``1.0``) are one color, as in a set.  Rows are sorted
+    and deduplicated only if one vectorised check finds an out-of-order or
+    repeated entry.  Entries that all fit ``[0, 2**31)`` are narrowed to
+    int32 (the dtype policy in ``docs/ARCHITECTURE.md``); anything
+    negative or wider keeps the overflow-guarded int64 representation.
+    Children derived by slicing/compaction inherit the root's dtype.
     """
     count = len(nodes)
     lengths = np.fromiter(map(len, rows), dtype=np.int64, count=count)
-    flat = integer_array(list(itertools.chain.from_iterable(rows)))
+    colors = list(itertools.chain.from_iterable(rows))
+    flat = integer_array(colors)
+    table = None
     if flat is None:
-        return None
+        codes: Dict[Color, int] = {}
+        flat = np.fromiter(
+            (codes.setdefault(color, len(codes)) for color in colors),
+            dtype=np.int64,
+            count=len(colors),
+        )
+        table = np.empty(len(codes), dtype=object)
+        for code, color in enumerate(codes):
+            table[code] = color
     offsets = np.zeros(count + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
     total = flat.shape[0]
@@ -426,7 +434,7 @@ def _store_from_rows(nodes: List[NodeId], rows: Sequence) -> Optional[_PaletteSt
             if not bool(keep.all()):
                 flat = flat[keep]
                 np.cumsum(np.bincount(owners[keep], minlength=count), out=offsets[1:])
-    return _PaletteStore(nodes, _narrowed(flat), offsets)
+    return _PaletteStore(nodes, _narrowed(flat), offsets, table)
 
 
 def _narrowed(flat: np.ndarray) -> np.ndarray:
@@ -445,72 +453,29 @@ def _distinct(nodes):
 
 
 class PaletteAssignment:
-    """A mapping from node to its color palette.
+    """A mapping from node to its color palette, held as one array store.
 
     Restricting or pruning one node's palette never affects another node —
     matching the model, where each node holds its own palette locally.
+    ``PaletteAssignment(palettes)`` builds the store (:meth:`store`) from
+    any ``node -> colors`` mapping.
     """
 
-    __slots__ = ("_sets", "_store")
+    __slots__ = ("_store",)
 
     def __init__(self, palettes: Mapping[NodeId, Iterable[Color]]) -> None:
-        self._sets: Optional[Dict[NodeId, Set[Color]]] = {
-            node: set(colors) for node, colors in palettes.items()
-        }
-        self._store = None
+        rows = [
+            colors if isinstance(colors, (list, tuple, set, frozenset, range)) else list(colors)
+            for colors in palettes.values()
+        ]
+        self._store = _store_from_rows(list(palettes), rows)
+
+    def store(self) -> _PaletteStore:
+        """The array store.  The pruning kernel replaces it wholesale."""
+        return self._store
 
     # ------------------------------------------------------------------
-    # backing management (sets <-> array store)
-    # ------------------------------------------------------------------
-    @property
-    def _palettes(self) -> Dict[NodeId, Set[Color]]:
-        """The ``node -> color set`` mapping, materialised on first access.
-
-        Array-backed assignments (children of the batch kernels) rebuild
-        their sets from the flat store the first time a set-based operation
-        needs them; queries keep answering from the arrays directly.
-        """
-        sets = self._sets
-        if sets is None:
-            sets = self._materialize_sets()
-        return sets
-
-    def _materialize_sets(self) -> Dict[NodeId, Set[Color]]:
-        store = self._store
-        flat_list = store.flat.tolist()
-        bounds = store.offsets.tolist()
-        sets: Dict[NodeId, Set[Color]] = {}
-        start = 0
-        for node, end in zip(store.node_list(), bounds[1:]):
-            sets[node] = set(flat_list[start:end])
-            start = end
-        self._sets = sets
-        return sets
-
-    def store(self) -> Optional[_PaletteStore]:
-        """The cached array store, built from the sets on first use.
-
-        Returns ``None`` when the palette colors cannot be represented as
-        int64 (the batch kernels then raise :class:`PaletteError`).  The
-        pruning kernel replaces the store wholesale.
-        """
-        store = self._store
-        if store is None:
-            sets = self._sets
-            store = _store_from_rows(list(sets), list(sets.values()))
-            self._store = store if store is not None else _STORE_UNAVAILABLE
-            return store
-        return None if store is _STORE_UNAVAILABLE else store
-
-    def _store_if_warm(self) -> Optional[_PaletteStore]:
-        """The array store iff already built — never triggers a build."""
-        store = self._store
-        return store if isinstance(store, _PaletteStore) else None
-
-    # ------------------------------------------------------------------
-    # constructors for the three problem variants: they write the array
-    # store directly and leave the sets lazy; ``PaletteAssignment(mapping)``
-    # stays the sets-first reference they are tested against
+    # constructors for the three problem variants
     # ------------------------------------------------------------------
     @classmethod
     def delta_plus_one(cls, graph: Graph, delta: Optional[int] = None) -> "PaletteAssignment":
@@ -523,12 +488,7 @@ class PaletteAssignment:
     @classmethod
     def degree_plus_one(cls, graph: Graph) -> "PaletteAssignment":
         """Palettes ``{0..deg(v)}`` (the canonical ``(deg+1)`` instance)."""
-        nodes = graph.nodes()
-        if graph.has_csr():
-            degrees = graph.csr().degrees
-        else:
-            degrees = np.fromiter(map(graph.degree, nodes), dtype=np.int64, count=len(nodes))
-        return cls._from_sizes(nodes, degrees + 1)
+        return cls._from_sizes(graph.nodes(), graph.csr().degrees + 1)
 
     @classmethod
     def _from_sizes(cls, nodes: List[NodeId], sizes: np.ndarray) -> "PaletteAssignment":
@@ -540,50 +500,8 @@ class PaletteAssignment:
 
     @classmethod
     def from_lists(cls, palettes: Mapping[NodeId, Iterable[Color]]) -> "PaletteAssignment":
-        """Arbitrary list-coloring palettes.
-
-        Integer colors go straight into the array store; anything else
-        (non-integral colors, colors beyond int64) gives a sets-only
-        assignment, exactly as ``PaletteAssignment(palettes)`` would.
-        """
-        nodes = list(palettes)
-        rows = [
-            colors if isinstance(colors, (list, tuple, set, frozenset, range)) else list(colors)
-            for colors in palettes.values()
-        ]
-        store = _store_from_rows(nodes, rows)
-        if store is not None:
-            return cls._adopt_store(store)
-        assignment = cls(dict(zip(nodes, rows)))
-        assignment._store = _STORE_UNAVAILABLE
-        return assignment
-
-    @classmethod
-    def _adopt(cls, palettes: Dict[NodeId, Set[Color]]) -> "PaletteAssignment":
-        """Wrap a ``node -> color set`` dict without copying.
-
-        The dict and its sets must not be mutated afterwards (they may be
-        shared with the parent of a :meth:`subset`).
-        """
-        assignment = cls({})
-        assignment._sets = palettes
-        return assignment
-
-    @classmethod
-    def _adopt_store(cls, store: _PaletteStore) -> "PaletteAssignment":
-        """Wrap an already-built array store (sets stay lazy).
-
-        The batch kernels' counterpart of :meth:`_adopt`: children of
-        :meth:`restricted_by_bins` / :meth:`subset` and the fused
-        classification path hand over flat arrays (often slices of a
-        parent's store).  The store must honour the layout contract
-        (sorted slices, offsets aligned with ``nodes``) and is owned by the
-        assignment from here on.
-        """
-        assignment = cls({})
-        assignment._sets = None
-        assignment._store = store
-        return assignment
+        """Arbitrary list-coloring palettes: ``PaletteAssignment(palettes)``."""
+        return cls(palettes)
 
     @classmethod
     def _from_arrays(
@@ -591,19 +509,26 @@ class PaletteAssignment:
         nodes,
         flat: np.ndarray,
         offsets: np.ndarray,
+        table: Optional[np.ndarray] = None,
     ) -> "PaletteAssignment":
-        """:meth:`_adopt_store` over raw ``(nodes, flat, offsets)`` arrays."""
-        return cls._adopt_store(_PaletteStore(nodes, flat, offsets))
+        """Wrap raw store arrays (see :class:`_PaletteStore`).
+
+        The batch kernels' children hand over flat arrays, often slices of
+        a parent's store; they must honour the layout contract (sorted
+        slices, offsets aligned with ``nodes``).
+        """
+        assignment = cls.__new__(cls)
+        assignment._store = _PaletteStore(nodes, flat, offsets, table)
+        return assignment
 
     def copy(self) -> "PaletteAssignment":
-        """Independent copy that shares both backings.
+        """Independent copy that shares the store.
 
-        Sharing is safe because neither backing is edited in place: the
-        pruning kernel swaps in a new store and drops the sets, so a change
-        to either assignment never reaches the other.
+        Sharing is safe because a store is never edited in place: the
+        pruning kernel swaps in a new one, so a change to either
+        assignment never reaches the other.
         """
-        clone = PaletteAssignment({})
-        clone._sets = self._sets
+        clone = PaletteAssignment.__new__(PaletteAssignment)
         clone._store = self._store
         return clone
 
@@ -611,108 +536,67 @@ class PaletteAssignment:
     # queries
     # ------------------------------------------------------------------
     def __contains__(self, node: NodeId) -> bool:
-        sets = self._sets
-        if sets is not None:
-            return node in sets
         return self._store.row(node) >= 0
 
     def __len__(self) -> int:
-        sets = self._sets
-        if sets is not None:
-            return len(sets)
         return len(self._store.nodes)
 
     def nodes(self) -> List[NodeId]:
         """Nodes that have a palette."""
-        sets = self._sets
-        if sets is not None:
-            return list(sets)
         return self._store.node_list()
 
-    def _row_of(self, store: _PaletteStore, node: NodeId) -> int:
-        row = store.row(node)
+    def _row_of(self, node: NodeId) -> int:
+        row = self._store.row(node)
         if row < 0:
             raise PaletteError(f"node {node} has no palette")
         return row
 
     def palette(self, node: NodeId) -> Set[Color]:
         """A copy of the palette of ``node``."""
-        sets = self._sets
-        if sets is not None:
-            try:
-                return set(sets[node])
-            except KeyError as exc:
-                raise PaletteError(f"node {node} has no palette") from exc
-        store = self._store
-        return set(store.row_slice(self._row_of(store, node)).tolist())
+        return set(self.iter_palette(node))
 
     def iter_palette(self, node: NodeId) -> Iterable[Color]:
-        """Iterate the palette of ``node`` without copying into a new set.
+        """Iterate the palette of ``node`` without building a set.
 
-        The no-copy counterpart of :meth:`palette` for hot loops that only
-        scan (the batched classification and palette-restriction kernels
-        flatten every palette once per partition level).  The iterator
-        reads the live backing: do not mutate the assignment while holding
-        it.  On an array-backed assignment the colors arrive in ascending
-        order; on a sets-backed one in set order — consumers must not rely
-        on either.
+        Integer colors arrive in ascending order, colors held through a
+        color table in the table's order; consumers must not rely on
+        either.
         """
-        sets = self._sets
-        if sets is not None:
-            try:
-                return iter(sets[node])
-            except KeyError as exc:
-                raise PaletteError(f"node {node} has no palette") from exc
         store = self._store
-        return iter(store.row_slice(self._row_of(store, node)).tolist())
+        return iter(store.colors(store.row_slice(self._row_of(node))))
 
     def palette_size(self, node: NodeId) -> int:
         """``p(v)``: the number of colors currently available to ``node``."""
-        sets = self._sets
-        if sets is not None:
-            try:
-                return len(sets[node])
-            except KeyError as exc:
-                raise PaletteError(f"node {node} has no palette") from exc
-        store = self._store
-        row = self._row_of(store, node)
-        return int(store.offsets[row + 1] - store.offsets[row])
+        row = self._row_of(node)
+        return int(self._store.offsets[row + 1] - self._store.offsets[row])
 
     def total_size(self) -> int:
         """Total number of (node, color) palette entries — the paper's
         ``Θ(nΔ)`` input-size term for list coloring."""
-        sets = self._sets
-        if sets is not None:
-            return sum(len(colors) for colors in sets.values())
         return int(self._store.offsets[-1])
 
     def color_universe(self) -> Set[Color]:
         """The union of all palettes (size at most ``n**2`` per Section 3)."""
-        store = self._store_if_warm()
-        if store is not None:
-            return set(store.universe().tolist())
-        universe: Set[Color] = set()
-        for colors in self._sets.values():
-            universe.update(colors)
-        return universe
+        store = self._store
+        return set(store.colors(store.universe()))
 
     def contains_color(self, node: NodeId, color: Color) -> bool:
         """Whether ``color`` is currently in the palette of ``node``."""
-        sets = self._sets
-        if sets is not None:
-            return color in sets.get(node, ())
         store = self._store
         row = store.row(node)
         if row < 0:
             return False
         row_slice = store.row_slice(row)
-        try:
-            # The slice is sorted: one binary probe instead of materialising
-            # the palette (coloring validation probes once per colored node).
-            at = int(np.searchsorted(row_slice, color))
-        except (OverflowError, TypeError, ValueError):
-            return color in row_slice.tolist()
-        return bool(at < row_slice.shape[0] and row_slice[at] == color)
+        if store.table is None:
+            try:
+                # The slice is sorted: one binary probe instead of
+                # materialising the palette (coloring validation probes
+                # once per colored node).
+                at = int(np.searchsorted(row_slice, color))
+                return bool(at < row_slice.shape[0] and row_slice[at] == color)
+            except (OverflowError, TypeError, ValueError):
+                pass
+        return color in store.colors(row_slice)
 
     # ------------------------------------------------------------------
     # the operations the algorithms perform
@@ -720,26 +604,18 @@ class PaletteAssignment:
     def subset(self, nodes: Iterable[NodeId]) -> "PaletteAssignment":
         """A new assignment containing only ``nodes`` (palettes unchanged).
 
-        With a warm array store the child adopts gathered slices of the
-        parent's flat arrays (no per-color Python work, sets stay lazy);
-        otherwise it shares the parent's palette sets, which are never
-        edited in place.  Results are identical either way.
+        The child holds gathered slices of the parent's flat arrays (no
+        per-color Python work).
         """
-        store = self._store_if_warm()
-        if store is not None:
-            node_list = _distinct(nodes)
-            rows = store.rows_for(node_list)
-            lengths, gather = gather_segments(store.offsets, rows)
-            offsets = np.zeros(len(node_list) + 1, dtype=np.int64)
-            np.cumsum(lengths, out=offsets[1:])
-            return PaletteAssignment._from_arrays(
-                node_list, store.flat[gather], offsets
-            )
-        sets = self._palettes
-        try:
-            return PaletteAssignment._adopt({node: sets[node] for node in nodes})
-        except KeyError as exc:
-            raise PaletteError(f"node {exc.args[0]} has no palette") from exc
+        store = self._store
+        node_list = _distinct(nodes)
+        rows = store.rows_for(node_list)
+        lengths, gather = gather_segments(store.offsets, rows)
+        offsets = np.zeros(len(node_list) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        return PaletteAssignment._from_arrays(
+            node_list, store.flat[gather], offsets, store.table
+        )
 
     def restricted_by_bins(
         self,
@@ -761,13 +637,13 @@ class PaletteAssignment:
         ``searchsorted`` of its size and each entry's bin is one gather
         through its rank; sparser colors are located one binary search per
         entry.  The children adopt contiguous slices of the masked
-        compaction — array-backed assignments whose Python sets stay lazy.
+        compaction.
 
         Returns one :class:`PaletteAssignment` per group, equal (same nodes,
         same palette *sets*) to the per-bin scalar reference in
         ``tests/scalar_oracle.py``.  Raises
         :class:`PaletteError` if a member has no palette, a member color is
-        missing from ``universe``, or the palettes have no array store
+        missing from ``universe``, or the palettes hold a color table
         (colors that are not int64 integers, which the partition steps'
         hash families reject before they get here).  Colors held only by
         non-members need not be in ``universe``; with an empty ``universe``
@@ -775,8 +651,8 @@ class PaletteAssignment:
         entry is a membership error.
         """
         groups = [_distinct(members) for members in bin_members]
-        store = self.store()
-        if store is None:
+        store = self._store
+        if store.table is not None:
             raise PaletteError(
                 "restricted_by_bins: palette colors are not int64 integers"
             )
@@ -853,12 +729,12 @@ class PaletteAssignment:
         (:func:`repro.hashing.batch.segment_mark_members`) locates the
         palette entries they block, and one masked compaction swaps in the
         pruned store.  Raises :class:`PaletteError`, before any pruning,
-        for palettes without an array store and coloring values that are
+        for palettes holding a color table and coloring values that are
         not int64 integers.  Scalar reference: the per-neighbor loop in
         ``tests/scalar_oracle.py``.
         """
-        store = self.store()
-        if store is None:
+        store = self._store
+        if store.table is not None:
             raise PaletteError(
                 "remove_colors_used_by_neighbors_batch: palette colors are "
                 "not int64 integers"
@@ -891,7 +767,6 @@ class PaletteAssignment:
         new_offsets = np.zeros(num_rows + 1, dtype=np.int64)
         np.cumsum(new_sizes, out=new_offsets[1:])
         self._store = _PaletteStore(store.nodes, store.flat[~removed_mask], new_offsets)
-        self._sets = None
         return removed
 
     def subset_updated(
@@ -922,88 +797,41 @@ class PaletteAssignment:
 
         The paper's invariant (Corollary 3.3 (iii)) requires ``d(v) < p(v)``;
         the default ``slack=1`` checks exactly that.  Raises
-        :class:`PaletteError` on the first violation (in graph node order —
-        the warm-store vectorized path reports the same node as the scalar
-        loop).
+        :class:`PaletteError` on the first violation in graph node order.
         """
-        store = self._store_if_warm()
-        if store is None:
-            palettes = self._palettes
-            for node in graph.nodes():
-                if node not in palettes:
-                    raise PaletteError(f"node {node} of the graph has no palette")
-                if len(palettes[node]) < graph.degree(node) + slack:
-                    raise PaletteError(
-                        f"palette of node {node} has {len(palettes[node])} colors "
-                        f"but degree is {graph.degree(node)} (need degree + {slack})"
-                    )
-            return
-        node_list, rows, degrees = self._graph_rows(store, graph)
+        store = self._store
+        csr = graph.csr()
+        rows = store.locate(csr.node_ids)
         missing = rows < 0
         safe_rows = np.where(missing, 0, rows)
         sizes = store.offsets[safe_rows + 1] - store.offsets[safe_rows]
-        bad = missing | (sizes < degrees + slack)
+        bad = missing | (sizes < csr.degrees + slack)
         if not bool(bad.any()):
             return
         first = int(np.argmax(bad))
-        node = node_list[first]
+        node = csr.node_ids[first]
         if bool(missing[first]):
             raise PaletteError(f"node {node} of the graph has no palette")
         raise PaletteError(
             f"palette of node {node} has {int(sizes[first])} colors "
-            f"but degree is {int(degrees[first])} (need degree + {slack})"
+            f"but degree is {int(csr.degrees[first])} (need degree + {slack})"
         )
 
     def sizes_for(self, graph: Graph):
-        """``(graph nodes, their palette sizes)``: a list and an aligned array.
-
-        One gather over the warm array store instead of a per-node
-        :meth:`palette_size` walk.  Returns ``None`` without a warm store or
-        when some graph node has no palette; callers then take their
-        per-node path (which raises for the missing palette).
-        """
-        store = self._store_if_warm()
-        if store is None:
-            return None
-        node_list, rows = self._node_rows(store, graph)
-        if bool((rows < 0).any()):
-            return None
-        return node_list, store.sizes()[rows]
+        """``(graph nodes, their palette sizes)``: the view's node ids and an
+        aligned array, from one gather over the store.  Raises
+        :class:`PaletteError` for the first graph node without a palette."""
+        node_ids = graph.csr().node_ids
+        return node_ids, self._store.sizes()[self._store.rows_for(node_ids)]
 
     def sizes_and_degrees(self, graph: Graph):
         """``(palette sizes, degrees)`` of the graph nodes: aligned arrays.
 
-        Like :meth:`sizes_for`, ``None`` without a warm store or when some
-        graph node has no palette.  The degrees come off the graph's CSR
-        view only when it is warm (:meth:`_graph_rows`), so asking never
-        builds one.
+        Like :meth:`sizes_for`, :class:`PaletteError` for the first graph
+        node without a palette.
         """
-        store = self._store_if_warm()
-        if store is None:
-            return None
-        _, rows, degrees = self._graph_rows(store, graph)
-        if bool((rows < 0).any()):
-            return None
-        return store.sizes()[rows], degrees
-
-    @staticmethod
-    def _node_rows(store: _PaletteStore, graph: Graph):
-        """``(graph node ids, their store rows or -1)``."""
-        node_ids = graph.csr().node_ids if graph.has_csr() else graph.nodes()
-        return node_ids, store.locate(node_ids)
-
-    @staticmethod
-    def _graph_rows(store: _PaletteStore, graph: Graph):
-        """``(graph nodes, their store rows or -1, their degrees)``; a warm
-        CSR view supplies the degrees as an array."""
-        node_list, rows = PaletteAssignment._node_rows(store, graph)
-        if graph.has_csr():
-            degrees = graph.csr().degrees
-        else:
-            degrees = np.fromiter(
-                map(graph.degree, node_list), dtype=np.int64, count=len(node_list)
-            )
-        return node_list, rows, degrees
+        _, sizes = self.sizes_for(graph)
+        return sizes, graph.csr().degrees
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -101,11 +101,11 @@ def _palettes_respected(
     graph node is colored.  One compare of the flat palette store against
     each entry's owner color, one ``bincount`` of the hits per store row.
     ``False`` means "not proven" — a violation, coloring keys or palettes
-    outside the graph, or no warm array store — and sends the caller to
-    the scalar check.
+    outside the graph, or palettes holding a color table — and sends the
+    caller to the scalar check.
     """
-    store = palettes._store_if_warm()
-    if store is None or len(coloring) != csr.num_nodes:
+    store = palettes.store()
+    if store.table is not None or len(coloring) != csr.num_nodes:
         return False
     num_rows = len(store.nodes)
     row_positions = csr.locate(store.nodes)
@@ -128,7 +128,7 @@ def assert_valid_list_coloring(
     paper.
 
     Pass/fail is decided with arrays (a CSR gather, and a membership check
-    over the warm palette store).  On any violation, or when the arrays
+    over the palette store).  On any violation, or when the arrays
     are unavailable, the scalar functions above run instead and raise the
     error for the first violation, so the message is the same either way.
     """

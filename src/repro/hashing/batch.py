@@ -536,7 +536,7 @@ class BatchCostEvaluatorBase:
         colors first; see :func:`repro.core.classification.hash_families`).
         """
         store = palettes.store()
-        if store is None:
+        if store.table is not None:
             raise PaletteError(
                 "palette colors are not int64 integers; partitioning hashes "
                 "integer colors"

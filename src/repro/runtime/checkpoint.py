@@ -159,7 +159,7 @@ def fingerprint_instance(graph: Any, palettes: Any) -> str:
     hash_array(h, csr.indptr)
     hash_array(h, csr.indices)
     store = palettes.store()
-    if store is not None:
+    if store.table is None:
         hash_array(h, store.offsets)
         hash_array(h, store.flat)
     else:

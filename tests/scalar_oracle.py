@@ -28,9 +28,11 @@ every array entry point the drivers call to it:
   for instances below the array sweep's cutover).
 
 The references are also what the unit-level differential tests and the
-``bench_p*`` benchmarks compare the array kernels with.  One of them,
-:func:`rank_oracle` (the palette store's universe and entry ranks), has no
-reroute: the drivers reach the rank kernel only through the store.
+``bench_p*`` benchmarks compare the array kernels with.  Three of them
+have no reroute: :func:`rank_oracle` (the palette store's universe and
+entry ranks; the drivers reach the rank kernel only through the store),
+and :class:`SetGraph` with :func:`build_csr` (the adjacency-set graph and
+its view, the reference for ``Graph``'s one array view).
 
 A differential test runs the same instance in production and under the
 oracle and compares coloring, rounds, recursion tree and ledger
@@ -63,6 +65,8 @@ from repro.core.classification import (
 from repro.core.local_coloring import _greedy_scalar
 from repro.core.low_space.machine_sets import LowSpaceCostEvaluator, node_level_outcome
 from repro.derand.conditional_expectation import HashPairSelector
+from repro.errors import GraphError
+from repro.graph.csr import GraphCSR, index_dtype
 from repro.graph.graph import Graph
 from repro.graph.palettes import PaletteAssignment, RunColoring
 
@@ -98,9 +102,93 @@ class ScalarOracle:
 # ----------------------------------------------------------------------
 # the graph and palette references
 # ----------------------------------------------------------------------
+class SetGraph:
+    """The adjacency-set graph: ``node -> neighbor set`` in insertion order.
+
+    ``Graph``'s reference semantics: nodes in first-insertion order,
+    parallel and reversed edges collapsed, a self-loop a
+    :class:`GraphError` at once.
+    """
+
+    def __init__(self, nodes=(), edges=()):
+        self.adj = {}
+        for node in nodes:
+            self.add_node(node)
+        for u, v in edges:
+            self.add_edge(u, v)
+
+    def add_node(self, node):
+        self.adj.setdefault(node, set())
+
+    def add_edge(self, u, v):
+        if u == v:
+            raise GraphError(f"self-loop on node {u} is not allowed")
+        self.adj.setdefault(u, set()).add(v)
+        self.adj.setdefault(v, set()).add(u)
+
+    def connected_components(self):
+        """Node sets of the components, by iterative search, in the order
+        of their first node."""
+        seen = set()
+        components = []
+        for start in self.adj:
+            if start in seen:
+                continue
+            component, frontier = {start}, [start]
+            seen.add(start)
+            while frontier:
+                for neighbor in self.adj[frontier.pop()]:
+                    if neighbor not in seen:
+                        seen.add(neighbor)
+                        component.add(neighbor)
+                        frontier.append(neighbor)
+            components.append(component)
+        return components
+
+
+def build_csr(adjacency) -> GraphCSR:
+    """The canonical view of an adjacency-set mapping, node by node.
+
+    ``node_ids`` in the mapping's order, ``indptr`` of shape ``(n + 1,)``,
+    ``indices`` / ``edge_sources`` one entry per directed edge
+    (:func:`~repro.graph.csr.index_dtype`-narrowed), each neighbor run
+    sorted by position.
+    """
+    node_ids = list(adjacency)
+    position = {node: index for index, node in enumerate(node_ids)}
+    num_nodes = len(node_ids)
+    dtype = index_dtype(num_nodes)
+    degrees = np.fromiter(
+        (len(adjacency[node]) for node in node_ids), dtype=np.int64, count=num_nodes
+    )
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    runs = [sorted(position[neighbor] for neighbor in adjacency[node]) for node in node_ids]
+    return GraphCSR(
+        node_ids=node_ids,
+        indptr=indptr,
+        indices=np.asarray([pos for run in runs for pos in run], dtype=dtype),
+        degrees=degrees,
+        edge_sources=np.repeat(np.arange(num_nodes, dtype=dtype), degrees),
+    )
+
+
+def assert_same_graph(built, reference: SetGraph) -> None:
+    """``built`` has ``reference``'s node order, neighbor sets and
+    canonical view (:func:`build_csr`: same arrays, same dtypes)."""
+    assert built.nodes() == list(reference.adj)
+    view, expected = built.csr(), build_csr(reference.adj)
+    assert view.node_ids == expected.node_ids
+    for name in ("indptr", "indices", "degrees", "edge_sources"):
+        got, want = getattr(view, name), getattr(expected, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+    assert {node: built.neighbors(node) for node in built} == reference.adj
+
+
 def induced_from_keep(graph, keep):
     """The subgraph induced by the known ids ``keep``, one neighbor at a
-    time over the adjacency sets.
+    time.
 
     Nodes are inserted in ``keep``'s iteration order, as the extraction
     kernel orders a child.  Ids must be mutually comparable.  A child of
@@ -111,14 +199,16 @@ def induced_from_keep(graph, keep):
     members = set(keep)
     sub = Graph(nodes=keep)
     for u in keep:
-        for v in graph._adj[u]:
+        for v in graph.iter_neighbors(u):
             if v in members and u < v:
                 sub.add_edge(u, v)
     hash_keys = graph.csr().hash_keys
     if hash_keys is not None:
         view = sub.csr()
-        sub._csr = dataclasses.replace(
-            view, node_ids=np.asarray(view.node_ids, dtype=np.int64), hash_keys=hash_keys
+        sub = Graph._from_csr(
+            dataclasses.replace(
+                view, node_ids=np.asarray(view.node_ids, dtype=np.int64), hash_keys=hash_keys
+            )
         )
     return sub
 
@@ -162,7 +252,7 @@ def restricted_to(palettes, nodes, keep_color):
     One color bin of ``restricted_by_bins``: pass
     ``keep_color=lambda c: color_bin(c) == b``.
     """
-    return PaletteAssignment._adopt(
+    return PaletteAssignment(
         {
             node: {color for color in palettes.iter_palette(node) if keep_color(color)}
             for node in nodes
@@ -184,15 +274,15 @@ def rank_oracle(flat):
 def remove_colors_used_by_neighbors(palettes, graph, coloring):
     """``remove_colors_used_by_neighbors_batch`` as a per-neighbor loop.
 
-    Prunes ``palettes`` in place and returns the number of entries removed.
-    Copy-on-write: a pruned palette is a new set, so copies sharing the
-    old sets are untouched.  A solve's :class:`RunColoring` is read as the
-    ``root position -> color`` dict of its painted slots.
+    Prunes ``palettes`` in place (installs a store rebuilt with
+    ``from_lists``, so copies sharing the old store are untouched) and
+    returns the number of entries removed.  A solve's :class:`RunColoring`
+    is read as the ``root position -> color`` dict of its painted slots.
     """
     if isinstance(coloring, RunColoring):
         painted = np.flatnonzero(coloring.colored)
         coloring = dict(zip(painted.tolist(), coloring.colors[painted].tolist()))
-    sets = dict(palettes._palettes)
+    sets = {node: palettes.palette(node) for node in palettes.nodes()}
     removed = 0
     for node in list(sets):
         if node not in graph:
@@ -206,8 +296,7 @@ def remove_colors_used_by_neighbors(palettes, graph, coloring):
         if hit:
             sets[node] = sets[node] - hit
             removed += len(hit)
-    palettes._sets = sets
-    palettes._store = None
+    palettes._store = PaletteAssignment.from_lists(sets).store()
     return removed
 
 

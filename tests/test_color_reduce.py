@@ -284,10 +284,10 @@ class TestCollectWords:
         state = RunState(model=None, global_nodes=graph.num_nodes)
         words = ColorReduce()._collect_words(graph, palettes, state)
         assert words == self._per_node(graph, palettes)
-        # The sets-first assignment (cold store) takes the per-node sum.
+        # The mapping constructor holds the same store.
         assert words == ColorReduce()._collect_words(graph, PaletteAssignment(lists), state)
 
-    def test_counting_words_builds_no_csr_view(self):
+    def test_counting_words_on_a_graph_built_node_by_node(self):
         source = generators.gnm_random(30, 70, seed=2)
         graph = Graph()
         for node in source.nodes():
@@ -300,10 +300,9 @@ class TestCollectWords:
         )
         state = RunState(model=None, global_nodes=graph.num_nodes)
         words = ColorReduce()._collect_words(graph, palettes, state)
-        assert not graph.has_csr()
         assert words == self._per_node(graph, palettes)
 
-    def test_sets_only_instance_is_charged_the_same_words(self):
+    def test_color_table_instance_is_charged_the_same_words(self):
         graph = generators.gnm_random(12, 20, seed=3)
         delta = graph.max_degree()
         rng = random.Random(3)
@@ -313,7 +312,7 @@ class TestCollectWords:
         }
         halves = {node: [color + 0.5 for color in colors] for node, colors in ints.items()}
         sets_only = PaletteAssignment.from_lists(halves)
-        assert sets_only.store() is None
+        assert sets_only.store().table is not None
         result = ColorReduce().run(graph, sets_only)
         assert_valid_list_coloring(graph, PaletteAssignment(halves), result.coloring)
         reference = ColorReduce().run(graph, PaletteAssignment.from_lists(ints))

@@ -3,7 +3,9 @@
 Inside a solve, nodes are named by root position and the original ids
 come back only at the door (``docs/ARCHITECTURE.md``, "Labels only at the
 door").  The id-to-position translations that design removed must not
-come back under their old names.
+come back under their old names.  Nor may the second backing of
+``Graph`` and ``PaletteAssignment`` (adjacency and palette sets next to
+the arrays; "One backing per object").
 """
 
 from __future__ import annotations
@@ -18,11 +20,28 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 RETIRED = re.compile(r"\.position\b|store\.index|rows_of|ids_are_positions")
 
 
-def test_retired_id_translations_stay_out_of_src():
-    hits = [
+#: The retired sets backing: its storage, materialisers, warm-store
+#: probes and the per-backing fallbacks built on them.
+RETIRED_BACKING = re.compile(
+    r"_adj_store|_materialize_|\._sets\b|_STORE_UNAVAILABLE|_store_if_warm|has_csr"
+    r"|build_csr|_audit_bin_scalar"
+)
+
+
+def _hits(pattern):
+    return [
         f"{path.relative_to(SRC.parent)}:{number}: {line.strip()}"
         for path in sorted(SRC.rglob("*.py"))
         for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-        if RETIRED.search(line)
+        if pattern.search(line)
     ]
+
+
+def test_retired_id_translations_stay_out_of_src():
+    hits = _hits(RETIRED)
     assert not hits, "retired id translations in src/:\n" + "\n".join(hits)
+
+
+def test_retired_sets_backing_stays_out_of_src():
+    hits = _hits(RETIRED_BACKING)
+    assert not hits, "retired sets backing in src/:\n" + "\n".join(hits)

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scalar_oracle import SetGraph, assert_same_graph
 
 from repro.core import ColorReduceParameters
 from repro.core.classification import partition_cost_function
 from repro.core.level import head_pairs
 from repro.core.partition import Partition
 from repro.graph import Graph, PaletteAssignment
-from repro.graph.csr import build_csr, index_dtype, split_by_bins
+from repro.graph.csr import index_dtype, split_by_bins
 from repro.parallel.slabs import (
     attach_arrays,
     decode_evaluator,
@@ -38,7 +39,7 @@ class TestIndexDtypeBoundary:
         assert index_dtype(INT32_MAX) is np.int32
         assert index_dtype(INT32_MAX + 1) is np.int64
 
-    def test_build_csr_narrows_positions_only(self):
+    def test_view_narrows_positions_only(self):
         graph = Graph(nodes=range(6), edges=[(0, 1), (1, 2), (2, 3), (4, 5)])
         csr = graph.csr()
         # Positions fit int32; offsets and degrees stay int64 (they feed
@@ -64,16 +65,16 @@ class TestIndexDtypeBoundary:
         # computed in int32 would wrap negative and scramble the layout.
         n = 50_000
         tail = [n - 3, n - 2, n - 1]
-        adjacency = {node: set() for node in range(n)}
-        adjacency[tail[0]] = {tail[1], tail[2]}
-        adjacency[tail[1]] = {tail[0], tail[2]}
-        adjacency[tail[2]] = {tail[0], tail[1]}
-        csr = build_csr(adjacency)
+        edges = [(tail[2], tail[0]), (tail[1], tail[2]), (tail[0], tail[1])]
+        graph = Graph.from_edges(edges[:2], nodes=range(n))
+        graph.add_edge(*edges[2])  # folded into the view by the next query
+        assert_same_graph(graph, SetGraph(range(n), edges))
+        csr = graph.csr()
         assert csr.indices.dtype == np.int32
         start, end = int(csr.indptr[tail[0]]), int(csr.indptr[tail[0] + 1])
         assert sorted(csr.indices[start:end].tolist()) == [tail[1], tail[2]]
         # Targets are sorted within each neighbor run — the canonical
-        # build_csr layout the batched kernels rely on.
+        # layout the batched kernels rely on.
         for node in tail:
             run = csr.indices[csr.indptr[node] : csr.indptr[node + 1]]
             assert run.tolist() == sorted(run.tolist())

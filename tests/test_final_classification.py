@@ -378,7 +378,6 @@ class TestRestrictedByBins:
             palettes = PaletteAssignment.from_lists(lists)
         else:
             parent = PaletteAssignment.from_lists({0: [10**6 + 1], **lists, 3: [c]})
-            parent.store()
             palettes = parent.subset([2, 1])
         store = palettes.store()
         (row,) = store.rows_for([1]).tolist()
@@ -425,7 +424,7 @@ class TestRestrictedByBins:
 
 
 # ----------------------------------------------------------------------
-# lazy-view consumers (greedy local coloring, MIS reduction)
+# consumers of an extracted child's view (greedy local coloring, MIS reduction)
 # ----------------------------------------------------------------------
 class TestLazyViewConsumers:
     def _lazy_child(self, seed=4):
@@ -434,28 +433,30 @@ class TestLazyViewConsumers:
         graph.csr()
         lazy = graph.induced_subgraph(keep)
         scalar = induced_subgraph(graph, keep)
-        assert lazy._adj_store is None
         return lazy, scalar
 
     def test_iter_neighbors_and_edges_answer_from_view(self):
         lazy, scalar = self._lazy_child()
+        view = lazy.csr()
         for node in scalar.nodes():
             assert set(lazy.iter_neighbors(node)) == scalar.neighbors(node)
         assert sorted(lazy.edges()) == sorted(scalar.edges())
-        assert lazy._adj_store is None, "structural queries must stay lazy"
+        assert lazy.csr() is view, "structural queries folded a new view"
 
-    def test_greedy_list_coloring_stays_lazy_and_matches(self):
+    def test_greedy_list_coloring_folds_no_view_and_matches(self):
         lazy, scalar = self._lazy_child()
+        view = lazy.csr()
         lazy_coloring = greedy_list_coloring(lazy, PaletteAssignment.degree_plus_one(lazy))
-        assert lazy._adj_store is None, "greedy coloring forced materialisation"
+        assert lazy.csr() is view, "greedy coloring folded a new view"
         scalar_coloring = _greedy_scalar(scalar, PaletteAssignment.degree_plus_one(scalar))
         assert lazy_coloring == scalar_coloring
 
-    def test_mis_reduction_stays_lazy_and_matches(self):
+    def test_mis_reduction_folds_no_view_and_matches(self):
         lazy, scalar = self._lazy_child(seed=8)
+        view = lazy.csr()
         lazy_palettes = PaletteAssignment.degree_plus_one(lazy)
         reduction = build_reduction_graph(lazy, lazy_palettes)
-        assert lazy._adj_store is None, "reduction build forced materialisation"
+        assert lazy.csr() is view, "reduction build folded a new view"
         lazy_coloring, _, _ = color_via_mis(lazy, lazy_palettes, deterministic_mis)
         scalar_coloring, _, _ = color_via_mis(
             scalar, PaletteAssignment.degree_plus_one(scalar), deterministic_mis

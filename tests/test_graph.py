@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
+from scalar_oracle import SetGraph, assert_same_graph
 
 from repro.errors import GraphError
 from repro.graph.graph import Graph, average_degree, degree_histogram
+from repro.graph.palettes import PaletteAssignment
 
 
 class TestConstruction:
@@ -98,14 +102,13 @@ class TestQueries:
         assert len(edges) == 3
         assert all(u < v for u, v in edges)
 
-    @pytest.mark.parametrize("lazy", [False, True], ids=["sets", "view"])
-    def test_edges_of_ids_that_do_not_compare(self, lazy):
+    @pytest.mark.parametrize("extracted", [False, True], ids=["built", "extracted"])
+    def test_edges_of_ids_that_do_not_compare(self, extracted):
         # 1 < "b" raises TypeError: each edge is oriented by insertion
-        # order instead, once, on both backings.
+        # order instead, once, built or extracted.
         graph = Graph(nodes=[1, "b", "c"], edges=[(1, "b"), ("b", "c")])
-        if lazy:
+        if extracted:
             graph = graph.induced_subgraph(graph.nodes())
-            assert graph._adj_store is None
         edges = list(graph.edges())
         assert len(edges) == 2
         assert {frozenset(edge) for edge in edges} == {
@@ -113,13 +116,12 @@ class TestQueries:
             frozenset(("b", "c")),
         }
 
-    @pytest.mark.parametrize("lazy", [False, True], ids=["sets", "view"])
-    def test_edges_keep_the_id_order_of_comparable_ids(self, lazy):
+    @pytest.mark.parametrize("extracted", [False, True], ids=["built", "extracted"])
+    def test_edges_keep_the_id_order_of_comparable_ids(self, extracted):
         # insertion order disagrees with id order: still (smaller, larger)
         graph = Graph(nodes=[30, 10, 20], edges=[(30, 10), (20, 30), (10, 20)])
-        if lazy:
+        if extracted:
             graph = graph.induced_subgraph(graph.nodes())
-            assert graph._adj_store is None
         expected = [
             (u, v) for u in graph.nodes() for v in graph.neighbors(u) if u < v
         ]
@@ -167,24 +169,9 @@ class TestHelpers:
         assert average_degree(Graph()) == 0.0
 
 
-def _assert_same_graph(built: Graph, reference: Graph) -> None:
-    """Same node order, same CSR arrays (and dtypes), same adjacency sets."""
-    import numpy as np
-
-    from repro.graph.csr import build_csr
-
-    assert built.nodes() == reference.nodes()
-    view, expected = built.csr(), build_csr(reference._adj)
-    assert view.node_ids == expected.node_ids
-    for name in ("indptr", "indices", "degrees", "edge_sources"):
-        got, want = getattr(view, name), getattr(expected, name)
-        assert got.dtype == want.dtype, name
-        assert np.array_equal(got, want), name
-    assert built._adj == reference._adj
-
-
 class TestFromEdgesOracle:
-    """``Graph.from_edges`` (array-first) equals the scalar ``Graph(nodes, edges)``."""
+    """``Graph`` — from an edge list or node by node — equals the
+    adjacency-set reference (``scalar_oracle.SetGraph``)."""
 
     @pytest.mark.parametrize(
         "nodes, edges",
@@ -198,37 +185,87 @@ class TestFromEdgesOracle:
         ],
     )
     def test_matches_the_scalar_constructor(self, nodes, edges):
-        built = Graph.from_edges(edges, nodes=nodes)
-        assert built._adj_store is None  # adjacency sets stay lazy
-        _assert_same_graph(built, Graph(nodes=nodes, edges=edges))
+        assert_same_graph(Graph.from_edges(edges, nodes=nodes), SetGraph(nodes, edges))
+        assert_same_graph(Graph(nodes=nodes, edges=edges), SetGraph(nodes, edges))
+
+    #: Ids (and colors) that are not int64 integers: beyond int64,
+    #: non-integral, strings — mixed with small integers.
+    ODD = [2**70 + k for k in range(8)] + [k + 0.5 for k in range(8)] + [
+        f"v{k}" for k in range(8)
+    ] + list(range(8))
 
     def test_random_instances(self):
-        import random
-
         rng = random.Random(3)
-        for _ in range(100):
-            ids = rng.sample(range(-50, 10**6), rng.randint(2, 30))
+        for trial in range(100):
+            if trial % 2:
+                ids = rng.sample(range(-50, 10**6), rng.randint(2, 30))
+            else:
+                ids = rng.sample(self.ODD, rng.randint(2, 30))
             nodes = rng.sample(ids, rng.randint(0, len(ids)))
             edges = [tuple(rng.sample(ids, 2)) for _ in range(rng.randint(0, 60))]
-            _assert_same_graph(Graph.from_edges(edges, nodes), Graph(nodes, edges))
+            assert_same_graph(Graph.from_edges(edges, nodes), SetGraph(nodes, edges))
+            self._check_mutation_after_queries(rng, ids, nodes, edges)
+            self._check_palettes(rng, ids)
+
+    @staticmethod
+    def _check_mutation_after_queries(rng, ids, nodes, edges):
+        """Nodes and edges added after a query, interleaved with more
+        queries: re-added nodes, parallel and reversed edges."""
+        graph, reference = Graph(nodes, edges), SetGraph(nodes, edges)
+        graph.csr()
+        for u, v in [tuple(rng.sample(ids, 2)) for _ in range(rng.randint(1, 8))]:
+            for a, b in [(u, v)] * rng.randint(1, 2) + [(v, u)] * rng.randint(0, 1):
+                graph.add_edge(a, b)
+                reference.add_edge(a, b)
+            node = rng.choice(ids + [("new", u)])
+            graph.add_node(node)
+            reference.add_node(node)
+            if rng.random() < 0.5:
+                assert graph.has_edge(v, u) and graph.degree(u) == len(reference.adj[u])
+        assert_same_graph(graph, reference)
+        assert graph.connected_components() == reference.connected_components()
+        clone = graph.copy()
+        clone.add_edge(("clone", 0), ids[0])
+        assert_same_graph(graph, reference)
+
+    def _check_palettes(self, rng, ids):
+        """Palettes of odd colors answer every public query as sets do."""
+        lists = {
+            node: rng.sample(self.ODD, rng.randint(0, 6)) + rng.sample(self.ODD[-8:], 1)
+            for node in rng.sample(ids, len(ids))
+        }
+        palettes = PaletteAssignment(lists)
+        assert palettes.nodes() == list(lists)
+        assert palettes.total_size() == sum(len(set(row)) for row in lists.values())
+        assert palettes.color_universe() == set().union(*map(set, lists.values()))
+        for node, row in lists.items():
+            assert node in palettes
+            assert palettes.palette(node) == set(row)
+            assert sorted(map(repr, palettes.iter_palette(node))) == sorted(map(repr, set(row)))
+            assert palettes.palette_size(node) == len(set(row))
+            for color in self.ODD[::3]:
+                assert palettes.contains_color(node, color) == (color in row)
+        part = rng.sample(list(lists), len(lists) // 2)
+        subset = palettes.subset(part)
+        assert {node: subset.palette(node) for node in part} == {
+            node: set(lists[node]) for node in part
+        }
 
     def test_generator_and_array_input(self):
         import numpy as np
 
         pairs = [(3, 1), (1, 2), (2, 3)]
-        reference = Graph(edges=pairs)
-        _assert_same_graph(Graph.from_edges(pair for pair in pairs), reference)
-        _assert_same_graph(Graph.from_edges(np.array(pairs, dtype=np.int32)), reference)
+        reference = SetGraph(edges=pairs)
+        assert_same_graph(Graph.from_edges(pair for pair in pairs), reference)
+        assert_same_graph(Graph.from_edges(np.array(pairs, dtype=np.int32)), reference)
 
     def test_self_loop_message(self):
         with pytest.raises(GraphError, match="self-loop on node 3 is not allowed"):
             Graph.from_edges([(1, 2), (3, 3), (4, 4)])
 
-    def test_string_ids_fall_back_to_sets(self):
+    def test_string_ids(self):
         edges = [("b", "a"), ("a", "c")]
-        built = Graph.from_edges(edges, nodes=["z"])
-        assert built._adj_store is not None
-        _assert_same_graph(built, Graph(nodes=["z"], edges=edges))
+        assert_same_graph(Graph.from_edges(edges, nodes=["z"]), SetGraph(["z"], edges))
 
     def test_float_ids_are_not_truncated(self):
         built = Graph.from_edges([(0.5, 1), (1, 1.5)])
@@ -244,6 +281,6 @@ class TestFromEdgesOracle:
         assert view.locate([0, 1]).tolist() == [-1, -1]
         assert child.neighbors(0.5) == {1.5}
 
-    def test_ids_beyond_int64_fall_back_to_sets(self):
+    def test_ids_beyond_int64(self):
         edges = [(2**70, 1)]
-        _assert_same_graph(Graph.from_edges(edges), Graph(edges=edges))
+        assert_same_graph(Graph.from_edges(edges), SetGraph(edges=edges))

@@ -40,14 +40,6 @@ from repro.graph.graph import Graph
 from repro.graph.palettes import PaletteAssignment
 
 
-def _sets_backed(palettes: PaletteAssignment) -> PaletteAssignment:
-    """A copy forced onto the sets backing (the scalar reference state)."""
-    clone = palettes.copy()
-    clone._palettes  # materialise the sets
-    clone._store = None
-    return clone
-
-
 def _palettes_equal(a: PaletteAssignment, b: PaletteAssignment) -> bool:
     return a.nodes() == b.nodes() and all(
         a.palette(node) == b.palette(node) for node in a.nodes()
@@ -58,53 +50,47 @@ def _palettes_equal(a: PaletteAssignment, b: PaletteAssignment) -> bool:
 # the store lifecycle
 # ----------------------------------------------------------------------
 class TestPaletteStoreLifecycle:
-    def test_store_is_built_lazily_and_cached(self):
+    def test_mapping_constructor_builds_the_store(self):
         palettes = PaletteAssignment({0: [3, 1], 1: [2]})
-        assert palettes._store is None
         store = palettes.store()
         assert store is palettes.store()
         assert store.flat.tolist() == [1, 3, 2]  # sorted within each slice
         assert store.offsets.tolist() == [0, 2, 3]
 
-    def test_from_lists_writes_the_store_first(self):
+    def test_from_lists_writes_the_store(self):
         palettes = PaletteAssignment.from_lists({0: [3, 1, 3], 1: [2]})
-        store = palettes._store
-        assert palettes._sets is None  # sets stay lazy
-        assert store is palettes.store()
+        store = palettes.store()
         assert store.flat.tolist() == [1, 3, 2]  # sorted, deduplicated
         assert store.offsets.tolist() == [0, 2, 3]
         assert palettes.palette(0) == {1, 3}
 
-    def test_store_unavailable_for_colors_beyond_int64(self):
-        palettes = PaletteAssignment.from_lists({0: [1, 2**70]})
-        assert palettes.store() is None
-        assert palettes.store() is None  # cached failure, no retry crash
+    def test_colors_beyond_int64_get_a_color_table(self):
+        palettes = PaletteAssignment.from_lists({0: [2**70, 1, 2**70]})
+        store = palettes.store()
+        assert store.table.tolist() == [2**70, 1]
+        assert store.flat.tolist() == [0, 1]  # codes, deduplicated
         assert palettes.palette(0) == {1, 2**70}
 
     def test_copy_shares_the_immutable_store(self):
         palettes = PaletteAssignment.from_lists({0: [1, 2], 1: [1]})
         store = palettes.store()
         clone = palettes.copy()
-        assert clone._store is store
+        assert clone.store() is store
         clone.remove_colors_used_by_neighbors_batch(Graph(edges=[(0, 1)]), {1: 1})
         assert palettes.palette(0) == {1, 2}
         assert clone.palette(0) == {2}
         assert palettes.store() is store
 
-    def test_subset_of_warm_store_is_array_backed(self):
+    def test_subset_gathers_store_slices(self):
         palettes = PaletteAssignment.from_lists({0: [5, 1], 1: [2], 2: [9, 7]})
-        palettes.store()
         child = palettes.subset([2, 0])
-        assert child._sets is None  # sets stay lazy
         assert child.nodes() == [2, 0]
+        assert child.store().flat.tolist() == [7, 9, 1, 5]
         assert child.palette(2) == {7, 9}
         assert child.palette(0) == {1, 5}
-        # materialising the sets leaves the content unchanged
-        assert child._palettes == {2: {7, 9}, 0: {1, 5}}
 
-    def test_array_backed_queries_match_sets(self):
+    def test_subset_queries_match_sets(self):
         palettes = PaletteAssignment.from_lists({4: [5, 1, 3], 7: [], 9: [2]})
-        palettes.store()
         child = palettes.subset([4, 7, 9])
         assert len(child) == 3
         assert 4 in child and 8 not in child
@@ -117,12 +103,13 @@ class TestPaletteStoreLifecycle:
         with pytest.raises(PaletteError):
             child.palette(8)
 
-    def test_batch_removal_replaces_store_and_resets_sets(self):
+    def test_batch_removal_replaces_store(self):
         graph = Graph(edges=[(0, 1), (1, 2)])
         palettes = PaletteAssignment.delta_plus_one(graph)
-        palettes.store()
+        store = palettes.store()
         removed = palettes.remove_colors_used_by_neighbors_batch(graph, {0: 1})
         assert removed == 1
+        assert palettes.store() is not store
         assert palettes.palette(1) == {0, 2}
         assert palettes.palette(0) == {0, 1, 2}
         assert palettes.palette(2) == {0, 1, 2}
@@ -133,7 +120,7 @@ class TestPaletteStoreLifecycle:
 # ----------------------------------------------------------------------
 class TestBatchRemoveEquivalence:
     def _check(self, graph, palettes, coloring):
-        scalar = _sets_backed(palettes)
+        scalar = palettes.copy()
         batch = palettes.copy()
         removed_scalar = remove_colors_used_by_neighbors(scalar, graph, coloring)
         removed_batch = batch.remove_colors_used_by_neighbors_batch(graph, coloring)
@@ -144,7 +131,6 @@ class TestBatchRemoveEquivalence:
     def test_shared_color_counted_once(self):
         graph = Graph(edges=[(0, 2), (1, 2)])
         palettes = PaletteAssignment.delta_plus_one(graph)
-        palettes.store()
         # both colored neighbors of node 2 use color 1: removed once
         pruned, removed = self._check(graph, palettes, {0: 1, 1: 1})
         assert removed == 1
@@ -153,7 +139,6 @@ class TestBatchRemoveEquivalence:
     def test_targets_absent_from_graph_are_skipped(self):
         graph = Graph(edges=[(0, 1)])
         palettes = PaletteAssignment.from_lists({0: [0, 1], 1: [0, 1], 5: [0, 1]})
-        palettes.store()
         pruned, removed = self._check(graph, palettes, {0: 0})
         assert removed == 1
         assert pruned.palette(5) == {0, 1}
@@ -193,7 +178,7 @@ class TestBatchRemoveEquivalence:
         assert pruned.palette(0) == {low, 0, high}
         calls.clear()
         members = [1, 3, 4]
-        expected = _sets_backed(palettes).subset(members)
+        expected = palettes.copy().subset(members)
         expected_removed = remove_colors_used_by_neighbors(expected, graph, coloring)
         child, removed = palettes.subset_updated(members, graph, coloring)
         assert calls
@@ -201,14 +186,14 @@ class TestBatchRemoveEquivalence:
         assert _palettes_equal(expected, child)
 
     def test_huge_colors_raise(self):
-        # No array store: the kernel refuses the palettes, before pruning.
+        # A color table: the kernel refuses the palettes, before pruning.
         graph = Graph(edges=[(0, 1)])
         palettes = PaletteAssignment.from_lists({0: [2**70, 1], 1: [2**70, 3]})
-        assert palettes.store() is None
+        assert palettes.store().table is not None
         with pytest.raises(PaletteError, match="not int64 integers"):
             palettes.remove_colors_used_by_neighbors_batch(graph, {0: 2**70})
         assert palettes.palette(1) == {2**70, 3}
-        # an empty coloring prunes nothing, store or not
+        # an empty coloring prunes nothing, whatever the colors
         child, removed = palettes.subset_updated([1], graph, {})
         assert removed == 0
         assert child.palette(1) == {2**70, 3}
@@ -227,11 +212,10 @@ class TestSubsetUpdatedEquivalence:
     def test_matches_subset_then_remove(self):
         graph = erdos_renyi(120, 0.1, seed=5)
         palettes = PaletteAssignment.delta_plus_one(graph)
-        palettes.store()
         graph.csr()
         coloring = {node: node % 5 for node in range(0, 120, 2)}
         members = [node for node in graph.nodes() if node % 2]
-        scalar_sets = _sets_backed(palettes)
+        scalar_sets = palettes.copy()
         expected = scalar_sets.subset(members)
         expected_removed = remove_colors_used_by_neighbors(expected, graph, coloring)
         child, removed = palettes.subset_updated(members, graph, coloring)
@@ -243,7 +227,6 @@ class TestSubsetUpdatedEquivalence:
     def test_members_absent_from_graph_keep_palettes(self):
         graph = Graph(edges=[(0, 1)])
         palettes = PaletteAssignment.from_lists({0: [0, 1], 1: [0, 1], 9: [4, 5]})
-        palettes.store()
         child, removed = palettes.subset_updated([1, 9], graph, {0: 1})
         assert removed == 1
         assert child.palette(1) == {0}
@@ -252,7 +235,6 @@ class TestSubsetUpdatedEquivalence:
     def test_empty_coloring(self):
         graph = Graph(edges=[(0, 1)])
         palettes = PaletteAssignment.from_lists({0: [0, 1], 1: [0, 1]})
-        palettes.store()
         child, removed = palettes.subset_updated([0], graph, {})
         assert removed == 0
         assert child.palette(0) == {0, 1}
@@ -274,7 +256,7 @@ class TestRestrictedByBinsEdges:
             palettes.restricted_by_bins([[0]], empty, empty)
 
     def test_palettes_beyond_int64_raise(self):
-        # Colors beyond int64 have no array store; the partition step
+        # Colors beyond int64 sit in a color table; the partition step
         # cannot hash them, so the restriction refuses them outright.
         palettes = PaletteAssignment.from_lists({0: [], 1: [2**70]})
         empty = np.zeros(0, dtype=np.int64)
@@ -287,7 +269,6 @@ class TestRestrictedByBinsEdges:
         universe = np.arange(6, dtype=np.int64)
         bins = universe % 2  # even colors -> bin 0, odd -> bin 1
         results = palettes.restricted_by_bins([[0], [1]], universe, bins)
-        assert results[0]._sets is None
         assert results[0].store().flat.tolist() == [0, 2, 4]
         assert results[0].palette(0) == {0, 2, 4}
         assert results[1].palette(1) == {1, 3, 5}
@@ -297,32 +278,22 @@ class TestVectorizedValidation:
     def test_validate_matches_scalar_on_valid_instances(self):
         graph = erdos_renyi(60, 0.15, seed=9)
         palettes = PaletteAssignment.delta_plus_one(graph)
-        _sets_backed(palettes).validate_for_graph(graph)
-        palettes.store()
         palettes.validate_for_graph(graph)
 
-    def test_first_violation_identical(self):
+    def test_first_violation_message(self):
         graph = Graph(edges=[(0, 1), (1, 2), (2, 3)])
-        lists = {0: [0, 1], 1: [0, 1], 2: [0], 3: [0, 1]}  # node 2 too small
-        scalar = PaletteAssignment.from_lists(lists)
-        vectorized = PaletteAssignment.from_lists(lists)
-        vectorized.store()
-        with pytest.raises(PaletteError) as scalar_error:
-            scalar.validate_for_graph(graph)
-        with pytest.raises(PaletteError) as vector_error:
-            vectorized.validate_for_graph(graph)
-        assert str(vector_error.value) == str(scalar_error.value)
+        lists = {0: [0, 1], 1: [0, 1], 2: [0], 3: [0, 1]}  # nodes 1, 2 too small
+        with pytest.raises(PaletteError) as error:
+            PaletteAssignment.from_lists(lists).validate_for_graph(graph)
+        assert str(error.value) == (
+            "palette of node 1 has 2 colors but degree is 2 (need degree + 1)"
+        )
 
-    def test_missing_palette_identical(self):
+    def test_missing_palette_message(self):
         graph = Graph(edges=[(0, 1)])
-        scalar = PaletteAssignment.from_lists({0: [0, 1]})
-        vectorized = PaletteAssignment.from_lists({0: [0, 1]})
-        vectorized.store()
-        with pytest.raises(PaletteError) as scalar_error:
-            scalar.validate_for_graph(graph)
-        with pytest.raises(PaletteError) as vector_error:
-            vectorized.validate_for_graph(graph)
-        assert str(vector_error.value) == str(scalar_error.value)
+        with pytest.raises(PaletteError) as error:
+            PaletteAssignment.from_lists({0: [0, 1]}).validate_for_graph(graph)
+        assert str(error.value) == "node 1 of the graph has no palette"
 
 
 class TestGreedyBatchEdges:

@@ -41,29 +41,25 @@ class TestConstructors:
 
 
 class TestCopyOnWrite:
-    """``copy()`` shares both backings; pruning never crosses the copy."""
+    """``copy()`` shares the store; pruning never crosses the copy."""
 
     LISTS = {0: [1, 2, 3], 1: [2, 3], 2: [5]}
 
     def _warm(self):
-        palettes = PaletteAssignment.from_lists(self.LISTS)
-        assert palettes.store() is not None
-        return palettes
+        return PaletteAssignment.from_lists(self.LISTS)
 
-    def test_clone_shares_warm_store_with_lazy_sets(self):
+    def test_clone_shares_the_store(self):
         palettes = self._warm()
         clone = palettes.copy()
-        assert clone._store is palettes._store
-        assert clone._sets is None
+        assert clone.store() is palettes.store()
         assert {node: clone.palette(node) for node in clone.nodes()} == {
             node: set(colors) for node, colors in self.LISTS.items()
         }
 
     def test_clone_mutation_leaves_original_unchanged(self):
         palettes = self._warm()
-        palettes.palette(0)  # both backings present, both shared
         clone = palettes.copy()
-        assert clone._sets is palettes._sets
+        assert clone.store() is palettes.store()
         assert clone.remove_colors_used_by_neighbors_batch(PATH, {1: 2}) == 1
         assert clone.palette(0) == {1, 3}
         assert palettes.palette(0) == {1, 2, 3}
@@ -84,24 +80,19 @@ class TestCopyOnWrite:
         assert clone.palette(0) == {1, 3}
         assert palettes.palette(0) == {1, 2, 3}
 
-    def test_sets_only_copy_shares_sets(self):
+    def test_mapping_constructor_copy_is_independent(self):
         palettes = PaletteAssignment(self.LISTS)
         clone = palettes.copy()
-        assert clone._store is None
-        assert clone._sets is palettes._sets
         clone.remove_colors_used_by_neighbors_batch(PATH, {1: 2})
         palettes.remove_colors_used_by_neighbors_batch(PATH, {1: 5})
         assert clone.palette(0) == {1, 3} and clone.palette(2) == {5}
         assert palettes.palette(0) == {1, 2, 3} and palettes.palette(2) == set()
 
-    def test_store_unavailable_copy_shares_sets(self):
-        from repro.graph.palettes import _STORE_UNAVAILABLE
-
+    def test_color_table_copy_shares_the_store(self):
         palettes = PaletteAssignment.from_lists({0: [1, 2**70], 1: [3]})
-        assert palettes.store() is None
+        assert palettes.store().table is not None
         clone = palettes.copy()
-        assert clone._store is _STORE_UNAVAILABLE
-        assert clone._sets is palettes._sets
+        assert clone.store() is palettes.store()
         assert clone.palette(0) == {1, 2**70}
         with pytest.raises(PaletteError, match="not int64 integers"):
             clone.remove_colors_used_by_neighbors_batch(PATH, {1: 3})
@@ -249,25 +240,39 @@ class TestValidation:
 
 
 def _assert_same_assignment(built: PaletteAssignment, reference: PaletteAssignment) -> None:
-    """Same nodes, palettes and (when one exists) the same store arrays."""
+    """Same nodes, palettes and the same store arrays."""
     import numpy as np
 
     assert built.nodes() == reference.nodes()
     for node in reference.nodes():
         assert built.palette(node) == reference.palette(node)
     store, expected = built.store(), reference.store()
-    if expected is None:
-        assert store is None
-        return
     assert store.nodes == expected.nodes
+    assert store.table is None and expected.table is None
     for name in ("flat", "offsets"):
         got, want = getattr(store, name), getattr(expected, name)
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want), name
 
 
+def _assert_matches_sets(built: PaletteAssignment, lists) -> None:
+    """``built`` holds ``lists`` as sets do: same nodes, same palettes,
+    each store row sorted and free of repeats."""
+    import numpy as np
+
+    sets = {node: set(colors) for node, colors in lists.items()}
+    assert built.nodes() == list(sets)
+    assert {node: built.palette(node) for node in built.nodes()} == sets
+    store = built.store()
+    assert store.sizes().tolist() == [len(colors) for colors in sets.values()]
+    for row in range(len(sets)):
+        entries = store.row_slice(row)
+        assert bool(np.all(entries[1:] > entries[:-1]))
+
+
 class TestArrayConstructorsOracle:
-    """The store-first constructors equal the sets-first ``PaletteAssignment(mapping)``."""
+    """The constructors hold palettes as the per-node sets would, and the
+    array-first ones equal ``PaletteAssignment(mapping)``."""
 
     @pytest.mark.parametrize(
         "lists",
@@ -279,14 +284,12 @@ class TestArrayConstructorsOracle:
             {0: range(5), 1: range(2, 4)},  # ranges
             {0: {3, 1}, 1: (7, -2)},  # sets, tuples, negative colors
             {0: [1, 2**40], 1: [3]},  # int64, not int32
-            {0: [1, 2**70], 1: [3]},  # beyond int64: sets only
+            {0: [1, 2**70], 1: [3]},  # beyond int64: a color table
+            {0: ["b", 1.0, 1, "a"], 1: [0.5, "b"]},  # 1 and 1.0 are one color
         ],
     )
-    def test_from_lists_matches_sets_first(self, lists):
-        built = PaletteAssignment.from_lists(lists)
-        _assert_same_assignment(built, PaletteAssignment(lists))
-        if built.store() is not None:
-            assert built._sets is None  # sets stay lazy
+    def test_from_lists_matches_sets(self, lists):
+        _assert_matches_sets(PaletteAssignment.from_lists(lists), lists)
 
     def test_from_lists_random_instances(self):
         import random
@@ -300,21 +303,19 @@ class TestArrayConstructorsOracle:
                 ]
                 for _ in range(rng.randint(0, 15))
             }
-            _assert_same_assignment(
-                PaletteAssignment.from_lists(lists), PaletteAssignment(lists)
-            )
+            _assert_matches_sets(PaletteAssignment.from_lists(lists), lists)
 
     def test_from_lists_accepts_generators(self):
         built = PaletteAssignment.from_lists({0: (c for c in [3, 1]), 1: iter([2])})
-        _assert_same_assignment(built, PaletteAssignment({0: [3, 1], 1: [2]}))
+        _assert_matches_sets(built, {0: [3, 1], 1: [2]})
 
-    def test_non_integral_colors_stay_sets_only(self):
+    def test_non_integral_colors_get_a_color_table(self):
         lists = {0: [0.5, 1.5], 1: [2]}
         built = PaletteAssignment.from_lists(lists)
-        assert built.store() is None
+        # codes into the table, never truncated colors
+        assert built.store().table.tolist() == [0.5, 1.5, 2]
+        assert built.store().flat.tolist() == [0, 1, 2]
         assert built.palette(0) == {0.5, 1.5}
-        # the sets-first assignment refuses a store too, instead of truncating
-        assert PaletteAssignment(lists).store() is None
 
     @pytest.mark.parametrize("delta", [None, 0, 3, -1])
     def test_delta_plus_one_matches_sets_first(self, delta):
@@ -322,7 +323,6 @@ class TestArrayConstructorsOracle:
         width = graph.max_degree() + 1 if delta is None else delta + 1
         expected = PaletteAssignment({node: range(width) for node in graph.nodes()})
         built = PaletteAssignment.delta_plus_one(graph, delta)
-        assert built._sets is None
         _assert_same_assignment(built, expected)
 
     @pytest.mark.parametrize("array_first", [True, False])

@@ -40,7 +40,10 @@ from hypothesis import strategies as st
 from scalar_oracle import (
     LOW_SPACE_PARTITION_ENTRY_POINTS,
     PARTITION_ENTRY_POINTS,
+    SetGraph,
+    assert_same_graph,
     assert_same_run,
+    build_csr,
     induced_subgraph,
     induced_subgraphs,
     production_and_reference,
@@ -60,7 +63,6 @@ from repro.core.local_coloring import _greedy_over_arrays, _greedy_scalar, greed
 from repro.core.partition import Partition
 from repro.errors import ColoringError
 from repro.graph import Graph, PaletteAssignment, generators
-from repro.graph.csr import build_csr
 from repro.graph.palettes import _PaletteStore
 from repro.graph.validation import assert_valid_list_coloring, is_proper_coloring
 from repro.hashing.family import KWiseIndependentFamily
@@ -285,19 +287,19 @@ class TestCSRExtractionDifferential:
     @SETTINGS
     @given(sparse_graphs_with_subsets())
     def test_extracted_child_answers_like_fresh_build(self, data):
-        """The child's cached CSR view is canonical (build_csr-identical)."""
-        from repro.graph.csr import build_csr
-
+        """The child's view is canonical: the adjacency-set reference of
+        the parent's edges among the child's nodes, in the child's order."""
         graph, subset = data
         child = graph.induced_subgraph(subset)
+        members = set(child.nodes())
+        reference = SetGraph(
+            child.nodes(),
+            [(u, v) for u in child.nodes() for v in graph.neighbors(u) if v in members],
+        )
+        assert_same_graph(child, reference)
         cached = child.csr()
-        rebuilt = build_csr(child._adj)
-        assert rebuilt.node_ids == cached.node_ids
-        ids = rebuilt.id_list()
-        assert (rebuilt.locate(ids) == cached.locate(ids)).all()
-        assert (rebuilt.indptr == cached.indptr).all()
-        assert (rebuilt.indices == cached.indices).all()
-        assert (rebuilt.degrees == cached.degrees).all()
+        ids = cached.id_list()
+        assert (cached.locate(ids) == np.arange(len(ids))).all()
 
 
 # ----------------------------------------------------------------------
@@ -446,15 +448,16 @@ class TestBatchedFinalClassificationDifferential:
 
     @SETTINGS
     @given(sparse_graphs_with_subsets())
-    def test_lazy_view_greedy_matches_materialised(self, data):
+    def test_extracted_child_greedy_matches_reference(self, data):
         graph, subset = data
         graph.csr()
         lazy = graph.induced_subgraph(subset)
+        view = lazy.csr()
         scalar = induced_subgraph(graph, subset)
         lazy_coloring = greedy_list_coloring(
             lazy, PaletteAssignment.degree_plus_one(lazy)
         )
-        assert lazy._adj_store is None  # the sweep never materialises
+        assert lazy.csr() is view  # the sweep folds no new view
         scalar_coloring = _greedy_scalar(scalar, PaletteAssignment.degree_plus_one(scalar))
         assert lazy_coloring == scalar_coloring
 
@@ -484,8 +487,6 @@ class TestPaletteKernelEquivalence:
     @staticmethod
     def _assert_equivalent(graph, palettes, coloring):
         scalar = palettes.copy()
-        scalar._palettes  # force the sets backing for the reference
-        scalar._store = None
         batch = palettes.copy()
         removed_scalar = remove_colors_used_by_neighbors(scalar, graph, coloring)
         removed_batch = batch.remove_colors_used_by_neighbors_batch(graph, coloring)
@@ -523,12 +524,8 @@ class TestPaletteKernelEquivalence:
     def test_subset_updated_matches_two_step(self, data, coloring):
         graph, palettes = data
         members = [node for node in graph.nodes() if node % 2 == 0]
-        reference = palettes.copy()
-        reference._palettes
-        reference._store = None
-        expected = reference.subset(members)
+        expected = palettes.copy().subset(members)
         removed_expected = remove_colors_used_by_neighbors(expected, graph, coloring)
-        palettes.store()
         child, removed = palettes.subset_updated(members, graph, coloring)
         assert removed == removed_expected
         assert child.nodes() == expected.nodes()
@@ -883,8 +880,6 @@ def validation_instances(draw):
     if draw(st.booleans()):
         lists[10_000] = {1, 2}
     rebuilt = PaletteAssignment.from_lists(lists)
-    if draw(st.booleans()):
-        rebuilt.store()
     case = draw(st.sampled_from(_VALIDATION_CASES))
     edges = list(graph.edges())
     if nodes and case in ("uncolored", "off_palette", "non_integer_color", "huge_color"):
@@ -1004,8 +999,6 @@ def mis_reduction_instances(draw):
     if draw(st.booleans()):
         lists = dict(reversed(list(lists.items())))
     palettes = PaletteAssignment.from_lists(lists)
-    if draw(st.booleans()):
-        palettes.store()
     return relabeled, palettes, draw(st.booleans())
 
 
@@ -1023,9 +1016,8 @@ class TestMISEndgameDifferential:
         expected_graph, expected_map = mis_oracle.build_reduction_graph(graph, palettes, truncate)
         reduction = build_reduction_graph(graph, palettes, truncate)
         assert _reduction_map(reduction) == expected_map
-        if reduction.num_vertices:
-            assert reduction.graph._adj_store is None, "adjacency sets were materialised"
-        view, expected_view = reduction.graph.csr(), build_csr(expected_graph._adj)
+        view = reduction.graph.csr()
+        expected_view = build_csr({node: expected_graph.neighbors(node) for node in expected_graph})
         assert view.node_ids == expected_view.node_ids
         assert view.indptr.tolist() == expected_view.indptr.tolist()
         assert view.indices.tolist() == expected_view.indices.tolist()
