@@ -383,6 +383,7 @@ def csr_from_edges(nodes, edges) -> GraphCSR:
     ids.extend(itertools.chain.from_iterable(edges))
     values = integer_array(ids)
     if values is not None:
+        ids = values  # the list of Python ints is dropped before the sort
         node_array, positions = _first_appearance(values)
         node_ids = node_array.tolist()
     else:
