@@ -13,9 +13,9 @@ Two implementations of the same sweep exist, picked by instance size alone
 (:data:`GREEDY_ARRAY_CUTOVER_NODES`):
 
 * the **array sweep** — for collected instances at or above the cutover.
-  The processing order comes from
-  one stable ``argsort`` of the CSR degree vector (identical, ties and
-  all, to the loop's ``sorted``), each node's blocked set is gathered from
+  The processing order comes from one stable ``argsort`` of the CSR
+  degree vector (identical, ties and all, to the loop's ``sorted``),
+  each node's blocked set is gathered from
   its CSR neighbor run, and the chosen color is the first entry of the
   node's palette slice — already sorted in the assignment's array store
   (:meth:`repro.graph.palettes.PaletteAssignment.store`) — that no colored
@@ -24,9 +24,9 @@ Two implementations of the same sweep exist, picked by instance size alone
 * the **scalar loop** (:func:`_greedy_scalar`) — the sequential procedure
   described above, reading neighbor lists through
   :meth:`repro.graph.graph.Graph.iter_neighbors` (one view row per node)
-  and re-sorting each node's palette on the fly.  It colors the instances below the
-  cutover, where the sweep's fixed setup does not pay, and the ones the
-  sweep cannot represent (:data:`_FALLBACK`).
+  and re-sorting each node's palette on the fly.  It colors the instances
+  below the cutover, where the sweep's fixed setup does not pay, and the
+  ones the sweep cannot represent (:data:`_FALLBACK`).
 
 Colorings are bit-identical between the two, including the
 ``already_colored`` recolor path and the

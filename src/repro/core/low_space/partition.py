@@ -223,7 +223,8 @@ class LowSpacePartition:
         # (possible only in scaled mode, within the small allowance) are
         # routed to the low-degree/MIS path so correctness never depends on
         # the concentration argument.  The MIS-path graph is one extraction
-        # and every bin is sliced in one batched pass over the CSR view.  The groups are ordered over the hashed ids
+        # and every bin is sliced in one batched pass over the CSR view.
+        # The groups are ordered over the hashed ids
         # (:func:`~repro.graph.csr.set_order`): the MIS path as the union
         # set iterates, each bin as the set of its members in the
         # iteration order of ``usable``.
