@@ -261,11 +261,15 @@ def hash_families(
     store = palettes.store()
     if store.table is not None:
         odd = next(
-            color
-            for node in palettes.nodes()
-            for color in palettes.iter_palette(node)
-            if not isinstance(color, numbers.Integral) or not -(2**63) <= color < 2**63
+            (
+                color
+                for node in palettes.nodes()
+                for color in palettes.iter_palette(node)
+                if not isinstance(color, numbers.Integral) or not -(2**63) <= color < 2**63
+            ),
+            None,
         )
+        assert odd is not None, "a color table holds a color that is not an int64 integer"
         kind = "an int64 integer" if isinstance(odd, numbers.Integral) else "an integer"
         raise PaletteError(
             f"color {odd!r} is not {kind}; partitioning hashes integer colors"

@@ -23,8 +23,9 @@ share a parent's store or slices of its arrays.
 
 Colors that are not int64 integers (non-integral, beyond int64, strings)
 are held through a color table: the store's ``table`` lists the distinct
-colors and ``flat`` holds codes into it, and the queries map codes back.
-Such colors cannot be hashed, so every operation of the partition and
+colors and ``flat`` holds codes into it, and the queries map codes back;
+a :meth:`~PaletteAssignment.subset` whose colors are all int64 integers
+has no table.  Such colors cannot be hashed, so every operation of the partition and
 update steps raises :class:`PaletteError` for them; the small-instance
 paths (the greedy local coloring, the MIS reduction, validation) color
 and check them through their scalar routes.
@@ -394,13 +395,15 @@ def _store_from_rows(nodes: List[NodeId], rows: Sequence) -> _PaletteStore:
 
     ``rows[i]`` (sized and re-iterable: a set, list, range ...) holds the
     colors of ``nodes[i]``.  Colors that are not all int64 integers
-    (non-integral, or beyond int64) get a color table: ``flat`` then holds
-    their first-appearance codes, one dict pass, so colors that compare
-    equal (``1`` and ``1.0``) are one color, as in a set.  Rows are sorted
-    and deduplicated only if one vectorised check finds an out-of-order or
-    repeated entry.  Entries that all fit ``[0, 2**31)`` are narrowed to
-    int32 (the dtype policy in ``docs/ARCHITECTURE.md``); anything
-    negative or wider keeps the overflow-guarded int64 representation.
+    (non-integral, or beyond int64) get a color table: each row keeps the
+    colors a set of it would (``1`` and ``1.0`` in one row are the first
+    one listed), and ``flat`` holds first-appearance codes of ``(type,
+    color)``, so node B's ``1.0`` stays a float next to node A's ``1``.
+    Rows are sorted and deduplicated only if one vectorised check finds an
+    out-of-order or repeated entry.  Entries that all fit ``[0, 2**31)``
+    are narrowed to int32 (the dtype policy in ``docs/ARCHITECTURE.md``);
+    anything negative or wider keeps the overflow-guarded int64
+    representation.
     Children derived by slicing/compaction inherit the root's dtype.
     """
     count = len(nodes)
@@ -409,14 +412,19 @@ def _store_from_rows(nodes: List[NodeId], rows: Sequence) -> _PaletteStore:
     flat = integer_array(colors)
     table = None
     if flat is None:
-        codes: Dict[Color, int] = {}
+        rows = [list(dict.fromkeys(colors)) for colors in rows]
+        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=count)
+        colors = list(itertools.chain.from_iterable(rows))
+        flat = integer_array(colors)  # a row like [1, 1.0] is the set {1}
+    if flat is None:
+        codes: Dict[tuple, int] = {}
         flat = np.fromiter(
-            (codes.setdefault(color, len(codes)) for color in colors),
+            (codes.setdefault((type(color), color), len(codes)) for color in colors),
             dtype=np.int64,
             count=len(colors),
         )
         table = np.empty(len(codes), dtype=object)
-        for code, color in enumerate(codes):
+        for code, (_, color) in enumerate(codes):
             table[code] = color
     offsets = np.zeros(count + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
@@ -517,8 +525,13 @@ class PaletteAssignment:
         a parent's store; they must honour the layout contract (sorted
         slices, offsets aligned with ``nodes``).
         """
+        return cls._from_store(_PaletteStore(nodes, flat, offsets, table))
+
+    @classmethod
+    def _from_store(cls, store: _PaletteStore) -> "PaletteAssignment":
+        """Wrap a built store."""
         assignment = cls.__new__(cls)
-        assignment._store = _PaletteStore(nodes, flat, offsets, table)
+        assignment._store = store
         return assignment
 
     def copy(self) -> "PaletteAssignment":
@@ -528,9 +541,7 @@ class PaletteAssignment:
         pruning kernel swaps in a new one, so a change to either
         assignment never reaches the other.
         """
-        clone = PaletteAssignment.__new__(PaletteAssignment)
-        clone._store = self._store
-        return clone
+        return PaletteAssignment._from_store(self._store)
 
     # ------------------------------------------------------------------
     # queries
@@ -605,11 +616,19 @@ class PaletteAssignment:
         """A new assignment containing only ``nodes`` (palettes unchanged).
 
         The child holds gathered slices of the parent's flat arrays (no
-        per-color Python work).
+        per-color Python work).  A parent with a color table rebuilds the
+        child from its colors, so a child whose colors are all int64
+        integers gets a plain store and can be partitioned.
         """
         store = self._store
         node_list = _distinct(nodes)
         rows = store.rows_for(node_list)
+        if store.table is not None:
+            return PaletteAssignment._from_store(
+                _store_from_rows(
+                    node_list, [store.colors(store.row_slice(row)) for row in rows.tolist()]
+                )
+            )
         lengths, gather = gather_segments(store.offsets, rows)
         offsets = np.zeros(len(node_list) + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])

@@ -259,6 +259,29 @@ class TestNonIntegralColors:
             solver.run(graph, PaletteAssignment.from_lists(lists))
 
 
+    def test_color_of_a_node_outside_the_graph_is_ignored(self):
+        # The run drops palettes of nodes outside the graph, so an outside
+        # node's non-integral color neither blocks partitioning nor moves
+        # the outcome or the instance fingerprint.
+        from repro.runtime.checkpoint import fingerprint_instance
+
+        graph = generators.gnm_random(300, 1500, seed=1)
+        lists = {node: list(range(graph.max_degree() + 1)) for node in graph.nodes()}
+        outside = {**lists, 10_000: [0.5]}
+        params = ColorReduceParameters.scaled(num_bins=3)
+        plain = ColorReduce(params).run(graph, PaletteAssignment.from_lists(lists))
+        mixed = ColorReduce(params).run(graph, PaletteAssignment.from_lists(outside))
+        assert plain.max_recursion_depth >= 1
+        assert mixed.coloring == plain.coloring
+        assert (mixed.rounds, mixed.max_recursion_depth) == (
+            plain.rounds,
+            plain.max_recursion_depth,
+        )
+        assert fingerprint_instance(graph, PaletteAssignment.from_lists(outside)) == (
+            fingerprint_instance(graph, PaletteAssignment.from_lists(lists))
+        )
+
+
 class TestCollectWords:
     """Section 3.6's shipped words: ``|G|`` plus ``min(p(v), d(v) + 1)``."""
 

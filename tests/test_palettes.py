@@ -158,6 +158,16 @@ class TestOperations:
         assert subset.nodes() == [0]
         assert subset.palette(0) == {1, 2}
 
+    def test_subset_of_integer_colors_drops_the_color_table(self):
+        palettes = PaletteAssignment.from_lists({0: [2, 1], 1: [0.5], 2: [2**70, 3]})
+        plain = palettes.subset([0])
+        assert plain.store().table is None
+        assert plain.store().flat.tolist() == [1, 2]
+        kept = palettes.subset([2, 1])
+        assert kept.palette(2) == {2**70, 3} and kept.palette(1) == {0.5}
+        with pytest.raises(PaletteError, match="node 9 has no palette"):
+            palettes.subset([0, 9])
+
     def test_remove_colors_used_by_neighbors(self, triangle):
         for remove in _REMOVERS:
             palettes = PaletteAssignment.delta_plus_one(triangle)
@@ -316,6 +326,18 @@ class TestArrayConstructorsOracle:
         assert built.store().table.tolist() == [0.5, 1.5, 2]
         assert built.store().flat.tolist() == [0, 1, 2]
         assert built.palette(0) == {0.5, 1.5}
+
+    def test_equal_colors_keep_each_nodes_representative(self):
+        # As per-node sets: 1 and 1.0 collapse within a node (the first one
+        # listed stays), not across nodes.
+        built = PaletteAssignment.from_lists({0: [1, "x"], 1: [1.0], 2: [1.0, 1], 3: [1]})
+        assert [type(color) for color in built.iter_palette(1)] == [float]
+        assert [type(color) for color in built.iter_palette(2)] == [float]
+        assert built.palette_size(2) == 1
+        assert [type(color) for color in built.iter_palette(3)] == [int]
+        assert built.palette(0) == {1, "x"}
+        # a row like [1, 1.0] is the set {1}: no table
+        assert PaletteAssignment.from_lists({0: [1, 1.0], 1: [2]}).store().table is None
 
     @pytest.mark.parametrize("delta", [None, 0, 3, -1])
     def test_delta_plus_one_matches_sets_first(self, delta):
