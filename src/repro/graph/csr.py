@@ -165,9 +165,12 @@ SMALL_LOCATOR_IDS = 64
 def id_locator(node_ids):
     """A lookup structure for :func:`locate_ids` over ``node_ids``.
 
-    More than :data:`SMALL_LOCATOR_IDS` int64 ids give ``(ids, order)``:
-    ``order`` sorts them (``None`` when they already ascend, as in a
-    root).  Fewer ids, or ids that are not int64 integers, give a dict.
+    More than :data:`SMALL_LOCATOR_IDS` int64 ids give a ``range`` when
+    they are one ascending run of consecutive integers (every generator's
+    ``0..n-1``, a solve's root positions), answered by one subtraction;
+    otherwise ``(ids, order)``: ``order`` sorts them (``None`` when they
+    already ascend).  Fewer ids, or ids that are not int64 integers, give
+    a dict.
     """
     if isinstance(node_ids, np.ndarray) and node_ids.dtype != object:
         ids = node_ids
@@ -176,16 +179,26 @@ def id_locator(node_ids):
     if ids is None or ids.shape[0] <= SMALL_LOCATOR_IDS:
         keys = node_ids.tolist() if isinstance(node_ids, np.ndarray) else node_ids
         return {node: row for row, node in enumerate(keys)}
-    if ids.shape[0] < 2 or bool((ids[1:] > ids[:-1]).all()):
+    if bool((ids[1:] > ids[:-1]).all()):
+        low = int(ids[0])
+        if int(ids[-1]) - low == ids.shape[0] - 1:
+            return range(low, low + ids.shape[0])
         return ids, None
     order = np.argsort(ids, kind="stable")
     return ids[order], order
 
 
 def locate_one(locator, node) -> int:
-    """:func:`locate_ids` for a single id, at scalar cost (one binary probe)."""
+    """:func:`locate_ids` for a single id, at scalar cost (a dict probe, one
+    subtraction or one binary probe)."""
     if isinstance(locator, dict):
         return locator.get(node, -1)
+    if isinstance(locator, range):
+        if type(node) is not int:  # numpy integers, bools: as plain ints
+            if not isinstance(node, (int, np.integer)):
+                return -1
+            node = int(node)
+        return node - locator.start if node in locator else -1
     if not isinstance(node, (int, np.integer)) or not -(2**63) <= node < 2**63:
         return -1
     ordered, order = locator
@@ -201,10 +214,16 @@ def locate_ids(locator, ids) -> np.ndarray:
         return np.fromiter(
             (locator.get(node, -1) for node in ids), dtype=np.int64, count=len(ids)
         )
-    ordered, order = locator
-    queries = ids if isinstance(ids, np.ndarray) else integer_array(ids)
+    if isinstance(ids, np.ndarray) and ids.dtype != object:
+        queries = ids
+    else:
+        queries = integer_array(ids)
     if queries is None:  # some query is not an int64 integer: not a node
         return np.array([locate_one(locator, node) for node in ids], dtype=np.int64)
+    if isinstance(locator, range):
+        at = queries.astype(np.int64, copy=False) - locator.start
+        return np.where((at >= 0) & (at < len(locator)), at, -1)
+    ordered, order = locator
     if not ordered.shape[0]:
         return np.full(queries.shape[0], -1, dtype=np.int64)
     at = np.minimum(np.searchsorted(ordered, queries), ordered.shape[0] - 1)

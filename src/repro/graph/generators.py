@@ -254,8 +254,8 @@ def degree_plus_one_palettes(
     universe = 2 * (delta + 1) if universe_size is None else universe_size
     colors = list(range(universe))
     palettes: Dict[NodeId, List[Color]] = {}
-    for node in graph.nodes():
-        need = graph.degree(node) + 1
+    for node, degree in zip(graph.nodes(), graph.csr().degrees.tolist()):
+        need = degree + 1
         if need > universe:
             raise ConfigurationError(
                 f"universe of {universe} colors too small for degree {need - 1}"

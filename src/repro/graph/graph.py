@@ -178,12 +178,13 @@ class Graph:
         """
         view = self._folded()
         pos = _position(view, node)
-        return iter(_ids_at(view, view.indices[view.indptr[pos] : view.indptr[pos + 1]]))
+        run = view.indices[view.indptr.item(pos) : view.indptr.item(pos + 1)]
+        return iter(_ids_at(view, run))
 
     def degree(self, node: NodeId) -> int:
         """Degree of ``node``."""
         view = self._folded()
-        return int(view.degrees[_position(view, node)])
+        return view.degrees.item(_position(view, node))
 
     def degrees(self) -> Dict[NodeId, int]:
         """Mapping from node to degree."""
@@ -263,33 +264,24 @@ class Graph:
         return [Graph._from_csr(child) for child in split_by_bins(view, groups)]
 
     def connected_components(self) -> List[Set[NodeId]]:
-        """Connected components as a list of node sets.
-
-        Components come in the order of their first node.  Every node
-        points at a smaller-or-equal position of its component; each
-        round hooks each edge's targets onto the smaller pointer and then
-        shortcuts the pointers to their roots, until no edge moves one.
-        The root is then the component's first position.
-        """
-        view = self._folded()
-        parent = np.arange(view.num_nodes, dtype=np.int64)
-        sources, targets = view.edge_sources, view.indices
-        while True:
-            hooked = parent.copy()
-            np.minimum.at(hooked, parent[sources], parent[targets])
-            while True:
-                jumped = hooked[hooked]
-                if np.array_equal(jumped, hooked):
-                    break
-                hooked = jumped
-            if np.array_equal(hooked, parent):
-                break
-            parent = hooked
-        if not view.num_nodes:
-            return []
-        order = np.argsort(parent, kind="stable")
-        bounds = np.flatnonzero(np.diff(parent[order])) + 1
-        return [set(_ids_at(view, group)) for group in np.split(order, bounds)]
+        """Connected components as a list of node sets (iterative search)."""
+        seen: Set[NodeId] = set()
+        components: List[Set[NodeId]] = []
+        for start in self:
+            if start in seen:
+                continue
+            component = {start}
+            frontier = [start]
+            seen.add(start)
+            while frontier:
+                node = frontier.pop()
+                for neigh in self.iter_neighbors(node):
+                    if neigh not in seen:
+                        seen.add(neigh)
+                        component.add(neigh)
+                        frontier.append(neigh)
+            components.append(component)
+        return components
 
     # ------------------------------------------------------------------
     # misc

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from scalar_oracle import SetGraph, assert_same_graph
 
 from repro.errors import GraphError
+from repro.graph.csr import id_locator, locate_ids, locate_one
+from repro.graph.generators import erdos_renyi
 from repro.graph.graph import Graph, average_degree, degree_histogram
 from repro.graph.palettes import PaletteAssignment
 
@@ -167,6 +170,44 @@ class TestHelpers:
 
     def test_average_degree_empty(self):
         assert average_degree(Graph()) == 0.0
+
+
+class TestIdLocator:
+    """Every locator shape answers like a dict over the ids."""
+
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            list(range(100, 200)),  # contiguous: a range
+            np.arange(-40, 60, dtype=np.int64),
+            list(range(0, 300, 3)),  # ascending with gaps
+            random.Random(5).sample(range(1000), 100),  # unsorted
+            [7, 3, 9],  # small: a dict
+        ],
+        ids=["range", "array-range", "gaps", "unsorted", "small"],
+    )
+    def test_matches_a_dict(self, ids):
+        ids_list = ids.tolist() if isinstance(ids, np.ndarray) else ids
+        rows = {node: row for row, node in enumerate(ids_list)}
+        queries = ids_list + [-41, 99, 200, 300, 1000, 2**70, -(2**70), "x", None]
+        queries += [np.int64(node) for node in ids_list[:5]]
+        locator = id_locator(ids)
+        for node in queries:
+            assert locate_one(locator, node) == rows.get(node, -1), node
+        expected = [rows.get(node, -1) for node in queries]
+        assert locate_ids(locator, queries).tolist() == expected
+        ints = [node for node in queries if isinstance(node, int) and abs(node) < 2**63]
+        array = np.asarray(ints, dtype=np.int64)
+        assert locate_ids(locator, array).tolist() == [rows.get(node, -1) for node in ints]
+
+    def test_per_node_queries_of_a_generated_graph(self):
+        graph = erdos_renyi(200, 0.05, seed=2)
+        assert isinstance(graph.csr()._id_locator(), range)
+        reference = SetGraph(graph.nodes(), graph.edges())
+        assert_same_graph(graph, reference)
+        for node in (-1, 200, 2**70, "x"):
+            assert node not in graph
+            assert not graph.has_edge(0, node)
 
 
 class TestFromEdgesOracle:
