@@ -1,10 +1,11 @@
 """Regression tests for the CSR-backed subgraph-extraction layer.
 
 The extraction kernels (:mod:`repro.graph.csr`) hand every child graph a
-warm, canonical CSR view, and the parent's view is invalidated by mutation
-(the ``_csr = None`` contract).  These tests pin the corner cases of that
-contract: parents mutated after extraction, children mutated after
-extraction, overlapping groups, and empty/edgeless instances.
+canonical CSR view, and a mutated graph folds its additions into a new
+view on its next query.  These tests pin the corner cases of that
+contract against the adjacency-set reference (``scalar_oracle.SetGraph``):
+parents mutated after extraction, children mutated after extraction,
+overlapping groups, and empty/edgeless instances.
 """
 
 from __future__ import annotations
@@ -13,7 +14,13 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from scalar_oracle import build_csr, induced_from_keep, induced_subgraph, induced_subgraphs
+from scalar_oracle import (
+    SetGraph,
+    assert_same_graph,
+    induced_from_keep,
+    induced_subgraph,
+    induced_subgraphs,
+)
 
 from repro.errors import GraphError
 from repro.graph.csr import split_by_bins
@@ -21,52 +28,48 @@ from repro.graph.generators import erdos_renyi
 from repro.graph.graph import Graph
 
 
-def _fresh_parent() -> Graph:
+def _fresh_parent():
+    """A generated graph and its adjacency-set reference, kept apart from
+    here on: every mutation is applied to both."""
     graph = erdos_renyi(60, 0.15, seed=3)
-    graph.csr()  # warm the view, as a real selection leaves it
-    return graph
+    return graph, SetGraph(graph.nodes(), graph.edges())
 
 
-def _assert_canonical_view(graph: Graph) -> None:
-    """The view must equal the reference one built from its neighbor sets."""
-    cached = graph.csr()
-    rebuilt = build_csr({node: graph.neighbors(node) for node in graph})
-    assert rebuilt.node_ids == cached.node_ids
-    ids = rebuilt.id_list()
-    assert (rebuilt.locate(ids) == cached.locate(ids)).all()
-    assert (rebuilt.indptr == cached.indptr).all()
-    assert (rebuilt.indices == cached.indices).all()
-    assert (rebuilt.degrees == cached.degrees).all()
-    assert (rebuilt.edge_sources == cached.edge_sources).all()
+def _induced(reference: SetGraph, nodes) -> SetGraph:
+    """The reference subgraph induced by ``nodes``, in that node order."""
+    members = set(nodes)
+    return SetGraph(
+        nodes, [(u, v) for u in nodes for v in reference.adj[u] if v in members]
+    )
 
 
 class TestCacheInvalidation:
     def test_parent_mutation_after_extraction(self):
         """Mutating the parent must not disturb extracted children."""
-        parent = _fresh_parent()
+        parent, reference = _fresh_parent()
         members = [node for node in parent.nodes() if node % 3 == 0]
         child = parent.induced_subgraph(members)
-        child_nodes_before = child.nodes()
-        child_adj_before = {node: child.neighbors(node) for node in child.nodes()}
+        child_reference = _induced(reference, child.nodes())
 
-        # Mutate the parent: a new edge between child members and a new node.
+        # Mutate the parent after a query: an edge between child members
+        # (added twice, once reversed) and a new node.
         u, v = members[0], members[1]
-        if not parent.has_edge(u, v):
-            parent.add_edge(u, v)
-        parent.add_node(10_000)
+        for graph in (parent, reference):
+            graph.add_edge(u, v)
+            graph.add_edge(v, u)
+            graph.add_node(10_000)
 
         # The parent answers from its live state (view rebuilt on demand).
         assert 10_000 in parent
         assert parent.has_edge(u, v)
-        _assert_canonical_view(parent)
+        assert_same_graph(parent, reference)
 
         # The previously-extracted child is fully independent.
-        assert child.nodes() == child_nodes_before
-        assert {node: child.neighbors(node) for node in child.nodes()} == child_adj_before
-        _assert_canonical_view(child)
+        assert_same_graph(child, child_reference)
 
         # Extracting again reflects the mutated parent.
         fresh = parent.induced_subgraph(members + [10_000])
+        assert_same_graph(fresh, _induced(reference, fresh.nodes()))
         assert fresh.has_edge(u, v)
         assert 10_000 in fresh
         scalar = induced_subgraph(parent, members + [10_000])
@@ -75,20 +78,20 @@ class TestCacheInvalidation:
             assert fresh.neighbors(node) == scalar.neighbors(node)
 
     def test_child_mutation_invalidates_child_view_only(self):
-        parent = _fresh_parent()
+        parent, reference = _fresh_parent()
         child = parent.induced_subgraph(parent.nodes()[:20])
+        child_reference = _induced(reference, child.nodes())
         parent_view = parent.csr()
-        isolated = [node for node in child.nodes()]
-        u, v = isolated[0], isolated[-1]
-        if child.has_edge(u, v):
-            child.add_node(20_000)
-        else:
-            child.add_edge(u, v)
-        _assert_canonical_view(child)  # child view rebuilt from live state
+        u, v = child.nodes()[0], child.nodes()[-1]
+        for graph in (child, child_reference):
+            graph.add_edge(u, v)
+            graph.add_node(20_000)
+        assert_same_graph(child, child_reference)  # child view rebuilt
         assert parent.csr() is parent_view  # parent view untouched
+        assert_same_graph(parent, reference)
 
     def test_subgraph_degrees_within_tracks_mutation(self):
-        parent = _fresh_parent()
+        parent, _ = _fresh_parent()
         members = parent.nodes()[:30]
         before = parent.induced_subgraph(members).degrees()
         u, v = members[0], members[1]
@@ -146,7 +149,8 @@ class TestExtractInducedKernel:
         child_view = split_by_bins(graph.csr(), [kept])[0]
         child = Graph._from_csr(child_view)
         assert child.csr() is child_view
-        _assert_canonical_view(child)
+        reference = SetGraph(graph.nodes(), graph.edges())
+        assert_same_graph(child, _induced(reference, kept))
 
     def test_degrees_within_kernel_matches_scalar(self):
         graph = erdos_renyi(40, 0.25, seed=9)
