@@ -13,7 +13,9 @@ gather + one segmented-membership mark + one masked compaction) and the array
 sweep of :func:`repro.core.local_coloring.greedy_list_coloring` (blocked
 sets off pre-filtered CSR runs, first-free picks over the store's sorted
 slices).  The scalar side runs the references: the per-neighbor pruning
-loop of ``tests/scalar_oracle.py`` and the greedy loop ``_greedy_scalar``.
+loop of ``tests/scalar_oracle.py`` (``prune_palette_sets``, over plain
+``node -> set`` palettes built before timing starts) and the greedy loop
+``_greedy_scalar``.
 
 The instance is a preferential-attachment graph with ``{0..Δ}`` palettes —
 the heavy-tailed shape where the scalar endgame hurts most (every palette
@@ -47,7 +49,7 @@ import time
 
 import numpy as np
 from bench_json import emit_bench_json
-from scalar_oracle import rank_oracle, remove_colors_used_by_neighbors
+from scalar_oracle import prune_palette_sets, rank_oracle
 
 from repro.core.local_coloring import (
     GREEDY_ARRAY_CUTOVER_NODES,
@@ -93,14 +95,17 @@ def _setup(scale: str):
                 greedy_list_coloring(bin_instance.graph, bin_instance.palettes)
             )
     leftover_nodes = partition.leftover.graph.nodes()
-    # The scalar references read a copy of the palettes; the instance is an
-    # extracted CSR child (batched extraction ships them that way).
+    # The scalar references read a copy of the palettes, the pruning loop
+    # as plain sets; the instance is an extracted CSR child (batched
+    # extraction ships them that way).
     reference_palettes = palettes.copy()
+    reference_sets = {node: palettes.palette(node) for node in palettes.nodes()}
     lazy_instance = graph.induced_subgraph(graph.nodes())
     return (
         graph,
         palettes,
         reference_palettes,
+        reference_sets,
         coloring,
         leftover_nodes,
         lazy_instance,
@@ -139,7 +144,7 @@ def _small_instance_cutover():
         return _greedy_scalar(leaf, palettes)
 
     def array():
-        return _greedy_over_arrays(leaf, palettes, None, None)
+        return _greedy_over_arrays(leaf, palettes)
 
     scalar(), array()  # warm interpreter/ufunc one-offs
     scalar_seconds = _best_of(scalar, 40)
@@ -175,6 +180,7 @@ def test_p4_palette_endgame(benchmark, experiment_scale):
         graph,
         palettes,
         reference_palettes,
+        reference_sets,
         coloring,
         leftover_nodes,
         lazy_instance,
@@ -183,8 +189,8 @@ def test_p4_palette_endgame(benchmark, experiment_scale):
 
     # --- the two endgame operations, scalar vs batched ---------------------
     def scalar_update():
-        restricted = reference_palettes.subset(leftover_nodes)
-        return restricted, remove_colors_used_by_neighbors(restricted, graph, coloring)
+        restricted = {node: reference_sets[node] for node in leftover_nodes}
+        return prune_palette_sets(restricted, graph, coloring)
 
     def batched_update():
         return palettes.subset_updated(leftover_nodes, graph, coloring)
@@ -216,9 +222,9 @@ def test_p4_palette_endgame(benchmark, experiment_scale):
     batched_restricted, batched_removed = batched_update()
     identical = (
         scalar_removed == batched_removed
-        and scalar_restricted.nodes() == batched_restricted.nodes()
+        and list(scalar_restricted) == batched_restricted.nodes()
         and all(
-            scalar_restricted.palette(node) == batched_restricted.palette(node)
+            scalar_restricted[node] == batched_restricted.palette(node)
             for node in leftover_nodes
         )
         and scalar_greedy() == batched_greedy()

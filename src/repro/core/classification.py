@@ -15,9 +15,9 @@ exposes the cost function used by :class:`repro.derand.HashPairSelector`.
 
 Two implementations of the cost coexist, by design:
 
-* :func:`classify_partition` — the per-node dataclass path.  It is the
-  *reference implementation*: readable and audited against Definition
-  3.1.  Production never runs it: it is the evaluator's single-pair
+* :func:`classify_partition` — the per-node loop.  It is the *reference
+  implementation*: readable and audited against Definition 3.1.
+  Production never runs it: it is the evaluator's single-pair
   ``__call__`` and the test oracle (``tests/scalar_oracle.py`` reroutes
   ``Partition.run`` to it plus :func:`color_bin_map`).
 * :class:`PartitionCostEvaluator` (returned by
@@ -31,6 +31,8 @@ Two implementations of the cost coexist, by design:
 :func:`hash_families` builds the hash families of both pipelines'
 partition steps.
 
+Both fill the same per-node columns of one
+:class:`PartitionClassification` (:meth:`PartitionClassification.from_arrays`).
 Substitution rule: the batched paths return **bit-identical** results to
 the scalar ones for every pair (same integer counts, same IEEE-754
 comparisons in the same order).  ``tests/test_batch_kernels.py`` and
@@ -87,59 +89,48 @@ BAD_REASONS = (
 class PartitionClassification:
     """The full outcome of classifying a ``(h1, h2)`` pair on an instance.
 
-    ``bin_of_node`` uses bins ``0..B-1``; bin ``B-1`` is the paper's last bin
-    (the one that receives no colors), and bins ``0..B-2`` are the color
-    bins.  Bad nodes are listed separately and belong to no bin's recursive
-    instance (they form the graph ``G_0``).
+    Bins are ``0..B-1``; bin ``B-1`` is the paper's last bin (the one that
+    receives no colors), and bins ``0..B-2`` are the color bins.  Bad
+    nodes are listed separately and belong to no bin's recursive instance
+    (they form the graph ``G_0``).
 
-    The scalar reference (:func:`classify_partition`) builds every field
-    eagerly.  The array pipeline builds the classification with
-    :meth:`from_arrays`: ``bad_nodes`` and :meth:`good_nodes_in_bin` read
-    the reason codes (0 is good), while ``bin_of_node`` and the per-node
+    The classification holds per-node columns in node order
+    (:meth:`from_arrays`), whichever path filled them: the batched
+    :meth:`PartitionCostEvaluator.classify_selected` or the per-node
+    reference :func:`classify_partition`.  ``bad_nodes`` and
+    :meth:`good_nodes_in_bin` read the reason codes (0 is good);
+    ``bin_of_node``, ``bin_sizes`` and the per-node
     :class:`NodeClassification` records (``nodes``, reason strings
-    included) are built on first access.  ``Partition.run`` reads neither,
-    so a production run builds no record.
+    included) are views built on first access.  ``Partition.run`` reads
+    none of the views, so a production run builds no record.
     """
 
-    def __init__(
-        self,
-        num_bins: int,
-        bin_of_node: Optional[Dict[NodeId, BinIndex]],
-        nodes: Optional[Dict[NodeId, NodeClassification]],
-        bad_nodes: Optional[Set[NodeId]] = None,
-        bad_bins: Optional[Set[BinIndex]] = None,
-        bin_sizes: Optional[Dict[BinIndex, int]] = None,
-    ) -> None:
+    def __init__(self, num_bins: int, bad_bins: Set[BinIndex], columns: dict) -> None:
         self.num_bins = num_bins
-        self._bin_of_node = bin_of_node
-        self._nodes = nodes
-        self.bad_nodes: Set[NodeId] = set() if bad_nodes is None else bad_nodes
-        self.bad_bins: Set[BinIndex] = set() if bad_bins is None else bad_bins
-        self.bin_sizes: Dict[BinIndex, int] = {} if bin_sizes is None else bin_sizes
-        #: The per-node columns of :meth:`from_arrays`, in node order.
-        self.columns: Optional[dict] = None
+        self.bad_bins = bad_bins
+        #: The per-node columns (see :meth:`from_arrays`), in node order.
+        self.columns = columns
+        bad = columns["reason_code"] != 0
+        node_ids = columns["node_ids"]
+        if isinstance(node_ids, np.ndarray):
+            self.bad_nodes: Set[NodeId] = set(node_ids[bad].tolist())
+        else:
+            self.bad_nodes = set(compress(node_ids, bad.tolist()))
+        self._bin_of_node: Optional[Dict[NodeId, BinIndex]] = None
+        self._nodes: Optional[Dict[NodeId, NodeClassification]] = None
         self._groups: Optional[List[np.ndarray]] = None
 
     @classmethod
-    def from_arrays(cls, num_bins, bad_bins, bin_sizes, **columns):
-        """A classification over the per-node arrays of the batch pipeline.
+    def from_arrays(cls, num_bins, bad_bins, **columns):
+        """A classification over per-node arrays.
 
         ``columns`` holds ``node_ids`` (the view's ids) and aligned arrays:
         ``bins``, ``degree``, ``in_bin_degree``, ``palette_size``,
         ``in_bin_palette``, ``in_color_bin`` and ``reason_code`` (an index
-        into :data:`BAD_REASONS`; 0 means good).
+        into :data:`BAD_REASONS`; 0 means good).  ``bad_bins`` is the set
+        of overfull bins.
         """
-        classification = cls(
-            num_bins, None, None, bad_bins=bad_bins, bin_sizes=bin_sizes
-        )
-        classification.columns = columns
-        bad = columns["reason_code"] != 0
-        node_ids = columns["node_ids"]
-        if isinstance(node_ids, np.ndarray):
-            classification.bad_nodes = set(node_ids[bad].tolist())
-        else:
-            classification.bad_nodes = set(compress(node_ids, bad.tolist()))
-        return classification
+        return cls(num_bins, bad_bins, columns)
 
     def _id_list(self) -> list:
         node_ids = self.columns["node_ids"]
@@ -153,8 +144,14 @@ class PartitionClassification:
         return self._bin_of_node
 
     @property
+    def bin_sizes(self) -> Dict[BinIndex, int]:
+        """Nodes per bin, every bin listed."""
+        counts = np.bincount(self.columns["bins"], minlength=self.num_bins)
+        return dict(enumerate(counts.tolist()))
+
+    @property
     def nodes(self) -> Dict[NodeId, NodeClassification]:
-        """Per-node records, built on first access for an array classification."""
+        """Per-node records, built on first access."""
         if self._nodes is None:
             self._nodes = self._records()
         return self._nodes
@@ -193,14 +190,8 @@ class PartitionClassification:
     def good_nodes_in_bin(self, bin_index: BinIndex) -> List[NodeId]:
         """Good nodes assigned to ``bin_index`` (the recursive instance)."""
         columns = self.columns
-        if columns is not None:
-            keep = (columns["bins"] == bin_index) & (columns["reason_code"] == 0)
-            return list(compress(self._id_list(), keep.tolist()))
-        return [
-            node
-            for node, assigned in self.bin_of_node.items()
-            if assigned == bin_index and node not in self.bad_nodes
-        ]
+        keep = (columns["bins"] == bin_index) & (columns["reason_code"] == 0)
+        return list(compress(self._id_list(), keep.tolist()))
 
     def bin_groups(self, csr) -> List[np.ndarray]:
         """The node groups ``Partition`` extracts, as positions in ``csr``.
@@ -214,17 +205,7 @@ class PartitionClassification:
         extraction read the same groups.
         """
         if self._groups is None:
-            columns = self.columns
-            if columns is not None:
-                bins, bad = columns["bins"], columns["reason_code"] != 0
-            else:
-                ids = csr.id_list()
-                bins = np.fromiter(
-                    map(self.bin_of_node.__getitem__, ids), dtype=np.int64, count=len(ids)
-                )
-                bad = np.fromiter(
-                    map(self.bad_nodes.__contains__, ids), dtype=bool, count=len(ids)
-                )
+            bins, bad = self.columns["bins"], self.columns["reason_code"] != 0
             self._groups = [set_order(csr, np.flatnonzero(bad), via_set=True)] + [
                 set_order(csr, np.flatnonzero(~bad & (bins == bin_index)))
                 for bin_index in range(self.num_bins)
@@ -390,9 +371,10 @@ def classify_partition(
     # and degree reduction.
     literal_palette_condition = not params.is_scaled and not params.bins_are_clamped(ell)
 
+    csr = graph.csr()
     bin_of_node: Dict[NodeId, BinIndex] = {
         node: h1(key % h1.domain_size) % num_bins
-        for node, key in zip(graph.nodes(), node_id_array(graph.csr()).tolist())
+        for node, key in zip(graph.nodes(), node_id_array(csr).tolist())
     }
     color_bins = color_bin_map(palettes, h2, num_color_bins)
 
@@ -403,14 +385,9 @@ def classify_partition(
     bin_cap = params.bin_cap(ell, instance_nodes, global_nodes)
     bad_bins = {index for index, size in bin_sizes.items() if size >= bin_cap}
 
-    classification = PartitionClassification(
-        num_bins=num_bins,
-        bin_of_node=bin_of_node,
-        nodes={},
-        bad_bins=bad_bins,
-        bin_sizes=bin_sizes,
-    )
-
+    # One row per node, in node order; the reason code indexes BAD_REASONS
+    # and the first failed condition names it.
+    rows = []
     last_bin = num_bins - 1
     for node in graph.nodes():
         node_bin = bin_of_node[node]
@@ -423,45 +400,45 @@ def classify_partition(
         palette_size = palettes.palette_size(node)
         expected_in_bin_degree = degree / num_bins
 
-        reason = ""
-        good = True
-        in_bin_palette: Optional[int] = None
+        reason_code = 0
+        in_bin_palette = 0
         if abs(in_bin_degree - expected_in_bin_degree) > degree_slack:
-            good = False
-            reason = "degree deviation"
+            reason_code = 1  # degree deviation
         if node_bin != last_bin:
             in_bin_palette = sum(
                 1 for color in palettes.palette(node) if color_bins[color] == node_bin
             )
             if (
-                good
+                not reason_code
                 and literal_palette_condition
                 and in_bin_palette < palette_size / num_bins + palette_slack
             ):
-                good = False
-                reason = "palette shortfall"
+                reason_code = 2  # palette shortfall
             if (
-                good
+                not reason_code
                 and params.enforce_palette_surplus
                 and in_bin_palette <= in_bin_degree
             ):
-                good = False
-                reason = "palette does not exceed in-bin degree"
-
-        classification.nodes[node] = NodeClassification(
-            node=node,
-            bin_index=node_bin,
-            degree=degree,
-            in_bin_degree=in_bin_degree,
-            palette_size=palette_size,
-            in_bin_palette_size=in_bin_palette,
-            is_good=good,
-            reason=reason,
+                reason_code = 3  # palette does not exceed in-bin degree
+        rows.append(
+            (node_bin, degree, in_bin_degree, palette_size, in_bin_palette, reason_code)
         )
-        if not good:
-            classification.bad_nodes.add(node)
 
-    return classification
+    bins, degrees, in_bin_degrees, palette_sizes, in_bin_palettes, reason_codes = (
+        np.array(rows, dtype=np.int64).reshape(len(rows), 6).T
+    )
+    return PartitionClassification.from_arrays(
+        num_bins,
+        bad_bins,
+        node_ids=csr.node_ids,
+        bins=bins,
+        degree=degrees,
+        in_bin_degree=in_bin_degrees,
+        palette_size=palette_sizes,
+        in_bin_palette=in_bin_palettes,
+        in_color_bin=bins != last_bin,
+        reason_code=reason_codes,
+    )
 
 
 class PartitionCostEvaluator(BatchCostEvaluatorBase):
@@ -587,7 +564,6 @@ class PartitionCostEvaluator(BatchCostEvaluatorBase):
         num_nodes = len(node_ids)
 
         bin_size_counts = np.bincount(bins, minlength=num_bins)
-        bin_sizes = {index: int(bin_size_counts[index]) for index in range(num_bins)}
         bad_bins = {
             index for index in range(num_bins) if bin_size_counts[index] >= prep["bin_cap"]
         }
@@ -604,7 +580,6 @@ class PartitionCostEvaluator(BatchCostEvaluatorBase):
         classification = PartitionClassification.from_arrays(
             num_bins,
             bad_bins,
-            bin_sizes,
             node_ids=node_ids,
             bins=bins,
             degree=prep["degrees"],

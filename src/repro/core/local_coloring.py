@@ -28,25 +28,23 @@ Two implementations of the same sweep exist, picked by instance size alone
   below the cutover, where the sweep's fixed setup does not pay, and the
   ones the sweep cannot represent (:data:`_FALLBACK`).
 
-Colorings are bit-identical between the two, including the
-``already_colored`` recolor path and the
-:class:`~repro.errors.ColoringError` raised (same node, same counts) when
-the invariant was violated.
+Both process the nodes in descending degree, ties in node order.
+Colorings are bit-identical between the two, including the :class:`~repro.errors.ColoringError` raised (same node,
+same counts) when the invariant was violated.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 from repro.errors import ColoringError
 from repro.graph.graph import Graph
 from repro.graph.palettes import PaletteAssignment
-from repro.types import Color, ColoringMap, NodeId
+from repro.types import Color, NodeId
 
-#: Internal sentinel: the array sweep cannot represent this instance
-#: (a color table, order entries outside the graph, repeated order
-#: entries) — run the scalar loop, which either handles it or raises the
-#: exact error the caller expects.
+#: Internal sentinel: the array sweep cannot represent this instance (its
+#: palettes hold a color table) — run the scalar loop, which either colors
+#: it or raises the exact error the caller expects.
 _FALLBACK = object()
 
 #: Below this many nodes :func:`greedy_list_coloring` takes the scalar loop:
@@ -60,12 +58,7 @@ _FALLBACK = object()
 GREEDY_ARRAY_CUTOVER_NODES = 16
 
 
-def greedy_list_coloring(
-    graph: Graph,
-    palettes: PaletteAssignment,
-    order: Optional[Iterable[NodeId]] = None,
-    already_colored: Optional[ColoringMap] = None,
-) -> Dict[NodeId, Color]:
+def greedy_list_coloring(graph: Graph, palettes: PaletteAssignment) -> Dict[NodeId, Color]:
     """Color ``graph`` greedily from the given palettes.
 
     Parameters
@@ -74,17 +67,13 @@ def greedy_list_coloring(
         The instance to color (all of its nodes receive a color).
     palettes:
         Per-node palettes; every node of ``graph`` must have one.
-    order:
-        Optional processing order (defaults to descending degree, which keeps
-        the number of distinct colors small in practice; correctness does not
-        depend on the order).
-    already_colored:
-        Colors of *neighbors outside the instance* that must be avoided;
-        nodes of ``graph`` present here are recolored from scratch.
 
-    Instances of at least :data:`GREEDY_ARRAY_CUTOVER_NODES` nodes take the
-    array sweep, smaller ones the scalar loop (see the module docstring);
-    the coloring is the same either way.
+    Nodes are processed in descending degree, ties in node order, which
+    keeps the number of distinct colors small in practice; correctness does
+    not depend on the order.  Instances of at least
+    :data:`GREEDY_ARRAY_CUTOVER_NODES` nodes take the array sweep, smaller
+    ones the scalar loop (see the module docstring); the coloring is the
+    same either way.
 
     Raises
     ------
@@ -94,30 +83,21 @@ def greedy_list_coloring(
         invariant.
     """
     if graph.num_nodes >= GREEDY_ARRAY_CUTOVER_NODES:
-        result = _greedy_over_arrays(graph, palettes, order, already_colored)
+        result = _greedy_over_arrays(graph, palettes)
         if result is not _FALLBACK:
             return result
-    return _greedy_scalar(graph, palettes, order, already_colored)
+    return _greedy_scalar(graph, palettes)
 
 
-def _greedy_scalar(
-    graph: Graph,
-    palettes: PaletteAssignment,
-    order: Optional[Iterable[NodeId]] = None,
-    already_colored: Optional[ColoringMap] = None,
-) -> Dict[NodeId, Color]:
+def _greedy_scalar(graph: Graph, palettes: PaletteAssignment) -> Dict[NodeId, Color]:
     """The sequential greedy loop (see the module docstring)."""
-    if order is None:
-        order = sorted(graph.nodes(), key=graph.degree, reverse=True)
+    order = sorted(graph.nodes(), key=graph.degree, reverse=True)
     coloring: Dict[NodeId, Color] = {}
-    external = already_colored or {}
     for node in order:
         blocked = set()
         for neighbor in graph.iter_neighbors(node):
             if neighbor in coloring:
                 blocked.add(coloring[neighbor])
-            elif neighbor in external:
-                blocked.add(external[neighbor])
         choice: Optional[Color] = None
         for color in sorted(palettes.palette(node)):
             if color not in blocked:
@@ -132,22 +112,15 @@ def _greedy_scalar(
     return coloring
 
 
-def _greedy_over_arrays(
-    graph: Graph,
-    palettes: PaletteAssignment,
-    order: Optional[Iterable[NodeId]],
-    already_colored: Optional[ColoringMap],
-):
+def _greedy_over_arrays(graph: Graph, palettes: PaletteAssignment):
     """The array greedy sweep (see the module docstring).
 
     Same traversal, same choices as :func:`_greedy_scalar` — only the data
     layout changes: neighbor runs and palette slices are read from the
     flattened CSR / palette-store arrays prepared once up front, and the
     per-node state lives in a position-indexed list instead of a dict.
-    Returns the coloring dict, or :data:`_FALLBACK` when the instance cannot
-    be represented in the array domain — the caller then runs the scalar
-    loop, which reproduces the exact behaviour (including error identity
-    for order entries outside the graph).
+    Returns the coloring dict, or :data:`_FALLBACK` when the palettes hold
+    a color table — the caller then runs the scalar loop.
     """
     import numpy as np
 
@@ -161,26 +134,13 @@ def _greedy_over_arrays(
     if store.table is not None:
         return _FALLBACK
     node_ids = csr.node_ids
-    if order is None:
-        # Stable argsort on the negated degrees == sorted(..., reverse=True):
-        # descending degree, ties kept in insertion order.
-        order_array = np.argsort(-csr.degrees, kind="stable")
-        order_positions = order_array.tolist()
-        order_list = csr.ids_at(order_array)
-        if not isinstance(order_list, list):
-            order_list = order_list.tolist()
-    else:
-        order_list = list(order)
-        located = csr.locate(order_list)
-        if bool((located < 0).any()):
-            return _FALLBACK
-        order_positions = located.tolist()
-        if len(set(order_positions)) != len(order_positions):
-            # A repeated order entry means sequential re-coloring semantics:
-            # the rank array below keeps only the last occurrence, so the
-            # earlier-rank run filter would drop edges the first pass must
-            # see.  Only the scalar loop models this faithfully.
-            return _FALLBACK
+    # Stable argsort on the negated degrees == sorted(..., reverse=True):
+    # descending degree, ties kept in insertion order.
+    order_array = np.argsort(-csr.degrees, kind="stable")
+    order_positions = order_array.tolist()
+    order_list = csr.ids_at(order_array)
+    if not isinstance(order_list, list):
+        order_list = order_list.tolist()
 
     # Palette row per position: the identity when the store is aligned with
     # the CSR (every instance of a solve); otherwise located in the store
@@ -191,37 +151,20 @@ def _greedy_over_arrays(
     else:
         row_of_position = store.locate(node_ids).tolist()
 
-    external_of_position: Dict[int, Color] = {}
-    if already_colored:
-        located = csr.locate(list(already_colored))
-        for pos, color in zip(located.tolist(), already_colored.values()):
-            if pos >= 0:
-                external_of_position[pos] = color
-
     # Only neighbors processed *earlier* can be colored when a node's turn
     # comes, so the blocked-set build only needs the earlier-ranked part of
     # each CSR run — each undirected edge lands in exactly one endpoint's
-    # filtered run, halving the sweep's per-neighbor work.  (The external
-    # path below needs the full runs: later-ranked neighbors contribute
-    # their hints.)
-    rank = np.full(num_nodes, -1, dtype=np.int64)
-    rank[np.asarray(order_positions, dtype=np.int64)] = np.arange(
-        len(order_positions), dtype=np.int64
+    # filtered run, halving the sweep's per-neighbor work.
+    rank = np.empty(num_nodes, dtype=np.int64)
+    rank[order_array] = np.arange(num_nodes, dtype=np.int64)
+    earlier = rank[csr.indices] < rank[csr.edge_sources]
+    neighbor_list = csr.indices[earlier].tolist()
+    bounds = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(
+        np.bincount(csr.edge_sources[earlier], minlength=num_nodes),
+        out=bounds[1:],
     )
-    if not external_of_position:
-        source_rank = rank[csr.edge_sources]
-        target_rank = rank[csr.indices]
-        earlier = (source_rank >= 0) & (target_rank >= 0) & (target_rank < source_rank)
-        neighbor_list = csr.indices[earlier].tolist()
-        bounds = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(csr.edge_sources[earlier], minlength=num_nodes),
-            out=bounds[1:],
-        )
-        neighbor_bounds = bounds.tolist()
-    else:
-        neighbor_list = csr.indices.tolist()
-        neighbor_bounds = csr.indptr.tolist()
+    neighbor_bounds = bounds.tolist()
 
     # Interval palettes ({lo..hi}, the (Δ+1)/(deg+1) shape) admit an O(1)-probe
     # pick: walk the integers from lo until one is free (a mex), skipping the
@@ -252,10 +195,10 @@ def _greedy_over_arrays(
     color_of: list = [None] * num_nodes
     fetch_color = color_of.__getitem__
     coloring: Dict[NodeId, Color] = {}
-    if row_of_position is None and not external_of_position:
+    if row_of_position is None:
         # Hot path (every ColorReduce base case): store rows aligned with
-        # CSR positions, no external hints.  Uncolored neighbors contribute
-        # a harmless None entry to the blocked set.
+        # CSR positions.  Uncolored neighbors contribute a harmless None
+        # entry to the blocked set.
         for node, pos in zip(order_list, order_positions):
             blocked = set(
                 map(fetch_color, neighbor_list[neighbor_bounds[pos] : neighbor_bounds[pos + 1]])
@@ -278,25 +221,14 @@ def _greedy_over_arrays(
             coloring[node] = choice
         return coloring
     for node, pos in zip(order_list, order_positions):
-        start, end = neighbor_bounds[pos], neighbor_bounds[pos + 1]
-        run = neighbor_list[start:end]
-        # External hints apply only to neighbors not (yet) colored,
-        # mirroring the scalar loop's `elif` (the recolor path).
-        blocked = set(map(fetch_color, run))
-        if external_of_position:
-            for neighbor_pos in run:
-                if color_of[neighbor_pos] is None:
-                    hint = external_of_position.get(neighbor_pos)
-                    if hint is not None:
-                        blocked.add(hint)
-        if row_of_position is None:
-            row = pos
-        else:
-            row = row_of_position[pos]
-            if row < 0:
-                from repro.errors import PaletteError
+        blocked = set(
+            map(fetch_color, neighbor_list[neighbor_bounds[pos] : neighbor_bounds[pos + 1]])
+        )
+        row = row_of_position[pos]
+        if row < 0:
+            from repro.errors import PaletteError
 
-                raise PaletteError(f"node {node} has no palette")
+            raise PaletteError(f"node {node} has no palette")
         if contiguous_list[row]:
             choice = low_list[row]
             while choice in blocked:

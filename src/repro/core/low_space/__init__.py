@@ -7,16 +7,17 @@ ways relative to Section 3:
 * the recursion reduces degrees only until they drop below ``n^{7δ}``
   (``δ = ε/22``), and the low-degree leftover graph ``G_0`` is colored via a
   reduction to MIS (Luby's clique construction) instead of locally;
-* because a machine cannot hold a whole neighborhood or palette, good/bad
-  classification is done per *machine* (Definition 4.1) over chunks of each
-  node's neighbor list and palette.
+* because a machine cannot hold a whole neighborhood or palette, the paper
+  classifies good/bad per *machine* (Definition 4.1) over chunks of each
+  node's neighbor list and palette; the hash selection here uses that
+  classification's node-level aggregation (Lemma 4.5).
 
 Modules:
 
 * :mod:`repro.core.low_space.params` — the regime parameters (paper
   ``n^δ``/``n^{7δ}`` with a documented scaled mode),
-* :mod:`repro.core.low_space.machine_sets` — the ``M_v^N`` / ``M_v^C``
-  machine groups and the Definition 4.1 classification (Equation (2) cost),
+* :mod:`repro.core.low_space.machine_sets` — the Lemma 4.5 node-level
+  selection cost (the aggregation of the Equation (2) cost),
 * :mod:`repro.core.low_space.partition` — ``LowSpacePartition``
   (Algorithm 4),
 * :mod:`repro.core.low_space.mis_reduction` — the list-coloring → MIS

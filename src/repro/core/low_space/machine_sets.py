@@ -1,4 +1,4 @@
-"""Machine groups ``M_v^N`` / ``M_v^C`` and Definition 4.1 classification.
+"""The low-space selection cost: Definition 4.1 at node level (Lemma 4.5).
 
 In low-space MPC a single machine cannot hold a high-degree node's whole
 neighbor list or palette, so the paper splits them across groups of machines
@@ -13,28 +13,28 @@ and the selection cost is simply the number of bad machines (Equation (2)),
 whose expectation Lemma 4.4 bounds below 1 — so a pair of hash functions
 with *no* bad machines exists and can be fixed deterministically.
 
-This module materialises the chunking deterministically (sorted neighbor /
-palette lists split into equal chunks) and classifies machines for a
-candidate hash pair; it also derives the node-level consequences used by
-Lemma 4.5 (``d'(v) < 2 d(v) n^{-δ}`` and ``d'(v) < p'(v)``).
+Definition 4.1's per-machine classification is not materialised: no
+machine group is built and no machine is classified.  Selection uses its
+node-level aggregation, the consequences Lemma 4.5 draws from "no bad
+machines" (``d'(v) < 2 d(v) n^{-δ}`` and ``d'(v) < p'(v)``), counted as
+the number of violating high-degree nodes.
 
-As in :mod:`repro.core.classification`, the selection cost has two
+As in :mod:`repro.core.classification`, that cost has two
 implementations: the per-node scalar reference (:func:`node_level_outcome`)
 and the batched :class:`LowSpaceCostEvaluator`, which runs the count
 kernels shared with the Equation (1) cost
 (:class:`repro.hashing.batch.BatchCostEvaluatorBase`) over the high-degree
 nodes and applies the Lemma 4.5 predicate — bit-identical by construction
-and by test.  ``LowSpacePartition.run`` takes the selected pair's outcome
-from :meth:`LowSpaceCostEvaluator.outcome_selected`, which keeps per-node
-arrays and builds its per-node dicts only if they are read;
+and by test.  Both fill the same per-node arrays of one
+:class:`NodeLevelOutcome`.  ``LowSpacePartition.run`` takes the selected
+pair's outcome from :meth:`LowSpaceCostEvaluator.outcome_selected`;
 :func:`node_level_outcome` is the scalar reference the differential tests
 reroute it to (``tests/scalar_oracle.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, Optional, Set
 
 import numpy as np
 
@@ -49,52 +49,6 @@ from repro.hashing.family import HashFunction
 from repro.types import BinIndex, Color, NodeId
 
 
-@dataclass
-class MachineChunk:
-    """One machine's share of a node's neighbors or palette."""
-
-    node: NodeId
-    kind: str  # "neighbors" or "colors"
-    items: Sequence[int]
-    in_bin_count: int = 0
-    is_good: bool = True
-
-
-@dataclass
-class MachineClassification:
-    """All machine chunks of one ``LowSpacePartition`` attempt."""
-
-    chunks: List[MachineChunk] = field(default_factory=list)
-    bad_machines: int = 0
-    node_in_bin_degree: Dict[NodeId, int] = field(default_factory=dict)
-    node_in_bin_palette: Dict[NodeId, int] = field(default_factory=dict)
-
-    @property
-    def cost(self) -> float:
-        """Equation (2): the number of bad machines."""
-        return float(self.bad_machines)
-
-
-def split_into_chunks(items: Sequence[int], chunk_size: int) -> List[Sequence[int]]:
-    """Split ``items`` into chunks of between ``chunk_size`` and
-    ``2 * chunk_size`` items (the paper's machine loads).
-
-    The last chunk absorbs the remainder so no chunk is smaller than
-    ``chunk_size`` (unless the whole list is shorter than that).
-    """
-    if chunk_size < 1:
-        chunk_size = 1
-    if len(items) <= 2 * chunk_size:
-        return [items] if items else []
-    chunks: List[Sequence[int]] = []
-    index = 0
-    while len(items) - index > 2 * chunk_size:
-        chunks.append(items[index : index + chunk_size])
-        index += chunk_size
-    chunks.append(items[index:])
-    return chunks
-
-
 def _key_maps(graph: Graph):
     """``(id_of, key_of)``: between a graph's node ids and the ids ``h1``
     hashes (:func:`~repro.core.low_space.partition.split_by_degree`'s
@@ -106,159 +60,69 @@ def _key_maps(graph: Graph):
     return dict(zip(keys, ids)), dict(zip(ids, keys))
 
 
-def classify_machines(
-    graph: Graph,
-    palettes: PaletteAssignment,
-    high_degree_nodes: Set[NodeId],
-    h1: HashFunction,
-    h2: HashFunction,
-    params: LowSpaceParameters,
-    num_bins: int,
-) -> MachineClassification:
-    """Classify every machine chunk for a candidate ``(h1, h2)`` pair.
-
-    Only the *high-degree* nodes (those not moved to ``G_0``) participate in
-    the partition; chunks are built for their neighbor lists, and — for nodes
-    whose bin is a color bin — for their palettes.
-    """
-    chunk_size = params.machine_chunk(graph.num_nodes)
-    num_color_bins = max(1, num_bins - 1)
-    last_bin = num_bins - 1
-    degree_slack_exp = params.degree_slack_exponent
-    palette_slack_exp = params.palette_slack_exponent
-
-    bin_of_node: Dict[NodeId, BinIndex] = {
-        node: h1(node % h1.domain_size) % num_bins for node in high_degree_nodes
-    }
-    color_bin_cache: Dict[Color, BinIndex] = {}
-
-    def color_bin(color: Color) -> BinIndex:
-        if color not in color_bin_cache:
-            color_bin_cache[color] = h2(color % h2.domain_size) % num_color_bins
-        return color_bin_cache[color]
-
-    id_of, key_of = _key_maps(graph)
-    result = MachineClassification()
-    for node in high_degree_nodes:
-        node_bin = bin_of_node[node]
-        neighbors = sorted(key_of[other] for other in graph.iter_neighbors(id_of[node]))
-        in_bin_degree = 0
-        for chunk_items in split_into_chunks(neighbors, chunk_size):
-            in_bin = sum(
-                1
-                for neighbor in chunk_items
-                if bin_of_node.get(neighbor, -1) == node_bin
-            )
-            in_bin_degree += in_bin
-            expectation = len(chunk_items) / num_bins
-            slack = max(len(chunk_items), 1) ** degree_slack_exp
-            good = abs(in_bin - expectation) <= slack
-            chunk = MachineChunk(
-                node=node, kind="neighbors", items=chunk_items, in_bin_count=in_bin, is_good=good
-            )
-            result.chunks.append(chunk)
-            if not good:
-                result.bad_machines += 1
-        result.node_in_bin_degree[node] = in_bin_degree
-
-        if node_bin != last_bin:
-            palette = sorted(palettes.palette(id_of[node]))
-            in_bin_palette = 0
-            for chunk_items in split_into_chunks(palette, chunk_size):
-                in_bin = sum(1 for color in chunk_items if color_bin(color) == node_bin)
-                in_bin_palette += in_bin
-                # Definition 4.1, literally: p'(x) > p(x) n^{-delta} + p(x)^0.7.
-                # With laptop-scale chunk sizes this condition is frequently
-                # unsatisfiable (the slack term dominates the chunk), so the
-                # scaled-mode selection uses the node-level Lemma 4.5
-                # conditions instead; this classification is the diagnostic
-                # the E5 experiment reports.
-                expectation = len(chunk_items) / num_bins
-                slack = max(len(chunk_items), 1) ** palette_slack_exp
-                good = in_bin > expectation + slack
-                chunk = MachineChunk(
-                    node=node, kind="colors", items=chunk_items, in_bin_count=in_bin, is_good=good
-                )
-                result.chunks.append(chunk)
-                if not good:
-                    result.bad_machines += 1
-            result.node_in_bin_palette[node] = in_bin_palette
-    return result
-
-
 class NodeLevelOutcome:
     """Node-level consequences of a candidate pair (Lemma 4.5).
 
-    ``violating_nodes`` is always a set.  The per-node maps
-    ``bin_of_node``, ``in_bin_degree`` and ``in_bin_palette`` are either
-    given (the scalar reference :func:`node_level_outcome` builds them) or,
-    for an outcome made by :meth:`from_arrays`, built from the arrays on
-    first access: ``LowSpacePartition.run`` reads only the violating set
-    and :meth:`bins_of`, so production builds no per-node dict.
+    Holds per-node arrays over the sorted high ids (:meth:`from_arrays`),
+    whichever path filled them: the batched
+    :meth:`LowSpaceCostEvaluator.outcome_selected` or the per-node
+    reference :func:`node_level_outcome`.  ``violating_nodes`` is a set;
+    the per-node maps ``bin_of_node``, ``in_bin_degree`` and
+    ``in_bin_palette`` are views built on first access.
+    ``LowSpacePartition.run`` reads only the violating set and
+    :meth:`bins_of`, so production builds no per-node dict.
     """
 
-    def __init__(
-        self,
-        bin_of_node: Optional[Dict[NodeId, BinIndex]],
-        in_bin_degree: Optional[Dict[NodeId, int]],
-        in_bin_palette: Optional[Dict[NodeId, int]],
-        violating_nodes: Optional[Set[NodeId]] = None,
-    ) -> None:
-        self._bin_of_node = bin_of_node
-        self._in_bin_degree = in_bin_degree
-        self._in_bin_palette = in_bin_palette
-        self.violating_nodes: Set[NodeId] = (
-            set() if violating_nodes is None else violating_nodes
-        )
-        #: ``(high, bins, d', p', in_color_bin)`` over the sorted high ids.
-        self._arrays = None
+    def __init__(self, high, bins_high, d_prime, p_prime, violates, last_bin) -> None:
+        self.high = high
+        self.bins_high = bins_high
+        self.d_prime = d_prime
+        self.p_prime = p_prime
+        self.in_color_bin = bins_high != last_bin
+        # Built in sorted-id order, as the per-node reference walks the
+        # ids: the set's insertion order decides its iteration order,
+        # which reaches the node order of the partition's MIS-path
+        # extraction.
+        self.violating_nodes: Set[NodeId] = set(high[violates].tolist())
+        self._bin_of_node: Optional[Dict[NodeId, BinIndex]] = None
+        self._in_bin_degree: Optional[Dict[NodeId, int]] = None
+        self._in_bin_palette: Optional[Dict[NodeId, int]] = None
 
     @classmethod
     def from_arrays(cls, high, bins_high, d_prime, p_prime, violates, last_bin):
         """The outcome of the per-node arrays over the sorted high ids.
 
-        ``high`` is the sorted int64 id array and ``violates`` the Lemma 4.5
-        mask over it; the violating set is built in that order, as the
-        per-node reference walk over sorted ids would.
+        ``high`` is the sorted int64 id array; ``bins_high``, ``d_prime``
+        and ``p_prime`` are aligned int64 arrays and ``violates`` the
+        Lemma 4.5 mask over it.
         """
-        outcome = cls(None, None, None, set(high[violates].tolist()))
-        outcome._arrays = (high, bins_high, d_prime, p_prime, bins_high != last_bin)
-        return outcome
+        return cls(high, bins_high, d_prime, p_prime, violates, last_bin)
 
     @property
     def bin_of_node(self) -> Dict[NodeId, BinIndex]:
         if self._bin_of_node is None:
-            high, bins_high = self._arrays[:2]
-            self._bin_of_node = dict(zip(high.tolist(), bins_high.tolist()))
+            self._bin_of_node = dict(zip(self.high.tolist(), self.bins_high.tolist()))
         return self._bin_of_node
 
     @property
     def in_bin_degree(self) -> Dict[NodeId, int]:
         if self._in_bin_degree is None:
-            high, _, d_prime = self._arrays[:3]
-            self._in_bin_degree = dict(zip(high.tolist(), d_prime.tolist()))
+            self._in_bin_degree = dict(zip(self.high.tolist(), self.d_prime.tolist()))
         return self._in_bin_degree
 
     @property
     def in_bin_palette(self) -> Dict[NodeId, int]:
+        """``p'(v)`` of the nodes in a color bin."""
         if self._in_bin_palette is None:
-            high, _, _, p_prime, in_color_bin = self._arrays
+            in_color_bin = self.in_color_bin
             self._in_bin_palette = dict(
-                zip(high[in_color_bin].tolist(), p_prime[in_color_bin].tolist())
+                zip(self.high[in_color_bin].tolist(), self.p_prime[in_color_bin].tolist())
             )
         return self._in_bin_palette
 
     def bins_of(self, nodes):
         """The bins of ``nodes`` (an int64 array of high ids), aligned."""
-        if self._arrays is None:
-            mapping = self._bin_of_node
-            return np.fromiter(
-                (mapping[node] for node in nodes.tolist()),
-                dtype=np.int64,
-                count=nodes.shape[0],
-            )
-        high, bins_high = self._arrays[:2]
-        return bins_high[np.searchsorted(high, nodes)]
+        return self.bins_high[np.searchsorted(self.high, nodes)]
 
     @property
     def cost(self) -> float:
@@ -297,13 +161,9 @@ def node_level_outcome(
         return color_bin_cache[color]
 
     id_of, key_of = _key_maps(graph)
-    in_bin_degree: Dict[NodeId, int] = {}
-    in_bin_palette: Dict[NodeId, int] = {}
-    violating: Set[NodeId] = set()
-    # Walk the ids in sorted order, as the array path does: the violating
-    # set's insertion order decides its iteration order, which reaches the
-    # node order of the partition's MIS-path extraction.
-    for node in sorted(high_degree_nodes):
+    high = sorted(high_degree_nodes)
+    bins, in_bin_degree, in_bin_palette, violates = [], [], [], []
+    for node in high:
         node_bin = bin_of_node[node]
         degree = graph.degree(id_of[node])
         d_prime = sum(
@@ -311,25 +171,28 @@ def node_level_outcome(
             for neighbor in graph.iter_neighbors(id_of[node])
             if bin_of_node.get(key_of[neighbor], -1) == node_bin
         )
-        in_bin_degree[node] = d_prime
         slack = max(
             degree**0.6, params.degree_slack(params.machine_chunk(graph.num_nodes))
         )
         threshold = degree / num_bins + slack
-        if d_prime > threshold:
-            violating.add(node)
+        violating = d_prime > threshold
+        p_prime = 0
         if node_bin != last_bin:
             p_prime = sum(
                 1 for color in palettes.palette(id_of[node]) if color_bin(color) == node_bin
             )
-            in_bin_palette[node] = p_prime
-            if p_prime <= d_prime:
-                violating.add(node)
-    return NodeLevelOutcome(
-        bin_of_node=bin_of_node,
-        in_bin_degree=in_bin_degree,
-        in_bin_palette=in_bin_palette,
-        violating_nodes=violating,
+            violating = violating or p_prime <= d_prime
+        bins.append(node_bin)
+        in_bin_degree.append(d_prime)
+        in_bin_palette.append(p_prime)
+        violates.append(violating)
+    return NodeLevelOutcome.from_arrays(
+        np.array(high, dtype=np.int64),
+        np.array(bins, dtype=np.int64),
+        np.array(in_bin_degree, dtype=np.int64),
+        np.array(in_bin_palette, dtype=np.int64),
+        np.array(violates, dtype=bool),
+        last_bin,
     )
 
 
@@ -492,9 +355,8 @@ def low_space_cost_function(
     """The selection cost: number of nodes violating the Lemma 4.5 conditions.
 
     Using the node-level aggregation keeps each cost evaluation linear in the
-    instance size; the machine-level classification (Equation (2) proper) is
-    available via :func:`classify_machines` and is what the low-space
-    experiments report.  The returned :class:`LowSpaceCostEvaluator` is a
+    instance size; the machine-level count of Equation (2) proper is not
+    computed (see the module docstring).  The returned :class:`LowSpaceCostEvaluator` is a
     plain ``(h1, h2) -> float`` callable that additionally exposes a
     batched ``many`` method for the vectorized selection path.
     """

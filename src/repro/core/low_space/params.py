@@ -5,8 +5,9 @@ The paper sets ``δ = ε/22`` and uses
 * ``n^δ`` bins per level of ``LowSpacePartition``,
 * degree threshold ``n^{7δ}`` below which nodes are moved to ``G_0`` and
   colored via the MIS reduction,
-* machine chunks of between ``n^{7δ}`` and ``2 n^{7δ}`` neighbors/colors for
-  the Definition 4.1 classification.
+* machine chunks of between ``n^{7δ}`` and ``2 n^{7δ}`` neighbors/colors
+  (Definition 4.1), whose size sets the degree slack of the Lemma 4.5
+  node-level selection cost.
 
 As with the linear-space parameters, the literal exponents only separate
 from small constants at astronomically large ``n``; the scaled mode fixes
@@ -37,7 +38,6 @@ class LowSpaceParameters(RunParameters):
     low_degree_threshold_override: Optional[int] = None
     machine_chunk_override: Optional[int] = None
     degree_slack_exponent: float = 0.6
-    palette_slack_exponent: float = 0.7
     independence: int = 4
     max_recursion_depth: int = 20
 
@@ -117,7 +117,8 @@ class LowSpaceParameters(RunParameters):
         return max(2, int(math.floor(math.pow(num_nodes, 7.0 * self.delta))))
 
     def machine_chunk(self, num_nodes: int) -> int:
-        """Chunk size for the ``M_v^N`` / ``M_v^C`` machine groups."""
+        """Chunk size of the ``M_v^N`` / ``M_v^C`` machine groups; it sets
+        the degree slack of the node-level selection cost."""
         if self.machine_chunk_override is not None:
             return self.machine_chunk_override
         return max(1, self.low_degree_threshold(num_nodes))
@@ -125,7 +126,3 @@ class LowSpaceParameters(RunParameters):
     def degree_slack(self, chunk_size: int) -> float:
         """The ``d(x)^0.6`` slack of Definition 4.1."""
         return math.pow(max(chunk_size, 1), self.degree_slack_exponent)
-
-    def palette_slack(self, chunk_size: int) -> float:
-        """The ``p(x)^0.7`` slack of Definition 4.1."""
-        return math.pow(max(chunk_size, 1), self.palette_slack_exponent)

@@ -25,11 +25,7 @@ from typing import List, Optional, Set, Tuple
 import numpy as np
 
 from repro.core.classification import color_bin_arrays, hash_families
-from repro.core.low_space.machine_sets import (
-    MachineClassification,
-    classify_machines,
-    low_space_cost_function,
-)
+from repro.core.low_space.machine_sets import low_space_cost_function
 from repro.core.low_space.params import LowSpaceParameters
 from repro.core.partition import ColorBinInstance
 from repro.derand.conditional_expectation import (
@@ -56,11 +52,6 @@ class LowSpacePartitionResult:
     leftover: ColorBinInstance
     num_bins: int
     num_violating_nodes: int
-    machine_classification: Optional[MachineClassification] = None
-
-    @property
-    def high_degree_count(self) -> int:
-        return sum(bin_.graph.num_nodes for bin_ in self.color_bins) + self.leftover.graph.num_nodes
 
 
 def split_by_degree(graph: Graph, threshold: float) -> Tuple[Set[NodeId], Set[NodeId]]:
@@ -93,8 +84,6 @@ class LowSpacePartition:
         palettes: PaletteAssignment,
         global_nodes: int,
         charge=None,
-        strategy: SelectionStrategy = SelectionStrategy.FIRST_FEASIBLE,
-        classify_machine_level: bool = False,
         salt: int = 0,
         cost=None,
         poll=None,
@@ -102,8 +91,8 @@ class LowSpacePartition:
         """Execute Algorithm 4 on one instance.
 
         ``charge`` is an optional ``charge(label, rounds)`` callback for
-        round accounting; ``classify_machine_level`` additionally computes
-        the Definition 4.1 machine classification for reporting; ``salt``
+        round accounting; the hash pair is selected with
+        :attr:`~repro.derand.SelectionStrategy.FIRST_FEASIBLE`; ``salt``
         decorrelates the candidate-seed sequences of different recursive
         calls (see :meth:`repro.core.partition.Partition.select_hash_pair`);
         ``poll`` is the durable run's guard callback
@@ -146,7 +135,7 @@ class LowSpacePartition:
                 cost=0.0,
                 evaluations=0,
                 rounds_charged=0,
-                strategy=strategy,
+                strategy=SelectionStrategy.FIRST_FEASIBLE,
             )
             return LowSpacePartitionResult(
                 h1=identity,
@@ -177,7 +166,6 @@ class LowSpacePartition:
         selector = HashPairSelector(
             family1,
             family2,
-            strategy=strategy,
             batch_size=self.params.selection_batch_size,
             max_candidates=self.params.selection_max_candidates,
             candidate_salt=salt,
@@ -213,11 +201,6 @@ class LowSpacePartition:
             # post-selection outcome shards ride for free.
             scorer = parallel_many_scorer(cost, self.params.parallel_workers)
         outcome = cost.outcome_selected(h1, h2, scorer=scorer)
-        machine_classification = None
-        if classify_machine_level:
-            machine_classification = classify_machines(
-                graph, palettes, high_degree_nodes, h1, h2, self.params, num_bins
-            )
 
         # Build the bin instances.  Nodes that still violate the conditions
         # (possible only in scaled mode, within the small allowance) are
@@ -276,5 +259,4 @@ class LowSpacePartition:
             leftover=leftover,
             num_bins=num_bins,
             num_violating_nodes=len(violating),
-            machine_classification=machine_classification,
         )

@@ -16,9 +16,10 @@ particular cost function:
   step), exhaustive search for small families, and a seeded random choice
   for the randomized baselines.
 
-The concrete cost functions (Equation (1): bad nodes + n * bad bins;
-Equation (2): bad machines) live next to the algorithms that define them, in
-:mod:`repro.core.classification`.
+The concrete cost functions live next to the algorithms that define them:
+Equation (1) (bad nodes + n * bad bins) in :mod:`repro.core.classification`,
+and the node-level aggregation of Equation (2) (bad machines) in
+:mod:`repro.core.low_space.machine_sets`.
 """
 
 from repro.derand.conditional_expectation import (

@@ -41,23 +41,24 @@ This module implements that search plus three companions:
 
 Batched scoring
 ---------------
-All deterministic strategies accept *batched* cost functions: any cost
-exposing ``many(pairs) -> values`` (e.g. the evaluators returned by
+Every strategy scores its candidates through one batch scorer,
+``pairs -> values``: a feasibility-scan batch, an exhaustive batch, one
+chunk's candidate x completion set of the conditional-expectation search,
+and the single pair of ``RANDOM`` or of the search's final seed.  A cost
+exposing ``many(pairs) -> values`` (the evaluators returned by
 :func:`repro.core.classification.partition_cost_function` and
-:func:`repro.core.low_space.machine_sets.low_space_cost_function`) has each
-candidate batch — a feasibility-scan batch, an exhaustive batch, or one
-chunk's candidate x completion set of the conditional-expectation search —
-scored as a single matrix computation on the vectorized hash kernels
-(:mod:`repro.hashing.batch`).  The conditional-expectation search
-additionally caches scores by full joint seed across chunks, since fixing a
-chunk makes later candidate seeds a subset of seeds already scored.
-Batched costs are required to be bit-identical to their scalar form, so the
-selected pair, its cost, and all accounting (``evaluations``,
-``rounds_charged``) are independent of the path.  A plain callable without
-``many`` takes the scalar per-pair scan, which is how the kernel benchmarks
-time the reference; the differential tests' oracle
-(``tests/scalar_oracle.py``) forces the same scan by disabling
-:meth:`HashPairSelector._batch_cost`.
+:func:`repro.core.low_space.machine_sets.low_space_cost_function`) is its
+own scorer: one matrix computation per call on the vectorized hash kernels
+(:mod:`repro.hashing.batch`).  A plain ``(h1, h2) -> float`` callable is
+lifted at the door to the per-pair list ``[cost(h1, h2) for ...]``, which
+is how the kernel benchmarks time the reference; the differential tests'
+oracle (``tests/scalar_oracle.py``) lifts an evaluator's scalar
+``__call__`` the same way.  The conditional-expectation search caches
+scores by full joint seed across chunks, since fixing a chunk makes later
+candidate seeds a subset of seeds already scored.  ``many`` is required to
+be bit-identical to the scalar form, so the selected pair, its cost, and
+all accounting (``evaluations``, ``rounds_charged``) are independent of
+the scorer.
 
 Multiprocess scoring
 --------------------
@@ -240,7 +241,7 @@ class HashPairSelector:
         return SelectionOutcome(
             h1=h1,
             h2=h2,
-            cost=cost(h1, h2),
+            cost=self._batch_cost(cost)([(h1, h2)])[0],
             evaluations=1,
             rounds_charged=ROUNDS_PER_SELECTION_STEP,
             strategy=SelectionStrategy.RANDOM,
@@ -255,9 +256,7 @@ class HashPairSelector:
         batch_cost = self._batch_cost(cost)
         for batch in self._candidate_batches():
             steps += 1
-            values = batch_cost(batch) if batch_cost is not None else None
-            for index, (h1, h2) in enumerate(batch):
-                value = values[index] if values is not None else cost(h1, h2)
+            for (h1, h2), value in zip(batch, batch_cost(batch)):
                 evaluations += 1
                 if best is None or value < best[0]:
                     best = (value, h1, h2)
@@ -285,19 +284,16 @@ class HashPairSelector:
         steps = 0
         best: Optional[Tuple[float, HashFunction, HashFunction]] = None
         batch_cost = self._batch_cost(cost)
-        probe_pending = batch_cost is not None
+        probe_pending = True
         for batch in self._candidate_batches():
             steps += 1
             # One matrix computation scores the whole batch (in the model:
-            # the batch's concurrent prefix sums); the scan semantics —
-            # evaluations counted up to the first feasible candidate, in
-            # candidate order — are identical to the scalar path.  The very
-            # first candidate is scored alone, through the batch kernel:
-            # Lemma 3.8 makes it feasible a constant fraction of the time,
-            # so the rest of the batch is often never needed.
-            if batch_cost is None:
-                values = None
-            elif probe_pending:
+            # the batch's concurrent prefix sums); evaluations are counted
+            # up to the first feasible candidate, in candidate order.  The
+            # very first candidate is scored alone: Lemma 3.8 makes it
+            # feasible a constant fraction of the time, so the rest of the
+            # batch is often never needed.
+            if probe_pending:
                 probe_pending = False
                 head = batch_cost(batch[:1])[0]
                 if target_bound is None or head <= target_bound:
@@ -306,8 +302,7 @@ class HashPairSelector:
                     values = [head] + list(batch_cost(batch[1:]))
             else:
                 values = batch_cost(batch)
-            for index, (h1, h2) in enumerate(batch):
-                value = values[index] if values is not None else cost(h1, h2)
+            for (h1, h2), value in zip(batch, values):
                 evaluations += 1
                 if best is None or value < best[0]:
                     best = (value, h1, h2)
@@ -352,34 +347,23 @@ class HashPairSelector:
             chunk_width = min(self.chunk_bits, total_bits - len(prefix))
             best_value: Optional[float] = None
             best_candidate = 0
-            if batch_cost is not None:
-                estimates, used = self._chunk_estimates_batched(
-                    batch_cost,
-                    prefix,
-                    chunk_width,
-                    total_bits,
-                    max(remaining_after, 0),
-                    score_cache,
-                )
-                evaluations += used
-                for candidate, estimate in enumerate(estimates):
-                    if best_value is None or estimate < best_value:
-                        best_value = estimate
-                        best_candidate = candidate
-            else:
-                for candidate in enumerate_chunk_values(chunk_width):
-                    candidate_prefix = prefix.extended(candidate, chunk_width)
-                    estimate, used = self._conditional_estimate(
-                        cost, candidate_prefix, total_bits, max(remaining_after, 0)
-                    )
-                    evaluations += used
-                    if best_value is None or estimate < best_value:
-                        best_value = estimate
-                        best_candidate = candidate
+            estimates, used = self._chunk_estimates(
+                batch_cost,
+                prefix,
+                chunk_width,
+                total_bits,
+                max(remaining_after, 0),
+                score_cache,
+            )
+            evaluations += used
+            for candidate, estimate in enumerate(estimates):
+                if best_value is None or estimate < best_value:
+                    best_value = estimate
+                    best_candidate = candidate
             prefix = prefix.extended(best_candidate, chunk_width)
             steps += 1
         h1, h2 = self._pair_from_joint_seed(prefix)
-        final_cost = cost(h1, h2)
+        final_cost = batch_cost([(h1, h2)])[0]
         evaluations += 1
         self._charge(charge, steps)
         rounds = steps * ROUNDS_PER_SELECTION_STEP
@@ -401,18 +385,19 @@ class HashPairSelector:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _batch_cost(self, cost: PairCost):
-        """The cost's vectorized batch scorer, if it offers one.
+    def _batch_cost(self, cost: PairCost) -> Callable[[list], list]:
+        """The scorer every strategy reads: ``pairs -> values``.
 
         A batched cost is any callable with a ``many(pairs) -> values``
         method returning exactly ``[cost(h1, h2) for h1, h2 in pairs]``
         (the evaluators in :mod:`repro.core.classification` and
         :mod:`repro.core.low_space.machine_sets` guarantee bit-identical
-        values, so selection outcomes are independent of the path taken).
+        values, so selection outcomes are independent of the scorer).  A
+        plain callable is lifted to that per-pair list here, once.
         """
         many = getattr(cost, "many", None)
         if not callable(many):
-            return None
+            return lambda pairs: [cost(h1, h2) for h1, h2 in pairs]
         if self.parallel_workers > 1:
             from repro.parallel.executor import parallel_many_scorer
 
@@ -432,27 +417,7 @@ class HashPairSelector:
             for index in range(self.completion_samples)
         ]
 
-    def _conditional_estimate(
-        self,
-        cost: PairCost,
-        candidate_prefix: Seed,
-        total_bits: int,
-        remaining_bits: int,
-    ) -> Tuple[float, int]:
-        """Estimate ``E[cost | prefix]`` by averaging over completions.
-
-        Returns the estimate and the number of cost evaluations used.
-        """
-        total = 0.0
-        count = 0
-        for completion in self._completions(remaining_bits):
-            full = self._complete_seed(candidate_prefix, completion, total_bits)
-            h1, h2 = self._pair_from_joint_seed(full)
-            total += cost(h1, h2)
-            count += 1
-        return total / count, count
-
-    def _chunk_estimates_batched(
+    def _chunk_estimates(
         self,
         batch_cost,
         prefix: Seed,
@@ -463,14 +428,14 @@ class HashPairSelector:
     ) -> Tuple[List[float], int]:
         """All candidate estimates of one chunk as one matrix computation.
 
-        Every (candidate, completion) full seed of the chunk is assembled
-        first; seeds not in ``score_cache`` are scored with a single
-        ``many`` call, and the per-candidate averages are then formed in
-        completion order — the same float additions in the same order as
-        the scalar path, so estimates (and the argmin) are bit-identical.
-        The model cost is unchanged: ``evaluations`` counts every
-        (candidate, completion) pair exactly like the scalar path, cache
-        hits included — the cache removes recomputation, not model work.
+        ``E[cost | prefix]`` of each candidate prefix is the average of the
+        cost over its completions (:meth:`_completions`).  Every
+        (candidate, completion) full seed of the chunk is assembled first;
+        seeds not in ``score_cache`` are scored with a single
+        ``batch_cost`` call, and the per-candidate averages are then formed
+        in completion order.  ``evaluations`` counts every (candidate,
+        completion) pair, cache hits included — the cache removes
+        recomputation, not model work.
         """
         completions = list(self._completions(remaining_bits))
         keys_per_candidate: List[List[Tuple[int, ...]]] = []

@@ -75,21 +75,6 @@ def empirical_expected_cost(
     return total / num_samples
 
 
-def cost_over_seed_ints(
-    cost: PairCost,
-    family1: KWiseIndependentFamily,
-    family2: KWiseIndependentFamily,
-    pairs: Sequence[Tuple[int, int]],
-) -> Sequence[float]:
-    """Evaluate the cost for an explicit list of ``(seed1, seed2)`` integers."""
-    results = []
-    for seed1, seed2 in pairs:
-        h1 = family1.from_seed_int(seed1)
-        h2 = family2.from_seed_int(seed2)
-        results.append(cost(h1, h2))
-    return results
-
-
 def is_feasible(
     cost: PairCost,
     h1: HashFunction,

@@ -49,10 +49,6 @@ class BandwidthExceededError(ModelViolationError):
     """Raised when a congested-clique node exceeds its per-round bandwidth."""
 
 
-class InvariantViolationError(ReproError):
-    """Raised when the Lemma 3.2 / Corollary 3.3 invariant is violated."""
-
-
 class DerandomizationError(ReproError):
     """Raised when conditional-expectation seed selection cannot find a seed
     meeting the required cost bound (should not happen if the cost analysis

@@ -54,11 +54,6 @@ class Machine:
         """Free all local space (end of a phase)."""
         self.used_words = 0
 
-    @property
-    def free_words(self) -> int:
-        """Remaining local space."""
-        return self.capacity_words - self.used_words
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Machine(id={self.machine_id}, used={self.used_words}/"

@@ -22,7 +22,7 @@ from __future__ import annotations
 import contextlib
 import signal as _signal
 import threading
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.accounting import RunDurability
 from repro.errors import RunAbortedError, RunInterrupted
@@ -224,11 +224,3 @@ class DurableRun:
         except Exception:  # pragma: no cover - cleanup is best-effort
             pass
         raise error
-
-
-def restored_ancestors(entries: Dict[int, Dict[str, Any]]) -> Tuple[int, ...]:
-    """All salts appearing as ancestors across a frontier (diagnostics)."""
-    seen = set()
-    for entry in entries.values():
-        seen.update(entry["ancestors"])
-    return tuple(sorted(seen))

@@ -6,7 +6,8 @@ reference — in this module, or in production where it still runs them
 (the small-instance greedy loop) — and :func:`scalar_reference` reroutes
 every array entry point the drivers call to it:
 
-* ``HashPairSelector._batch_cost`` -> ``None`` (the per-pair scan),
+* ``HashPairSelector._batch_cost`` -> the per-pair lift over the cost's
+  scalar ``__call__`` (:func:`_scalar_batch_cost`),
 * ``PartitionCostEvaluator.classify_selected`` -> ``classify_partition``
   plus ``color_bin_map`` / :func:`restricted_to`,
 * ``LowSpaceCostEvaluator.outcome_selected`` -> ``node_level_outcome``,
@@ -271,8 +272,34 @@ def rank_oracle(flat):
     return universe, np.searchsorted(universe, flat)
 
 
+def prune_palette_sets(sets, graph, coloring):
+    """The per-neighbor pruning loop over a ``node -> palette set`` dict.
+
+    Returns ``(pruned, removed)``: a new dict in ``sets``' node order, each
+    palette of a node of ``graph`` without the colors of its colored
+    neighbors, and the number of entries removed.  ``sets`` and its sets
+    are left untouched.
+    """
+    pruned = dict(sets)
+    removed = 0
+    for node in pruned:
+        if node not in graph:
+            continue
+        blocked = {
+            coloring[neighbor]
+            for neighbor in graph.iter_neighbors(node)
+            if neighbor in coloring
+        }
+        hit = pruned[node] & blocked
+        if hit:
+            pruned[node] = pruned[node] - hit
+            removed += len(hit)
+    return pruned, removed
+
+
 def remove_colors_used_by_neighbors(palettes, graph, coloring):
-    """``remove_colors_used_by_neighbors_batch`` as a per-neighbor loop.
+    """``remove_colors_used_by_neighbors_batch`` as a per-neighbor loop
+    (:func:`prune_palette_sets` over the palettes' sets).
 
     Prunes ``palettes`` in place (installs a store rebuilt with
     ``from_lists``, so copies sharing the old store are untouched) and
@@ -282,20 +309,9 @@ def remove_colors_used_by_neighbors(palettes, graph, coloring):
     if isinstance(coloring, RunColoring):
         painted = np.flatnonzero(coloring.colored)
         coloring = dict(zip(painted.tolist(), coloring.colors[painted].tolist()))
-    sets = {node: palettes.palette(node) for node in palettes.nodes()}
-    removed = 0
-    for node in list(sets):
-        if node not in graph:
-            continue
-        blocked = {
-            coloring[neighbor]
-            for neighbor in graph.iter_neighbors(node)
-            if neighbor in coloring
-        }
-        hit = sets[node] & blocked
-        if hit:
-            sets[node] = sets[node] - hit
-            removed += len(hit)
+    sets, removed = prune_palette_sets(
+        {node: palettes.palette(node) for node in palettes.nodes()}, graph, coloring
+    )
     palettes._store = PaletteAssignment.from_lists(sets).store()
     return removed
 
@@ -303,8 +319,8 @@ def remove_colors_used_by_neighbors(palettes, graph, coloring):
 # ----------------------------------------------------------------------
 # the scalar references, with the signatures of the entry points they replace
 # ----------------------------------------------------------------------
-def _no_batch_cost(self, cost):
-    return None
+def _scalar_batch_cost(self, cost):
+    return lambda pairs: [cost(h1, h2) for h1, h2 in pairs]
 
 
 def _classify_selected(self, h1, h2, scorer=None, precomputed_counts=None):
@@ -425,7 +441,7 @@ def _subset_updated(self, nodes, graph, coloring):
 #: ``(owner, attribute, scalar reference)``; the counter key is
 #: ``"Owner.attribute"`` for classes and the bare attribute for modules.
 REROUTES = (
-    (HashPairSelector, "_batch_cost", _no_batch_cost),
+    (HashPairSelector, "_batch_cost", _scalar_batch_cost),
     (PartitionCostEvaluator, "classify_selected", _classify_selected),
     (LowSpaceCostEvaluator, "outcome_selected", _outcome_selected),
     (LowSpaceCostEvaluator, "_prepare", scalar_low_space_prepare),

@@ -325,6 +325,7 @@ class TestSelectionEquivalence:
             SelectionStrategy.FIRST_FEASIBLE,
             SelectionStrategy.EXHAUSTIVE,
             SelectionStrategy.CONDITIONAL_EXPECTATION,
+            SelectionStrategy.RANDOM,
         ],
     )
     def test_selected_seeds_identical(self, monkeypatch, strategy):

@@ -38,10 +38,9 @@ class TestLocalColoring:
 
     def test_greedy_avoids_external_colors(self, triangle):
         palettes = PaletteAssignment.from_lists({0: [0, 1], 1: [0, 1], 2: [0, 1, 2]})
-        external = {99: 0}
         graph = Graph(edges=[(0, 1), (1, 2), (0, 2), (0, 99)])
         sub = graph.induced_subgraph([0, 1, 2])
-        coloring = greedy_list_coloring(sub, palettes, already_colored=external)
+        coloring = greedy_list_coloring(sub, palettes)
         # Node 0 is adjacent to 99 (colored 0) in the parent graph, but the
         # subgraph does not contain 99, so only palette/edge constraints of
         # the subgraph apply here.

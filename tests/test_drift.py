@@ -5,7 +5,10 @@ come back only at the door (``docs/ARCHITECTURE.md``, "Labels only at the
 door").  The id-to-position translations that design removed must not
 come back under their old names.  Nor may the second backing of
 ``Graph`` and ``PaletteAssignment`` (adjacency and palette sets next to
-the arrays; "One backing per object").
+the arrays; "One backing per object").  Nor may the partition step's
+second paths: the per-pair selection bodies, the machine-level
+classification, the local greedy's order and recolor options, and the
+helpers nothing called.
 """
 
 from __future__ import annotations
@@ -45,3 +48,16 @@ def test_retired_id_translations_stay_out_of_src():
 def test_retired_sets_backing_stays_out_of_src():
     hits = _hits(RETIRED_BACKING)
     assert not hits, "retired sets backing in src/:\n" + "\n".join(hits)
+
+
+#: The retired partition-step paths and the options no caller set.
+RETIRED_PATHS = re.compile(
+    r"classify_machine_level|classify_machines|MachineChunk|split_into_chunks"
+    r"|_conditional_estimate|already_colored|external_of_position"
+    r"|cost_over_seed_ints|restored_ancestors"
+)
+
+
+def test_retired_partition_paths_stay_out_of_src():
+    hits = _hits(RETIRED_PATHS)
+    assert not hits, "retired partition-step paths in src/:\n" + "\n".join(hits)

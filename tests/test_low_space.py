@@ -9,11 +9,7 @@ from repro.core.low_space import (
     LowSpaceParameters,
     LowSpacePartition,
 )
-from repro.core.low_space.machine_sets import (
-    classify_machines,
-    node_level_outcome,
-    split_into_chunks,
-)
+from repro.core.low_space.machine_sets import node_level_outcome
 from repro.graph import Graph, PaletteAssignment, generators
 from repro.graph.validation import assert_valid_list_coloring
 from repro.hashing.family import KWiseIndependentFamily
@@ -27,16 +23,6 @@ def medium_graph():
 
 
 class TestMachineSets:
-    def test_split_into_chunks_sizes(self):
-        items = list(range(100))
-        chunks = split_into_chunks(items, 16)
-        assert sum(len(chunk) for chunk in chunks) == 100
-        assert all(16 <= len(chunk) <= 32 for chunk in chunks)
-
-    def test_split_small_list_single_chunk(self):
-        assert split_into_chunks([1, 2, 3], 16) == [[1, 2, 3]]
-        assert split_into_chunks([], 16) == []
-
     def test_node_level_outcome_consistency(self, medium_graph):
         params = LowSpaceParameters.scaled(num_bins=3, low_degree_threshold=6)
         palettes = PaletteAssignment.degree_plus_one(medium_graph)
@@ -54,22 +40,6 @@ class TestMachineSets:
         assert set(outcome.bin_of_node) == high
         for node in high:
             assert outcome.in_bin_degree[node] <= medium_graph.degree(node)
-
-    def test_classify_machines_produces_chunks(self, medium_graph):
-        params = LowSpaceParameters.scaled(num_bins=3, low_degree_threshold=6, machine_chunk=8)
-        palettes = PaletteAssignment.degree_plus_one(medium_graph)
-        high = {
-            node for node in medium_graph.nodes() if medium_graph.degree(node) > 6
-        }
-        family1 = KWiseIndependentFamily(medium_graph.num_nodes, 3, 4)
-        family2 = KWiseIndependentFamily(medium_graph.num_nodes**2, 2, 4)
-        result = classify_machines(
-            medium_graph, palettes, high, family1.from_seed_int(5), family2.from_seed_int(7),
-            params, 3,
-        )
-        assert result.chunks
-        assert result.bad_machines >= 0
-        assert set(result.node_in_bin_degree) == high
 
 
 class TestLowSpacePartition:

@@ -26,7 +26,6 @@ from scalar_oracle import (
 
 from repro.core.color_reduce import ColorReduce
 from repro.core.local_coloring import (
-    _FALLBACK,
     _greedy_over_arrays,
     _greedy_scalar,
     greedy_list_coloring,
@@ -305,26 +304,13 @@ class TestGreedyBatchEdges:
         palettes = PaletteAssignment.delta_plus_one(graph)
         assert greedy_list_coloring(graph, palettes) == _greedy_scalar(graph, palettes)
 
-    def test_custom_order_and_duplicates(self):
-        # A repeated order entry re-colors the node sequentially; the array
-        # sweep must hand over to the scalar loop (its rank filter would
-        # otherwise drop the first pass's edges).  This order diverges if
-        # the duplicate is mishandled: node 1 must see node 0's first color.
-        graph = Graph(edges=[(0, 1), (1, 2)])
-        palettes = PaletteAssignment.from_lists({node: [0, 1] for node in range(3)})
-        order = [0, 1, 0, 2]
-        assert _greedy_over_arrays(graph, palettes, order, None) is _FALLBACK
-        scalar = _greedy_scalar(graph, palettes, order=order)
-        assert greedy_list_coloring(graph, palettes, order=order) == scalar
-        assert scalar == {0: 0, 1: 1, 2: 0}
-
     def test_coloring_error_parity(self):
         graph = Graph(edges=[(0, 1), (0, 2), (1, 2)])
         palettes = PaletteAssignment.from_lists({0: [0], 1: [0], 2: [0]})
         with pytest.raises(ColoringError) as scalar_error:
             _greedy_scalar(graph, palettes)
         with pytest.raises(ColoringError) as batch_error:
-            _greedy_over_arrays(graph, palettes, None, None)
+            _greedy_over_arrays(graph, palettes)
         assert str(batch_error.value) == str(scalar_error.value)
 
     def test_non_interval_palettes_take_scan_path(self):
@@ -333,7 +319,7 @@ class TestGreedyBatchEdges:
             {0: [10, 40, 70], 1: [10, 40, 70, 90], 2: [20, 40, 80, 90], 3: [5, 90]}
         )
         scalar = _greedy_scalar(graph, palettes)
-        assert _greedy_over_arrays(graph, palettes, None, None) == scalar
+        assert _greedy_over_arrays(graph, palettes) == scalar
 
 
 # ----------------------------------------------------------------------

@@ -127,7 +127,6 @@ class TestLowSpaceParameters:
     def test_slacks(self):
         params = LowSpaceParameters()
         assert params.degree_slack(100) == pytest.approx(100**0.6)
-        assert params.palette_slack(100) == pytest.approx(100**0.7)
 
     def test_invalid(self):
         with pytest.raises(ConfigurationError):

@@ -676,17 +676,8 @@ class TestGreedyBatchEquivalence:
     def test_default_order_matches(self, data):
         graph, palettes = data
         scalar = _greedy_scalar(graph, palettes)
-        assert _greedy_over_arrays(graph, palettes, None, None) == scalar
+        assert _greedy_over_arrays(graph, palettes) == scalar
         assert greedy_list_coloring(graph, palettes) == scalar
-
-    @SETTINGS
-    @given(graphs_with_palettes(), st.dictionaries(st.integers(0, 39), st.integers(0, 60)))
-    def test_already_colored_recolor_path_matches(self, data, external):
-        # graph nodes present in ``external`` are recolored from scratch;
-        # their hints still block neighbors processed before them
-        graph, palettes = data
-        scalar = _greedy_scalar(graph, palettes, already_colored=external)
-        assert _greedy_over_arrays(graph, palettes, None, external) == scalar
 
     @SETTINGS
     @given(graphs(max_nodes=15), st.integers(min_value=1, max_value=3))
@@ -705,7 +696,7 @@ class TestGreedyBatchEquivalence:
         except ColoringError as exc:
             scalar_error = str(exc)
         try:
-            batched = _greedy_over_arrays(graph, palettes, None, None)
+            batched = _greedy_over_arrays(graph, palettes)
         except ColoringError as exc:
             batch_error = str(exc)
         assert scalar_error == batch_error
