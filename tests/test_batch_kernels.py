@@ -354,6 +354,45 @@ class TestSelectionEquivalence:
         assert batched.rounds_charged == scalar.rounds_charged
         assert batched.fallback_used == scalar.fallback_used
 
+    @pytest.mark.parametrize(
+        "strategy",
+        [
+            SelectionStrategy.FIRST_FEASIBLE,
+            SelectionStrategy.EXHAUSTIVE,
+            SelectionStrategy.CONDITIONAL_EXPECTATION,
+            SelectionStrategy.RANDOM,
+        ],
+    )
+    def test_plain_callable_cost_selects_like_the_evaluator(self, strategy):
+        # A cost without ``many`` is lifted to a per-pair scorer at the door
+        # and must reach the same seeds, counts and value as ``many``.
+        _, _, params, ell, cost, family1, family2 = _partition_setup()
+        target = params.cost_target(ell, cost.graph.num_nodes)
+
+        def plain(h1, h2):
+            return cost(h1, h2)
+
+        def select(scored):
+            selector = HashPairSelector(
+                family1,
+                family2,
+                strategy=strategy,
+                max_candidates=128,
+                chunk_bits=4,
+                completion_samples=2,
+                exact_completion_bits=4,
+                candidate_salt=3,
+            )
+            return selector.select(scored, target_bound=target)
+
+        batched, lifted = select(cost), select(plain)
+        assert lifted.h1.seed == batched.h1.seed
+        assert lifted.h2.seed == batched.h2.seed
+        assert lifted.cost == batched.cost
+        assert lifted.evaluations == batched.evaluations
+        assert lifted.rounds_charged == batched.rounds_charged
+        assert lifted.fallback_used == batched.fallback_used
+
     def test_color_reduce_coloring_identical(self, monkeypatch):
         graph = erdos_renyi(200, 0.06, seed=23)
         params = ColorReduceParameters.scaled(num_bins=3, level_use_batch=False)

@@ -321,6 +321,29 @@ class TestGreedyBatchEdges:
         scalar = _greedy_scalar(graph, palettes)
         assert _greedy_over_arrays(graph, palettes) == scalar
 
+    def test_unaligned_store_matches_scalar(self):
+        # A user instance (``baselines/greedy_sequential``): palette rows in
+        # another order than the graph's nodes, plus a node outside the graph.
+        graph = power_law(80, attachment=3, seed=5)
+        lists = {
+            node: list(range(graph.degree(node) + 1))
+            for node in reversed(list(graph.nodes()))
+        }
+        lists[10_000] = [0]
+        palettes = PaletteAssignment.from_lists(lists)
+        scalar = _greedy_scalar(graph, palettes)
+        assert _greedy_over_arrays(graph, palettes) == scalar
+        assert greedy_list_coloring(graph, palettes) == scalar
+
+    def test_unaligned_missing_palette_error_parity(self):
+        graph = Graph(edges=[(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+        palettes = PaletteAssignment.from_lists({0: [0, 1], 1: [0, 1, 2], 3: [0, 1, 2]})
+        with pytest.raises(PaletteError) as scalar_error:
+            _greedy_scalar(graph, palettes)
+        with pytest.raises(PaletteError) as batch_error:
+            _greedy_over_arrays(graph, palettes)
+        assert str(batch_error.value) == str(scalar_error.value)
+
 
 # ----------------------------------------------------------------------
 # tier-1 guard: the scalar oracle changes nothing observable, endgame included

@@ -144,6 +144,18 @@ class TestLowSpaceParameters:
         with pytest.raises(TypeError):
             LowSpaceParameters(mis_independence=4)
 
+    def test_palette_slack_is_gone(self):
+        # Only the machine-level classification read it; the fingerprint,
+        # which hashes every field, no longer carries it either.
+        from dataclasses import fields
+
+        with pytest.raises(TypeError):
+            LowSpaceParameters(palette_slack_exponent=0.7)
+        assert not hasattr(LowSpaceParameters(), "palette_slack")
+        assert "palette_slack_exponent" not in {
+            spec.name for spec in fields(LowSpaceParameters)
+        }
+
 
 class TestSharedValidation:
     """Selection, pool and depth-cap knobs are validated at construction, in

@@ -292,6 +292,11 @@ def test_cache_key_ignores_durability_knobs(tmp_path):
             {"edges": EDGES, "algorithm": "low-space", "params": {"parallel_shard_timeout": 30.0}},
             "unknown parameter",
         ),
+        # the machine-level classification's slack went with it
+        (
+            {"edges": EDGES, "algorithm": "low-space", "params": {"palette_slack_exponent": 0.7}},
+            "unknown parameter",
+        ),
     ],
 )
 def test_invalid_submissions_rejected(make_service, body, fragment):
