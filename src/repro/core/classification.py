@@ -351,10 +351,9 @@ def classify_partition(
       ``p'`` for bin ``l^0.1``);
     * a bin is good iff it has fewer than ``2 n_G / B + n^0.6`` nodes.
 
-    When ``params.enforce_palette_surplus`` is set, a color-bin node whose
-    restricted palette is not strictly larger than its in-bin degree is also
-    marked bad (guaranteeing the recursive instance stays colorable even in
-    scaled mode).
+    A color-bin node whose restricted palette is not strictly larger than
+    its in-bin degree is also marked bad (guaranteeing the recursive
+    instance stays colorable even in scaled mode).
     """
     num_bins = params.num_bins(ell)
     num_color_bins = max(1, num_bins - 1)
@@ -369,7 +368,7 @@ def classify_partition(
     # guaranteed, so the classification keeps only the conditions that drive
     # correctness (palette strictly exceeds in-bin degree, enforced below)
     # and degree reduction.
-    literal_palette_condition = not params.is_scaled and not params.bins_are_clamped(ell)
+    literal_palette_condition = params.literal_regime(ell)
 
     csr = graph.csr()
     bin_of_node: Dict[NodeId, BinIndex] = {
@@ -414,11 +413,7 @@ def classify_partition(
                 and in_bin_palette < palette_size / num_bins + palette_slack
             ):
                 reason_code = 2  # palette shortfall
-            if (
-                not reason_code
-                and params.enforce_palette_surplus
-                and in_bin_palette <= in_bin_degree
-            ):
+            if not reason_code and in_bin_palette <= in_bin_degree:
                 reason_code = 3  # palette does not exceed in-bin degree
         rows.append(
             (node_bin, degree, in_bin_degree, palette_size, in_bin_palette, reason_code)
@@ -495,7 +490,7 @@ class PartitionCostEvaluator(BatchCostEvaluatorBase):
             "degree_slack": params.degree_slack(ell),
             "palette_slack": params.palette_slack(ell),
             "bin_cap": params.bin_cap(ell, self.graph.num_nodes, self.global_nodes),
-            "literal_palette": not params.is_scaled and not params.bins_are_clamped(ell),
+            "literal_palette": params.literal_regime(ell),
         }
         prep["palette_sizes"] = np.diff(prep["entry_indptr"])
         return prep
@@ -504,30 +499,29 @@ class PartitionCostEvaluator(BatchCostEvaluatorBase):
         """Definition 3.1's bad-node conditions, elementwise.
 
         Works on one pair's vectors and on a slab's rows alike.  Returns
-        ``(degree deviation, palette shortfall, no palette surplus)``; a
-        condition the parameters switch off is ``None`` (see
-        :func:`classify_partition` for when each applies).
+        ``(degree deviation, palette shortfall, no palette surplus)``; the
+        shortfall is ``None`` outside the literal regime (see
+        :func:`classify_partition`).
         """
         num_bins = prep["num_bins"]
         expected = prep["degrees"] / num_bins
         degree_bad = np.abs(in_bin_degree - expected) > prep["degree_slack"]
         in_color_bin = bins != num_bins - 1
-        shortfall = surplus_fail = None
+        shortfall = None
         if prep["literal_palette"]:
             shortfall = in_color_bin & (
                 in_bin_palette < prep["palette_sizes"] / num_bins + prep["palette_slack"]
             )
-        if self.params.enforce_palette_surplus:
-            surplus_fail = in_color_bin & (in_bin_palette <= in_bin_degree)
+        surplus_fail = in_color_bin & (in_bin_palette <= in_bin_degree)
         return degree_bad, shortfall, surplus_fail
 
     def _slab_costs(self, prep: dict, bins1, d_prime, p_prime):
         bin_sizes = hb.rowwise_bincount(bins1, prep["num_bins"])
         num_bad_bins = (bin_sizes >= prep["bin_cap"]).sum(axis=1)
         bad, shortfall, surplus_fail = self._conditions(prep, bins1, d_prime, p_prime)
-        for condition in (shortfall, surplus_fail):
-            if condition is not None:
-                bad |= condition
+        bad |= surplus_fail
+        if shortfall is not None:
+            bad |= shortfall
         return bad.sum(axis=1) + self.global_nodes * num_bad_bins
 
     # -- final classification for the selected pair ---------------------

@@ -55,6 +55,20 @@ from repro.graph.validation import assert_valid_list_coloring
 from repro.types import Color, NodeId
 
 
+def first_undersized_node(
+    graph: Graph, palettes: PaletteAssignment, ell: float
+) -> Optional[NodeId]:
+    """The first node, in graph order, with at most ``ell`` palette colors.
+
+    ``None`` when every palette is larger: Algorithm 1's (Δ+1)-list
+    requirement at ``l = Δ`` (Corollary 3.3 (i)), one comparison over the
+    palette sizes.
+    """
+    node_list, sizes = palettes.sizes_for(graph)
+    rows = np.flatnonzero(sizes <= ell)
+    return node_list[rows[0]] if rows.size else None
+
+
 @dataclass
 class RecursionNode:
     """Statistics of one node of the recursion tree (for experiments E2/E8)."""
@@ -183,11 +197,10 @@ class ColorReduce(RecursionDriver):
         # than l = Δ colors (Corollary 3.3 (i)).  Instances with smaller
         # (deg+1)-style palettes are the low-space algorithm's job
         # (Theorem 1.4 / LowSpaceColorReduce).
-        node_list, sizes = palettes.sizes_for(graph)
-        undersized = [node_list[row] for row in np.flatnonzero(sizes <= raw_ell)[:1]]
-        if undersized:
+        undersized = first_undersized_node(graph, palettes, raw_ell)
+        if undersized is not None:
             raise PaletteError(
-                f"node {undersized[0]} has only {palettes.palette_size(undersized[0])} "
+                f"node {undersized} has only {palettes.palette_size(undersized)} "
                 f"colors but ColorReduce requires more than l = {raw_ell:g} per node "
                 "((Δ+1)-list coloring); use LowSpaceColorReduce for (deg+1)-list instances"
             )
@@ -454,7 +467,7 @@ class ColorReduce(RecursionDriver):
         """
         next_ell = self.params.next_ell(ell)
         slack = self.params.palette_slack(next_ell)
-        literal_lemma = not self.params.is_scaled and not self.params.bins_are_clamped(ell)
+        literal_lemma = self.params.literal_regime(ell)
         violations = 0
         for bin_instance in partition.color_bins:
             if bin_instance.is_empty:

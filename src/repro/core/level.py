@@ -279,8 +279,7 @@ def score_partition_level(
         bad |= in_color_bin & (
             in_bin_palette < level["palette_sizes"] / num_bins + level["palette_slack"]
         )
-    if evaluators[0].params.enforce_palette_surplus:
-        bad |= in_color_bin & (in_bin_palette <= in_bin_degree)
+    bad |= in_color_bin & (in_bin_palette <= in_bin_degree)
 
     bad_counts = np.bincount(node_row[bad], minlength=num_children)
     offsets = level["node_offsets"]

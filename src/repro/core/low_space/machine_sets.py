@@ -38,7 +38,7 @@ from typing import Dict, Optional, Set
 
 import numpy as np
 
-from repro.core.low_space.params import LowSpaceParameters
+from repro.core.low_space.params import DEGREE_SLACK_EXPONENT, LowSpaceParameters
 from repro.derand.cost import PairCost
 from repro.errors import GraphError
 from repro.graph.csr import node_id_array
@@ -172,7 +172,8 @@ def node_level_outcome(
             if bin_of_node.get(key_of[neighbor], -1) == node_bin
         )
         slack = max(
-            degree**0.6, params.degree_slack(params.machine_chunk(graph.num_nodes))
+            degree**DEGREE_SLACK_EXPONENT,
+            params.degree_slack(params.machine_chunk(graph.num_nodes)),
         )
         threshold = degree / num_bins + slack
         violating = d_prime > threshold
@@ -289,7 +290,7 @@ class LowSpaceCostEvaluator(BatchCostEvaluatorBase):
         # round differently).
         distinct, inverse = np.unique(degrees, return_inverse=True)
         slack = np.array(
-            [max(degree ** 0.6, chunk_slack) for degree in distinct.tolist()],
+            [max(degree**DEGREE_SLACK_EXPONENT, chunk_slack) for degree in distinct.tolist()],
             dtype=np.float64,
         )[inverse]
         return {

@@ -7,7 +7,10 @@ The paper sets ``δ = ε/22`` and uses
   colored via the MIS reduction,
 * machine chunks of between ``n^{7δ}`` and ``2 n^{7δ}`` neighbors/colors
   (Definition 4.1), whose size sets the degree slack of the Lemma 4.5
-  node-level selection cost.
+  node-level selection cost,
+* the degree slack ``d(x)^0.6`` of Definition 4.1
+  (:data:`DEGREE_SLACK_EXPONENT`, a constant like the linear-space
+  exponents of :mod:`repro.core.params`).
 
 As with the linear-space parameters, the literal exponents only separate
 from small constants at astronomically large ``n``; the scaled mode fixes
@@ -24,6 +27,9 @@ from typing import Optional
 from repro.core.params import RunParameters
 from repro.errors import ConfigurationError
 
+#: Definition 4.1's degree slack ``d(x)^0.6`` of a chunk or node.
+DEGREE_SLACK_EXPONENT = 0.6
+
 
 @dataclass(frozen=True)
 class LowSpaceParameters(RunParameters):
@@ -37,7 +43,6 @@ class LowSpaceParameters(RunParameters):
     num_bins_override: Optional[int] = None
     low_degree_threshold_override: Optional[int] = None
     machine_chunk_override: Optional[int] = None
-    degree_slack_exponent: float = 0.6
     independence: int = 4
     max_recursion_depth: int = 20
 
@@ -58,11 +63,6 @@ class LowSpaceParameters(RunParameters):
         super().__post_init__()
 
     # ------------------------------------------------------------------
-    @classmethod
-    def paper(cls, epsilon: float = 0.5, **overrides) -> "LowSpaceParameters":
-        """The literal exponents for a given ``ε`` (``δ = ε/22``)."""
-        return cls(epsilon=epsilon, **overrides)
-
     @classmethod
     def scaled(
         cls,
@@ -125,4 +125,4 @@ class LowSpaceParameters(RunParameters):
 
     def degree_slack(self, chunk_size: int) -> float:
         """The ``d(x)^0.6`` slack of Definition 4.1."""
-        return math.pow(max(chunk_size, 1), self.degree_slack_exponent)
+        return math.pow(max(chunk_size, 1), DEGREE_SLACK_EXPONENT)

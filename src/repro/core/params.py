@@ -1,38 +1,56 @@
 """Numeric parameters of ``ColorReduce`` / ``Partition``.
 
-The paper fixes concrete exponents:
+The paper fixes concrete exponents (Algorithm 1, Definition 3.1), and
+Lemmas 3.2 and 3.11-3.14 hold only for these values, so they are module
+constants rather than settable fields:
 
-* the node/color hash functions map into ``l^0.1`` bins (the last bin
-  receives no colors),
-* the degree slack in the good-node condition is ``l^0.6``,
-* the palette slack is ``l^0.7``,
-* the next level's degree proxy is ``l' = l^0.9 - l^0.6``,
-* a good bin has fewer than ``2 n_G l^-0.1 + n^0.6`` nodes,
+* the node/color hash functions map into ``l^0.1`` bins
+  (:data:`BIN_EXPONENT`; the last bin receives no colors),
+* the degree slack in the good-node condition is ``l^0.6``
+  (:data:`DEGREE_SLACK_EXPONENT`),
+* the palette slack is ``l^0.7`` (:data:`PALETTE_SLACK_EXPONENT`),
+* the next level's degree proxy is ``l' = l^0.9 - l^0.6``
+  (:data:`ELL_DECAY_EXPONENT`),
+* a good bin has fewer than ``2 n_G l^-0.1 + n^0.6`` nodes
+  (:data:`BIN_CAP_SLACK_EXPONENT`),
 * an instance of size ``O(n)`` is collected onto a single machine.
 
-:class:`ColorReduceParameters` carries these, with two modes:
+:class:`ColorReduceParameters` has two modes:
 
-``paper mode`` (default)
+``paper mode`` (default, ``num_bins_override is None``)
     Exactly the exponents above.  On laptop-size graphs ``l^0.1`` is 1 or 2,
     so the recursion bottoms out immediately — the correct behaviour, but it
     does not exercise the recursive machinery.
 
-``scaled mode`` (:meth:`ColorReduceParameters.scaled`)
-    The number of bins and the slack terms are set explicitly so that
-    multi-level recursion, palette splitting, leftover-bin coloring and
-    bad-node handling all run on graphs with a few thousand nodes.  The
-    control flow is identical; only the thresholds change.  DESIGN.md
-    documents this as a substitution.
+``scaled mode`` (:meth:`ColorReduceParameters.scaled`, ``num_bins_override`` set)
+    The number of bins is set explicitly and the slack terms follow the
+    concentration scale of that bin count, so that multi-level recursion,
+    palette splitting, leftover-bin coloring and bad-node handling all run
+    on graphs with a few thousand nodes.  The control flow is identical;
+    only the thresholds change.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.derand.conditional_expectation import SelectionStrategy
 from repro.errors import ConfigurationError
+
+#: Bins per level are ``floor(l ** BIN_EXPONENT)``.
+BIN_EXPONENT = 0.1
+#: Definition 3.1's good-node degree deviation ``l ** 0.6``.
+DEGREE_SLACK_EXPONENT = 0.6
+#: Definition 3.1's good-node palette surplus ``l ** 0.7``.
+PALETTE_SLACK_EXPONENT = 0.7
+#: ``l' = l ** 0.9 - l ** 0.6`` (Algorithm 1; ``l ** 0.9 = l / l ** 0.1``).
+ELL_DECAY_EXPONENT = 0.9
+#: A good bin has fewer than ``2 n_G / B + n ** 0.6`` nodes, ``n`` global.
+BIN_CAP_SLACK_EXPONENT = 0.6
+#: The next level's degree proxy never drops below this.
+MIN_ELL = 2.0
 
 
 @dataclass(frozen=True)
@@ -130,21 +148,12 @@ class RunParameters:
 
 @dataclass(frozen=True)
 class ColorReduceParameters(RunParameters):
-    """All numeric knobs of the partitioning recursion.
+    """The settable knobs of the partitioning recursion.
+
+    The paper's exponents are the module constants above, not fields.
 
     Attributes
     ----------
-    bin_exponent:
-        Bins per level are ``floor(l ** bin_exponent)`` (paper: 0.1).
-    degree_slack_exponent:
-        The good-node degree condition allows deviation ``l ** 0.6``.
-    palette_slack_exponent:
-        The good-node palette condition requires surplus ``l ** 0.7``.
-    ell_decay_exponent:
-        ``l' = l ** 0.9 - l ** 0.6`` (paper: 0.9 with the 0.6 correction).
-    bin_cap_slack_exponent:
-        A good bin has fewer than ``2 n_G / B + n ** 0.6`` nodes (paper: 0.6,
-        in terms of the global ``n``).
     collect_factor:
         Instances of size at most ``collect_factor * n`` (nodes + edges,
         ``n`` the *global* node count) are collected and colored locally —
@@ -154,111 +163,57 @@ class ColorReduceParameters(RunParameters):
     max_recursion_depth:
         Safety cap; Lemma 3.14 shows depth 9 suffices with paper exponents.
     num_bins_override:
-        Scaled mode: use exactly this many bins per level regardless of ``l``.
-    degree_slack_override / palette_slack_override / bin_cap_slack_override:
-        Scaled mode: absolute slack values replacing the ``l ** e`` terms.
-    min_ell:
-        Recursion on a sub-instance stops refining ``l`` below this value.
+        Scaled mode: use exactly this many bins per level regardless of ``l``
+        (``None``, the default, is paper mode).
     selection_strategy:
         How the hash pair is chosen (see :mod:`repro.derand`).
-    selection_chunk_bits / selection_rng_seed:
-        Knobs forwarded to :class:`repro.derand.HashPairSelector`.
-    enforce_palette_surplus:
-        If True (default), any node whose restricted palette does not exceed
-        its in-bin degree is reclassified as bad.  With the paper exponents
-        this is implied by the invariant (Lemma 3.2); enforcing it explicitly
-        keeps the scaled mode unconditionally correct.
+    selection_rng_seed:
+        Seed of the ``RANDOM`` strategy, forwarded to
+        :class:`repro.derand.HashPairSelector`.
 
     The selection, worker-pool, level-prefetch and durability knobs are
     inherited from :class:`RunParameters`.
     """
 
-    bin_exponent: float = 0.1
-    degree_slack_exponent: float = 0.6
-    palette_slack_exponent: float = 0.7
-    ell_decay_exponent: float = 0.9
-    bin_cap_slack_exponent: float = 0.6
     collect_factor: float = 4.0
     independence: int = 4
     max_recursion_depth: int = 12
     num_bins_override: Optional[int] = None
-    degree_slack_override: Optional[float] = None
-    palette_slack_override: Optional[float] = None
-    bin_cap_slack_override: Optional[float] = None
-    min_ell: int = 2
     selection_strategy: SelectionStrategy = SelectionStrategy.FIRST_FEASIBLE
-    selection_chunk_bits: int = 4
     selection_rng_seed: int = 0
-    enforce_palette_surplus: bool = True
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.bin_exponent < 1.0:
-            raise ConfigurationError("bin_exponent must be in (0, 1)")
         if self.independence < 4 or self.independence % 2 != 0:
             raise ConfigurationError("independence must be an even integer >= 4")
         if self.collect_factor <= 0:
             raise ConfigurationError("collect_factor must be positive")
         if self.num_bins_override is not None and self.num_bins_override < 2:
             raise ConfigurationError("num_bins_override must be at least 2")
-        if self.min_ell < 1:
-            raise ConfigurationError("min_ell must be at least 1")
-        if self.selection_chunk_bits < 1:
-            raise ConfigurationError("selection_chunk_bits must be positive")
         super().__post_init__()
-
-    # ------------------------------------------------------------------
-    # alternate constructors
-    # ------------------------------------------------------------------
-    @classmethod
-    def paper(cls, **overrides) -> "ColorReduceParameters":
-        """The paper's exact exponents (the default construction)."""
-        return cls(**overrides)
 
     @classmethod
     def scaled(
-        cls,
-        num_bins: int,
-        *,
-        degree_slack: Optional[float] = None,
-        palette_slack: Optional[float] = None,
-        bin_cap_slack: Optional[float] = None,
-        collect_factor: float = 1.5,
-        **overrides,
+        cls, num_bins: int, *, collect_factor: float = 1.5, **overrides
     ) -> "ColorReduceParameters":
         """Parameters that exercise multi-level recursion on small graphs.
 
         ``num_bins`` fixes the per-level bin count (the paper's ``l^0.1``).
-        The slack overrides replace the ``l^0.6`` / ``l^0.7`` / ``n^0.6``
-        terms; when omitted, concentration-scale defaults are used (a few
-        standard deviations of the corresponding binomial), which keeps the
-        good-node conditions satisfiable on graphs with a few hundred to a
-        few thousand nodes.
+        The ``l^0.6`` / ``l^0.7`` / ``n^0.6`` slack terms are replaced by
+        concentration-scale values (a few standard deviations of the
+        corresponding binomial), which keeps the good-node conditions
+        satisfiable on graphs with a few hundred to a few thousand nodes.
         """
-        return cls(
-            num_bins_override=num_bins,
-            degree_slack_override=degree_slack,
-            palette_slack_override=palette_slack,
-            bin_cap_slack_override=bin_cap_slack,
-            collect_factor=collect_factor,
-            **overrides,
-        )
-
-    def with_strategy(self, strategy: SelectionStrategy) -> "ColorReduceParameters":
-        """A copy using a different hash-selection strategy."""
-        return replace(self, selection_strategy=strategy)
+        return cls(num_bins_override=num_bins, collect_factor=collect_factor, **overrides)
 
     @property
     def is_scaled(self) -> bool:
-        """Whether any paper exponent has been replaced by an explicit value."""
-        return any(
-            override is not None
-            for override in (
-                self.num_bins_override,
-                self.degree_slack_override,
-                self.palette_slack_override,
-                self.bin_cap_slack_override,
-            )
-        )
+        """Scaled mode: the bin count is fixed and the slacks follow it."""
+        return self.num_bins_override is not None
+
+    def literal_regime(self, ell: float) -> bool:
+        """Whether Definition 3.1 applies literally at degree proxy ``l``:
+        paper mode with an unclamped bin count (:meth:`bins_are_clamped`)."""
+        return not self.is_scaled and not self.bins_are_clamped(ell)
 
     # ------------------------------------------------------------------
     # derived per-level quantities
@@ -276,24 +231,20 @@ class ColorReduceParameters(RunParameters):
         margin, which requires ``l`` to be at least on the order of ``B^3`` —
         a relation the paper's ``B = l^0.1`` satisfies automatically.
         """
-        if self.num_bins_override is not None:
+        if self.is_scaled:
             return max(2, min(self.num_bins_override, int(math.floor(ell ** (1.0 / 3.0)))))
-        return max(2, int(math.floor(ell**self.bin_exponent)))
+        return max(2, int(math.floor(ell**BIN_EXPONENT)))
 
     def degree_slack(self, ell: float) -> float:
         """The additive degree slack in Definition 3.1 (paper: ``l^0.6``).
 
-        Scaled mode without an explicit override uses three standard
-        deviations of the in-bin degree (a binomial with mean ``l / B``),
-        which is the quantity the ``l^0.6`` term dominates in the paper's
-        regime.
+        Scaled mode uses three standard deviations of the in-bin degree (a
+        binomial with mean ``l / B``), which is the quantity the ``l^0.6``
+        term dominates in the paper's regime.
         """
-        if self.degree_slack_override is not None:
-            return self.degree_slack_override
-        if self.num_bins_override is not None:
-            bins = self.num_bins_override
-            return 3.0 * math.sqrt(max(ell, 1.0) / bins) + 1.0
-        return ell**self.degree_slack_exponent
+        if self.is_scaled:
+            return 3.0 * math.sqrt(max(ell, 1.0) / self.num_bins_override) + 1.0
+        return ell**DEGREE_SLACK_EXPONENT
 
     def palette_slack(self, ell: float) -> float:
         """The additive palette surplus in Definition 3.1 (paper: ``l^0.7``).
@@ -304,21 +255,17 @@ class ColorReduceParameters(RunParameters):
         in the good-node condition; a constant 1 keeps the condition
         satisfiable while still demanding a strict surplus.
         """
-        if self.palette_slack_override is not None:
-            return self.palette_slack_override
-        if self.num_bins_override is not None:
+        if self.is_scaled:
             return 1.0
-        return ell**self.palette_slack_exponent
+        return ell**PALETTE_SLACK_EXPONENT
 
     def bin_cap(self, ell: float, instance_nodes: int, global_nodes: int) -> float:
         """The good-bin size cap: ``2 n_G / B + n^0.6`` (Definition 3.1)."""
         bins = self.num_bins(ell)
-        if self.bin_cap_slack_override is not None:
-            slack = self.bin_cap_slack_override
-        elif self.num_bins_override is not None:
+        if self.is_scaled:
             slack = 4.0 * math.sqrt(max(instance_nodes, 1) / bins) + 1.0
         else:
-            slack = global_nodes**self.bin_cap_slack_exponent
+            slack = global_nodes**BIN_CAP_SLACK_EXPONENT
         return 2.0 * instance_nodes / bins + slack
 
     def bins_are_clamped(self, ell: float) -> bool:
@@ -330,9 +277,7 @@ class ColorReduceParameters(RunParameters):
         this flag to know the literal Lemma 3.2/3.11 arithmetic does not
         apply at this level.
         """
-        if self.num_bins_override is not None:
-            return False
-        return int(math.floor(ell**self.bin_exponent)) < 2
+        return not self.is_scaled and int(math.floor(ell**BIN_EXPONENT)) < 2
 
     def next_ell(self, ell: float) -> float:
         """The next level's degree proxy ``l'``.
@@ -342,12 +287,11 @@ class ColorReduceParameters(RunParameters):
         bin count clamped to 2: the same structural quantity ``l / B`` minus
         the degree slack.
         """
-        bins = self.num_bins(ell)
-        if self.num_bins_override is None and not self.bins_are_clamped(ell):
-            candidate = ell**self.ell_decay_exponent - ell**self.degree_slack_exponent
+        if self.literal_regime(ell):
+            candidate = ell**ELL_DECAY_EXPONENT - ell**DEGREE_SLACK_EXPONENT
         else:
-            candidate = ell / bins - self.degree_slack(ell)
-        return max(float(self.min_ell), candidate)
+            candidate = ell / self.num_bins(ell) - self.degree_slack(ell)
+        return max(MIN_ELL, candidate)
 
     def collect_threshold(self, global_nodes: int) -> int:
         """Instances of size (nodes + edges) at most this are colored locally."""
@@ -361,7 +305,7 @@ class ColorReduceParameters(RunParameters):
         we therefore never require a bound below ``max(4, n / l^2)`` there.
         """
         literal = global_nodes / max(ell, 1.0) ** 2
-        if self.is_scaled or self.bins_are_clamped(ell):
+        if not self.literal_regime(ell):
             # Scaled mode, or paper mode once the bin count has been clamped
             # to 2 (laptop-scale degrees): the literal Definition 3.1
             # conditions are tighter than the analysis assumes, so a small

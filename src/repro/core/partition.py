@@ -134,7 +134,6 @@ class Partition:
             family1,
             family2,
             strategy=strategy if strategy is not None else self.params.selection_strategy,
-            chunk_bits=self.params.selection_chunk_bits,
             batch_size=self.params.selection_batch_size,
             max_candidates=self.params.selection_max_candidates,
             rng_seed=self.params.selection_rng_seed * 1_000_003 + salt,

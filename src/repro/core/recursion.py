@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.core.color_reduce import RecursionNode
+from repro.core.params import BIN_CAP_SLACK_EXPONENT, ELL_DECAY_EXPONENT
 from repro.errors import ConfigurationError
 
 
@@ -45,34 +46,36 @@ def ell_bounds(delta: float, depth: int) -> tuple[float, float]:
         raise ConfigurationError("delta must be at least 1")
     if depth < 0:
         raise ConfigurationError("depth must be non-negative")
-    power = math.pow(delta, math.pow(0.9, depth))
+    power = math.pow(delta, math.pow(ELL_DECAY_EXPONENT, depth))
     return (0.5 * power, power)
+
+
+def _nodes_term(num_nodes: float, delta: float, depth: int) -> float:
+    """Lemma 3.12's ``n Δ^{0.9^i - 1} + n^{0.6}``."""
+    if depth < 0:
+        raise ConfigurationError("depth must be non-negative")
+    exponent = math.pow(ELL_DECAY_EXPONENT, depth) - 1.0
+    return num_nodes * math.pow(delta, exponent) + math.pow(num_nodes, BIN_CAP_SLACK_EXPONENT)
 
 
 def nodes_upper_bound(num_nodes: float, delta: float, depth: int) -> float:
     """Lemma 3.12: ``n_i <= 3^i (n Δ^{0.9^i - 1} + n^{0.6})``."""
-    if depth < 0:
-        raise ConfigurationError("depth must be non-negative")
-    exponent = math.pow(0.9, depth) - 1.0
-    return math.pow(3, depth) * (num_nodes * math.pow(delta, exponent) + math.pow(num_nodes, 0.6))
+    return math.pow(3, depth) * _nodes_term(num_nodes, delta, depth)
 
 
 def degree_upper_bound(delta: float, depth: int) -> float:
     """Lemma 3.13: ``Δ_i <= 2^i Δ^{0.9^i}``."""
     if depth < 0:
         raise ConfigurationError("depth must be non-negative")
-    return math.pow(2, depth) * math.pow(delta, math.pow(0.9, depth))
+    return math.pow(2, depth) * math.pow(delta, math.pow(ELL_DECAY_EXPONENT, depth))
 
 
 def bin_size_upper_bound(num_nodes: float, delta: float, depth: int) -> float:
     """Lemma 3.14: ``|G'| <= 6^i (n Δ^{0.9^i - 1} + n^{0.6}) Δ^{0.9^i}``."""
-    if depth < 0:
-        raise ConfigurationError("depth must be non-negative")
-    power = math.pow(0.9, depth)
     return (
         math.pow(6, depth)
-        * (num_nodes * math.pow(delta, power - 1.0) + math.pow(num_nodes, 0.6))
-        * math.pow(delta, power)
+        * _nodes_term(num_nodes, delta, depth)
+        * math.pow(delta, math.pow(ELL_DECAY_EXPONENT, depth))
     )
 
 
@@ -85,22 +88,14 @@ def closed_form_table(num_nodes: float, delta: float, max_depth: int = 9) -> Lis
     table: List[DepthBounds] = []
     for depth in range(max_depth + 1):
         lower, upper = ell_bounds(delta, depth)
-        nodes_bound = nodes_upper_bound(num_nodes, delta, depth)
-        degree_bound = degree_upper_bound(delta, depth)
-        power = math.pow(0.9, depth)
-        size_bound = (
-            math.pow(6, depth)
-            * (num_nodes * math.pow(delta, power - 1.0) + math.pow(num_nodes, 0.6))
-            * math.pow(delta, power)
-        )
         table.append(
             DepthBounds(
                 depth=depth,
                 ell_upper=upper,
                 ell_lower=lower,
-                nodes_upper=nodes_bound,
-                degree_upper=degree_bound,
-                bin_size_upper=size_bound,
+                nodes_upper=nodes_upper_bound(num_nodes, delta, depth),
+                degree_upper=degree_upper_bound(delta, depth),
+                bin_size_upper=bin_size_upper_bound(num_nodes, delta, depth),
             )
         )
     return table

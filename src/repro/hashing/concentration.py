@@ -84,9 +84,11 @@ def bad_degree_probability_bound(degree: int, ell: float, independence: int) -> 
     sufficiently large ``c``; this helper returns the Lemma 2.2 value for the
     given ``c`` so experiments can compare.
     """
+    from repro.core.params import DEGREE_SLACK_EXPONENT  # repro.core imports hashing
+
     if ell <= 1.0:
         return 1.0
-    return bellare_rompel_tail_bound(degree, math.pow(ell, 0.6), independence)
+    return bellare_rompel_tail_bound(degree, math.pow(ell, DEGREE_SLACK_EXPONENT), independence)
 
 
 def bad_palette_probability_bound(palette_size: int, independence: int) -> float:
@@ -96,9 +98,13 @@ def bad_palette_probability_bound(palette_size: int, independence: int) -> float
     hashed to ``v``'s bin, and the deviation used in the proof is
     ``p(v)^0.6``.
     """
+    from repro.core.params import DEGREE_SLACK_EXPONENT  # repro.core imports hashing
+
     if palette_size <= 1:
         return 1.0
-    return bellare_rompel_tail_bound(palette_size, math.pow(palette_size, 0.6), independence)
+    return bellare_rompel_tail_bound(
+        palette_size, math.pow(palette_size, DEGREE_SLACK_EXPONENT), independence
+    )
 
 
 def bad_bin_probability_bound(num_nodes: int, independence: int) -> float:
@@ -109,6 +115,10 @@ def bad_bin_probability_bound(num_nodes: int, independence: int) -> float:
     the *global* number of nodes, which for the purposes of this bound we
     take equal to ``num_nodes``).
     """
+    from repro.core.params import BIN_CAP_SLACK_EXPONENT  # repro.core imports hashing
+
     if num_nodes <= 1:
         return 0.0
-    return bellare_rompel_tail_bound(num_nodes, math.pow(num_nodes, 0.6), independence)
+    return bellare_rompel_tail_bound(
+        num_nodes, math.pow(num_nodes, BIN_CAP_SLACK_EXPONENT), independence
+    )

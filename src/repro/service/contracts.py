@@ -38,6 +38,7 @@ from typing import (
     get_type_hints,
 )
 
+from repro.core.color_reduce import first_undersized_node
 from repro.core.low_space.params import LowSpaceParameters
 from repro.core.params import ColorReduceParameters
 from repro.derand.conditional_expectation import SelectionStrategy
@@ -269,14 +270,14 @@ def parse_submission(payload: Any, settings: ServiceSettings) -> Submission:
         # reject at submit time with the library's own guidance instead of
         # queueing a job doomed to fail.
         delta = graph.max_degree()
-        for node in graph.nodes():
-            if palettes.palette_size(node) <= delta:
-                raise ConfigurationError(
-                    f"node {node} has only {palettes.palette_size(node)} "
-                    f"colors but ColorReduce requires more than Delta = {delta} "
-                    "per node ((Δ+1)-list coloring); submit with "
-                    '"algorithm": "low-space" for (deg+1)-list instances'
-                )
+        node = first_undersized_node(graph, palettes, delta)
+        if node is not None:
+            raise ConfigurationError(
+                f"node {node} has only {palettes.palette_size(node)} "
+                f"colors but ColorReduce requires more than Delta = {delta} "
+                "per node ((Δ+1)-list coloring); submit with "
+                '"algorithm": "low-space" for (deg+1)-list instances'
+            )
     request = {
         "algorithm": algorithm,
         "seed": seed,

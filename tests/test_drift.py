@@ -8,7 +8,9 @@ come back under their old names.  Nor may the second backing of
 the arrays; "One backing per object").  Nor may the partition step's
 second paths: the per-pair selection bodies, the machine-level
 classification, the local greedy's order and recolor options, and the
-helpers nothing called.
+helpers nothing called.  Nor may the parameter fields that made the
+paper's exponents settable, or the options and constructors no caller
+set.
 """
 
 from __future__ import annotations
@@ -61,3 +63,16 @@ RETIRED_PATHS = re.compile(
 def test_retired_partition_paths_stay_out_of_src():
     hits = _hits(RETIRED_PATHS)
     assert not hits, "retired partition-step paths in src/:\n" + "\n".join(hits)
+
+
+#: The retired parameter fields and constructors: the exponents are the
+#: module constants of ``core/params.py`` and ``core/low_space/params.py``.
+RETIRED_PARAMS = re.compile(
+    r"_exponent\b|_slack_override|enforce_palette_surplus|selection_chunk_bits"
+    r"|min_ell|with_strategy|def paper\("
+)
+
+
+def test_retired_parameter_fields_stay_out_of_src():
+    hits = _hits(RETIRED_PARAMS)
+    assert not hits, "retired parameter fields in src/:\n" + "\n".join(hits)

@@ -97,8 +97,6 @@ class TestClassifyPartitionBatch:
         "params",
         [
             ColorReduceParameters.scaled(num_bins=4),
-            ColorReduceParameters.scaled(num_bins=3, degree_slack=2.0),
-            ColorReduceParameters.scaled(num_bins=4, enforce_palette_surplus=False),
             ColorReduceParameters(),  # paper mode (clamped bins on small l)
         ],
     )
@@ -118,6 +116,32 @@ class TestClassifyPartitionBatch:
                 graph, palettes, h1, h2, params, ell, graph.num_nodes
             )
             _assert_same_classification(expected, actual)
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_degree_bad_nodes_match_scalar_reference(self, seed):
+        # Classified at an l below its degrees, like a child whose degrees
+        # exceed l' by up to the slack, a dense instance has degree-bad
+        # nodes under the default scaled slack.
+        graph = erdos_renyi(140, 0.5, seed=seed)
+        palettes = PaletteAssignment.delta_plus_one(graph)
+        params = ColorReduceParameters.scaled(num_bins=3)
+        ell = 32.0
+        family1, family2 = _families(graph, palettes, params.num_bins(ell))
+        degree_bad = 0
+        for trial in range(3):
+            h1 = family1.from_seed_int(97 * seed + trial)
+            h2 = family2.from_seed_int(131 * seed + 7 * trial)
+            expected = classify_partition(
+                graph, palettes, h1, h2, params, ell, graph.num_nodes
+            )
+            actual, _ = _classify_selected(
+                graph, palettes, h1, h2, params, ell, graph.num_nodes
+            )
+            _assert_same_classification(expected, actual)
+            degree_bad += sum(
+                record.reason == "degree deviation" for record in actual.nodes.values()
+            )
+        assert degree_bad > 0
 
     def test_non_contiguous_ids_and_list_palettes(self):
         base = ring_of_cliques(6, 7)

@@ -6,19 +6,22 @@ import math
 
 import pytest
 
+from repro.core import params as paper
+from repro.core.low_space import params as low_space
 from repro.core.low_space.params import LowSpaceParameters
 from repro.core.params import ColorReduceParameters, RunParameters
-from repro.derand.conditional_expectation import SelectionStrategy
 from repro.errors import ConfigurationError
 
 
 class TestColorReduceParameters:
-    def test_defaults_are_paper_exponents(self):
-        params = ColorReduceParameters()
-        assert params.bin_exponent == pytest.approx(0.1)
-        assert params.degree_slack_exponent == pytest.approx(0.6)
-        assert params.palette_slack_exponent == pytest.approx(0.7)
-        assert not params.is_scaled
+    def test_paper_exponents_are_constants(self):
+        assert paper.BIN_EXPONENT == 0.1
+        assert paper.DEGREE_SLACK_EXPONENT == 0.6
+        assert paper.PALETTE_SLACK_EXPONENT == 0.7
+        assert paper.ELL_DECAY_EXPONENT == 0.9
+        assert paper.BIN_CAP_SLACK_EXPONENT == 0.6
+        assert paper.MIN_ELL == 2.0
+        assert not ColorReduceParameters().is_scaled
 
     def test_num_bins_paper_formula(self):
         params = ColorReduceParameters()
@@ -31,42 +34,45 @@ class TestColorReduceParameters:
 
     def test_slacks_paper_formula(self):
         params = ColorReduceParameters()
-        assert params.degree_slack(1000) == pytest.approx(1000**0.6)
-        assert params.palette_slack(1000) == pytest.approx(1000**0.7)
+        assert params.degree_slack(1000) == 1000**paper.DEGREE_SLACK_EXPONENT
+        assert params.palette_slack(1000) == 1000**paper.PALETTE_SLACK_EXPONENT
 
     def test_next_ell_paper_formula_matches_lemma(self):
         params = ColorReduceParameters()
         ell = 2.0**40  # large enough that bins are not clamped
         assert not params.bins_are_clamped(ell)
-        assert params.next_ell(ell) == pytest.approx(ell**0.9 - ell**0.6)
+        assert params.literal_regime(ell)
+        assert params.next_ell(ell) == (
+            ell**paper.ELL_DECAY_EXPONENT - ell**paper.DEGREE_SLACK_EXPONENT
+        )
 
     def test_next_ell_clamped_uses_bin_division(self):
         params = ColorReduceParameters()
         ell = 100.0
-        expected = ell / 2 - ell**0.6
+        assert not params.literal_regime(ell)
+        expected = ell / 2 - ell**paper.DEGREE_SLACK_EXPONENT
         assert params.next_ell(ell) == pytest.approx(expected)
 
     def test_next_ell_never_below_min(self):
-        params = ColorReduceParameters()
-        assert params.next_ell(2.0) >= params.min_ell
+        assert ColorReduceParameters().next_ell(2.0) == paper.MIN_ELL
+        assert ColorReduceParameters.scaled(num_bins=4).next_ell(2.0) == paper.MIN_ELL
 
     def test_scaled_mode(self):
         params = ColorReduceParameters.scaled(num_bins=4)
         assert params.is_scaled
+        assert params == ColorReduceParameters(num_bins_override=4, collect_factor=1.5)
+        assert not params.literal_regime(2.0**40)
+        assert not params.bins_are_clamped(2.0)
         assert params.num_bins(1e9) == 4
         assert params.degree_slack(100) == pytest.approx(3.0 * math.sqrt(25) + 1.0)
         assert params.palette_slack(100) == 1.0
         assert params.next_ell(100) == pytest.approx(max(2.0, 25 - params.degree_slack(100)))
-
-    def test_scaled_mode_explicit_slacks(self):
-        params = ColorReduceParameters.scaled(num_bins=4, degree_slack=7.0, palette_slack=2.5)
-        assert params.degree_slack(100) == 7.0
-        assert params.palette_slack(100) == 2.5
+        assert params.bin_cap(100, 400, 1000) == 2.0 * 400 / 4 + 4.0 * math.sqrt(100) + 1.0
 
     def test_bin_cap(self):
         params = ColorReduceParameters()
         cap = params.bin_cap(ell=100, instance_nodes=1000, global_nodes=1000)
-        assert cap == pytest.approx(2 * 1000 / 2 + 1000**0.6)
+        assert cap == 2.0 * 1000 / 2 + 1000**paper.BIN_CAP_SLACK_EXPONENT
 
     def test_collect_threshold(self):
         params = ColorReduceParameters(collect_factor=2.0)
@@ -85,13 +91,7 @@ class TestColorReduceParameters:
         scaled = ColorReduceParameters.scaled(num_bins=4)
         assert scaled.cost_target(ell=1000, global_nodes=100) >= 4.0
 
-    def test_with_strategy(self):
-        params = ColorReduceParameters().with_strategy(SelectionStrategy.RANDOM)
-        assert params.selection_strategy is SelectionStrategy.RANDOM
-
     def test_invalid_parameters(self):
-        with pytest.raises(ConfigurationError):
-            ColorReduceParameters(bin_exponent=1.5)
         with pytest.raises(ConfigurationError):
             ColorReduceParameters(independence=5)
         with pytest.raises(ConfigurationError):
@@ -100,8 +100,44 @@ class TestColorReduceParameters:
             ColorReduceParameters(num_bins_override=1)
         with pytest.raises(ConfigurationError):
             ColorReduceParameters(max_recursion_depth=0)
-        with pytest.raises(ConfigurationError):
-            ColorReduceParameters(min_ell=0)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "bin_exponent",
+            "degree_slack_exponent",
+            "palette_slack_exponent",
+            "ell_decay_exponent",
+            "bin_cap_slack_exponent",
+            "degree_slack_override",
+            "palette_slack_override",
+            "bin_cap_slack_override",
+            "min_ell",
+            "selection_chunk_bits",
+            "enforce_palette_surplus",
+        ],
+    )
+    def test_retired_fields_are_gone(self, field):
+        # The paper's constants are not settable; the fingerprint, which
+        # hashes every field, no longer carries them either.
+        from dataclasses import fields
+
+        assert field not in {spec.name for spec in fields(ColorReduceParameters)}
+        with pytest.raises(TypeError):
+            ColorReduceParameters(**{field: 1})
+
+    def test_retired_constructors_are_gone(self):
+        for name in ("paper", "with_strategy"):
+            assert not hasattr(ColorReduceParameters, name)
+        assert not hasattr(LowSpaceParameters, "paper")
+        with pytest.raises(TypeError):
+            ColorReduceParameters.scaled(num_bins=4, degree_slack=7.0)
+
+    def test_field_counts(self):
+        from dataclasses import fields
+
+        assert len(fields(ColorReduceParameters)) == 15
+        assert len(fields(LowSpaceParameters)) == 15
 
 
 class TestLowSpaceParameters:
@@ -126,7 +162,10 @@ class TestLowSpaceParameters:
 
     def test_slacks(self):
         params = LowSpaceParameters()
-        assert params.degree_slack(100) == pytest.approx(100**0.6)
+        assert params.degree_slack(100) == 100**low_space.DEGREE_SLACK_EXPONENT
+        assert low_space.DEGREE_SLACK_EXPONENT == 0.6
+        with pytest.raises(TypeError):
+            LowSpaceParameters(degree_slack_exponent=0.6)
 
     def test_invalid(self):
         with pytest.raises(ConfigurationError):
@@ -180,11 +219,6 @@ class TestSharedValidation:
         with pytest.raises(ConfigurationError, match=message):
             cls(**{field: value})
 
-    @pytest.mark.parametrize("value", [0, -1])
-    def test_chunk_bits_rejected_at_construction(self, value):
-        with pytest.raises(ConfigurationError, match="selection_chunk_bits must be positive"):
-            ColorReduceParameters(selection_chunk_bits=value)
-
     @pytest.mark.parametrize("cls", PARAMETER_SETS)
     def test_smallest_valid_values_accepted(self, cls):
         params = cls(
@@ -236,9 +270,11 @@ class TestRunParameters:
         # invalidates existing checkpoints and service cache entries.
         # fingerprint_params sorts by field name, so moving fields into the
         # base kept it; retiring the six pool knobs (and no longer hashing
-        # parallel_workers) changed it on purpose.
+        # parallel_workers) changed it on purpose, and so did turning the
+        # paper's exponents into constants and retiring the options no
+        # caller set.
         from repro.runtime.checkpoint import fingerprint_params
 
         assert fingerprint_params(ColorReduceParameters()) == (
-            "beb664b02eaf7d965635f8402ac25f731007aad79b8e245a61db72ca861c14f2"
+            "249856ba2c1de6da6eb65da1b7b449df1e70051958ab13ad0d144e5462d2fcdc"
         )

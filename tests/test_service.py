@@ -297,6 +297,14 @@ def test_cache_key_ignores_durability_knobs(tmp_path):
             {"edges": EDGES, "algorithm": "low-space", "params": {"palette_slack_exponent": 0.7}},
             "unknown parameter",
         ),
+        # the paper's exponents and the options no caller set are not settable
+        ({"edges": EDGES, "params": {"bin_exponent": 0.1}}, "unknown parameter"),
+        ({"edges": EDGES, "params": {"enforce_palette_surplus": True}}, "unknown parameter"),
+        ({"edges": EDGES, "params": {"degree_slack_override": 2.0}}, "unknown parameter"),
+        (
+            {"edges": EDGES, "algorithm": "low-space", "params": {"degree_slack_exponent": 0.6}},
+            "unknown parameter",
+        ),
     ],
 )
 def test_invalid_submissions_rejected(make_service, body, fragment):
@@ -315,6 +323,19 @@ def test_congested_clique_palette_precheck_suggests_low_space(make_service):
         service.submit({"edges": [[0, 1], [1, 2]]})
     assert "low-space" in str(excinfo.value)
     assert "Delta" in str(excinfo.value)
+
+
+def test_palette_precheck_names_the_first_undersized_node(make_service):
+    service = make_service()
+    # The hubs 0 and 1 get deg+1 = 6 > Delta = 5 colors; each leaf gets 3,
+    # so all four leaves are undersized and the first in node order is named.
+    edges = [[0, 1]] + [[hub, leaf] for hub in (0, 1) for leaf in (5, 3, 4, 2)]
+    with pytest.raises(ConfigurationError) as excinfo:
+        service.submit({"edges": edges})
+    assert str(excinfo.value).startswith(
+        "node 2 has only 3 colors but ColorReduce requires more than Delta = 5"
+    )
+    assert service.telemetry.jobs_rejected == 1
 
 
 def test_request_limits_enforced(make_service):
