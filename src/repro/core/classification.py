@@ -531,8 +531,9 @@ class PartitionCostEvaluator(BatchCostEvaluatorBase):
     ):
         """Classification plus color-bin palette restriction for the winning pair.
 
-        One more pass over the static arrays the selection scored its
-        candidates on (:meth:`_selected_pass`): the in-bin counts, the
+        The selected pair's pass over the static arrays the selection
+        scored its candidates on (:meth:`_selected_pass` — the head
+        probe's kept pass when the head won): the in-bin counts, the
         :class:`PartitionClassification` (per-node columns; records only
         on demand), and — from the same entry match — every color bin's
         restricted palettes.  Returns ``(classification, restricted)``
@@ -547,11 +548,14 @@ class PartitionCostEvaluator(BatchCostEvaluatorBase):
         segmented level pass (:mod:`repro.core.level`) already computed —
         the same integers either way.
         """
-        (prep, bins, universe_bins, in_bin_degree, in_bin_palette,
+        (prep, node_bins, universe_bins, in_bin_degree, in_bin_palette,
          entry_match) = self._selected_pass(h1, h2, scorer, precomputed_counts)
         entry_colors = prep["entry_colors"]
         if entry_match is None:
-            entry_match = universe_bins[entry_colors] == bins[prep["entry_nodes"]]
+            entry_match = universe_bins[entry_colors] == np.repeat(
+                node_bins, prep["palette_sizes"]
+            )
+        bins = node_bins.astype(np.int64)
         num_bins = prep["num_bins"]
         csr = prep["csr"]
         node_ids = csr.node_ids

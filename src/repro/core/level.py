@@ -28,7 +28,7 @@ Candidate replication contract
 ------------------------------
 :func:`head_pairs` reproduces, exactly, the first ``selection_batch_size``
 candidates that the child's own
-:meth:`repro.derand.conditional_expectation.HashPairSelector._candidate_batches`
+:meth:`repro.derand.conditional_expectation.HashPairSelector._candidates`
 will enumerate for its salt.  This requires the recursion's salts to be
 *positionally* derivable — :func:`repro.core.driver.child_salt` mixes the
 parent's salt with the child's bin ordinal, replacing the old depth-first
@@ -58,7 +58,7 @@ LEVEL_PREFETCH_MIN_SIZE = 32_768
 def head_pairs(family1, family2, salt: int, count: int) -> List[tuple]:
     """The first ``count`` candidate pairs the selector will draw.
 
-    Mirrors ``HashPairSelector._candidate_batches`` exactly for
+    Mirrors ``HashPairSelector._candidates`` exactly for
     ``candidate_salt=salt`` — same splitmix64 offsets, same per-family
     modulus — so the pairs (and their order) equal the child selection's
     first batch.
@@ -136,8 +136,9 @@ def partition_level_arrays(evaluators: Sequence) -> dict:
     Each evaluator must be a prepared
     :class:`~repro.core.classification.PartitionCostEvaluator`; all must
     share ``params`` knobs and ``ell`` (siblings of one level do).  Edge
-    endpoints, palette-entry owners and universe positions are shifted by
-    per-child offsets so one flat pass covers the level.
+    endpoints and universe positions are shifted by per-child offsets so
+    one flat pass covers the level; palette-entry owners are the level's
+    node positions repeated over their entry runs.
     """
     preps = [evaluator._prepared() for evaluator in evaluators]
     first = preps[0]
@@ -168,11 +169,9 @@ def partition_level_arrays(evaluators: Sequence) -> dict:
             for index, prep in enumerate(preps)
         ]
     )
-    entry_owners = _concat(
-        [
-            prep["entry_nodes"] + node_offsets[index]
-            for index, prep in enumerate(preps)
-        ]
+    palette_sizes = _concat([prep["palette_sizes"] for prep in preps])
+    entry_owners = np.repeat(
+        np.arange(palette_sizes.shape[0], dtype=np.int64), palette_sizes
     )
     entry_positions = _concat(
         [
@@ -200,7 +199,7 @@ def partition_level_arrays(evaluators: Sequence) -> dict:
         "entry_owners": entry_owners,
         "entry_positions": entry_positions,
         "degrees": _concat([prep["degrees"] for prep in preps]),
-        "palette_sizes": _concat([prep["palette_sizes"] for prep in preps]),
+        "palette_sizes": palette_sizes,
     }
 
 
@@ -354,7 +353,8 @@ def low_space_level_arrays(evaluators: Sequence) -> dict:
     Each must be a prepared
     :class:`~repro.core.low_space.machine_sets.LowSpaceCostEvaluator`
     (same ``num_bins`` across the level).  High-node lists, high-high
-    edge endpoints and palette entries are offset per child.
+    edge endpoints and palette entries are offset per child; entry owners
+    are the level's high positions repeated over their entry runs.
     """
     preps = [evaluator._prepared() for evaluator in evaluators]
     num_children = len(preps)
@@ -372,6 +372,7 @@ def low_space_level_arrays(evaluators: Sequence) -> dict:
             dtype, copy=False
         )
 
+    entry_sizes = _concat([np.diff(prep["entry_indptr"]) for prep in preps], np.int64)
     return {
         "evaluators": list(evaluators),
         "preps": preps,
@@ -395,12 +396,8 @@ def low_space_level_arrays(evaluators: Sequence) -> dict:
             ],
             np.int64,
         ),
-        "entry_owners": _concat(
-            [
-                prep["entry_nodes"] + high_offsets[index]
-                for index, prep in enumerate(preps)
-            ],
-            np.int64,
+        "entry_owners": np.repeat(
+            np.arange(entry_sizes.shape[0], dtype=np.int64), entry_sizes
         ),
         "entry_positions": _concat(
             [

@@ -324,8 +324,9 @@ class LowSpaceCostEvaluator(BatchCostEvaluatorBase):
     ) -> NodeLevelOutcome:
         """Full :class:`NodeLevelOutcome` for the winning pair.
 
-        One more pass over the static arrays the selection scored its
-        candidates on (:meth:`_selected_pass`) — no adjacency or palette is
+        The selected pair's pass over the static arrays the selection
+        scored its candidates on (:meth:`_selected_pass` — the head
+        probe's kept pass when the head won); no adjacency or palette is
         walked again.  ``scorer`` (the selection's
         :class:`repro.parallel.executor.ParallelSlabScorer`) shards the
         counts by node range across the pool, and ``precomputed_counts``
@@ -334,9 +335,10 @@ class LowSpaceCostEvaluator(BatchCostEvaluatorBase):
         same integers either way.  Bit-identical to the scalar
         :func:`node_level_outcome`.
         """
-        prep, bins, _, d_prime, p_prime, _ = self._selected_pass(
+        prep, node_bins, _, d_prime, p_prime, _ = self._selected_pass(
             h1, h2, scorer, precomputed_counts
         )
+        bins = node_bins.astype(np.int64)
         return NodeLevelOutcome.from_arrays(
             prep["ids"],
             bins,

@@ -284,23 +284,24 @@ class HashPairSelector:
         steps = 0
         best: Optional[Tuple[float, HashFunction, HashFunction]] = None
         batch_cost = self._batch_cost(cost)
-        probe_pending = True
-        for batch in self._candidate_batches():
+        for start in range(0, self.max_candidates, self.batch_size):
+            stop = min(start + self.batch_size, self.max_candidates)
             steps += 1
             # One matrix computation scores the whole batch (in the model:
             # the batch's concurrent prefix sums); evaluations are counted
             # up to the first feasible candidate, in candidate order.  The
-            # very first candidate is scored alone: Lemma 3.8 makes it
-            # feasible a constant fraction of the time, so the rest of the
-            # batch is often never needed.
-            if probe_pending:
-                probe_pending = False
-                head = batch_cost(batch[:1])[0]
-                if target_bound is None or head <= target_bound:
-                    values = [head]  # feasible: the scan returns at index 0
-                else:
-                    values = [head] + list(batch_cost(batch[1:]))
+            # very first candidate is built and scored alone: Lemma 3.8
+            # makes it feasible a constant fraction of the time, so the
+            # rest of the batch is often never built.
+            if start == 0:
+                batch = self._candidates(0, 1)
+                values = list(batch_cost(batch))
+                if not (target_bound is None or values[0] <= target_bound):
+                    rest = self._candidates(1, stop)
+                    batch += rest
+                    values += batch_cost(rest)
             else:
+                batch = self._candidates(start, stop)
                 values = batch_cost(batch)
             for (h1, h2), value in zip(batch, values):
                 evaluations += 1
@@ -476,21 +477,29 @@ class HashPairSelector:
         seed2 = Seed(joint.bits[split:])
         return self.family1.from_seed(seed1), self.family2.from_seed(seed2)
 
-    def _candidate_batches(self) -> Iterator[List[Tuple[HashFunction, HashFunction]]]:
-        """Deterministic, well-spread candidate pairs in batches."""
-        batch: List[Tuple[HashFunction, HashFunction]] = []
+    def _candidates(
+        self, start: int, stop: int
+    ) -> List[Tuple[HashFunction, HashFunction]]:
+        """Candidate pairs ``start..stop-1`` of the deterministic,
+        well-spread sequence (``repro.core.level.head_pairs`` mirrors it)."""
         offset = _mix64(self.candidate_salt) if self.candidate_salt else 0
-        for index in range(self.max_candidates):
-            seed1 = _mix64(offset + 2 * index) % self.family1.family_size
-            seed2 = _mix64(offset + 2 * index + 1) % self.family2.family_size
-            batch.append(
-                (self.family1.from_seed_int(seed1), self.family2.from_seed_int(seed2))
+        return [
+            (
+                self.family1.from_seed_int(
+                    _mix64(offset + 2 * index) % self.family1.family_size
+                ),
+                self.family2.from_seed_int(
+                    _mix64(offset + 2 * index + 1) % self.family2.family_size
+                ),
             )
-            if len(batch) == self.batch_size:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
+            for index in range(start, stop)
+        ]
+
+    def _candidate_batches(self) -> Iterator[List[Tuple[HashFunction, HashFunction]]]:
+        """The candidate sequence in batches of ``batch_size``."""
+        for start in range(0, self.max_candidates, self.batch_size):
+            stop = min(start + self.batch_size, self.max_candidates)
+            yield self._candidates(start, stop)
 
     @staticmethod
     def _charge(charge: Optional[ChargeCallback], steps: int) -> None:

@@ -35,8 +35,10 @@ of the two batched cost evaluators — Equation (1)'s
 score a hash pair from the in-bin degree ``d'(v)`` and in-bin palette size
 ``p'(v)``; the base owns their one prep layout, the two kernels that count
 them (a slab of candidate rows, and one pair over a node range), the
-selected pair's pass, the staleness check and the shared-memory payload,
-so the evaluators keep only which nodes they score and their predicate.
+selected pair's pass (which also scores a one-pair batch, and is kept for
+the classification that follows), the staleness check and the
+shared-memory payload, so the evaluators keep only which nodes they score
+and their predicate.
 """
 
 from __future__ import annotations
@@ -411,6 +413,26 @@ def segment_sum_rows(matrix: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     return sums
 
 
+def segment_sums(mask: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Exact int64 sums of a 1-D mask over contiguous segments.
+
+    ``bounds`` has shape ``(n + 1,)``, starts at 0 and ends at
+    ``mask.shape[0]``; entry ``i`` of the result is
+    ``mask[bounds[i]:bounds[i+1]].sum()``.  The one-row counterpart of
+    :func:`segment_sum_rows`; empty segments stay 0 (``reduceat`` runs
+    over the non-empty starts only, which are strictly increasing).  A
+    sum cannot exceed the mask's length, so masks shorter than ``2**31``
+    accumulate in int32, which ``reduceat`` runs several times faster
+    than int64 over long segments (palette runs).
+    """
+    sums = np.zeros(bounds.shape[0] - 1, dtype=np.int64)
+    nonempty = bounds[1:] > bounds[:-1]
+    if nonempty.any():
+        accumulator = np.int32 if mask.shape[0] < 2**31 else np.int64
+        sums[nonempty] = np.add.reduceat(
+            mask, bounds[:-1][nonempty], dtype=accumulator
+        )
+    return sums
 
 
 #: Prep entries that are per-process caches or live-instance handles, never
@@ -436,21 +458,31 @@ class BatchCostEvaluatorBase:
     * ``edge_sources`` / ``edge_targets`` / ``edge_indptr`` — each scored
       node's edges to other scored nodes as one contiguous run, endpoints
       given as positions in ``ids``;
-    * ``entry_nodes`` / ``entry_colors`` / ``entry_indptr`` — each scored
-      node's palette entries as one contiguous run: owner position and the
-      color's position in ``universe``;
+    * ``entry_colors`` / ``entry_indptr`` — each scored node's palette
+      entries as one contiguous run, as the colors' positions in
+      ``universe`` (an entry's owner is implied by its run);
     * ``universe`` — the sorted colors of those palettes;
     * ``num_bins`` / ``num_color_bins``, ``csr`` (the live view, ``None``
       on a worker) and the per-family hash-input caches.
 
     Subclasses add their predicate's thresholds.
 
-    **Two count kernels.**  :meth:`_count_slab` counts a slab of candidate
-    pairs (one row each) for :meth:`many`; :meth:`_count_range` counts one
-    pair over a node range ``[start, stop)``.  The selected pair's pass is
-    the range ``[0, n)`` and a pool shard is a sub-range
-    (:meth:`range_counts`), so sharded and serial counts are the same
-    integers.
+    **Two count kernels**, both on the narrow bins of :func:`hash_bins`.
+    :meth:`_count_slab` counts a slab of candidate pairs (one row each) for
+    :meth:`many`; :meth:`_count_range` counts one pair over a node range
+    ``[start, stop)``.  Both repeat each node's bin over its palette-entry
+    run instead of gathering entry owners, and sum per-node runs with
+    ``reduceat``.  The selected pair's pass is the range ``[0, n)`` and a
+    pool shard is a sub-range (:meth:`range_counts`), so sharded and
+    serial counts are the same integers.
+
+    **One pass per partition step.**  A one-pair batch — the head probe of
+    the first-feasible scan — is scored by the selected pair's pass itself
+    (:meth:`probe`), and that pass is kept in a one-slot cache keyed on the
+    ``(h1, h2)`` objects: when the head wins, the classification that
+    follows (:meth:`_selected_pass`) takes it instead of counting again.
+    The slot is taken once and cleared, and never crosses a pickle or the
+    shared-memory payload.
 
     Subclasses implement :meth:`_prepare` (which nodes, edges and
     thresholds), :meth:`_slab_costs` (their predicate over counted slabs)
@@ -470,6 +502,8 @@ class BatchCostEvaluatorBase:
 
     def __init__(self) -> None:
         self._prep: Optional[dict] = None
+        #: ``(h1, h2, pass)`` of the last probed pair, until taken.
+        self._kept: Optional[tuple] = None
 
     def __getstate__(self) -> dict:
         """Pickle the evaluator without its prepared static arrays.
@@ -478,11 +512,12 @@ class BatchCostEvaluatorBase:
         rebuilds the arrays once from the instance state — the parallel
         layer (:mod:`repro.parallel.slabs`) ships evaluators once per
         Partition level, so each worker pays that preparation once, not
-        per slab.  A shared-memory segment handle likewise never crosses a
-        pickle boundary.
+        per slab.  A shared-memory segment handle and a kept pass likewise
+        never cross a pickle boundary.
         """
         state = self.__dict__.copy()
         state["_prep"] = None
+        state["_kept"] = None
         state.pop("_shm_segment", None)
         return state
 
@@ -528,8 +563,7 @@ class BatchCostEvaluatorBase:
         the entries' color span — a scatter and a ``cumsum``, no sort —
         whenever it is no wider than the entries; only stores whose node
         order differs from ``node_ids`` rank just the gathered entries
-        (and cache nothing).  Returns
-        ``universe``, ``entry_nodes``, ``entry_colors`` and
+        (and cache nothing).  Returns ``universe``, ``entry_colors`` and
         ``entry_indptr``.  Raises the palette layer's error for nodes
         without a palette, and :class:`~repro.errors.PaletteError` when the
         colors are not int64 integers (the hash families reject such
@@ -553,9 +587,6 @@ class BatchCostEvaluatorBase:
             universe, positions = store.ranks(gather)
         return {
             "universe": universe,
-            "entry_nodes": np.repeat(
-                np.arange(len(node_ids), dtype=np.int64), indptr[1:] - indptr[:-1]
-            ),
             "entry_colors": positions,
             "entry_indptr": indptr,
         }
@@ -595,6 +626,7 @@ class BatchCostEvaluatorBase:
         evaluator = cls.__new__(cls)
         evaluator.__dict__.update(dict.fromkeys(cls._LIVE_ATTRS))
         evaluator.__dict__.update(attrs)
+        evaluator._kept = None
         evaluator._prep = {
             **arrays,
             **scalars,
@@ -610,16 +642,19 @@ class BatchCostEvaluatorBase:
 
         All pairs of a batch must come from the same two hash families
         (identical prime/domain/range), which is how the selection
-        strategies produce them.
+        strategies produce them.  A one-pair batch is scored by
+        :meth:`probe` (the same integers, so the same cost).
         """
         if not pairs:
             return []
+        if len(pairs) == 1:
+            return [self.probe(*pairs[0])]
         prep = self._prepared()
         entries = max(
             1,
             len(prep["ids"]),
             len(prep["edge_sources"]),
-            len(prep["entry_nodes"]),
+            len(prep["entry_colors"]),
             len(prep["universe"]),
         )
         slab = max(1, self.MAX_ELEMENTS // entries)
@@ -632,17 +667,36 @@ class BatchCostEvaluatorBase:
             )
         return costs
 
+    def probe(self, h1, h2, scorer=None) -> float:
+        """The cost of one pair, from its selected-pair pass, which is kept.
+
+        :meth:`_selected_pass` counts the pair (through ``scorer``'s pool
+        shards when one is given); the cost is :meth:`_slab_costs` over
+        those counts as a one-row slab, so it equals the slab kernel's
+        value bit for bit.  The pass stays in the one-slot cache for the
+        classification of the same ``(h1, h2)`` objects.
+        """
+        selected = self._selected_pass(h1, h2, scorer)
+        self._kept = (h1, h2, selected)
+        prep, node_bins, _, d_prime, p_prime, _ = selected
+        return float(
+            self._slab_costs(prep, node_bins[None], d_prime[None], p_prime[None])[0]
+        )
+
     def _count_slab(self, pairs, prep: dict):
         """``(bins1, d', p')`` for a slab, one row per candidate pair.
 
         Edge runs and palette-entry runs are contiguous per node, so both
-        counts are one gather + compare + :func:`segment_sum_rows`.
+        counts are a compare + :func:`segment_sum_rows`; the entries'
+        owner bins are each node's bin repeated over its run.
         """
         bins1, bins2 = self._bin_matrices(pairs, prep)
         same_bin = bins1[:, prep["edge_sources"]] == bins1[:, prep["edge_targets"]]
         d_prime = segment_sum_rows(same_bin, prep["edge_indptr"])
-        entry_match = bins2[:, prep["entry_colors"]] == bins1[:, prep["entry_nodes"]]
-        p_prime = segment_sum_rows(entry_match, prep["entry_indptr"])
+        entry_indptr = prep["entry_indptr"]
+        owner_bins = np.repeat(bins1, entry_indptr[1:] - entry_indptr[:-1], axis=1)
+        entry_match = bins2[:, prep["entry_colors"]] == owner_bins
+        p_prime = segment_sum_rows(entry_match, entry_indptr)
         return bins1, d_prime, p_prime
 
     @staticmethod
@@ -652,22 +706,24 @@ class BatchCostEvaluatorBase:
         ``stop - start`` and the match mask over that range's palette
         entries.  A range touches exactly its own edge and entry runs, so
         counts over sub-ranges concatenate to the counts over ``[0, n)``.
+        The bins stay narrow: the entries' owner bins are each node's bin
+        repeated over its run, and the counts are :func:`segment_sums`
+        over the runs.
         """
         indptr = prep["edge_indptr"]
         lo, hi = int(indptr[start]), int(indptr[stop])
-        sources = prep["edge_sources"][lo:hi]
-        same_bin = node_bins[sources] == node_bins[prep["edge_targets"][lo:hi]]
-        d_prime = np.bincount(sources[same_bin] - start, minlength=stop - start)
+        same_bin = (
+            node_bins[prep["edge_sources"][lo:hi]]
+            == node_bins[prep["edge_targets"][lo:hi]]
+        )
+        d_prime = segment_sums(same_bin, indptr[start : stop + 1] - lo)
         entry_indptr = prep["entry_indptr"]
         lo, hi = int(entry_indptr[start]), int(entry_indptr[stop])
-        owners = prep["entry_nodes"][lo:hi]
-        entry_match = universe_bins[prep["entry_colors"][lo:hi]] == node_bins[owners]
-        p_prime = np.bincount(owners[entry_match] - start, minlength=stop - start)
-        return (
-            d_prime.astype(np.int64, copy=False),
-            p_prime.astype(np.int64, copy=False),
-            entry_match,
-        )
+        bounds = entry_indptr[start : stop + 1] - lo
+        owner_bins = np.repeat(node_bins[start:stop], bounds[1:] - bounds[:-1])
+        entry_match = universe_bins[prep["entry_colors"][lo:hi]] == owner_bins
+        p_prime = segment_sums(entry_match, bounds)
+        return d_prime, p_prime, entry_match
 
     def range_counts(self, h1, h2, start: int, stop: int):
         """``(d', p')`` of the pair ``(h1, h2)`` for scored nodes
@@ -680,17 +736,22 @@ class BatchCostEvaluatorBase:
         return d_prime, p_prime
 
     def _selected_pass(self, h1, h2, scorer=None, precomputed_counts=None):
-        """Bins and exact counts of the selected pair over every scored node.
+        """Narrow bins and exact counts of the pair over every scored node.
 
-        The counts come from ``precomputed_counts`` (the segmented level
-        pass, :mod:`repro.core.level`), else from the pool's range shards
+        The pass kept by :meth:`probe` for these very ``(h1, h2)`` objects
+        is taken first (the slot is cleared either way).  Otherwise the
+        counts come from ``precomputed_counts`` (the segmented level pass,
+        :mod:`repro.core.level`), else from the pool's range shards
         (``scorer``, a :class:`repro.parallel.executor.ParallelSlabScorer`),
-        else from one serial :meth:`_count_range` over ``[0, n)``; all three
-        are the same integers.  Returns ``(prep, node_bins, universe_bins,
-        d', p', entry_match)``; ``entry_match`` is ``None`` unless the
-        serial count ran.
+        else from one serial :meth:`_count_range` over ``[0, n)``; all are
+        the same integers.  Returns ``(prep, node_bins, universe_bins, d',
+        p', entry_match)``; ``entry_match`` is ``None`` unless the serial
+        count ran.
         """
+        kept, self._kept = self._kept, None
         prep = self._prepared()
+        if kept is not None and kept[0] is h1 and kept[1] is h2 and kept[2][0] is prep:
+            return kept[2]
         node_bins, universe_bins = self._pair_bins(h1, h2, prep)
         num_nodes = len(prep["ids"])
         counts = precomputed_counts
@@ -751,6 +812,6 @@ class BatchCostEvaluatorBase:
         return bins1, bins2
 
     def _pair_bins(self, h1, h2, prep: dict) -> Tuple[np.ndarray, np.ndarray]:
-        """``(node_bins, universe_bins)`` of one pair, as int64 vectors."""
+        """``(node_bins, universe_bins)`` of one pair, as narrow vectors."""
         bins1, bins2 = self._bin_matrices([(h1, h2)], prep)
-        return bins1[0].astype(np.int64), bins2[0].astype(np.int64)
+        return bins1[0], bins2[0]

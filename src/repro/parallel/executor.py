@@ -77,11 +77,14 @@ second usable core (``REPRO_PARALLEL_MIN_PAIRS`` overrides, ``0`` forcing
 engagement) so ``parallel_workers > 1`` is never a slowdown.  Recovery runs
 on :class:`RecoveryPolicy` defaults; tests tune a pool by assigning its
 ``policy``.  :meth:`SlabExecutor.run_phase` extends the same shard/retry/
-rescue machinery to the selected pair's count pass (the final
-classification or low-space outcome): each shard is a node range
-``[start, stop)`` counted by the evaluator's ``range_counts`` (see
+rescue machinery to the selected pair's count pass: each shard is a node
+range ``[start, stop)`` counted by the evaluator's ``range_counts`` (see
 :class:`repro.hashing.batch.BatchCostEvaluatorBase`), so the parent's
-reassembly equals the serial ``[0, n)`` count.
+reassembly equals the serial ``[0, n)`` count.  That pass is the head
+probe's: :class:`ParallelSlabScorer` scores a one-pair batch through it
+(``probe``), and the evaluator keeps the counts for the classification or
+low-space outcome that follows when the head wins; a losing head's winner
+is counted by one more ``run_phase``.
 """
 
 from __future__ import annotations
@@ -883,9 +886,11 @@ class ParallelSlabScorer:
     pool self-heals around worker failures, and the executor's circuit
     breaker demotes scoring to the in-process path after repeated
     pool-level failures (with a cool-down re-probe), so a degraded host
-    gracefully converges to exactly the single-process behaviour.  Every
-    path returns the exact ``many`` values, so none of this ever affects
-    the selected pair.
+    gracefully converges to exactly the single-process behaviour.  A
+    one-pair batch (the head probe) is the selected pair's count pass,
+    sharded by node range through :meth:`phase_values` and kept by the
+    evaluator for the classification.  Every path returns the exact
+    ``many`` values, so none of this ever affects the selected pair.
     """
 
     def __init__(self, cost, executor: SlabExecutor) -> None:
@@ -895,6 +900,8 @@ class ParallelSlabScorer:
 
     def __call__(self, pairs) -> List[float]:
         pairs = list(pairs)
+        if len(pairs) == 1:
+            return [self.cost.probe(*pairs[0], scorer=self)]
         if self.min_pairs is None or len(pairs) < self.min_pairs:
             return self.cost.many(pairs)
         breaker = self.executor.breaker

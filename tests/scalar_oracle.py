@@ -29,11 +29,14 @@ every array entry point the drivers call to it:
   for instances below the array sweep's cutover).
 
 The references are also what the unit-level differential tests and the
-``bench_p*`` benchmarks compare the array kernels with.  Three of them
+``bench_p*`` benchmarks compare the array kernels with.  Four of them
 have no reroute: :func:`rank_oracle` (the palette store's universe and
 entry ranks; the drivers reach the rank kernel only through the store),
-and :class:`SetGraph` with :func:`build_csr` (the adjacency-set graph and
-its view, the reference for ``Graph``'s one array view).
+:func:`count_range_gather` (the selected pair's count kernel on int64
+gathers and explicit entry owners; the oracle run never reaches the
+kernel, since it reroutes the callers), and :class:`SetGraph` with
+:func:`build_csr` (the adjacency-set graph and its view, the reference for
+``Graph``'s one array view).
 
 A differential test runs the same instance in production and under the
 oracle and compares coloring, rounds, recursion tree and ledger
@@ -270,6 +273,34 @@ def rank_oracle(flat):
     """
     universe = np.unique(flat)
     return universe, np.searchsorted(universe, flat)
+
+
+def count_range_gather(prep, node_bins, universe_bins, start, stop):
+    """``BatchCostEvaluatorBase._count_range`` on int64 gathers and
+    ``bincount``s over explicit entry owners.
+
+    Returns ``(d', p', entry_match)`` for scored nodes ``[start, stop)``
+    of the prep layout, the kernel's signature and dtypes (int64 counts,
+    a boolean mask over the range's palette entries).  Owners are every
+    node's position repeated over its entry run, built here from
+    ``entry_indptr``; the bins are widened to int64 first.
+    """
+    node_bins = np.asarray(node_bins, dtype=np.int64)
+    universe_bins = np.asarray(universe_bins, dtype=np.int64)
+    indptr = prep["edge_indptr"]
+    lo, hi = int(indptr[start]), int(indptr[stop])
+    sources = np.asarray(prep["edge_sources"][lo:hi], dtype=np.int64)
+    same_bin = node_bins[sources] == node_bins[prep["edge_targets"][lo:hi]]
+    d_prime = np.bincount(sources[same_bin] - start, minlength=stop - start)
+    entry_indptr = prep["entry_indptr"]
+    entry_nodes = np.repeat(
+        np.arange(entry_indptr.shape[0] - 1, dtype=np.int64), np.diff(entry_indptr)
+    )
+    lo, hi = int(entry_indptr[start]), int(entry_indptr[stop])
+    owners = entry_nodes[lo:hi]
+    entry_match = universe_bins[prep["entry_colors"][lo:hi]] == node_bins[owners]
+    p_prime = np.bincount(owners[entry_match] - start, minlength=stop - start)
+    return d_prime.astype(np.int64), p_prime.astype(np.int64), entry_match
 
 
 def prune_palette_sets(sets, graph, coloring):

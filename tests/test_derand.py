@@ -182,6 +182,35 @@ class TestBatchedHeadProbe:
         assert batched_cost.many_sizes[0] == 1  # the head is scored alone
         assert reference_cost.many_sizes == []
 
+    @pytest.mark.parametrize(
+        "feasible_index, built", [(0, 1), (3, 16), (20, 32)]
+    )
+    def test_builds_the_rest_of_the_first_batch_only_when_the_head_fails(
+        self, monkeypatch, feasible_index, built
+    ):
+        values = [9.0] * self.MAX_CANDIDATES
+        values[feasible_index] = 2.0
+        seeds = []
+        from_seed_int = KWiseIndependentFamily.from_seed_int
+
+        def counted(family, seed):
+            seeds.append(seed)
+            return from_seed_int(family, seed)
+
+        family1, family2 = small_families()
+        selector = HashPairSelector(
+            family1, family2, max_candidates=self.MAX_CANDIDATES, candidate_salt=7
+        )
+        pairs = [pair for batch in selector._candidate_batches() for pair in batch]
+        cost = _TableCost(pairs, values)
+        monkeypatch.setattr(KWiseIndependentFamily, "from_seed_int", counted)
+        outcome = selector.select(cost, target_bound=5.0)
+        assert len(seeds) == 2 * built  # one h1 and one h2 per built candidate
+        assert (_pair_key(outcome.h1, outcome.h2), outcome.evaluations) == (
+            _pair_key(*pairs[feasible_index]),
+            feasible_index + 1,
+        )
+
 
 class TestExhaustive:
     def test_returns_minimum_over_candidates(self):

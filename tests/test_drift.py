@@ -10,7 +10,8 @@ second paths: the per-pair selection bodies, the machine-level
 classification, the local greedy's order and recolor options, and the
 helpers nothing called.  Nor may the parameter fields that made the
 paper's exponents settable, or the options and constructors no caller
-set.
+set.  Nor may the count kernels' explicit entry-owner array: an entry's
+owner is implied by its run.
 """
 
 from __future__ import annotations
@@ -76,3 +77,14 @@ RETIRED_PARAMS = re.compile(
 def test_retired_parameter_fields_stay_out_of_src():
     hits = _hits(RETIRED_PARAMS)
     assert not hits, "retired parameter fields in src/:\n" + "\n".join(hits)
+
+
+#: The retired prep array of palette-entry owners: the count kernels repeat
+#: each node's bin over its entry run, and the level pass builds its own
+#: owners.
+RETIRED_PREP = re.compile(r"entry_nodes")
+
+
+def test_retired_entry_owner_array_stays_out_of_src():
+    hits = _hits(RETIRED_PREP)
+    assert not hits, "retired prep arrays in src/:\n" + "\n".join(hits)

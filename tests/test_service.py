@@ -42,9 +42,16 @@ EDGES = [[0, 1], [1, 2], [2, 0], [2, 3], [3, 4]]
 
 
 def shm_residue():
+    """This process's pool segments left in ``/dev/shm``.
+
+    The service runs jobs in threads, so every segment it publishes is
+    named ``repro_<this pid>_*``; segments of other processes on the host
+    (another run's pool) are not this test's residue.
+    """
     if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux
         return []
-    return [name for name in os.listdir("/dev/shm") if name.startswith("repro_")]
+    own = f"repro_{os.getpid()}_"
+    return [name for name in os.listdir("/dev/shm") if name.startswith(own)]
 
 
 @pytest.fixture
