@@ -3,14 +3,13 @@
 Two claims, measured on one large Erdős–Rényi instance:
 
 1. **Level-loop ratio** (informational record, ``gate: false``).  With
-   ``FIRST_FEASIBLE`` selection every recursing bin of a level scores the
-   same head batch of hash-pair candidates; the per-bin reference scores
-   each bin's batch with that bin's own ``many`` kernel (what the selector
-   does), while the segmented kernel layer (:mod:`repro.core.level`)
-   scores all sibling bins in one concatenated pass.  The two paths
-   produce bit-identical cost values (asserted here).  Against the
-   batched per-bin route the ratio is about 1x, so the record is kept for
-   information only.
+   ``FIRST_FEASIBLE`` selection every recursing bin of a level first
+   scores its head pair, the first pair of its candidate sequence; the
+   per-bin reference scores each bin's head with that bin's own
+   ``many([head])`` probe (what the selector does), while the segmented
+   kernel layer (:mod:`repro.core.level`) scores all sibling bins' heads
+   in one concatenated pass.  The two paths produce bit-identical cost
+   values (asserted here).  The record's times are one head per bin.
 
 2. **End-to-end wall-clock** (gated record, ``metric: seconds``).  A full
    ``ColorReduce`` run is timed with a median-of-k protocol
@@ -53,11 +52,12 @@ from bench_json import emit_bench_json
 from repro.core.classification import partition_cost_function
 from repro.core.color_reduce import ColorReduce
 from repro.core.driver import child_salt
-from repro.core.level import head_pairs, prefetch_partition_level
+from repro.core.level import prefetch_partition_level
 from repro.core.low_space.color_reduce import LowSpaceColorReduce
 from repro.core.low_space.params import LowSpaceParameters
 from repro.core.params import ColorReduceParameters
 from repro.core.partition import Partition
+from repro.derand.conditional_expectation import candidate_pairs
 from repro.graph.generators import degree_plus_one_palettes, erdos_renyi, power_law
 from repro.graph.palettes import PaletteAssignment
 
@@ -95,10 +95,10 @@ def _tree_signature(node):
 
 
 def _level_head_scoring(graph, palettes, params, ell, global_nodes, min_children):
-    """Time the per-bin vs segmented head-batch scoring of the root level.
+    """Time the per-bin vs segmented head scoring of the root's children.
 
     Returns ``(per_bin_seconds, segmented_seconds)`` after asserting the
-    two paths produced identical cost values for every (bin, candidate).
+    two paths produced identical head costs for every bin.
     """
     partition = Partition(params).run(graph, palettes, ell, global_nodes, salt=1)
     next_ell = params.next_ell(ell)
@@ -111,11 +111,10 @@ def _level_head_scoring(graph, palettes, params, ell, global_nodes, min_children
         f"expected at least {min_children} non-empty sibling bins, got "
         f"{len(children)}"
     )
-    count = min(params.selection_batch_size, params.selection_max_candidates)
     builder = Partition(params)
-    pairs_of = {
-        key: head_pairs(
-            *builder.build_families(cg, cp, next_ell, global_nodes), salt, count
+    head_of = {
+        key: candidate_pairs(
+            *builder.build_families(cg, cp, next_ell, global_nodes), salt, 0, 1
         )
         for key, salt, cg, cp in children
     }
@@ -123,11 +122,10 @@ def _level_head_scoring(graph, palettes, params, ell, global_nodes, min_children
     started = time.perf_counter()
     reference = {}
     for key, _salt, child_graph, child_palettes in children:
-        pairs = pairs_of[key]
         cost = partition_cost_function(
             child_graph, child_palettes, params, next_ell, global_nodes
         )
-        reference[key] = list(cost.many(pairs))
+        reference[key] = cost.many(head_of[key])
     per_bin_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
@@ -136,9 +134,8 @@ def _level_head_scoring(graph, palettes, params, ell, global_nodes, min_children
 
     for key, _salt, _cg, _cp in children:
         proxy = prefetched[key]
-        values = [proxy(*pair) for pair in pairs_of[key]]
-        assert values == reference[key], (
-            f"segmented head batch diverged from the per-bin reference in "
+        assert proxy.many(head_of[key]) == reference[key], (
+            f"segmented head cost diverged from the per-bin reference in "
             f"bin {key}"
         )
     return per_bin_seconds, segmented_seconds

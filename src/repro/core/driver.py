@@ -11,7 +11,7 @@ Algorithm 1 and Algorithms 3/4 have one shape:
 call of it needs: the run scaffolding (palette validation, durability, the
 pool-health delta), the durability wrapper of each call (guard polls,
 restore by salt, subtree recording), the best-effort level prefetch of the
-color bins' head batches, and the round accounting of the descent (color
+color bins' head pairs, and the round accounting of the descent (color
 bins merged in parallel, the leftover bin and ``G_0`` sequentially).  A
 pipeline subclasses it and supplies only its own steps:
 
@@ -206,7 +206,7 @@ class RecursionDriver:
         ``salt`` is the call's positional identity (:func:`child_salt`).
         ``prefetched`` carries this instance's
         :class:`~repro.core.level.CachedPairCost` when the parent's level
-        prefetch scored its head batch.
+        prefetch scored its head pair.
         """
         ledger = CostLedger()
         node = self._new_node(graph, ell, depth)
@@ -289,7 +289,7 @@ class RecursionDriver:
     def _prefetch_level(
         self, parent, partition, ell, depth, state: RunState, salt
     ) -> Dict[int, object]:
-        """Score every recursing color bin's head batch in one segmented pass.
+        """Score every recursing color bin's head pair in one segmented pass.
 
         Best-effort (:mod:`repro.core.level`): a failure, or a bin the
         :meth:`_will_partition` predicate mispredicts, falls back to the
@@ -326,7 +326,7 @@ class RecursionDriver:
     def _level_prefetch_enabled(self) -> bool:
         """Whether the cross-bin level prefetch applies under these params.
 
-        The segmented pass reproduces the head-batch probes of the
+        The segmented pass reproduces the head probes of the
         single-process ``FIRST_FEASIBLE`` selection; multiprocess scoring
         keeps the per-bin route.
         """

@@ -2,14 +2,15 @@
 
 After a ``Partition`` call splits an instance into ``B`` sibling color
 bins, the recursion descends into each bin separately, and each child's
-own ``Partition`` call scores its head candidate batch with its own
-batched evaluator — one array pass per child.  This module evaluates the
-Eq (1) / Eq (2) costs of *all* siblings' head candidate batches in one
-segmented array pass instead:
+own ``Partition`` call scores its head candidate — the first pair of its
+candidate sequence — with its own batched evaluator, one array pass per
+child.  Lemma 3.8 makes that head feasible a constant fraction of the
+time, and the first-feasible scan stops at it when it is.  This module
+scores *all* siblings' head pairs in one segmented array pass instead:
 
 * per-child static arrays (CSR edges, flattened palette entries,
   thresholds) are concatenated once with per-bin offsets,
-* the per-child candidate hash functions are applied per *element row*
+* each child's head hash functions are applied per *element row*
   through :func:`repro.hashing.batch.hash_rows` (each child has its own
   families and salt, so each element picks its child's polynomial and
   field),
@@ -18,22 +19,24 @@ segmented array pass instead:
   ``bincount`` over the child-of-element row labels.
 
 The results are handed to each child as a :class:`CachedPairCost` — a
-transparent proxy over the child's own evaluator whose cached values are
-**bit-identical** to what the per-bin reference would compute (same IEEE
-float64 elementwise operations on the same inputs, in the same order), so
-selection outcomes, classifications, ledgers and colorings are unchanged
-with the segmented path on or off (``level_use_batch``).
+transparent proxy over the child's own evaluator holding the head's value
+and ``(d', p')`` counts, **bit-identical** to what the per-bin reference
+would compute (same IEEE float64 elementwise operations on the same
+inputs, in the same order), so selection outcomes, classifications,
+ledgers and colorings are unchanged with the segmented path on or off
+(``level_use_batch``).  When a child's head loses, the rest of its scan
+is scored by the child's own evaluator, exactly as without the prefetch.
 
 Candidate replication contract
 ------------------------------
-:func:`head_pairs` reproduces, exactly, the first ``selection_batch_size``
-candidates that the child's own
-:meth:`repro.derand.conditional_expectation.HashPairSelector._candidates`
-will enumerate for its salt.  This requires the recursion's salts to be
-*positionally* derivable — :func:`repro.core.driver.child_salt` mixes the
-parent's salt with the child's bin ordinal, replacing the old depth-first
-Partition counter (whose value for sibling ``k`` depended on the entire
-subtree of siblings ``0..k-1`` and so could not be known at prefetch time).
+The prefetch draws each child's head from
+:func:`repro.derand.conditional_expectation.candidate_pairs`, the very
+sequence the child's selector reads, for the child's salt.  This requires
+the recursion's salts to be *positionally* derivable —
+:func:`repro.core.driver.child_salt` mixes the parent's salt with the
+child's bin ordinal, replacing the old depth-first Partition counter
+(whose value for sibling ``k`` depended on the entire subtree of siblings
+``0..k-1`` and so could not be known at prefetch time).
 """
 
 from __future__ import annotations
@@ -42,36 +45,16 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.derand.conditional_expectation import _mix64
+from repro.derand.conditional_expectation import candidate_pairs
 from repro.hashing import batch as hb
 
 #: Engagement floor for the cross-bin prefetch, in instance size
-#: (``num_nodes + num_edges``).  The prefetch eagerly scores the *whole*
-#: head batch for every sibling, while the per-bin ``FIRST_FEASIBLE``
-#: scan scores the head candidate alone first and stops there when it is
-#: feasible — usually (Lemma 3.8).  The trade can only pay on children
-#: big enough to amortize the level arrays' setup; below the floor the
-#: drivers keep the per-bin route (outcomes are identical either way).
+#: (``num_nodes + num_edges``).  The prefetch scores exactly the head pair
+#: each child's scan would score first, so it adds no candidate work; what
+#: it adds is the level arrays' concatenation.  Below the floor that setup
+#: outweighs the per-child passes it replaces, so the drivers keep the
+#: per-bin route (outcomes are identical either way).
 LEVEL_PREFETCH_MIN_SIZE = 32_768
-
-
-def head_pairs(family1, family2, salt: int, count: int) -> List[tuple]:
-    """The first ``count`` candidate pairs the selector will draw.
-
-    Mirrors ``HashPairSelector._candidates`` exactly for
-    ``candidate_salt=salt`` — same splitmix64 offsets, same per-family
-    modulus — so the pairs (and their order) equal the child selection's
-    first batch.
-    """
-    offset = _mix64(salt) if salt else 0
-    pairs = []
-    for index in range(count):
-        seed1 = _mix64(offset + 2 * index) % family1.family_size
-        seed2 = _mix64(offset + 2 * index + 1) % family2.family_size
-        pairs.append(
-            (family1.from_seed_int(seed1), family2.from_seed_int(seed2))
-        )
-    return pairs
 
 
 def _pair_key(h1, h2) -> tuple:
@@ -83,43 +66,50 @@ def _pair_key(h1, h2) -> tuple:
 
 
 class CachedPairCost:
-    """Transparent cost-evaluator proxy serving prefetched head values.
+    """Transparent cost-evaluator proxy serving a prefetched head pair.
 
     Wraps a child's own :class:`PartitionCostEvaluator` /
-    :class:`LowSpaceCostEvaluator`.  Calls whose pair was scored by the
-    segmented level pass are answered from the cache (bit-identical
-    values); everything else — unknown pairs, ``many`` batches beyond the
-    head, attribute access — delegates to the wrapped evaluator, so the
-    proxy is safe to hand to any selection strategy.
+    :class:`LowSpaceCostEvaluator` with one slot: the head pair's key, its
+    cost and its ``(d', p')`` counts from the segmented level pass.  A
+    scalar call on the head, and a ``many`` batch that is exactly the
+    head, are answered from the slot (bit-identical values); the head's
+    classification takes its counts.  Everything else — other pairs,
+    longer batches (the rest of the scan after a losing head), attribute
+    access — delegates to the wrapped evaluator, so the proxy is safe to
+    hand to any selection strategy.
     """
 
-    def __init__(self, inner, values: Dict[tuple, float], counts: Dict[tuple, tuple]):
+    def __init__(self, inner, key: tuple, value: float, counts: tuple):
         self._inner = inner
-        self._values = values
+        self._key = key
+        self._value = value
         self._counts = counts
 
     def __call__(self, h1, h2) -> float:
-        value = self._values.get(_pair_key(h1, h2))
-        if value is not None:
-            return value
+        if _pair_key(h1, h2) == self._key:
+            return self._value
         return self._inner(h1, h2)
 
     def many(self, pairs) -> List[float]:
-        values = [self._values.get(_pair_key(h1, h2)) for h1, h2 in pairs]
-        if all(value is not None for value in values):
-            return values
+        if len(pairs) == 1 and _pair_key(*pairs[0]) == self._key:
+            return [self._value]
         return self._inner.many(pairs)
 
+    def _head_counts(self, h1, h2, scorer):
+        if scorer is None and _pair_key(h1, h2) == self._key:
+            return self._counts
+        return None
+
     def classify_selected(self, h1, h2, scorer=None):
-        counts = None if scorer is not None else self._counts.get(_pair_key(h1, h2))
         return self._inner.classify_selected(
-            h1, h2, scorer=scorer, precomputed_counts=counts
+            h1, h2, scorer=scorer,
+            precomputed_counts=self._head_counts(h1, h2, scorer),
         )
 
     def outcome_selected(self, h1, h2, scorer=None):
-        counts = None if scorer is not None else self._counts.get(_pair_key(h1, h2))
         return self._inner.outcome_selected(
-            h1, h2, scorer=scorer, precomputed_counts=counts
+            h1, h2, scorer=scorer,
+            precomputed_counts=self._head_counts(h1, h2, scorer),
         )
 
     def __getattr__(self, name):
@@ -296,51 +286,50 @@ def score_partition_level(
     return costs, counts
 
 
+def _head_proxies(keys, evaluators, heads, costs, counts) -> Dict:
+    """``{key: CachedPairCost}`` from one level pass over the children's
+    head pairs (``costs`` / ``counts`` as the ``score_*_level`` kernels
+    return them)."""
+    return {
+        key: CachedPairCost(evaluator, _pair_key(*head), cost, count)
+        for key, evaluator, head, cost, count in zip(
+            keys, evaluators, heads, costs, counts
+        )
+    }
+
+
 def prefetch_partition_level(
     children: Sequence[tuple], params, ell: float, global_nodes: int
 ) -> Dict:
-    """Prefetch every sibling bin's head candidate batch in one level pass.
+    """Score every sibling bin's head pair in one level pass.
 
     ``children`` holds ``(key, salt, graph, palettes)`` per sibling that
-    will recurse (Eq (1) pipeline, shared ``ell``).  Returns
-    ``{key: CachedPairCost}`` — each child's own evaluator wrapped with
-    its head-batch costs, plus the first candidate's
-    ``(in_bin_degree, in_bin_palette)`` for the post-selection
-    classification.  Any failure to prefetch is the caller's cue to fall
-    back to per-bin evaluation (values are identical either way).
+    will recurse (Eq (1) pipeline, shared ``ell``).  Each child's head is
+    the first pair of its candidate sequence for its salt, built once.
+    Returns ``{key: CachedPairCost}`` — each child's own evaluator wrapped
+    with its head's cost and ``(in_bin_degree, in_bin_palette)``, which the
+    post-selection classification takes when the head wins.  Any failure
+    to prefetch is the caller's cue to fall back to per-bin evaluation
+    (values are identical either way).
     """
     from repro.core.classification import partition_cost_function
     from repro.core.partition import Partition
 
     if not children:
         return {}
-    count = min(params.selection_batch_size, params.selection_max_candidates)
     builder = Partition(params)
     evaluators = []
-    pairs_by_child = []
-    for key, salt, graph, palettes in children:
+    heads = []
+    for _, salt, graph, palettes in children:
         family1, family2 = builder.build_families(graph, palettes, ell, global_nodes)
-        pairs_by_child.append(head_pairs(family1, family2, salt, count))
+        heads.extend(candidate_pairs(family1, family2, salt, 0, 1))
         evaluators.append(
             partition_cost_function(graph, palettes, params, ell, global_nodes)
         )
-    level = partition_level_arrays(evaluators)
-    values: List[Dict[tuple, float]] = [{} for _ in children]
-    counts: List[Dict[tuple, tuple]] = [{} for _ in children]
-    for candidate in range(count):
-        pair_row = [pairs[candidate] for pairs in pairs_by_child]
-        row_costs, row_counts = score_partition_level(level, pair_row)
-        for index, (h1, h2) in enumerate(pair_row):
-            key = _pair_key(h1, h2)
-            values[index][key] = row_costs[index]
-            if candidate == 0:
-                # The head is the usual selection (Lemma 3.8); keeping its
-                # counts lets classify_selected skip its own count pass.
-                counts[index][key] = row_counts[index]
-    return {
-        child[0]: CachedPairCost(evaluators[index], values[index], counts[index])
-        for index, child in enumerate(children)
-    }
+    costs, counts = score_partition_level(partition_level_arrays(evaluators), heads)
+    return _head_proxies(
+        [child[0] for child in children], evaluators, heads, costs, counts
+    )
 
 
 # ----------------------------------------------------------------------
@@ -490,26 +479,24 @@ def score_low_space_level(
 def prefetch_low_space_level(
     children: Sequence[tuple], params, global_nodes: int
 ) -> Dict:
-    """Prefetch sibling head batches for the low-space (Eq (2)) pipeline.
+    """Score sibling head pairs for the low-space (Eq (2)) pipeline.
 
     ``children`` holds ``(key, salt, graph, palettes)`` per sibling that
-    will recurse and has at least one high-degree node.  Family
-    construction, the low/high split and the candidate enumeration mirror
-    :meth:`repro.core.low_space.partition.LowSpacePartition.run` exactly;
+    will recurse; siblings without a high-degree node are skipped.
+    Family construction and the low/high split mirror
+    :meth:`repro.core.low_space.partition.LowSpacePartition.run` exactly,
+    and each head is the first pair of the child's candidate sequence;
     returns ``{key: CachedPairCost}``.
     """
     from repro.core.classification import hash_families
     from repro.core.low_space.machine_sets import low_space_cost_function
     from repro.core.low_space.partition import split_by_degree
 
-    if not children:
-        return {}
-    count = min(params.selection_batch_size, params.selection_max_candidates)
     threshold = params.low_degree_threshold(global_nodes)
     num_bins = params.num_bins(global_nodes)
+    keys = []
     evaluators = []
-    pairs_by_child = []
-    kept_children = []
+    heads = []
     for key, salt, graph, palettes in children:
         _, high_degree_nodes = split_by_degree(graph, threshold)
         if not high_degree_nodes:
@@ -519,27 +506,14 @@ def prefetch_low_space_level(
         family1, family2 = hash_families(
             graph, palettes, num_bins, params.independence, global_nodes
         )
-        pairs_by_child.append(head_pairs(family1, family2, salt, count))
+        heads.extend(candidate_pairs(family1, family2, salt, 0, 1))
         evaluators.append(
             low_space_cost_function(
                 graph, palettes, high_degree_nodes, params, num_bins
             )
         )
-        kept_children.append(key)
+        keys.append(key)
     if not evaluators:
         return {}
-    level = low_space_level_arrays(evaluators)
-    values: List[Dict[tuple, float]] = [{} for _ in evaluators]
-    counts: List[Dict[tuple, tuple]] = [{} for _ in evaluators]
-    for candidate in range(count):
-        pair_row = [pairs[candidate] for pairs in pairs_by_child]
-        row_costs, row_counts = score_low_space_level(level, pair_row)
-        for index, (h1, h2) in enumerate(pair_row):
-            key = _pair_key(h1, h2)
-            values[index][key] = row_costs[index]
-            if candidate == 0:
-                counts[index][key] = row_counts[index]
-    return {
-        key: CachedPairCost(evaluators[index], values[index], counts[index])
-        for index, key in enumerate(kept_children)
-    }
+    costs, counts = score_low_space_level(low_space_level_arrays(evaluators), heads)
+    return _head_proxies(keys, evaluators, heads, costs, counts)

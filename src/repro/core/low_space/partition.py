@@ -103,7 +103,8 @@ class LowSpacePartition:
         returns or raises; it never changes outcomes.
         ``cost`` may inject a pre-built evaluator for this exact instance
         (the cross-bin level prefetch passes a
-        :class:`~repro.core.level.CachedPairCost`); a mismatched injection
+        :class:`~repro.core.level.CachedPairCost` holding its head pair's
+        value and counts); a mismatched injection
         — different graph/palette objects or high-degree split, or a
         multiprocess selection that would need to pickle the proxy — is
         ignored.

@@ -81,9 +81,9 @@ class RunParameters:
         Not part of a run's identity, so a checkpoint or cached result
         serves every worker count.
     level_use_batch:
-        Score all sibling bins' head candidate batches in one segmented
-        cross-bin pass per recursion level (:mod:`repro.core.level`) instead
-        of each bin's own head scoring; bit-identical outcomes either way.
+        Score all sibling bins' head pairs in one segmented cross-bin
+        pass per recursion level (:mod:`repro.core.level`) instead of each
+        bin's own head probe; bit-identical outcomes either way.
         Only engaged with single-process ``FIRST_FEASIBLE`` selection.
     checkpoint_path / resume_path / checkpoint_every_levels:
         Run-level durability (:mod:`repro.runtime`): periodically write the

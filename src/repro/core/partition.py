@@ -174,8 +174,9 @@ class Partition:
         ``cost`` may inject a pre-built evaluator for *this exact*
         instance — the cross-bin level prefetch
         (:func:`repro.core.level.prefetch_partition_level`) passes a
-        :class:`~repro.core.level.CachedPairCost` whose head-batch values
-        were already computed in one segmented pass over all sibling bins.
+        :class:`~repro.core.level.CachedPairCost` whose head pair's value
+        and counts were already computed in one segmented pass over all
+        sibling bins.
         An injected evaluator whose identity does not match (different
         graph/palette objects, ``ell`` or scale) is ignored, as is any
         injection when the selection would wrap the cost in a

@@ -103,6 +103,35 @@ def _mix64(value: int) -> int:
     return value ^ (value >> 31)
 
 
+def candidate_pairs(
+    family1: KWiseIndependentFamily,
+    family2: KWiseIndependentFamily,
+    salt: int,
+    start: int,
+    stop: int,
+) -> List[Tuple[HashFunction, HashFunction]]:
+    """Pairs ``start..stop-1`` of the deterministic candidate sequence.
+
+    Candidate ``i`` takes its two seeds from splitmix64 at ``2i`` and
+    ``2i + 1`` past the salt's offset, reduced modulo each family's size,
+    so the sequence is well spread and depends only on the families and
+    ``salt``.  The selector's scans (:meth:`HashPairSelector._candidates`)
+    and the cross-bin level prefetch (:mod:`repro.core.level`) both read
+    it here, which is what lets the prefetch score a child's head pair
+    before the child's own selection runs.
+    """
+    offset = _mix64(salt) if salt else 0
+    return [
+        (
+            family1.from_seed_int(_mix64(offset + 2 * index) % family1.family_size),
+            family2.from_seed_int(
+                _mix64(offset + 2 * index + 1) % family2.family_size
+            ),
+        )
+        for index in range(start, stop)
+    ]
+
+
 class SelectionStrategy(str, Enum):
     """How the hash pair is chosen."""
 
@@ -480,20 +509,10 @@ class HashPairSelector:
     def _candidates(
         self, start: int, stop: int
     ) -> List[Tuple[HashFunction, HashFunction]]:
-        """Candidate pairs ``start..stop-1`` of the deterministic,
-        well-spread sequence (``repro.core.level.head_pairs`` mirrors it)."""
-        offset = _mix64(self.candidate_salt) if self.candidate_salt else 0
-        return [
-            (
-                self.family1.from_seed_int(
-                    _mix64(offset + 2 * index) % self.family1.family_size
-                ),
-                self.family2.from_seed_int(
-                    _mix64(offset + 2 * index + 1) % self.family2.family_size
-                ),
-            )
-            for index in range(start, stop)
-        ]
+        """Candidate pairs ``start..stop-1`` of this selector's sequence."""
+        return candidate_pairs(
+            self.family1, self.family2, self.candidate_salt, start, stop
+        )
 
     def _candidate_batches(self) -> Iterator[List[Tuple[HashFunction, HashFunction]]]:
         """The candidate sequence in batches of ``batch_size``."""

@@ -470,7 +470,8 @@ class BatchCostEvaluatorBase:
     **Two count kernels**, both on the narrow bins of :func:`hash_bins`.
     :meth:`_count_slab` counts a slab of candidate pairs (one row each) for
     :meth:`many`; :meth:`_count_range` counts one pair over a node range
-    ``[start, stop)``.  Both repeat each node's bin over its palette-entry
+    ``[start, stop)``, and also serves :meth:`many` on instances too large
+    for a two-row slab.  Both repeat each node's bin over its palette-entry
     run instead of gathering entry owners, and sum per-node runs with
     ``reduceat``.  The selected pair's pass is the range ``[0, n)`` and a
     pool shard is a sub-range (:meth:`range_counts`), so sharded and
@@ -643,7 +644,11 @@ class BatchCostEvaluatorBase:
         All pairs of a batch must come from the same two hash families
         (identical prime/domain/range), which is how the selection
         strategies produce them.  A one-pair batch is scored by
-        :meth:`probe` (the same integers, so the same cost).
+        :meth:`probe` (the same integers, so the same cost).  When the
+        instance is too large for a slab of two rows, each pair is counted
+        by :meth:`_count_range` — the same integers, faster than a
+        one-row :meth:`_count_slab` — and nothing is kept: only the
+        probe's pass is one a classification takes.
         """
         if not pairs:
             return []
@@ -659,6 +664,15 @@ class BatchCostEvaluatorBase:
         )
         slab = max(1, self.MAX_ELEMENTS // entries)
         costs: List[float] = []
+        if slab == 1:
+            num_nodes = len(prep["ids"])
+            for h1, h2 in pairs:
+                node_bins, universe_bins = self._pair_bins(h1, h2, prep)
+                d_prime, p_prime, _ = self._count_range(
+                    prep, node_bins, universe_bins, 0, num_nodes
+                )
+                costs.append(self._pair_cost(prep, node_bins, d_prime, p_prime))
+            return costs
         for start in range(0, len(pairs), slab):
             chunk = pairs[start : start + slab]
             bins1, d_prime, p_prime = self._count_slab(chunk, prep)
@@ -679,6 +693,10 @@ class BatchCostEvaluatorBase:
         selected = self._selected_pass(h1, h2, scorer)
         self._kept = (h1, h2, selected)
         prep, node_bins, _, d_prime, p_prime, _ = selected
+        return self._pair_cost(prep, node_bins, d_prime, p_prime)
+
+    def _pair_cost(self, prep: dict, node_bins, d_prime, p_prime) -> float:
+        """:meth:`_slab_costs` of one pair's counts, as a one-row slab."""
         return float(
             self._slab_costs(prep, node_bins[None], d_prime[None], p_prime[None])[0]
         )

@@ -16,16 +16,21 @@ import pickle
 
 import numpy as np
 import pytest
-from scalar_oracle import count_range_gather
+from scalar_oracle import assert_same_run, count_range_gather
 
+import repro.core.color_reduce as color_reduce_module
+import repro.core.driver as driver_module
+import repro.core.level as level
+import repro.core.low_space.color_reduce as low_space_color_reduce_module
+import repro.derand.conditional_expectation as conditional_expectation
 from repro.core.classification import hash_families, partition_cost_function
 from repro.core.color_reduce import ColorReduce
+from repro.core.low_space.color_reduce import LowSpaceColorReduce
 from repro.core.low_space.machine_sets import low_space_cost_function
 from repro.core.low_space.params import LowSpaceParameters
 from repro.core.low_space.partition import LowSpacePartition
 from repro.core.params import ColorReduceParameters
 from repro.core.partition import Partition
-from repro.derand.conditional_expectation import HashPairSelector
 from repro.graph.generators import erdos_renyi, power_law
 from repro.graph.graph import Graph
 from repro.graph.palettes import PaletteAssignment
@@ -175,6 +180,44 @@ class TestNarrowCountKernel:
         assert [cost.many([pair])[0] for pair in pairs] == batch
         assert batch == [cost(h1, h2) for h1, h2 in pairs]
 
+    @pytest.mark.parametrize("kind, num_bins", KINDS_AND_BINS)
+    def test_one_row_slabs_count_each_pair_over_the_range(
+        self, kind, num_bins, count_range_calls, monkeypatch
+    ):
+        graph, palettes = _random_instance(6)
+        cost, family1, family2 = _evaluator(kind, graph, palettes, num_bins)
+        pairs = [
+            (family1.from_seed_int(5 * index + 3), family2.from_seed_int(13 * index + 1))
+            for index in range(5)
+        ]
+        slab_costs = cost.many(pairs)
+        assert not count_range_calls
+        monkeypatch.setattr(BatchCostEvaluatorBase, "MAX_ELEMENTS", 1)
+        slab_calls = []
+        count_slab = BatchCostEvaluatorBase._count_slab
+
+        def spy_slab(self, chunk, prep):
+            slab_calls.append(len(chunk))
+            return count_slab(self, chunk, prep)
+
+        monkeypatch.setattr(BatchCostEvaluatorBase, "_count_slab", spy_slab)
+        one_row_costs = cost.many(pairs)
+        prep = cost._prepared()
+        num_nodes = len(prep["ids"])
+        assert not slab_calls
+        assert count_range_calls == [(0, num_nodes)] * len(pairs)
+        # Only a one-pair batch is a probe; a longer batch keeps no pass.
+        assert cost._kept is None
+        expected = []
+        for h1, h2 in pairs:
+            node_bins, universe_bins = cost._pair_bins(h1, h2, prep)
+            d_prime, p_prime, _ = count_range_gather(
+                prep, node_bins, universe_bins, 0, num_nodes
+            )
+            expected.append(cost._pair_cost(prep, node_bins, d_prime, p_prime))
+        assert one_row_costs == expected == slab_costs
+        assert one_row_costs == [cost(h1, h2) for h1, h2 in pairs]
+
 
 # ----------------------------------------------------------------------
 # one pass per partition step
@@ -203,16 +246,19 @@ def count_range_calls(monkeypatch):
 
 def _losing_head(monkeypatch):
     """Make the head candidate a constant ``h1`` (every node in bin 0),
-    which the selection rejects; the rest of the sequence is unchanged."""
-    candidates = HashPairSelector._candidates
+    which the selection rejects; the rest of the sequence is unchanged.
+    Patched where the selector and the level prefetch look the sequence
+    up, so a prefetched head loses too."""
+    candidates = conditional_expectation.candidate_pairs
 
-    def with_constant_head(self, start, stop):
-        pairs = candidates(self, start, stop)
+    def with_constant_head(family1, family2, salt, start, stop):
+        pairs = candidates(family1, family2, salt, start, stop)
         if start == 0 and pairs:
-            pairs[0] = (self.family1.from_seed_int(0), pairs[0][1])
+            pairs[0] = (family1.from_seed_int(0), pairs[0][1])
         return pairs
 
-    monkeypatch.setattr(HashPairSelector, "_candidates", with_constant_head)
+    monkeypatch.setattr(conditional_expectation, "candidate_pairs", with_constant_head)
+    monkeypatch.setattr(level, "candidate_pairs", with_constant_head)
 
 
 def _partition_step():
@@ -296,6 +342,138 @@ class TestKeptPassStaysLocal:
         restored = type(cost).from_shared_payload((attrs, scalars), arrays)
         assert restored._kept is None
         assert cost._kept is not None  # publishing leaves the slot alone
+
+
+# ----------------------------------------------------------------------
+# the level prefetch: one head pair per child, in one level pass
+# ----------------------------------------------------------------------
+def _color_reduce_solve(level_use_batch):
+    graph = erdos_renyi(600, 0.05, seed=5)
+    params = ColorReduceParameters.scaled(
+        num_bins=3, collect_factor=0.25, level_use_batch=level_use_batch
+    )
+    return ColorReduce(params).run(graph)
+
+
+def _low_space_solve(level_use_batch):
+    graph = power_law(800, attachment=6, seed=3)
+    params = LowSpaceParameters.scaled(
+        num_bins=3, low_degree_threshold=3, level_use_batch=level_use_batch
+    )
+    return LowSpaceColorReduce(params).run(
+        graph, PaletteAssignment.delta_plus_one(graph)
+    )
+
+
+#: pipeline -> (solve, driver module, prefetch name, level kernel, step class)
+PIPELINES = {
+    "color-reduce": (
+        _color_reduce_solve,
+        color_reduce_module,
+        "prefetch_partition_level",
+        "score_partition_level",
+        Partition,
+    ),
+    "low-space": (
+        _low_space_solve,
+        low_space_color_reduce_module,
+        "prefetch_low_space_level",
+        "score_low_space_level",
+        LowSpacePartition,
+    ),
+}
+
+
+def _spy(monkeypatch, owner, name, record):
+    """Replace ``owner.name`` with a wrapper passing ``record`` the call."""
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        result = original(*args, **kwargs)
+        record(args, kwargs, result)
+        return result
+
+    monkeypatch.setattr(owner, name, spy)
+
+
+class TestLevelPrefetch:
+    """The driver prefetch, engaged on small instances by dropping its
+    size floor: each prefetched child's head pair is built once and
+    scored in one level pass, and the solve equals the per-bin route."""
+
+    def _prefetched_solve(self, pipeline, monkeypatch, count_range_calls):
+        solve, driver, prefetch, kernel, step = PIPELINES[pipeline]
+        monkeypatch.setattr(driver_module, "LEVEL_PREFETCH_MIN_SIZE", 0)
+        seen = {"prefetches": [], "passes": [], "heads": [], "steps": []}
+        _spy(
+            monkeypatch, driver, prefetch,
+            lambda args, kwargs, proxies: seen["prefetches"].append(len(proxies)),
+        )
+        _spy(
+            monkeypatch, level, kernel,
+            lambda args, kwargs, scored: seen["passes"].append(len(args[1])),
+        )
+        _spy(
+            monkeypatch, level, "candidate_pairs",
+            lambda args, kwargs, pairs: seen["heads"].append(len(pairs)),
+        )
+        run = step.run
+
+        def spy_run(self, *args, **kwargs):
+            before = len(count_range_calls)
+            result = run(self, *args, **kwargs)
+            if isinstance(kwargs.get("cost"), level.CachedPairCost):
+                seen["steps"].append(
+                    (result.selection.evaluations, len(count_range_calls) - before)
+                )
+            return result
+
+        monkeypatch.setattr(step, "run", spy_run)
+        return solve(True), seen
+
+    @pytest.mark.parametrize("pipeline", sorted(PIPELINES))
+    def test_heads_are_scored_once_in_one_level_pass(
+        self, pipeline, monkeypatch, count_range_calls
+    ):
+        reference = PIPELINES[pipeline][0](False)
+        production, seen = self._prefetched_solve(
+            pipeline, monkeypatch, count_range_calls
+        )
+        assert_same_run(production, reference)
+        levels = [count for count in seen["prefetches"] if count]
+        assert levels, "the prefetch never engaged"
+        # One level pass per prefetched level, one pair built per child.
+        assert seen["passes"] == levels
+        assert seen["heads"] == [1] * sum(levels)
+        # A prefetched child whose head wins counts nothing itself: its
+        # classification takes the level pass's counts.
+        winners = [calls for evaluations, calls in seen["steps"] if evaluations == 1]
+        assert winners and winners == [0] * len(winners)
+        assert len(seen["steps"]) == sum(levels)
+
+    @pytest.mark.parametrize("pipeline", sorted(PIPELINES))
+    def test_a_prefetched_head_that_loses(
+        self, pipeline, monkeypatch, count_range_calls
+    ):
+        _losing_head(monkeypatch)
+        reference = PIPELINES[pipeline][0](False)
+        # One-row slabs: the rest of each losing scan runs the range kernel.
+        monkeypatch.setattr(BatchCostEvaluatorBase, "MAX_ELEMENTS", 1)
+        production, seen = self._prefetched_solve(
+            pipeline, monkeypatch, count_range_calls
+        )
+        assert_same_run(production, reference)
+        batch = ColorReduceParameters().selection_batch_size
+        losers = [calls for evaluations, calls in seen["steps"] if evaluations > 1]
+        assert losers, "no prefetched head lost"
+        # The head came from the level pass; the rest of the first batch is
+        # counted once each, the winner's classification once more.  (A
+        # constant h1 can still win a small child, which counts nothing.)
+        assert losers == [batch] * len(losers)
+        assert all(
+            evaluations <= batch and (evaluations > 1 or calls == 0)
+            for evaluations, calls in seen["steps"]
+        )
 
 
 # ----------------------------------------------------------------------

@@ -16,8 +16,8 @@ from scalar_oracle import SetGraph, assert_same_graph
 
 from repro.core import ColorReduceParameters
 from repro.core.classification import partition_cost_function
-from repro.core.level import head_pairs
 from repro.core.partition import Partition
+from repro.derand.conditional_expectation import candidate_pairs
 from repro.graph import Graph, PaletteAssignment
 from repro.graph.csr import index_dtype, split_by_bins
 from repro.parallel.slabs import (
@@ -157,7 +157,7 @@ class TestTransportsPreserveNarrowedSlabs:
         family1, family2 = Partition(params).build_families(
             graph, palettes, ell, 20
         )
-        pairs = head_pairs(family1, family2, salt=5, count=4)
+        pairs = candidate_pairs(family1, family2, 5, 0, 4)
         expected = list(evaluator.many(pairs))
         decoded = decode_evaluator(encode_evaluator(evaluator))
         assert list(decoded.many(pairs)) == expected

@@ -738,8 +738,9 @@ class TestSegmentedLevelDifferential:
     @given(level_instances())
     def test_partition_prefetch_matches_per_bin(self, data):
         from repro.core.classification import partition_cost_function
-        from repro.core.level import head_pairs, prefetch_partition_level
+        from repro.core.level import prefetch_partition_level
         from repro.core.partition import Partition
+        from repro.derand.conditional_expectation import candidate_pairs
 
         children, salts = data
         params = ColorReduceParameters.scaled(num_bins=3)
@@ -762,10 +763,12 @@ class TestSegmentedLevelDifferential:
             family1, family2 = builder.build_families(
                 graph, palettes, ell, global_nodes
             )
-            pairs = head_pairs(family1, family2, salts[index], count)
-            # Cached costs vs both reference routes (scalar and slab).
-            assert [proxy(*pair) for pair in pairs] == list(reference.many(pairs))
+            pairs = candidate_pairs(family1, family2, salts[index], 0, count)
+            # The cached head vs both reference routes (scalar and probe);
+            # the rest of the scan is the child's own evaluator.
+            assert proxy.many(pairs[:1]) == reference.many(pairs[:1])
             assert proxy(*pairs[0]) == reference(*pairs[0])
+            assert proxy.many(pairs[1:]) == reference.many(pairs[1:])
             # Post-selection classification + restriction through the cached
             # head counts vs the reference evaluator's own pass.
             h1, h2 = pairs[0]
@@ -784,9 +787,10 @@ class TestSegmentedLevelDifferential:
     @LEVEL_SETTINGS
     @given(level_instances())
     def test_low_space_prefetch_matches_per_bin(self, data):
-        from repro.core.level import head_pairs, prefetch_low_space_level
+        from repro.core.level import prefetch_low_space_level
         from repro.core.low_space.machine_sets import low_space_cost_function
         from repro.core.low_space.params import LowSpaceParameters
+        from repro.derand.conditional_expectation import candidate_pairs
         from repro.hashing.family import KWiseIndependentFamily as Family
 
         children, salts = data
@@ -830,9 +834,10 @@ class TestSegmentedLevelDifferential:
                 range_size=num_color_bins,
                 independence=params.independence,
             )
-            pairs = head_pairs(family1, family2, salts[index], count)
-            assert [proxy(*pair) for pair in pairs] == list(reference.many(pairs))
+            pairs = candidate_pairs(family1, family2, salts[index], 0, count)
+            assert proxy.many(pairs[:1]) == reference.many(pairs[:1])
             assert proxy(*pairs[0]) == reference(*pairs[0])
+            assert proxy.many(pairs[1:]) == reference.many(pairs[1:])
             h1, h2 = pairs[0]
             outcome_proxy = proxy.outcome_selected(h1, h2)
             outcome_ref = reference.outcome_selected(h1, h2)
