@@ -60,8 +60,23 @@ class TrialColoringResult:
     ledger: CostLedger
 
 
+def _neighbor_lists(graph: Graph) -> Dict[NodeId, list]:
+    """Every node's neighbors, read once off the CSR view.
+
+    Each list is in the iteration order of ``graph.neighbors(node)`` (the
+    same set, built from the same row), so the floating-point product in
+    :func:`_expected_successes` multiplies in the same order.
+    """
+    csr = graph.csr()
+    ids, indptr, indices = csr.id_list(), csr.indptr.tolist(), csr.indices.tolist()
+    return {
+        node: list({ids[target] for target in indices[indptr[pos] : indptr[pos + 1]]})
+        for pos, node in enumerate(ids)
+    }
+
+
 def _expected_successes(
-    graph: Graph,
+    neighbors: Dict[NodeId, list],
     remaining: Dict[NodeId, list],
     uncolored: set,
 ) -> float:
@@ -75,7 +90,7 @@ def _expected_successes(
     total = 0.0
     for node in uncolored:
         probability = 1.0
-        for neighbor in graph.neighbors(node):
+        for neighbor in neighbors[node]:
             if neighbor in uncolored:
                 probability *= max(0.0, 1.0 - 1.0 / max(len(remaining[neighbor]), 1))
         total += probability
@@ -97,6 +112,7 @@ def iterated_trial_coloring(
         node: sorted(palettes.palette(node)) for node in graph.nodes()
     }
     uncolored = set(graph.nodes())
+    neighbors = _neighbor_lists(graph)
     coloring: Dict[NodeId, Color] = {}
     ledger = CostLedger()
     if max_phases is None:
@@ -106,7 +122,7 @@ def iterated_trial_coloring(
 
     while uncolored and phases < max_phases:
         phases += 1
-        expected = _expected_successes(graph, remaining, uncolored)
+        expected = _expected_successes(neighbors, remaining, uncolored)
         family = KWiseIndependentFamily(
             domain_size=max(domain, 2), range_size=max(domain, 2), independence=independence
         )
@@ -115,7 +131,7 @@ def iterated_trial_coloring(
             seed_int = _mix64(phases * _MAX_SEEDS_PER_PHASE + attempt)
             proposer = family.from_seed_int(seed_int)
             proposals = _propose(proposer, remaining, uncolored)
-            successes = _successful_nodes(graph, proposals, coloring, uncolored)
+            successes = _successful_nodes(neighbors, proposals, coloring, uncolored)
             if len(successes) >= _REQUIRED_FRACTION * min(expected, len(uncolored)) and successes:
                 for node in successes:
                     color = proposals[node]
@@ -124,9 +140,7 @@ def iterated_trial_coloring(
                 for node in list(uncolored):
                     palette = remaining[node]
                     used = {
-                        coloring[neighbor]
-                        for neighbor in graph.neighbors(node)
-                        if neighbor in coloring
+                        coloring[neighbor] for neighbor in neighbors[node] if neighbor in coloring
                     }
                     remaining[node] = [color for color in palette if color not in used]
                 ledger.charge("trial-phase", ROUNDS_PER_PHASE, len(successes))
@@ -161,7 +175,7 @@ def _propose(
 
 
 def _successful_nodes(
-    graph: Graph,
+    neighbors: Dict[NodeId, list],
     proposals: Dict[NodeId, Color],
     coloring: Dict[NodeId, Color],
     uncolored: set,
@@ -171,7 +185,7 @@ def _successful_nodes(
     for node in uncolored:
         proposal = proposals[node]
         conflict = False
-        for neighbor in graph.neighbors(node):
+        for neighbor in neighbors[node]:
             if neighbor in uncolored and proposals[neighbor] == proposal:
                 conflict = True
                 break

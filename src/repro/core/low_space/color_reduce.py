@@ -28,20 +28,18 @@ Algorithm 3's steps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.accounting import CostLedger, PoolHealth, RunDurability
 from repro.core.driver import RecursionDriver, RunState, prepare_palettes
 from repro.core.level import prefetch_low_space_level
-from repro.core.low_space.mis_reduction import color_via_mis
+from repro.core.low_space.mis_reduction import chosen_colors, color_via_mis
 from repro.core.low_space.params import LowSpaceParameters
 from repro.core.low_space.partition import LowSpacePartition
 from repro.errors import ReproError
 from repro.graph.graph import Graph
 from repro.graph.palettes import PaletteAssignment
 from repro.graph.validation import assert_valid_list_coloring
-from repro.mis.deterministic import deterministic_mis
-from repro.mis.luby import MISResult
 from repro.mpc.model import MPCSimulator
 from repro.mpc.regimes import low_space_regime
 from repro.types import Color, NodeId
@@ -79,6 +77,14 @@ class LowSpaceRecursionNode:
     def total_mis_phases(self) -> int:
         return self.mis_phases + sum(child.total_mis_phases() for child in self.children)
 
+    def selection_misses(self, params: LowSpaceParameters) -> int:
+        """Partition steps in this subtree whose selector found no pair
+        within :meth:`LowSpaceParameters.violation_allowance`: the step took
+        the best pair seen, so its violators exceed the allowance."""
+        high = self.num_nodes - self.low_degree_nodes + self.violating_nodes
+        missed = int(self.violating_nodes > params.violation_allowance(high))
+        return missed + sum(child.selection_misses(params) for child in self.children)
+
 
 @dataclass
 class LowSpaceResult:
@@ -91,6 +97,11 @@ class LowSpaceResult:
     epsilon: float
     total_mis_phases: int
     simulator: Optional[MPCSimulator] = None
+    #: Partition steps whose hash-pair selection found no pair within the
+    #: violation allowance and went on with the best pair seen (0 whenever
+    #: every selection met its target); see
+    #: :meth:`LowSpaceRecursionNode.selection_misses`.
+    selection_misses: int = 0
     #: Recovery events of the parallel scoring pool during this run (see
     #: :attr:`repro.core.color_reduce.ColorReduceResult.pool_health`).
     pool_health: PoolHealth = field(default_factory=PoolHealth)
@@ -114,9 +125,6 @@ class LowSpaceColorReduce(RecursionDriver):
     params:
         Low-space parameters (paper exponents by default; use
         :meth:`LowSpaceParameters.scaled` to exercise deeper recursion).
-    mis_solver:
-        The MIS black box; defaults to the derandomized Luby MIS in
-        :mod:`repro.mis.deterministic`.
     simulator:
         Optional low-space :class:`MPCSimulator` for space accounting; a
         fresh one in the ``O(n^ε)`` regime is created per run if omitted.
@@ -129,12 +137,10 @@ class LowSpaceColorReduce(RecursionDriver):
     def __init__(
         self,
         params: Optional[LowSpaceParameters] = None,
-        mis_solver: Optional[Callable[[Graph], MISResult]] = None,
         simulator: Optional[MPCSimulator] = None,
         validate: bool = True,
     ) -> None:
         self.params = params if params is not None else LowSpaceParameters()
-        self.mis_solver = mis_solver if mis_solver is not None else deterministic_mis
         self._simulator = simulator
         self.validate = validate
 
@@ -169,6 +175,7 @@ class LowSpaceColorReduce(RecursionDriver):
             epsilon=self.params.epsilon,
             total_mis_phases=tree.total_mis_phases(),
             simulator=simulator,
+            selection_misses=tree.selection_misses(self.params),
             pool_health=pool_health,
             durability=durability,
         )
@@ -227,26 +234,22 @@ class LowSpaceColorReduce(RecursionDriver):
         # conditions.
         return child.num_nodes < parent.num_nodes
 
-    def _finish(
-        self,
-        graph: Graph,
-        palettes: PaletteAssignment,
-        ledger: CostLedger,
-        node: LowSpaceRecursionNode,
-        state: RunState,
-    ) -> None:
-        """Color one instance via the MIS reduction and charge its rounds."""
-        mis_coloring, mis_result, reduction = color_via_mis(graph, palettes, self.mis_solver)
-        node.mis_phases += mis_result.phases
+    def _finish(self, graph, palettes, ledger, node, state: RunState) -> None:
+        """Color one instance via the MIS reduction and charge its rounds.
+
+        The chosen vertices' colors land in ``state.coloring`` by root
+        position; :func:`chosen_colors` raises :class:`ColoringError` unless
+        every node has exactly one.
+        """
+        reduction, chosen, phases = color_via_mis(graph, palettes)
+        node.mis_phases += phases
         node.reduction_vertices += reduction.num_vertices
-        reduction_words = reduction.graph.size()
+        reduction_words = reduction.num_vertices + reduction.num_edges
         state.model.record_space_usage(
             min(reduction_words, state.model.regime.total_space_words)
         )
-        ledger.charge(
-            "mis-reduction", ROUNDS_PER_MIS_PHASE * max(mis_result.phases, 1), reduction_words
-        )
-        state.coloring.paint_mapping(mis_coloring)
+        ledger.charge("mis-reduction", ROUNDS_PER_MIS_PHASE * max(phases, 1), reduction_words)
+        state.coloring.paint(reduction.node_ids, chosen_colors(reduction, chosen))
 
     def _will_partition(self, graph, palettes, depth: int, state: RunState) -> bool:
         # Children whose nodes are all low-degree are skipped inside the

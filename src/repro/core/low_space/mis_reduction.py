@@ -18,10 +18,13 @@ The builder works on arrays: the instance's CSR view and the palette
 store.  Vertex ``base[i] + j`` is the ``j``-th smallest of the ``k_i``
 colors kept for the node at CSR position ``i``, so vertices are numbered
 in ``(owner, color)`` order.  Clique edges come from one segment
-expansion.  Conflict edges expand every directed CSR edge ``(s, t)`` over
-the vertices of ``s`` and look each ``(t, color)`` key up in the sorted
-vertex keys.  The result is a graph over a canonical CSR view, plus the
-``(owner position, color)`` arrays that map vertices back.  Palettes
+expansion.  Conflict edges expand every CSR edge ``(s, t)`` with ``s < t``
+over the vertices of ``s`` and look each ``(t, color)`` key up in the
+sorted vertex keys.  The result is arrays only: the undirected edges once each
+(``tails < heads``), plus the ``(owner position, color)`` arrays that map
+vertices back.  The deterministic MIS runs on those edge arrays
+(:func:`repro.mis.deterministic.mis_on_edges`); only the Luby baseline
+asks for a :class:`Graph` (:meth:`ReductionGraph.to_graph`).  Palettes
 holding a color table (colors that are not int64 integers) are ranked by
 sorted color first, so every input takes the same path.  The scalar
 reference lives in the test oracle ``tests/mis_oracle.py``.
@@ -30,52 +33,53 @@ reference lives in the test oracle ``tests/mis_oracle.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ColoringError, PaletteError
 from repro.graph.graph import Graph
 from repro.graph.palettes import PaletteAssignment, _store_from_rows
-from repro.mis.luby import MISResult
+from repro.mis.deterministic import mis_on_edges
 from repro.types import Color, NodeId
 
 
 @dataclass
 class ReductionGraph:
-    """The MIS-reduction graph plus the mapping back to (node, color) pairs.
+    """The MIS-reduction graph as arrays, plus the mapping back to
+    (node, color) pairs.
 
     Vertex ``v`` stands for color ``colors[v]`` of node
     ``node_ids[owners[v]]``; ``owners`` is non-decreasing and ``colors``
-    ascends within each owner's run.
+    ascends within each owner's run.  Edge ``j`` joins ``tails[j] <
+    heads[j]``; every edge is listed once.
     """
 
-    graph: Graph
     node_ids: List[NodeId]
     owners: np.ndarray
     colors: np.ndarray
-
-    @classmethod
-    def empty(cls) -> "ReductionGraph":
-        """The reduction of an instance without nodes."""
-        return cls(Graph(), [], np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    tails: np.ndarray
+    heads: np.ndarray
 
     @property
     def num_vertices(self) -> int:
-        return self.graph.num_nodes
+        return self.owners.shape[0]
 
     @property
-    def max_degree(self) -> int:
-        return self.graph.max_degree()
+    def num_edges(self) -> int:
+        return self.tails.shape[0]
+
+    def to_graph(self) -> Graph:
+        """The reduction as a :class:`Graph` on vertices ``0..num_vertices-1``."""
+        edges = zip(self.tails.tolist(), self.heads.tolist())
+        return Graph.from_edges(edges, nodes=range(self.num_vertices))
 
     def node_color(self, vertex: int) -> Tuple[NodeId, Color]:
         """The ``(node, color)`` pair of ``vertex`` (``KeyError`` if unknown)."""
         if not 0 <= vertex < self.owners.shape[0]:
             raise KeyError(vertex)
-        return (
-            self.node_ids[int(self.owners[vertex])],
-            self.colors[vertex : vertex + 1].tolist()[0],
-        )
+        owner = int(self.owners[vertex])
+        return self.node_ids[owner], self.colors[vertex : vertex + 1].tolist()[0]
 
 
 def _palette_slices(
@@ -119,7 +123,7 @@ def build_reduction_graph(
     :class:`ColoringError` for the first node (in node order) with an empty
     palette, or :class:`PaletteError` if that node has none at all.
     """
-    from repro.graph.csr import _assemble_child, concat_ranges
+    from repro.graph.csr import concat_ranges
 
     csr = graph.csr()
     node_ids = csr.node_ids
@@ -133,7 +137,8 @@ def build_reduction_graph(
             raise PaletteError(f"node {node_ids[first]} has no palette")
         raise ColoringError(f"node {node_ids[first]} has an empty palette")
     if not num_nodes:
-        return ReductionGraph.empty()
+        none = np.zeros(0, dtype=np.int64)
+        return ReductionGraph(node_ids, none, none, none, none)
 
     base = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(counts, out=base[1:])
@@ -141,16 +146,16 @@ def build_reduction_graph(
     owners = np.repeat(np.arange(num_nodes, dtype=np.int64), counts)
     vertex_colors = flat[concat_ranges(starts, counts)]
 
-    # Cliques: every vertex is joined to the other copies of its node.
-    run = counts[owners]
-    clique_rows = np.repeat(np.arange(num_vertices, dtype=np.int64), run)
-    clique_targets = concat_ranges(base[owners], run)
-    distinct = clique_rows != clique_targets
+    # Cliques: every vertex is joined to the later copies of its node.
+    vertices = np.arange(num_vertices, dtype=np.int64)
+    later = base[owners + 1] - vertices - 1
+    clique_tails = np.repeat(vertices, later)
+    clique_heads = concat_ranges(vertices + 1, later)
 
-    # Conflict edges: vertex (s, c) meets (t, c) for every directed edge
-    # (s, t) whose target also kept color c.  Keys ``owner * span + color``
-    # are strictly increasing in vertex order, so one searchsorted finds
-    # the target's copy.
+    # Conflict edges: vertex (s, c) meets (t, c) for every edge s < t whose
+    # target also kept color c.  Keys ``owner * span + color`` are strictly
+    # increasing in vertex order, so one searchsorted finds the target's
+    # copy, which comes after (s, c) because t > s.
     low = int(vertex_colors.min())
     span = int(vertex_colors.max()) - low + 1
     if span <= np.iinfo(np.int64).max // num_nodes:
@@ -159,22 +164,19 @@ def build_reduction_graph(
         _, color_keys = np.unique(vertex_colors, return_inverse=True)
         span = int(color_keys.max()) + 1
     keys = owners * span + color_keys
-    edge_sources = csr.edge_sources.astype(np.int64)
+    once = csr.edge_sources < csr.indices
+    edge_sources = csr.edge_sources[once].astype(np.int64)
     reps = counts[edge_sources]
-    conflict_rows = concat_ranges(base[edge_sources], reps)
-    queries = np.repeat(csr.indices.astype(np.int64), reps) * span + color_keys[conflict_rows]
+    conflict_tails = concat_ranges(base[edge_sources], reps)
+    queries = np.repeat(csr.indices[once].astype(np.int64), reps) * span
+    queries += color_keys[conflict_tails]
     found = np.minimum(np.searchsorted(keys, queries), num_vertices - 1)
     shared = keys[found] == queries
 
-    view = _assemble_child(
-        range(num_vertices),
-        np.concatenate((clique_rows[distinct], conflict_rows[shared])),
-        np.concatenate((clique_targets[distinct], found[shared])),
-    )
     colors = vertex_colors if universe is None else universe[vertex_colors]
-    return ReductionGraph(
-        graph=Graph._from_csr(view), node_ids=node_ids, owners=owners, colors=colors
-    )
+    tails = np.concatenate((clique_tails, conflict_tails[shared]))
+    heads = np.concatenate((clique_heads, found[shared]))
+    return ReductionGraph(node_ids, owners, colors, tails, heads)
 
 
 def _coloring_by_scan(
@@ -199,6 +201,22 @@ def _coloring_by_scan(
     return coloring
 
 
+def chosen_colors(reduction: ReductionGraph, chosen: np.ndarray) -> np.ndarray:
+    """The color each node takes, aligned with ``reduction.node_ids``.
+
+    ``chosen`` is a boolean mask over the reduction's vertices.  One
+    ``bincount`` of the chosen vertices' owners decides:
+    :class:`ColoringError` unless every node has exactly one chosen
+    vertex.  Owners ascend with the vertices, so the chosen vertices' colors
+    are then in node order.
+    """
+    picked = np.flatnonzero(chosen)
+    per_node = np.bincount(reduction.owners[picked], minlength=len(reduction.node_ids))
+    if not bool((per_node == 1).all()):
+        raise ColoringError("the chosen vertices do not give every node exactly one color")
+    return reduction.colors[picked]
+
+
 def coloring_from_mis(
     reduction: ReductionGraph, independent_set: set
 ) -> Dict[NodeId, Color]:
@@ -206,36 +224,36 @@ def coloring_from_mis(
 
     Raises :class:`ColoringError` if some original node has no chosen copy
     (impossible for a *maximal* independent set when ``p(v) > d(v)``) or more
-    than one (impossible for any independent set).  One ``bincount`` of the
-    chosen vertices' owners decides; on a violation the per-vertex scan
-    reruns to raise the error for the first offending vertex.
+    than one (impossible for any independent set).
+    :func:`chosen_colors` decides; on a violation the per-vertex scan reruns
+    to raise the error for the first offending vertex.
     """
-    chosen = np.fromiter(independent_set, dtype=np.int64, count=len(independent_set))
-    if chosen.shape[0] and not (
-        int(chosen.min()) >= 0 and int(chosen.max()) < reduction.owners.shape[0]
-    ):
+    picked = np.fromiter(independent_set, dtype=np.int64, count=len(independent_set))
+    if not bool(((picked >= 0) & (picked < reduction.num_vertices)).all()):
         return _coloring_by_scan(reduction, independent_set)  # raises KeyError
-    owners = reduction.owners[chosen]
-    per_node = np.bincount(owners, minlength=len(reduction.node_ids))
-    if not bool((per_node == 1).all()):
+    chosen = np.zeros(reduction.num_vertices, dtype=bool)
+    chosen[picked] = True
+    try:
+        colors = chosen_colors(reduction, chosen)
+    except ColoringError:
         return _coloring_by_scan(reduction, independent_set)
     node_ids = reduction.node_ids
-    if isinstance(node_ids, np.ndarray):
-        chosen_nodes = node_ids[owners].tolist()
-    else:
-        chosen_nodes = [node_ids[owner] for owner in owners.tolist()]
-    return dict(zip(chosen_nodes, reduction.colors[chosen].tolist()))
+    node_ids = node_ids.tolist() if isinstance(node_ids, np.ndarray) else node_ids
+    return dict(zip(node_ids, colors.tolist()))
 
 
 def color_via_mis(
-    graph: Graph,
-    palettes: PaletteAssignment,
-    mis_solver: Callable[[Graph], MISResult],
-) -> Tuple[Dict[NodeId, Color], MISResult, ReductionGraph]:
-    """Color an instance by the MIS reduction using the given MIS solver."""
-    if graph.num_nodes == 0:
-        return {}, MISResult(independent_set=set(), phases=0), ReductionGraph.empty()
+    graph: Graph, palettes: PaletteAssignment
+) -> Tuple[ReductionGraph, np.ndarray, int]:
+    """Color an instance by the MIS reduction and the deterministic MIS.
+
+    Returns ``(reduction, chosen, phases)``: the reduction's arrays, the
+    MIS as a boolean mask over its vertices and the MIS phase count;
+    :func:`chosen_colors` reads the coloring off the mask.
+    """
     reduction = build_reduction_graph(graph, palettes)
-    result = mis_solver(reduction.graph)
-    coloring = coloring_from_mis(reduction, result.independent_set)
-    return coloring, result, reduction
+    vertices = np.arange(reduction.num_vertices, dtype=np.int64)
+    chosen, phases = mis_on_edges(
+        reduction.num_vertices, reduction.tails, reduction.heads, vertices
+    )
+    return reduction, chosen, phases

@@ -123,6 +123,17 @@ class LowSpaceParameters(RunParameters):
             return self.machine_chunk_override
         return max(1, self.low_degree_threshold(num_nodes))
 
+    def violation_allowance(self, num_high: int) -> float:
+        """The selection's target: violating nodes a hash pair may leave
+        among ``num_high`` high-degree nodes.
+
+        Lemma 4.4/4.5: a pair with zero violations exists; in scaled mode a
+        small positive allowance keeps laptop-scale instances feasible.
+        Violating nodes take the MIS path, so correctness never depends on
+        the allowance.
+        """
+        return max(4.0, 0.05 * num_high) if self.is_scaled else 0.0
+
     def degree_slack(self, chunk_size: int) -> float:
         """The ``d(x)^0.6`` slack of Definition 4.1."""
         return math.pow(max(chunk_size, 1), DEGREE_SLACK_EXPONENT)

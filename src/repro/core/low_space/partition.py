@@ -13,12 +13,15 @@ One call on an instance ``G``:
 
 Unlike Algorithm 2, there is no bad-node graph: the deterministic choice
 guarantees *no* node violates the conditions (the paper's "no bad machines"),
-which is why the target cost for selection is zero violations.
+which is why the target cost for selection is zero violations.  The lemmas
+hold with high probability as ``n`` grows; when no candidate meets the
+target, the partition takes the best pair the selector saw and its violators
+join ``G_0``, the shattering-style cleanup of the MIS path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import compress
 from typing import List, Optional, Set, Tuple
 
@@ -33,6 +36,7 @@ from repro.derand.conditional_expectation import (
     SelectionOutcome,
     SelectionStrategy,
 )
+from repro.errors import DerandomizationError
 from repro.graph.csr import set_order
 from repro.graph.graph import Graph
 from repro.graph.palettes import PaletteAssignment
@@ -177,15 +181,15 @@ class LowSpacePartition:
         if charge is not None:
             def wrapped_charge(label: str, rounds: int) -> None:  # noqa: E306
                 charge(label, rounds)
-        # Lemma 4.4/4.5: a pair with zero violations exists; in scaled mode a
-        # small positive allowance keeps laptop-scale instances feasible
-        # (violating nodes are rerouted to the MIS path, so correctness never
-        # depends on the allowance).
-        if self.params.is_scaled:
-            target = max(4.0, 0.05 * len(high_degree_nodes))
-        else:
-            target = 0.0
-        selection = selector.select(cost, target_bound=target, charge=wrapped_charge)
+        target = self.params.violation_allowance(len(high_degree_nodes))
+        try:
+            selection = selector.select(cost, target_bound=target, charge=wrapped_charge)
+        except DerandomizationError as miss:
+            # No candidate met the allowance (the lemmas hold only w.h.p.
+            # as n grows): take the best pair seen.  Its violators take the
+            # MIS path below, so the coloring stays valid; the miss shows in
+            # the tree (violators above the allowance).
+            selection = replace(miss.best, fallback_used=True)
         h1, h2 = selection.h1, selection.h2
         if poll is not None:
             poll()
@@ -204,7 +208,7 @@ class LowSpacePartition:
         outcome = cost.outcome_selected(h1, h2, scorer=scorer)
 
         # Build the bin instances.  Nodes that still violate the conditions
-        # (possible only in scaled mode, within the small allowance) are
+        # (within the allowance, or above it after a selection miss) are
         # routed to the low-degree/MIS path so correctness never depends on
         # the concentration argument.  The MIS-path graph is one extraction
         # and every bin is sliced in one batched pass over the CSR view.

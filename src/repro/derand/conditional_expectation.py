@@ -352,7 +352,15 @@ class HashPairSelector:
         assert best is not None
         raise DerandomizationError(
             f"no hash pair among {evaluations} candidates met the target bound "
-            f"{target_bound}; best cost seen was {best[0]}"
+            f"{target_bound}; best cost seen was {best[0]}",
+            best=SelectionOutcome(
+                h1=best[1],
+                h2=best[2],
+                cost=best[0],
+                evaluations=evaluations,
+                rounds_charged=steps * ROUNDS_PER_SELECTION_STEP,
+                strategy=SelectionStrategy.FIRST_FEASIBLE,
+            ),
         )
 
     def _select_conditional_expectation(

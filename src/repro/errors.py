@@ -52,7 +52,17 @@ class BandwidthExceededError(ModelViolationError):
 class DerandomizationError(ReproError):
     """Raised when conditional-expectation seed selection cannot find a seed
     meeting the required cost bound (should not happen if the cost analysis
-    is correct; surfaced loudly rather than silently degrading)."""
+    is correct; surfaced loudly rather than silently degrading).
+
+    ``best`` is the hash-pair selection's best candidate, when it has one:
+    a :class:`~repro.derand.SelectionOutcome` with the lowest cost seen,
+    the evaluations spent and the rounds charged, for a caller that owns a
+    cleanup path for the pair's violators.
+    """
+
+    def __init__(self, message: str, best=None) -> None:
+        super().__init__(message)
+        self.best = best
 
 
 class HashFamilyError(ReproError):

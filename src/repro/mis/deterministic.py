@@ -17,11 +17,15 @@ envelope, via the classic derandomization of Luby's algorithm:
   number of removed edges is at least a fixed fraction of the surviving
   edges, giving ``O(log m)`` phases.
 
-Each candidate is evaluated with arrays over the live edge list: one
-vectorized polynomial evaluation for the priorities, strict local minima
-of the lexicographic ``(field value, node id)`` key, the removed mask and
-the removed-edge count.  The scalar per-node loop is kept as the test
-oracle ``tests/mis_oracle.py``; both give the same set and phase count.
+The core, :func:`mis_on_edges`, takes the vertex count, the edges (once
+each) and the vertex ids, and returns the chosen mask and the phase count;
+the list-coloring reduction calls it on its edge arrays, and
+:func:`deterministic_mis` on a graph's CSR view.  Each candidate is
+evaluated with arrays over the live edge list: one vectorized polynomial
+evaluation for the priorities, strict local minima of the lexicographic
+``(field value, node id)`` key, the removed mask and the removed-edge
+count.  The scalar per-node loop is kept as the test oracle
+``tests/mis_oracle.py``; both give the same set and phase count.
 
 DESIGN.md records this substitution; the low-space coloring experiments
 report the measured phase counts of this component separately so the
@@ -30,7 +34,7 @@ substitution's effect on the end-to-end round count is visible.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -51,79 +55,72 @@ _REQUIRED_EDGE_FRACTION = 0.125
 _MAX_SEEDS_PER_PHASE = 512
 
 
-def _priority_inputs(node_ids, prime: int):
-    """``(points, tie)`` int64 arrays aligned with ``node_ids``.
+def _id_keys(node_ids) -> Tuple[np.ndarray, np.ndarray, int]:
+    """``(ids, tie, domain)`` for the vertex ids ``node_ids``.
 
-    ``points`` are the ids reduced mod ``prime`` (what ``field_value``
-    evaluates); ``tie`` orders like the ids — the ids themselves, or their
-    ranks when some id does not fit int64.
+    ``ids`` is an int64 array (an object array when some id does not fit
+    int64), ``tie`` int64 keys ordering like the ids — the ids themselves,
+    or their ranks — and ``domain`` the hash domain, clamped to at least 1.
     """
     try:
         ids = np.asarray(node_ids, dtype=np.int64)
-        return ids % prime, ids
+        tie = ids
     except OverflowError:
-        exact = np.asarray(node_ids, dtype=object)
-        tie = np.empty(len(node_ids), dtype=np.int64)
-        tie[np.argsort(exact, kind="stable")] = np.arange(len(node_ids), dtype=np.int64)
-        return (exact % prime).astype(np.int64), tie
+        ids = np.asarray(node_ids, dtype=object)
+        tie = np.unique(ids, return_inverse=True)[1].astype(np.int64)
+    domain = max(int(ids.max()) + 1, 1) if ids.shape[0] else 1
+    return ids, tie, domain
 
 
-def deterministic_mis(
-    graph: Graph,
-    independence: int = 4,
-    max_phases: Optional[int] = None,
-) -> MISResult:
-    """Deterministic MIS via derandomized Luby phases.
+def mis_on_edges(
+    num_vertices: int, tails, heads, node_ids, independence=4, max_phases=None
+) -> Tuple[np.ndarray, int]:
+    """Derandomized Luby phases on an undirected edge list.
+
+    Vertex ``i`` has id ``node_ids[i]``; ``tails[j]`` and ``heads[j]`` are
+    the vertex indices (an integer array each) of edge ``j``, each edge
+    listed once.  The ids
+    seed the priorities and break their ties.  Returns ``(chosen,
+    phases)``: the MIS as a boolean mask over the vertices, and the number
+    of phases.
 
     Raises :class:`repro.errors.DerandomizationError` if some phase cannot
     find a seed removing the required edge fraction within the scan budget
     (which the analysis rules out; surfacing it loudly is preferable to
-    silently looping).  Nodes still alive after ``max_phases`` phases are
-    folded in greedily in ascending id order.
+    silently looping).  Vertices still alive after ``max_phases`` phases
+    are folded in greedily in ascending id order.
     """
-    csr = graph.csr()
-    node_ids = csr.node_ids
-    num_nodes = csr.num_nodes
     if max_phases is None:
-        max_phases = 8 * max(1, num_nodes.bit_length()) + 8
-    domain = max(max(node_ids, default=0) + 1, 1)
+        max_phases = 8 * max(1, num_vertices.bit_length()) + 8
+    ids, tie, domain = _id_keys(node_ids)
     family = KWiseIndependentFamily(
         domain_size=domain, range_size=max(domain, 2), independence=independence
     )
-    points, tie = _priority_inputs(node_ids, family.prime)
+    points = (ids % family.prime).astype(np.int64)
 
-    alive = np.ones(num_nodes, dtype=bool)
-    chosen = np.zeros(num_nodes, dtype=bool)
-    once = csr.edge_sources < csr.indices
-    tails = csr.edge_sources[once].astype(np.int64)
-    heads = csr.indices[once].astype(np.int64)
+    alive = np.ones(num_vertices, dtype=bool)
+    chosen = np.zeros(num_vertices, dtype=bool)
     phases = 0
-    while alive.any() and phases < max_phases:
+    while tails.shape[0] and phases < max_phases:
         edges_left = int(tails.shape[0])
-        if edges_left == 0:
-            # No edges left: every surviving node is isolated and joins.
-            chosen |= alive
-            alive[:] = False
-            break
         phases += 1
         live = np.flatnonzero(alive)
         live_points = points[live]
         tie_tails = tie[tails]
         tie_heads = tie[heads]
-        accepted = False
         for seed_int in range(_MAX_SEEDS_PER_PHASE):
             priority_of = family.from_seed_int(seed_int + phases * _MAX_SEEDS_PER_PHASE)
             values = evaluate_polynomial_many(
                 priority_of.coefficients, live_points, family.prime
             )
-            field = np.zeros(num_nodes, dtype=values.dtype)
+            field = np.zeros(num_vertices, dtype=values.dtype)
             field[live] = values
             field_tails = field[tails]
             field_heads = field[heads]
             tail_first = (field_tails < field_heads) | (
                 (field_tails == field_heads) & (tie_tails < tie_heads)
             )
-            beaten = np.zeros(num_nodes, dtype=bool)
+            beaten = np.zeros(num_vertices, dtype=bool)
             beaten[heads[tail_first]] = True
             beaten[tails[~tail_first]] = True
             winners = alive & ~beaten
@@ -131,25 +128,44 @@ def deterministic_mis(
             removed[heads[winners[tails]]] = True
             removed[tails[winners[heads]]] = True
             touched = removed[tails] | removed[heads]
-            removed_edges = int(np.count_nonzero(touched))
+            removed_edges = np.count_nonzero(touched)
             if removed_edges >= _REQUIRED_EDGE_FRACTION * edges_left and winners.any():
                 chosen |= winners
                 alive &= ~removed
                 tails = tails[~touched]
                 heads = heads[~touched]
-                accepted = True
                 break
-        if not accepted:
+        else:
             raise DerandomizationError(
                 f"phase {phases}: no seed among {_MAX_SEEDS_PER_PHASE} removed "
                 f"{_REQUIRED_EDGE_FRACTION:.0%} of the {edges_left} surviving edges"
             )
+    if not tails.shape[0]:
+        # No edges left: every surviving vertex is isolated and joins.
+        return chosen | alive, phases
+    # Past ``max_phases``: fold the stragglers in.  A winner's live
+    # neighbors leave with it, so no straggler has a chosen neighbor, and
+    # the live edges (both ends alive) are all the adjacency the fold reads.
+    ends = np.concatenate((tails, heads))
+    order = np.argsort(ends, kind="stable")
+    neighbors = np.concatenate((heads, tails))[order]
+    indptr = np.searchsorted(ends[order], np.arange(num_vertices + 1))
     stragglers = np.flatnonzero(alive)
-    indptr, indices = csr.indptr, csr.indices
     for pos in stragglers[np.argsort(tie[stragglers], kind="stable")].tolist():
-        if not chosen[indices[indptr[pos] : indptr[pos + 1]]].any():
+        if not chosen[neighbors[indptr[pos] : indptr[pos + 1]]].any():
             chosen[pos] = True
-    return MISResult(
-        independent_set={node_ids[pos] for pos in np.flatnonzero(chosen).tolist()},
-        phases=phases,
-    )
+    return chosen, phases
+
+
+def deterministic_mis(
+    graph: Graph,
+    independence: int = 4,
+    max_phases: Optional[int] = None,
+) -> MISResult:
+    """Deterministic MIS of ``graph``: :func:`mis_on_edges` over its CSR
+    view's edges, read back as a set of node ids."""
+    csr = graph.csr()
+    ids, once = csr.node_ids, csr.edge_sources < csr.indices
+    edges = csr.edge_sources[once], csr.indices[once]
+    chosen, phases = mis_on_edges(csr.num_nodes, *edges, ids, independence, max_phases)
+    return MISResult({ids[pos] for pos in np.flatnonzero(chosen).tolist()}, phases)

@@ -42,6 +42,8 @@ changing a single output bit:
 * a dead worker is respawned *in place* — the replacement inherits the
   evaluator-envelope window so later slabs need no re-ship — and its
   in-flight shards are re-routed to survivors;
+* a worker whose parent died without closing the pool (SIGKILL, the OOM
+  killer) exits within ``PARENT_POLL_SECONDS`` of going idle;
 * after ``RecoveryPolicy.max_shard_retries`` failed attempts a shard is
   rescored in-process via the evaluator's own ``many`` (always available:
   the parent holds the original evaluator), which is the bit-identical
@@ -287,6 +289,10 @@ def _range_values(evaluator, h1, h2, start: int, stop: int) -> List[float]:
     return [float(v) for v in d_prime.tolist() + p_prime.tolist()]
 
 
+#: How often an idle worker checks that its parent is still alive.
+PARENT_POLL_SECONDS = 1.0
+
+
 def _worker_main(
     worker_index: int, task_queue, result_queue, fault_plan: Optional[FaultPlan]
 ) -> None:
@@ -300,8 +306,18 @@ def _worker_main(
 
     injector = FaultInjector(fault_plan, worker_index)
     cache: "OrderedDict[int, object]" = OrderedDict()
+    parent = os.getppid()
     while True:
-        task = task_queue.get()
+        try:
+            task = task_queue.get(timeout=PARENT_POLL_SECONDS)
+        except queue_module.Empty:
+            # A parent killed outright (SIGKILL, the OOM killer) sends no
+            # ``None``, and the worker holds its own end of the queue's
+            # pipe, so it would wait forever, holding the parent's stdout
+            # and stderr open.  Reparented means the parent is gone.
+            if os.getppid() != parent:
+                return
+            continue
         if task is None:
             return
         kind = task[0]

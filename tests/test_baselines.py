@@ -11,9 +11,9 @@ from repro.baselines import (
     randomized_color_reduce,
 )
 from repro.core import ColorReduce
+from repro.core.low_space.mis_reduction import chosen_colors, color_via_mis
 from repro.graph import Graph, PaletteAssignment, generators
 from repro.graph.validation import assert_valid_list_coloring
-from repro.mis.deterministic import deterministic_mis
 
 
 @pytest.fixture
@@ -89,11 +89,18 @@ class TestMISColoring:
         assert result.reduction_vertices >= graph.num_nodes
         assert result.reduction_edges > 0
 
-    def test_with_deterministic_solver(self):
+    def test_deterministic_endgame_on_the_same_reduction(self):
+        # The deterministic counterpart of this baseline is the low-space
+        # endgame, color_via_mis, on the same reduction.
         graph = generators.erdos_renyi(60, 0.15, seed=9)
-        result = mis_based_coloring(graph, mis_solver=deterministic_mis)
         palettes = PaletteAssignment.delta_plus_one(graph)
-        assert_valid_list_coloring(graph, palettes, result.coloring)
+        baseline = mis_based_coloring(graph, palettes)
+        reduction, chosen, phases = color_via_mis(graph, palettes)
+        coloring = dict(zip(reduction.node_ids, chosen_colors(reduction, chosen).tolist()))
+        assert_valid_list_coloring(graph, palettes, coloring)
+        assert phases >= 1
+        assert reduction.num_vertices == baseline.reduction_vertices
+        assert reduction.num_edges == baseline.reduction_edges
 
 
 class TestRandomizedColorReduce:

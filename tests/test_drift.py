@@ -53,12 +53,13 @@ def test_retired_sets_backing_stays_out_of_src():
     assert not hits, "retired sets backing in src/:\n" + "\n".join(hits)
 
 
-#: The retired partition-step paths, the options no caller set, and the
-#: level prefetch's mirror of the candidate sequence (`candidate_pairs`).
+#: The retired partition-step paths, the options no caller set (the MIS
+#: solver injection among them), and the level prefetch's mirror of the
+#: candidate sequence (`candidate_pairs`).
 RETIRED_PATHS = re.compile(
     r"classify_machine_level|classify_machines|MachineChunk|split_into_chunks"
     r"|_conditional_estimate|already_colored|external_of_position"
-    r"|cost_over_seed_ints|restored_ancestors|head_pairs"
+    r"|cost_over_seed_ints|restored_ancestors|head_pairs|mis_solver"
 )
 
 

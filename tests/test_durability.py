@@ -905,6 +905,49 @@ class TestOrphanSweep:
             executor.close()
 
 
+def _process_gone(pid: int) -> bool:
+    """Whether ``pid`` has exited (a zombie nobody reaps counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] in ("Z", "X")
+    except FileNotFoundError:
+        return True
+
+
+class TestOrphanWorkers:
+    def test_workers_of_a_sigkilled_owner_exit(self):
+        """A pool owner killed outright never sends its workers the stop
+        sentinel; they notice the reparenting and exit, so nothing keeps the
+        owner's stdout open (a caller reading it to EOF would hang)."""
+        if not os.path.isdir("/proc"):  # pragma: no cover - non-Linux
+            pytest.skip("/proc not available")
+        script = (
+            "import os, signal\n"
+            "from repro.parallel.executor import SlabExecutor\n"
+            "pool = SlabExecutor(num_workers=2)\n"
+            "print(*(process.pid for process in pool._processes), flush=True)\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        owner = subprocess.Popen(
+            [sys.executable, "-c", script],
+            env=_cli_env(),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+        )
+        workers = [int(pid) for pid in owner.stdout.readline().split()]
+        assert owner.wait(timeout=60) == -signal.SIGKILL
+        assert len(workers) == 2
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline and not all(map(_process_gone, workers)):
+            time.sleep(0.1)
+        survivors = [pid for pid in workers if not _process_gone(pid)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert not survivors, "pool workers outlived their SIGKILLed owner"
+        assert owner.stdout.read() == b""
+        owner.stdout.close()
+
+
 # ---------------------------------------------------------------------------
 # acceptance scale (nightly)
 # ---------------------------------------------------------------------------

@@ -39,7 +39,11 @@ from repro.core.low_space.machine_sets import (
     low_space_cost_function,
     node_level_outcome,
 )
-from repro.core.low_space.mis_reduction import build_reduction_graph, color_via_mis
+from repro.core.low_space.mis_reduction import (
+    build_reduction_graph,
+    chosen_colors,
+    color_via_mis,
+)
 from repro.core.low_space.params import LowSpaceParameters
 from repro.core.params import ColorReduceParameters
 from repro.core.partition import Partition
@@ -48,7 +52,6 @@ from repro.graph.generators import erdos_renyi, ring_of_cliques
 from repro.graph.graph import Graph
 from repro.graph.palettes import PaletteAssignment, span_ranks
 from repro.hashing.family import KWiseIndependentFamily
-from repro.mis.deterministic import deterministic_mis
 
 
 def _families(graph, palettes, num_bins, independence=4):
@@ -450,6 +453,12 @@ class TestRestrictedByBins:
 # ----------------------------------------------------------------------
 # consumers of an extracted child's view (greedy local coloring, MIS reduction)
 # ----------------------------------------------------------------------
+def _endgame_coloring(graph, palettes):
+    reduction, chosen, _ = color_via_mis(graph, palettes)
+    node_ids = np.asarray(reduction.node_ids).tolist()
+    return dict(zip(node_ids, chosen_colors(reduction, chosen).tolist()))
+
+
 class TestLazyViewConsumers:
     def _lazy_child(self, seed=4):
         graph = erdos_renyi(110, 0.1, seed=seed)
@@ -481,10 +490,8 @@ class TestLazyViewConsumers:
         lazy_palettes = PaletteAssignment.degree_plus_one(lazy)
         reduction = build_reduction_graph(lazy, lazy_palettes)
         assert lazy.csr() is view, "reduction build folded a new view"
-        lazy_coloring, _, _ = color_via_mis(lazy, lazy_palettes, deterministic_mis)
-        scalar_coloring, _, _ = color_via_mis(
-            scalar, PaletteAssignment.degree_plus_one(scalar), deterministic_mis
-        )
+        lazy_coloring = _endgame_coloring(lazy, lazy_palettes)
+        scalar_coloring = _endgame_coloring(scalar, PaletteAssignment.degree_plus_one(scalar))
         assert lazy_coloring == scalar_coloring
         assert reduction.num_vertices == sum(
             lazy.degree(node) + 1 for node in lazy.nodes()

@@ -4,16 +4,18 @@ from __future__ import annotations
 
 import pytest
 
+import repro.core.low_space.color_reduce as low_space_pipeline
 from repro.core.low_space import (
     LowSpaceColorReduce,
     LowSpaceParameters,
     LowSpacePartition,
 )
 from repro.core.low_space.machine_sets import node_level_outcome
+from repro.core.low_space.mis_reduction import coloring_from_mis
 from repro.graph import Graph, PaletteAssignment, generators
 from repro.graph.validation import assert_valid_list_coloring
 from repro.hashing.family import KWiseIndependentFamily
-from repro.mis.luby import luby_mis
+from repro.mis import deterministic_mis
 from repro.mpc import MPCSimulator, low_space_regime
 
 
@@ -102,6 +104,7 @@ class TestLowSpaceColorReduce:
         assert_valid_list_coloring(medium_graph, palettes, result.coloring)
         assert result.rounds > 0
         assert result.total_mis_phases >= 1
+        assert result.selection_misses == 0
 
     def test_deg_plus_one_coloring_paper_params(self, medium_graph):
         result = LowSpaceColorReduce().run(medium_graph)
@@ -128,13 +131,61 @@ class TestLowSpaceColorReduce:
         assert report["peak_total_words"] <= report["total_budget_words"]
         assert result.simulator is simulator
 
-    def test_randomized_mis_solver_can_be_injected(self, medium_graph):
+    def test_mis_endgame_builds_no_graph_and_paints_the_mis(self, medium_graph, monkeypatch):
+        endgames, built = [], []
+        real_init, real_endgame = Graph.__init__, low_space_pipeline.color_via_mis
+
+        def counting_init(graph, *args, **kwargs):
+            built.append(bool(endgames) and endgames[-1] is None)
+            real_init(graph, *args, **kwargs)
+
+        def spy(graph, palettes):
+            endgames.append(None)
+            reduction, chosen, phases = real_endgame(graph, palettes)
+            endgames[-1] = reduction
+            return reduction, chosen, phases
+
+        monkeypatch.setattr(Graph, "__init__", counting_init)
+        monkeypatch.setattr(low_space_pipeline, "color_via_mis", spy)
         params = LowSpaceParameters.scaled(num_bins=3, low_degree_threshold=8)
-        result = LowSpaceColorReduce(
-            params=params, mis_solver=lambda g: luby_mis(g, seed=11)
-        ).run(medium_graph)
-        palettes = PaletteAssignment.degree_plus_one(medium_graph)
-        assert_valid_list_coloring(medium_graph, palettes, result.coloring)
+        result = LowSpaceColorReduce(params=params).run(medium_graph)
+        monkeypatch.undo()
+        assert len(endgames) >= 2
+        assert not any(built), "color_via_mis built a Graph"
+        # Root positions are the sorted ids; every MIS-colored node carries
+        # the color the Graph-based MIS reads off the same reduction.
+        ids = sorted(medium_graph.nodes())
+        painted = 0
+        for reduction in endgames:
+            mis = deterministic_mis(reduction.to_graph()).independent_set
+            for position, color in coloring_from_mis(reduction, mis).items():
+                assert result.coloring[ids[position]] == color
+                painted += 1
+        assert painted == sum(reduction.node_ids.shape[0] for reduction in endgames)
+
+    def test_selection_dead_end_takes_the_best_pair(self, monkeypatch):
+        # Paper mode targets zero violators (Lemmas 4.4/4.5 hold w.h.p. as
+        # n grows); here no candidate meets it, so the partition takes the
+        # best pair seen and its violators join the MIS path.
+        graph = generators.power_law(5000, 4, seed=0)
+        palettes = generators.degree_plus_one_palettes(graph, seed=1_000_003)
+        partitions = []
+        real_run = LowSpacePartition.run
+
+        def spy(self, *args, **kwargs):
+            partitions.append(real_run(self, *args, **kwargs))
+            return partitions[-1]
+
+        monkeypatch.setattr(LowSpacePartition, "run", spy)
+        params = LowSpaceParameters()
+        result = LowSpaceColorReduce(params=params).run(graph, palettes)
+        assert_valid_list_coloring(graph, palettes, result.coloring)
+        missed = [part for part in partitions if part.selection.fallback_used]
+        assert len(missed) == result.selection_misses == 1
+        selection = missed[0].selection
+        assert selection.evaluations == params.selection_max_candidates
+        assert selection.cost == missed[0].num_violating_nodes > 0
+        assert result.recursion_root.violating_nodes == missed[0].num_violating_nodes
 
     def test_low_degree_graph_colored_entirely_by_mis(self):
         graph = generators.ring(40)

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import mis_oracle
+import numpy as np
 import pytest
 
 from repro.core.low_space.mis_reduction import (
     build_reduction_graph,
+    chosen_colors,
     color_via_mis,
     coloring_from_mis,
 )
@@ -103,6 +105,15 @@ class TestDeterministicMIS:
         assert result.independent_set == expected.independent_set
         assert result.phases == expected.phases == 2
 
+    def test_stragglers_fold_in_ascending_id_order(self):
+        # With no phase every node is a straggler; the fold visits the ids
+        # in ascending order (the path's center 0 first), not in node order.
+        graph = Graph(nodes=[1, 0, 2], edges=[(1, 0), (0, 2)])
+        result = deterministic_mis(graph, max_phases=0)
+        expected = mis_oracle.deterministic_mis(graph, max_phases=0)
+        assert result.independent_set == expected.independent_set == {0}
+        assert result.phases == expected.phases == 0
+
     def test_phase_count_reasonable(self, random_graph):
         result = deterministic_mis(random_graph)
         assert result.phases <= 8 * random_graph.num_nodes.bit_length() + 8
@@ -126,7 +137,7 @@ class TestMISReduction:
         # Each node contributes a clique on deg+1 = 3 colors.
         assert reduction.num_vertices == 9
         # Conflict edges exist because palettes are shared.
-        assert reduction.graph.num_edges > 3 * 3
+        assert reduction.num_edges > 3 * 3
 
     def test_reduction_truncates_palettes(self):
         graph = Graph(edges=[(0, 1)])
@@ -142,25 +153,40 @@ class TestMISReduction:
 
     def test_mis_of_reduction_gives_valid_coloring(self, random_graph):
         palettes = PaletteAssignment.degree_plus_one(random_graph)
-        coloring, mis_result, reduction = color_via_mis(
-            random_graph, palettes, lambda g: luby_mis(g, seed=3)
-        )
+        reduction = build_reduction_graph(random_graph, palettes)
+        mis_result = luby_mis(reduction.to_graph(), seed=3)
+        coloring = coloring_from_mis(reduction, mis_result.independent_set)
         assert_valid_list_coloring(random_graph, palettes, coloring)
         assert reduction.num_vertices > 0
         assert mis_result.phases >= 1
 
-    def test_color_via_mis_with_deterministic_solver(self):
+    def test_color_via_mis(self):
         graph = generators.erdos_renyi(60, 0.1, seed=8)
         palettes = PaletteAssignment.degree_plus_one(graph)
-        coloring, _, _ = color_via_mis(graph, palettes, deterministic_mis)
+        reduction, chosen, phases = color_via_mis(graph, palettes)
+        coloring = dict(zip(reduction.node_ids, chosen_colors(reduction, chosen).tolist()))
         assert_valid_list_coloring(graph, palettes, coloring)
+        expected = deterministic_mis(reduction.to_graph())
+        assert set(np.flatnonzero(chosen).tolist()) == expected.independent_set
+        assert phases == expected.phases >= 1
 
     def test_color_via_mis_empty_graph(self):
-        coloring, result, reduction = color_via_mis(
-            Graph(), PaletteAssignment({}), deterministic_mis
-        )
-        assert coloring == {}
-        assert result.phases == 0
+        reduction, chosen, phases = color_via_mis(Graph(), PaletteAssignment({}))
+        assert reduction.num_vertices == reduction.num_edges == 0
+        assert chosen.shape == (0,)
+        assert phases == 0
+
+    def test_chosen_colors_needs_one_vertex_per_node(self, triangle):
+        palettes = PaletteAssignment.delta_plus_one(triangle)
+        reduction = build_reduction_graph(triangle, palettes)
+        chosen = np.zeros(reduction.num_vertices, dtype=bool)
+        chosen[[0, 4, 8]] = True  # node 0 color 0, node 1 color 1, node 2 color 2
+        assert chosen_colors(reduction, chosen).tolist() == [0, 1, 2]
+        for broken in ([0, 4], [0, 1, 4, 8]):
+            chosen[:] = False
+            chosen[broken] = True
+            with pytest.raises(ColoringError):
+                chosen_colors(reduction, chosen)
 
     def test_coloring_from_incomplete_set_raises(self, triangle):
         palettes = PaletteAssignment.delta_plus_one(triangle)
@@ -190,6 +216,8 @@ class TestMISReduction:
         assert reduction.colors.tolist() == [1, 6, 4, 6]
         assert [reduction.node_color(v) for v in range(4)] == [(7, 1), (7, 6), (3, 4), (3, 6)]
         # Cliques {0, 1} and {2, 3}; color 6 is shared across the edge.
-        assert sorted(reduction.graph.edges()) == [(0, 1), (1, 3), (2, 3)]
+        edges = sorted(zip(reduction.tails.tolist(), reduction.heads.tolist()))
+        assert edges == [(0, 1), (1, 3), (2, 3)]
+        assert sorted(reduction.to_graph().edges()) == edges
         with pytest.raises(KeyError):
             reduction.node_color(4)

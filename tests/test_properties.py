@@ -58,7 +58,12 @@ from repro.core.classification import partition_cost_function
 from repro.core.low_space.color_reduce import LowSpaceColorReduce
 from repro.core.low_space.machine_sets import LowSpaceCostEvaluator
 from repro.core.low_space.params import LowSpaceParameters
-from repro.core.low_space.mis_reduction import build_reduction_graph, coloring_from_mis
+from repro.core.low_space.mis_reduction import (
+    build_reduction_graph,
+    chosen_colors,
+    color_via_mis,
+    coloring_from_mis,
+)
 from repro.core.local_coloring import _greedy_over_arrays, _greedy_scalar, greedy_list_coloring
 from repro.core.partition import Partition
 from repro.errors import ColoringError
@@ -67,6 +72,7 @@ from repro.graph.palettes import _PaletteStore
 from repro.graph.validation import assert_valid_list_coloring, is_proper_coloring
 from repro.hashing.family import KWiseIndependentFamily
 from repro.mis import deterministic_mis, greedy_mis, luby_mis
+from repro.mis.deterministic import mis_on_edges
 from repro.mis.validation import is_maximal_independent_set
 
 SETTINGS = settings(
@@ -1012,12 +1018,17 @@ class TestMISEndgameDifferential:
         expected_graph, expected_map = mis_oracle.build_reduction_graph(graph, palettes, truncate)
         reduction = build_reduction_graph(graph, palettes, truncate)
         assert _reduction_map(reduction) == expected_map
-        view = reduction.graph.csr()
+        edges = list(zip(reduction.tails.tolist(), reduction.heads.tolist()))
+        assert all(tail < head for tail, head in edges)
+        assert len(set(edges)) == len(edges) == expected_graph.num_edges
+        assert set(edges) == {(min(u, v), max(u, v)) for u, v in expected_graph.edges()}
+        rebuilt = reduction.to_graph()
+        view = rebuilt.csr()
         expected_view = build_csr({node: expected_graph.neighbors(node) for node in expected_graph})
         assert view.node_ids == expected_view.node_ids
         assert view.indptr.tolist() == expected_view.indptr.tolist()
         assert view.indices.tolist() == expected_view.indices.tolist()
-        _assert_same_graph(expected_graph, reduction.graph)
+        _assert_same_graph(expected_graph, rebuilt)
 
     @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(mis_reduction_instances(), st.sampled_from([None, 1, 2]))
@@ -1025,11 +1036,27 @@ class TestMISEndgameDifferential:
         graph, palettes, truncate = data
         expected_graph, expected_map = mis_oracle.build_reduction_graph(graph, palettes, truncate)
         reduction = build_reduction_graph(graph, palettes, truncate)
-        for actual_graph, oracle_graph in ((reduction.graph, expected_graph), (graph, graph)):
+        for actual_graph, oracle_graph in ((reduction.to_graph(), expected_graph), (graph, graph)):
             actual = deterministic_mis(actual_graph, max_phases=max_phases)
             expected = mis_oracle.deterministic_mis(oracle_graph, max_phases=max_phases)
             assert actual.independent_set == expected.independent_set
             assert actual.phases == expected.phases
+        # The array core on the reduction's edge arrays, stragglers included.
+        expected = mis_oracle.deterministic_mis(expected_graph, max_phases=max_phases)
+        vertices = np.arange(reduction.num_vertices, dtype=np.int64)
+        chosen, phases = mis_on_edges(
+            reduction.num_vertices, reduction.tails, reduction.heads, vertices,
+            max_phases=max_phases,
+        )
+        assert set(np.flatnonzero(chosen).tolist()) == expected.independent_set
+        assert phases == expected.phases
+        expected_coloring = mis_oracle.coloring_from_mis(expected_map, expected.independent_set)
+        painted = dict(zip(reduction.node_ids, chosen_colors(reduction, chosen).tolist()))
+        assert painted == expected_coloring
+        if truncate and max_phases is None:
+            _, endgame_chosen, endgame_phases = color_via_mis(graph, palettes)
+            assert endgame_chosen.tolist() == chosen.tolist()
+            assert endgame_phases == phases
         mis = mis_oracle.deterministic_mis(expected_graph).independent_set
         assert coloring_from_mis(reduction, mis) == mis_oracle.coloring_from_mis(expected_map, mis)
 
