@@ -102,7 +102,6 @@ def iterated_trial_coloring(
     palettes: Optional[PaletteAssignment] = None,
     independence: int = 4,
     max_phases: Optional[int] = None,
-    validate: bool = True,
 ) -> TrialColoringResult:
     """Run the deterministic trial-coloring baseline."""
     if palettes is None:
@@ -155,8 +154,7 @@ def iterated_trial_coloring(
         raise ColoringError(
             f"{len(uncolored)} nodes remain uncolored after {phases} phases"
         )
-    if validate:
-        assert_valid_list_coloring(graph, palettes, coloring)
+    assert_valid_list_coloring(graph, palettes, coloring)
     return TrialColoringResult(
         coloring=coloring, phases=phases, rounds=ledger.rounds, ledger=ledger
     )

@@ -36,7 +36,7 @@ class MISColoringResult:
 
 
 def mis_based_coloring(
-    graph: Graph, palettes: Optional[PaletteAssignment] = None, seed: int = 0, validate=True
+    graph: Graph, palettes: Optional[PaletteAssignment] = None, seed: int = 0
 ) -> MISColoringResult:
     """Color ``graph`` by one reduction to MIS, solved by randomized Luby
     with the given ``seed`` on the reduction's :class:`Graph`.
@@ -50,8 +50,7 @@ def mis_based_coloring(
     reduction = build_reduction_graph(graph, palettes)
     mis_result = luby_mis(reduction.to_graph(), seed=seed)
     coloring = coloring_from_mis(reduction, mis_result.independent_set)
-    if validate:
-        assert_valid_list_coloring(graph, palettes, coloring)
+    assert_valid_list_coloring(graph, palettes, coloring)
     return MISColoringResult(
         coloring=coloring,
         mis_phases=mis_result.phases,

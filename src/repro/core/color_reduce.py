@@ -147,9 +147,9 @@ class ColorReduce(RecursionDriver):
     context:
         Execution context; defaults to a fresh CONGESTED CLIQUE simulator
         sized to the input graph.
-    validate:
-        Validate the final coloring against the graph and palettes before
-        returning (cheap, and every experiment keeps it on).
+
+    :meth:`run` validates the final coloring against the graph and
+    palettes before returning.
     """
 
     ALGORITHM = "color-reduce"
@@ -160,11 +160,9 @@ class ColorReduce(RecursionDriver):
         self,
         params: Optional[ColorReduceParameters] = None,
         context: Optional[ExecutionContext] = None,
-        validate: bool = True,
     ) -> None:
         self.params = params if params is not None else ColorReduceParameters()
         self._context = context
-        self.validate = validate
 
     # ------------------------------------------------------------------
     # public API
@@ -173,12 +171,11 @@ class ColorReduce(RecursionDriver):
         self,
         graph: Graph,
         palettes: Optional[PaletteAssignment] = None,
-        initial_ell: Optional[float] = None,
         palettes_are_implicit: bool = False,
     ) -> ColorReduceResult:
         """Color ``graph`` from ``palettes`` (defaults to ``{0..Δ}`` each).
 
-        ``initial_ell`` defaults to the maximum degree Δ, matching the
+        The run starts at ``l = Δ``, the maximum degree, matching the
         initial call ``ColorReduce(G, Δ)``.  ``palettes_are_implicit``
         enables the Theorem 1.3 space accounting for plain (Δ+1)-coloring:
         palettes are the trivial ``{0..Δ}`` sets and are never shipped, so
@@ -192,7 +189,7 @@ class ColorReduce(RecursionDriver):
         if context is None:
             simulator = CongestedCliqueSimulator(max(graph.num_nodes, 1))
             context = CongestedCliqueContext(simulator)
-        raw_ell = float(graph.max_degree()) if initial_ell is None else float(initial_ell)
+        raw_ell = float(graph.max_degree())
         # Algorithm 1 solves (Δ+1)-list coloring: every palette must have more
         # than l = Δ colors (Corollary 3.3 (i)).  Instances with smaller
         # (deg+1)-style palettes are the low-space algorithm's job
@@ -213,8 +210,7 @@ class ColorReduce(RecursionDriver):
         coloring, ledger, tree, pool_health, durability = self._walk(
             graph, palettes, ell, state
         )
-        if self.validate:
-            assert_valid_list_coloring(graph, palettes, coloring)
+        assert_valid_list_coloring(graph, palettes, coloring)
         return ColorReduceResult(
             coloring=coloring,
             rounds=ledger.rounds,

@@ -128,8 +128,8 @@ class LowSpaceColorReduce(RecursionDriver):
     simulator:
         Optional low-space :class:`MPCSimulator` for space accounting; a
         fresh one in the ``O(n^ε)`` regime is created per run if omitted.
-    validate:
-        Validate the final coloring before returning.
+
+    :meth:`run` validates the final coloring before returning.
     """
 
     ALGORITHM = "low-space"
@@ -138,11 +138,9 @@ class LowSpaceColorReduce(RecursionDriver):
         self,
         params: Optional[LowSpaceParameters] = None,
         simulator: Optional[MPCSimulator] = None,
-        validate: bool = True,
     ) -> None:
         self.params = params if params is not None else LowSpaceParameters()
         self._simulator = simulator
-        self.validate = validate
 
     # ------------------------------------------------------------------
     def run(
@@ -165,8 +163,7 @@ class LowSpaceColorReduce(RecursionDriver):
         coloring, ledger, tree, pool_health, durability = self._walk(
             graph, palettes, None, state
         )
-        if self.validate:
-            assert_valid_list_coloring(graph, palettes, coloring)
+        assert_valid_list_coloring(graph, palettes, coloring)
         return LowSpaceResult(
             coloring=coloring,
             rounds=ledger.rounds,

@@ -202,7 +202,7 @@ class LowSpaceCostEvaluator(BatchCostEvaluatorBase):
 
     The scalar path (``__call__``) delegates to :func:`node_level_outcome`.
     The batched paths (:meth:`many`, :meth:`outcome_selected`) run the
-    shared count kernels of
+    shared count kernel of
     :class:`repro.hashing.batch.BatchCostEvaluatorBase` over the
     high-degree nodes: the scored ``ids`` are the sorted high ids, the
     edge runs keep the edges with *both* endpoints high (neighbors outside
@@ -307,15 +307,14 @@ class LowSpaceCostEvaluator(BatchCostEvaluatorBase):
 
     @staticmethod
     def _violations(prep: dict, bins, d_prime, p_prime):
-        """The Lemma 4.5 violation mask, elementwise (one pair's vectors or
-        a slab's rows): ``d'(v)`` above its threshold, or — in a color bin
-        — ``p'(v) <= d'(v)``."""
+        """The Lemma 4.5 violation mask over one pair's vectors: ``d'(v)``
+        above its threshold, or — in a color bin — ``p'(v) <= d'(v)``."""
         violating = d_prime > prep["threshold"]
         violating |= (bins != prep["num_bins"] - 1) & (p_prime <= d_prime)
         return violating
 
-    def _slab_costs(self, prep: dict, bins1, d_prime, p_prime):
-        return self._violations(prep, bins1, d_prime, p_prime).sum(axis=1)
+    def _pair_cost(self, prep: dict, node_bins, d_prime, p_prime) -> float:
+        return float(self._violations(prep, node_bins, d_prime, p_prime).sum())
 
     # -- node-level outcome for the selected pair -----------------------
     def outcome_selected(

@@ -177,13 +177,9 @@ class LowSpacePartition:
             rng_seed=salt,
             parallel_workers=self.params.parallel_workers,
         )
-        wrapped_charge = None
-        if charge is not None:
-            def wrapped_charge(label: str, rounds: int) -> None:  # noqa: E306
-                charge(label, rounds)
         target = self.params.violation_allowance(len(high_degree_nodes))
         try:
-            selection = selector.select(cost, target_bound=target, charge=wrapped_charge)
+            selection = selector.select(cost, target_bound=target, charge=charge)
         except DerandomizationError as miss:
             # No candidate met the allowance (the lemmas hold only w.h.p.
             # as n grows): take the best pair seen.  Its violators take the

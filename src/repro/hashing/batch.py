@@ -33,12 +33,12 @@ of the two batched cost evaluators — Equation (1)'s
 :class:`repro.core.classification.PartitionCostEvaluator` and Lemma 4.5's
 :class:`repro.core.low_space.machine_sets.LowSpaceCostEvaluator`.  Both
 score a hash pair from the in-bin degree ``d'(v)`` and in-bin palette size
-``p'(v)``; the base owns their one prep layout, the two kernels that count
-them (a slab of candidate rows, and one pair over a node range), the
-selected pair's pass (which also scores a one-pair batch, and is kept for
-the classification that follows), the staleness check and the
-shared-memory payload, so the evaluators keep only which nodes they score
-and their predicate.
+``p'(v)``; the base owns their one prep layout, the one kernel that counts
+them (one pair over a node range, for every pair of a batch), the selected
+pair's pass (which also scores a one-pair batch, and is kept for the
+classification that follows), the staleness check and the shared-memory
+payload, so the evaluators keep only which nodes they score and their
+predicate.
 """
 
 from __future__ import annotations
@@ -274,30 +274,6 @@ def hash_rows(
     return reduced
 
 
-def rowwise_bincount(values: np.ndarray, num_values: int) -> np.ndarray:
-    """Per-row histogram of a ``(num_rows, m)`` integer matrix.
-
-    ``values`` has shape ``(num_rows, m)`` with entries in
-    ``[0, num_values)``; the result has shape ``(num_rows, num_values)``
-    and ``values[r, j]`` increments bucket ``result[r, values[r, j]]``.
-    Implemented as a single flattened :func:`numpy.bincount` with per-row
-    offsets — the scatter primitive the batched cost kernels use for bin
-    sizes.  Scalar reference: one ``collections.Counter`` pass per row, as
-    the per-node classification's ``bin_sizes`` accumulation does.
-    (Segmented sums over the CSR layout use the faster
-    :func:`segment_sum_rows` instead.)
-    """
-    if values.ndim != 2:
-        raise HashFamilyError("values must be a 2-D matrix")
-    num_rows, width = values.shape
-    if width == 0:
-        return np.zeros((num_rows, num_values), dtype=np.int64)
-    offsets = (np.arange(num_rows, dtype=np.int64) * num_values).reshape(num_rows, 1)
-    flat = (values + offsets).ravel()
-    counts = np.bincount(flat, minlength=num_rows * num_values)
-    return counts.reshape(num_rows, num_values).astype(np.int64)
-
-
 def segment_mark_members(
     flat: np.ndarray,
     indptr: np.ndarray,
@@ -368,62 +344,16 @@ def segment_mark_members(
     return mask
 
 
-def segment_sum_rows(matrix: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Sum contiguous column segments of a ``(num_rows, m)`` matrix, per row.
-
-    ``indptr`` is a CSR-style boundary array of shape ``(n + 1,)`` with
-    ``indptr[-1] == m``; the result has shape ``(num_rows, n)`` with
-    ``result[r, i] == matrix[r, indptr[i]:indptr[i+1]].sum()``.
-
-    This is the fast path for in-bin degree / in-bin palette counts: the CSR
-    view lays out every node's incident edges (and palette entries)
-    contiguously, so one :func:`numpy.add.reduceat` per batch replaces a
-    Python loop over nodes.  ``np.add`` on bools is logical-or, so boolean
-    input is reinterpreted as integers first: a free ``int8`` view when the
-    longest segment is short enough not to overflow (the common case —
-    segment sums are bounded by node degrees), otherwise a widening copy.
-    Empty segments — where ``reduceat`` would echo a stray element instead
-    of 0 — are zeroed explicitly.
-    """
-    num_rows, width = matrix.shape
-    num_segments = indptr.shape[0] - 1
-    if num_segments <= 0:
-        return np.zeros((num_rows, 0), dtype=np.int64)
-    if width == 0:
-        return np.zeros((num_rows, num_segments), dtype=np.int64)
-    summable = matrix
-    if matrix.dtype == np.bool_:
-        longest = int(np.max(indptr[1:] - indptr[:-1]))
-        if longest < 127:
-            summable = matrix.view(np.int8)
-        elif longest < 32767:
-            summable = matrix.astype(np.int16)
-        else:
-            summable = matrix.astype(np.int32)
-    # ``reduceat`` mishandles empty segments (it echoes a stray element and
-    # would shift its neighbors' boundaries), so reduce over the non-empty
-    # segments only: they tile [0, width) contiguously, making their start
-    # indices strictly increasing — exactly what reduceat requires.
-    nonempty = indptr[1:] > indptr[:-1]
-    if nonempty.all():
-        return np.add.reduceat(summable, indptr[:-1], axis=1)
-    sums = np.zeros((num_rows, num_segments), dtype=summable.dtype)
-    if nonempty.any():
-        sums[:, nonempty] = np.add.reduceat(summable, indptr[:-1][nonempty], axis=1)
-    return sums
-
-
 def segment_sums(mask: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """Exact int64 sums of a 1-D mask over contiguous segments.
 
     ``bounds`` has shape ``(n + 1,)``, starts at 0 and ends at
     ``mask.shape[0]``; entry ``i`` of the result is
-    ``mask[bounds[i]:bounds[i+1]].sum()``.  The one-row counterpart of
-    :func:`segment_sum_rows`; empty segments stay 0 (``reduceat`` runs
-    over the non-empty starts only, which are strictly increasing).  A
-    sum cannot exceed the mask's length, so masks shorter than ``2**31``
-    accumulate in int32, which ``reduceat`` runs several times faster
-    than int64 over long segments (palette runs).
+    ``mask[bounds[i]:bounds[i+1]].sum()``.  Empty segments stay 0
+    (``reduceat`` runs over the non-empty starts only, which are strictly
+    increasing).  A sum cannot exceed the mask's length, so masks shorter
+    than ``2**31`` accumulate in int32, which ``reduceat`` runs several
+    times faster than int64 over long segments (palette runs).
     """
     sums = np.zeros(bounds.shape[0] - 1, dtype=np.int64)
     nonempty = bounds[1:] > bounds[:-1]
@@ -441,7 +371,7 @@ _LOCAL_PREP_KEYS = ("csr", "node_xs_cache", "color_xs_cache")
 
 
 class BatchCostEvaluatorBase:
-    """The shared layout and count kernels of the batched pair-cost evaluators.
+    """The shared layout and count kernel of the batched pair-cost evaluators.
 
     Both selection costs — Equation (1)
     (:class:`repro.core.classification.PartitionCostEvaluator`) and the
@@ -467,15 +397,14 @@ class BatchCostEvaluatorBase:
 
     Subclasses add their predicate's thresholds.
 
-    **Two count kernels**, both on the narrow bins of :func:`hash_bins`.
-    :meth:`_count_slab` counts a slab of candidate pairs (one row each) for
-    :meth:`many`; :meth:`_count_range` counts one pair over a node range
-    ``[start, stop)``, and also serves :meth:`many` on instances too large
-    for a two-row slab.  Both repeat each node's bin over its palette-entry
-    run instead of gathering entry owners, and sum per-node runs with
-    ``reduceat``.  The selected pair's pass is the range ``[0, n)`` and a
-    pool shard is a sub-range (:meth:`range_counts`), so sharded and
-    serial counts are the same integers.
+    **One count kernel**, :meth:`_count_range`, on the narrow bins of
+    :func:`hash_bins`: it counts one pair over a node range ``[start,
+    stop)``, repeating each node's bin over its palette-entry run instead
+    of gathering entry owners, and summing per-node runs with
+    ``reduceat``.  A batch of pairs (:meth:`many`) is hashed at once and
+    each pair counted over ``[0, n)``; the selected pair's pass is that
+    same range, and a pool shard is a sub-range (:meth:`range_counts`), so
+    sharded and serial counts are the same integers.
 
     **One pass per partition step.**  A one-pair batch — the head probe of
     the first-feasible scan — is scored by the selected pair's pass itself
@@ -486,16 +415,9 @@ class BatchCostEvaluatorBase:
     shared-memory payload.
 
     Subclasses implement :meth:`_prepare` (which nodes, edges and
-    thresholds), :meth:`_slab_costs` (their predicate over counted slabs)
-    and the selected-pair result on top of :meth:`_selected_pass`.
+    thresholds), :meth:`_pair_cost` (their predicate over one pair's
+    counts) and the selected-pair result on top of :meth:`_selected_pass`.
     """
-
-    #: Soft cap on elements per intermediate matrix; batches are sliced into
-    #: slabs so ``slab_rows`` times the longest prep array stays below this.
-    #: Deliberately small: the gather/compare/reduceat pipeline is
-    #: memory-bound, and slabs whose intermediates fit in cache are several
-    #: times faster than one monolithic batch.
-    MAX_ELEMENTS = 1 << 20
 
     #: Attributes tied to the live instance; a shared-memory worker gets
     #: ``None`` for them and reads only the prep arrays.
@@ -527,8 +449,8 @@ class BatchCostEvaluatorBase:
         """The prep layout (see the class docstring) for the live instance."""
         raise NotImplementedError
 
-    def _slab_costs(self, prep: dict, bins1, d_prime, p_prime) -> np.ndarray:
-        """One cost per slab row from its node bins and counts."""
+    def _pair_cost(self, prep: dict, node_bins, d_prime, p_prime) -> float:
+        """One pair's cost from its node bins and ``[0, n)`` counts."""
         raise NotImplementedError
 
     # -- the prep -------------------------------------------------------
@@ -637,85 +559,45 @@ class BatchCostEvaluatorBase:
         }
         return evaluator
 
-    # -- the two count kernels ------------------------------------------
+    # -- the count kernel -----------------------------------------------
     def many(self, pairs) -> List[float]:
         """Costs for a batch of pairs, bit-identical to the scalar path.
 
         All pairs of a batch must come from the same two hash families
         (identical prime/domain/range), which is how the selection
         strategies produce them.  A one-pair batch is scored by
-        :meth:`probe` (the same integers, so the same cost).  When the
-        instance is too large for a slab of two rows, each pair is counted
-        by :meth:`_count_range` — the same integers, faster than a
-        one-row :meth:`_count_slab` — and nothing is kept: only the
-        probe's pass is one a classification takes.
+        :meth:`probe` (the same integers, so the same cost).  A longer
+        batch hashes all its pairs at once (:meth:`_bin_matrices`) and
+        counts each pair over ``[0, n)`` with :meth:`_count_range`; it
+        keeps nothing: only the probe's pass is one a classification takes.
         """
         if not pairs:
             return []
         if len(pairs) == 1:
             return [self.probe(*pairs[0])]
         prep = self._prepared()
-        entries = max(
-            1,
-            len(prep["ids"]),
-            len(prep["edge_sources"]),
-            len(prep["entry_colors"]),
-            len(prep["universe"]),
-        )
-        slab = max(1, self.MAX_ELEMENTS // entries)
+        num_nodes = len(prep["ids"])
         costs: List[float] = []
-        if slab == 1:
-            num_nodes = len(prep["ids"])
-            for h1, h2 in pairs:
-                node_bins, universe_bins = self._pair_bins(h1, h2, prep)
-                d_prime, p_prime, _ = self._count_range(
-                    prep, node_bins, universe_bins, 0, num_nodes
-                )
-                costs.append(self._pair_cost(prep, node_bins, d_prime, p_prime))
-            return costs
-        for start in range(0, len(pairs), slab):
-            chunk = pairs[start : start + slab]
-            bins1, d_prime, p_prime = self._count_slab(chunk, prep)
-            costs.extend(
-                float(value) for value in self._slab_costs(prep, bins1, d_prime, p_prime)
+        for node_bins, universe_bins in zip(*self._bin_matrices(pairs, prep)):
+            d_prime, p_prime, _ = self._count_range(
+                prep, node_bins, universe_bins, 0, num_nodes
             )
+            costs.append(self._pair_cost(prep, node_bins, d_prime, p_prime))
         return costs
 
     def probe(self, h1, h2, scorer=None) -> float:
         """The cost of one pair, from its selected-pair pass, which is kept.
 
         :meth:`_selected_pass` counts the pair (through ``scorer``'s pool
-        shards when one is given); the cost is :meth:`_slab_costs` over
-        those counts as a one-row slab, so it equals the slab kernel's
-        value bit for bit.  The pass stays in the one-slot cache for the
+        shards when one is given) and :meth:`_pair_cost` scores those
+        counts, so the cost equals the one :meth:`many` gives the pair in
+        a longer batch.  The pass stays in the one-slot cache for the
         classification of the same ``(h1, h2)`` objects.
         """
         selected = self._selected_pass(h1, h2, scorer)
         self._kept = (h1, h2, selected)
         prep, node_bins, _, d_prime, p_prime, _ = selected
         return self._pair_cost(prep, node_bins, d_prime, p_prime)
-
-    def _pair_cost(self, prep: dict, node_bins, d_prime, p_prime) -> float:
-        """:meth:`_slab_costs` of one pair's counts, as a one-row slab."""
-        return float(
-            self._slab_costs(prep, node_bins[None], d_prime[None], p_prime[None])[0]
-        )
-
-    def _count_slab(self, pairs, prep: dict):
-        """``(bins1, d', p')`` for a slab, one row per candidate pair.
-
-        Edge runs and palette-entry runs are contiguous per node, so both
-        counts are a compare + :func:`segment_sum_rows`; the entries'
-        owner bins are each node's bin repeated over its run.
-        """
-        bins1, bins2 = self._bin_matrices(pairs, prep)
-        same_bin = bins1[:, prep["edge_sources"]] == bins1[:, prep["edge_targets"]]
-        d_prime = segment_sum_rows(same_bin, prep["edge_indptr"])
-        entry_indptr = prep["entry_indptr"]
-        owner_bins = np.repeat(bins1, entry_indptr[1:] - entry_indptr[:-1], axis=1)
-        entry_match = bins2[:, prep["entry_colors"]] == owner_bins
-        p_prime = segment_sum_rows(entry_match, entry_indptr)
-        return bins1, d_prime, p_prime
 
     @staticmethod
     def _count_range(prep: dict, node_bins, universe_bins, start: int, stop: int):

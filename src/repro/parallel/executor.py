@@ -96,6 +96,7 @@ import itertools
 import multiprocessing
 import os
 import queue as queue_module
+import signal
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -294,19 +295,33 @@ PARENT_POLL_SECONDS = 1.0
 
 
 def _worker_main(
-    worker_index: int, task_queue, result_queue, fault_plan: Optional[FaultPlan]
+    worker_index: int,
+    task_queue,
+    result_queue,
+    fault_plan: Optional[FaultPlan],
+    parent: Optional[int],
 ) -> None:
     """Worker loop: cache evaluators by token, score shards via ``many``.
 
     ``fault_plan`` is the deterministic chaos hook (tests/CI only, ``None``
     in production and for respawned replacements); see
     :mod:`repro.parallel.faults` for the taxonomy applied below.
+    ``parent`` is the pid whose loss ends the worker (see
+    :meth:`SlabExecutor._spawn_one`); ``None`` watches the worker's parent
+    at startup.
     """
     from collections import OrderedDict
 
+    # A pool forked inside a durable run inherits the run's recording
+    # SIGTERM/SIGINT handlers (repro.runtime.signals.SignalWatcher), under
+    # which ``terminate()`` would be recorded and ignored.  The parent
+    # alone handles Ctrl-C, then shuts the pool down.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     injector = FaultInjector(fault_plan, worker_index)
     cache: "OrderedDict[int, object]" = OrderedDict()
-    parent = os.getppid()
+    if parent is None:
+        parent = os.getppid()
     while True:
         try:
             task = task_queue.get(timeout=PARENT_POLL_SECONDS)
@@ -483,9 +498,18 @@ class SlabExecutor:
     # ------------------------------------------------------------------
     def _spawn_one(self, index: int, fault_plan: Optional[FaultPlan]):
         task_queue = self._context.Queue()
+        # Forked and spawned workers are this process's children.  Its pid
+        # is taken here: a worker reading its parent's pid itself reads the
+        # reaper's when the owner was killed before the worker got that far,
+        # and then never notices.  A forkserver's workers watch the server.
+        parent = (
+            os.getpid()
+            if self._context.get_start_method() in ("fork", "spawn")
+            else None
+        )
         process = self._context.Process(
             target=_worker_main,
-            args=(index, task_queue, self._result_queue, fault_plan),
+            args=(index, task_queue, self._result_queue, fault_plan, parent),
             daemon=True,
         )
         process.start()

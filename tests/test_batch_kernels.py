@@ -30,12 +30,7 @@ from repro.derand.conditional_expectation import HashPairSelector, SelectionStra
 from repro.graph.generators import erdos_renyi, ring_of_cliques
 from repro.graph.graph import Graph
 from repro.graph.palettes import PaletteAssignment
-from repro.hashing.batch import (
-    evaluate_polynomial_many,
-    hash_many,
-    rowwise_bincount,
-    segment_sum_rows,
-)
+from repro.hashing.batch import evaluate_polynomial_many, hash_many
 from repro.hashing.family import HashFunction, KWiseIndependentFamily
 from repro.hashing.field import MERSENNE_61, evaluate_polynomial
 from repro.hashing.seeds import seed_from_int
@@ -137,29 +132,6 @@ class TestHashMany:
 
 
 # ----------------------------------------------------------------------
-# array primitives
-# ----------------------------------------------------------------------
-class TestArrayPrimitives:
-    def test_rowwise_bincount(self):
-        values = np.array([[0, 1, 1, 3], [2, 2, 2, 0]])
-        counts = rowwise_bincount(values, 4)
-        assert counts.tolist() == [[1, 2, 0, 1], [1, 0, 3, 0]]
-
-    def test_segment_sum_rows_with_empty_segments(self):
-        matrix = np.array([[1, 1, 0, 1], [0, 1, 1, 1]], dtype=bool)
-        indptr = np.array([0, 0, 2, 2, 4, 4])
-        sums = segment_sum_rows(matrix, indptr)
-        assert sums.tolist() == [[0, 2, 0, 1, 0], [0, 1, 0, 2, 0]]
-
-    def test_segment_sum_rows_wide_segments(self):
-        # A segment longer than 127 exercises the widening (non-int8) path.
-        width = 300
-        matrix = np.ones((2, width), dtype=bool)
-        indptr = np.array([0, 200, width])
-        assert segment_sum_rows(matrix, indptr).tolist() == [[200, 100], [200, 100]]
-
-
-# ----------------------------------------------------------------------
 # CSR view
 # ----------------------------------------------------------------------
 class TestGraphCSR:
@@ -238,15 +210,15 @@ class TestPartitionCostEquivalence:
         ]
         assert cost.many(pairs) == [cost(h1, h2) for h1, h2 in pairs]
 
-    def test_small_slabs_equal_one_slab(self):
+    def test_split_batches_equal_one_batch(self):
         _, _, _, _, cost, family1, family2 = _partition_setup()
         pairs = [
             (family1.from_seed_int(i + 1), family2.from_seed_int(2 * i + 1))
             for i in range(10)
         ]
         whole = cost.many(pairs)
-        cost.MAX_ELEMENTS = 1  # force one pair per slab
-        assert cost.many(pairs) == whole
+        assert cost.many(pairs[:3]) + cost.many(pairs[3:]) == whole
+        assert [cost.many([pair])[0] for pair in pairs] == whole
 
     def test_empty_batch(self):
         _, _, _, _, cost, _, _ = _partition_setup(num_nodes=20, p=0.2)

@@ -163,13 +163,9 @@ class TestNarrowCountKernel:
             for index in range(3):
                 joined = np.concatenate([part[index] for part in parts])
                 assert joined.tolist() == whole[index].tolist()
-            # The slab kernel counts the same integers for the same pair.
-            _, slab_d, slab_p = cost._count_slab([(h1, h2)], prep)
-            assert slab_d[0].tolist() == whole[0].tolist()
-            assert slab_p[0].tolist() == whole[1].tolist()
 
     @pytest.mark.parametrize("kind, num_bins", KINDS_AND_BINS)
-    def test_one_pair_cost_equals_the_slab_cost(self, kind, num_bins):
+    def test_one_pair_cost_equals_the_batch_cost(self, kind, num_bins):
         graph, palettes = _random_instance(5)
         cost, family1, family2 = _evaluator(kind, graph, palettes, num_bins)
         pairs = [
@@ -181,31 +177,20 @@ class TestNarrowCountKernel:
         assert batch == [cost(h1, h2) for h1, h2 in pairs]
 
     @pytest.mark.parametrize("kind, num_bins", KINDS_AND_BINS)
-    def test_one_row_slabs_count_each_pair_over_the_range(
-        self, kind, num_bins, count_range_calls, monkeypatch
+    @pytest.mark.parametrize("batch", [2, 5])
+    def test_a_batch_counts_each_pair_once_over_the_range(
+        self, kind, num_bins, batch, count_range_calls
     ):
         graph, palettes = _random_instance(6)
         cost, family1, family2 = _evaluator(kind, graph, palettes, num_bins)
         pairs = [
             (family1.from_seed_int(5 * index + 3), family2.from_seed_int(13 * index + 1))
-            for index in range(5)
+            for index in range(batch)
         ]
-        slab_costs = cost.many(pairs)
-        assert not count_range_calls
-        monkeypatch.setattr(BatchCostEvaluatorBase, "MAX_ELEMENTS", 1)
-        slab_calls = []
-        count_slab = BatchCostEvaluatorBase._count_slab
-
-        def spy_slab(self, chunk, prep):
-            slab_calls.append(len(chunk))
-            return count_slab(self, chunk, prep)
-
-        monkeypatch.setattr(BatchCostEvaluatorBase, "_count_slab", spy_slab)
-        one_row_costs = cost.many(pairs)
+        costs = cost.many(pairs)
         prep = cost._prepared()
         num_nodes = len(prep["ids"])
-        assert not slab_calls
-        assert count_range_calls == [(0, num_nodes)] * len(pairs)
+        assert count_range_calls == [(0, num_nodes)] * batch
         # Only a one-pair batch is a probe; a longer batch keeps no pass.
         assert cost._kept is None
         expected = []
@@ -215,8 +200,8 @@ class TestNarrowCountKernel:
                 prep, node_bins, universe_bins, 0, num_nodes
             )
             expected.append(cost._pair_cost(prep, node_bins, d_prime, p_prime))
-        assert one_row_costs == expected == slab_costs
-        assert one_row_costs == [cost(h1, h2) for h1, h2 in pairs]
+        assert costs == expected
+        assert costs == [cost(h1, h2) for h1, h2 in pairs]
 
 
 # ----------------------------------------------------------------------
@@ -294,7 +279,10 @@ class TestOnePassPerStep:
         _losing_head(monkeypatch)
         result = STEPS[step]()
         assert result.selection.evaluations > 1
-        assert len(count_range_calls) == 2
+        # The head probe, the rest of the first batch once each, and the
+        # winner's classification once more.
+        batch = ColorReduceParameters().selection_batch_size
+        assert len(count_range_calls) == 1 + (batch - 1) + 1
 
     def test_a_second_classification_recounts(self, count_range_calls):
         graph, palettes = _random_instance(3)
@@ -457,8 +445,6 @@ class TestLevelPrefetch:
     ):
         _losing_head(monkeypatch)
         reference = PIPELINES[pipeline][0](False)
-        # One-row slabs: the rest of each losing scan runs the range kernel.
-        monkeypatch.setattr(BatchCostEvaluatorBase, "MAX_ELEMENTS", 1)
         production, seen = self._prefetched_solve(
             pipeline, monkeypatch, count_range_calls
         )

@@ -11,7 +11,8 @@ classification, the local greedy's order and recolor options, and the
 helpers nothing called.  Nor may the parameter fields that made the
 paper's exponents settable, or the options and constructors no caller
 set.  Nor may the count kernels' explicit entry-owner array: an entry's
-owner is implied by its run.
+owner is implied by its run.  Nor may the 2-D slab count kernel and its
+helpers: every pair is counted over its node range.
 """
 
 from __future__ import annotations
@@ -54,12 +55,14 @@ def test_retired_sets_backing_stays_out_of_src():
 
 
 #: The retired partition-step paths, the options no caller set (the MIS
-#: solver injection among them), and the level prefetch's mirror of the
-#: candidate sequence (`candidate_pairs`).
+#: solver injection, the drivers' and baselines' ``validate`` switch and
+#: ``ColorReduce.run``'s ``initial_ell`` among them), and the level
+#: prefetch's mirror of the candidate sequence (`candidate_pairs`).
 RETIRED_PATHS = re.compile(
     r"classify_machine_level|classify_machines|MachineChunk|split_into_chunks"
     r"|_conditional_estimate|already_colored|external_of_position"
     r"|cost_over_seed_ints|restored_ancestors|head_pairs|mis_solver"
+    r"|self\.validate\b|\bvalidate\s*[:=]|initial_ell\s*=\s*None|wrapped_charge"
 )
 
 
@@ -81,7 +84,7 @@ def test_retired_parameter_fields_stay_out_of_src():
     assert not hits, "retired parameter fields in src/:\n" + "\n".join(hits)
 
 
-#: The retired prep array of palette-entry owners: the count kernels repeat
+#: The retired prep array of palette-entry owners: the count kernel repeats
 #: each node's bin over its entry run, and the level pass builds its own
 #: owners.
 RETIRED_PREP = re.compile(r"entry_nodes")
@@ -90,3 +93,16 @@ RETIRED_PREP = re.compile(r"entry_nodes")
 def test_retired_entry_owner_array_stays_out_of_src():
     hits = _hits(RETIRED_PREP)
     assert not hits, "retired prep arrays in src/:\n" + "\n".join(hits)
+
+
+#: The retired 2-D slab count kernel, its segmented row helpers, its
+#: element cap and the evaluators' slab cost hook: ``_count_range`` counts
+#: every pair over its node range.
+RETIRED_KERNELS = re.compile(
+    r"_count_slab|segment_sum_rows|rowwise_bincount|MAX_ELEMENTS|_slab_costs"
+)
+
+
+def test_retired_slab_kernel_stays_out_of_src():
+    hits = _hits(RETIRED_KERNELS)
+    assert not hits, "retired slab count kernel in src/:\n" + "\n".join(hits)

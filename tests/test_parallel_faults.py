@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import gc
 import os
+import signal
+import time
 
 import pytest
 
@@ -427,6 +429,36 @@ class TestRegistry:
         clean_again = get_executor(2)
         assert clean_again is not chaotic
         shutdown_executors()
+
+
+# ----------------------------------------------------------------------
+# signals: a pool forked inside a durable run stays terminable
+# ----------------------------------------------------------------------
+class TestWorkerSignals:
+    def test_a_worker_forked_under_a_signal_watcher_obeys_sigterm(self, monkeypatch):
+        from repro.parallel import executor as executor_module
+        from repro.runtime.signals import SignalWatcher
+
+        if executor_module._preferred_start_method() != "fork":
+            pytest.skip("only a forked worker inherits the parent's handlers")
+        monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
+        shutdown_executors()  # the pool must be forked under the watcher
+        watcher = SignalWatcher()
+        assert watcher.install()
+        try:
+            worker = get_executor(2)._processes[0]
+            # Until the worker loop resets its handlers, a SIGTERM meets the
+            # inherited recording handler: resend until the worker exits.
+            deadline = time.monotonic() + 5.0
+            while worker.is_alive() and time.monotonic() < deadline:
+                os.kill(worker.pid, signal.SIGTERM)
+                worker.join(timeout=0.1)
+            assert not worker.is_alive()
+            assert worker.exitcode == -signal.SIGTERM
+        finally:
+            shutdown_executors()
+            watcher.restore()
+        assert watcher.signum is None  # the parent saw no signal
 
 
 # ----------------------------------------------------------------------

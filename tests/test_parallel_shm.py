@@ -105,7 +105,7 @@ def low_space_setup():
 
 def _both_evaluators(selection_setup, low_space_setup):
     """``(name, fresh evaluator, families)`` for the Eq. (1) and the
-    Lemma 4.5 cost, which share the base class's count kernels."""
+    Lemma 4.5 cost, which share the base class's count kernel."""
     graph, palettes, params, high, num_bins, family1, family2 = low_space_setup
     return [
         ("partition", _fresh_cost(selection_setup), selection_setup[4:]),

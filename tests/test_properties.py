@@ -44,6 +44,7 @@ from scalar_oracle import (
     assert_same_graph,
     assert_same_run,
     build_csr,
+    count_range_gather,
     induced_subgraph,
     induced_subgraphs,
     production_and_reference,
@@ -380,10 +381,12 @@ class TestRangeCounts:
             assert whole[index].dtype == np.int64
             joined = [value for part in parts for value in part[index].tolist()]
             assert whole[index].tolist() == joined
-        # The slab kernel counts the same integers for the same pair.
-        _, slab_d, slab_p = cost._count_slab([(h1, h2)], cost._prepared())
-        assert slab_d[0].tolist() == whole[0].tolist()
-        assert slab_p[0].tolist() == whole[1].tolist()
+        # The int64 gather reference counts the same integers.
+        prep = cost._prepared()
+        node_bins, universe_bins = cost._pair_bins(h1, h2, prep)
+        reference = count_range_gather(prep, node_bins, universe_bins, 0, num_nodes)
+        assert reference[0].tolist() == whole[0].tolist()
+        assert reference[1].tolist() == whole[1].tolist()
 
 
 class TestBatchedFinalClassificationDifferential:
